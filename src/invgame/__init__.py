@@ -57,6 +57,7 @@ from invgame.matrix_game import (
     payoff_from_features,
     qre_residual,
     solve_qre,
+    solve_qre_batch,
 )
 from invgame.metrics import (
     ErrorReport,

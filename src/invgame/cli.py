@@ -372,14 +372,22 @@ def _experiment_matrix_model(config: ExperimentConfig, rep: int):
     if config.kind == "setup2":
         return experiments.setup2_model(rng), experiments.SETUP2_NORM_SQ_CAP
     if config.kind == "custom":
-        theta = np.array(config.theta)
-        feats = rng.standard_normal((config.m or 4, config.n or 4, theta.shape[0]))
-        feats /= np.linalg.norm(feats, axis=2, keepdims=True)
-        from invgame.matrix_game import FeatureModel
-
         cap = config.norm_cap or 4.0
-        return FeatureModel(feats, theta, norm_sq_cap=cap), cap
+        m, n = config.m or 4, config.n or 4
+        return experiments.custom_model(rng, m, n, config.theta, cap), cap
     raise UsageError(f"{config.kind!r} is not a matrix experiment kind")
+
+
+def _experiment_markov_model(config: ExperimentConfig, rep: int):
+    return experiments.markov_model(
+        stream(config.seed, rep),
+        s_len=config.s_len,
+        m=config.m or 5,
+        n=config.n or 5,
+        horizon=config.horizon,
+        dim=config.dim,
+        gamma=config.gamma,
+    )
 
 
 def _cmd_simulate(args) -> int:
@@ -389,16 +397,7 @@ def _cmd_simulate(args) -> int:
     n_samples = max(config.samples)
     rep = args.rep
     if config.kind == "markov":
-        model = experiments.markov_model(
-            stream(config.seed, rep),
-            s_len=config.s_len,
-            m=config.m or 5,
-            n=config.n or 5,
-            horizon=config.horizon,
-            dim=config.dim,
-            gamma=config.gamma,
-        )
-        spec = model.to_tabular()
+        spec = _experiment_markov_model(config, rep).to_tabular()
         truth, _ = backward_qre(spec, tol=1e-12)
         initial = np.full(spec.S, 1.0 / spec.S)
         data = sample_episodes(spec, truth, initial, n_samples, config.seed, rep)
@@ -458,15 +457,7 @@ def _cmd_invert_markov(args) -> int:
     config = load_config(args)
     data = read_dataset(args.data)
     rep = args.rep
-    model = experiments.markov_model(
-        stream(config.seed, rep),
-        s_len=config.s_len,
-        m=config.m or 5,
-        n=config.n or 5,
-        horizon=config.horizon,
-        dim=config.dim,
-        gamma=config.gamma,
-    )
+    model = _experiment_markov_model(config, rep)
     if data.horizon != config.horizon:
         raise UsageError(
             f"dataset horizon {data.horizon} does not match config {config.horizon}"

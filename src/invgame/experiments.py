@@ -18,7 +18,6 @@ from invgame.inverse_markov import (
     SoftmaxPolicyModel,
     recover_rewards,
     recover_rewards_mle,
-    stepwise_confidence_sets,
 )
 from invgame.inverse_matrix import (
     ConfidenceSet,
@@ -112,6 +111,16 @@ def setup2_model(rng: np.random.Generator) -> FeatureModel:
     return FeatureModel(feats, SETUP2_THETA, norm_sq_cap=SETUP2_NORM_SQ_CAP)
 
 
+def custom_model(
+    rng: np.random.Generator, m: int, n: int, theta, norm_sq_cap: float = np.inf
+) -> FeatureModel:
+    """User-dimensioned m x n game with unit-norm Gaussian features."""
+    theta = np.asarray(theta, dtype=float)
+    feats = rng.standard_normal((m, n, theta.shape[0]))
+    feats /= np.linalg.norm(feats, axis=2, keepdims=True)
+    return FeatureModel(feats, theta, norm_sq_cap=norm_sq_cap)
+
+
 def markov_model(
     rng: np.random.Generator,
     s_len: int = 4,
@@ -162,7 +171,7 @@ def full_rank_oracle_model(
     is deterministic in `seed`.
     """
     from invgame.markov_game import MarkovGameSpec
-    from invgame.matrix_game import entropy as _entropy
+    from invgame.matrix_game import solve_qre_batch, stage_values
 
     d = 2
     for attempt in range(64):
@@ -191,14 +200,8 @@ def full_rank_oracle_model(
                 transition[h, :, :, :, int(np.argmax(v))] += 1.0 - alpha
             thetas[h] = MARKOV_OMEGA + gamma * w
             stage_q = feats @ thetas[h]
-            values = np.zeros(s_len)
-            for s in range(s_len):
-                pair = solve_qre(MatrixGameSpec(stage_q[s], ETA), tol=1e-13)
-                values[s] = (
-                    pair.mu @ stage_q[s] @ pair.nu
-                    + (_entropy(pair.mu) - _entropy(pair.nu)) / ETA
-                )
-            q_next_value = values
+            mu, nu = solve_qre_batch(stage_q, ETA, tol=1e-13)
+            q_next_value = stage_values(stage_q, mu, nu, ETA)
         if not ok:
             continue
         # last step has no continuation: give it any valid kernel
@@ -235,68 +238,65 @@ class MarkovRepRecord:
     per_step_qre: np.ndarray  # (H,)
     per_step_reward_frob: np.ndarray  # (H,)
     feasible: np.ndarray  # (H,) recovered theta_h certified inside its set
-    sets: tuple[ConfidenceSet, ...]  # (H,) frequency sets behind `coverage`
+    sets: tuple[ConfidenceSet, ...]  # (H,) the recovery's sets behind `coverage`
     true_thetas: np.ndarray  # (H, d)
 
 
-def run_setup1_rep(
-    seed: int, rep: int, sample_sizes: list[int]
+def _run_matrix_rep(
+    seed: int,
+    rep: int,
+    sample_sizes: list[int],
+    model: FeatureModel,
+    estimator: str,
+    eta: float = ETA,
+    norm_sq_cap: float = SETUP2_NORM_SQ_CAP,
+    kappa_scale: float = KAPPA_SCALE,
 ) -> list[MatrixRepRecord]:
+    """Least-squares or confidence-set estimation on one matrix instance."""
+    payoff = reconstruct_payoff(model.theta, model.features)
+    truth = solve_qre(MatrixGameSpec(payoff, eta), tol=1e-12)
+    data = sample_matrix_actions(truth, max(sample_sizes), seed, rep)
+    records = []
+    for n_samples in sample_sizes:
+        est = frequency_estimate_matrix(data.prefix(n_samples), *payoff.shape)
+        covered = None
+        if estimator == "least_squares":
+            mu = floor_distribution(est.mu_hat)
+            nu = floor_distribution(est.nu_hat)
+            system = build_linear_system(
+                model.features, PolicyPair(mu / mu.sum(), nu / nu.sum()), eta
+            )
+            try:
+                theta_hat = least_squares_theta(system)
+            except PartialIdentifiabilityError:
+                theta_hat = np.linalg.pinv(system.X) @ system.y
+        elif estimator == "confidence_set":
+            kappa = kappa_rule(n_samples, scale=kappa_scale)
+            cset = build_confidence_set(est, model.features, eta, kappa, norm_sq_cap)
+            theta_hat, _ = cset.min_norm_member()
+            covered = cset.contains(model.theta)
+        else:
+            raise ValueError(f"unknown estimator {estimator!r}")
+        q_hat = reconstruct_payoff(theta_hat, model.features)
+        report = ErrorReport(
+            theta_error=float(np.linalg.norm(theta_hat - model.theta)),
+            payoff_error=float(np.linalg.norm(q_hat - payoff)),
+            qre_tv_error=qre_discrepancy(q_hat, truth, eta),
+        )
+        records.append(MatrixRepRecord(n_samples, rep, report, covered=covered))
+    return records
+
+
+def run_setup1_rep(seed: int, rep: int, sample_sizes: list[int]) -> list[MatrixRepRecord]:
     """Least-squares estimation on the strongly identified instance."""
-    rng = stream(seed, rep)
-    model = setup1_model(rng)
-    payoff = reconstruct_payoff(model.theta, model.features)
-    spec = MatrixGameSpec(payoff, ETA)
-    truth = solve_qre(spec, tol=1e-12)
-    data = sample_matrix_actions(truth, max(sample_sizes), seed, rep)
-    records = []
-    for n_samples in sample_sizes:
-        est = frequency_estimate_matrix(data.prefix(n_samples), spec.m, spec.n)
-        mu = floor_distribution(est.mu_hat)
-        nu = floor_distribution(est.nu_hat)
-        pair = PolicyPair(mu / mu.sum(), nu / nu.sum())
-        system = build_linear_system(model.features, pair, ETA)
-        try:
-            theta_hat = least_squares_theta(system)
-        except PartialIdentifiabilityError:
-            theta_hat = np.linalg.pinv(system.X) @ system.y
-        q_hat = reconstruct_payoff(theta_hat, model.features)
-        report = ErrorReport(
-            theta_error=float(np.linalg.norm(theta_hat - model.theta)),
-            payoff_error=float(np.linalg.norm(q_hat - payoff)),
-            qre_tv_error=qre_discrepancy(q_hat, truth, ETA),
-        )
-        records.append(MatrixRepRecord(n_samples, rep, report))
-    return records
+    model = setup1_model(stream(seed, rep))
+    return _run_matrix_rep(seed, rep, sample_sizes, model, "least_squares")
 
 
-def run_setup2_rep(
-    seed: int, rep: int, sample_sizes: list[int]
-) -> list[MatrixRepRecord]:
+def run_setup2_rep(seed: int, rep: int, sample_sizes: list[int]) -> list[MatrixRepRecord]:
     """Confidence-set estimation on the partially identified instance."""
-    rng = stream(seed, rep)
-    model = setup2_model(rng)
-    payoff = reconstruct_payoff(model.theta, model.features)
-    spec = MatrixGameSpec(payoff, ETA)
-    truth = solve_qre(spec, tol=1e-12)
-    data = sample_matrix_actions(truth, max(sample_sizes), seed, rep)
-    records = []
-    for n_samples in sample_sizes:
-        est = frequency_estimate_matrix(data.prefix(n_samples), spec.m, spec.n)
-        cset = build_confidence_set(
-            est, model.features, ETA, kappa_rule(n_samples), SETUP2_NORM_SQ_CAP
-        )
-        theta_hat, _ = cset.min_norm_member()
-        q_hat = reconstruct_payoff(theta_hat, model.features)
-        report = ErrorReport(
-            theta_error=float(np.linalg.norm(theta_hat - model.theta)),
-            payoff_error=float(np.linalg.norm(q_hat - payoff)),
-            qre_tv_error=qre_discrepancy(q_hat, truth, ETA),
-        )
-        records.append(
-            MatrixRepRecord(n_samples, rep, report, covered=cset.contains(model.theta))
-        )
-    return records
+    model = setup2_model(stream(seed, rep))
+    return _run_matrix_rep(seed, rep, sample_sizes, model, "confidence_set")
 
 
 def run_custom_rep(
@@ -312,44 +312,10 @@ def run_custom_rep(
     estimator: str = "least_squares",
 ) -> list[MatrixRepRecord]:
     """User-dimensioned matrix-game experiment with unit-norm random features."""
-    theta = np.asarray(theta, dtype=float)
-    rng = stream(seed, rep)
-    feats = rng.standard_normal((m, n, theta.shape[0]))
-    feats /= np.linalg.norm(feats, axis=2, keepdims=True)
-    payoff = reconstruct_payoff(theta, feats)
-    spec = MatrixGameSpec(payoff, eta)
-    truth = solve_qre(spec, tol=1e-12)
-    data = sample_matrix_actions(truth, max(sample_sizes), seed, rep)
-    records = []
-    for n_samples in sample_sizes:
-        est = frequency_estimate_matrix(data.prefix(n_samples), m, n)
-        covered = None
-        if estimator == "least_squares":
-            mu = floor_distribution(est.mu_hat)
-            nu = floor_distribution(est.nu_hat)
-            system = build_linear_system(
-                feats, PolicyPair(mu / mu.sum(), nu / nu.sum()), eta
-            )
-            try:
-                theta_hat = least_squares_theta(system)
-            except PartialIdentifiabilityError:
-                theta_hat = np.linalg.pinv(system.X) @ system.y
-        elif estimator == "confidence_set":
-            cset = build_confidence_set(
-                est, feats, eta, kappa_rule(n_samples, scale=kappa_scale), norm_sq_cap
-            )
-            theta_hat, _ = cset.min_norm_member()
-            covered = cset.contains(theta)
-        else:
-            raise ValueError(f"unknown estimator {estimator!r}")
-        q_hat = reconstruct_payoff(theta_hat, feats)
-        report = ErrorReport(
-            theta_error=float(np.linalg.norm(theta_hat - theta)),
-            payoff_error=float(np.linalg.norm(q_hat - payoff)),
-            qre_tv_error=qre_discrepancy(q_hat, truth, eta),
-        )
-        records.append(MatrixRepRecord(n_samples, rep, report, covered=covered))
-    return records
+    model = custom_model(stream(seed, rep), m, n, theta)
+    return _run_matrix_rep(
+        seed, rep, sample_sizes, model, estimator, eta, norm_sq_cap, kappa_scale
+    )
 
 
 def run_markov_rep(
@@ -371,7 +337,9 @@ def run_markov_rep(
     saturated one-hot softmax MLE policies with empirical visit-probability
     weights.  Each step's threshold is kappa_rule over that step's state
     visit counts, with the block weights of the set it bounds.  Coverage is
-    measured on the frequency sets for either estimator.
+    measured on the sets the recovery drew its parameters from: frequency
+    sets, or the rho-weighted MLE sets.  The recovered rewards of all sample
+    sizes are re-solved together in one backward pass.
     """
     rng = stream(seed, rep)
     model = markov_model(
@@ -388,7 +356,7 @@ def run_markov_rep(
         policy_model = saturated_policy_model(spec.S, spec.m, spec.n)
     elif estimator != "frequency":
         raise ValueError(f"estimator must be 'frequency' or 'mle', got {estimator}")
-    records = []
+    samples = []
     for n_episodes in episode_counts:
         subset = data.prefix(n_episodes)
         counts = state_visit_counts(subset, spec.S)
@@ -406,12 +374,14 @@ def run_markov_rep(
             sample = recover_rewards_mle(subset, replace(config, kappa=mle_kappa))[0]
         else:
             sample = recover_rewards(subset, config)[0]
-        csets = stepwise_confidence_sets(subset, config)
+        samples.append(sample)
+    qre_errs, per_step_qres = qre_discrepancy_markov(
+        spec, np.stack([sample.rewards for sample in samples]), truth, state_dists
+    )
+    records = []
+    for k, (n_episodes, sample) in enumerate(zip(episode_counts, samples)):
         coverage = np.array(
-            [csets[h].contains(true_thetas[h]) for h in range(spec.H)]
-        )
-        qre_err, per_step_qre = qre_discrepancy_markov(
-            spec, sample.rewards, truth, state_dists
+            [cset.contains(theta) for cset, theta in zip(sample.sets, true_thetas)]
         )
         per_step_frob = np.linalg.norm(
             (sample.rewards - spec.rewards).reshape(spec.H, -1), axis=1
@@ -425,14 +395,14 @@ def run_markov_rep(
                     (sample.q_values - values.Q).reshape(spec.H, -1), axis=1
                 ).mean()
             ),
-            qre_tv_error=qre_err,
+            qre_tv_error=float(qre_errs[k]),
             reward_D=reward_metric_D(sample.rewards, spec.rewards),
             reward_D1=reward_metric_D1(sample.rewards, spec.rewards, state_dists),
         )
         records.append(
             MarkovRepRecord(
-                n_episodes, rep, report, coverage, per_step_qre, per_step_frob,
-                feasible=sample.feasible, sets=tuple(csets), true_thetas=true_thetas,
+                n_episodes, rep, report, coverage, per_step_qres[k], per_step_frob,
+                feasible=sample.feasible, sets=sample.sets, true_thetas=true_thetas,
             )
         )
     return records

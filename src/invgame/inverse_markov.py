@@ -10,18 +10,18 @@ confidence set -> Q and V estimates -> ridge transition -> plug-in reward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from invgame.inverse_matrix import ConfidenceSet, floor_distribution
 from invgame.markov_game import StagePolicies
-from invgame.matrix_game import entropy
+from invgame.matrix_game import stage_values
 from invgame.sampling import (
-    EmpiricalMarkovQRE,
     EpisodeDataset,
     empirical_state_distribution,
     frequency_estimate_markov,
+    state_action_counts,
     stream,
 )
 
@@ -198,8 +198,9 @@ def mle_fit(
     psi = model.psi_a if player == "a" else model.psi_b
     actions = data.actions_a if player == "a" else data.actions_b
     s_len, n_actions, dim = psi.shape
-    counts = np.zeros((s_len, n_actions))
-    np.add.at(counts, (data.states[:, step], actions[:, step]), 1.0)
+    counts = state_action_counts(
+        data.states[:, step], actions[:, step], s_len, n_actions
+    ).astype(float)
     total = counts.sum()
     if total == 0:
         raise ValueError(f"no samples at step {step}")
@@ -320,6 +321,7 @@ class RecoveredRewardSample:
     v_values: np.ndarray  # (H+1, S)
     rewards: np.ndarray  # (H, S, m, n)
     feasible: np.ndarray  # (H,) bool: theta_h certified inside its set
+    sets: tuple[ConfidenceSet, ...]  # (H,) the per-step sets theta_h came from
 
 
 @dataclass(frozen=True)
@@ -334,13 +336,15 @@ def _floored_conditionals(raw: np.ndarray) -> np.ndarray:
     return floored / floored.sum(axis=-1, keepdims=True)
 
 
-def _frequency_estimates(
-    data: EpisodeDataset, s_len: int, m: int, n: int
-) -> tuple[EmpiricalMarkovQRE, _Estimates]:
-    est = frequency_estimate_markov(data, s_len, m, n)
-    weights = est.visited.astype(float)
-    return est, _Estimates(
-        _floored_conditionals(est.mu_hat), _floored_conditionals(est.nu_hat), weights
+def _frequency_estimates(data: EpisodeDataset, config: InversionConfig) -> _Estimates:
+    """Frequency policies weighting visited states by 1, or the exact ones."""
+    if config.exact_policies is not None:
+        return _exact_estimates(config.exact_policies, None)
+    est = frequency_estimate_markov(data, *config.features.shape[:3])
+    return _Estimates(
+        _floored_conditionals(est.mu_hat),
+        _floored_conditionals(est.nu_hat),
+        est.visited.astype(float),
     )
 
 
@@ -373,12 +377,8 @@ def stepwise_confidence_sets(
     data: EpisodeDataset, config: InversionConfig, estimates: _Estimates | None = None
 ) -> list[ConfidenceSet]:
     """The per-step confidence sets the backward recovery passes use."""
-    s_len, m, n, _ = config.features.shape
     if estimates is None:
-        if config.exact_policies is not None:
-            estimates = _exact_estimates(config.exact_policies, None)
-        else:
-            _, estimates = _frequency_estimates(data, s_len, m, n)
+        estimates = _frequency_estimates(data, config)
     sets = []
     for h in range(data.horizon):
         system = build_stepwise_system(
@@ -391,21 +391,11 @@ def stepwise_confidence_sets(
     return sets
 
 
-def _stage_values(
-    q_h: np.ndarray, mu_h: np.ndarray, nu_h: np.ndarray, eta: float
-) -> np.ndarray:
-    """V(s) = mu' Q nu + (H(mu) - H(nu)) / eta per state."""
-    s_len = q_h.shape[0]
-    v = np.einsum("sa,sab,sb->s", mu_h, q_h, nu_h)
-    for s in range(s_len):
-        v[s] += (entropy(mu_h[s]) - entropy(nu_h[s])) / eta
-    return v
-
-
 def _backward_pass(
     data: EpisodeDataset,
     config: InversionConfig,
     estimates: _Estimates,
+    sets: tuple[ConfidenceSet, ...],
     theta_picker,
 ) -> RecoveredRewardSample:
     s_len, m, n, d = config.features.shape
@@ -417,19 +407,12 @@ def _backward_pass(
     feasible = np.zeros(h_len, dtype=bool)
     flat_features = config.features.reshape(-1, d)
     for h in range(h_len - 1, -1, -1):
-        system = build_stepwise_system(
-            config.features, estimates.mu[h], estimates.nu[h], config.eta,
-            estimates.weights[h],
-        )
-        cset = stepwise_confidence_set(
-            system, config.kappa_at(h), config.theta_norm_cap
-        )
         try:
-            thetas[h], feasible[h] = theta_picker(h, cset)
+            thetas[h], feasible[h] = theta_picker(h, sets[h])
         except Exception as err:
             raise RuntimeError(f"theta selection failed at step {h}") from err
         q_values[h] = (flat_features @ thetas[h]).reshape(s_len, m, n)
-        v_values[h] = _stage_values(q_values[h], estimates.mu[h], estimates.nu[h], config.eta)
+        v_values[h] = stage_values(q_values[h], estimates.mu[h], estimates.nu[h], config.eta)
         if config.exact_transition is not None:
             continuation = config.exact_transition[h] @ v_values[h + 1]
         else:
@@ -437,15 +420,16 @@ def _backward_pass(
             weights_vec = est.value_weights(v_values[h + 1])
             continuation = (flat_features @ weights_vec).reshape(s_len, m, n)
         rewards[h] = q_values[h] - config.gamma * continuation
-    return RecoveredRewardSample(thetas, q_values, v_values, rewards, feasible)
+    return RecoveredRewardSample(thetas, q_values, v_values, rewards, feasible, sets)
 
 
 def _run_algorithm(
     data: EpisodeDataset, config: InversionConfig, estimates: _Estimates
 ) -> list[RecoveredRewardSample]:
+    sets = tuple(stepwise_confidence_sets(data, config, estimates))
     samples = [
         _backward_pass(
-            data, config, estimates, lambda h, cset: cset.min_norm_member()
+            data, config, estimates, sets, lambda h, cset: cset.min_norm_member()
         )
     ]
     if config.extra_members > 0:
@@ -454,7 +438,7 @@ def _run_algorithm(
             def picker(h, cset, rng=rng):
                 member = cset.sample_members(1, rng)[0]
                 return member, True
-            samples.append(_backward_pass(data, config, estimates, picker))
+            samples.append(_backward_pass(data, config, estimates, sets, picker))
     return samples
 
 
@@ -468,12 +452,7 @@ def recover_rewards(
     first returned sample uses the canonical min-norm selection, followed by
     config.extra_members random feasible trajectories.
     """
-    s_len, m, n, _ = config.features.shape
-    if config.exact_policies is not None:
-        estimates = _exact_estimates(config.exact_policies, None)
-    else:
-        _, estimates = _frequency_estimates(data, s_len, m, n)
-    return _run_algorithm(data, config, estimates)
+    return _run_algorithm(data, config, _frequency_estimates(data, config))
 
 
 def recover_rewards_mle(
@@ -486,12 +465,11 @@ def recover_rewards_mle(
     empirical visit probability, so unvisited states contribute nothing.
     """
     s_len = config.features.shape[0]
-    rho = empirical_state_distribution(data, s_len)
     if config.exact_policies is not None:
+        rho = empirical_state_distribution(data, s_len)
         estimates = _exact_estimates(config.exact_policies, rho)
+    elif config.policy_model is None:
+        raise ValueError("recover_rewards_mle needs a policy_model")
     else:
-        if config.policy_model is None:
-            raise ValueError("recover_rewards_mle needs a policy_model")
         estimates = _mle_estimates(data, config.policy_model, s_len)
-        estimates = replace(estimates, weights=rho)
     return _run_algorithm(data, config, estimates)

@@ -11,12 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from invgame.matrix_game import (
-    MatrixGameSpec,
-    QreConvergenceError,
-    entropy,
-    solve_qre,
-)
+from invgame.matrix_game import QreConvergenceError, solve_qre_batch, stage_values
 
 
 @dataclass(frozen=True)
@@ -161,26 +156,43 @@ def backward_qre(
     spec: MarkovGameSpec, tol: float = 1e-12
 ) -> tuple[StagePolicies, ValueFunctions]:
     """Backward induction: per-state matrix QRE at every step, V_{H+1} = 0."""
-    h_len, s_len, m, n = spec.rewards.shape
-    q = np.zeros((h_len, s_len, m, n))
-    v = np.zeros((h_len + 1, s_len))
-    mu = np.zeros((h_len, s_len, m))
-    nu = np.zeros((h_len, s_len, n))
-    for h in range(h_len - 1, -1, -1):
-        q[h] = spec.rewards[h] + spec.gamma * spec.transition[h] @ v[h + 1]
-        for s in range(s_len):
-            try:
-                pair = solve_qre(MatrixGameSpec(q[h, s], spec.eta), tol=tol)
-            except QreConvergenceError as err:
-                raise QreConvergenceError(err.iterations, err.residual) from ValueError(
-                    f"stage QRE failed at step {h}, state {s}"
-                )
-            mu[h, s], nu[h, s] = pair.mu, pair.nu
-            v[h, s] = (
-                pair.mu @ q[h, s] @ pair.nu
-                + (entropy(pair.mu) - entropy(pair.nu)) / spec.eta
-            )
+    mu, nu, q, v = backward_qre_stack(spec.rewards, spec.transition, spec.eta, spec.gamma, tol)
     return StagePolicies(mu, nu), ValueFunctions(q, v)
+
+
+def backward_qre_stack(
+    rewards: np.ndarray, transition: np.ndarray, eta: float, gamma: float = 1.0,
+    tol: float = 1e-12,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Backward induction for a stack of reward tables sharing one kernel.
+
+    rewards has shape (..., H, S, m, n) and transition (H, S, m, n, S).  At
+    each step the stage games of every state and every stack entry are
+    solved in one batch.  Returns mu (..., H, S, m), nu (..., H, S, n),
+    Q (..., H, S, m, n) and V (..., H+1, S).  A stage game that does not
+    converge raises QreConvergenceError naming the step and state.
+    """
+    rewards = np.asarray(rewards, dtype=float)
+    lead = rewards.shape[:-4]
+    h_len, s_len, m, n = rewards.shape[-4:]
+    q = np.zeros(rewards.shape)
+    v = np.zeros(lead + (h_len + 1, s_len))
+    mu, nu = np.zeros(lead + (h_len, s_len, m)), np.zeros(lead + (h_len, s_len, n))
+    for h in range(h_len - 1, -1, -1):
+        continuation = (gamma * transition[h]) @ v[..., None, None, h + 1, :, None]
+        q_h = rewards[..., h, :, :, :] + continuation[..., 0]
+        try:
+            mu_h, nu_h = solve_qre_batch(q_h.reshape(-1, m, n), eta, tol)
+        except QreConvergenceError as err:
+            index = np.unravel_index(err.failed, lead + (s_len,))
+            failed = [tuple(map(int, entry)) for entry in zip(*index)]
+            raise QreConvergenceError(
+                err.iterations, err.residual, failed, step=h, state=failed[0][-1]
+            ) from None
+        mu_h, nu_h = mu_h.reshape(lead + (s_len, m)), nu_h.reshape(lead + (s_len, n))
+        q[..., h, :, :, :], mu[..., h, :, :], nu[..., h, :, :] = q_h, mu_h, nu_h
+        v[..., h, :] = stage_values(q_h, mu_h, nu_h, eta)
+    return mu, nu, q, v
 
 
 def visit_distributions(

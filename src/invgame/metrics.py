@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from invgame.markov_game import MarkovGameSpec, StagePolicies, backward_qre
+from invgame.markov_game import MarkovGameSpec, StagePolicies, backward_qre_stack
 from invgame.matrix_game import MatrixGameSpec, PolicyPair, solve_qre
 
 
@@ -87,24 +87,27 @@ def qre_discrepancy_markov(
     true_policies: StagePolicies,
     true_state_dists: np.ndarray,
     tol: float = 1e-12,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Markov QRE discrepancy of re-solved play on estimated rewards.
 
     Rebuilds the game with the estimated rewards and the true transition
     kernel, solves it backward, and averages each step's per-state
     TV(mu) + TV(nu) under the true visit distribution.  Returns the mean
-    over steps together with the per-step values.
+    over steps together with the per-step values.  Rewards of shape
+    (K, H, S, m, n) are K estimates re-solved in one backward pass; the
+    result is then a (K,) array of means and a (K, H) array of steps.
     """
-    est_spec = MarkovGameSpec(
-        np.asarray(estimated_rewards, dtype=float),
-        true_spec.transition,
-        eta=true_spec.eta,
-        gamma=true_spec.gamma,
+    rewards = np.asarray(estimated_rewards, dtype=float)
+    if rewards.shape[-4:] != true_spec.rewards.shape or rewards.ndim > 5:
+        raise ValueError(f"estimated rewards {rewards.shape} do not fit the game")
+    mu, nu, _, _ = backward_qre_stack(
+        rewards, true_spec.transition, true_spec.eta, true_spec.gamma, tol
     )
-    policies, _ = backward_qre(est_spec, tol=tol)
     tv_sum = 0.5 * (
-        np.abs(policies.mu - true_policies.mu).sum(axis=2)
-        + np.abs(policies.nu - true_policies.nu).sum(axis=2)
+        np.abs(mu - true_policies.mu).sum(axis=-1)
+        + np.abs(nu - true_policies.nu).sum(axis=-1)
     )
-    per_step = np.einsum("hs,hs->h", true_state_dists, tv_sum)
-    return float(per_step.mean()), per_step
+    per_step = np.einsum("hs,...hs->...h", true_state_dists, tv_sum)
+    if rewards.ndim == 4:
+        return float(per_step.mean()), per_step
+    return per_step.mean(axis=-1), per_step

@@ -170,18 +170,28 @@ def frequency_estimate_markov(
     mu_hat = np.zeros((h_len, s_len, m))
     nu_hat = np.zeros((h_len, s_len, n))
     for h in range(h_len):
-        s_col = data.states[:, h]
-        joint_a = np.zeros((s_len, m), dtype=np.int64)
-        np.add.at(joint_a, (s_col, data.actions_a[:, h]), 1)
-        joint_b = np.zeros((s_len, n), dtype=np.int64)
-        np.add.at(joint_b, (s_col, data.actions_b[:, h]), 1)
         denom = np.maximum(counts[h], 1)[:, None]
-        mu_hat[h] = joint_a / denom
-        nu_hat[h] = joint_b / denom
+        s_col = data.states[:, h]
+        mu_hat[h] = state_action_counts(s_col, data.actions_a[:, h], s_len, m) / denom
+        nu_hat[h] = state_action_counts(s_col, data.actions_b[:, h], s_len, n) / denom
     visited = counts > 0
     mu_hat[~visited] = 1.0 / m
     nu_hat[~visited] = 1.0 / n
     return EmpiricalMarkovQRE(mu_hat, nu_hat, counts, visited)
+
+
+def state_action_counts(
+    states: np.ndarray, actions: np.ndarray, s_len: int, n_actions: int
+) -> np.ndarray:
+    """Visits to each (state, action) pair of one step, shape (S, n_actions)."""
+    if actions.size and (actions.min() < 0 or actions.max() >= n_actions):
+        raise ValueError(f"actions must lie in 0..{n_actions - 1}")
+    flat = states * n_actions
+    flat += actions  # in place, so one index array of the step is alive at a time
+    counts = np.bincount(flat, minlength=s_len * n_actions)
+    if counts.size != s_len * n_actions:
+        raise ValueError(f"states must lie in 0..{s_len - 1}")
+    return counts.reshape(s_len, n_actions)
 
 
 def state_visit_counts(data: EpisodeDataset, s_len: int) -> np.ndarray:

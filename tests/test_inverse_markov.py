@@ -28,6 +28,7 @@ from invgame.sampling import (
     EpisodeDataset,
     frequency_estimate_markov,
     sample_episodes,
+    state_visit_counts,
     stream,
 )
 
@@ -282,6 +283,27 @@ class TestRecoverRewards:
             for h in range(spec.H):
                 assert csets[h].contains(sample.thetas[h], slack=1e-9)
 
+    def test_samples_carry_the_sets_they_were_drawn_from(self):
+        model = markov_model(stream(93), horizon=3)
+        spec = model.to_tabular()
+        truth, _ = backward_qre(spec, tol=1e-13)
+        data = sample_episodes(spec, truth, np.full(spec.S, 0.25), 5000, 94)
+        config = InversionConfig(
+            features=model.features, eta=spec.eta, gamma=spec.gamma,
+            kappa=np.array([5.0, 6.0, 7.0]), ridge_lambda=0.01, theta_norm_cap=10.0,
+            extra_members=1,
+        )
+        samples = recover_rewards(data, config)
+        rebuilt = stepwise_confidence_sets(data, config)
+        for sample in samples:
+            assert len(sample.sets) == spec.H
+            for cset, expected in zip(sample.sets, rebuilt):
+                assert np.array_equal(cset.X, expected.X)
+                assert np.array_equal(cset.y, expected.y)
+                assert cset.kappa == expected.kappa
+            for h in range(spec.H):
+                assert sample.sets[h].contains(sample.thetas[h], slack=1e-9)
+
     def test_theoretical_threshold_containment(self):
         hits = total = 0
         for rep in range(20):
@@ -485,6 +507,43 @@ class TestPerBlockThreshold:
         counts = np.full((6, 1), n)  # frequency weights 1, MLE weights n / n
         assert np.all(kappa_rule(counts, counts > 0) == expected)
         assert np.all(kappa_rule(counts, counts / n) == expected)
+
+    def markov_rep_data(self, seed, rep, n_episodes):
+        model = markov_model(stream(seed, rep))
+        spec = model.to_tabular()
+        truth, _ = backward_qre(spec, tol=1e-12)
+        data = sample_episodes(spec, truth, np.full(spec.S, 0.25), n_episodes, seed, rep)
+        return model, spec, data
+
+    def test_frequency_record_sets_are_the_frequency_sets(self):
+        n = 10**4
+        record = run_markov_rep(20260808, 1, [n])[0]
+        model, spec, data = self.markov_rep_data(20260808, 1, n)
+        counts = state_visit_counts(data, spec.S)
+        config = InversionConfig(
+            features=model.features, eta=spec.eta, gamma=spec.gamma,
+            kappa=kappa_rule(counts, counts > 0), ridge_lambda=0.01, theta_norm_cap=10.0,
+        )
+        expected = stepwise_confidence_sets(data, config)
+        for h, (cset, want) in enumerate(zip(record.sets, expected)):
+            assert np.array_equal(cset.X, want.X) and np.array_equal(cset.y, want.y)
+            assert cset.kappa == want.kappa
+            assert record.coverage[h] == want.contains(record.true_thetas[h])
+
+    def test_mle_record_sets_carry_the_rho_weighted_threshold(self):
+        # MLE sets weight state blocks by rho_h(s) = N_h(s) / N, so their
+        # threshold is 1e3 * #visited / N, not the frequency rule's sum
+        n = 10**4
+        record = run_markov_rep(20260808, 1, [n], estimator="mle")[0]
+        _, spec, data = self.markov_rep_data(20260808, 1, n)
+        counts = state_visit_counts(data, spec.S)
+        mle_kappa = kappa_rule(counts, counts / n)
+        assert [cset.kappa for cset in record.sets] == mle_kappa.tolist()
+        assert mle_kappa == pytest.approx(1e3 * (counts > 0).sum(axis=1) / n)
+        assert np.all(mle_kappa < kappa_rule(counts, counts > 0))
+        assert record.coverage.tolist() == [
+            cset.contains(theta) for cset, theta in zip(record.sets, record.true_thetas)
+        ]
 
     def test_weights_select_the_per_state_sum(self):
         counts = np.array([[100, 300, 0, 600]])

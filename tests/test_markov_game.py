@@ -1,15 +1,26 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from invgame import markov_game
 from invgame.markov_game import (
     LinearMDPModel,
     MarkovGameSpec,
     StagePolicies,
     backward_qre,
+    backward_qre_stack,
     check_well_posedness,
     visit_distributions,
 )
-from invgame.matrix_game import MatrixGameSpec, entropy, qre_residual, solve_qre
+from invgame.matrix_game import (
+    MatrixGameSpec,
+    QreConvergenceError,
+    entropy,
+    qre_residual,
+    solve_qre,
+    solve_qre_batch,
+)
 
 from .oracles import backward_values_2x2, rollout_state_frequencies
 
@@ -112,6 +123,42 @@ class TestBackwardQre:
             assert np.abs(new_val.V[h] - base_val.V[h] - expected).max() < 1e-9
         assert np.abs(new_pol.mu - base_pol.mu).max() < 1e-9
         assert np.abs(new_pol.nu - base_pol.nu).max() < 1e-9
+
+
+    def test_reward_stack_matches_separate_solves(self):
+        spec = random_spec(12, h_len=3, s_len=3, m=3, n=4, eta=0.7, gamma=0.9)
+        rng = make_rng(13)
+        stack = spec.rewards + rng.standard_normal((4,) + spec.rewards.shape)
+        stack[2] *= 6.0  # strongly scaled stages need more iterations
+        mu, nu, q, v = backward_qre_stack(stack, spec.transition, spec.eta, spec.gamma)
+        assert mu.shape == (4, 3, 3, 3) and v.shape == (4, 4, 3)
+        for k in range(4):
+            alone = MarkovGameSpec(stack[k], spec.transition, eta=spec.eta, gamma=spec.gamma)
+            policies, values = backward_qre(alone)
+            assert np.abs(mu[k] - policies.mu).max() <= 1e-15
+            assert np.abs(nu[k] - policies.nu).max() <= 1e-15
+            assert np.abs(q[k] - values.Q).max() <= 1e-15
+            assert np.abs(v[k] - values.V).max() <= 1e-15
+
+    def test_nonconvergence_names_step_and_state(self, monkeypatch):
+        # the last step is solved first; its state 0 game is the zero game,
+        # which the uniform start solves, and state 1 cannot converge in 3
+        rewards = np.zeros((2, 2, 2, 2))
+        rewards[1, 1] = [[7.0, -2.0], [0.5, 3.0]]
+        transition = np.full((2, 2, 2, 2, 2), 0.5)
+        spec = MarkovGameSpec(rewards, transition, eta=2.0)
+        monkeypatch.setattr(
+            markov_game, "solve_qre_batch", partial(solve_qre_batch, max_iter=3)
+        )
+        with pytest.raises(QreConvergenceError, match="at step 1, state 1") as err:
+            backward_qre(spec)
+        assert (err.value.step, err.value.state) == (1, 1)
+        assert err.value.failed == ((1,),)
+        assert err.value.iterations == 3
+        with pytest.raises(QreConvergenceError) as err:
+            backward_qre_stack(np.stack([rewards, rewards]), transition, 2.0)
+        assert (err.value.step, err.value.state) == (1, 1)
+        assert err.value.failed == ((0, 1), (1, 1))
 
 
 class TestVisitDistributions:

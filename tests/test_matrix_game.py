@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from invgame.matrix_game import (
     payoff_from_features,
     qre_residual,
     solve_qre,
+    solve_qre_batch,
 )
 
 from .oracles import payoff_by_scalar_loops, qre_2x2_bisection, simplex_mesh
@@ -21,6 +24,15 @@ def seeded_features(m, n, d, seed, unit_norm=True):
     if unit_norm:
         feats /= np.linalg.norm(feats, axis=2, keepdims=True)
     return feats
+
+
+@lru_cache(maxsize=None)
+def strongly_scaled_game():
+    """A near-deterministic 4x4 game whose solve needs damping halvings,
+    with its single-game QRE (cached: the solve takes seconds)."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(124)))
+    spec = MatrixGameSpec(rng.standard_normal((4, 4)) * 20, eta=2.0)
+    return spec, solve_qre(spec, tol=1e-12)
 
 
 class TestSpecValidation:
@@ -121,10 +133,7 @@ class TestSolveQre:
     def test_strongly_scaled_payoffs_converge_via_damping(self):
         # near-deterministic equilibrium regime: plain damping 0.5 cycles and
         # the stall-triggered halving has to carry the iteration
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(124)))
-        q = rng.standard_normal((4, 4)) * 20
-        spec = MatrixGameSpec(q, eta=2.0)
-        pair = solve_qre(spec, tol=1e-12)
+        spec, pair = strongly_scaled_game()
         assert qre_residual(spec, pair) <= 1e-10
 
     def test_nonconvergence_reports_residual(self):
@@ -133,6 +142,61 @@ class TestSolveQre:
             solve_qre(spec, tol=1e-12, max_iter=3)
         assert err.value.iterations == 3
         assert err.value.residual > 0
+
+
+class TestSolveQreBatch:
+    def test_games_in_a_stack_follow_their_own_iterates(self):
+        # the hard game keeps iterating, and halving its damping, long after
+        # the easy games have converged and been frozen
+        hard_spec, hard_pair = strongly_scaled_game()
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(125)))
+        easy = rng.standard_normal((3, 4, 4))
+        stack = np.stack([easy[0], hard_spec.payoff, easy[1], np.zeros((4, 4)), easy[2]])
+        mu, nu = solve_qre_batch(stack, 2.0, tol=1e-12)
+        for i, q in enumerate(stack):
+            alone = hard_pair if i == 1 else solve_qre(MatrixGameSpec(q, 2.0), tol=1e-12)
+            assert np.abs(mu[i] - alone.mu).max() <= 1e-15
+            assert np.abs(nu[i] - alone.nu).max() <= 1e-15
+            assert qre_residual(MatrixGameSpec(q, 2.0), PolicyPair(mu[i], nu[i])) <= 1e-10
+
+    def test_2x2_stack_against_bisection_oracle(self):
+        stack = np.array(
+            [
+                [[1.0, 0.0], [0.0, 0.0]],
+                [[7.0, -2.0], [0.5, 3.0]],
+                [[1.0, -1.0], [-1.0, 1.0]],
+                [[0.0, 0.0], [0.0, 0.0]],
+            ]
+        )
+        mu, nu = solve_qre_batch(stack, 1.0, tol=1e-13)
+        for i, q in enumerate(stack):
+            alone = solve_qre(MatrixGameSpec(q, 1.0), tol=1e-13)
+            assert np.abs(mu[i] - alone.mu).max() <= 1e-15
+            assert np.abs(nu[i] - alone.nu).max() <= 1e-15
+            mu_star, nu_star = qre_2x2_bisection(q, eta=1.0)
+            assert np.abs(mu[i] - mu_star).max() < 1e-10
+            assert np.abs(nu[i] - nu_star).max() < 1e-10
+
+    def test_nonconvergence_names_the_failed_entries(self):
+        # the zero game is solved by the uniform start; the others are not
+        hard = np.array([[7.0, -2.0], [0.5, 3.0]])
+        stack = np.stack([np.zeros((2, 2)), hard, 2 * hard])
+        with pytest.raises(QreConvergenceError, match=r"failed entries \[1, 2\]") as err:
+            solve_qre_batch(stack, 2.0, tol=1e-12, max_iter=3)
+        assert err.value.failed == (1, 2)
+        assert err.value.iterations == 3
+        assert err.value.residual > 0
+        assert err.value.step is None and err.value.state is None
+
+    def test_rejects_invalid_stacks(self):
+        with pytest.raises(ValueError):
+            solve_qre_batch(np.zeros((2, 2)), 1.0)
+        with pytest.raises(ValueError):
+            solve_qre_batch(np.zeros((3, 1, 2)), 1.0)
+        with pytest.raises(ValueError):
+            solve_qre_batch(np.full((1, 2, 2), np.nan), 1.0)
+        with pytest.raises(ValueError):
+            solve_qre_batch(np.zeros((1, 2, 2)), 0.0)
 
 
 class TestQreResidual:

@@ -145,3 +145,20 @@ class TestQreDiscrepancy:
         corrupted0[:, 1:] += 100.0
         total, _ = qre_discrepancy_markov(spec0, corrupted0, policies0, weights)
         assert total < 1e-9
+
+    def test_markov_variant_scores_a_reward_stack_in_one_pass(self):
+        model = simplex_feature_model(34, h_len=3)
+        spec = model.to_tabular()
+        policies, _ = backward_qre(spec)
+        state, _ = visit_distributions(spec, policies, np.full(spec.S, 0.25))
+        rng = make_rng(35)
+        stack = spec.rewards + 0.3 * rng.standard_normal((3,) + spec.rewards.shape)
+        totals, per_steps = qre_discrepancy_markov(spec, stack, policies, state)
+        assert totals.shape == (3,) and per_steps.shape == (3, spec.H)
+        for k in range(3):
+            total, per_step = qre_discrepancy_markov(spec, stack[k], policies, state)
+            assert isinstance(total, float)
+            assert abs(totals[k] - total) <= 1e-15
+            assert np.abs(per_steps[k] - per_step).max() <= 1e-15
+        with pytest.raises(ValueError):
+            qre_discrepancy_markov(spec, stack[:, :2], policies, state)

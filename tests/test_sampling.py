@@ -13,6 +13,7 @@ from invgame.sampling import (
     read_dataset,
     sample_episodes,
     sample_matrix_actions,
+    state_action_counts,
     stream,
     write_dataset,
 )
@@ -168,6 +169,32 @@ class TestFrequencyEstimateMarkov:
         assert tv_mu[est.visited].max() < 0.05
         assert tv_nu[est.visited].max() < 0.05
         assert np.allclose(est.mu_hat.sum(axis=2), 1.0, atol=1e-12)
+
+
+    def test_counts_match_scatter_add_reference(self):
+        model = simplex_feature_model(16)
+        spec = model.to_tabular()
+        policies, _ = backward_qre(spec)
+        data = sample_episodes(spec, policies, np.full(spec.S, 0.25), 3000, seed=17)
+        est = frequency_estimate_markov(data, spec.S, spec.m, spec.n)
+        for h in range(spec.H):
+            joint = np.zeros((spec.S, spec.m), dtype=np.int64)
+            np.add.at(joint, (data.states[:, h], data.actions_a[:, h]), 1)
+            denom = np.maximum(est.counts[h], 1)[:, None]
+            assert np.array_equal(est.mu_hat[h], joint / denom)
+
+    def test_out_of_range_indices_rejected(self):
+        states = np.array([0, 1, 1])
+        with pytest.raises(ValueError, match="actions"):
+            state_action_counts(states, np.array([0, 3, 1]), 2, 3)
+        with pytest.raises(ValueError, match="actions"):
+            state_action_counts(states, np.array([0, -1, 1]), 2, 3)
+        with pytest.raises(ValueError, match="states"):
+            state_action_counts(np.array([0, 2, 1]), np.array([0, 1, 1]), 2, 3)
+        assert state_action_counts(states, np.array([0, 2, 2]), 2, 3).tolist() == [
+            [1, 0, 0],
+            [0, 0, 2],
+        ]
 
 
 class TestEmpiricalStateDistribution:
