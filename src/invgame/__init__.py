@@ -6,22 +6,20 @@ parameters consistent with observed equilibrium play, as point estimates,
 feasible sets, and confidence sets.
 """
 
+import types
+
 from invgame.inverse_markov import (
     InversionConfig,
     MleFit,
     RecoveredRewardSample,
     RidgeTransitionEstimator,
     SoftmaxPolicyModel,
-    StepwiseSystem,
-    apply_transition_estimate,
-    build_stepwise_system,
     mle_fit,
     recover_rewards,
     recover_rewards_mle,
     ridge_fit,
     stepwise_confidence_set,
     stepwise_confidence_sets,
-    theoretical_kappa_markov,
 )
 from invgame.inverse_matrix import (
     ConfidenceSet,
@@ -29,14 +27,13 @@ from invgame.inverse_matrix import (
     LinearSystem,
     PartialIdentifiabilityError,
     build_confidence_set,
-    build_linear_system,
+    build_stepwise_system,
     feasible_set_from_policies,
     hausdorff_estimate,
     least_squares_theta,
     min_norm_theta,
     rank_condition,
     reconstruct_payoff,
-    sample_feasible,
     theoretical_kappa,
 )
 from invgame.markov_game import (
@@ -83,4 +80,8 @@ from invgame.sampling import (
     write_dataset,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -20,15 +20,14 @@ import numpy as np
 from invgame import experiments
 from invgame.inverse_markov import InversionConfig, recover_rewards
 from invgame.inverse_matrix import (
-    build_confidence_set,
-    build_linear_system,
-    floor_distribution,
+    ConfidenceSet,
+    empirical_system,
     least_squares_theta,
     rank_condition,
     reconstruct_payoff,
 )
 from invgame.markov_game import backward_qre
-from invgame.matrix_game import MatrixGameSpec, PolicyPair, game_value, qre_residual, solve_qre
+from invgame.matrix_game import MatrixGameSpec, game_value, qre_residual, solve_qre
 from invgame.metrics import ErrorReport
 from invgame.sampling import (
     MatrixDataset,
@@ -414,26 +413,41 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _read_checked_dataset(path: str, horizon: int, s_len: int, m: int, n: int):
+    """Read a dataset, rejecting a horizon other than the model's, indices
+    outside its ranges, and successors that are not the next step's state."""
+    try:
+        data = read_dataset(path)
+    except (OSError, ValueError) as err:
+        raise UsageError(f"cannot read dataset {path}: {err}") from err
+    if data.horizon != horizon:
+        raise UsageError(f"dataset has horizon {data.horizon}, the model {horizon}")
+    for column, values, size in (
+        ("state", data.states, s_len),
+        ("action_a", data.actions_a, m),
+        ("action_b", data.actions_b, n),
+        ("next_state", data.next_states, s_len),
+    ):
+        if values.min() < 0 or values.max() >= size:
+            raise UsageError(f"dataset {column} must lie in 0..{size - 1}")
+    if not np.array_equal(data.next_states[:, :-1], data.states[:, 1:]):
+        raise UsageError("dataset next_state at step h must equal state at step h+1")
+    return data
+
+
 def _cmd_invert_matrix(args) -> int:
     config = load_config(args)
-    data = read_dataset(args.data)
-    if data.horizon != 1:
-        raise UsageError("invert-matrix expects a single-step dataset")
     rep = args.rep
     model, norm_sq_cap = _experiment_matrix_model(config, rep)
     m, n = model.features.shape[:2]
+    data = _read_checked_dataset(args.data, 1, 1, m, n)
     est = frequency_estimate_matrix(
         MatrixDataset(data.actions_a[:, 0], data.actions_b[:, 0]), m, n
     )
-    n_samples = data.n_episodes
-    kappa = experiments.kappa_rule(n_samples, scale=config.kappa_scale)
-    mu = floor_distribution(est.mu_hat)
-    nu = floor_distribution(est.nu_hat)
-    system = build_linear_system(
-        model.features, PolicyPair(mu / mu.sum(), nu / nu.sum()), config.eta
-    )
+    kappa = experiments.kappa_rule(data.n_episodes, scale=config.kappa_scale)
+    system = empirical_system(est, model.features, config.eta)
     full_rank, rank = rank_condition(system.X, system.dim)
-    cset = build_confidence_set(est, model.features, config.eta, kappa, norm_sq_cap)
+    cset = ConfidenceSet(system.X, system.y, kappa, norm_sq_cap)
     if full_rank:
         theta_hat = least_squares_theta(system)
         route = "least_squares"
@@ -455,13 +469,9 @@ def _cmd_invert_matrix(args) -> int:
 
 def _cmd_invert_markov(args) -> int:
     config = load_config(args)
-    data = read_dataset(args.data)
     rep = args.rep
     model = _experiment_markov_model(config, rep)
-    if data.horizon != config.horizon:
-        raise UsageError(
-            f"dataset horizon {data.horizon} does not match config {config.horizon}"
-        )
+    data = _read_checked_dataset(args.data, config.horizon, *model.features.shape[:3])
     inversion = InversionConfig(
         features=model.features,
         eta=config.eta,

@@ -23,13 +23,13 @@ from invgame.inverse_matrix import (
     ConfidenceSet,
     PartialIdentifiabilityError,
     build_confidence_set,
-    build_linear_system,
-    floor_distribution,
+    empirical_system,
     least_squares_theta,
+    min_norm_theta,
     reconstruct_payoff,
 )
 from invgame.markov_game import LinearMDPModel, backward_qre, visit_distributions
-from invgame.matrix_game import FeatureModel, MatrixGameSpec, PolicyPair, solve_qre
+from invgame.matrix_game import FeatureModel, MatrixGameSpec, solve_qre
 from invgame.metrics import (
     ErrorReport,
     qre_discrepancy,
@@ -261,15 +261,11 @@ def _run_matrix_rep(
         est = frequency_estimate_matrix(data.prefix(n_samples), *payoff.shape)
         covered = None
         if estimator == "least_squares":
-            mu = floor_distribution(est.mu_hat)
-            nu = floor_distribution(est.nu_hat)
-            system = build_linear_system(
-                model.features, PolicyPair(mu / mu.sum(), nu / nu.sum()), eta
-            )
+            system = empirical_system(est, model.features, eta)
             try:
                 theta_hat = least_squares_theta(system)
             except PartialIdentifiabilityError:
-                theta_hat = np.linalg.pinv(system.X) @ system.y
+                theta_hat = min_norm_theta(system)
         elif estimator == "confidence_set":
             kappa = kappa_rule(n_samples, scale=kappa_scale)
             cset = build_confidence_set(est, model.features, eta, kappa, norm_sq_cap)

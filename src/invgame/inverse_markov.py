@@ -1,6 +1,7 @@
 """Stepwise inversion for Markov games: per-step confidence sets over
 Q-function parameters, ridge-regression transition estimates, Bellman plug-in
-reward recovery, and MLE-based softmax policy estimation.
+reward recovery, and MLE-based softmax policy estimation.  The constraint
+builder is `inverse_matrix.build_stepwise_system`, re-exported here.
 
 Two drivers are provided: `recover_rewards` (frequency-estimated policies,
 equal state weights) and `recover_rewards_mle` (softmax-MLE policies with
@@ -14,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from invgame.inverse_matrix import ConfidenceSet, floor_distribution
+from invgame.inverse_matrix import (
+    ConfidenceSet,
+    LinearSystem,
+    build_stepwise_system,
+    floor_distribution,
+)
 from invgame.markov_game import StagePolicies
 from invgame.matrix_game import stage_values
 from invgame.sampling import (
@@ -26,67 +32,8 @@ from invgame.sampling import (
 )
 
 
-@dataclass(frozen=True)
-class StepwiseSystem:
-    """One step's stacked constraints: all states' A-blocks, then B-blocks.
-
-    Rows of zero-weight states are zeroed out rather than dropped, so the
-    row layout is independent of the weights.
-    """
-
-    X: np.ndarray
-    y: np.ndarray
-    eta: float
-    weights: np.ndarray
-
-
-def build_stepwise_system(
-    features: np.ndarray,
-    mu_h: np.ndarray,
-    nu_h: np.ndarray,
-    eta: float,
-    weights: np.ndarray | None = None,
-) -> StepwiseSystem:
-    """Stack the per-state QRE constraints of one step.
-
-    features: (S, m, n, d); mu_h: (S, m); nu_h: (S, n).  With weights, each
-    state's block (rows and right-hand side) is scaled by sqrt(weight(s));
-    states with zero weight contribute zero rows.  Probabilities must be
-    strictly positive wherever the weight is positive.
-    """
-    features = np.asarray(features, dtype=float)
-    s_len, m, n, d = features.shape
-    mu_h = np.asarray(mu_h, dtype=float)
-    nu_h = np.asarray(nu_h, dtype=float)
-    if weights is None:
-        weights = np.ones(s_len)
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0):
-        raise ValueError("weights must be nonnegative")
-    active = weights > 0
-    if np.any(mu_h[active] <= 0) or np.any(nu_h[active] <= 0):
-        raise ValueError("zero probability at a positively weighted state")
-    root_w = np.sqrt(weights)
-    # A-side: rows (s, a) for a >= 1, contracted against nu_h(s)
-    diff_a = features[:, 1:] - features[:, :1]  # (S, m-1, n, d)
-    a_rows = np.einsum("sand,sn,s->sad", diff_a, nu_h, root_w).reshape(-1, d)
-    diff_b = features[:, :, 1:] - features[:, :, :1]  # (S, m, n-1, d)
-    b_rows = np.einsum("sabd,sa,s->sbd", diff_b, mu_h, root_w).reshape(-1, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_mu = np.where(mu_h > 0, np.log(np.maximum(mu_h, 1e-300)), 0.0)
-        log_nu = np.where(nu_h > 0, np.log(np.maximum(nu_h, 1e-300)), 0.0)
-    c = ((log_mu[:, 1:] - log_mu[:, :1]) / eta) * root_w[:, None]
-    d_vec = (-(log_nu[:, 1:] - log_nu[:, :1]) / eta) * root_w[:, None]
-    return StepwiseSystem(
-        np.vstack([a_rows, b_rows]),
-        np.concatenate([c.ravel(), d_vec.ravel()]),
-        eta,
-        weights,
-    )
-
-
 def stepwise_confidence_set(
-    system: StepwiseSystem, kappa_h: float, theta_norm_cap: float
+    system: LinearSystem, kappa_h: float, theta_norm_cap: float
 ) -> ConfidenceSet:
     """Confidence set over the step's Q-parameters; the cap bounds ||theta||."""
     if not theta_norm_cap > 0:
@@ -129,13 +76,6 @@ def ridge_fit(
         nexts = data.next_states[:, step]
     gram = phi_t.T @ phi_t + ridge_lambda * np.eye(d)
     return RidgeTransitionEstimator(gram, phi_t, nexts, ridge_lambda)
-
-
-def apply_transition_estimate(
-    est: RidgeTransitionEstimator, v_next: np.ndarray, phi_query: np.ndarray
-) -> float:
-    """Ridge prediction of E[V(s') | s,a,b] for one query feature vector."""
-    return float(np.asarray(phi_query, dtype=float) @ est.value_weights(v_next))
 
 
 @dataclass(frozen=True)
@@ -241,48 +181,6 @@ def mle_fit(
     return MleFit(theta, np.array(trace), iterations, converged)
 
 
-def stepwise_feature_difference_norms(features: np.ndarray) -> tuple[float, float]:
-    """Operator norms of the stacked baseline-difference feature matrices
-    (columns phi(s,a,.) - phi(s,0,.) across states, and the b-side analogue)."""
-    features = np.asarray(features, dtype=float)
-    s_len, m, n, d = features.shape
-    phi1 = (features[:, 1:] - features[:, :1]).reshape(-1, d).T
-    phi2 = (features[:, :, 1:] - features[:, :, :1]).reshape(-1, d).T
-    op = lambda a: float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
-    return op(phi1), op(phi2)
-
-
-def theoretical_kappa_markov(
-    features: np.ndarray,
-    mu_h: np.ndarray,
-    nu_h: np.ndarray,
-    theta_norm_cap: float,
-    eta: float,
-    eps1: float,
-    eps2: float,
-) -> float:
-    """Step-h containment threshold from the construction-error analysis,
-    evaluated with plug-in conditionals (shapes (S, m) and (S, n)).
-
-    Requires eps1 below the smallest mu probability and eps2 below the
-    smallest nu probability; containment needs every state's TV error to be
-    at most eps/2.
-    """
-    mu_h = np.asarray(mu_h, dtype=float)
-    nu_h = np.asarray(nu_h, dtype=float)
-    if not (eps1 < mu_h.min() and eps2 < nu_h.min()):
-        raise ValueError("eps must be below the smallest plug-in probability")
-    s_len, m = mu_h.shape
-    n = nu_h.shape[1]
-    phi1_op, phi2_op = stepwise_feature_difference_norms(features)
-    cap_sq = theta_norm_cap**2
-    return (
-        2.0 * cap_sq * (phi1_op**2 * eps1**2 + phi2_op**2 * eps2**2)
-        + 2.0 * s_len * m * eps1**2 / (eta**2 * (mu_h.min() - eps1) ** 2)
-        + 2.0 * s_len * n * eps2**2 / (eta**2 * (nu_h.min() - eps2) ** 2)
-    )
-
-
 @dataclass(frozen=True)
 class InversionConfig:
     """Inputs shared by the reward-recovery drivers.
@@ -331,19 +229,14 @@ class _Estimates:
     weights: np.ndarray  # (H, S) per-state block weights
 
 
-def _floored_conditionals(raw: np.ndarray) -> np.ndarray:
-    floored = floor_distribution(raw)
-    return floored / floored.sum(axis=-1, keepdims=True)
-
-
 def _frequency_estimates(data: EpisodeDataset, config: InversionConfig) -> _Estimates:
     """Frequency policies weighting visited states by 1, or the exact ones."""
     if config.exact_policies is not None:
         return _exact_estimates(config.exact_policies, None)
     est = frequency_estimate_markov(data, *config.features.shape[:3])
     return _Estimates(
-        _floored_conditionals(est.mu_hat),
-        _floored_conditionals(est.nu_hat),
+        floor_distribution(est.mu_hat),
+        floor_distribution(est.nu_hat),
         est.visited.astype(float),
     )
 
@@ -358,16 +251,14 @@ def _mle_estimates(
         mu[h] = model.conditionals(model.psi_a, mle_fit(data, model, h, "a").params)
         nu[h] = model.conditionals(model.psi_b, mle_fit(data, model, h, "b").params)
     rho = empirical_state_distribution(data, s_len)
-    return _Estimates(
-        _floored_conditionals(mu), _floored_conditionals(nu), rho
-    )
+    return _Estimates(floor_distribution(mu), floor_distribution(nu), rho)
 
 
 def _exact_estimates(
     policies: StagePolicies, weights: np.ndarray | None
 ) -> _Estimates:
-    mu = _floored_conditionals(policies.mu)
-    nu = _floored_conditionals(policies.nu)
+    mu = floor_distribution(policies.mu)
+    nu = floor_distribution(policies.nu)
     if weights is None:
         weights = np.ones(mu.shape[:2])
     return _Estimates(mu, nu, weights)

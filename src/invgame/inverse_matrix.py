@@ -1,6 +1,10 @@
-"""Identifiability machinery for matrix games: the QRE-constraint linear
-system, rank tests, least-squares / minimum-norm estimators, confidence sets,
-and Hausdorff-distance estimation between parameter sets.
+"""Identifiability machinery: the QRE-constraint linear system, rank tests,
+least-squares / minimum-norm estimators, confidence sets, and
+Hausdorff-distance estimation between parameter sets.
+
+One builder serves both game classes: a Markov step stacks one constraint
+block per state, and a matrix game is the single-state case (features with a
+leading S=1 axis).
 
 Conventions: action 0 is the baseline for both players (log-ratios are taken
 against it), and norm caps are on the squared Euclidean norm, so a cap of M
@@ -25,8 +29,10 @@ class PartialIdentifiabilityError(np.linalg.LinAlgError):
 
 
 def floor_distribution(p: np.ndarray, floor: float = LOG_FLOOR) -> np.ndarray:
-    """Clip probabilities away from zero so log-ratios exist."""
-    return np.maximum(np.asarray(p, dtype=float), floor)
+    """Clip probabilities away from zero so log-ratios exist, then
+    renormalise over the last axis."""
+    p = np.maximum(np.asarray(p, dtype=float), floor)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -45,47 +51,82 @@ class LinearSystem:
     def dim(self) -> int:
         return self.X.shape[1]
 
-    def residual_sq(self, theta: np.ndarray) -> float:
-        r = self.X @ theta - self.y
-        return float(r @ r)
 
-
-def build_linear_system(
-    features: np.ndarray, policies: PolicyPair, eta: float
+def build_stepwise_system(
+    features: np.ndarray,
+    mu_h: np.ndarray,
+    nu_h: np.ndarray,
+    eta: float,
+    weights: np.ndarray | None = None,
 ) -> LinearSystem:
-    """Assemble the m+n-2 QRE constraints from features of shape (m, n, d).
+    """Stack the per-state QRE constraints of one step: all states' A-blocks,
+    then all B-blocks.
 
-    Rows a = 1..m-1:  <(phi(a,.) - phi(0,.)) nu, theta> = log(mu_a/mu_0)/eta
-    Rows b = 1..n-1:  <(phi(.,b) - phi(.,0))' mu, theta> = -log(nu_b/nu_0)/eta
+    features: (S, m, n, d); mu_h: (S, m); nu_h: (S, n).  For each state s,
 
-    Raises ValueError on nonpositive probabilities; callers holding empirical
-    estimates must floor them first.
+      rows a = 1..m-1:  <(phi(s,a,.) - phi(s,0,.)) nu(s), theta> = log(mu_a/mu_0)/eta
+      rows b = 1..n-1:  <(phi(s,.,b) - phi(s,.,0))' mu(s), theta> = -log(nu_b/nu_0)/eta
+
+    With weights, each state's block (rows and right-hand side) is scaled by
+    sqrt(weight(s)); states with zero weight contribute zero rows, so the row
+    layout is independent of the weights.  Probabilities must be strictly
+    positive wherever the weight is positive; callers holding empirical
+    estimates floor them first.  A matrix game is the case S=1.
     """
     features = np.asarray(features, dtype=float)
-    mu, nu = policies.mu, policies.nu
-    m, n, _ = features.shape
-    if mu.shape[0] != m or nu.shape[0] != n:
+    s_len, m, n, d = features.shape
+    mu_h = np.asarray(mu_h, dtype=float)
+    nu_h = np.asarray(nu_h, dtype=float)
+    if mu_h.shape != (s_len, m) or nu_h.shape != (s_len, n):
         raise ValueError("policy dimensions do not match features")
-    if mu.min() <= 0 or nu.min() <= 0:
-        raise ValueError("log-ratios need strictly positive probabilities")
-    a_block = np.einsum("and,n->ad", features[1:] - features[0], nu)
-    b_block = np.einsum("abd,a->bd", features[:, 1:] - features[:, :1], mu)
-    c = (np.log(mu[1:]) - np.log(mu[0])) / eta
-    d = -(np.log(nu[1:]) - np.log(nu[0])) / eta
-    return LinearSystem(np.vstack([a_block, b_block]), np.concatenate([c, d]), eta)
+    if weights is None:
+        weights = np.ones(s_len)
+    weights = np.asarray(weights, dtype=float)
+    if np.any(weights < 0):
+        raise ValueError("weights must be nonnegative")
+    active = weights > 0
+    if np.any(mu_h[active] <= 0) or np.any(nu_h[active] <= 0):
+        raise ValueError("zero probability at a positively weighted state")
+    root_w = np.sqrt(weights)
+    # A-side: rows (s, a) for a >= 1, contracted against nu_h(s)
+    diff_a = features[:, 1:] - features[:, :1]  # (S, m-1, n, d)
+    a_rows = np.einsum("sand,sn,s->sad", diff_a, nu_h, root_w).reshape(-1, d)
+    diff_b = features[:, :, 1:] - features[:, :, :1]  # (S, m, n-1, d)
+    b_rows = np.einsum("sabd,sa,s->sbd", diff_b, mu_h, root_w).reshape(-1, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mu = np.where(mu_h > 0, np.log(np.maximum(mu_h, 1e-300)), 0.0)
+        log_nu = np.where(nu_h > 0, np.log(np.maximum(nu_h, 1e-300)), 0.0)
+    c = ((log_mu[:, 1:] - log_mu[:, :1]) / eta) * root_w[:, None]
+    d_vec = (-(log_nu[:, 1:] - log_nu[:, :1]) / eta) * root_w[:, None]
+    return LinearSystem(
+        np.vstack([a_rows, b_rows]), np.concatenate([c.ravel(), d_vec.ravel()]), eta
+    )
 
 
-def numerical_rank(x: np.ndarray) -> int:
-    """SVD rank with threshold sigma_1 * max(rows, cols) * 1e-12."""
-    sigma = np.linalg.svd(x, compute_uv=False)
+def empirical_system(
+    empirical: EmpiricalQRE, features: np.ndarray, eta: float
+) -> LinearSystem:
+    """A matrix game's constraints at its floored empirical marginals."""
+    return build_stepwise_system(
+        np.asarray(features, dtype=float)[None],
+        floor_distribution(empirical.mu_hat)[None],
+        floor_distribution(empirical.nu_hat)[None],
+        eta,
+    )
+
+
+def numerical_rank(sigma: np.ndarray, shape: tuple[int, ...]) -> int:
+    """Rank of a matrix of the given shape from its descending singular
+    values: the count above sigma_1 * max(rows, cols) * 1e-12."""
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    return int((sigma > sigma[0] * max(x.shape) * RANK_TOL_FACTOR).sum())
+    return int((sigma > sigma[0] * max(shape) * RANK_TOL_FACTOR).sum())
 
 
 def rank_condition(x: np.ndarray, d: int) -> tuple[bool, int]:
     """Whether the stacked constraint matrix pins all d parameter directions."""
-    rank = numerical_rank(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    rank = numerical_rank(np.linalg.svd(x, compute_uv=False), x.shape)
     return rank == d, rank
 
 
@@ -101,7 +142,7 @@ def least_squares_theta(system: LinearSystem) -> np.ndarray:
     return theta
 
 
-def min_norm_theta(system: LinearSystem) -> np.ndarray:
+def min_norm_theta(system: LinearSystem | ConfidenceSet) -> np.ndarray:
     """Moore-Penrose solution X^+ y, the least-squares solution of least norm."""
     return np.linalg.pinv(system.X) @ system.y
 
@@ -186,7 +227,7 @@ class ConfidenceSet:
         if rng is None:
             rng = stream(0)
         d = self.X.shape[1]
-        starts = [point, min_norm_theta(LinearSystem(self.X, self.y, 1.0))]
+        starts = [point, min_norm_theta(self)]
         radius = np.sqrt(self.norm_sq_cap)
         for _ in range(max(restarts - 2, 0)):
             raw = rng.standard_normal(d)
@@ -246,7 +287,7 @@ class ConfidenceSet:
         The second element is False when the set is empty up to numerics and
         the returned point is only the least-violating surrogate.
         """
-        pinv_theta = min_norm_theta(LinearSystem(self.X, self.y, 1.0))
+        pinv_theta = min_norm_theta(self)
         if self.contains(pinv_theta, slack=1e-12):
             return pinv_theta, True
         if self.residual_sq(pinv_theta) > self.kappa + 1e-12:
@@ -265,15 +306,8 @@ def build_confidence_set(
     norm_sq_cap: float,
 ) -> ConfidenceSet:
     """Confidence set from empirical marginals (floored before log-ratios)."""
-    pair = _floored_pair(empirical.mu_hat, empirical.nu_hat)
-    system = build_linear_system(features, pair, eta)
+    system = empirical_system(empirical, features, eta)
     return ConfidenceSet(system.X, system.y, kappa, norm_sq_cap)
-
-
-def _floored_pair(mu: np.ndarray, nu: np.ndarray) -> PolicyPair:
-    mu = floor_distribution(mu)
-    nu = floor_distribution(nu)
-    return PolicyPair(mu / mu.sum(), nu / nu.sum())
 
 
 @dataclass(frozen=True)
@@ -291,15 +325,10 @@ class FeasibleSet:
     def __post_init__(self):
         x = np.asarray(self.X, dtype=float)
         u, sigma, vt = np.linalg.svd(x, full_matrices=True)
-        if sigma.size and sigma[0] > 0:
-            rank = int((sigma > sigma[0] * max(x.shape) * RANK_TOL_FACTOR).sum())
-        else:
-            rank = 0
-        inv = np.zeros((x.shape[1], x.shape[0]))
-        for i in range(rank):
-            inv += np.outer(vt[i], u[:, i]) / sigma[i]
-        object.__setattr__(self, "particular", inv @ self.y)
-        object.__setattr__(self, "null_basis", vt[rank:].T)
+        r = numerical_rank(sigma, x.shape)
+        particular = vt[:r].T @ ((u[:, :r].T @ self.y) / sigma[:r])
+        object.__setattr__(self, "particular", particular)
+        object.__setattr__(self, "null_basis", vt[r:].T)
 
     @property
     def radius(self) -> float:
@@ -349,12 +378,10 @@ def feasible_set_from_policies(
     features: np.ndarray, policies: PolicyPair, eta: float, norm_sq_cap: float
 ) -> FeasibleSet:
     """Exact feasible set of the QRE constraints at the given (exact) policies."""
-    system = build_linear_system(features, policies, eta)
+    system = build_stepwise_system(
+        np.asarray(features, dtype=float)[None], policies.mu[None], policies.nu[None], eta
+    )
     return FeasibleSet(system.X, system.y, norm_sq_cap)
-
-
-def sample_feasible(feasible: FeasibleSet, k: int, seed: int) -> np.ndarray:
-    return feasible.sample(k, stream(seed))
 
 
 def _sample_points(obj, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -399,17 +426,17 @@ def hausdorff_estimate(set_a, set_b, k: int = 64, seed: int = 0) -> float:
 
 
 def feature_difference_norms(features: np.ndarray) -> tuple[float, float]:
-    """Operator norms of the baseline-difference feature matrices.
+    """Operator norms of the stacked baseline-difference feature matrices of
+    features (S, m, n, d).
 
-    Phi_1 stacks phi(a,.) - phi(0,.) over a >= 1 as d-columns; Phi_2 stacks
-    phi(.,b) - phi(.,0) over b >= 1.  Used by the theoretical threshold rule.
+    Phi_1 stacks phi(s,a,.) - phi(s,0,.) over states and a >= 1 as
+    d-columns; Phi_2 stacks phi(s,.,b) - phi(s,.,0) over states and b >= 1.
+    Used by the theoretical threshold rule.
     """
     features = np.asarray(features, dtype=float)
-    m, n, d = features.shape
-    phi1 = (features[1:] - features[0]).reshape((m - 1) * n, d).T
-    phi2 = np.swapaxes(features[:, 1:] - features[:, :1], 0, 1).reshape(
-        (n - 1) * m, d
-    ).T
+    d = features.shape[3]
+    phi1 = (features[:, 1:] - features[:, :1]).reshape(-1, d).T
+    phi2 = (features[:, :, 1:] - features[:, :, :1]).reshape(-1, d).T
     op = lambda a: float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
     return op(phi1), op(phi2)
 
@@ -424,22 +451,26 @@ def theoretical_kappa(
     eps2: float,
 ) -> float:
     """Containment threshold from the construction-error analysis, computed
-    with plug-in policy estimates.
+    with plug-in conditionals mu (S, m) and nu (S, n) on features
+    (S, m, n, d); a matrix game is S=1.
 
-    Valid when eps1 < min(mu) and eps2 < min(nu); both TV errors must be at
-    most eps/2 for the containment guarantee to apply.
+    The A-rows are contracted against nu and the B-rows against mu, so the
+    Phi_1 norm pairs with nu's error eps2 and the Phi_2 norm with mu's error
+    eps1.  Valid when eps1 < min(mu) and eps2 < min(nu); every state's TV
+    errors must be at most eps/2 for the containment guarantee to apply.
     """
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
     if not (eps1 < mu.min() and eps2 < nu.min()):
         raise ValueError("eps must be below the smallest plug-in probability")
-    m, n = mu.shape[0], nu.shape[0]
+    s_len, m = mu.shape
+    n = nu.shape[1]
     phi1_op, phi2_op = feature_difference_norms(features)
     term_b = 2.0 * (
-        norm_sq_cap * phi1_op**2 + n / (eta**2 * (nu.min() - eps2) ** 2)
+        norm_sq_cap * phi1_op**2 + s_len * n / (eta**2 * (nu.min() - eps2) ** 2)
     ) * eps2**2
     term_a = 2.0 * (
-        norm_sq_cap * phi2_op**2 + m / (eta**2 * (mu.min() - eps1) ** 2)
+        norm_sq_cap * phi2_op**2 + s_len * m / (eta**2 * (mu.min() - eps1) ** 2)
     ) * eps1**2
     return term_a + term_b
 

@@ -132,3 +132,50 @@ def rollout_state_frequencies(
         cum_p = np.cumsum(transition[h], axis=3)
         state = (rng.random(episodes)[:, None] > cum_p[state, a, b]).sum(axis=1)
     return freq
+
+
+def matrix_linear_system(
+    features: np.ndarray, mu: np.ndarray, nu: np.ndarray, eta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The m+n-2 QRE constraints of a matrix game, written for features of
+    shape (m, n, d) without a state axis.
+
+    Rows a = 1..m-1:  <(phi(a,.) - phi(0,.)) nu, theta> = log(mu_a/mu_0)/eta
+    Rows b = 1..n-1:  <(phi(.,b) - phi(.,0))' mu, theta> = -log(nu_b/nu_0)/eta
+    """
+    features = np.asarray(features, dtype=float)
+    a_block = np.einsum("and,n->ad", features[1:] - features[0], nu)
+    b_block = np.einsum("abd,a->bd", features[:, 1:] - features[:, :1], mu)
+    c = (np.log(mu[1:]) - np.log(mu[0])) / eta
+    d = -(np.log(nu[1:]) - np.log(nu[0])) / eta
+    return np.vstack([a_block, b_block]), np.concatenate([c, d])
+
+
+def matrix_theoretical_kappa(
+    features: np.ndarray,
+    mu: np.ndarray,
+    nu: np.ndarray,
+    norm_sq_cap: float,
+    eta: float,
+    eps1: float,
+    eps2: float,
+) -> float:
+    """Matrix-game containment threshold with features (m, n, d) and
+    marginals mu (m,), nu (n,).
+
+    The a-rows are contracted against nu, so their feature-difference norm
+    pairs with nu's error eps2; the b-rows pair with mu's error eps1.
+    """
+    features = np.asarray(features, dtype=float)
+    m, n, d = features.shape
+    phi1 = np.concatenate([features[a] - features[0] for a in range(1, m)]).T
+    phi2 = np.concatenate([features[:, b] - features[:, 0] for b in range(1, n)]).T
+    phi1_op = np.linalg.norm(phi1, 2)
+    phi2_op = np.linalg.norm(phi2, 2)
+    a_side = norm_sq_cap * phi1_op**2 * eps2**2 + m * eps1**2 / (
+        eta**2 * (mu.min() - eps1) ** 2
+    )
+    b_side = norm_sq_cap * phi2_op**2 * eps1**2 + n * eps2**2 / (
+        eta**2 * (nu.min() - eps2) ** 2
+    )
+    return 2.0 * (a_side + b_side)

@@ -29,7 +29,7 @@ from invgame.experiments import (
     run_setup1_rep,
     run_setup2_rep,
 )
-from invgame.inverse_markov import InversionConfig, apply_transition_estimate, recover_rewards, ridge_fit
+from invgame.inverse_markov import InversionConfig, recover_rewards, ridge_fit
 from invgame.markov_game import backward_qre
 from invgame.matrix_game import MatrixGameSpec, qre_residual, solve_qre
 from invgame.metrics import hellinger_sq, reward_metric_D, reward_metric_D1, tv
@@ -227,7 +227,7 @@ class TestCriterion07RidgeOracle:
                     )
                     assert mask.sum() >= 100
                     oracle = v_next[nexts[mask, 0]].mean()
-                    pred = apply_transition_estimate(est, v_next, feats[s, a, b])
+                    pred = feats[s, a, b] @ est.value_weights(v_next)
                     worst = max(worst, abs(pred - oracle))
         assert worst <= 1e-6
         elapsed = time.perf_counter() - started

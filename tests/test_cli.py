@@ -19,6 +19,16 @@ def run_cli(args):
     return main(args)
 
 
+def edit_dataset(path, row, column, value):
+    """Overwrite one field of a dataset file; row 0 is the first record."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    fields = lines[row + 1].split(",")
+    fields[header.index(column)] = str(value)
+    lines[row + 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(UsageError):
@@ -173,6 +183,61 @@ class TestCommands:
         assert code == 0
         result = json.loads(result_path.read_text())
         assert len(result["theta_hat"]) == 3
+
+    @pytest.mark.parametrize(
+        "row, column, value, message",
+        [
+            (0, "action_a", 7, "action_a must lie in 0..4"),
+            (0, "next_state", -1, "next_state must lie in 0..3"),
+            (5, "state", 4, "state must lie in 0..3"),
+            (0, "next_state", "{other}", "next_state at step h must equal state"),
+        ],
+        ids=["action_out_of_range", "negative_next_state", "state_out_of_range",
+             "broken_state_chain"],
+    )
+    def test_invert_markov_rejects_bad_dataset(
+        self, tmp_path, capsys, row, column, value, message
+    ):
+        out = tmp_path / "sim"
+        kind = ["--kind", "markov", "--seed", "3"]
+        assert run_cli(["simulate", *kind, "--samples", "2000", "--out", str(out)]) == 0
+        dataset = out / "dataset.csv"
+        if value == "{other}":
+            # a valid state index that breaks the episode's state chain
+            value = (int(dataset.read_text().splitlines()[2].split(",")[2]) + 1) % 4
+        edit_dataset(dataset, row, column, value)
+        capsys.readouterr()
+        result_path = tmp_path / "markov.json"
+        code = run_cli(
+            ["invert-markov", *kind, "--data", str(dataset), "--out", str(result_path)]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not result_path.exists()
+
+    def test_invert_matrix_rejects_bad_dataset(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        kind = ["--kind", "setup1", "--seed", "3"]
+        assert run_cli(["simulate", *kind, "--samples", "500", "--out", str(out)]) == 0
+        dataset = out / "dataset.csv"
+        capsys.readouterr()
+        for column, value, message in (
+            ("action_b", 6, "action_b must lie in 0..5"),
+            ("state", 1, "state must lie in 0..0"),
+        ):
+            original = dataset.read_text()
+            edit_dataset(dataset, 3, column, value)
+            assert run_cli(["invert-matrix", *kind, "--data", str(dataset)]) == 1
+            assert message in capsys.readouterr().err
+            dataset.write_text(original)
+        dataset.write_text(
+            "episode,step,state,action_a,action_b,next_state\n0,0,0,1,1,0\n0,1,0,1,1,0\n"
+        )
+        assert run_cli(["invert-matrix", *kind, "--data", str(dataset)]) == 1
+        assert "dataset has horizon 2, the model 1" in capsys.readouterr().err
+        dataset.write_text("not,a,dataset\n")
+        assert run_cli(["invert-matrix", *kind, "--data", str(dataset)]) == 1
+        assert "cannot read dataset" in capsys.readouterr().err
 
     def test_experiment_end_to_end_deterministic(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -10,7 +10,6 @@ from invgame.experiments import (
 from invgame.inverse_markov import (
     InversionConfig,
     SoftmaxPolicyModel,
-    apply_transition_estimate,
     build_stepwise_system,
     mle_fit,
     recover_rewards,
@@ -18,11 +17,10 @@ from invgame.inverse_markov import (
     ridge_fit,
     stepwise_confidence_set,
     stepwise_confidence_sets,
-    theoretical_kappa_markov,
 )
-from invgame.inverse_matrix import build_linear_system, tv_error_bound
+from invgame.inverse_matrix import theoretical_kappa, tv_error_bound
 from invgame.markov_game import LinearMDPModel, backward_qre
-from invgame.matrix_game import PolicyPair, entropy
+from invgame.matrix_game import entropy
 from invgame.metrics import reward_metric_D
 from invgame.sampling import (
     EpisodeDataset,
@@ -31,6 +29,8 @@ from invgame.sampling import (
     state_visit_counts,
     stream,
 )
+
+from .oracles import matrix_linear_system
 
 
 def one_hot_policy_model(s_len, m, n):
@@ -67,9 +67,14 @@ class TestBuildStepwiseSystem:
         mu = np.array([[0.2, 0.5, 0.3]])
         nu = np.array([[0.1, 0.2, 0.3, 0.4]])
         stepwise = build_stepwise_system(feats, mu, nu, eta=0.7)
-        flat = build_linear_system(feats[0], PolicyPair(mu[0], nu[0]), eta=0.7)
-        assert np.allclose(stepwise.X, flat.X)
-        assert np.allclose(stepwise.y, flat.y)
+        x, y = matrix_linear_system(feats[0], mu[0], nu[0], eta=0.7)
+        assert np.array_equal(stepwise.X, x)
+        assert np.array_equal(stepwise.y, y)
+
+    def test_policy_dimension_mismatch_rejected(self):
+        feats = stream(69).standard_normal((2, 3, 4, 2))
+        with pytest.raises(ValueError, match="policy dimensions"):
+            build_stepwise_system(feats, np.full((2, 4), 0.25), np.full((2, 4), 0.25), 0.5)
 
     def test_uniform_conditionals_zero_rhs(self):
         rng = stream(71)
@@ -157,7 +162,7 @@ class TestRidge:
         truth, _ = backward_qre(spec)
         data = sample_episodes(spec, truth, np.full(spec.S, 0.25), 100, 79)
         est = ridge_fit(data, model.features, ridge_lambda=0.01, step=0)
-        assert apply_transition_estimate(est, np.zeros(spec.S), model.features[0, 0, 0]) == 0.0
+        assert model.features[0, 0, 0] @ est.value_weights(np.zeros(spec.S)) == 0.0
 
     def test_huge_lambda_shrinks_to_zero(self):
         model = markov_model(stream(80))
@@ -165,7 +170,7 @@ class TestRidge:
         truth, _ = backward_qre(spec)
         data = sample_episodes(spec, truth, np.full(spec.S, 0.25), 100, 81)
         est = ridge_fit(data, model.features, ridge_lambda=1e12, step=0)
-        pred = apply_transition_estimate(est, np.ones(spec.S), model.features[1, 1, 1])
+        pred = model.features[1, 1, 1] @ est.value_weights(np.ones(spec.S))
         assert abs(pred) < 1e-8
 
     def test_tabular_features_match_conditional_mean_oracle(self):
@@ -190,7 +195,7 @@ class TestRidge:
                     )
                     assert mask.sum() >= 100
                     oracle = v_next[nexts[mask, 0]].mean()
-                    pred = apply_transition_estimate(est, v_next, feats[s, a, b])
+                    pred = feats[s, a, b] @ est.value_weights(v_next)
                     assert pred == pytest.approx(oracle, abs=1e-6)
 
 
@@ -328,8 +333,8 @@ class TestRecoverRewards:
                     0.9 * nu.min(),
                 )
                 kappas.append(
-                    theoretical_kappa_markov(
-                        model.features, mu, nu, 10.0, spec.eta, eps1, eps2
+                    theoretical_kappa(
+                        model.features, mu, nu, 100.0, spec.eta, eps1, eps2
                     )
                 )
             config = InversionConfig(

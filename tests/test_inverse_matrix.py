@@ -3,6 +3,7 @@ import pytest
 
 from invgame.experiments import (
     SETUP2_THETA,
+    custom_model,
     kappa_rule,
     setup1_model,
     setup2_model,
@@ -12,33 +13,62 @@ from invgame.inverse_matrix import (
     FeasibleSet,
     PartialIdentifiabilityError,
     build_confidence_set,
-    build_linear_system,
+    build_stepwise_system,
     feasible_set_from_policies,
+    floor_distribution,
     hausdorff_estimate,
     least_squares_theta,
     min_norm_theta,
     rank_condition,
     reconstruct_payoff,
-    sample_feasible,
     theoretical_kappa,
     tv_error_bound,
 )
 from invgame.matrix_game import MatrixGameSpec, PolicyPair, payoff_from_features, solve_qre
 from invgame.sampling import frequency_estimate_matrix, sample_matrix_actions, stream
 
+from .oracles import matrix_linear_system, matrix_theoretical_kappa
+
+
+def matrix_system(features, pair, eta):
+    """A matrix game's constraint system: the stepwise builder at S=1."""
+    return build_stepwise_system(features[None], pair.mu[None], pair.nu[None], eta)
+
 
 def setup1_exact_system(seed=0):
     model = setup1_model(stream(seed))
     spec = MatrixGameSpec(payoff_from_features(model), 0.5)
     pair = solve_qre(spec, tol=1e-13)
-    return model, build_linear_system(model.features, pair, 0.5)
+    return model, matrix_system(model.features, pair, 0.5)
 
 
 class TestBuildLinearSystem:
+    def test_matches_reference_formula(self):
+        # bit for bit, on floored frequency estimates from few to many samples
+        instances = [
+            lambda rng: setup1_model(rng),
+            lambda rng: setup2_model(rng),
+            lambda rng: custom_model(rng, 4, 5, [0.8, -0.6, 0.3]),
+        ]
+        for make in instances:
+            for seed in range(4):
+                model = make(stream(33, seed))
+                spec = MatrixGameSpec(payoff_from_features(model), 0.5)
+                truth = solve_qre(spec, tol=1e-12)
+                data = sample_matrix_actions(truth, 10**5, 34, seed)
+                for n in (10, 10**3, 10**5):
+                    est = frequency_estimate_matrix(data.prefix(n), spec.m, spec.n)
+                    mu = floor_distribution(est.mu_hat)
+                    nu = floor_distribution(est.nu_hat)
+                    system = matrix_system(model.features, PolicyPair(mu, nu), 0.5)
+                    x, y = matrix_linear_system(model.features, mu, nu, 0.5)
+                    assert np.array_equal(system.X, x)
+                    assert np.array_equal(system.y, y)
+
     def test_uniform_policies_zero_rhs(self):
         model = setup1_model(stream(1))
         pair = PolicyPair(np.full(4, 0.25), np.full(6, 1 / 6))
-        system = build_linear_system(model.features, pair, 0.5)
+        system = matrix_system(model.features, pair, 0.5)
         assert np.allclose(system.y, 0.0)
 
     def test_setup1_shape(self):
@@ -53,7 +83,7 @@ class TestBuildLinearSystem:
         model = setup1_model(stream(3))
         mu = np.array([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            build_linear_system(
+            matrix_system(
                 model.features, PolicyPair(mu, np.full(6, 1 / 6)), 0.5
             )
 
@@ -85,7 +115,7 @@ class TestRankCondition:
             [model.features, np.full((4, 6, 1), 0.3)], axis=2
         )
         pair = solve_qre(MatrixGameSpec(payoff_from_features(model), 0.5))
-        system = build_linear_system(augmented, pair, 0.5)
+        system = matrix_system(augmented, pair, 0.5)
         assert np.allclose(system.X[:, 2], 0.0)
         ok, _ = rank_condition(system.X, 3)
         assert not ok
@@ -120,7 +150,7 @@ class TestLeastSquares:
             est = frequency_estimate_matrix(data, 4, 6)
             pair = PolicyPair(est.mu_hat, est.nu_hat)
             theta = least_squares_theta(
-                build_linear_system(model.features, pair, 0.5)
+                matrix_system(model.features, pair, 0.5)
             )
             hits += np.linalg.norm(theta - model.theta) <= 0.05
         assert hits >= 38  # 95% of reps
@@ -143,7 +173,7 @@ class TestMinNorm:
         model = setup2_model(stream(11))
         spec = MatrixGameSpec(payoff_from_features(model), 0.5)
         pair = solve_qre(spec, tol=1e-13)
-        system = build_linear_system(model.features, pair, 0.5)
+        system = matrix_system(model.features, pair, 0.5)
         theta_hat = min_norm_theta(system)
         assert np.linalg.norm(system.X @ theta_hat - system.y) <= 1e-9
         feasible = feasible_set_from_policies(model.features, pair, 0.5, 4.0)
@@ -157,7 +187,7 @@ class TestConfidenceSet:
         model = setup2_model(stream(13))
         spec = MatrixGameSpec(payoff_from_features(model), 0.5)
         pair = solve_qre(spec, tol=1e-13)
-        system = build_linear_system(model.features, pair, 0.5)
+        system = matrix_system(model.features, pair, 0.5)
         cset = ConfidenceSet(system.X, system.y, kappa=0.0, norm_sq_cap=4.0)
         assert cset.contains(model.theta, slack=1e-12)
         off = model.theta + np.array([0.1, 0, 0, 0, 0, 0])
@@ -205,7 +235,7 @@ class TestConfidenceSet:
             mu = np.maximum(est.mu_hat, 1e-12)
             nu = np.maximum(est.nu_hat, 1e-12)
             kappa = theoretical_kappa(
-                model.features, mu, nu, 4.0, 0.5,
+                model.features[None], mu[None], nu[None], 4.0, 0.5,
                 min(eps1, 0.9 * mu.min()), min(eps2, 0.9 * nu.min()),
             )
             cset = build_confidence_set(est, model.features, 0.5, kappa, 4.0)
@@ -213,11 +243,41 @@ class TestConfidenceSet:
         assert hits == 20
 
 
+class TestTheoreticalKappa:
+    def test_single_state_is_the_matrix_formula(self):
+        # unequal errors tell the pairings apart: the a-side norm goes with
+        # nu's error eps2, the b-side norm with mu's error eps1
+        for seed in range(5):
+            rng = stream(31, seed)
+            features = rng.standard_normal((3, 7, 2))
+            mu = rng.dirichlet(np.ones(3)) + 0.05
+            nu = rng.dirichlet(np.ones(7)) + 0.05
+            mu, nu = mu / mu.sum(), nu / nu.sum()
+            eps1, eps2 = 0.3 * mu.min(), 0.8 * nu.min()
+            got = theoretical_kappa(
+                features[None], mu[None], nu[None], 100.0, 0.5, eps1, eps2
+            )
+            expected = matrix_theoretical_kappa(
+                features, mu, nu, 100.0, 0.5, eps1, eps2
+            )
+            assert got == pytest.approx(expected, rel=1e-12)
+            swapped = matrix_theoretical_kappa(
+                features, mu, nu, 100.0, 0.5, eps2, eps1
+            )
+            assert got != pytest.approx(swapped, rel=1e-6)
+
+    def test_eps_at_smallest_probability_rejected(self):
+        features = stream(32).standard_normal((1, 2, 2, 2))
+        mu = np.array([[0.25, 0.75]])
+        with pytest.raises(ValueError):
+            theoretical_kappa(features, mu, mu, 1.0, 0.5, 0.25, 0.1)
+
+
 class TestFeasibleSet:
     def test_trivial_null_space_repeats_particular(self):
         _, system = setup1_exact_system(seed=18)
         feasible = FeasibleSet(system.X, system.y, norm_sq_cap=4.0)
-        pts = sample_feasible(feasible, 5, seed=19)
+        pts = feasible.sample(5, stream(19))
         assert np.allclose(pts, pts[0], atol=1e-12)
         assert np.allclose(pts[0], min_norm_theta(system), atol=1e-10)
 
@@ -320,6 +380,6 @@ class TestExactDataIdentity:
             model = setup1_model(stream(40 + seed))
             spec = MatrixGameSpec(payoff_from_features(model), 0.5)
             pair = solve_qre(spec, tol=1e-13)
-            system = build_linear_system(model.features, pair, 0.5)
+            system = matrix_system(model.features, pair, 0.5)
             theta = least_squares_theta(system)
             assert np.linalg.norm(theta - model.theta) <= 1e-8
