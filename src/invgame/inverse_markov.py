@@ -74,6 +74,8 @@ def ridge_fit(
             data.states[:, step], data.actions_a[:, step], data.actions_b[:, step]
         ]
         nexts = data.next_states[:, step]
+        if nexts.min() < 0 or nexts.max() >= features.shape[0]:
+            raise ValueError(f"next_state must lie in 0..{features.shape[0] - 1}")
     gram = phi_t.T @ phi_t + ridge_lambda * np.eye(d)
     return RidgeTransitionEstimator(gram, phi_t, nexts, ridge_lambda)
 

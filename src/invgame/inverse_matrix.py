@@ -14,6 +14,7 @@ admits exactly the parameters with ||theta||^2 <= M.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from invgame.sampling import EmpiricalQRE, stream
 
 LOG_FLOOR = 1e-12  # probabilities are floored here before log-ratios
 RANK_TOL_FACTOR = 1e-12
+_BISECTIONS = 53  # resolves t in [0, 1] to 2^-53, the spacing of doubles below 1
+_CLOUD_CHUNK = 1 << 14  # point-to-cloud distances held at once
 
 
 class PartialIdentifiabilityError(np.linalg.LinAlgError):
@@ -163,9 +166,22 @@ def _ball_clamp(theta: np.ndarray, norm_sq_cap: float) -> np.ndarray:
     return theta * np.sqrt(norm_sq_cap / sq)
 
 
+def _ball_draws(k: int, dim: int, radius: float, rng: np.random.Generator) -> np.ndarray:
+    """K points drawn uniformly from the radius ball of R^dim."""
+    raw = rng.standard_normal((k, dim))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    raw *= radius * rng.random((k, 1)) ** (1.0 / dim)
+    return raw
+
+
 @dataclass(frozen=True)
 class ConfidenceSet:
-    """{theta : ||X theta - y||^2 <= kappa, ||theta||^2 <= norm_sq_cap}."""
+    """{theta : ||X theta - y||^2 <= kappa, ||theta||^2 <= norm_sq_cap}.
+
+    An intersection of two convex quadrics, handled exactly in the SVD basis
+    X = U diag(sigma) V', taken once: with z = V' theta and c = U' y the
+    residual is sum_i (sigma_i z_i - c_i)^2 + ||y_perp||^2.
+    """
 
     X: np.ndarray
     y: np.ndarray
@@ -177,9 +193,17 @@ class ConfidenceSet:
             raise ValueError("kappa must be nonnegative")
         if not self.norm_sq_cap > 0:
             raise ValueError("norm cap must be positive")
-        sigma = np.linalg.svd(self.X, compute_uv=False)
-        lipschitz = 2.0 * float(sigma[0]) ** 2 if sigma.size and sigma[0] > 0 else 1.0
-        object.__setattr__(self, "_lipschitz", lipschitz)
+
+    @cached_property
+    def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """(V', sigma, c, ||y_perp||^2), padded to dim; only projections use it."""
+        rows, d = self.X.shape
+        # a wide X needs the full V for its null space
+        u, sigma, vt = np.linalg.svd(self.X, full_matrices=rows < d)
+        c = u[:, : sigma.size].T @ self.y
+        y_perp = self.y - u[:, : sigma.size] @ c
+        pad = (0, d - sigma.size)
+        return vt, np.pad(sigma, pad), np.pad(c, pad), float(y_perp @ y_perp)
 
     def residual_sq(self, theta: np.ndarray) -> float:
         r = self.X @ theta - self.y
@@ -192,100 +216,76 @@ class ConfidenceSet:
             and float(theta @ theta) <= self.norm_sq_cap + slack
         )
 
-    def _descend_to_feasible(self, start: np.ndarray, iters: int) -> np.ndarray:
-        """Projected gradient on max(||X theta - y||^2 - kappa, 0), clamping
-        to the norm ball each step."""
-        lipschitz = self._lipschitz
-        theta = _ball_clamp(np.asarray(start, dtype=float), self.norm_sq_cap)
-        for _ in range(iters):
-            r = self.X @ theta - self.y
-            if float(r @ r) <= self.kappa:
-                break
-            theta = _ball_clamp(
-                theta - (2.0 / lipschitz) * (self.X.T @ r), self.norm_sq_cap
-            )
-        return theta
+    def _project(self, points: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Exact projections of the rows of `points`; whether the set is nonempty.
 
-    def project(
-        self,
-        point: np.ndarray,
-        rng: np.random.Generator | None = None,
-        restarts: int = 16,
-        iters: int = 500,
-    ) -> tuple[np.ndarray, float, bool]:
-        """Approximate projection of `point` onto the set.
-
-        Returns (member, distance, feasible).  Feasible points reached by the
-        violation descent are pulled toward `point` by bisection along the
-        connecting segment (the set is convex, so feasibility is monotone on
-        it).  When no feasible point is found the set is empty up to numerics
-        and the least-violating iterate is returned with feasible=False.
+        The projection theta of p solves p - theta = lam X'(X theta - y) + mu theta
+        with lam, mu >= 0: for t = lam / (1 + lam) it minimises (1-t) ||theta - p||^2
+        + t ||X theta - y||^2 over the ball, whose multiplier is a secular root.  The
+        residual does not increase with t, so bisection finds the least t within
+        kappa.  At t = 1 theta is the least-residual point of the ball; the set is
+        empty exactly when that residual exceeds kappa, and then every row gets it.
         """
+        vt, sigma, c, y_perp_sq = self._svd
+        q = points @ vt.T
+        cap, radius = self.norm_sq_cap, np.sqrt(self.norm_sq_cap)
+
+        def solve(t):
+            # z = a / (den + nu) for the least nu >= 0 with ||z||^2 <= cap (den
+            # is 0 only where a is).  1/||z(nu)|| is concave and increasing, so
+            # Newton's method on 1/||z|| = 1/radius from nu = 0 rises
+            # monotonically to the root (More & Sorensen 1983).
+            t = t[:, None]
+            a, den = (1 - t) * q + t * sigma * c, (1 - t) + t * sigma**2
+            nu = np.zeros_like(t)
+            for _ in range(100):  # a cap the monotone iteration stays far below
+                shifted = np.where(den + nu > 0, den + nu, 1.0)
+                z = a / shifted
+                sq = (z * z).sum(axis=1, keepdims=True)
+                out = sq > cap
+                slope = np.where(out, (z * z / shifted).sum(axis=1, keepdims=True), 1.0)
+                step = np.where(out, sq * (np.sqrt(sq) - radius) / (radius * slope), 0.0)
+                if not (step > 1e-15 * nu).any():
+                    break
+                nu = nu + step
+            return z, ((sigma * z - c) ** 2).sum(axis=1) + y_perp_sq <= self.kappa
+
+        lo, hi = np.zeros(len(q)), np.ones(len(q))
+        z_hi, nonempty = solve(hi)
+        z_lo, ball_only = solve(lo)
+        hi[ball_only], z_hi[ball_only] = 0.0, z_lo[ball_only]
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            z_mid, ok = solve(mid)
+            hi[ok], z_hi[ok], lo[~ok] = mid[ok], z_mid[ok], mid[~ok]
+        members = z_hi @ vt
+        inside = ball_only & ((points * points).sum(axis=1) <= cap)
+        members[inside] = points[inside]
+        return members, bool(nonempty.all())
+
+    def project(self, point: np.ndarray) -> tuple[np.ndarray, float, bool]:
+        """Exact Euclidean projection: (member, distance, feasible).  A point of
+        the set is its own projection at distance 0; when the set is empty,
+        feasible is False and the member is the ball's least-residual point."""
         point = np.asarray(point, dtype=float)
-        if self.contains(point):
-            return point, 0.0, True
-        if rng is None:
-            rng = stream(0)
-        d = self.X.shape[1]
-        starts = [point, min_norm_theta(self)]
-        radius = np.sqrt(self.norm_sq_cap)
-        for _ in range(max(restarts - 2, 0)):
-            raw = rng.standard_normal(d)
-            raw *= radius * rng.random() ** (1.0 / d) / np.linalg.norm(raw)
-            starts.append(raw)
-        best_point, best_dist = None, np.inf
-        fallback, fallback_viol, fallback_dist = None, np.inf, np.inf
-        for start in starts:
-            theta = self._descend_to_feasible(start, iters)
-            if not self.contains(theta, slack=1e-12):
-                viol = self.residual_sq(theta) - self.kappa
-                dist = float(np.linalg.norm(theta - point))
-                # violation is flat along the null space, so break near-ties
-                # by distance to the query point
-                if viol < fallback_viol - 1e-12 or (
-                    viol < fallback_viol + 1e-12 and dist < fallback_dist
-                ):
-                    fallback, fallback_viol, fallback_dist = theta, viol, dist
-                continue
-            lo, hi = 0.0, 1.0  # point + t (theta - point); t=1 feasible
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                cand = point + mid * (theta - point)
-                if self.contains(cand, slack=1e-12):
-                    hi = mid
-                else:
-                    lo = mid
-            theta = point + hi * (theta - point)
-            dist = float(np.linalg.norm(theta - point))
-            if dist < best_dist:
-                best_point, best_dist = theta, dist
-        if best_point is None:
-            return fallback, float(np.linalg.norm(fallback - point)), False
-        return best_point, best_dist, True
+        members, nonempty = self._project(point[None])
+        return members[0], float(np.linalg.norm(point - members[0])), nonempty
 
     def sample_members(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        """Spread of feasible points from violation descents at random starts."""
-        d = self.X.shape[1]
+        """K members: the projections of K points drawn uniformly from the
+        norm ball (draws inside the set stay where they are)."""
         radius = np.sqrt(self.norm_sq_cap)
-        points = []
-        attempts = 0
-        while len(points) < k and attempts < 8 * k:
-            attempts += 1
-            raw = rng.standard_normal(d)
-            raw *= radius * rng.random() ** (1.0 / d) / np.linalg.norm(raw)
-            theta = self._descend_to_feasible(raw, 500)
-            if self.contains(theta, slack=1e-12):
-                points.append(theta)
-        if not points:
-            raise ValueError("confidence set appears to be empty")
-        return np.array(points)
+        members, nonempty = self._project(_ball_draws(k, self.X.shape[1], radius, rng))
+        if not nonempty:
+            raise ValueError("confidence set is empty")
+        return members
 
     def min_norm_member(self) -> tuple[np.ndarray, bool]:
         """Canonical point estimate: the pseudoinverse solution when it is a
         member, otherwise the projection of the origin onto the set.
 
-        The second element is False when the set is empty up to numerics and
-        the returned point is only the least-violating surrogate.
+        The second element is False when the set is empty and the returned
+        point is only a surrogate.
         """
         pinv_theta = min_norm_theta(self)
         if self.contains(pinv_theta, slack=1e-12):
@@ -349,29 +349,20 @@ class FeasibleSet:
         """Exact projection: affine projection, then clamp the null-space
         coordinates to the residual-norm ball."""
         if self.is_empty():
-            raise ValueError("feasible set is empty: particular solution "
-                             "exceeds the norm cap")
+            raise ValueError("feasible set is empty: particular solution exceeds the norm cap")
         point = np.asarray(point, dtype=float)
-        z = self.null_basis.T @ (point - self.particular)
-        z_norm = float(np.linalg.norm(z))
-        r = self.radius
-        if z_norm > r and z_norm > 0:
-            z = z * (r / z_norm)
+        z = _ball_clamp(self.null_basis.T @ (point - self.particular), self.radius**2)
         proj = self.particular + self.null_basis @ z
         return proj, float(np.linalg.norm(point - proj))
 
     def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
         """K points particular + N z with z uniform in the residual ball."""
         if self.is_empty():
-            raise ValueError("feasible set is empty: particular solution "
-                             "exceeds the norm cap")
+            raise ValueError("feasible set is empty: particular solution exceeds the norm cap")
         null_dim = self.null_basis.shape[1]
         if null_dim == 0:
             return np.tile(self.particular, (k, 1))
-        raw = rng.standard_normal((k, null_dim))
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        raw *= self.radius * rng.random((k, 1)) ** (1.0 / null_dim)
-        return self.particular + raw @ self.null_basis.T
+        return self.particular + _ball_draws(k, null_dim, self.radius, rng) @ self.null_basis.T
 
 
 def feasible_set_from_policies(
@@ -398,13 +389,21 @@ def _sample_points(obj, k: int, rng: np.random.Generator) -> np.ndarray:
     return pts
 
 
-def _distance_to(obj, point: np.ndarray, rng: np.random.Generator) -> float:
+def _distances_to(obj, points: np.ndarray) -> np.ndarray:
     if isinstance(obj, FeasibleSet):
-        return obj.project(point)[1]
+        return np.array([obj.project(p)[1] for p in points])
     if isinstance(obj, ConfidenceSet):
-        return obj.project(point, rng)[1]
-    pts = np.asarray(obj, dtype=float)
-    return float(np.linalg.norm(pts - point, axis=1).min())
+        members, _ = obj._project(points)
+        return np.linalg.norm(points - members, axis=1)
+    cloud = np.asarray(obj, dtype=float)
+    # plain differences, in chunks of rows, so a cloud point is at distance 0
+    rows = max(1, _CLOUD_CHUNK // len(cloud))
+    nearest = np.empty(len(points))
+    for start in range(0, len(points), rows):
+        block = points[start : start + rows]
+        sq = sum((block[:, j, None] - cloud[:, j]) ** 2 for j in range(cloud.shape[1]))
+        nearest[start : start + rows] = sq.min(axis=1)
+    return np.sqrt(nearest)
 
 
 def hausdorff_estimate(set_a, set_b, k: int = 64, seed: int = 0) -> float:
@@ -412,17 +411,15 @@ def hausdorff_estimate(set_a, set_b, k: int = 64, seed: int = 0) -> float:
 
     Each set may be a FeasibleSet, a ConfidenceSet, or an (n, d) point cloud.
     Directed distances take the max over K sampled points of one set of the
-    distance to the other; distances to a FeasibleSet are exact projections,
-    distances to a ConfidenceSet use the multi-restart descent.
+    distance to the other; distances to either kind of set are exact
+    projections, so only the sampling depends on the seed.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     rng = stream(seed)
     pts_a = _sample_points(set_a, k, rng)
     pts_b = _sample_points(set_b, k, rng)
-    d_ab = max(_distance_to(set_b, p, rng) for p in pts_a)
-    d_ba = max(_distance_to(set_a, p, rng) for p in pts_b)
-    return max(d_ab, d_ba)
+    return float(max(_distances_to(set_b, pts_a).max(), _distances_to(set_a, pts_b).max()))
 
 
 def feature_difference_norms(features: np.ndarray) -> tuple[float, float]:

@@ -227,6 +227,24 @@ class TestRecoverRewards:
         assert np.allclose(sample.rewards, sample.q_values, atol=1e-12)
         assert np.allclose(sample.v_values[1], 0.0)
 
+    @pytest.mark.parametrize("past_end", [False, True])
+    def test_out_of_range_successor_rejected(self, past_end):
+        # -1 would silently wrap to the last state in the ridge target, and
+        # S would index past it
+        model = markov_model(stream(95), horizon=2)
+        spec = model.to_tabular()
+        truth, _ = backward_qre(spec, tol=1e-13)
+        data = sample_episodes(spec, truth, np.full(spec.S, 0.25), 200, 96)
+        next_states = data.next_states.copy()
+        next_states[0, -1] = spec.S if past_end else -1
+        bad = EpisodeDataset(data.states, data.actions_a, data.actions_b, next_states)
+        config = InversionConfig(
+            features=model.features, eta=spec.eta, gamma=spec.gamma, kappa=1.0,
+            ridge_lambda=0.01, theta_norm_cap=10.0,
+        )
+        with pytest.raises(ValueError, match="next_state"):
+            recover_rewards(bad, config)
+
     def test_emitted_samples_satisfy_value_identity(self):
         model = markov_model(stream(85), horizon=3)
         spec = model.to_tabular()

@@ -217,9 +217,9 @@ class TestConfidenceSet:
         x = np.array([[1.0, 0.0]])
         cset = ConfidenceSet(x, np.zeros(1), kappa=1.0, norm_sq_cap=4.0)
         point = np.array([2.0, 0.0])
-        _, dist, feasible = cset.project(point, stream(15))
+        _, dist, feasible = cset.project(point)
         assert feasible
-        assert dist == pytest.approx(1.0, abs=1e-6)
+        assert dist == pytest.approx(1.0, abs=1e-12)
 
     def test_coverage_with_theoretical_threshold(self):
         model = setup2_model(stream(16))
@@ -241,6 +241,79 @@ class TestConfidenceSet:
             cset = build_confidence_set(est, model.features, 0.5, kappa, 4.0)
             hits += cset.contains(model.theta)
         assert hits == 20
+
+
+def setup2_confidence_sets():
+    """Setup2 instances 1-8 at N = 1e3, 1e4, 1e5 with the surrogate threshold."""
+    for instance in range(1, 9):
+        model = setup2_model(stream(instance, 0))
+        truth = solve_qre(MatrixGameSpec(payoff_from_features(model), 0.5), tol=1e-12)
+        data = sample_matrix_actions(truth, 10**5, instance, 0)
+        for n in (10**3, 10**4, 10**5):
+            est = frequency_estimate_matrix(data.prefix(n), 6, 6)
+            yield build_confidence_set(est, model.features, 0.5, kappa_rule(n), 4.0)
+
+
+class TestExactProjection:
+    def test_kkt_conditions_on_setup2(self):
+        # p - theta = lam X'(X theta - y) + mu theta with lam, mu >= 0 on the
+        # active constraints; query points inside, near and outside the ball
+        projected = 0
+        for index, cset in enumerate(setup2_confidence_sets()):
+            rng = stream(51, index)
+            scales = rng.choice([0.3, 1.0, 3.0], size=(16, 1))
+            for point in rng.standard_normal((16, 6)) * scales:
+                member, dist, feasible = cset.project(point)
+                assert feasible and cset.contains(member, slack=1e-12)
+                assert dist == np.linalg.norm(point - member)
+                if cset.contains(point):
+                    assert dist == 0.0
+                    continue
+                projected += 1
+                r = cset.X @ member - cset.y
+                columns = []
+                if r @ r >= cset.kappa * (1 - 1e-9):
+                    columns.append(cset.X.T @ r)
+                if member @ member >= cset.norm_sq_cap * (1 - 1e-9):
+                    columns.append(member)
+                grads = np.array(columns).T
+                mult, *_ = np.linalg.lstsq(grads, point - member, rcond=None)
+                assert np.all(mult >= 0)
+                assert np.linalg.norm(point - member - grads @ mult) <= 1e-8 * dist
+        assert projected > 300
+
+    def test_point_inside_is_its_own_projection(self):
+        cset = ConfidenceSet(np.array([[1.0, 0.0]]), np.zeros(1), kappa=1.0, norm_sq_cap=4.0)
+        point = np.array([0.5, -1.5])
+        member, dist, feasible = cset.project(point)
+        assert feasible and dist == 0.0
+        assert np.array_equal(member, point)
+
+    def test_both_constraints_active_at_a_corner(self):
+        # slab 1 <= theta_0 <= 3 meets the radius-2 disc in a lens with
+        # corners (1, +-sqrt 3); p - corner = (0, sqrt 3) = (-1, 0) + (1, sqrt 3)
+        # lies in the normal cone there, so the corner is the projection
+        cset = ConfidenceSet(np.array([[1.0, 0.0]]), np.array([2.0]), kappa=1.0, norm_sq_cap=4.0)
+        member, dist, feasible = cset.project(np.array([1.0, 2.0 * np.sqrt(3.0)]))
+        assert feasible
+        assert member == pytest.approx([1.0, np.sqrt(3.0)], abs=1e-12)
+        assert dist == pytest.approx(np.sqrt(3.0), abs=1e-12)
+
+    def test_empty_set_is_reported(self):
+        # slab 4 <= theta_0 <= 6 misses the radius-2 disc; the pseudoinverse
+        # point (5, 0) fits exactly, so min_norm_member has to project
+        cset = ConfidenceSet(np.array([[1.0, 0.0]]), np.array([5.0]), kappa=1.0, norm_sq_cap=4.0)
+        member, _, feasible = cset.project(np.array([0.0, 1.0]))
+        assert not feasible
+        assert member == pytest.approx([2.0, 0.0], abs=1e-12)  # least residual in the disc
+        assert not cset.min_norm_member()[1]
+        with pytest.raises(ValueError):
+            cset.sample_members(3, stream(52))
+
+    def test_sampled_members_are_members(self):
+        for index, cset in enumerate(setup2_confidence_sets()):
+            for theta in cset.sample_members(100, stream(53, index)):
+                assert cset.contains(theta, slack=1e-12)
 
 
 class TestTheoreticalKappa:
