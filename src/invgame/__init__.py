@@ -42,7 +42,6 @@ from invgame.markov_game import (
     StagePolicies,
     ValueFunctions,
     backward_qre,
-    check_well_posedness,
     visit_distributions,
 )
 from invgame.matrix_game import (
@@ -51,7 +50,6 @@ from invgame.matrix_game import (
     PolicyPair,
     QreConvergenceError,
     game_value,
-    payoff_from_features,
     qre_residual,
     solve_qre,
     solve_qre_batch,

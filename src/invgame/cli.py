@@ -1,6 +1,10 @@
 """Command-line harness: forward solves, dataset simulation, single-shot
 inversions, and the full repeated experiment protocols with CSV output.
 
+Each kind's model, runner and defaults live in `invgame.experiments`; this
+module parses arguments and configs, reads and writes files, and maps
+outcomes to exit codes.
+
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure
 threshold exceeded (more than 5% of experiment records failed).
 """
@@ -10,14 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from invgame import experiments
+from invgame.experiments import KINDS, ExperimentConfig, RepRecord, UsageError
 from invgame.inverse_markov import InversionConfig, recover_rewards
 from invgame.inverse_matrix import (
     ConfidenceSet,
@@ -26,83 +30,51 @@ from invgame.inverse_matrix import (
     rank_condition,
     reconstruct_payoff,
 )
-from invgame.markov_game import backward_qre
 from invgame.matrix_game import MatrixGameSpec, game_value, qre_residual, solve_qre
-from invgame.metrics import ErrorReport
 from invgame.sampling import (
     MatrixDataset,
     frequency_estimate_matrix,
-    matrix_to_episode,
     read_dataset,
-    sample_episodes,
-    sample_matrix_actions,
-    stream,
     write_dataset,
 )
 
-RUNS_HEADER = (
-    "experiment,sample_size,rep,seed,theta_err,payoff_err,qre_tv_err,"
-    "reward_D,reward_D1,duration_ms"
+# runs.csv metric column -> ErrorReport attribute
+METRIC_FIELDS = {
+    "theta_err": "theta_error",
+    "payoff_err": "payoff_error",
+    "qre_tv_err": "qre_tv_error",
+    "reward_D": "reward_D",
+    "reward_D1": "reward_D1",
+}
+RUNS_HEADER = ",".join(
+    ("experiment", "sample_size", "rep", "seed", *METRIC_FIELDS, "duration_ms")
 )
 SUMMARY_HEADER = "experiment,sample_size,metric,mean,ci_lo,ci_hi"
 STEPS_HEADER = "experiment,sample_size,rep,seed,step,reward_frob,qre_tv"
-METRIC_FIELDS = ("theta_err", "payoff_err", "qre_tv_err", "reward_D", "reward_D1")
-
-KINDS = ("setup1", "setup2", "markov", "custom")
+ALIASES = {"S": "s_len", "H": "horizon", "d": "dim"}
 
 
-class UsageError(Exception):
-    pass
+def _typed(key: str, value, hint):
+    """A config value as its field's type; any other value is a usage error.
+
+    Numbers may come as JSON numbers or strings, but must be exact: "1e3"
+    is not an integer sample size, and NaN is no parameter value."""
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(_typed(key, item, typing.get_args(hint)[0]) for item in value)
+    elif hint in (int, float):
+        try:
+            number = hint(value)
+            if number == float(value):
+                return number
+        except (TypeError, ValueError, OverflowError):
+            pass
+    elif isinstance(value, hint):
+        return value
+    raise UsageError(f"config field {key!r} cannot be {value!r}")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    kind: str
-    seed: int = 0
-    samples: tuple[int, ...] = (10**3, 10**4)
-    reps: int = 20
-    threads: int = 1
-    out: str = "results"
-    eta: float = experiments.ETA
-    gamma: float = 1.0
-    m: int = 0
-    n: int = 0
-    s_len: int = 4
-    horizon: int = 6
-    dim: int = 2
-    theta: tuple[float, ...] = ()
-    norm_cap: float = 0.0
-    kappa_scale: float = experiments.KAPPA_SCALE
-    ridge_lambda: float = experiments.MARKOV_RIDGE_LAMBDA
-    estimator: str = "least_squares"  # custom kind: least_squares | confidence_set
-    policy_estimator: str = "frequency"  # markov kind: frequency | mle
-    emit_timings: bool = False
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise UsageError(f"unknown experiment kind {self.kind!r}")
-        if self.reps < 1:
-            raise UsageError("reps must be at least 1")
-        if list(self.samples) != sorted(set(self.samples)):
-            raise UsageError("samples must be strictly increasing")
-        if any(s < 1 for s in self.samples):
-            raise UsageError("samples must be positive")
-        if self.kind == "custom" and not self.theta:
-            raise UsageError("custom experiments need an explicit theta")
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    experiment: str
-    sample_size: int
-    rep: int
-    seed: int
-    report: ErrorReport | None  # None marks a failed record
-    duration_ms: float
-    error: str = ""
-
-
-def load_config(args) -> ExperimentConfig:
+def load_config(args, default_kind: str = "setup1") -> ExperimentConfig:
     raw: dict = {}
     if args.config:
         try:
@@ -116,155 +88,77 @@ def load_config(args) -> ExperimentConfig:
         if value is not None:
             raw[flag] = value
     if getattr(args, "samples", None):
-        raw["samples"] = [int(x) for x in args.samples.split(",")]
+        raw["samples"] = args.samples.split(",")
     if getattr(args, "emit_timings", False):
         raw["emit_timings"] = True
-    raw.setdefault("kind", "setup1")
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    alias = {"S": "s_len", "H": "horizon", "d": "dim"}
+    raw.setdefault("kind", default_kind)
+    hints = typing.get_type_hints(ExperimentConfig)
     cleaned = {}
     for key, value in raw.items():
-        key = alias.get(key, key)
-        if key not in known:
+        key = ALIASES.get(key, key)
+        if key not in hints:
             raise UsageError(f"unknown config field {key!r}")
-        if key == "samples":
-            value = tuple(int(x) for x in value)
-        if key == "theta":
-            value = tuple(float(x) for x in value)
-        cleaned[key] = value
+        cleaned[key] = _typed(key, value, hints[key])
     return ExperimentConfig(**cleaned)
-
-
-def _rep_records(config: ExperimentConfig, rep: int):
-    """One repetition's RunRecords plus the raw runner outputs (None on failure)."""
-    samples = list(config.samples)
-    started = time.perf_counter()
-    try:
-        if config.kind == "setup1":
-            raw = experiments.run_setup1_rep(config.seed, rep, samples)
-        elif config.kind == "setup2":
-            raw = experiments.run_setup2_rep(config.seed, rep, samples)
-        elif config.kind == "markov":
-            raw = experiments.run_markov_rep(
-                config.seed,
-                rep,
-                samples,
-                gamma=config.gamma,
-                s_len=config.s_len,
-                m=config.m or 5,
-                n=config.n or 5,
-                horizon=config.horizon,
-                dim=config.dim,
-                estimator=config.policy_estimator,
-                kappa_scale=config.kappa_scale,
-            )
-        else:
-            raw = experiments.run_custom_rep(
-                config.seed,
-                rep,
-                samples,
-                m=config.m or 4,
-                n=config.n or 4,
-                theta=np.array(config.theta),
-                eta=config.eta,
-                norm_sq_cap=config.norm_cap or 4.0,
-                kappa_scale=config.kappa_scale,
-                estimator=config.estimator,
-            )
-    except Exception as err:  # per-record failure: recorded, run continues
-        duration = 1000 * (time.perf_counter() - started)
-        return [
-            RunRecord(config.kind, n, rep, config.seed, None, duration, repr(err))
-            for n in samples
-        ], None
-    duration = 1000 * (time.perf_counter() - started) / len(raw)
-    records = [
-        RunRecord(config.kind, r.n_samples if hasattr(r, "n_samples") else r.n_episodes,
-                  rep, config.seed, r.report, duration)
-        for r in raw
-    ]
-    return records, raw
 
 
 def run_experiment(config: ExperimentConfig):
     """All (sample size, repetition) records plus markov per-step rows."""
-    records: list[RunRecord] = []
-    step_rows: list[tuple] = []
-
-    def one_rep(rep: int):
-        recs, raw = _rep_records(config, rep)
-        rows = []
-        if raw is not None and config.kind == "markov":
-            for r in raw:
-                for h in range(r.per_step_qre.shape[0]):
-                    rows.append(
-                        (
-                            config.kind,
-                            r.n_episodes,
-                            r.rep,
-                            config.seed,
-                            h,
-                            float(r.per_step_reward_frob[h]),
-                            float(r.per_step_qre[h]),
-                        )
-                    )
-        return recs, rows
-
+    reps = range(config.reps)
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one_rep, range(config.reps)))
+            per_rep = list(pool.map(lambda rep: experiments.run_rep(config, rep), reps))
     else:
-        results = [one_rep(rep) for rep in range(config.reps)]
-    for recs, rows in results:
-        records.extend(recs)
-        step_rows.extend(rows)
-    records.sort(key=lambda r: (r.sample_size, r.rep))
-    step_rows.sort(key=lambda r: (r[1], r[2], r[4]))
+        per_rep = [experiments.run_rep(config, rep) for rep in reps]
+    records = sorted(
+        (record for recs in per_rep for record in recs),
+        key=lambda r: (r.sample_size, r.rep),
+    )
+    step_rows = [
+        (r.experiment, r.sample_size, r.rep, r.seed, h, frob, qre)
+        for r in records
+        if r.per_step_qre is not None
+        for h, (frob, qre) in enumerate(zip(r.per_step_reward_frob, r.per_step_qre))
+    ]
     return records, step_rows
 
 
-def summarize(records: list[RunRecord]) -> list[tuple]:
+def summarize(records: list[RepRecord]) -> list[tuple]:
     """Per sample size and metric: mean plus 2.5/97.5 empirical percentiles."""
     rows = []
-    sizes = sorted({r.sample_size for r in records})
-    for size in sizes:
+    for size in sorted({r.sample_size for r in records}):
         group = [r for r in records if r.sample_size == size and r.report]
         if not group:
             continue
-        experiment = group[0].experiment
-        for metric in METRIC_FIELDS:
-            attr = {
-                "theta_err": "theta_error",
-                "payoff_err": "payoff_error",
-                "qre_tv_err": "qre_tv_error",
-                "reward_D": "reward_D",
-                "reward_D1": "reward_D1",
-            }[metric]
+        for metric, attr in METRIC_FIELDS.items():
             values = [getattr(r.report, attr) for r in group]
             if any(v is None for v in values):
                 continue
             arr = np.array(values, dtype=float)
-            rows.append(
-                (
-                    experiment,
-                    size,
-                    metric,
-                    float(arr.mean()),
-                    float(np.percentile(arr, 2.5)),
-                    float(np.percentile(arr, 97.5)),
-                )
-            )
+            lo, hi = np.percentile(arr, (2.5, 97.5))
+            rows.append((group[0].experiment, size, metric, float(arr.mean()), lo, hi))
     return rows
 
 
 def _fmt(value) -> str:
+    """A CSV field: empty for None, 10 significant digits for a float."""
     if value is None:
         return ""
-    return f"{value:.10g}"
+    if isinstance(value, float):
+        return f"{value:.10g}"
+    return str(value)
+
+
+def _write_csv(path: Path, header: str, rows) -> Path:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(value) for value in row) + "\n")
+    return path
 
 
 def emit_csv(
-    records: list[RunRecord],
+    records: list[RepRecord],
     summary: list[tuple],
     out_dir: str | Path,
     step_rows: list[tuple] | None = None,
@@ -278,61 +172,31 @@ def emit_csv(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = [out / "runs.csv", out / "summary.csv"]
-    with open(paths[0], "w", encoding="ascii", newline="\n") as fh:
-        fh.write(RUNS_HEADER + "\n")
-        for r in records:
-            report = r.report
-            fields = [
-                r.experiment,
-                str(r.sample_size),
-                str(r.rep),
-                str(r.seed),
-                _fmt(report.theta_error if report else None),
-                _fmt(report.payoff_error if report else None),
-                _fmt(report.qre_tv_error if report else None),
-                _fmt(report.reward_D if report else None),
-                _fmt(report.reward_D1 if report else None),
-                _fmt(r.duration_ms) if emit_timings else "",
-            ]
-            fh.write(",".join(fields) + "\n")
-    with open(paths[1], "w", encoding="ascii", newline="\n") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for experiment, size, metric, mean, lo, hi in summary:
-            fh.write(
-                f"{experiment},{size},{metric},{_fmt(mean)},{_fmt(lo)},{_fmt(hi)}\n"
-            )
+    runs = (
+        (r.experiment, r.sample_size, r.rep, r.seed)
+        + tuple(getattr(r.report, a) if r.report else None for a in METRIC_FIELDS.values())
+        + (r.duration_ms if emit_timings else None,)
+        for r in records
+    )
+    paths = [
+        _write_csv(out / "runs.csv", RUNS_HEADER, runs),
+        _write_csv(out / "summary.csv", SUMMARY_HEADER, summary),
+    ]
     if step_rows:
-        steps_path = Path(out_dir) / "steps.csv"
-        with open(steps_path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(STEPS_HEADER + "\n")
-            for row in step_rows:
-                fh.write(
-                    ",".join(
-                        [row[0]] + [str(x) for x in row[1:5]]
-                        + [_fmt(row[5]), _fmt(row[6])]
-                    )
-                    + "\n"
-                )
-        paths.append(steps_path)
+        paths.append(_write_csv(out / "steps.csv", STEPS_HEADER, step_rows))
     return paths
 
 
 def _cmd_experiment(args) -> int:
     config = load_config(args)
     records, step_rows = run_experiment(config)
-    summary = summarize(records)
-    emit_csv(records, summary, config.out, step_rows, config.emit_timings)
-    failures = sum(1 for r in records if r.report is None)
-    for r in records:
-        if r.report is None:
-            print(
-                f"record failed: N={r.sample_size} rep={r.rep}: {r.error}",
-                file=sys.stderr,
-            )
+    emit_csv(records, summarize(records), config.out, step_rows, config.emit_timings)
+    failed = [r for r in records if r.report is None]
+    for r in failed:
+        print(f"record failed: N={r.sample_size} rep={r.rep}: {r.error}", file=sys.stderr)
     print(f"wrote {len(records)} records to {config.out}")
-    if failures > 0.05 * len(records):
-        print(f"{failures}/{len(records)} records failed", file=sys.stderr)
+    if len(failed) > 0.05 * len(records):
+        print(f"{len(failed)}/{len(records)} records failed", file=sys.stderr)
         return 2
     return 0
 
@@ -364,49 +228,26 @@ def _cmd_solve_qre(args) -> int:
     return 0
 
 
-def _experiment_matrix_model(config: ExperimentConfig, rep: int):
-    rng = stream(config.seed, rep)
-    if config.kind == "setup1":
-        return experiments.setup1_model(rng), experiments.SETUP2_NORM_SQ_CAP
-    if config.kind == "setup2":
-        return experiments.setup2_model(rng), experiments.SETUP2_NORM_SQ_CAP
-    if config.kind == "custom":
-        cap = config.norm_cap or 4.0
-        m, n = config.m or 4, config.n or 4
-        return experiments.custom_model(rng, m, n, config.theta, cap), cap
-    raise UsageError(f"{config.kind!r} is not a matrix experiment kind")
-
-
-def _experiment_markov_model(config: ExperimentConfig, rep: int):
-    return experiments.markov_model(
-        stream(config.seed, rep),
-        s_len=config.s_len,
-        m=config.m or 5,
-        n=config.n or 5,
-        horizon=config.horizon,
-        dim=config.dim,
-        gamma=config.gamma,
-    )
+def _model(config: ExperimentConfig, rep: int, markov: bool):
+    """Rep's model for an invert command; a kind of the other family, or a
+    model the builder rejects, is a usage error."""
+    if (config.kind == "markov") != markov:
+        family = "markov" if markov else "setup1, setup2 or custom"
+        raise UsageError(f"this command needs kind {family}, not {config.kind!r}")
+    try:
+        return experiments.build_model(config, rep)
+    except ValueError as err:
+        raise UsageError(f"cannot build the {config.kind} model: {err}") from err
 
 
 def _cmd_simulate(args) -> int:
     config = load_config(args)
     out = Path(config.out)
+    try:
+        data = experiments.sample_dataset(config, args.rep, max(config.samples))
+    except ValueError as err:
+        raise UsageError(f"cannot simulate the {config.kind} model: {err}") from err
     out.mkdir(parents=True, exist_ok=True)
-    n_samples = max(config.samples)
-    rep = args.rep
-    if config.kind == "markov":
-        spec = _experiment_markov_model(config, rep).to_tabular()
-        truth, _ = backward_qre(spec, tol=1e-12)
-        initial = np.full(spec.S, 1.0 / spec.S)
-        data = sample_episodes(spec, truth, initial, n_samples, config.seed, rep)
-    else:
-        model, _ = _experiment_matrix_model(config, rep)
-        payoff = reconstruct_payoff(model.theta, model.features)
-        truth = solve_qre(MatrixGameSpec(payoff, config.eta), tol=1e-12)
-        data = matrix_to_episode(
-            sample_matrix_actions(truth, n_samples, config.seed, rep)
-        )
     path = out / "dataset.csv"
     write_dataset(data, path)
     print(f"wrote {data.n_episodes} episodes to {path}")
@@ -437,8 +278,7 @@ def _read_checked_dataset(path: str, horizon: int, s_len: int, m: int, n: int):
 
 def _cmd_invert_matrix(args) -> int:
     config = load_config(args)
-    rep = args.rep
-    model, norm_sq_cap = _experiment_matrix_model(config, rep)
+    model = _model(config, args.rep, markov=False)
     m, n = model.features.shape[:2]
     data = _read_checked_dataset(args.data, 1, 1, m, n)
     est = frequency_estimate_matrix(
@@ -447,7 +287,7 @@ def _cmd_invert_matrix(args) -> int:
     kappa = experiments.kappa_rule(data.n_episodes, scale=config.kappa_scale)
     system = empirical_system(est, model.features, config.eta)
     full_rank, rank = rank_condition(system.X, system.dim)
-    cset = ConfidenceSet(system.X, system.y, kappa, norm_sq_cap)
+    cset = ConfidenceSet(system.X, system.y, kappa, model.norm_sq_cap)
     if full_rank:
         theta_hat = least_squares_theta(system)
         route = "least_squares"
@@ -468,9 +308,8 @@ def _cmd_invert_matrix(args) -> int:
 
 
 def _cmd_invert_markov(args) -> int:
-    config = load_config(args)
-    rep = args.rep
-    model = _experiment_markov_model(config, rep)
+    config = load_config(args, default_kind="markov")
+    model = _model(config, args.rep, markov=True)
     data = _read_checked_dataset(args.data, config.horizon, *model.features.shape[:3])
     inversion = InversionConfig(
         features=model.features,
@@ -509,10 +348,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="invgame", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_kind=True):
+    def common(p):
         p.add_argument("--config", help="JSON config mirroring ExperimentConfig")
-        if with_kind:
-            p.add_argument("--kind", choices=KINDS)
+        p.add_argument("--kind", choices=KINDS)
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
         p.add_argument("--reps", type=int)
@@ -527,29 +365,25 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_solve_qre)
 
-    p = sub.add_parser("simulate", help="sample a dataset from QRE play")
-    common(p)
-    p.add_argument("--rep", type=int, default=0)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("invert-matrix", help="recover payoff parameters")
-    common(p)
-    p.add_argument("--data", required=True, help="dataset file from simulate")
-    p.add_argument("--rep", type=int, default=0)
-    p.set_defaults(func=_cmd_invert_matrix)
-
-    p = sub.add_parser("invert-markov", help="recover reward parameters")
-    common(p)
-    p.add_argument("--data", required=True, help="dataset file from simulate")
-    p.add_argument("--rep", type=int, default=0)
-    p.set_defaults(func=_cmd_invert_markov)
+    for name, func, text in (
+        ("simulate", _cmd_simulate, "sample a dataset from QRE play"),
+        ("invert-matrix", _cmd_invert_matrix, "recover payoff parameters"),
+        ("invert-markov", _cmd_invert_markov, "recover reward parameters"),
+    ):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        if func is not _cmd_simulate:
+            p.add_argument("--data", required=True, help="dataset file from simulate")
+        p.add_argument("--rep", type=int, default=0)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("experiment", help="run a repeated protocol, emit CSVs")
     common(p)
     p.add_argument(
         "--emit-timings",
         action="store_true",
-        help="fill duration_ms (breaks byte-identical reruns)",
+        help="fill duration_ms, each repetition's wall time divided evenly "
+        "over its sample sizes (breaks byte-identical reruns)",
     )
     p.set_defaults(func=_cmd_experiment)
     return parser

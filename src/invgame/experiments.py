@@ -1,14 +1,20 @@
-"""Benchmark instances and per-repetition runners for the three protocols:
-a strongly identified matrix game (setup1), a partially identified matrix
-game (setup2), and the tabular Markov game inversion.
+"""Experiment kinds: their configuration, instances and per-repetition runner.
 
-Per repetition, one Philox stream derived from (seed, rep) drives model
-generation first and data sampling second, so datasets across sample sizes
-are nested prefixes and the whole record set is reproducible bit-for-bit.
+Four kinds share one config (`ExperimentConfig`), one builder
+(`build_model`) and one runner (`run_rep`): a strongly identified matrix game
+(setup1), a partially identified matrix game (setup2), a user-dimensioned
+matrix game (custom), and the tabular Markov game inversion (markov).
+
+Repetition rep of seed s generates its instance from stream(s, rep).  Its
+data are then drawn from a second, fresh stream(s, rep), not from where the
+first one stopped, so the first data draws reuse the raw Philox words that
+generated the features.  Datasets across sample sizes are nested prefixes
+and the whole record set is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,7 +44,9 @@ from invgame.metrics import (
     reward_metric_D1,
 )
 from invgame.sampling import (
+    EpisodeDataset,
     frequency_estimate_matrix,
+    matrix_to_episode,
     sample_episodes,
     sample_matrix_actions,
     state_visit_counts,
@@ -54,6 +62,100 @@ MARKOV_THETA_CAP = 10.0  # R
 MARKOV_RIDGE_LAMBDA = 0.01
 SETUP2_CONSTANT_COORD = 0.5  # shared last coordinate of every setup2 feature
 KAPPA_SCALE = 1e3
+
+KINDS = ("setup1", "setup2", "markov", "custom")
+# The config fields whose default depends on the kind, filled in where a
+# config leaves them at zero.  setup1 (4x6, d=2) and setup2 (6x6, d=6) are
+# fixed instances with norm cap SETUP2_NORM_SQ_CAP, and markov fixes its
+# cap to MARKOV_THETA_CAP, so those kinds read no m, n or norm_cap of theirs.
+KIND_DEFAULTS = {
+    "setup1": {"estimator": "least_squares"},
+    "setup2": {"estimator": "confidence_set"},
+    "markov": {"m": 5, "n": 5},
+    "custom": {"m": 4, "n": 4, "norm_cap": 4.0, "estimator": "least_squares"},
+}
+
+
+class UsageError(Exception):
+    """A configuration or command line the harness cannot run."""
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One experiment's settings, read alike by every command.  A field of
+    KIND_DEFAULTS left at zero takes its kind's default."""
+
+    kind: str
+    seed: int = 0
+    samples: tuple[int, ...] = (10**3, 10**4)
+    reps: int = 20
+    threads: int = 1
+    out: str = "results"
+    eta: float = ETA
+    gamma: float = 1.0
+    m: int = 0
+    n: int = 0
+    s_len: int = 4
+    horizon: int = 6
+    dim: int = 2
+    theta: tuple[float, ...] = ()
+    norm_cap: float = 0.0
+    kappa_scale: float = KAPPA_SCALE
+    ridge_lambda: float = MARKOV_RIDGE_LAMBDA
+    estimator: str = ""
+    policy_estimator: str = "frequency"
+    emit_timings: bool = False
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise UsageError(f"unknown experiment kind {self.kind!r}")
+        for name, default in KIND_DEFAULTS[self.kind].items():
+            if not getattr(self, name):
+                object.__setattr__(self, name, default)
+        if self.reps < 1:
+            raise UsageError("reps must be at least 1")
+        samples = list(self.samples)
+        if not samples or samples[0] < 1 or samples != sorted(set(samples)):
+            raise UsageError("samples must be positive and strictly increasing")
+        if self.kind != "markov" and self.estimator not in ("least_squares", "confidence_set"):
+            raise UsageError(f"unknown estimator {self.estimator!r}")
+        if self.policy_estimator not in ("frequency", "mle"):
+            raise UsageError(f"unknown policy_estimator {self.policy_estimator!r}")
+        if self.kind == "custom":
+            if not self.theta:
+                raise UsageError("custom experiments need an explicit theta")
+            norm_sq = float(np.dot(self.theta, self.theta))
+            # the relative slack FeatureModel allows
+            if not norm_sq <= self.norm_cap * (1 + 1e-12):
+                raise UsageError(
+                    f"theta has squared norm {norm_sq:g}, above norm_cap {self.norm_cap:g}"
+                )
+
+
+@dataclass(frozen=True)
+class RepRecord:
+    """One (sample size, repetition) result of an experiment.
+
+    report is None when the repetition failed; error then says why.
+    duration_ms is the repetition's wall time divided evenly over its sample
+    sizes.  Matrix kinds fill `covered` under the confidence-set estimator;
+    markov fills the per-step fields, each of length H.
+    """
+
+    experiment: str
+    sample_size: int
+    rep: int
+    seed: int
+    report: ErrorReport | None
+    duration_ms: float = 0.0
+    error: str = ""
+    covered: bool | None = None  # true theta inside the confidence set
+    coverage: np.ndarray | None = None  # membership of the true Q-parameters
+    per_step_qre: np.ndarray | None = None
+    per_step_reward_frob: np.ndarray | None = None
+    feasible: np.ndarray | None = None  # recovered theta_h certified inside its set
+    sets: tuple[ConfidenceSet, ...] = ()  # the recovery's sets behind `coverage`
+    true_thetas: np.ndarray | None = None  # (H, d)
 
 
 def kappa_rule(
@@ -115,6 +217,8 @@ def custom_model(
     rng: np.random.Generator, m: int, n: int, theta, norm_sq_cap: float = np.inf
 ) -> FeatureModel:
     """User-dimensioned m x n game with unit-norm Gaussian features."""
+    if min(m, n) < 2:
+        raise ValueError(f"each player needs at least two actions, got {m}x{n}")
     theta = np.asarray(theta, dtype=float)
     feats = rng.standard_normal((m, n, theta.shape[0]))
     feats /= np.linalg.norm(feats, axis=2, keepdims=True)
@@ -129,6 +233,7 @@ def markov_model(
     horizon: int = 6,
     dim: int = 2,
     gamma: float = 1.0,
+    eta: float = ETA,
 ) -> LinearMDPModel:
     """Exactly linear tabular instance: simplex features and probability-vector
     transition columns, so P_h = Pi_h phi is a kernel by construction."""
@@ -137,13 +242,15 @@ def markov_model(
             f"markov instances fix the reward parameter to {MARKOV_OMEGA}; "
             f"dim must be {MARKOV_OMEGA.shape[0]}"
         )
+    if min(m, n) < 2:
+        raise ValueError(f"each player needs at least two actions, got {m}x{n}")
     feats = np.abs(rng.standard_normal((s_len, m, n, dim)))
     feats /= feats.sum(axis=3, keepdims=True)
     cols = np.abs(rng.standard_normal((horizon, s_len, dim)))
     cols /= cols.sum(axis=1, keepdims=True)
     omegas = np.tile(MARKOV_OMEGA, (horizon, 1))
     return LinearMDPModel(
-        feats, omegas, cols, eta=ETA, gamma=gamma, theta_norm_cap=MARKOV_THETA_CAP
+        feats, omegas, cols, eta=eta, gamma=gamma, theta_norm_cap=MARKOV_THETA_CAP
     )
 
 
@@ -221,192 +328,162 @@ def saturated_policy_model(s_len: int, m: int, n: int) -> SoftmaxPolicyModel:
     return SoftmaxPolicyModel(psi_a, psi_b)
 
 
-@dataclass(frozen=True)
-class MatrixRepRecord:
-    n_samples: int
-    rep: int
-    report: ErrorReport
-    covered: bool | None = None  # true theta inside the confidence set
+def build_model(config: ExperimentConfig, rep: int) -> FeatureModel | LinearMDPModel:
+    """Repetition rep's instance of the config's kind, from stream(seed, rep)."""
+    rng = stream(config.seed, rep)
+    if config.kind == "setup1":
+        return setup1_model(rng)
+    if config.kind == "setup2":
+        return setup2_model(rng)
+    if config.kind == "custom":
+        return custom_model(rng, config.m, config.n, config.theta, config.norm_cap)
+    return markov_model(
+        rng,
+        s_len=config.s_len,
+        m=config.m,
+        n=config.n,
+        horizon=config.horizon,
+        dim=config.dim,
+        gamma=config.gamma,
+        eta=config.eta,
+    )
 
 
-@dataclass(frozen=True)
-class MarkovRepRecord:
-    n_episodes: int
-    rep: int
-    report: ErrorReport
-    coverage: np.ndarray  # (H,) membership of the true Q-parameters
-    per_step_qre: np.ndarray  # (H,)
-    per_step_reward_frob: np.ndarray  # (H,)
-    feasible: np.ndarray  # (H,) recovered theta_h certified inside its set
-    sets: tuple[ConfidenceSet, ...]  # (H,) the recovery's sets behind `coverage`
-    true_thetas: np.ndarray  # (H, d)
-
-
-def _run_matrix_rep(
-    seed: int,
-    rep: int,
-    sample_sizes: list[int],
-    model: FeatureModel,
-    estimator: str,
-    eta: float = ETA,
-    norm_sq_cap: float = SETUP2_NORM_SQ_CAP,
-    kappa_scale: float = KAPPA_SCALE,
-) -> list[MatrixRepRecord]:
-    """Least-squares or confidence-set estimation on one matrix instance."""
+def sample_dataset(config: ExperimentConfig, rep: int, n_samples: int) -> EpisodeDataset:
+    """n_samples episodes of QRE play on repetition rep's instance; a matrix
+    game's samples are single-step episodes at state 0."""
+    model = build_model(config, rep)
+    if config.kind == "markov":
+        spec = model.to_tabular()
+        truth, _ = backward_qre(spec, tol=1e-12)
+        initial = np.full(spec.S, 1.0 / spec.S)
+        return sample_episodes(spec, truth, initial, n_samples, config.seed, rep)
     payoff = reconstruct_payoff(model.theta, model.features)
-    truth = solve_qre(MatrixGameSpec(payoff, eta), tol=1e-12)
-    data = sample_matrix_actions(truth, max(sample_sizes), seed, rep)
+    truth = solve_qre(MatrixGameSpec(payoff, config.eta), tol=1e-12)
+    return matrix_to_episode(sample_matrix_actions(truth, n_samples, config.seed, rep))
+
+
+def run_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
+    """Repetition rep's records, one per sample size.
+
+    An exception fails the whole repetition: each of its records then holds
+    the error and no report, and the experiment goes on.
+    """
+    started = time.perf_counter()
+    try:
+        if config.kind == "markov":
+            records = run_markov_rep(config, rep)
+        else:
+            records = _run_matrix_rep(config, rep)
+    except Exception as err:
+        records = [
+            RepRecord(config.kind, n, rep, config.seed, None, error=repr(err))
+            for n in config.samples
+        ]
+    duration = 1000 * (time.perf_counter() - started) / len(records)
+    return [replace(record, duration_ms=duration) for record in records]
+
+
+def _run_matrix_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
+    """Least-squares or confidence-set estimation on one matrix instance."""
+    model = build_model(config, rep)
+    payoff = reconstruct_payoff(model.theta, model.features)
+    truth = solve_qre(MatrixGameSpec(payoff, config.eta), tol=1e-12)
+    data = sample_matrix_actions(truth, max(config.samples), config.seed, rep)
     records = []
-    for n_samples in sample_sizes:
+    for n_samples in config.samples:
         est = frequency_estimate_matrix(data.prefix(n_samples), *payoff.shape)
         covered = None
-        if estimator == "least_squares":
-            system = empirical_system(est, model.features, eta)
+        if config.estimator == "least_squares":
+            system = empirical_system(est, model.features, config.eta)
             try:
                 theta_hat = least_squares_theta(system)
             except PartialIdentifiabilityError:
                 theta_hat = min_norm_theta(system)
-        elif estimator == "confidence_set":
-            kappa = kappa_rule(n_samples, scale=kappa_scale)
-            cset = build_confidence_set(est, model.features, eta, kappa, norm_sq_cap)
+        else:
+            kappa = kappa_rule(n_samples, scale=config.kappa_scale)
+            cset = build_confidence_set(
+                est, model.features, config.eta, kappa, model.norm_sq_cap
+            )
             theta_hat, _ = cset.min_norm_member()
             covered = cset.contains(model.theta)
-        else:
-            raise ValueError(f"unknown estimator {estimator!r}")
         q_hat = reconstruct_payoff(theta_hat, model.features)
         report = ErrorReport(
             theta_error=float(np.linalg.norm(theta_hat - model.theta)),
             payoff_error=float(np.linalg.norm(q_hat - payoff)),
-            qre_tv_error=qre_discrepancy(q_hat, truth, eta),
+            qre_tv_error=qre_discrepancy(q_hat, truth, config.eta),
         )
-        records.append(MatrixRepRecord(n_samples, rep, report, covered=covered))
+        records.append(
+            RepRecord(config.kind, n_samples, rep, config.seed, report, covered=covered)
+        )
     return records
 
 
-def run_setup1_rep(seed: int, rep: int, sample_sizes: list[int]) -> list[MatrixRepRecord]:
-    """Least-squares estimation on the strongly identified instance."""
-    model = setup1_model(stream(seed, rep))
-    return _run_matrix_rep(seed, rep, sample_sizes, model, "least_squares")
-
-
-def run_setup2_rep(seed: int, rep: int, sample_sizes: list[int]) -> list[MatrixRepRecord]:
-    """Confidence-set estimation on the partially identified instance."""
-    model = setup2_model(stream(seed, rep))
-    return _run_matrix_rep(seed, rep, sample_sizes, model, "confidence_set")
-
-
-def run_custom_rep(
-    seed: int,
-    rep: int,
-    sample_sizes: list[int],
-    m: int,
-    n: int,
-    theta: np.ndarray,
-    eta: float = ETA,
-    norm_sq_cap: float = SETUP2_NORM_SQ_CAP,
-    kappa_scale: float = KAPPA_SCALE,
-    estimator: str = "least_squares",
-) -> list[MatrixRepRecord]:
-    """User-dimensioned matrix-game experiment with unit-norm random features."""
-    model = custom_model(stream(seed, rep), m, n, theta)
-    return _run_matrix_rep(
-        seed, rep, sample_sizes, model, estimator, eta, norm_sq_cap, kappa_scale
-    )
-
-
-def run_markov_rep(
-    seed: int,
-    rep: int,
-    episode_counts: list[int],
-    gamma: float = 1.0,
-    s_len: int = 4,
-    m: int = 5,
-    n: int = 5,
-    horizon: int = 6,
-    dim: int = 2,
-    estimator: str = "frequency",
-    kappa_scale: float = KAPPA_SCALE,
-) -> list[MarkovRepRecord]:
+def run_markov_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     """Reward recovery on the tabular Markov instance.
 
-    estimator "frequency" uses per-state frequency policies; "mle" uses
-    saturated one-hot softmax MLE policies with empirical visit-probability
-    weights.  Each step's threshold is kappa_rule over that step's state
-    visit counts, with the block weights of the set it bounds.  Coverage is
-    measured on the sets the recovery drew its parameters from: frequency
-    sets, or the rho-weighted MLE sets.  The recovered rewards of all sample
-    sizes are re-solved together in one backward pass.
+    policy_estimator "frequency" uses per-state frequency policies; "mle"
+    uses saturated one-hot softmax MLE policies with empirical
+    visit-probability weights.  Each step's threshold is kappa_rule over that
+    step's state visit counts, with the block weights of the set it bounds.
+    Coverage is measured on the sets the recovery drew its parameters from:
+    frequency sets, or the rho-weighted MLE sets.  The recovered rewards of
+    all sample sizes are re-solved together in one backward pass.
     """
-    rng = stream(seed, rep)
-    model = markov_model(
-        rng, s_len=s_len, m=m, n=n, horizon=horizon, dim=dim, gamma=gamma
-    )
+    model = build_model(config, rep)
     spec = model.to_tabular()
     truth, values = backward_qre(spec, tol=1e-12)
     true_thetas = model.q_params(values.V)
     initial = np.full(spec.S, 1.0 / spec.S)
     state_dists, _ = visit_distributions(spec, truth, initial)
-    data = sample_episodes(spec, truth, initial, max(episode_counts), seed, rep)
-    policy_model = None
-    if estimator == "mle":
-        policy_model = saturated_policy_model(spec.S, spec.m, spec.n)
-    elif estimator != "frequency":
-        raise ValueError(f"estimator must be 'frequency' or 'mle', got {estimator}")
+    data = sample_episodes(spec, truth, initial, max(config.samples), config.seed, rep)
+    mle = config.policy_estimator == "mle"
+    policy_model = saturated_policy_model(spec.S, spec.m, spec.n) if mle else None
     samples = []
-    for n_episodes in episode_counts:
+    for n_episodes in config.samples:
         subset = data.prefix(n_episodes)
         counts = state_visit_counts(subset, spec.S)
-        config = InversionConfig(
+        inversion = InversionConfig(
             features=model.features,
-            eta=ETA,
-            gamma=gamma,
-            kappa=kappa_rule(counts, counts > 0, kappa_scale),
-            ridge_lambda=MARKOV_RIDGE_LAMBDA,
+            eta=config.eta,
+            gamma=config.gamma,
+            kappa=kappa_rule(counts, counts > 0, config.kappa_scale),
+            ridge_lambda=config.ridge_lambda,
             theta_norm_cap=MARKOV_THETA_CAP,
             policy_model=policy_model,
         )
-        if estimator == "mle":
-            mle_kappa = kappa_rule(counts, counts / n_episodes, kappa_scale)
-            sample = recover_rewards_mle(subset, replace(config, kappa=mle_kappa))[0]
+        if mle:
+            mle_kappa = kappa_rule(counts, counts / n_episodes, config.kappa_scale)
+            sample = recover_rewards_mle(subset, replace(inversion, kappa=mle_kappa))[0]
         else:
-            sample = recover_rewards(subset, config)[0]
+            sample = recover_rewards(subset, inversion)[0]
         samples.append(sample)
     qre_errs, per_step_qres = qre_discrepancy_markov(
         spec, np.stack([sample.rewards for sample in samples]), truth, state_dists
     )
+
+    def per_step(diff):  # the norm of each step's slice
+        return np.linalg.norm(diff.reshape(spec.H, -1), axis=1)
+
     records = []
-    for k, (n_episodes, sample) in enumerate(zip(episode_counts, samples)):
+    for k, (n_episodes, sample) in enumerate(zip(config.samples, samples)):
         coverage = np.array(
             [cset.contains(theta) for cset, theta in zip(sample.sets, true_thetas)]
         )
-        per_step_frob = np.linalg.norm(
-            (sample.rewards - spec.rewards).reshape(spec.H, -1), axis=1
-        )
         report = ErrorReport(
-            theta_error=float(
-                np.linalg.norm(sample.thetas - true_thetas, axis=1).mean()
-            ),
-            payoff_error=float(
-                np.linalg.norm(
-                    (sample.q_values - values.Q).reshape(spec.H, -1), axis=1
-                ).mean()
-            ),
+            theta_error=float(per_step(sample.thetas - true_thetas).mean()),
+            payoff_error=float(per_step(sample.q_values - values.Q).mean()),
             qre_tv_error=float(qre_errs[k]),
             reward_D=reward_metric_D(sample.rewards, spec.rewards),
             reward_D1=reward_metric_D1(sample.rewards, spec.rewards, state_dists),
         )
         records.append(
-            MarkovRepRecord(
-                n_episodes, rep, report, coverage, per_step_qres[k], per_step_frob,
-                feasible=sample.feasible, sets=sample.sets, true_thetas=true_thetas,
+            RepRecord(
+                config.kind, n_episodes, rep, config.seed, report,
+                coverage=coverage, per_step_qre=per_step_qres[k],
+                per_step_reward_frob=per_step(sample.rewards - spec.rewards),
+                feasible=sample.feasible,
+                sets=sample.sets, true_thetas=true_thetas,
             )
         )
     return records
-
-
-def loglog_slope(sample_sizes: np.ndarray, errors: np.ndarray) -> float:
-    """Least-squares slope of log(error) against log(N)."""
-    x = np.log(np.asarray(sample_sizes, dtype=float))
-    y = np.log(np.asarray(errors, dtype=float))
-    x_centered = x - x.mean()
-    return float((x_centered @ (y - y.mean())) / (x_centered @ x_centered))

@@ -470,11 +470,3 @@ def theoretical_kappa(
         norm_sq_cap * phi2_op**2 + s_len * m / (eta**2 * (mu.min() - eps1) ** 2)
     ) * eps1**2
     return term_a + term_b
-
-
-def tv_error_bound(support: int, n_samples: int, delta: float) -> float:
-    """High-probability bound on TV(freq estimate, truth): the mean term
-    sqrt(support/N)/2 plus the bounded-difference deviation term."""
-    return 0.5 * np.sqrt(support / n_samples) + np.sqrt(
-        np.log(2.0 / delta) / (2.0 * n_samples)
-    )

@@ -215,13 +215,3 @@ def visit_distributions(
         joint[h] = d[:, None, None] * policies.mu[h][:, :, None] * policies.nu[h][:, None, :]
         d = np.einsum("smn,smnt->t", joint[h], spec.transition[h])
     return state, joint
-
-
-def check_well_posedness(
-    state_dists: np.ndarray, c: float
-) -> tuple[bool, float]:
-    """Whether every state is visited with probability >= c at every step."""
-    if not c > 0:
-        raise ValueError("c must be positive")
-    minimum = float(np.min(state_dists))
-    return minimum >= c, minimum

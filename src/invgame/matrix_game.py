@@ -115,11 +115,6 @@ class FeatureModel:
         return self.features.shape[2]
 
 
-def payoff_from_features(model: FeatureModel) -> np.ndarray:
-    """Contract the feature tensor with theta: Q[a, b] = <phi(a,b), theta>."""
-    return model.features @ model.theta
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))

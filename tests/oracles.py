@@ -179,3 +179,32 @@ def matrix_theoretical_kappa(
         eta**2 * (nu.min() - eps2) ** 2
     )
     return 2.0 * (a_side + b_side)
+
+
+def payoff_from_features(model) -> np.ndarray:
+    """Contract the feature tensor with theta: Q[a, b] = <phi(a,b), theta>."""
+    return model.features @ model.theta
+
+
+def tv_error_bound(support: int, n_samples: int, delta: float) -> float:
+    """High-probability bound on TV(freq estimate, truth): the mean term
+    sqrt(support/N)/2 plus the bounded-difference deviation term."""
+    return 0.5 * np.sqrt(support / n_samples) + np.sqrt(
+        np.log(2.0 / delta) / (2.0 * n_samples)
+    )
+
+
+def check_well_posedness(state_dists: np.ndarray, c: float) -> tuple[bool, float]:
+    """Whether every state is visited with probability >= c at every step."""
+    if not c > 0:
+        raise ValueError("c must be positive")
+    minimum = float(np.min(state_dists))
+    return minimum >= c, minimum
+
+
+def loglog_slope(sample_sizes: np.ndarray, errors: np.ndarray) -> float:
+    """Least-squares slope of log(error) against log(N)."""
+    x = np.log(np.asarray(sample_sizes, dtype=float))
+    y = np.log(np.asarray(errors, dtype=float))
+    x_centered = x - x.mean()
+    return float((x_centered @ (y - y.mean())) / (x_centered @ x_centered))

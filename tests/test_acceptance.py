@@ -22,21 +22,22 @@ import numpy as np
 import pytest
 
 from invgame.cli import ExperimentConfig, emit_csv, run_experiment, summarize
-from invgame.experiments import (
-    full_rank_oracle_model,
-    loglog_slope,
-    run_markov_rep,
-    run_setup1_rep,
-    run_setup2_rep,
-)
+from invgame.experiments import full_rank_oracle_model, run_rep
 from invgame.inverse_markov import InversionConfig, recover_rewards, ridge_fit
 from invgame.markov_game import backward_qre
 from invgame.matrix_game import MatrixGameSpec, qre_residual, solve_qre
 from invgame.metrics import hellinger_sq, reward_metric_D, reward_metric_D1, tv
 from invgame.sampling import EpisodeDataset, sample_episodes, stream
 
+from .oracles import loglog_slope
+
 SEED = 20260808
 FULL = os.environ.get("INVGAME_FULL_ACCEPTANCE") == "1"
+
+
+def records(kind, rep, sizes):
+    """Repetition rep of the suite seed's `kind` experiment at these sizes."""
+    return run_rep(ExperimentConfig(kind=kind, seed=SEED, samples=tuple(sizes)), rep)
 
 
 def report(criterion, detail):
@@ -73,8 +74,8 @@ class TestCriterion02StrongIdentifiabilityRate:
         sizes = [10**3, 10**4, 10**5, 10**6]
         errors = {n: [] for n in sizes}
         for rep in range(20):
-            for record in run_setup1_rep(SEED, rep, sizes):
-                errors[record.n_samples].append(record.report.theta_error)
+            for record in records("setup1", rep, sizes):
+                errors[record.sample_size].append(record.report.theta_error)
         medians = np.array([np.median(errors[n]) for n in sizes])
         slope = loglog_slope(sizes, medians)
         assert -0.65 <= slope <= -0.35
@@ -90,9 +91,9 @@ class TestCriterion03PartialIdentifiability:
         qre_errs = {n: [] for n in sizes}
         theta_errs = {n: [] for n in sizes}
         for rep in range(20):
-            for record in run_setup2_rep(SEED, rep, sizes):
-                qre_errs[record.n_samples].append(record.report.qre_tv_error)
-                theta_errs[record.n_samples].append(record.report.theta_error)
+            for record in records("setup2", rep, sizes):
+                qre_errs[record.sample_size].append(record.report.qre_tv_error)
+                theta_errs[record.sample_size].append(record.report.theta_error)
         first = np.median(qre_errs[10**3])
         last = np.median(qre_errs[10**6])
         assert last <= first / 10
@@ -113,7 +114,7 @@ class TestCriterion04Coverage:
     def test_setup2_coverage_at_surrogate_threshold(self):
         started = time.perf_counter()
         covered = sum(
-            run_setup2_rep(SEED, rep, [10**4])[0].covered for rep in range(100)
+            records("setup2", rep, [10**4])[0].covered for rep in range(100)
         )
         elapsed = time.perf_counter() - started
         assert covered >= 95
@@ -132,7 +133,7 @@ class TestCriterion04Coverage:
         per_step = np.zeros(6)
         flipped_excluded = np.zeros(6)
         for rep in range(100):
-            record = run_markov_rep(SEED, rep, [10**4])[0]
+            record = records("markov", rep, [10**4])[0]
             per_step += record.coverage
             for h, (cset, theta) in enumerate(zip(record.sets, record.true_thetas)):
                 flipped = theta - 2.0 * (theta @ identified) * identified
@@ -181,9 +182,9 @@ class TestCriterion06MarkovTrend:
         qre = {n: [] for n in sizes}
         reward = {n: [] for n in sizes}
         for rep in range(reps):
-            for record in run_markov_rep(SEED, rep, sizes):
-                qre[record.n_episodes].append(record.report.qre_tv_error)
-                reward[record.n_episodes].append(record.report.reward_D)
+            for record in records("markov", rep, sizes):
+                qre[record.sample_size].append(record.report.qre_tv_error)
+                reward[record.sample_size].append(record.report.reward_D)
         means = np.array([np.mean(qre[n]) for n in sizes])
         assert np.all(np.diff(means) < 0), f"means not decreasing: {means}"
         ratio = means[-1] / means[0]

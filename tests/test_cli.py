@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,17 +7,25 @@ import pytest
 from invgame.cli import (
     ExperimentConfig,
     UsageError,
-    _rep_records,
     emit_csv,
     load_config,
     main,
     run_experiment,
     summarize,
 )
+from invgame.experiments import markov_model, run_rep
+from invgame.markov_game import backward_qre
+from invgame.sampling import read_dataset, sample_episodes, stream
 
 
 def run_cli(args):
     return main(args)
+
+
+def write_config(tmp_path, fields, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(fields))
+    return str(path)
 
 
 def edit_dataset(path, row, column, value):
@@ -75,8 +84,8 @@ class TestRunExperiment:
 
     def test_markov_honours_kappa_scale(self):
         base = dict(kind="markov", seed=5, samples=(500,), reps=1, horizon=3)
-        _, default = _rep_records(ExperimentConfig(**base), 0)
-        _, doubled = _rep_records(ExperimentConfig(**base, kappa_scale=2e3), 0)
+        default = run_rep(ExperimentConfig(**base), 0)
+        doubled = run_rep(ExperimentConfig(**base, kappa_scale=2e3), 0)
         assert [2 * cset.kappa for cset in default[0].sets] == [
             cset.kappa for cset in doubled[0].sets
         ]
@@ -304,3 +313,92 @@ class TestCommands:
         capsys.readouterr()
         lines = (tmp_path / "custom" / "runs.csv").read_text().splitlines()
         assert len(lines) == 3
+
+
+class TestEveryCommandReadsTheConfig:
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("setup1", "eta", 1.0),
+            ("setup2", "eta", 1.0),
+            ("markov", "eta", 1.0),
+            ("markov", "ridge_lambda", 10.0),
+        ],
+    )
+    def test_changing_the_field_changes_the_run(self, tmp_path, capsys, kind, field, value):
+        base = {"kind": kind, "seed": 5, "samples": [1000], "reps": 1}
+        if kind == "markov":
+            base["H"] = 3
+        runs = []
+        for name, extra in (("default", {}), ("changed", {field: value})):
+            out = tmp_path / name
+            config = write_config(tmp_path, {**base, **extra, "out": str(out)}, f"{name}.json")
+            assert run_cli(["experiment", "--config", config]) == 0
+            runs.append((out / "runs.csv").read_text())
+        capsys.readouterr()
+        assert runs[0] != runs[1]
+
+    def test_simulate_markov_draws_from_the_configured_eta(self, tmp_path, capsys):
+        fields = {"kind": "markov", "eta": 1.0, "seed": 3, "samples": [500], "H": 3}
+        config = write_config(tmp_path, fields)
+        assert run_cli(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        spec = replace(markov_model(stream(3, 0), horizon=3), eta=1.0).to_tabular()
+        truth, _ = backward_qre(spec, tol=1e-12)
+        expected = sample_episodes(spec, truth, np.full(spec.S, 1.0 / spec.S), 500, 3, 0)
+        written = read_dataset(tmp_path / "dataset.csv")
+        for column in ("states", "actions_a", "actions_b", "next_states"):
+            assert np.array_equal(getattr(written, column), getattr(expected, column))
+
+
+class TestUsageErrors:
+    """Bad config values exit 1 with a usage error, never a traceback."""
+
+    def assert_usage_error(self, capsys, args, message=""):
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+
+    def test_non_integer_samples_flag(self, tmp_path, capsys):
+        args = ["experiment", "--kind", "setup1", "--samples", "1e3", "--out", str(tmp_path)]
+        self.assert_usage_error(capsys, args, "'samples'")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"samples": [1000, "many"]}, {"samples": [float("inf")]}, {"theta": [0.5, "x"]}],
+        ids=["samples", "infinite_samples", "theta"],
+    )
+    def test_non_numeric_json_values(self, tmp_path, capsys, fields):
+        config = write_config(tmp_path, {"kind": "custom", "theta": [0.5, -0.25], **fields})
+        args = ["experiment", "--config", config, "--out", str(tmp_path / "out")]
+        self.assert_usage_error(capsys, args, repr(next(iter(fields))))
+
+    @pytest.mark.parametrize("command", ["experiment", "simulate", "invert-matrix"])
+    def test_custom_theta_outside_the_norm_cap(self, tmp_path, capsys, command):
+        fields = {"kind": "custom", "theta": [1.5, -1.5], "norm_cap": 4.0, "samples": [100]}
+        args = [command, "--config", write_config(tmp_path, fields)]
+        args += ["--out", str(tmp_path / "out")]
+        if command == "invert-matrix":
+            args += ["--data", str(tmp_path / "missing.csv")]
+        self.assert_usage_error(capsys, args, "above norm_cap")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "invert-markov"])
+    @pytest.mark.parametrize("fields", [{"d": 3}, {"m": 1}], ids=["d3", "m1"])
+    def test_markov_model_the_builder_rejects(self, tmp_path, capsys, command, fields):
+        config = write_config(tmp_path, {"kind": "markov", "samples": [100], **fields})
+        args = [command, "--config", config, "--out", str(tmp_path / "out")]
+        if command == "invert-markov":
+            args += ["--data", str(tmp_path / "missing.csv")]
+        self.assert_usage_error(capsys, args, "markov model")
+
+    def test_invert_markov_needs_the_markov_kind(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        kind = ["--kind", "markov", "--seed", "3"]
+        assert run_cli(["simulate", *kind, "--samples", "200", "--out", str(out)]) == 0
+        capsys.readouterr()
+        data = ["--seed", "3", "--data", str(out / "dataset.csv")]
+        args = ["invert-markov", "--kind", "setup1", *data, "--out", str(tmp_path / "a.json")]
+        self.assert_usage_error(capsys, args, "'setup1'")
+        # without --kind, invert-markov still means markov
+        assert run_cli(["invert-markov", *data, "--out", str(tmp_path / "b.json")]) == 0

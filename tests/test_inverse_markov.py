@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from invgame.experiments import (
+    ExperimentConfig,
     full_rank_oracle_model,
     kappa_rule,
     markov_model,
@@ -18,7 +21,7 @@ from invgame.inverse_markov import (
     stepwise_confidence_set,
     stepwise_confidence_sets,
 )
-from invgame.inverse_matrix import theoretical_kappa, tv_error_bound
+from invgame.inverse_matrix import theoretical_kappa
 from invgame.markov_game import LinearMDPModel, backward_qre
 from invgame.matrix_game import entropy
 from invgame.metrics import reward_metric_D
@@ -30,7 +33,11 @@ from invgame.sampling import (
     stream,
 )
 
-from .oracles import matrix_linear_system
+from .oracles import matrix_linear_system, tv_error_bound
+
+
+def markov_config(seed, sizes, **fields):
+    return ExperimentConfig(kind="markov", seed=seed, samples=tuple(sizes), **fields)
 
 
 def one_hot_policy_model(s_len, m, n):
@@ -226,6 +233,24 @@ class TestRecoverRewards:
         sample = recover_rewards(data, config)[0]
         assert np.allclose(sample.rewards, sample.q_values, atol=1e-12)
         assert np.allclose(sample.v_values[1], 0.0)
+
+    def test_unobserved_action_at_visited_states_gives_finite_rewards(self):
+        model = markov_model(stream(97), horizon=3)
+        spec = model.to_tabular()
+        truth, _ = backward_qre(spec, tol=1e-13)
+        data = sample_episodes(spec, truth, np.full(spec.S, 0.25), 500, 98)
+        actions_a = np.where(data.actions_a == spec.m - 1, 0, data.actions_a)
+        thinned = EpisodeDataset(data.states, actions_a, data.actions_b, data.next_states)
+        est = frequency_estimate_markov(thinned, spec.S, spec.m, spec.n)
+        assert est.visited.any() and np.all(est.mu_hat[est.visited][:, -1] == 0.0)
+        config = InversionConfig(
+            features=model.features, eta=spec.eta, gamma=spec.gamma, kappa=1.0,
+            ridge_lambda=0.01, theta_norm_cap=10.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sample = recover_rewards(thinned, config)[0]
+        assert np.isfinite(sample.rewards).all() and np.isfinite(sample.thetas).all()
 
     @pytest.mark.parametrize("past_end", [False, True])
     def test_out_of_range_successor_rejected(self, past_end):
@@ -514,7 +539,7 @@ class TestRecoverRewardsMle:
 
 class TestPerBlockThreshold:
     def test_frequency_step_sets_nonempty_and_members_certified(self):
-        record = run_markov_rep(20260808, 0, [10**4])[0]
+        record = run_markov_rep(markov_config(20260808, [10**4]), 0)[0]
         for cset in record.sets:
             least_squares = np.linalg.pinv(cset.X) @ cset.y
             assert cset.residual_sq(least_squares) <= cset.kappa
@@ -525,7 +550,7 @@ class TestPerBlockThreshold:
         n = 9992
         expected = kappa_rule(n)
         assert expected == 1e3 / n
-        record = run_markov_rep(20260808, 0, [n], s_len=1)[0]
+        record = run_markov_rep(markov_config(20260808, [n], s_len=1), 0)[0]
         assert [cset.kappa for cset in record.sets] == [expected] * 6
         counts = np.full((6, 1), n)  # frequency weights 1, MLE weights n / n
         assert np.all(kappa_rule(counts, counts > 0) == expected)
@@ -540,7 +565,7 @@ class TestPerBlockThreshold:
 
     def test_frequency_record_sets_are_the_frequency_sets(self):
         n = 10**4
-        record = run_markov_rep(20260808, 1, [n])[0]
+        record = run_markov_rep(markov_config(20260808, [n]), 1)[0]
         model, spec, data = self.markov_rep_data(20260808, 1, n)
         counts = state_visit_counts(data, spec.S)
         config = InversionConfig(
@@ -557,7 +582,9 @@ class TestPerBlockThreshold:
         # MLE sets weight state blocks by rho_h(s) = N_h(s) / N, so their
         # threshold is 1e3 * #visited / N, not the frequency rule's sum
         n = 10**4
-        record = run_markov_rep(20260808, 1, [n], estimator="mle")[0]
+        record = run_markov_rep(
+            markov_config(20260808, [n], policy_estimator="mle"), 1
+        )[0]
         _, spec, data = self.markov_rep_data(20260808, 1, n)
         counts = state_visit_counts(data, spec.S)
         mle_kappa = kappa_rule(counts, counts / n)

@@ -14,6 +14,7 @@ from invgame.inverse_matrix import (
     PartialIdentifiabilityError,
     build_confidence_set,
     build_stepwise_system,
+    empirical_system,
     feasible_set_from_policies,
     floor_distribution,
     hausdorff_estimate,
@@ -22,12 +23,21 @@ from invgame.inverse_matrix import (
     rank_condition,
     reconstruct_payoff,
     theoretical_kappa,
+)
+from invgame.matrix_game import MatrixGameSpec, PolicyPair, solve_qre
+from invgame.sampling import (
+    MatrixDataset,
+    frequency_estimate_matrix,
+    sample_matrix_actions,
+    stream,
+)
+
+from .oracles import (
+    matrix_linear_system,
+    matrix_theoretical_kappa,
+    payoff_from_features,
     tv_error_bound,
 )
-from invgame.matrix_game import MatrixGameSpec, PolicyPair, payoff_from_features, solve_qre
-from invgame.sampling import frequency_estimate_matrix, sample_matrix_actions, stream
-
-from .oracles import matrix_linear_system, matrix_theoretical_kappa
 
 
 def matrix_system(features, pair, eta):
@@ -86,6 +96,23 @@ class TestBuildLinearSystem:
             matrix_system(
                 model.features, PolicyPair(mu, np.full(6, 1 / 6)), 0.5
             )
+
+
+class TestLogFloor:
+    def test_unobserved_action_rows_hold_the_floored_log_ratio(self):
+        # the row player's action 2 never appears, so its frequency is 0 and
+        # only the 1e-12 floor keeps its log-ratio finite
+        data = MatrixDataset(np.array([0, 1, 0, 3, 1, 0]), np.array([0, 1, 2, 0, 1, 2]))
+        est = frequency_estimate_matrix(data, 4, 3)
+        assert est.mu_hat[2] == 0.0
+        eta = 0.5
+        features = stream(31).standard_normal((4, 3, 2))
+        system = empirical_system(est, features, eta)
+        assert np.isfinite(system.X).all() and np.isfinite(system.y).all()
+        mu = floor_distribution(est.mu_hat)
+        # row a - 1 holds action a's A-side constraint
+        assert system.y[1] == (np.log(mu[2]) - np.log(mu[0])) / eta
+        assert system.y[1] == pytest.approx(np.log(1e-12 / est.mu_hat[0]) / eta)
 
 
 class TestRankCondition:

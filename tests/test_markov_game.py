@@ -10,7 +10,6 @@ from invgame.markov_game import (
     StagePolicies,
     backward_qre,
     backward_qre_stack,
-    check_well_posedness,
     visit_distributions,
 )
 from invgame.matrix_game import (
@@ -22,7 +21,11 @@ from invgame.matrix_game import (
     solve_qre_batch,
 )
 
-from .oracles import backward_values_2x2, rollout_state_frequencies
+from .oracles import (
+    backward_values_2x2,
+    check_well_posedness,
+    rollout_state_frequencies,
+)
 
 
 def make_rng(seed):

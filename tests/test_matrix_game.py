@@ -9,13 +9,17 @@ from invgame.matrix_game import (
     PolicyPair,
     QreConvergenceError,
     game_value,
-    payoff_from_features,
     qre_residual,
     solve_qre,
     solve_qre_batch,
 )
 
-from .oracles import payoff_by_scalar_loops, qre_2x2_bisection, simplex_mesh
+from .oracles import (
+    payoff_by_scalar_loops,
+    payoff_from_features,
+    qre_2x2_bisection,
+    simplex_mesh,
+)
 
 
 def seeded_features(m, n, d, seed, unit_norm=True):

@@ -32,7 +32,6 @@ PUBLIC_NAMES = [
     "backward_qre",
     "build_confidence_set",
     "build_stepwise_system",
-    "check_well_posedness",
     "empirical_state_distribution",
     "feasible_set_from_policies",
     "frequency_estimate_markov",
@@ -43,7 +42,6 @@ PUBLIC_NAMES = [
     "least_squares_theta",
     "min_norm_theta",
     "mle_fit",
-    "payoff_from_features",
     "qre_discrepancy",
     "qre_discrepancy_markov",
     "qre_residual",
