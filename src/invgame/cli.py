@@ -95,11 +95,15 @@ def load_config(args, default_kind: str = "setup1") -> ExperimentConfig:
     hints = typing.get_type_hints(ExperimentConfig)
     cleaned = {}
     for key, value in raw.items():
-        key = ALIASES.get(key, key)
-        if key not in hints:
+        field = ALIASES.get(key, key)
+        if field not in hints:
             raise UsageError(f"unknown config field {key!r}")
-        cleaned[key] = _typed(key, value, hints[key])
-    return ExperimentConfig(**cleaned)
+        cleaned[field] = _typed(field, value, hints[field])
+    config = ExperimentConfig(**cleaned)
+    for key in raw:
+        if config.kind not in experiments.FIELD_KINDS.get(ALIASES.get(key, key), KINDS):
+            raise UsageError(f"kind {config.kind!r} does not read config field {key!r}")
+    return config
 
 
 def run_experiment(config: ExperimentConfig):
@@ -189,6 +193,9 @@ def emit_csv(
 
 def _cmd_experiment(args) -> int:
     config = load_config(args)
+    # every rep builds its model alike, so rep 0 shows whether the builder
+    # takes the config before any rep runs
+    _build_model(config, 0)
     records, step_rows = run_experiment(config)
     emit_csv(records, summarize(records), config.out, step_rows, config.emit_timings)
     failed = [r for r in records if r.report is None]
@@ -228,16 +235,21 @@ def _cmd_solve_qre(args) -> int:
     return 0
 
 
-def _model(config: ExperimentConfig, rep: int, markov: bool):
-    """Rep's model for an invert command; a kind of the other family, or a
-    model the builder rejects, is a usage error."""
-    if (config.kind == "markov") != markov:
-        family = "markov" if markov else "setup1, setup2 or custom"
-        raise UsageError(f"this command needs kind {family}, not {config.kind!r}")
+def _build_model(config: ExperimentConfig, rep: int):
+    """Rep's model; a model the builder rejects is a usage error."""
     try:
         return experiments.build_model(config, rep)
     except ValueError as err:
         raise UsageError(f"cannot build the {config.kind} model: {err}") from err
+
+
+def _model(config: ExperimentConfig, rep: int, markov: bool):
+    """Rep's model for an invert command; a kind of the other family is a
+    usage error."""
+    if (config.kind == "markov") != markov:
+        family = "markov" if markov else "setup1, setup2 or custom"
+        raise UsageError(f"this command needs kind {family}, not {config.kind!r}")
+    return _build_model(config, rep)
 
 
 def _cmd_simulate(args) -> int:

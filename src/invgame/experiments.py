@@ -74,6 +74,21 @@ KIND_DEFAULTS = {
     "markov": {"m": 5, "n": 5},
     "custom": {"m": 4, "n": 4, "norm_cap": 4.0, "estimator": "least_squares"},
 }
+# The config fields only some kinds read, and those kinds; every other field
+# is read by every kind.
+FIELD_KINDS = {
+    "estimator": ("setup1", "setup2", "custom"),
+    "m": ("custom", "markov"),
+    "n": ("custom", "markov"),
+    "theta": ("custom",),
+    "norm_cap": ("custom",),
+    "gamma": ("markov",),
+    "s_len": ("markov",),
+    "horizon": ("markov",),
+    "dim": ("markov",),
+    "policy_estimator": ("markov",),
+    "ridge_lambda": ("markov",),
+}
 
 
 class UsageError(Exception):
@@ -244,6 +259,8 @@ def markov_model(
         )
     if min(m, n) < 2:
         raise ValueError(f"each player needs at least two actions, got {m}x{n}")
+    if min(s_len, horizon) < 1:
+        raise ValueError(f"need at least one state and one step, got S={s_len}, H={horizon}")
     feats = np.abs(rng.standard_normal((s_len, m, n, dim)))
     feats /= feats.sum(axis=3, keepdims=True)
     cols = np.abs(rng.standard_normal((horizon, s_len, dim)))

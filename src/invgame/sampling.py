@@ -16,6 +16,8 @@ from invgame.markov_game import MarkovGameSpec, StagePolicies
 from invgame.matrix_game import PolicyPair
 
 DATASET_HEADER = "episode,step,state,action_a,action_b,next_state"
+_WRITE_BLOCK_ROWS = 1 << 10  # dataset rows formatted at once
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)  # 1 .. 10**19: every uint64 digit count
 
 
 def stream(seed: int, rep: int = 0) -> np.random.Generator:
@@ -207,25 +209,56 @@ def empirical_state_distribution(data: EpisodeDataset, s_len: int) -> np.ndarray
     return state_visit_counts(data, s_len) / data.n_episodes
 
 
+def _format_rows(table: np.ndarray) -> np.ndarray:
+    """The lines of an int64 table as ASCII bytes in one uint8 buffer.
+
+    Each row is its values in decimal, joined by "," and ended by "\n":
+    byte for byte what ",".join(str(int(x)) for x in row) + "\n" gives.
+    """
+    cols = table.shape[1]
+    values = table.ravel()
+    negative = values < 0
+    # abs wraps int64's minimum to itself, which reads as 2**63 unsigned
+    magnitude = np.abs(values).view(np.uint64)
+    digits = np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1)
+    ends = np.cumsum(digits + negative + 1)  # one past each value's separator
+    buf = np.empty(ends[-1], dtype=np.uint8)
+    buf[ends - 1] = ord(",")
+    buf[ends[cols - 1 :: cols] - 1] = ord("\n")
+    buf[(ends - 2 - digits)[negative]] = ord("-")
+    # fill digits from the last: each pass writes one more digit of every
+    # value that has one left
+    pos, rest, left = ends - 2, magnitude, digits
+    while pos.size:
+        buf[pos] = rest % 10 + ord("0")
+        more = left > 1
+        pos, rest, left = pos[more] - 1, rest[more] // 10, left[more] - 1
+    return buf
+
+
 def write_dataset(data: EpisodeDataset, path: str | Path) -> None:
-    """Serialize to the line-delimited interchange format (0-based indices)."""
-    t, h_len = data.states.shape
-    episode = np.repeat(np.arange(t), h_len)
-    step = np.tile(np.arange(h_len), t)
-    table = np.column_stack(
-        [
-            episode,
-            step,
-            data.states.ravel(),
-            data.actions_a.ravel(),
-            data.actions_b.ravel(),
-            data.next_states.ravel(),
-        ]
-    )
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(DATASET_HEADER + "\n")
-        for row in table:
-            fh.write(",".join(str(int(x)) for x in row) + "\n")
+    """Serialize to the line-delimited interchange format (0-based indices).
+
+    Rows come in (episode, step) order, with no spaces and LF line endings,
+    so the same dataset always gives the same bytes.  They are formatted
+    _WRITE_BLOCK_ROWS at a time, so the writer's memory does not grow with
+    the dataset.
+    """
+    h_len = data.horizon
+    columns = (data.states, data.actions_a, data.actions_b, data.next_states)
+    n_rows = data.states.size
+    with open(path, "wb") as fh:
+        fh.write(DATASET_HEADER.encode("ascii") + b"\n")
+        for start in range(0, n_rows, _WRITE_BLOCK_ROWS):
+            episode, step = np.divmod(
+                np.arange(start, min(start + _WRITE_BLOCK_ROWS, n_rows)), h_len
+            )
+            table = np.empty((episode.size, 6), dtype=np.int64)
+            table[:, 0] = episode
+            table[:, 1] = step
+            for k, column in enumerate(columns, start=2):
+                table[:, k] = column[episode, step]
+            fh.write(_format_rows(table))
 
 
 def read_dataset(path: str | Path) -> EpisodeDataset:

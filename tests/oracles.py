@@ -208,3 +208,26 @@ def loglog_slope(sample_sizes: np.ndarray, errors: np.ndarray) -> float:
     y = np.log(np.asarray(errors, dtype=float))
     x_centered = x - x.mean()
     return float((x_centered @ (y - y.mean())) / (x_centered @ x_centered))
+
+
+def rows_by_join(table: np.ndarray) -> bytes:
+    """An integer table's rows formatted one at a time with str(int(x)),
+    joined by "," and ended by "\n": the byte oracle of the dataset writer."""
+    lines = (",".join(str(int(x)) for x in row) + "\n" for row in table)
+    return "".join(lines).encode("ascii")
+
+
+def dataset_file_by_join(data) -> bytes:
+    """A dataset file's bytes, formatted row by row from the whole table."""
+    t, h_len = data.states.shape
+    table = np.column_stack(
+        [
+            np.repeat(np.arange(t), h_len),
+            np.tile(np.arange(h_len), t),
+            data.states.ravel(),
+            data.actions_a.ravel(),
+            data.actions_b.ravel(),
+            data.next_states.ravel(),
+        ]
+    )
+    return b"episode,step,state,action_a,action_b,next_state\n" + rows_by_join(table)

@@ -193,6 +193,15 @@ class TestCommands:
         result = json.loads(result_path.read_text())
         assert len(result["theta_hat"]) == 3
 
+    def test_simulate_rerun_gives_identical_bytes(self, tmp_path, capsys):
+        args = ["simulate", "--kind", "markov", "--seed", "6", "--samples", "3000"]
+        for name in ("a", "b"):
+            assert run_cli([*args, "--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        first = (tmp_path / "a" / "dataset.csv").read_bytes()
+        assert first == (tmp_path / "b" / "dataset.csv").read_bytes()
+        assert b"\r" not in first and b" " not in first
+
     @pytest.mark.parametrize(
         "row, column, value, message",
         [
@@ -383,14 +392,39 @@ class TestUsageErrors:
         self.assert_usage_error(capsys, args, "above norm_cap")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "invert-markov"])
-    @pytest.mark.parametrize("fields", [{"d": 3}, {"m": 1}], ids=["d3", "m1"])
+    @pytest.mark.parametrize("command", ["simulate", "invert-markov", "experiment"])
+    @pytest.mark.parametrize(
+        "fields", [{"d": 3}, {"m": 1}, {"S": 0}, {"H": 0}], ids=["d3", "m1", "S0", "H0"]
+    )
     def test_markov_model_the_builder_rejects(self, tmp_path, capsys, command, fields):
-        config = write_config(tmp_path, {"kind": "markov", "samples": [100], **fields})
+        config = write_config(
+            tmp_path, {"kind": "markov", "samples": [100], "reps": 2, **fields}
+        )
         args = [command, "--config", config, "--out", str(tmp_path / "out")]
         if command == "invert-markov":
             args += ["--data", str(tmp_path / "missing.csv")]
         self.assert_usage_error(capsys, args, "markov model")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "fields, key",
+        [
+            ({"kind": "setup1", "m": 3, "theta": [1.0], "H": 2}, "m"),
+            ({"kind": "setup2", "ridge_lambda": 1.0}, "ridge_lambda"),
+            ({"kind": "custom", "theta": [0.5, -0.25], "H": 2}, "H"),
+            ({"kind": "custom", "theta": [0.5, -0.25], "policy_estimator": "mle"},
+             "policy_estimator"),
+            ({"kind": "markov", "estimator": "least_squares"}, "estimator"),
+            ({"kind": "markov", "theta": [0.8, -0.6]}, "theta"),
+        ],
+        ids=["setup1", "setup2", "custom_horizon", "custom_policy_estimator",
+             "markov_estimator", "markov_theta"],
+    )
+    def test_a_field_the_kind_does_not_read(self, tmp_path, capsys, fields, key):
+        config = write_config(tmp_path, {"samples": [1000], "reps": 1, **fields})
+        args = ["experiment", "--config", config, "--out", str(tmp_path / "out")]
+        self.assert_usage_error(capsys, args, f"does not read config field {key!r}")
+        assert not (tmp_path / "out").exists()
 
     def test_invert_markov_needs_the_markov_kind(self, tmp_path, capsys):
         out = tmp_path / "sim"

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from invgame.inverse_markov import (
     stepwise_confidence_set,
     stepwise_confidence_sets,
 )
-from invgame.inverse_matrix import theoretical_kappa
+from invgame.inverse_matrix import floor_distribution, theoretical_kappa
 from invgame.markov_game import LinearMDPModel, backward_qre
 from invgame.matrix_game import entropy
 from invgame.metrics import reward_metric_D
@@ -206,6 +207,24 @@ class TestRidge:
                     assert pred == pytest.approx(oracle, abs=1e-6)
 
 
+def unobserved_last_action_case():
+    """A markov dataset (H=3, 500 episodes) whose row player never shows its
+    last action, at every visited state, and a frequency inversion config."""
+    model = markov_model(stream(97), horizon=3)
+    spec = model.to_tabular()
+    truth, _ = backward_qre(spec, tol=1e-13)
+    data = sample_episodes(spec, truth, np.full(spec.S, 0.25), 500, 98)
+    actions_a = np.where(data.actions_a == spec.m - 1, 0, data.actions_a)
+    thinned = EpisodeDataset(data.states, actions_a, data.actions_b, data.next_states)
+    est = frequency_estimate_markov(thinned, spec.S, spec.m, spec.n)
+    assert est.visited.all() and np.all(est.mu_hat[:, :, -1] == 0.0)
+    config = InversionConfig(
+        features=model.features, eta=spec.eta, gamma=spec.gamma, kappa=1.0,
+        ridge_lambda=0.01, theta_norm_cap=10.0,
+    )
+    return model, thinned, config
+
+
 class TestRecoverRewards:
     def test_oracle_inputs_recover_exactly(self):
         spec, feats, thetas = full_rank_oracle_model(321)
@@ -235,22 +254,40 @@ class TestRecoverRewards:
         assert np.allclose(sample.v_values[1], 0.0)
 
     def test_unobserved_action_at_visited_states_gives_finite_rewards(self):
-        model = markov_model(stream(97), horizon=3)
-        spec = model.to_tabular()
-        truth, _ = backward_qre(spec, tol=1e-13)
-        data = sample_episodes(spec, truth, np.full(spec.S, 0.25), 500, 98)
-        actions_a = np.where(data.actions_a == spec.m - 1, 0, data.actions_a)
-        thinned = EpisodeDataset(data.states, actions_a, data.actions_b, data.next_states)
-        est = frequency_estimate_markov(thinned, spec.S, spec.m, spec.n)
-        assert est.visited.any() and np.all(est.mu_hat[est.visited][:, -1] == 0.0)
-        config = InversionConfig(
-            features=model.features, eta=spec.eta, gamma=spec.gamma, kappa=1.0,
-            ridge_lambda=0.01, theta_norm_cap=10.0,
-        )
+        model, thinned, config = unobserved_last_action_case()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             sample = recover_rewards(thinned, config)[0]
         assert np.isfinite(sample.rewards).all() and np.isfinite(sample.thetas).all()
+
+    def test_unobserved_action_rows_hold_the_floored_log_ratio(self):
+        model, thinned, config = unobserved_last_action_case()
+        s_len, m, n = model.features.shape[:3]
+        est = frequency_estimate_markov(thinned, s_len, m, n)
+        sets = stepwise_confidence_sets(thinned, config)
+        for h in range(thinned.horizon):
+            mu = floor_distribution(est.mu_hat[h])
+            system = build_stepwise_system(
+                model.features, mu, floor_distribution(est.nu_hat[h]), config.eta,
+                est.visited[h],
+            )
+            assert np.array_equal(sets[h].y, system.y)
+            for s in range(s_len):
+                # row s * (m - 1) + a - 1 holds action a's A-side constraint
+                rhs = system.y[s * (m - 1) + m - 2]
+                assert rhs == (np.log(mu[s, -1]) - np.log(mu[s, 0])) / config.eta
+                assert rhs == pytest.approx(np.log(1e-12 / est.mu_hat[h, s, 0]) / config.eta)
+
+    @pytest.mark.parametrize("kappa, feasible", [(1.0, False), (1e5, True)],
+                             ids=["empty_sets", "feasible_sets"])
+    def test_feasible_flags_agree_with_membership_at_the_floor(self, kappa, feasible):
+        # the floored rows hold log-ratios near log(1e-12)/eta = -55, so the
+        # least residual is ~1.1e4: kappa 1 leaves every set empty, 1e5 not
+        _, thinned, config = unobserved_last_action_case()
+        sample = recover_rewards(thinned, replace(config, kappa=kappa))[0]
+        flags = [cset.contains(theta, slack=1e-12)
+                 for cset, theta in zip(sample.sets, sample.thetas)]
+        assert sample.feasible.tolist() == flags == [feasible] * thinned.horizon
 
     @pytest.mark.parametrize("past_end", [False, True])
     def test_out_of_range_successor_rejected(self, past_end):

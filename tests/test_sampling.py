@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from invgame.markov_game import MarkovGameSpec, backward_qre, visit_distributions
 from invgame.matrix_game import PolicyPair
 from invgame.sampling import (
+    _WRITE_BLOCK_ROWS,
     EpisodeDataset,
     MatrixDataset,
+    _format_rows,
     empirical_state_distribution,
     frequency_estimate_markov,
     frequency_estimate_matrix,
@@ -18,6 +22,7 @@ from invgame.sampling import (
     write_dataset,
 )
 
+from .oracles import dataset_file_by_join, rows_by_join
 from .test_markov_game import simplex_feature_model
 
 
@@ -251,6 +256,64 @@ class TestSerialization:
         assert episodes.horizon == 1
         assert np.all(episodes.states == 0)
         assert np.array_equal(episodes.actions_a[:, 0], [1, 2])
+
+
+class TestWriteDataset:
+    """write_dataset's bytes against the row-by-row formatter in the oracles."""
+
+    def written(self, data, tmp_path):
+        path = tmp_path / "episodes.csv"
+        write_dataset(data, path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "n_episodes",
+        [1, _WRITE_BLOCK_ROWS // 2, 10001],
+        ids=["one_episode", "whole_blocks", "partial_block"],
+    )
+    def test_sampled_markov_dataset(self, tmp_path, n_episodes):
+        # with H=2: two rows, exactly one block, and 10,001 episodes, whose
+        # indices cross 9->10, 99->100 and 9999->10000 and whose 20,002 rows
+        # end in a partial block
+        spec = simplex_feature_model(18, h_len=2).to_tabular()
+        policies, _ = backward_qre(spec)
+        initial = np.full(spec.S, 0.25)
+        data = sample_episodes(spec, policies, initial, n_episodes, seed=23)
+        assert self.written(data, tmp_path) == dataset_file_by_join(data)
+
+    def test_matrix_dataset_as_single_step_episodes(self, tmp_path):
+        pair = PolicyPair(np.full(4, 0.25), np.full(6, 1.0 / 6.0))
+        data = matrix_to_episode(sample_matrix_actions(pair, 3000, seed=24))
+        assert self.written(data, tmp_path) == dataset_file_by_join(data)
+
+    def test_zeros_negatives_and_fifteen_digit_values(self):
+        extremes = np.iinfo(np.int64)
+        edges = [0, -1, 9, -10, 10**14, 10**15 - 1, -(10**15 - 1), extremes.min,
+                 extremes.max, 0, 0, 0]
+        table = np.vstack(
+            [
+                np.array(edges, dtype=np.int64).reshape(2, 6),
+                stream(25).integers(-(10**15), 10**15, size=(500, 6)),
+                np.zeros((3, 6), dtype=np.int64),
+            ]
+        )
+        assert _format_rows(table).tobytes() == rows_by_join(table)
+        column = table.reshape(-1, 1)
+        assert _format_rows(column).tobytes() == rows_by_join(column)
+
+    def test_writer_memory_does_not_grow_with_the_dataset(self, tmp_path):
+        # 20,000 episodes of H=6: the dataset's own int64 arrays take
+        # 4 * T * H * 8 = 3.84 MB, and the writer must stay below that
+        t, h_len = 20000, 6
+        rng = stream(26)
+        data = EpisodeDataset(*(rng.integers(0, 5, size=(t, h_len)) for _ in range(4)))
+        tracemalloc.start()
+        try:
+            write_dataset(data, tmp_path / "episodes.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * t * h_len * 8
 
 
 class TestStream:
