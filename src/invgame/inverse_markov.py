@@ -65,19 +65,10 @@ def ridge_fit(
     if not ridge_lambda > 0:
         raise ValueError("ridge_lambda must be positive")
     features = np.asarray(features, dtype=float)
-    d = features.shape[3]
-    if data.n_episodes == 0:
-        phi_t = np.zeros((0, d))
-        nexts = np.zeros(0, dtype=np.int64)
-    else:
-        phi_t = features[
-            data.states[:, step], data.actions_a[:, step], data.actions_b[:, step]
-        ]
-        nexts = data.next_states[:, step]
-        if nexts.min() < 0 or nexts.max() >= features.shape[0]:
-            raise ValueError(f"next_state must lie in 0..{features.shape[0] - 1}")
-    gram = phi_t.T @ phi_t + ridge_lambda * np.eye(d)
-    return RidgeTransitionEstimator(gram, phi_t, nexts, ridge_lambda)
+    data.check(*features.shape[:3])
+    phi_t = features[data.states[:, step], data.actions_a[:, step], data.actions_b[:, step]]
+    gram = phi_t.T @ phi_t + ridge_lambda * np.eye(features.shape[3])
+    return RidgeTransitionEstimator(gram, phi_t, data.next_states[:, step], ridge_lambda)
 
 
 @dataclass(frozen=True)
@@ -137,6 +128,7 @@ def mle_fit(
     """
     if player not in ("a", "b"):
         raise ValueError("player must be 'a' or 'b'")
+    data.check(*model.psi_a.shape[:2], model.psi_b.shape[1])
     psi = model.psi_a if player == "a" else model.psi_b
     actions = data.actions_a if player == "a" else data.actions_b
     s_len, n_actions, dim = psi.shape
@@ -345,6 +337,7 @@ def recover_rewards(
     first returned sample uses the canonical min-norm selection, followed by
     config.extra_members random feasible trajectories.
     """
+    data.check(*config.features.shape[:3])
     return _run_algorithm(data, config, _frequency_estimates(data, config))
 
 
@@ -357,6 +350,7 @@ def recover_rewards_mle(
     config.exact_policies) and each state's constraints are weighted by the
     empirical visit probability, so unvisited states contribute nothing.
     """
+    data.check(*config.features.shape[:3])
     s_len = config.features.shape[0]
     if config.exact_policies is not None:
         rho = empirical_state_distribution(data, s_len)

@@ -345,14 +345,20 @@ class FeasibleSet:
             and float(theta @ theta) <= self.norm_sq_cap + tol
         )
 
-    def project(self, point: np.ndarray) -> tuple[np.ndarray, float]:
-        """Exact projection: affine projection, then clamp the null-space
-        coordinates to the residual-norm ball."""
+    def _project(self, points: np.ndarray) -> np.ndarray:
+        """Exact projections of the rows of `points`: affine projection, then
+        the null-space coordinates clamped to the residual-norm ball."""
         if self.is_empty():
             raise ValueError("feasible set is empty: particular solution exceeds the norm cap")
+        z = (points - self.particular) @ self.null_basis
+        sq, cap = (z * z).sum(axis=1, keepdims=True), self.radius**2
+        z *= np.sqrt(np.divide(cap, sq, out=np.ones_like(sq), where=sq > cap))
+        return self.particular + z @ self.null_basis.T
+
+    def project(self, point: np.ndarray) -> tuple[np.ndarray, float]:
+        """Exact projection: (member, distance)."""
         point = np.asarray(point, dtype=float)
-        z = _ball_clamp(self.null_basis.T @ (point - self.particular), self.radius**2)
-        proj = self.particular + self.null_basis @ z
+        proj = self._project(point[None])[0]
         return proj, float(np.linalg.norm(point - proj))
 
     def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -391,7 +397,7 @@ def _sample_points(obj, k: int, rng: np.random.Generator) -> np.ndarray:
 
 def _distances_to(obj, points: np.ndarray) -> np.ndarray:
     if isinstance(obj, FeasibleSet):
-        return np.array([obj.project(p)[1] for p in points])
+        return np.linalg.norm(points - obj._project(points), axis=1)
     if isinstance(obj, ConfidenceSet):
         members, _ = obj._project(points)
         return np.linalg.norm(points - members, axis=1)

@@ -8,6 +8,7 @@ with the same seed produce bit-identical datasets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from invgame.markov_game import MarkovGameSpec, StagePolicies
 from invgame.matrix_game import PolicyPair
 
 DATASET_HEADER = "episode,step,state,action_a,action_b,next_state"
+_COLUMNS = DATASET_HEADER.split(",")[2:]  # the EpisodeDataset arrays, as the file names them
 _WRITE_BLOCK_ROWS = 1 << 10  # dataset rows formatted at once
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)  # 1 .. 10**19: every uint64 digit count
 
@@ -59,12 +61,9 @@ class EpisodeDataset:
     next_states: np.ndarray
 
     def __post_init__(self):
-        shape = self.states.shape
-        for arr in (self.actions_a, self.actions_b, self.next_states):
-            if arr.shape != shape:
-                raise ValueError("all episode arrays must share shape (T, H)")
-        if self.states.ndim != 2:
-            raise ValueError("episode arrays must have shape (T, H)")
+        arrays = (self.actions_a, self.actions_b, self.next_states)
+        if self.states.ndim != 2 or any(a.shape != self.states.shape for a in arrays):
+            raise ValueError("episode arrays must share one shape (T, H)")
 
     @property
     def n_episodes(self) -> int:
@@ -81,6 +80,20 @@ class EpisodeDataset:
             self.actions_b[:t],
             self.next_states[:t],
         )
+
+    @cached_property
+    def _ranges(self) -> list[tuple[int, int]]:
+        """(min, max) of each array, in _COLUMNS order; none without episodes."""
+        arrays = (self.states, self.actions_a, self.actions_b, self.next_states)
+        return [(a.min(), a.max()) for a in arrays] if self.states.size else []
+
+    def check(self, s_len: int, m: int, n: int) -> None:
+        """Reject indices a model of s_len states and m x n actions lacks, with
+        a ValueError naming the column as the dataset file spells it.  Ranges
+        are computed once per dataset, so every entry point can afford this."""
+        for column, (lo, hi), size in zip(_COLUMNS, self._ranges, (s_len, m, n, s_len)):
+            if lo < 0 or hi >= size:
+                raise ValueError(f"{column} must lie in 0..{size - 1}")
 
 
 @dataclass(frozen=True)
@@ -167,6 +180,7 @@ def frequency_estimate_markov(
     data: EpisodeDataset, s_len: int, m: int, n: int
 ) -> EmpiricalMarkovQRE:
     """Per-(h, s) conditional frequencies with the (N_h(s) v 1) denominator."""
+    data.check(s_len, m, n)
     h_len = data.horizon
     counts = state_visit_counts(data, s_len)
     mu_hat = np.zeros((h_len, s_len, m))
@@ -186,14 +200,9 @@ def state_action_counts(
     states: np.ndarray, actions: np.ndarray, s_len: int, n_actions: int
 ) -> np.ndarray:
     """Visits to each (state, action) pair of one step, shape (S, n_actions)."""
-    if actions.size and (actions.min() < 0 or actions.max() >= n_actions):
-        raise ValueError(f"actions must lie in 0..{n_actions - 1}")
     flat = states * n_actions
     flat += actions  # in place, so one index array of the step is alive at a time
-    counts = np.bincount(flat, minlength=s_len * n_actions)
-    if counts.size != s_len * n_actions:
-        raise ValueError(f"states must lie in 0..{s_len - 1}")
-    return counts.reshape(s_len, n_actions)
+    return np.bincount(flat, minlength=s_len * n_actions).reshape(s_len, n_actions)
 
 
 def state_visit_counts(data: EpisodeDataset, s_len: int) -> np.ndarray:
@@ -261,8 +270,13 @@ def write_dataset(data: EpisodeDataset, path: str | Path) -> None:
             fh.write(_format_rows(table))
 
 
-def read_dataset(path: str | Path) -> EpisodeDataset:
-    """Parse the line-delimited interchange format written by write_dataset."""
+def read_dataset(path: str | Path, model_shape: tuple | None = None) -> EpisodeDataset:
+    """Parse the line-delimited interchange format written by write_dataset.
+
+    The (episode, step) keys must be the grid 0..T-1 x 0..H-1, each pair once,
+    and next_state at step h must be state at step h+1.  With model_shape
+    (S, m, n) the indices are checked first: one out of range is named as such.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != DATASET_HEADER:
@@ -270,21 +284,22 @@ def read_dataset(path: str | Path) -> EpisodeDataset:
         rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
     if rows.size == 0:
         raise ValueError("dataset file has no records")
-    episodes = rows[:, 0]
-    steps = rows[:, 1]
-    t = int(episodes.max()) + 1
-    h_len = int(steps.max()) + 1
-    if rows.shape[0] != t * h_len:
-        raise ValueError("dataset is ragged: every episode needs every step")
-    order = np.lexsort((steps, episodes))
-    rows = rows[order]
-    shape = (t, h_len)
-    return EpisodeDataset(
-        rows[:, 2].reshape(shape),
-        rows[:, 3].reshape(shape),
-        rows[:, 4].reshape(shape),
-        rows[:, 5].reshape(shape),
-    )
+    if rows.shape[1] != 6:
+        raise ValueError(f"a record needs 6 fields, not {rows.shape[1]}")
+    t, h_len = (int(v) + 1 for v in rows[:, :2].max(axis=0))
+    off_grid = f"(episode, step) must be each of 0..{t - 1} x 0..{h_len - 1} once"
+    if rows[:, :2].min() < 0 or rows.shape[0] != t * h_len:
+        raise ValueError(off_grid)
+    keys = rows[:, 0] * h_len + rows[:, 1]
+    order = np.argsort(keys, kind="stable")
+    if not np.array_equal(keys[order], np.arange(keys.size)):  # a key repeats
+        raise ValueError(off_grid)
+    data = EpisodeDataset(*rows[order, 2:].reshape(t, h_len, 4).transpose(2, 0, 1))
+    if model_shape is not None:
+        data.check(*model_shape)
+    if not np.array_equal(data.next_states[:, :-1], data.states[:, 1:]):
+        raise ValueError("next_state at step h must equal state at step h+1")
+    return data
 
 
 def matrix_to_episode(data: MatrixDataset) -> EpisodeDataset:

@@ -2,12 +2,18 @@
 
 Everything here deliberately avoids the library's own solution paths:
 scalar loops, bisection on 1-D reductions, brute-force grids, and Monte
-Carlo rollouts.
+Carlo rollouts.  The one exception is full_rank_oracle_model, a test-only
+instance builder that solves its stage games with solve_qre_batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from invgame.experiments import ETA, MARKOV_OMEGA
+from invgame.markov_game import MarkovGameSpec
+from invgame.matrix_game import solve_qre_batch, stage_values
+from invgame.sampling import stream
 
 
 def payoff_by_scalar_loops(features: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -231,3 +237,76 @@ def dataset_file_by_join(data) -> bytes:
         ]
     )
     return b"episode,step,state,action_a,action_b,next_state\n" + rows_by_join(table)
+
+
+def feasible_projection_by_clamp(feasible, point: np.ndarray) -> np.ndarray:
+    """Projection of one point onto a FeasibleSet: its null-space coordinates
+    about the particular solution, scaled back into the residual ball."""
+    z = feasible.null_basis.T @ (point - feasible.particular)
+    norm = float(np.sqrt(z @ z))
+    if norm > feasible.radius:
+        z = z * (feasible.radius / norm)
+    return feasible.particular + feasible.null_basis @ z
+
+def full_rank_oracle_model(
+    seed: int,
+    s_len: int = 4,
+    m: int = 5,
+    n: int = 5,
+    horizon: int = 6,
+    gamma: float = 1.0,
+):
+    """Markov instance whose stepwise systems are full rank (d=2).
+
+    Simplex features cannot do this: they sum to one, so the all-ones
+    direction is constant and baseline differences annihilate it.  Here the
+    features are generic unit-norm Gaussians (differences span R^2) and the
+    transition kernels are built backward as two-point mixtures between the
+    extreme continuation values, chosen so the expected continuation is
+    exactly phi' w_h.  The whole Q hierarchy is then exactly linear with
+    theta_h = omega + gamma * w_h.
+
+    Returns (spec, features, theta_table) where theta_table has shape (H, 2).
+    The construction needs every stage value vector to straddle zero; streams
+    spawned from `seed` are scanned in order until one works, so the output
+    is deterministic in `seed`.
+    """
+    d = 2
+    for attempt in range(64):
+        rng = stream(seed, attempt)
+        feats = rng.standard_normal((s_len, m, n, d))
+        feats /= np.linalg.norm(feats, axis=3, keepdims=True)
+        rewards = feats @ MARKOV_OMEGA
+        thetas = np.zeros((horizon, d))
+        transition = np.zeros((horizon, s_len, m, n, s_len))
+        q_next_value = np.zeros(s_len)
+        ok = True
+        for h in range(horizon - 1, -1, -1):
+            if h == horizon - 1:
+                w = np.zeros(d)
+            else:
+                v = q_next_value
+                lo, hi = v.min(), v.max()
+                if not (lo < 0 < hi):
+                    ok = False
+                    break
+                # scale w so every target phi' w stays strictly inside [lo, hi]
+                w = rng.standard_normal(d)
+                w *= 0.9 * min(-lo, hi) / np.abs(feats @ w).max()
+                alpha = (hi - feats @ w) / (hi - lo)  # weight on the argmin state
+                transition[h, :, :, :, int(np.argmin(v))] += alpha
+                transition[h, :, :, :, int(np.argmax(v))] += 1.0 - alpha
+            thetas[h] = MARKOV_OMEGA + gamma * w
+            stage_q = feats @ thetas[h]
+            mu, nu = solve_qre_batch(stage_q, ETA, tol=1e-13)
+            q_next_value = stage_values(stage_q, mu, nu, ETA)
+        if not ok:
+            continue
+        # last step has no continuation: give it any valid kernel
+        transition[horizon - 1, :, :, :, :] = 1.0 / s_len
+        reward_table = np.broadcast_to(
+            rewards, (horizon, s_len, m, n)
+        ).copy()
+        spec = MarkovGameSpec(reward_table, transition, eta=ETA, gamma=gamma)
+        return spec, feats, thetas
+    raise RuntimeError("no valid full-rank oracle instance found")

@@ -22,14 +22,14 @@ import numpy as np
 import pytest
 
 from invgame.cli import ExperimentConfig, emit_csv, run_experiment, summarize
-from invgame.experiments import full_rank_oracle_model, run_rep
+from invgame.experiments import run_rep
 from invgame.inverse_markov import InversionConfig, recover_rewards, ridge_fit
 from invgame.markov_game import backward_qre
 from invgame.matrix_game import MatrixGameSpec, qre_residual, solve_qre
 from invgame.metrics import hellinger_sq, reward_metric_D, reward_metric_D1, tv
 from invgame.sampling import EpisodeDataset, sample_episodes, stream
 
-from .oracles import loglog_slope
+from .oracles import full_rank_oracle_model, loglog_slope
 
 SEED = 20260808
 FULL = os.environ.get("INVGAME_FULL_ACCEPTANCE") == "1"

@@ -257,6 +257,22 @@ class TestCommands:
         assert run_cli(["invert-matrix", *kind, "--data", str(dataset)]) == 1
         assert "cannot read dataset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, kind", [("invert-matrix", "setup1"),
+                                               ("invert-markov", "markov")])
+    @pytest.mark.parametrize(
+        "episodes", [(0, 0, 2), (-1, 1)], ids=["duplicated_episode", "negative_episode"]
+    )
+    def test_invert_rejects_keys_off_the_grid(self, tmp_path, capsys, command, kind, episodes):
+        dataset = tmp_path / "dataset.csv"
+        rows = "".join(f"{e},0,0,1,1,0\n" for e in episodes)
+        dataset.write_text("episode,step,state,action_a,action_b,next_state\n" + rows)
+        result_path = tmp_path / "result.json"
+        code = run_cli([command, "--kind", kind, "--seed", "3", "--data", str(dataset),
+                        "--out", str(result_path)])
+        assert code == 1
+        assert "(episode, step) must be each of" in capsys.readouterr().err
+        assert not result_path.exists()
+
     def test_experiment_end_to_end_deterministic(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(

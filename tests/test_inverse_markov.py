@@ -6,7 +6,6 @@ import pytest
 
 from invgame.experiments import (
     ExperimentConfig,
-    full_rank_oracle_model,
     kappa_rule,
     markov_model,
     run_markov_rep,
@@ -34,7 +33,7 @@ from invgame.sampling import (
     stream,
 )
 
-from .oracles import matrix_linear_system, tv_error_bound
+from .oracles import full_rank_oracle_model, matrix_linear_system, tv_error_bound
 
 
 def markov_config(seed, sizes, **fields):
@@ -640,3 +639,52 @@ class TestPerBlockThreshold:
         assert mle[0] == pytest.approx(1e3 * 3 / 1000)
         with pytest.raises(ValueError, match="no samples"):
             kappa_rule(counts, np.ones((1, 4)))
+
+
+def small_inversion_case():
+    """A 3-state, 2 x 3 action, 2-step model and an in-range dataset; the
+    dataset's state chain is not kept, which no library entry asks for."""
+    rng = stream(97)
+    s_len, m, n, h_len, t = 3, 2, 3, 2, 60
+    features = rng.standard_normal((s_len, m, n, 2))
+    data = EpisodeDataset(
+        *(rng.integers(0, size, (t, h_len)) for size in (s_len, m, n, s_len))
+    )
+    config = InversionConfig(
+        features=features, eta=0.5, gamma=1.0, kappa=1e5, ridge_lambda=0.01,
+        theta_norm_cap=10.0, policy_model=one_hot_policy_model(s_len, m, n),
+    )
+    return data, config
+
+
+ENTRIES = {
+    "frequency_estimate_markov":
+        lambda data, config: frequency_estimate_markov(data, *config.features.shape[:3]),
+    "ridge_fit": lambda data, config: ridge_fit(data, config.features, 0.01, step=0),
+    "mle_fit": lambda data, config: mle_fit(data, config.policy_model, 0, "a"),
+    "recover_rewards": recover_rewards,
+    "recover_rewards_mle": recover_rewards_mle,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        ("actions_a", 2, "action_a must lie in 0..1"),
+        ("actions_b", -1, "action_b must lie in 0..2"),
+        ("states", 3, "state must lie in 0..2"),
+        ("next_states", -1, "next_state must lie in 0..2"),
+        ("next_states", 3, "next_state must lie in 0..2"),
+    ],
+    ids=["action_past_m", "negative_action", "state_past_S", "negative_next_state",
+         "next_state_S"],
+)
+def test_every_entry_rejects_an_index_outside_the_model(entry, column, value, message):
+    data, config = small_inversion_case()
+    ENTRIES[entry](data, config)
+    # the last step, which ridge_fit and mle_fit at step 0 do not read
+    bad = getattr(data, column).copy()
+    bad[-1, -1] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ENTRIES[entry](replace(data, **{column: bad}), config)

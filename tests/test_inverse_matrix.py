@@ -23,6 +23,7 @@ from invgame.inverse_matrix import (
     rank_condition,
     reconstruct_payoff,
     theoretical_kappa,
+    _distances_to,
 )
 from invgame.matrix_game import MatrixGameSpec, PolicyPair, solve_qre
 from invgame.sampling import (
@@ -33,6 +34,7 @@ from invgame.sampling import (
 )
 
 from .oracles import (
+    feasible_projection_by_clamp,
     matrix_linear_system,
     matrix_theoretical_kappa,
     payoff_from_features,
@@ -409,6 +411,30 @@ class TestFeasibleSet:
         assert feasible.is_empty()
         with pytest.raises(ValueError):
             feasible.sample(3, stream(24))
+
+    @pytest.mark.parametrize("null_dim", [0, 1, 2])
+    def test_batched_distances_match_per_point_projection(self, null_dim):
+        rng = stream(27, null_dim)
+        x = rng.standard_normal((4 - null_dim, 4))
+        y = rng.standard_normal(4 - null_dim)
+        particular = np.linalg.pinv(x) @ y
+        feasible = FeasibleSet(x, y, norm_sq_cap=particular @ particular + 1.0)
+        assert feasible.null_basis.shape[1] == null_dim
+        # null-space offsets inside and outside the unit residual ball, plus
+        # offsets across the row space
+        offsets = rng.standard_normal((40, null_dim)) * rng.uniform(0, 1.2, (40, 1))
+        inside = np.linalg.norm(offsets, axis=1) < 1.0
+        assert null_dim == 0 or 0 < inside.sum() < 40
+        points = (
+            feasible.particular
+            + offsets @ feasible.null_basis.T
+            + rng.standard_normal((40, len(y))) @ x
+        )
+        batched = _distances_to(feasible, points)
+        per_point = [feasible.project(p)[1] for p in points]
+        by_clamp = [np.linalg.norm(p - feasible_projection_by_clamp(feasible, p)) for p in points]
+        assert np.allclose(batched, per_point, rtol=0, atol=1e-12)
+        assert np.allclose(batched, by_clamp, rtol=0, atol=1e-12)
 
     def test_projection_is_exact_on_affine_part(self):
         x = np.array([[1.0, 0.0, 0.0]])

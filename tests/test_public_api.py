@@ -1,8 +1,15 @@
-"""The reviewed public surface of the invgame package.
+"""The reviewed public surface of the invgame package, and the names the
+benchmark under benchmarks/ reads from outside it.
 
 Adding or removing a public name is an API decision, so it shows up here as
-a test edit.
+a test edit.  A rename that would break the traced benchmark fails here in
+about a second.
 """
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
 
 import invgame
 
@@ -70,3 +77,42 @@ PUBLIC_NAMES = [
 def test_exports_are_the_reviewed_list():
     assert sorted(invgame.__all__) == PUBLIC_NAMES
 
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _resolve(dotted: str):
+    """The object that "module.attr[.attr]" names under the invgame package."""
+    module, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"invgame.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_benchmark_traced_layers_resolve():
+    # the benchmark reads these from outside; a rename breaks its traced run
+    spec = importlib.util.spec_from_file_location("tracing", BENCHMARKS / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name in tracing.LAYERS:
+        assert callable(_resolve(name)), name
+
+
+def test_benchmark_workload_imports_resolve():
+    tree = ast.parse((BENCHMARKS / "workloads.py").read_text())
+    modules, names = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "invgame":
+            modules.update(alias.asname or alias.name for alias in node.names)
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("invgame."):
+            prefix = node.module.removeprefix("invgame.")
+            names += [f"{prefix}.{alias.name}" for alias in node.names]
+    for node in ast.walk(tree):  # attributes read off an imported module: cli.main
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            names.append(f"{node.value.id}.{node.attr}")
+    assert "cli.main" in names and "sampling.read_dataset" in names
+    for name in names:
+        _resolve(name)

@@ -17,7 +17,6 @@ from invgame.sampling import (
     read_dataset,
     sample_episodes,
     sample_matrix_actions,
-    state_action_counts,
     stream,
     write_dataset,
 )
@@ -189,14 +188,21 @@ class TestFrequencyEstimateMarkov:
             assert np.array_equal(est.mu_hat[h], joint / denom)
 
     def test_out_of_range_indices_rejected(self):
+        def estimate(states, actions_a):
+            zeros = np.zeros_like(states)
+            data = EpisodeDataset(states[:, None], actions_a[:, None], zeros[:, None],
+                                  zeros[:, None])
+            return frequency_estimate_markov(data, s_len=2, m=3, n=3)
+
         states = np.array([0, 1, 1])
-        with pytest.raises(ValueError, match="actions"):
-            state_action_counts(states, np.array([0, 3, 1]), 2, 3)
-        with pytest.raises(ValueError, match="actions"):
-            state_action_counts(states, np.array([0, -1, 1]), 2, 3)
-        with pytest.raises(ValueError, match="states"):
-            state_action_counts(np.array([0, 2, 1]), np.array([0, 1, 1]), 2, 3)
-        assert state_action_counts(states, np.array([0, 2, 2]), 2, 3).tolist() == [
+        with pytest.raises(ValueError, match="action_a must lie in 0..2"):
+            estimate(states, np.array([0, 3, 1]))
+        with pytest.raises(ValueError, match="action_a must lie in 0..2"):
+            estimate(states, np.array([0, -1, 1]))
+        with pytest.raises(ValueError, match="state must lie in 0..1"):
+            estimate(np.array([0, 2, 1]), np.array([0, 1, 1]))
+        est = estimate(states, np.array([0, 2, 2]))
+        assert (est.mu_hat[0] * est.counts[0][:, None]).tolist() == [
             [1, 0, 0],
             [0, 0, 2],
         ]
@@ -249,6 +255,44 @@ class TestSerialization:
         path.write_text("0,0,0,0,0,0\n")
         with pytest.raises(ValueError):
             read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "keys, grid",
+        [
+            ([(0, 0), (0, 0), (2, 0)], "0..2 x 0..0"),
+            ([(-1, 0), (1, 0)], "0..1 x 0..0"),
+            ([(0, 0), (0, 1), (1, 1)], "0..1 x 0..1"),
+            # -2**62 * 4 wraps to key 0 in int64: only the sign shows it
+            ([(-2**62, 0)] + [(e, h) for e in (0, 1) for h in range(4)][1:], "0..1 x 0..3"),
+            # H = 2**63 is past int64: no key may be formed from it
+            ([(0, 2**63 - 1)], f"0..0 x 0..{2**63 - 1}"),
+        ],
+        ids=["duplicated_and_missing_episode", "negative_episode", "missing_step",
+             "negative_episode_wrapping_into_the_grid", "largest_step"],
+    )
+    def test_keys_must_be_the_episode_step_grid(self, tmp_path, keys, grid):
+        path = tmp_path / "bad.csv"
+        rows = "".join(f"{e},{h},0,1,1,0\n" for e, h in keys)
+        path.write_text("episode,step,state,action_a,action_b,next_state\n" + rows)
+        with pytest.raises(ValueError, match=rf"\(episode, step\) must be each of {grid} once"):
+            read_dataset(path)
+
+    def test_records_need_six_fields(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("episode,step,state,action_a,action_b,next_state\n0,0,0,1,1\n")
+        with pytest.raises(ValueError, match="a record needs 6 fields, not 5"):
+            read_dataset(path)
+
+    def test_state_chain_required(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "episode,step,state,action_a,action_b,next_state\n0,0,0,1,1,1\n0,1,2,1,1,0\n"
+        )
+        with pytest.raises(ValueError, match="next_state at step h must equal state at step h"):
+            read_dataset(path)
+        # against a model the out-of-range state is what gets named
+        with pytest.raises(ValueError, match="state must lie in 0..1"):
+            read_dataset(path, (2, 2, 2))
 
     def test_matrix_dataset_as_episodes(self):
         data = MatrixDataset(np.array([1, 2]), np.array([0, 3]))
