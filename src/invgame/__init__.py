@@ -18,7 +18,6 @@ from invgame.inverse_markov import (
     recover_rewards,
     recover_rewards_mle,
     ridge_fit,
-    stepwise_confidence_set,
     stepwise_confidence_sets,
 )
 from invgame.inverse_matrix import (
@@ -65,9 +64,7 @@ from invgame.metrics import (
 )
 from invgame.sampling import (
     EmpiricalMarkovQRE,
-    EmpiricalQRE,
     EpisodeDataset,
-    MatrixDataset,
     empirical_state_distribution,
     frequency_estimate_markov,
     frequency_estimate_matrix,

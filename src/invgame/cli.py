@@ -31,12 +31,7 @@ from invgame.inverse_matrix import (
     reconstruct_payoff,
 )
 from invgame.matrix_game import MatrixGameSpec, game_value, qre_residual, solve_qre
-from invgame.sampling import (
-    MatrixDataset,
-    frequency_estimate_matrix,
-    read_dataset,
-    write_dataset,
-)
+from invgame.sampling import frequency_estimate_matrix, read_dataset, write_dataset
 
 # runs.csv metric column -> ErrorReport attribute
 METRIC_FIELDS = {
@@ -282,9 +277,7 @@ def _cmd_invert_matrix(args) -> int:
     model = _model(config, args.rep, markov=False)
     m, n = model.features.shape[:2]
     data = _read_checked_dataset(args.data, 1, 1, m, n)
-    est = frequency_estimate_matrix(
-        MatrixDataset(data.actions_a[:, 0], data.actions_b[:, 0]), m, n
-    )
+    est = frequency_estimate_matrix(data, m, n)
     kappa = experiments.kappa_rule(data.n_episodes, scale=config.kappa_scale)
     system = empirical_system(est, model.features, config.eta)
     full_rank, rank = rank_condition(system.X, system.dim)
@@ -316,7 +309,7 @@ def _cmd_invert_markov(args) -> int:
         features=model.features,
         eta=config.eta,
         gamma=config.gamma,
-        kappa=config.kappa_scale / data.n_episodes,
+        kappa=experiments.kappa_rule(data.n_episodes, scale=config.kappa_scale),
         ridge_lambda=config.ridge_lambda,
         theta_norm_cap=experiments.MARKOV_THETA_CAP,
     )

@@ -46,7 +46,6 @@ from invgame.metrics import (
 from invgame.sampling import (
     EpisodeDataset,
     frequency_estimate_matrix,
-    matrix_to_episode,
     sample_episodes,
     sample_matrix_actions,
     state_visit_counts,
@@ -310,7 +309,7 @@ def sample_dataset(config: ExperimentConfig, rep: int, n_samples: int) -> Episod
         return sample_episodes(spec, truth, initial, n_samples, config.seed, rep)
     payoff = reconstruct_payoff(model.theta, model.features)
     truth = solve_qre(MatrixGameSpec(payoff, config.eta), tol=1e-12)
-    return matrix_to_episode(sample_matrix_actions(truth, n_samples, config.seed, rep))
+    return sample_matrix_actions(truth, n_samples, config.seed, rep)
 
 
 def run_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:

@@ -5,8 +5,9 @@ builder is `inverse_matrix.build_stepwise_system`, re-exported here.
 
 Two drivers are provided: `recover_rewards` (frequency-estimated policies,
 equal state weights) and `recover_rewards_mle` (softmax-MLE policies with
-empirical visit-probability weights).  Both run the same backward pass:
-confidence set -> Q and V estimates -> ridge transition -> plug-in reward.
+empirical visit-probability weights).  They differ only in their estimates
+and run the same backward pass: confidence set -> Q and V estimates -> ridge
+transition -> plug-in reward.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from invgame.inverse_matrix import (
     ConfidenceSet,
-    LinearSystem,
     build_stepwise_system,
     floor_distribution,
 )
@@ -30,15 +30,6 @@ from invgame.sampling import (
     state_action_counts,
     stream,
 )
-
-
-def stepwise_confidence_set(
-    system: LinearSystem, kappa_h: float, theta_norm_cap: float
-) -> ConfidenceSet:
-    """Confidence set over the step's Q-parameters; the cap bounds ||theta||."""
-    if not theta_norm_cap > 0:
-        raise ValueError("theta_norm_cap must be positive")
-    return ConfidenceSet(system.X, system.y, kappa_h, theta_norm_cap**2)
 
 
 @dataclass(frozen=True)
@@ -180,10 +171,10 @@ class InversionConfig:
     """Inputs shared by the reward-recovery drivers.
 
     kappa may be a scalar or a length-H array of per-step thresholds.
-    theta_norm_cap bounds ||theta_h|| (not its square).  The exact_* fields
-    replace estimated quantities with ground truth for plug-in identity
-    checks: exact_policies stands in for the estimated QRE and
-    exact_transition (H, S, m, n, S) replaces the ridge predictor.
+    theta_norm_cap bounds ||theta_h|| (not its square) and must be positive.
+    The exact_* fields replace estimated quantities with ground truth for
+    plug-in identity checks: exact_policies stands in for the estimated QRE
+    and exact_transition (H, S, m, n, S) replaces the ridge predictor.
     """
 
     features: np.ndarray
@@ -197,6 +188,10 @@ class InversionConfig:
     exact_policies: StagePolicies | None = None
     exact_transition: np.ndarray | None = None
     policy_model: SoftmaxPolicyModel | None = None
+
+    def __post_init__(self):
+        if not self.theta_norm_cap > 0:
+            raise ValueError("theta_norm_cap must be positive")
 
     def kappa_at(self, h: int) -> float:
         if np.ndim(self.kappa) == 0:
@@ -223,47 +218,46 @@ class _Estimates:
     weights: np.ndarray  # (H, S) per-state block weights
 
 
-def _frequency_estimates(data: EpisodeDataset, config: InversionConfig) -> _Estimates:
-    """Frequency policies weighting visited states by 1, or the exact ones."""
+def _estimates(data: EpisodeDataset, config: InversionConfig, mle: bool) -> _Estimates:
+    """Each step's floored policies and per-state block weights.
+
+    Frequency estimates weight each visited state by 1 and softmax-MLE
+    estimates (of config.policy_model) each state by its empirical visit
+    probability rho, so unvisited states contribute nothing.
+    config.exact_policies replace either estimate; they weight every state
+    by 1 under frequency and by rho under MLE.
+    """
+    model = config.policy_model
     if config.exact_policies is not None:
-        return _exact_estimates(config.exact_policies, None)
-    est = frequency_estimate_markov(data, *config.features.shape[:3])
-    return _Estimates(
-        floor_distribution(est.mu_hat),
-        floor_distribution(est.nu_hat),
-        est.visited.astype(float),
-    )
-
-
-def _mle_estimates(
-    data: EpisodeDataset, model: SoftmaxPolicyModel, s_len: int
-) -> _Estimates:
-    h_len = data.horizon
-    mu = np.zeros((h_len, s_len, model.psi_a.shape[1]))
-    nu = np.zeros((h_len, s_len, model.psi_b.shape[1]))
-    for h in range(h_len):
-        mu[h] = model.conditionals(model.psi_a, mle_fit(data, model, h, "a").params)
-        nu[h] = model.conditionals(model.psi_b, mle_fit(data, model, h, "b").params)
-    rho = empirical_state_distribution(data, s_len)
-    return _Estimates(floor_distribution(mu), floor_distribution(nu), rho)
-
-
-def _exact_estimates(
-    policies: StagePolicies, weights: np.ndarray | None
-) -> _Estimates:
-    mu = floor_distribution(policies.mu)
-    nu = floor_distribution(policies.nu)
-    if weights is None:
+        mu, nu = config.exact_policies.mu, config.exact_policies.nu
         weights = np.ones(mu.shape[:2])
-    return _Estimates(mu, nu, weights)
+    elif not mle:
+        est = frequency_estimate_markov(data, *config.features.shape[:3])
+        mu, nu, weights = est.mu_hat, est.nu_hat, est.visited.astype(float)
+    elif model is None:
+        raise ValueError("recover_rewards_mle needs a policy_model")
+    else:
+        mu, nu = (
+            np.stack([
+                model.conditionals(psi, mle_fit(data, model, h, player).params)
+                for h in range(data.horizon)
+            ])
+            for player, psi in (("a", model.psi_a), ("b", model.psi_b))
+        )
+    if mle:
+        weights = empirical_state_distribution(data, config.features.shape[0])
+    return _Estimates(floor_distribution(mu), floor_distribution(nu), weights)
 
 
 def stepwise_confidence_sets(
     data: EpisodeDataset, config: InversionConfig, estimates: _Estimates | None = None
 ) -> list[ConfidenceSet]:
-    """The per-step confidence sets the backward recovery passes use."""
+    """The per-step confidence sets {theta : ||X theta - y||^2 <= kappa_h,
+    ||theta|| <= theta_norm_cap} the recovery draws its parameters from: by
+    default recover_rewards' frequency sets.  Both drivers pass the estimates
+    they recover with, so that this one function builds every set."""
     if estimates is None:
-        estimates = _frequency_estimates(data, config)
+        estimates = _estimates(data, config, mle=False)
     sets = []
     for h in range(data.horizon):
         system = build_stepwise_system(
@@ -271,7 +265,7 @@ def stepwise_confidence_sets(
             estimates.weights[h],
         )
         sets.append(
-            stepwise_confidence_set(system, config.kappa_at(h), config.theta_norm_cap)
+            ConfidenceSet(system.X, system.y, config.kappa_at(h), config.theta_norm_cap**2)
         )
     return sets
 
@@ -309,8 +303,10 @@ def _backward_pass(
 
 
 def _run_algorithm(
-    data: EpisodeDataset, config: InversionConfig, estimates: _Estimates
+    data: EpisodeDataset, config: InversionConfig, mle: bool
 ) -> list[RecoveredRewardSample]:
+    data.check(*config.features.shape[:3])
+    estimates = _estimates(data, config, mle)
     sets = tuple(stepwise_confidence_sets(data, config, estimates))
     samples = [
         _backward_pass(
@@ -337,8 +333,7 @@ def recover_rewards(
     first returned sample uses the canonical min-norm selection, followed by
     config.extra_members random feasible trajectories.
     """
-    data.check(*config.features.shape[:3])
-    return _run_algorithm(data, config, _frequency_estimates(data, config))
+    return _run_algorithm(data, config, mle=False)
 
 
 def recover_rewards_mle(
@@ -350,13 +345,4 @@ def recover_rewards_mle(
     config.exact_policies) and each state's constraints are weighted by the
     empirical visit probability, so unvisited states contribute nothing.
     """
-    data.check(*config.features.shape[:3])
-    s_len = config.features.shape[0]
-    if config.exact_policies is not None:
-        rho = empirical_state_distribution(data, s_len)
-        estimates = _exact_estimates(config.exact_policies, rho)
-    elif config.policy_model is None:
-        raise ValueError("recover_rewards_mle needs a policy_model")
-    else:
-        estimates = _mle_estimates(data, config.policy_model, s_len)
-    return _run_algorithm(data, config, estimates)
+    return _run_algorithm(data, config, mle=True)

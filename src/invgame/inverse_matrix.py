@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from invgame.matrix_game import PolicyPair
-from invgame.sampling import EmpiricalQRE, stream
+from invgame.sampling import EmpiricalMarkovQRE, stream
 
 LOG_FLOOR = 1e-12  # probabilities are floored here before log-ratios
 RANK_TOL_FACTOR = 1e-12
@@ -107,13 +107,14 @@ def build_stepwise_system(
 
 
 def empirical_system(
-    empirical: EmpiricalQRE, features: np.ndarray, eta: float
+    empirical: EmpiricalMarkovQRE, features: np.ndarray, eta: float
 ) -> LinearSystem:
-    """A matrix game's constraints at its floored empirical marginals."""
+    """A matrix game's constraints at its floored empirical marginals: the
+    estimate's one step, whose one state is the matrix game."""
     return build_stepwise_system(
         np.asarray(features, dtype=float)[None],
-        floor_distribution(empirical.mu_hat)[None],
-        floor_distribution(empirical.nu_hat)[None],
+        floor_distribution(empirical.mu_hat[0]),
+        floor_distribution(empirical.nu_hat[0]),
         eta,
     )
 
@@ -299,13 +300,14 @@ class ConfidenceSet:
 
 
 def build_confidence_set(
-    empirical: EmpiricalQRE,
+    empirical: EmpiricalMarkovQRE,
     features: np.ndarray,
     eta: float,
     kappa: float,
     norm_sq_cap: float,
 ) -> ConfidenceSet:
-    """Confidence set from empirical marginals (floored before log-ratios)."""
+    """Confidence set from a matrix game's empirical marginals (floored
+    before log-ratios), as empirical_system reads them."""
     system = empirical_system(empirical, features, eta)
     return ConfidenceSet(system.X, system.y, kappa, norm_sq_cap)
 

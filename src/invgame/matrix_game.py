@@ -110,10 +110,6 @@ class FeatureModel:
         if float(theta @ theta) > self.norm_sq_cap * (1 + 1e-12):
             raise ValueError("||theta||^2 exceeds the declared cap")
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[2]
-
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)

@@ -1,5 +1,8 @@
 """Observation datasets drawn from QRE play, and frequency estimators.
 
+A matrix game's samples are one-step episodes at state 0, so both game
+classes share one dataset type and one estimator.
+
 All sampling is driven by Philox streams derived from (seed, rep) via
 SeedSequence spawn keys, so repetitions are order-independent and two runs
 with the same seed produce bit-identical datasets.
@@ -27,25 +30,6 @@ def stream(seed: int, rep: int = 0) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(rep,)))
     )
-
-
-@dataclass(frozen=True)
-class MatrixDataset:
-    """N i.i.d. action pairs; actions_a and actions_b are index arrays."""
-
-    actions_a: np.ndarray
-    actions_b: np.ndarray
-
-    def __post_init__(self):
-        if self.actions_a.shape != self.actions_b.shape or self.actions_a.ndim != 1:
-            raise ValueError("action arrays must be 1-D and equal length")
-
-    @property
-    def n_samples(self) -> int:
-        return self.actions_a.shape[0]
-
-    def prefix(self, n: int) -> "MatrixDataset":
-        return MatrixDataset(self.actions_a[:n], self.actions_b[:n])
 
 
 @dataclass(frozen=True)
@@ -91,18 +75,13 @@ class EpisodeDataset:
         """Reject indices a model of s_len states and m x n actions lacks, with
         a ValueError naming the column as the dataset file spells it.  Ranges
         are computed once per dataset, so every entry point can afford this."""
-        for column, (lo, hi), size in zip(_COLUMNS, self._ranges, (s_len, m, n, s_len)):
+        self._check_columns((s_len, m, n, s_len))
+
+    def _check_columns(self, sizes: tuple[int, ...]) -> None:
+        """check's test of the first len(sizes) columns, in _COLUMNS order."""
+        for column, (lo, hi), size in zip(_COLUMNS, self._ranges, sizes):
             if lo < 0 or hi >= size:
                 raise ValueError(f"{column} must lie in 0..{size - 1}")
-
-
-@dataclass(frozen=True)
-class EmpiricalQRE:
-    """Marginal action frequencies for a matrix-game dataset."""
-
-    mu_hat: np.ndarray
-    nu_hat: np.ndarray
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -126,22 +105,24 @@ def _draw_categorical(rng: np.random.Generator, cum: np.ndarray, size: int) -> n
 
 def sample_matrix_actions(
     policies: PolicyPair, n_samples: int, seed: int, rep: int = 0
-) -> MatrixDataset:
-    """Draw N independent (a, b) pairs with a ~ mu and b ~ nu."""
+) -> EpisodeDataset:
+    """Draw N independent (a, b) pairs with a ~ mu and b ~ nu, as N one-step
+    episodes at state 0 (the state columns are zero-stride views)."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rng = stream(seed, rep)
     a = _draw_categorical(rng, np.cumsum(policies.mu), n_samples)
     b = _draw_categorical(rng, np.cumsum(policies.nu), n_samples)
-    return MatrixDataset(a, b)
+    state = np.broadcast_to(np.int64(0), (n_samples, 1))
+    return EpisodeDataset(state, a[:, None], b[:, None], state)
 
 
-def frequency_estimate_matrix(data: MatrixDataset, m: int, n: int) -> EmpiricalQRE:
-    """Empirical marginals mu_hat(a) = #{a^k = a} / N and likewise for nu."""
-    count = data.n_samples
-    mu_hat = np.bincount(data.actions_a, minlength=m) / count
-    nu_hat = np.bincount(data.actions_b, minlength=n) / count
-    return EmpiricalQRE(mu_hat, nu_hat, count)
+def frequency_estimate_matrix(
+    data: EpisodeDataset, m: int, n: int
+) -> EmpiricalMarkovQRE:
+    """Empirical marginals mu_hat(a) = #{a^k = a} / N and likewise for nu, of
+    one-step episodes at state 0: the S=1 case of frequency_estimate_markov."""
+    return frequency_estimate_markov(data, 1, m, n)
 
 
 def sample_episodes(
@@ -207,6 +188,7 @@ def state_action_counts(
 
 def state_visit_counts(data: EpisodeDataset, s_len: int) -> np.ndarray:
     """Per-step state visit counts N_h(s) with shape (H, S)."""
+    data._check_columns((s_len,))
     counts = np.zeros((data.horizon, s_len), dtype=np.int64)
     for h in range(data.horizon):
         counts[h] = np.bincount(data.states[:, h], minlength=s_len)
@@ -300,15 +282,3 @@ def read_dataset(path: str | Path, model_shape: tuple | None = None) -> EpisodeD
     if not np.array_equal(data.next_states[:, :-1], data.states[:, 1:]):
         raise ValueError("next_state at step h must equal state at step h+1")
     return data
-
-
-def matrix_to_episode(data: MatrixDataset) -> EpisodeDataset:
-    """View a matrix-game dataset as single-step episodes at state 0."""
-    t = data.n_samples
-    zeros = np.zeros((t, 1), dtype=np.int64)
-    return EpisodeDataset(
-        zeros,
-        data.actions_a.reshape(t, 1),
-        data.actions_b.reshape(t, 1),
-        zeros,
-    )

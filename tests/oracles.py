@@ -157,6 +157,11 @@ def matrix_linear_system(
     return np.vstack([a_block, b_block]), np.concatenate([c, d])
 
 
+def marginals_by_bincount(actions: np.ndarray, n_actions: int) -> np.ndarray:
+    """A matrix game's empirical marginal: each action's count over N."""
+    return np.bincount(actions, minlength=n_actions) / actions.size
+
+
 def matrix_theoretical_kappa(
     features: np.ndarray,
     mu: np.ndarray,

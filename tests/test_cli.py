@@ -13,9 +13,10 @@ from invgame.cli import (
     run_experiment,
     summarize,
 )
+from invgame import experiments
 from invgame.experiments import markov_model, run_rep
 from invgame.markov_game import backward_qre
-from invgame.sampling import read_dataset, sample_episodes, stream
+from invgame.sampling import read_dataset, sample_episodes, sample_matrix_actions, stream
 
 
 def run_cli(args):
@@ -89,6 +90,27 @@ class TestRunExperiment:
         assert [2 * cset.kappa for cset in default[0].sets] == [
             cset.kappa for cset in doubled[0].sets
         ]
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"kind": "setup1"}, {"kind": "setup2"}, {"kind": "custom", "theta": (0.5, -0.25)}],
+        ids=["setup1", "setup2", "custom"],
+    )
+    def test_simulate_samples_what_the_matrix_runner_inverts(self, monkeypatch, fields):
+        config = ExperimentConfig(**fields, seed=6, samples=(100, 700), reps=1)
+        drawn = []
+
+        def recording(*args):
+            drawn.append(sample_matrix_actions(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(experiments, "sample_matrix_actions", recording)
+        assert run_rep(config, 2)[0].report is not None
+        monkeypatch.undo()
+        simulated = experiments.sample_dataset(config, 2, 700)
+        assert len(drawn) == 1
+        for column in ("states", "actions_a", "actions_b", "next_states"):
+            assert np.array_equal(getattr(drawn[0], column), getattr(simulated, column))
 
     def test_threads_do_not_change_results(self):
         base = dict(kind="setup1", seed=9, samples=(1000, 2000), reps=3)

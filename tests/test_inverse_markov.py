@@ -18,10 +18,9 @@ from invgame.inverse_markov import (
     recover_rewards,
     recover_rewards_mle,
     ridge_fit,
-    stepwise_confidence_set,
     stepwise_confidence_sets,
 )
-from invgame.inverse_matrix import floor_distribution, theoretical_kappa
+from invgame.inverse_matrix import ConfidenceSet, floor_distribution, theoretical_kappa
 from invgame.markov_game import LinearMDPModel, backward_qre
 from invgame.matrix_game import entropy
 from invgame.metrics import reward_metric_D
@@ -128,15 +127,23 @@ class TestStepwiseConfidenceSet:
         truth, values = backward_qre(spec, tol=1e-13)
         thetas = model.q_params(values.V)
         system = build_stepwise_system(model.features, truth.mu[0], truth.nu[0], spec.eta)
-        cset = stepwise_confidence_set(system, kappa_h=0.0, theta_norm_cap=10.0)
+        cset = ConfidenceSet(system.X, system.y, 0.0, 10.0**2)
         assert cset.contains(thetas[0], slack=1e-12)
 
     def test_norm_above_cap_rejected(self):
         system = build_stepwise_system(
             np.ones((1, 2, 2, 2)), np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]), 1.0
         )
-        cset = stepwise_confidence_set(system, kappa_h=10.0, theta_norm_cap=2.0)
+        cset = ConfidenceSet(system.X, system.y, 10.0, 2.0**2)
         assert not cset.contains(np.array([3.0, 0.0]))
+
+    @pytest.mark.parametrize("cap", [0.0, -2.0])
+    def test_nonpositive_norm_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match="theta_norm_cap must be positive"):
+            InversionConfig(
+                features=np.ones((1, 2, 2, 2)), eta=1.0, gamma=1.0, kappa=1.0,
+                ridge_lambda=0.01, theta_norm_cap=cap,
+            )
 
 
 class TestRidge:
@@ -554,19 +561,10 @@ class TestRecoverRewardsMle:
             features=model.features, eta=spec.eta, gamma=spec.gamma, kappa=10.0,
             ridge_lambda=0.01, theta_norm_cap=10.0, policy_model=policy,
         )
-        from invgame.inverse_markov import _mle_estimates
-        from dataclasses import replace as dc_replace
-        from invgame.sampling import empirical_state_distribution
-
-        estimates = _mle_estimates(data, policy, spec.S)
-        rho = empirical_state_distribution(data, spec.S)
-        estimates = dc_replace(estimates, weights=rho)
-        system = build_stepwise_system(
-            model.features, estimates.mu[0], estimates.nu[0], spec.eta, rho[0]
-        )
+        cset = recover_rewards_mle(data, config)[0].sets[0]
         rows_per_state_a = spec.m - 1
         # state 1..3 blocks in the A-part are zero
-        a_part = system.X[: spec.S * rows_per_state_a].reshape(
+        a_part = cset.X[: spec.S * rows_per_state_a].reshape(
             spec.S, rows_per_state_a, -1
         )
         assert np.allclose(a_part[1:], 0.0)

@@ -26,12 +26,7 @@ from invgame.inverse_matrix import (
     _distances_to,
 )
 from invgame.matrix_game import MatrixGameSpec, PolicyPair, solve_qre
-from invgame.sampling import (
-    MatrixDataset,
-    frequency_estimate_matrix,
-    sample_matrix_actions,
-    stream,
-)
+from invgame.sampling import frequency_estimate_matrix, sample_matrix_actions, stream
 
 from .oracles import (
     feasible_projection_by_clamp,
@@ -40,6 +35,7 @@ from .oracles import (
     payoff_from_features,
     tv_error_bound,
 )
+from .test_sampling import one_step_dataset
 
 
 def matrix_system(features, pair, eta):
@@ -70,8 +66,8 @@ class TestBuildLinearSystem:
                 data = sample_matrix_actions(truth, 10**5, 34, seed)
                 for n in (10, 10**3, 10**5):
                     est = frequency_estimate_matrix(data.prefix(n), spec.m, spec.n)
-                    mu = floor_distribution(est.mu_hat)
-                    nu = floor_distribution(est.nu_hat)
+                    mu = floor_distribution(est.mu_hat[0, 0])
+                    nu = floor_distribution(est.nu_hat[0, 0])
                     system = matrix_system(model.features, PolicyPair(mu, nu), 0.5)
                     x, y = matrix_linear_system(model.features, mu, nu, 0.5)
                     assert np.array_equal(system.X, x)
@@ -104,17 +100,18 @@ class TestLogFloor:
     def test_unobserved_action_rows_hold_the_floored_log_ratio(self):
         # the row player's action 2 never appears, so its frequency is 0 and
         # only the 1e-12 floor keeps its log-ratio finite
-        data = MatrixDataset(np.array([0, 1, 0, 3, 1, 0]), np.array([0, 1, 2, 0, 1, 2]))
+        data = one_step_dataset([0, 1, 0, 3, 1, 0], [0, 1, 2, 0, 1, 2])
         est = frequency_estimate_matrix(data, 4, 3)
-        assert est.mu_hat[2] == 0.0
+        mu_hat = est.mu_hat[0, 0]
+        assert mu_hat[2] == 0.0
         eta = 0.5
         features = stream(31).standard_normal((4, 3, 2))
         system = empirical_system(est, features, eta)
         assert np.isfinite(system.X).all() and np.isfinite(system.y).all()
-        mu = floor_distribution(est.mu_hat)
+        mu = floor_distribution(mu_hat)
         # row a - 1 holds action a's A-side constraint
         assert system.y[1] == (np.log(mu[2]) - np.log(mu[0])) / eta
-        assert system.y[1] == pytest.approx(np.log(1e-12 / est.mu_hat[0]) / eta)
+        assert system.y[1] == pytest.approx(np.log(1e-12 / mu_hat[0]) / eta)
 
 
 class TestRankCondition:
@@ -177,7 +174,7 @@ class TestLeastSquares:
         for rep in range(40):
             data = sample_matrix_actions(truth, 10**6, 99, rep)
             est = frequency_estimate_matrix(data, 4, 6)
-            pair = PolicyPair(est.mu_hat, est.nu_hat)
+            pair = PolicyPair(est.mu_hat[0, 0], est.nu_hat[0, 0])
             theta = least_squares_theta(
                 matrix_system(model.features, pair, 0.5)
             )
@@ -261,8 +258,8 @@ class TestConfidenceSet:
             est = frequency_estimate_matrix(data, 6, 6)
             eps1 = 2 * tv_error_bound(6, n, 0.025)
             eps2 = 2 * tv_error_bound(6, n, 0.025)
-            mu = np.maximum(est.mu_hat, 1e-12)
-            nu = np.maximum(est.nu_hat, 1e-12)
+            mu = np.maximum(est.mu_hat[0, 0], 1e-12)
+            nu = np.maximum(est.nu_hat[0, 0], 1e-12)
             kappa = theoretical_kappa(
                 model.features[None], mu[None], nu[None], 4.0, 0.5,
                 min(eps1, 0.9 * mu.min()), min(eps2, 0.9 * nu.min()),

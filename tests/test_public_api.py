@@ -9,6 +9,7 @@ about a second.
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import invgame
@@ -16,7 +17,6 @@ import invgame
 PUBLIC_NAMES = [
     "ConfidenceSet",
     "EmpiricalMarkovQRE",
-    "EmpiricalQRE",
     "EpisodeDataset",
     "ErrorReport",
     "FeasibleSet",
@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "LinearMDPModel",
     "LinearSystem",
     "MarkovGameSpec",
-    "MatrixDataset",
     "MatrixGameSpec",
     "MleFit",
     "PartialIdentifiabilityError",
@@ -64,7 +63,6 @@ PUBLIC_NAMES = [
     "sample_matrix_actions",
     "solve_qre",
     "solve_qre_batch",
-    "stepwise_confidence_set",
     "stepwise_confidence_sets",
     "stream",
     "theoretical_kappa",
@@ -116,3 +114,18 @@ def test_benchmark_workload_imports_resolve():
     assert "cli.main" in names and "sampling.read_dataset" in names
     for name in names:
         _resolve(name)
+
+
+def test_benchmark_workloads_run_and_pass_their_checks(tmp_path, monkeypatch):
+    # the resolve tests above check names only; this runs two workloads
+    # once each, op then check, so a changed return type fails here too
+    spec = importlib.util.spec_from_file_location("workloads", BENCHMARKS / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look it up
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave benchmarks/ as it is
+    spec.loader.exec_module(workloads)
+    roundtrip = workloads.DatasetRoundtrip(tmp_path, episodes=300)
+    roundtrip.setup()
+    for workload in (workloads.Setup2Geometry(samples=(100, 1000), k=3, cloud=20), roundtrip):
+        outputs = workload.op(1)
+        assert workload.check(1, outputs) == [], workload.name

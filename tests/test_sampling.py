@@ -3,26 +3,39 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from invgame.experiments import custom_model, setup1_model, setup2_model
 from invgame.markov_game import MarkovGameSpec, backward_qre, visit_distributions
-from invgame.matrix_game import PolicyPair
+from invgame.matrix_game import MatrixGameSpec, PolicyPair, solve_qre
 from invgame.sampling import (
     _WRITE_BLOCK_ROWS,
     EpisodeDataset,
-    MatrixDataset,
     _format_rows,
     empirical_state_distribution,
     frequency_estimate_markov,
     frequency_estimate_matrix,
-    matrix_to_episode,
     read_dataset,
     sample_episodes,
     sample_matrix_actions,
+    state_visit_counts,
     stream,
     write_dataset,
 )
 
-from .oracles import dataset_file_by_join, rows_by_join
+from .oracles import (
+    dataset_file_by_join,
+    marginals_by_bincount,
+    payoff_from_features,
+    rows_by_join,
+)
 from .test_markov_game import simplex_feature_model
+
+
+def one_step_dataset(actions_a, actions_b) -> EpisodeDataset:
+    """Matrix-game samples as one-step episodes at state 0."""
+    state = np.zeros((len(actions_a), 1), dtype=np.int64)
+    return EpisodeDataset(
+        state, np.array(actions_a)[:, None], np.array(actions_b)[:, None], state
+    )
 
 
 class TestSampleMatrixActions:
@@ -55,16 +68,33 @@ class TestSampleMatrixActions:
 
 class TestFrequencyEstimateMatrix:
     def test_direct_count(self):
-        data = MatrixDataset(np.array([0, 0]), np.array([0, 1]))
+        data = one_step_dataset([0, 0], [0, 1])
         est = frequency_estimate_matrix(data, 2, 2)
         assert np.allclose(est.mu_hat, [1.0, 0.0])
         assert np.allclose(est.nu_hat, [0.5, 0.5])
 
     def test_single_pair_point_mass(self):
-        data = MatrixDataset(np.array([1]), np.array([0]))
+        data = one_step_dataset([1], [0])
         est = frequency_estimate_matrix(data, 3, 2)
         assert np.allclose(est.mu_hat, [0, 1, 0])
         assert np.allclose(est.nu_hat, [1, 0])
+
+    @pytest.mark.parametrize(
+        "make",
+        [setup1_model, setup2_model, lambda rng: custom_model(rng, 4, 5, [0.8, -0.6, 0.3])],
+        ids=["setup1", "setup2", "custom"],
+    )
+    def test_single_state_marginals_are_the_bincount_frequencies(self, make):
+        model = make(stream(40))
+        spec = MatrixGameSpec(payoff_from_features(model), 0.5)
+        data = sample_matrix_actions(solve_qre(spec, tol=1e-12), 10**5, seed=41)
+        for n in (10, 10**3, 10**5):
+            est = frequency_estimate_matrix(data.prefix(n), spec.m, spec.n)
+            assert est.mu_hat.shape == (1, 1, spec.m)
+            oracle_mu = marginals_by_bincount(data.actions_a[:n, 0], spec.m)
+            oracle_nu = marginals_by_bincount(data.actions_b[:n, 0], spec.n)
+            assert np.array_equal(est.mu_hat[0, 0], oracle_mu)
+            assert np.array_equal(est.nu_hat[0, 0], oracle_nu)
 
     def test_mcdiarmid_style_concentration(self):
         # TV <= sqrt(m/N)/2 + 3*sqrt(log(2)/(2N)) should hold in almost every
@@ -222,6 +252,15 @@ class TestEmpiricalStateDistribution:
         rho = empirical_state_distribution(data, 4)
         assert np.allclose(rho[1], [0.5, 0, 0.5, 0])
 
+    @pytest.mark.parametrize("state", [4, -4])
+    def test_state_outside_the_model_rejected(self, state):
+        states = np.array([[0, 1], [2, state]], dtype=np.int64)
+        zeros = np.zeros_like(states)
+        data = EpisodeDataset(states, zeros, zeros, zeros)
+        for count in (state_visit_counts, empirical_state_distribution):
+            with pytest.raises(ValueError, match="state must lie in 0..3"):
+                count(data, 4)
+
     def test_halving_t_reduces_error(self):
         model = simplex_feature_model(16, h_len=3)
         spec = model.to_tabular()
@@ -295,11 +334,14 @@ class TestSerialization:
             read_dataset(path, (2, 2, 2))
 
     def test_matrix_dataset_as_episodes(self):
-        data = MatrixDataset(np.array([1, 2]), np.array([0, 3]))
-        episodes = matrix_to_episode(data)
-        assert episodes.horizon == 1
-        assert np.all(episodes.states == 0)
-        assert np.array_equal(episodes.actions_a[:, 0], [1, 2])
+        pair = PolicyPair(np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0]))
+        episodes = sample_matrix_actions(pair, 2, seed=0)
+        assert episodes.n_episodes == 2 and episodes.horizon == 1
+        assert np.array_equal(episodes.actions_a, [[1], [1]])
+        assert np.array_equal(episodes.actions_b, [[3], [3]])
+        for column in (episodes.states, episodes.next_states):
+            # state 0 throughout, as a view that allocates no column
+            assert np.array_equal(column, [[0], [0]]) and column.strides == (0, 0)
 
 
 class TestWriteDataset:
@@ -327,7 +369,7 @@ class TestWriteDataset:
 
     def test_matrix_dataset_as_single_step_episodes(self, tmp_path):
         pair = PolicyPair(np.full(4, 0.25), np.full(6, 1.0 / 6.0))
-        data = matrix_to_episode(sample_matrix_actions(pair, 3000, seed=24))
+        data = sample_matrix_actions(pair, 3000, seed=24)
         assert self.written(data, tmp_path) == dataset_file_by_join(data)
 
     def test_zeros_negatives_and_fifteen_digit_values(self):
