@@ -1,9 +1,9 @@
 """Command-line harness: forward solves, dataset simulation, single-shot
 inversions, and the full repeated experiment protocols with CSV output.
 
-Each kind's model, runner and defaults live in `invgame.experiments`; this
-module parses arguments and configs, reads and writes files, and maps
-outcomes to exit codes.
+Each kind's model, runner and defaults, and the invert commands' inversions,
+live in `invgame.experiments`; this module parses arguments and configs,
+reads and writes files, and maps outcomes to exit codes.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure
 threshold exceeded (more than 5% of experiment records failed).
@@ -22,16 +22,8 @@ import numpy as np
 
 from invgame import experiments
 from invgame.experiments import KINDS, ExperimentConfig, RepRecord, UsageError
-from invgame.inverse_markov import InversionConfig, recover_rewards
-from invgame.inverse_matrix import (
-    ConfidenceSet,
-    empirical_system,
-    least_squares_theta,
-    rank_condition,
-    reconstruct_payoff,
-)
 from invgame.matrix_game import MatrixGameSpec, game_value, qre_residual, solve_qre
-from invgame.sampling import frequency_estimate_matrix, read_dataset, write_dataset
+from invgame.sampling import read_dataset, write_dataset
 
 # runs.csv metric column -> ErrorReport attribute
 METRIC_FIELDS = {
@@ -203,23 +195,21 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _load_payoff(args) -> tuple[np.ndarray, float]:
-    if args.config:
-        raw = json.loads(Path(args.config).read_text())
-        payoff = np.array(raw["payoff"], dtype=float)
-        eta = float(raw.get("eta", args.eta))
-    elif args.payoff:
-        payoff = np.loadtxt(args.payoff, delimiter=",", ndmin=2)
-        eta = args.eta
-    else:
-        raise UsageError("solve-qre needs --payoff or --config with a payoff")
-    return payoff, eta
-
-
 def _cmd_solve_qre(args) -> int:
-    payoff, eta = _load_payoff(args)
-    spec = MatrixGameSpec(payoff, eta)
-    pair = solve_qre(spec, tol=args.tol)
+    try:
+        if args.config:
+            raw = json.loads(Path(args.config).read_text())
+            payoff, eta = raw["payoff"], raw.get("eta", args.eta)
+        elif args.payoff:
+            payoff, eta = np.loadtxt(args.payoff, delimiter=",", ndmin=2), args.eta
+        else:
+            raise UsageError("solve-qre needs --payoff or --config with a payoff")
+        spec = MatrixGameSpec(np.array(payoff, dtype=float), float(eta))
+        pair = solve_qre(spec, tol=args.tol)
+    except KeyError as err:
+        raise UsageError(f"config {args.config} has no {err} entry") from err
+    except (OSError, TypeError, ValueError) as err:
+        raise UsageError(f"bad solve-qre input: {err}") from err
     result = {
         "mu": pair.mu.tolist(),
         "nu": pair.nu.tolist(),
@@ -238,15 +228,6 @@ def _build_model(config: ExperimentConfig, rep: int):
         raise UsageError(f"cannot build the {config.kind} model: {err}") from err
 
 
-def _model(config: ExperimentConfig, rep: int, markov: bool):
-    """Rep's model for an invert command; a kind of the other family is a
-    usage error."""
-    if (config.kind == "markov") != markov:
-        family = "markov" if markov else "setup1, setup2 or custom"
-        raise UsageError(f"this command needs kind {family}, not {config.kind!r}")
-    return _build_model(config, rep)
-
-
 def _cmd_simulate(args) -> int:
     config = load_config(args)
     out = Path(config.out)
@@ -261,66 +242,24 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _read_checked_dataset(path: str, horizon: int, s_len: int, m: int, n: int):
-    """Read a dataset that fits the model's index ranges and horizon."""
+def _cmd_invert(args) -> int:
+    markov = args.command == "invert-markov"
+    config = load_config(args, default_kind="markov" if markov else "setup1")
+    if (config.kind == "markov") != markov:
+        family = "markov" if markov else "setup1, setup2 or custom"
+        raise UsageError(f"this command needs kind {family}, not {config.kind!r}")
+    model = _build_model(config, args.rep)
+    # a matrix game is one step at one state
+    shape = model.features.shape[:3] if markov else (1, *model.features.shape[:2])
+    horizon = config.horizon if markov else 1
     try:
-        data = read_dataset(path, (s_len, m, n))
+        data = read_dataset(args.data, shape)
     except (OSError, ValueError) as err:
-        raise UsageError(f"cannot read dataset {path}: {err}") from err
+        raise UsageError(f"cannot read dataset {args.data}: {err}") from err
     if data.horizon != horizon:
         raise UsageError(f"dataset has horizon {data.horizon}, the model {horizon}")
-    return data
-
-
-def _cmd_invert_matrix(args) -> int:
-    config = load_config(args)
-    model = _model(config, args.rep, markov=False)
-    m, n = model.features.shape[:2]
-    data = _read_checked_dataset(args.data, 1, 1, m, n)
-    est = frequency_estimate_matrix(data, m, n)
-    kappa = experiments.kappa_rule(data.n_episodes, scale=config.kappa_scale)
-    system = empirical_system(est, model.features, config.eta)
-    full_rank, rank = rank_condition(system.X, system.dim)
-    cset = ConfidenceSet(system.X, system.y, kappa, model.norm_sq_cap)
-    if full_rank:
-        theta_hat = least_squares_theta(system)
-        route = "least_squares"
-    else:
-        theta_hat, _ = cset.min_norm_member()
-        route = "min_norm_member"
-    result = {
-        "theta_hat": theta_hat.tolist(),
-        "route": route,
-        "rank": rank,
-        "full_rank": bool(full_rank),
-        "kappa": kappa,
-        "residual_sq": cset.residual_sq(theta_hat),
-        "payoff_hat": reconstruct_payoff(theta_hat, model.features).tolist(),
-    }
-    _write_json(result, args.out)
-    return 0
-
-
-def _cmd_invert_markov(args) -> int:
-    config = load_config(args, default_kind="markov")
-    model = _model(config, args.rep, markov=True)
-    data = _read_checked_dataset(args.data, config.horizon, *model.features.shape[:3])
-    inversion = InversionConfig(
-        features=model.features,
-        eta=config.eta,
-        gamma=config.gamma,
-        kappa=experiments.kappa_rule(data.n_episodes, scale=config.kappa_scale),
-        ridge_lambda=config.ridge_lambda,
-        theta_norm_cap=experiments.MARKOV_THETA_CAP,
-    )
-    sample = recover_rewards(data, inversion)[0]
-    result = {
-        "theta_hat": sample.thetas.tolist(),
-        "feasible": sample.feasible.tolist(),
-        "kappa": inversion.kappa,
-        "rewards": sample.rewards.tolist(),
-    }
-    _write_json(result, args.out)
+    invert = experiments.invert_markov if markov else experiments.invert_matrix
+    _write_json(invert(config, model, data), args.out)
     return 0
 
 
@@ -361,8 +300,8 @@ def build_parser() -> _Parser:
 
     for name, func, text in (
         ("simulate", _cmd_simulate, "sample a dataset from QRE play"),
-        ("invert-matrix", _cmd_invert_matrix, "recover payoff parameters"),
-        ("invert-markov", _cmd_invert_markov, "recover reward parameters"),
+        ("invert-matrix", _cmd_invert, "recover payoff parameters"),
+        ("invert-markov", _cmd_invert, "recover reward parameters"),
     ):
         p = sub.add_parser(name, help=text)
         common(p)

@@ -1,4 +1,4 @@
-"""Experiment kinds: their configuration, instances and per-repetition runner.
+"""Experiment kinds: their config, instances, runner, and the invert commands' inversions.
 
 Four kinds share one config (`ExperimentConfig`), one builder
 (`build_model`) and one runner (`run_rep`): a strongly identified matrix game
@@ -27,11 +27,12 @@ from invgame.inverse_markov import (
 )
 from invgame.inverse_matrix import (
     ConfidenceSet,
+    LinearSystem,
     PartialIdentifiabilityError,
-    build_confidence_set,
     empirical_system,
     least_squares_theta,
     min_norm_theta,
+    rank_condition,
     reconstruct_payoff,
 )
 from invgame.markov_game import LinearMDPModel, backward_qre, visit_distributions
@@ -298,18 +299,26 @@ def build_model(config: ExperimentConfig, rep: int) -> FeatureModel | LinearMDPM
     )
 
 
-def sample_dataset(config: ExperimentConfig, rep: int, n_samples: int) -> EpisodeDataset:
-    """n_samples episodes of QRE play on repetition rep's instance; a matrix
-    game's samples are single-step episodes at state 0."""
+def _instance(config: ExperimentConfig, rep: int, n_samples: int):
+    """Repetition rep's model, its game (a payoff matrix or a tabular spec),
+    the game's true equilibrium as its solver returns it, and n_samples
+    episodes of QRE play from a uniform start; a matrix game's samples are
+    single-step episodes at state 0."""
     model = build_model(config, rep)
     if config.kind == "markov":
         spec = model.to_tabular()
-        truth, _ = backward_qre(spec, tol=1e-12)
+        solution = backward_qre(spec, tol=1e-12)
         initial = np.full(spec.S, 1.0 / spec.S)
-        return sample_episodes(spec, truth, initial, n_samples, config.seed, rep)
+        data = sample_episodes(spec, solution[0], initial, n_samples, config.seed, rep)
+        return model, spec, solution, data
     payoff = reconstruct_payoff(model.theta, model.features)
     truth = solve_qre(MatrixGameSpec(payoff, config.eta), tol=1e-12)
-    return sample_matrix_actions(truth, n_samples, config.seed, rep)
+    return model, payoff, truth, sample_matrix_actions(truth, n_samples, config.seed, rep)
+
+
+def sample_dataset(config: ExperimentConfig, rep: int, n_samples: int) -> EpisodeDataset:
+    """n_samples episodes of QRE play on repetition rep's instance."""
+    return _instance(config, rep, n_samples)[3]
 
 
 def run_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
@@ -333,27 +342,51 @@ def run_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     return [replace(record, duration_ms=duration) for record in records]
 
 
+def _matrix_system(
+    config: ExperimentConfig, model: FeatureModel, data: EpisodeDataset
+) -> tuple[LinearSystem, float]:
+    """A matrix dataset's constraint system at its frequency estimate, and
+    its threshold kappa_rule(N)."""
+    est = frequency_estimate_matrix(data, *model.features.shape[:2])
+    system = empirical_system(est, model.features, config.eta)
+    return system, kappa_rule(data.n_episodes, scale=config.kappa_scale)
+
+
+def invert_matrix(config: ExperimentConfig, model: FeatureModel, data: EpisodeDataset) -> dict:
+    """invert-matrix's result: the least-squares theta when the system has
+    full rank, else the confidence set's min-norm member."""
+    system, kappa = _matrix_system(config, model, data)
+    full_rank, rank = rank_condition(system.X, system.dim)
+    cset = ConfidenceSet(system.X, system.y, kappa, model.norm_sq_cap)
+    if full_rank:
+        theta_hat, route = least_squares_theta(system), "least_squares"
+    else:
+        theta_hat, route = cset.min_norm_member()[0], "min_norm_member"
+    return {
+        "theta_hat": theta_hat.tolist(),
+        "route": route,
+        "rank": rank,
+        "full_rank": bool(full_rank),
+        "kappa": kappa,
+        "residual_sq": cset.residual_sq(theta_hat),
+        "payoff_hat": reconstruct_payoff(theta_hat, model.features).tolist(),
+    }
+
+
 def _run_matrix_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     """Least-squares or confidence-set estimation on one matrix instance."""
-    model = build_model(config, rep)
-    payoff = reconstruct_payoff(model.theta, model.features)
-    truth = solve_qre(MatrixGameSpec(payoff, config.eta), tol=1e-12)
-    data = sample_matrix_actions(truth, max(config.samples), config.seed, rep)
+    model, payoff, truth, data = _instance(config, rep, max(config.samples))
     records = []
     for n_samples in config.samples:
-        est = frequency_estimate_matrix(data.prefix(n_samples), *payoff.shape)
+        system, kappa = _matrix_system(config, model, data.prefix(n_samples))
         covered = None
         if config.estimator == "least_squares":
-            system = empirical_system(est, model.features, config.eta)
             try:
                 theta_hat = least_squares_theta(system)
             except PartialIdentifiabilityError:
                 theta_hat = min_norm_theta(system)
         else:
-            kappa = kappa_rule(n_samples, scale=config.kappa_scale)
-            cset = build_confidence_set(
-                est, model.features, config.eta, kappa, model.norm_sq_cap
-            )
+            cset = ConfidenceSet(system.X, system.y, kappa, model.norm_sq_cap)
             theta_hat, _ = cset.min_norm_member()
             covered = cset.contains(model.theta)
         q_hat = reconstruct_payoff(theta_hat, model.features)
@@ -368,6 +401,37 @@ def _run_matrix_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     return records
 
 
+def _inversion(
+    config: ExperimentConfig,
+    model: LinearMDPModel,
+    kappa: float | np.ndarray,
+    policy_model: SoftmaxPolicyModel | None = None,
+) -> InversionConfig:
+    """The reward recovery's inputs for a markov instance at threshold kappa."""
+    return InversionConfig(
+        features=model.features,
+        eta=config.eta,
+        gamma=config.gamma,
+        kappa=kappa,
+        ridge_lambda=config.ridge_lambda,
+        theta_norm_cap=model.theta_norm_cap,
+        policy_model=policy_model,
+    )
+
+
+def invert_markov(config: ExperimentConfig, model: LinearMDPModel, data: EpisodeDataset) -> dict:
+    """invert-markov's result: the min-norm trajectory of recover_rewards at
+    the scalar threshold kappa_rule(N)."""
+    inversion = _inversion(config, model, kappa_rule(data.n_episodes, scale=config.kappa_scale))
+    sample = recover_rewards(data, inversion)[0]
+    return {
+        "theta_hat": sample.thetas.tolist(),
+        "feasible": sample.feasible.tolist(),
+        "kappa": inversion.kappa,
+        "rewards": sample.rewards.tolist(),
+    }
+
+
 def run_markov_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     """Reward recovery on the tabular Markov instance.
 
@@ -379,34 +443,21 @@ def run_markov_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     frequency sets, or the rho-weighted MLE sets.  The recovered rewards of
     all sample sizes are re-solved together in one backward pass.
     """
-    model = build_model(config, rep)
-    spec = model.to_tabular()
-    truth, values = backward_qre(spec, tol=1e-12)
+    model, spec, (truth, values), data = _instance(config, rep, max(config.samples))
     true_thetas = model.q_params(values.V)
-    initial = np.full(spec.S, 1.0 / spec.S)
-    state_dists, _ = visit_distributions(spec, truth, initial)
-    data = sample_episodes(spec, truth, initial, max(config.samples), config.seed, rep)
-    mle = config.policy_estimator == "mle"
-    policy_model = saturated_policy_model(spec.S, spec.m, spec.n) if mle else None
+    state_dists, _ = visit_distributions(spec, truth, np.full(spec.S, 1.0 / spec.S))
+    if config.policy_estimator == "mle":
+        policy_model = saturated_policy_model(spec.S, spec.m, spec.n)
+        recover, block_weights = recover_rewards_mle, lambda counts, n: counts / n
+    else:
+        policy_model = None
+        recover, block_weights = recover_rewards, lambda counts, n: counts > 0
     samples = []
     for n_episodes in config.samples:
         subset = data.prefix(n_episodes)
         counts = state_visit_counts(subset, spec.S)
-        inversion = InversionConfig(
-            features=model.features,
-            eta=config.eta,
-            gamma=config.gamma,
-            kappa=kappa_rule(counts, counts > 0, config.kappa_scale),
-            ridge_lambda=config.ridge_lambda,
-            theta_norm_cap=MARKOV_THETA_CAP,
-            policy_model=policy_model,
-        )
-        if mle:
-            mle_kappa = kappa_rule(counts, counts / n_episodes, config.kappa_scale)
-            sample = recover_rewards_mle(subset, replace(inversion, kappa=mle_kappa))[0]
-        else:
-            sample = recover_rewards(subset, inversion)[0]
-        samples.append(sample)
+        kappa = kappa_rule(counts, block_weights(counts, n_episodes), config.kappa_scale)
+        samples.append(recover(subset, _inversion(config, model, kappa, policy_model))[0])
     qre_errs, per_step_qres = qre_discrepancy_markov(
         spec, np.stack([sample.rewards for sample in samples]), truth, state_dists
     )

@@ -12,6 +12,7 @@ transition -> plug-in reward.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,14 +272,14 @@ def stepwise_confidence_sets(
 
 
 def _backward_pass(
-    data: EpisodeDataset,
     config: InversionConfig,
     estimates: _Estimates,
     sets: tuple[ConfidenceSet, ...],
+    fit,
     theta_picker,
 ) -> RecoveredRewardSample:
     s_len, m, n, d = config.features.shape
-    h_len = data.horizon
+    h_len = len(sets)
     thetas = np.zeros((h_len, d))
     q_values = np.zeros((h_len, s_len, m, n))
     v_values = np.zeros((h_len + 1, s_len))
@@ -295,8 +296,7 @@ def _backward_pass(
         if config.exact_transition is not None:
             continuation = config.exact_transition[h] @ v_values[h + 1]
         else:
-            est = ridge_fit(data, config.features, config.ridge_lambda, h)
-            weights_vec = est.value_weights(v_values[h + 1])
+            weights_vec = fit(h).value_weights(v_values[h + 1])
             continuation = (flat_features @ weights_vec).reshape(s_len, m, n)
         rewards[h] = q_values[h] - config.gamma * continuation
     return RecoveredRewardSample(thetas, q_values, v_values, rewards, feasible, sets)
@@ -308,19 +308,18 @@ def _run_algorithm(
     data.check(*config.features.shape[:3])
     estimates = _estimates(data, config, mle)
     sets = tuple(stepwise_confidence_sets(data, config, estimates))
-    samples = [
-        _backward_pass(
-            data, config, estimates, sets, lambda h, cset: cset.min_norm_member()
-        )
-    ]
+
+    def fit(h):
+        return ridge_fit(data, config.features, config.ridge_lambda, h)
+
+    pickers = [lambda h, cset: cset.min_norm_member()]
     if config.extra_members > 0:
+        # the trajectories share each step's one fit; a lone trajectory keeps
+        # none, so it holds one step's samples at a time
+        fit = functools.cache(fit)
         rng = stream(config.member_seed)
-        for _ in range(config.extra_members):
-            def picker(h, cset, rng=rng):
-                member = cset.sample_members(1, rng)[0]
-                return member, True
-            samples.append(_backward_pass(data, config, estimates, sets, picker))
-    return samples
+        pickers += [lambda h, cset: (cset.sample_members(1, rng)[0], True)] * config.extra_members
+    return [_backward_pass(config, estimates, sets, fit, picker) for picker in pickers]
 
 
 def recover_rewards(

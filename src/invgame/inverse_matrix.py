@@ -40,11 +40,10 @@ def floor_distribution(p: np.ndarray, floor: float = LOG_FLOOR) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Stacked QRE constraints X theta = y with the eta used in the log-ratios."""
+    """Stacked QRE constraints X theta = y."""
 
     X: np.ndarray
     y: np.ndarray
-    eta: float
 
     def __post_init__(self):
         if self.X.ndim != 2 or self.y.shape != (self.X.shape[0],):
@@ -101,9 +100,7 @@ def build_stepwise_system(
         log_nu = np.where(nu_h > 0, np.log(np.maximum(nu_h, 1e-300)), 0.0)
     c = ((log_mu[:, 1:] - log_mu[:, :1]) / eta) * root_w[:, None]
     d_vec = (-(log_nu[:, 1:] - log_nu[:, :1]) / eta) * root_w[:, None]
-    return LinearSystem(
-        np.vstack([a_rows, b_rows]), np.concatenate([c.ravel(), d_vec.ravel()]), eta
-    )
+    return LinearSystem(np.vstack([a_rows, b_rows]), np.concatenate([c.ravel(), d_vec.ravel()]))
 
 
 def empirical_system(

@@ -99,10 +99,6 @@ class LinearMDPModel:
         ):
             raise ValueError("transition_params must have shape (H, S, d)")
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[3]
-
     def to_tabular(self) -> MarkovGameSpec:
         """Materialize the reward tensors and transition kernels."""
         rewards = np.einsum("smnd,hd->hsmn", self.features, self.reward_params)

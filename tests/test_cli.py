@@ -15,8 +15,15 @@ from invgame.cli import (
 )
 from invgame import experiments
 from invgame.experiments import markov_model, run_rep
+from invgame.inverse_matrix import ConfidenceSet, empirical_system
 from invgame.markov_game import backward_qre
-from invgame.sampling import read_dataset, sample_episodes, sample_matrix_actions, stream
+from invgame.sampling import (
+    frequency_estimate_matrix,
+    read_dataset,
+    sample_episodes,
+    sample_matrix_actions,
+    stream,
+)
 
 
 def run_cli(args):
@@ -112,15 +119,27 @@ class TestRunExperiment:
         for column in ("states", "actions_a", "actions_b", "next_states"):
             assert np.array_equal(getattr(drawn[0], column), getattr(simulated, column))
 
-    def test_threads_do_not_change_results(self):
-        base = dict(kind="setup1", seed=9, samples=(1000, 2000), reps=3)
-        serial, _ = run_experiment(ExperimentConfig(**base))
-        threaded, _ = run_experiment(ExperimentConfig(**base, threads=3))
+    @pytest.mark.parametrize(
+        "base",
+        [
+            dict(kind="setup1", seed=9, samples=(1000, 2000), reps=3),
+            dict(kind="markov", seed=9, samples=(500, 1000), reps=3, horizon=3),
+            dict(kind="markov", seed=9, samples=(500, 1000), reps=3, horizon=3,
+                 policy_estimator="mle"),
+        ],
+        ids=["setup1", "markov_frequency", "markov_mle"],
+    )
+    def test_threads_do_not_change_results(self, base):
+        serial, serial_steps = run_experiment(ExperimentConfig(**base))
+        threaded, threaded_steps = run_experiment(ExperimentConfig(**base, threads=3))
         assert [(r.sample_size, r.rep) for r in serial] == [
             (r.sample_size, r.rep) for r in threaded
         ]
         for a, b in zip(serial, threaded):
-            assert a.report.theta_error == b.report.theta_error
+            assert a.report is not None and a.report == b.report
+            for field in ("coverage", "per_step_qre", "per_step_reward_frob", "feasible"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert serial_steps == threaded_steps
 
 
 class TestEmitCsv:
@@ -195,6 +214,26 @@ class TestCommands:
         assert result["full_rank"]
         theta = np.array(result["theta_hat"])
         assert np.linalg.norm(theta - np.array([0.8, -0.6])) < 0.2
+
+    def test_invert_matrix_takes_the_min_norm_member_below_full_rank(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        kind = ["--kind", "setup2", "--seed", "3"]
+        assert run_cli(["simulate", *kind, "--samples", "5000", "--out", str(out)]) == 0
+        result_path = tmp_path / "est.json"
+        dataset = out / "dataset.csv"
+        assert run_cli(["invert-matrix", *kind, "--data", str(dataset),
+                        "--out", str(result_path)]) == 0
+        capsys.readouterr()
+        result = json.loads(result_path.read_text())
+        assert result["route"] == "min_norm_member"
+        assert result["rank"] == 5 and result["full_rank"] is False
+        assert result["kappa"] == 1e3 / 5000
+        assert result["residual_sq"] <= result["kappa"]
+        model = experiments.setup2_model(stream(3, 0))
+        est = frequency_estimate_matrix(read_dataset(dataset), 6, 6)
+        system = empirical_system(est, model.features, experiments.ETA)
+        expected = ConfidenceSet(system.X, system.y, 1e3 / 5000, 4.0).min_norm_member()[0]
+        assert np.array_equal(result["theta_hat"], expected)
 
     def test_simulate_then_invert_markov(self, tmp_path, capsys):
         out = tmp_path / "sim"
@@ -463,6 +502,30 @@ class TestUsageErrors:
         args = ["experiment", "--config", config, "--out", str(tmp_path / "out")]
         self.assert_usage_error(capsys, args, f"does not read config field {key!r}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "files, args, message",
+        [
+            ({}, ["--payoff", "missing.csv"], "missing.csv"),
+            ({}, ["--config", "missing.json"], "missing.json"),
+            ({"cfg.json": '{"eta": 1.0}'}, ["--config", "cfg.json"], "no 'payoff' entry"),
+            ({"cfg.json": '{"payoff": [[1, "x"], [0, 1]]}'}, ["--config", "cfg.json"],
+             "could not convert"),
+            ({"p.csv": "1,0\n"}, ["--payoff", "p.csv"], "at least 2x2, got shape (1, 2)"),
+            ({"p.csv": "1,0\n0,1\n"}, ["--payoff", "p.csv", "--eta", "-1"],
+             "eta must be positive"),
+            ({"p.csv": "1,0\n0,1\n"}, ["--payoff", "p.csv", "--tol", "0"],
+             "tol and eta must be positive"),
+        ],
+        ids=["missing_payoff", "missing_config", "config_without_payoff", "non_numeric",
+             "one_row", "negative_eta", "zero_tol"],
+    )
+    def test_solve_qre_bad_input(self, tmp_path, capsys, monkeypatch, files, args, message):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        self.assert_usage_error(capsys, ["solve-qre", *args, "--out", "out.json"], message)
+        assert not (tmp_path / "out.json").exists()
 
     def test_invert_markov_needs_the_markov_kind(self, tmp_path, capsys):
         out = tmp_path / "sim"

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from invgame import inverse_markov
 from invgame.experiments import (
     ExperimentConfig,
     kappa_rule,
@@ -95,7 +96,7 @@ class TestBuildStepwiseSystem:
         model = markov_model(stream(72))
         spec = model.to_tabular()
         truth, values = backward_qre(spec, tol=1e-13)
-        flat = model.features.reshape(-1, model.dim)
+        flat = model.features.reshape(-1, model.features.shape[3])
         for h in range(spec.H):
             theta_fit, *_ = np.linalg.lstsq(flat, values.Q[h].ravel(), rcond=None)
             system = build_stepwise_system(
@@ -373,6 +374,25 @@ class TestRecoverRewards:
         for sample in samples[1:]:
             for h in range(spec.H):
                 assert csets[h].contains(sample.thetas[h], slack=1e-9)
+
+    def test_every_trajectory_shares_one_ridge_fit_per_step(self, monkeypatch):
+        model = markov_model(stream(89))
+        spec = model.to_tabular()
+        truth, _ = backward_qre(spec, tol=1e-13)
+        data = sample_episodes(spec, truth, np.full(spec.S, 0.25), 5000, 90)
+        config = InversionConfig(
+            features=model.features, eta=spec.eta, gamma=spec.gamma, kappa=5.0,
+            ridge_lambda=0.01, theta_norm_cap=10.0, extra_members=3, member_seed=91,
+        )
+        steps = []
+
+        def counting(*args):
+            steps.append(args[-1])
+            return ridge_fit(*args)
+
+        monkeypatch.setattr(inverse_markov, "ridge_fit", counting)
+        assert len(recover_rewards(data, config)) == 4
+        assert sorted(steps) == list(range(spec.H))  # H fits, not H per trajectory
 
     def test_samples_carry_the_sets_they_were_drawn_from(self):
         model = markov_model(stream(93), horizon=3)

@@ -151,7 +151,7 @@ class TestLeastSquares:
     def test_identity_system(self):
         from invgame.inverse_matrix import LinearSystem
 
-        system = LinearSystem(np.eye(2), np.array([0.8, -0.6]), 1.0)
+        system = LinearSystem(np.eye(2), np.array([0.8, -0.6]))
         assert np.allclose(least_squares_theta(system), [0.8, -0.6])
 
     def test_exact_setup1_recovers_theta(self):
@@ -162,7 +162,7 @@ class TestLeastSquares:
         from invgame.inverse_matrix import LinearSystem
 
         x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        system = LinearSystem(x, np.ones(3), 1.0)
+        system = LinearSystem(x, np.ones(3))
         with pytest.raises(PartialIdentifiabilityError):
             least_squares_theta(system)
 
@@ -186,7 +186,7 @@ class TestMinNorm:
     def test_wide_system_minimal_preimage(self):
         from invgame.inverse_matrix import LinearSystem
 
-        system = LinearSystem(np.array([[1.0, 0.0]]), np.array([1.0]), 1.0)
+        system = LinearSystem(np.array([[1.0, 0.0]]), np.array([1.0]))
         assert np.allclose(min_norm_theta(system), [1.0, 0.0])
 
     def test_full_rank_agrees_with_least_squares(self):

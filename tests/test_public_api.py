@@ -76,6 +76,20 @@ def test_exports_are_the_reviewed_list():
     assert sorted(invgame.__all__) == PUBLIC_NAMES
 
 
+def test_cli_only_parses_and_writes():
+    # the inversions live in experiments; the CLI reads and writes datasets
+    tree = ast.parse((Path(invgame.__file__).parent / "cli.py").read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.setdefault(node.module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update({alias.name: set() for alias in node.names})
+    assert not {"invgame.inverse_matrix", "invgame.inverse_markov"} & set(imported)
+    assert not {"inverse_matrix", "inverse_markov"} & imported.get("invgame", set())
+    assert imported["invgame.sampling"] == {"read_dataset", "write_dataset"}
+    assert len(PUBLIC_NAMES) == 54
+
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
