@@ -13,6 +13,7 @@ transition -> plug-in reward.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,10 @@ class SoftmaxPolicyModel:
     def __post_init__(self):
         if self.psi_a.ndim != 3 or self.psi_b.ndim != 3:
             raise ValueError("psi maps must have shape (S, actions, dim)")
+        if self.psi_a.shape[0] != self.psi_b.shape[0]:
+            raise ValueError("psi_a and psi_b must have the same number of states")
+        if not self.ball_radius > 0:
+            raise ValueError("ball_radius must be positive")
 
     @property
     def feature_scale(self) -> float:
@@ -116,10 +121,16 @@ def mle_fit(
     Minimizes the mean negative log-likelihood of the observed actions under
     the softmax model; fixed step 1/K^2 where K bounds the feature norms,
     stopping when the gradient-mapping norm falls below tol.  The objective
-    is convex, so the trace is nonincreasing.
+    is convex, so the trace is nonincreasing.  Each iteration reads only the
+    step's (S, actions) count table, so it costs O(S * actions * d),
+    independent of the number of episodes.
     """
     if player not in ("a", "b"):
         raise ValueError("player must be 'a' or 'b'")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
     data.check(*model.psi_a.shape[:2], model.psi_b.shape[1])
     psi = model.psi_a if player == "a" else model.psi_b
     actions = data.actions_a if player == "a" else data.actions_b
@@ -130,36 +141,33 @@ def mle_fit(
     total = counts.sum()
     if total == 0:
         raise ValueError(f"no samples at step {step}")
-    state_counts = counts.sum(axis=1)
-    scale = model.feature_scale
-    lipschitz = max(scale**2, 1e-12)
+    lipschitz = max(model.feature_scale**2, 1e-12)
     radius = model.ball_radius
-
-    def clamp(theta):
-        norm = np.linalg.norm(theta)
-        return theta * (radius / norm) if norm > radius else theta
-
-    def objective_and_grad(theta):
-        logits = psi @ theta
-        shift = logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(logits - shift).sum(axis=1)) + shift[:, 0]
-        probs = np.exp(logits - log_z[:, None])
-        nll = -(counts * (logits - log_z[:, None])).sum() / total
-        grad = (
-            np.einsum("s,sad->d", state_counts, probs[:, :, None] * psi)
-            - np.einsum("sa,sad->d", counts, psi)
-        ) / total
-        return nll, grad
+    flat = psi.reshape(-1, dim)
+    # the mean NLL is weights @ log Z(theta) - observed @ theta
+    weights = counts.sum(axis=1) / total
+    observed = counts.ravel() @ flat / total
 
     theta = np.zeros(dim)
     trace = []
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        nll, grad = objective_and_grad(theta)
-        trace.append(nll)
-        new_theta = clamp(theta - grad / lipschitz)
-        gradient_mapping = lipschitz * np.linalg.norm(theta - new_theta)
+        logits = (flat @ theta).reshape(s_len, n_actions)
+        shift = logits.max(axis=1)
+        e = np.exp(logits - shift[:, None])
+        z = e.sum(axis=1)
+        trace.append(weights @ (np.log(z) + shift) - observed @ theta)
+        grad = flat.T @ (e * (weights / z)[:, None]).ravel() - observed
+        new_theta = theta - grad / lipschitz
+        norm = math.sqrt(new_theta @ new_theta)
+        if norm > radius:
+            new_theta = new_theta * (radius / norm)
+            moved = theta - new_theta
+            gradient_mapping = lipschitz * math.sqrt(moved @ moved)
+        else:
+            # L * ||theta - (theta - grad / L)|| is ||grad||
+            gradient_mapping = math.sqrt(grad @ grad)
         theta = new_theta
         if gradient_mapping <= tol:
             converged = True

@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the library's own solution paths:
 scalar loops, bisection on 1-D reductions, brute-force grids, and Monte
-Carlo rollouts.  The one exception is full_rank_oracle_model, a test-only
-instance builder that solves its stage games with solve_qre_batch.
+Carlo rollouts.  The exceptions are full_rank_oracle_model, a test-only
+instance builder that solves its stage games with solve_qre_batch, and
+mle_fit_by_einsum, mle_fit's earlier loop, which counts the observed actions
+with the library's state_action_counts.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from invgame.experiments import ETA, MARKOV_OMEGA
+from invgame.inverse_markov import MleFit, SoftmaxPolicyModel
 from invgame.markov_game import MarkovGameSpec
 from invgame.matrix_game import solve_qre_batch, stage_values
-from invgame.sampling import stream
+from invgame.sampling import EpisodeDataset, state_action_counts, stream
 
 
 def payoff_by_scalar_loops(features: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -252,6 +255,69 @@ def feasible_projection_by_clamp(feasible, point: np.ndarray) -> np.ndarray:
     if norm > feasible.radius:
         z = z * (feasible.radius / norm)
     return feasible.particular + feasible.null_basis @ z
+
+
+def mle_fit_by_einsum(
+    data: EpisodeDataset,
+    model: SoftmaxPolicyModel,
+    step: int,
+    player: str,
+    max_iter: int = 10_000,
+    tol: float = 1e-8,
+) -> MleFit:
+    """mle_fit's projected-gradient loop as it was before the count-table
+    rewrite: each iteration re-forms the (S, m) log-likelihood and takes the
+    gradient by two einsums over the (S, m, d) feature products, and the
+    gradient mapping is L * ||theta - theta'||.  The reference the rewrite's
+    iterates are compared against."""
+    if player not in ("a", "b"):
+        raise ValueError("player must be 'a' or 'b'")
+    data.check(*model.psi_a.shape[:2], model.psi_b.shape[1])
+    psi = model.psi_a if player == "a" else model.psi_b
+    actions = data.actions_a if player == "a" else data.actions_b
+    s_len, n_actions, dim = psi.shape
+    counts = state_action_counts(
+        data.states[:, step], actions[:, step], s_len, n_actions
+    ).astype(float)
+    total = counts.sum()
+    if total == 0:
+        raise ValueError(f"no samples at step {step}")
+    state_counts = counts.sum(axis=1)
+    scale = model.feature_scale
+    lipschitz = max(scale**2, 1e-12)
+    radius = model.ball_radius
+
+    def clamp(theta):
+        norm = np.linalg.norm(theta)
+        return theta * (radius / norm) if norm > radius else theta
+
+    def objective_and_grad(theta):
+        logits = psi @ theta
+        shift = logits.max(axis=1, keepdims=True)
+        log_z = np.log(np.exp(logits - shift).sum(axis=1)) + shift[:, 0]
+        probs = np.exp(logits - log_z[:, None])
+        nll = -(counts * (logits - log_z[:, None])).sum() / total
+        grad = (
+            np.einsum("s,sad->d", state_counts, probs[:, :, None] * psi)
+            - np.einsum("sa,sad->d", counts, psi)
+        ) / total
+        return nll, grad
+
+    theta = np.zeros(dim)
+    trace = []
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        nll, grad = objective_and_grad(theta)
+        trace.append(nll)
+        new_theta = clamp(theta - grad / lipschitz)
+        gradient_mapping = lipschitz * np.linalg.norm(theta - new_theta)
+        theta = new_theta
+        if gradient_mapping <= tol:
+            converged = True
+            break
+    return MleFit(theta, np.array(trace), iterations, converged)
+
 
 def full_rank_oracle_model(
     seed: int,

@@ -10,6 +10,7 @@ from invgame.experiments import (
     kappa_rule,
     markov_model,
     run_markov_rep,
+    saturated_policy_model,
 )
 from invgame.inverse_markov import (
     InversionConfig,
@@ -29,11 +30,17 @@ from invgame.sampling import (
     EpisodeDataset,
     frequency_estimate_markov,
     sample_episodes,
+    state_action_counts,
     state_visit_counts,
     stream,
 )
 
-from .oracles import full_rank_oracle_model, matrix_linear_system, tv_error_bound
+from .oracles import (
+    full_rank_oracle_model,
+    matrix_linear_system,
+    mle_fit_by_einsum,
+    tv_error_bound,
+)
 
 
 def markov_config(seed, sizes, **fields):
@@ -65,6 +72,22 @@ def near_uniform_markov_model(seed, uniform_transitions=False):
         cols /= cols.sum(axis=1, keepdims=True)
     omegas = np.tile(np.array([0.08, -0.06]), (h_len, 1))
     return LinearMDPModel(feats, omegas, cols, eta=0.5, gamma=1.0)
+
+
+def dense_mle_case(ball_radius, seed=5, t=500):
+    """Dense Gaussian psi maps (3 states, 4 and 2 actions, d = 5) and t
+    one-step episodes of uniform draws."""
+    rng = stream(seed)
+    psi_a, psi_b = rng.standard_normal((3, 4, 5)), rng.standard_normal((3, 2, 5))
+    data = EpisodeDataset(*(rng.integers(0, k, (t, 1)) for k in (3, 4, 2, 3)))
+    return data, SoftmaxPolicyModel(psi_a, psi_b, ball_radius)
+
+
+def assert_same_fit(fit, oracle):
+    assert fit.iterations == oracle.iterations
+    assert fit.converged == oracle.converged
+    assert np.abs(fit.params - oracle.params).max() <= 1e-12
+    assert np.abs(fit.objective_trace - oracle.objective_trace).max() <= 1e-12
 
 
 class TestBuildStepwiseSystem:
@@ -534,6 +557,83 @@ class TestMleFit:
             )
             proxy = (d_a * np.log(t) + np.log(20)) / t
             assert sq_tv <= 10 * proxy
+
+    @pytest.mark.parametrize("n_episodes", [10**3, 10**4])
+    def test_saturated_fits_match_the_einsum_loop(self, n_episodes):
+        model = markov_model(stream(20260808, 0))
+        spec = model.to_tabular()
+        truth, _ = backward_qre(spec, tol=1e-12)
+        data = sample_episodes(spec, truth, np.full(spec.S, 0.25), n_episodes, 20260808, 0)
+        policy = saturated_policy_model(spec.S, spec.m, spec.n)
+        for step in (0, 2, 5):
+            for player in ("a", "b"):
+                assert_same_fit(
+                    mle_fit(data, policy, step, player),
+                    mle_fit_by_einsum(data, policy, step, player),
+                )
+
+    @pytest.mark.parametrize(
+        "ball_radius, binding", [(0.05, True), (10.0, False)], ids=["binding", "inactive"]
+    )
+    def test_dense_fits_match_the_einsum_loop(self, ball_radius, binding):
+        data, model = dense_mle_case(ball_radius)
+        fit = mle_fit(data, model, 0, "a")
+        assert (np.linalg.norm(fit.params) == pytest.approx(ball_radius)) == binding
+        for player in ("a", "b"):
+            assert_same_fit(
+                mle_fit(data, model, 0, player), mle_fit_by_einsum(data, model, 0, player)
+            )
+
+    def test_replicated_episodes_give_the_same_fit(self):
+        # the fit reads counts over N only, and scaling both by 4 is exact
+        data, model = dense_mle_case(1.0)
+        replicated = EpisodeDataset(
+            *(np.tile(col, (4, 1)) for col in
+              (data.states, data.actions_a, data.actions_b, data.next_states))
+        )
+        for player in ("a", "b"):
+            fit = mle_fit(data, model, 0, player)
+            again = mle_fit(replicated, model, 0, player)
+            assert again.iterations == fit.iterations
+            assert np.array_equal(again.params, fit.params)
+            assert np.array_equal(again.objective_trace, fit.objective_trace)
+
+    def test_binding_ball_fit_meets_kkt_conditions(self):
+        radius = 0.05
+        data, model = dense_mle_case(radius)
+        fit = mle_fit(data, model, 0, "a")
+        assert abs(np.linalg.norm(fit.params) - radius) <= 1e-12
+        freqs = state_action_counts(data.states[:, 0], data.actions_a[:, 0], 3, 4) / 500
+        probs = model.conditionals(model.psi_a, fit.params)
+        grad = np.einsum("s,sa,sad->d", freqs.sum(axis=1), probs, model.psi_a)
+        grad -= np.einsum("sa,sad->d", freqs, model.psi_a)
+        multiplier = -(grad @ fit.params) / radius**2
+        assert multiplier >= 0
+        assert np.linalg.norm(grad + multiplier * fit.params) <= 1e-6
+
+
+PSI = np.ones((2, 3, 2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda data: SoftmaxPolicyModel(PSI, PSI, ball_radius=-1.0), "ball_radius"),
+        (lambda data: SoftmaxPolicyModel(PSI, PSI, ball_radius=0.0), "ball_radius"),
+        (lambda data: SoftmaxPolicyModel(PSI, PSI, ball_radius=np.nan), "ball_radius"),
+        (lambda data: SoftmaxPolicyModel(PSI, PSI[:1, :2]), "psi_a and psi_b"),
+        (lambda data: mle_fit(data, SoftmaxPolicyModel(PSI, PSI), 0, "a", max_iter=0),
+         "max_iter"),
+        (lambda data: mle_fit(data, SoftmaxPolicyModel(PSI, PSI), 0, "a", tol=-1e-8), "tol"),
+        (lambda data: mle_fit(data, SoftmaxPolicyModel(PSI, PSI), 0, "a", tol=np.nan), "tol"),
+    ],
+    ids=["negative_radius", "zero_radius", "nan_radius", "state_mismatch", "zero_max_iter",
+         "negative_tol", "nan_tol"],
+)
+def test_softmax_mle_rejects_bad_settings(call, message):
+    data = EpisodeDataset(*(np.zeros((4, 1), dtype=np.int64),) * 4)
+    with pytest.raises(ValueError, match=message):
+        call(data)
 
 
 class TestRecoverRewardsMle:

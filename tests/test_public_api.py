@@ -143,3 +143,32 @@ def test_benchmark_workloads_run_and_pass_their_checks(tmp_path, monkeypatch):
     for workload in (workloads.Setup2Geometry(samples=(100, 1000), k=3, cloud=20), roundtrip):
         outputs = workload.op(1)
         assert workload.check(1, outputs) == [], workload.name
+
+
+def test_mle_recovery_makes_one_traced_fit_per_step_and_player(monkeypatch):
+    # the traced run counts inverse_markov.mle_fit calls and reads each
+    # result's iterations and converged; a batched fit would zero those layers
+    from invgame import inverse_markov
+    from invgame.experiments import saturated_policy_model
+
+    real, fits = inverse_markov.mle_fit, []
+
+    def counting(*args, **kwargs):
+        fits.append(real(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(inverse_markov, "mle_fit", counting)
+    rng = invgame.stream(11)
+    s_len, m, n, h_len = 3, 2, 3, 4
+    data = invgame.EpisodeDataset(
+        *(rng.integers(0, size, (200, h_len)) for size in (s_len, m, n, s_len))
+    )
+    config = invgame.InversionConfig(
+        features=rng.standard_normal((s_len, m, n, 2)), eta=0.5, gamma=1.0, kappa=1e5,
+        ridge_lambda=0.01, theta_norm_cap=10.0,
+        policy_model=saturated_policy_model(s_len, m, n),
+    )
+    invgame.recover_rewards_mle(data, config)
+    assert len(fits) == 2 * h_len
+    for fit in fits:
+        assert isinstance(fit.iterations, int) and isinstance(fit.converged, bool)
