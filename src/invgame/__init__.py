@@ -33,7 +33,6 @@ from invgame.inverse_matrix import (
     min_norm_theta,
     rank_condition,
     reconstruct_payoff,
-    theoretical_kappa,
 )
 from invgame.markov_game import (
     LinearMDPModel,

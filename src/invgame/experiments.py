@@ -14,6 +14,7 @@ and the whole record set is reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -127,8 +128,16 @@ class ExperimentConfig:
         for name, default in KIND_DEFAULTS[self.kind].items():
             if not getattr(self, name):
                 object.__setattr__(self, name, default)
-        if self.reps < 1:
-            raise UsageError("reps must be at least 1")
+        for name, ok, rule in (  # a comparison with NaN is False
+            ("reps", self.reps >= 1, "at least 1"),
+            ("threads", self.threads >= 1, "at least 1"),
+            ("eta", 0 < self.eta < math.inf, "positive and finite"),
+            ("gamma", 0 <= self.gamma <= 1, "in [0, 1]"),
+            ("ridge_lambda", 0 < self.ridge_lambda < math.inf, "positive and finite"),
+            ("kappa_scale", 0 <= self.kappa_scale < math.inf, "nonnegative and finite"),
+        ):
+            if not ok:
+                raise UsageError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         samples = list(self.samples)
         if not samples or samples[0] < 1 or samples != sorted(set(samples)):
             raise UsageError("samples must be positive and strictly increasing")

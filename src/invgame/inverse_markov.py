@@ -12,7 +12,6 @@ transition -> plug-in reward.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -23,14 +22,12 @@ from invgame.inverse_matrix import (
     build_stepwise_system,
     floor_distribution,
 )
-from invgame.markov_game import StagePolicies
 from invgame.matrix_game import stage_values
 from invgame.sampling import (
     EpisodeDataset,
     empirical_state_distribution,
     frequency_estimate_markov,
     state_action_counts,
-    stream,
 )
 
 
@@ -41,7 +38,6 @@ class RidgeTransitionEstimator:
     gram: np.ndarray
     sample_features: np.ndarray  # (T, d) features of the step-h samples
     next_states: np.ndarray  # (T,) observed successors
-    ridge_lambda: float
 
     def value_weights(self, v_next: np.ndarray) -> np.ndarray:
         """Solve Lambda w = sum_t phi_t V(s'_t) for the prediction weights."""
@@ -61,7 +57,7 @@ def ridge_fit(
     data.check(*features.shape[:3])
     phi_t = features[data.states[:, step], data.actions_a[:, step], data.actions_b[:, step]]
     gram = phi_t.T @ phi_t + ridge_lambda * np.eye(features.shape[3])
-    return RidgeTransitionEstimator(gram, phi_t, data.next_states[:, step], ridge_lambda)
+    return RidgeTransitionEstimator(gram, phi_t, data.next_states[:, step])
 
 
 @dataclass(frozen=True)
@@ -181,9 +177,6 @@ class InversionConfig:
 
     kappa may be a scalar or a length-H array of per-step thresholds.
     theta_norm_cap bounds ||theta_h|| (not its square) and must be positive.
-    The exact_* fields replace estimated quantities with ground truth for
-    plug-in identity checks: exact_policies stands in for the estimated QRE
-    and exact_transition (H, S, m, n, S) replaces the ridge predictor.
     """
 
     features: np.ndarray
@@ -192,10 +185,6 @@ class InversionConfig:
     kappa: float | np.ndarray
     ridge_lambda: float
     theta_norm_cap: float
-    extra_members: int = 0
-    member_seed: int = 0
-    exact_policies: StagePolicies | None = None
-    exact_transition: np.ndarray | None = None
     policy_model: SoftmaxPolicyModel | None = None
 
     def __post_init__(self):
@@ -233,14 +222,9 @@ def _estimates(data: EpisodeDataset, config: InversionConfig, mle: bool) -> _Est
     Frequency estimates weight each visited state by 1 and softmax-MLE
     estimates (of config.policy_model) each state by its empirical visit
     probability rho, so unvisited states contribute nothing.
-    config.exact_policies replace either estimate; they weight every state
-    by 1 under frequency and by rho under MLE.
     """
     model = config.policy_model
-    if config.exact_policies is not None:
-        mu, nu = config.exact_policies.mu, config.exact_policies.nu
-        weights = np.ones(mu.shape[:2])
-    elif not mle:
+    if not mle:
         est = frequency_estimate_markov(data, *config.features.shape[:3])
         mu, nu, weights = est.mu_hat, est.nu_hat, est.visited.astype(float)
     elif model is None:
@@ -253,7 +237,6 @@ def _estimates(data: EpisodeDataset, config: InversionConfig, mle: bool) -> _Est
             ])
             for player, psi in (("a", model.psi_a), ("b", model.psi_b))
         )
-    if mle:
         weights = empirical_state_distribution(data, config.features.shape[0])
     return _Estimates(floor_distribution(mu), floor_distribution(nu), weights)
 
@@ -283,9 +266,11 @@ def _backward_pass(
     config: InversionConfig,
     estimates: _Estimates,
     sets: tuple[ConfidenceSet, ...],
-    fit,
-    theta_picker,
+    continuation,
 ) -> RecoveredRewardSample:
+    """Bellman plug-in from the last step back at each set's min-norm member:
+    r_h = Q_h - gamma * continuation(h, V_{h+1}), where continuation returns
+    the (S, m, n) expected next-step value."""
     s_len, m, n, d = config.features.shape
     h_len = len(sets)
     thetas = np.zeros((h_len, d))
@@ -296,17 +281,12 @@ def _backward_pass(
     flat_features = config.features.reshape(-1, d)
     for h in range(h_len - 1, -1, -1):
         try:
-            thetas[h], feasible[h] = theta_picker(h, sets[h])
+            thetas[h], feasible[h] = sets[h].min_norm_member()
         except Exception as err:
             raise RuntimeError(f"theta selection failed at step {h}") from err
         q_values[h] = (flat_features @ thetas[h]).reshape(s_len, m, n)
         v_values[h] = stage_values(q_values[h], estimates.mu[h], estimates.nu[h], config.eta)
-        if config.exact_transition is not None:
-            continuation = config.exact_transition[h] @ v_values[h + 1]
-        else:
-            weights_vec = fit(h).value_weights(v_values[h + 1])
-            continuation = (flat_features @ weights_vec).reshape(s_len, m, n)
-        rewards[h] = q_values[h] - config.gamma * continuation
+        rewards[h] = q_values[h] - config.gamma * continuation(h, v_values[h + 1])
     return RecoveredRewardSample(thetas, q_values, v_values, rewards, feasible, sets)
 
 
@@ -316,18 +296,14 @@ def _run_algorithm(
     data.check(*config.features.shape[:3])
     estimates = _estimates(data, config, mle)
     sets = tuple(stepwise_confidence_sets(data, config, estimates))
+    s_len, m, n, d = config.features.shape
+    flat_features = config.features.reshape(-1, d)
 
-    def fit(h):
-        return ridge_fit(data, config.features, config.ridge_lambda, h)
+    def continuation(h, v_next):  # step h's ridge predictor
+        fit = ridge_fit(data, config.features, config.ridge_lambda, h)
+        return (flat_features @ fit.value_weights(v_next)).reshape(s_len, m, n)
 
-    pickers = [lambda h, cset: cset.min_norm_member()]
-    if config.extra_members > 0:
-        # the trajectories share each step's one fit; a lone trajectory keeps
-        # none, so it holds one step's samples at a time
-        fit = functools.cache(fit)
-        rng = stream(config.member_seed)
-        pickers += [lambda h, cset: (cset.sample_members(1, rng)[0], True)] * config.extra_members
-    return [_backward_pass(config, estimates, sets, fit, picker) for picker in pickers]
+    return [_backward_pass(config, estimates, sets, continuation)]
 
 
 def recover_rewards(
@@ -335,10 +311,9 @@ def recover_rewards(
 ) -> list[RecoveredRewardSample]:
     """Frequency-estimator reward recovery (backward confidence-set pass).
 
-    Policies come from per-state frequencies (or config.exact_policies);
-    unvisited states carry uniform placeholders and zero block weight.  The
-    first returned sample uses the canonical min-norm selection, followed by
-    config.extra_members random feasible trajectories.
+    Policies come from per-state frequencies; unvisited states carry uniform
+    placeholders and zero block weight.  Returns one sample, the trajectory
+    of each step's min-norm member.
     """
     return _run_algorithm(data, config, mle=False)
 
@@ -348,8 +323,8 @@ def recover_rewards_mle(
 ) -> list[RecoveredRewardSample]:
     """MLE-based reward recovery with visit-probability block weights.
 
-    Policies come from softmax MLE fits of config.policy_model (or
-    config.exact_policies) and each state's constraints are weighted by the
-    empirical visit probability, so unvisited states contribute nothing.
+    Policies come from softmax MLE fits of config.policy_model and each
+    state's constraints are weighted by the empirical visit probability, so
+    unvisited states contribute nothing.
     """
     return _run_algorithm(data, config, mle=True)

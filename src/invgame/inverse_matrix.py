@@ -31,10 +31,10 @@ class PartialIdentifiabilityError(np.linalg.LinAlgError):
     """Normal matrix is numerically singular; the system does not pin theta."""
 
 
-def floor_distribution(p: np.ndarray, floor: float = LOG_FLOOR) -> np.ndarray:
-    """Clip probabilities away from zero so log-ratios exist, then
+def floor_distribution(p: np.ndarray) -> np.ndarray:
+    """Clip probabilities up to LOG_FLOOR so log-ratios exist, then
     renormalise over the last axis."""
-    p = np.maximum(np.asarray(p, dtype=float), floor)
+    p = np.maximum(np.asarray(p, dtype=float), LOG_FLOOR)
     return p / p.sum(axis=-1, keepdims=True)
 
 
@@ -334,15 +334,8 @@ class FeasibleSet:
         slack = self.norm_sq_cap - float(self.particular @ self.particular)
         return np.sqrt(max(slack, 0.0))
 
-    def is_empty(self, tol: float = 1e-12) -> bool:
-        return float(self.particular @ self.particular) > self.norm_sq_cap + tol
-
-    def contains(self, theta: np.ndarray, tol: float = 1e-9) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        return (
-            np.abs(self.X @ theta - self.y).max() <= tol
-            and float(theta @ theta) <= self.norm_sq_cap + tol
-        )
+    def is_empty(self) -> bool:
+        return float(self.particular @ self.particular) > self.norm_sq_cap + 1e-12
 
     def _project(self, points: np.ndarray) -> np.ndarray:
         """Exact projections of the rows of `points`: affine projection, then
@@ -425,53 +418,3 @@ def hausdorff_estimate(set_a, set_b, k: int = 64, seed: int = 0) -> float:
     pts_a = _sample_points(set_a, k, rng)
     pts_b = _sample_points(set_b, k, rng)
     return float(max(_distances_to(set_b, pts_a).max(), _distances_to(set_a, pts_b).max()))
-
-
-def feature_difference_norms(features: np.ndarray) -> tuple[float, float]:
-    """Operator norms of the stacked baseline-difference feature matrices of
-    features (S, m, n, d).
-
-    Phi_1 stacks phi(s,a,.) - phi(s,0,.) over states and a >= 1 as
-    d-columns; Phi_2 stacks phi(s,.,b) - phi(s,.,0) over states and b >= 1.
-    Used by the theoretical threshold rule.
-    """
-    features = np.asarray(features, dtype=float)
-    d = features.shape[3]
-    phi1 = (features[:, 1:] - features[:, :1]).reshape(-1, d).T
-    phi2 = (features[:, :, 1:] - features[:, :, :1]).reshape(-1, d).T
-    op = lambda a: float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
-    return op(phi1), op(phi2)
-
-
-def theoretical_kappa(
-    features: np.ndarray,
-    mu: np.ndarray,
-    nu: np.ndarray,
-    norm_sq_cap: float,
-    eta: float,
-    eps1: float,
-    eps2: float,
-) -> float:
-    """Containment threshold from the construction-error analysis, computed
-    with plug-in conditionals mu (S, m) and nu (S, n) on features
-    (S, m, n, d); a matrix game is S=1.
-
-    The A-rows are contracted against nu and the B-rows against mu, so the
-    Phi_1 norm pairs with nu's error eps2 and the Phi_2 norm with mu's error
-    eps1.  Valid when eps1 < min(mu) and eps2 < min(nu); every state's TV
-    errors must be at most eps/2 for the containment guarantee to apply.
-    """
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if not (eps1 < mu.min() and eps2 < nu.min()):
-        raise ValueError("eps must be below the smallest plug-in probability")
-    s_len, m = mu.shape
-    n = nu.shape[1]
-    phi1_op, phi2_op = feature_difference_norms(features)
-    term_b = 2.0 * (
-        norm_sq_cap * phi1_op**2 + s_len * n / (eta**2 * (nu.min() - eps2) ** 2)
-    ) * eps2**2
-    term_a = 2.0 * (
-        norm_sq_cap * phi2_op**2 + s_len * m / (eta**2 * (mu.min() - eps1) ** 2)
-    ) * eps1**2
-    return term_a + term_b

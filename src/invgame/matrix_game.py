@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PROB_FLOOR = 1e-300  # representation-level floor only; softmax outputs are positive
+DAMPING = 0.5  # a game's initial weight on its new best-response logits
 
 
 class QreConvergenceError(RuntimeError):
@@ -121,13 +122,12 @@ def solve_qre_batch(
     eta: float,
     tol: float = 1e-12,
     max_iter: int = 100_000,
-    damping: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray]:
     """QRE of every game in a (B, m, n) stack; returns mu (B, m), nu (B, n).
 
     Damped fixed-point iteration in logit space: from the current pair the
     softmax best-response logits are mixed into the old logits with weight
-    `damping`.  A game converges when both the sup-norm policy change and the
+    DAMPING.  A game converges when both the sup-norm policy change and the
     fixed-point residual drop below `tol`, and is then frozen.  Its damping
     factor is halved (down to 1/1024) whenever its residual stalls, which
     extends the convergent range to strongly scaled payoffs.  All of this is
@@ -143,7 +143,7 @@ def solve_qre_batch(
     log_mu_out, log_nu_out = np.empty((b_len, m)), np.empty((b_len, n))
     live = np.arange(b_len)  # stack entries still iterating
     log_mu, log_nu = np.full((b_len, m), -np.log(m)), np.full((b_len, n), -np.log(n))
-    alpha = np.full((b_len, 1), damping)
+    alpha = np.full((b_len, 1), DAMPING)
     best_residual = np.full(b_len, np.inf)
     last_gain = np.full(b_len, -1)  # iteration of the last gain or halving
     next_stall = 499  # no game can have stalled 500 times before this
@@ -190,10 +190,9 @@ def solve_qre(
     spec: MatrixGameSpec,
     tol: float = 1e-12,
     max_iter: int = 100_000,
-    damping: float = 0.5,
 ) -> PolicyPair:
     """The QRE of one game: solve_qre_batch on a stack of one."""
-    mu, nu = solve_qre_batch(spec.payoff[None], spec.eta, tol, max_iter, damping)
+    mu, nu = solve_qre_batch(spec.payoff[None], spec.eta, tol, max_iter)
     return PolicyPair(mu[0], nu[0])
 
 

@@ -3,20 +3,28 @@
 Everything here deliberately avoids the library's own solution paths:
 scalar loops, bisection on 1-D reductions, brute-force grids, and Monte
 Carlo rollouts.  The exceptions are full_rank_oracle_model, a test-only
-instance builder that solves its stage games with solve_qre_batch, and
+instance builder that solves its stage games with solve_qre_batch;
 mle_fit_by_einsum, mle_fit's earlier loop, which counts the observed actions
-with the library's state_action_counts.
+with the library's state_action_counts; and recover_rewards_on_truth, which
+runs the library's backward pass on the true policies and kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from invgame import inverse_markov
 from invgame.experiments import ETA, MARKOV_OMEGA
-from invgame.inverse_markov import MleFit, SoftmaxPolicyModel
+from invgame.inverse_markov import MleFit, SoftmaxPolicyModel, stepwise_confidence_sets
+from invgame.inverse_matrix import floor_distribution
 from invgame.markov_game import MarkovGameSpec
 from invgame.matrix_game import solve_qre_batch, stage_values
-from invgame.sampling import EpisodeDataset, state_action_counts, stream
+from invgame.sampling import (
+    EpisodeDataset,
+    empirical_state_distribution,
+    state_action_counts,
+    stream,
+)
 
 
 def payoff_by_scalar_loops(features: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -165,7 +173,7 @@ def marginals_by_bincount(actions: np.ndarray, n_actions: int) -> np.ndarray:
     return np.bincount(actions, minlength=n_actions) / actions.size
 
 
-def matrix_theoretical_kappa(
+def theoretical_kappa(
     features: np.ndarray,
     mu: np.ndarray,
     nu: np.ndarray,
@@ -174,25 +182,53 @@ def matrix_theoretical_kappa(
     eps1: float,
     eps2: float,
 ) -> float:
-    """Matrix-game containment threshold with features (m, n, d) and
-    marginals mu (m,), nu (n,).
+    """Containment threshold from the construction-error analysis, with
+    features (S, m, n, d) and plug-in conditionals mu (S, m), nu (S, n); a
+    matrix game is S=1.
 
-    The a-rows are contracted against nu, so their feature-difference norm
-    pairs with nu's error eps2; the b-rows pair with mu's error eps1.
+    Phi_1 stacks phi(s,a,.) - phi(s,0,.) over states and a >= 1, and Phi_2
+    stacks phi(s,.,b) - phi(s,.,0) over states and b >= 1, as d-row
+    matrices.  The a-rows are contracted against nu, so Phi_1's norm pairs
+    with nu's error eps2; the b-rows pair with mu's error eps1.  Meaningful
+    when eps1 < min(mu) and eps2 < min(nu).
     """
     features = np.asarray(features, dtype=float)
-    m, n, d = features.shape
-    phi1 = np.concatenate([features[a] - features[0] for a in range(1, m)]).T
-    phi2 = np.concatenate([features[:, b] - features[:, 0] for b in range(1, n)]).T
+    s_len, m, n, d = features.shape
+    phi1 = np.concatenate(
+        [features[s, a] - features[s, 0] for s in range(s_len) for a in range(1, m)]
+    ).T
+    phi2 = np.concatenate(
+        [features[s, :, b] - features[s, :, 0] for s in range(s_len) for b in range(1, n)]
+    ).T
     phi1_op = np.linalg.norm(phi1, 2)
     phi2_op = np.linalg.norm(phi2, 2)
-    a_side = norm_sq_cap * phi1_op**2 * eps2**2 + m * eps1**2 / (
+    a_side = norm_sq_cap * phi1_op**2 * eps2**2 + s_len * m * eps1**2 / (
         eta**2 * (mu.min() - eps1) ** 2
     )
-    b_side = norm_sq_cap * phi2_op**2 * eps1**2 + n * eps2**2 / (
+    b_side = norm_sq_cap * phi2_op**2 * eps1**2 + s_len * n * eps2**2 / (
         eta**2 * (nu.min() - eps2) ** 2
     )
     return 2.0 * (a_side + b_side)
+
+
+def recover_rewards_on_truth(data, config, truth, transition, mle=False):
+    """recover_rewards' backward pass with the true stage policies in place
+    of the estimated QRE and the true kernel (H, S, m, n, S) in place of the
+    ridge predictor: the plug-in identity, exact at kappa 0.  States weigh 1
+    each, or their empirical visit probability under mle, as in the drivers.
+    """
+    weights = (
+        empirical_state_distribution(data, truth.mu.shape[1])
+        if mle
+        else np.ones(truth.mu.shape[:2])
+    )
+    estimates = inverse_markov._Estimates(
+        floor_distribution(truth.mu), floor_distribution(truth.nu), weights
+    )
+    sets = tuple(stepwise_confidence_sets(data, config, estimates))
+    return inverse_markov._backward_pass(
+        config, estimates, sets, lambda h, v_next: transition[h] @ v_next
+    )
 
 
 def payoff_from_features(model) -> np.ndarray:

@@ -23,13 +23,13 @@ import pytest
 
 from invgame.cli import ExperimentConfig, emit_csv, run_experiment, summarize
 from invgame.experiments import run_rep
-from invgame.inverse_markov import InversionConfig, recover_rewards, ridge_fit
+from invgame.inverse_markov import InversionConfig, ridge_fit
 from invgame.markov_game import backward_qre
 from invgame.matrix_game import MatrixGameSpec, qre_residual, solve_qre
 from invgame.metrics import hellinger_sq, reward_metric_D, reward_metric_D1, tv
 from invgame.sampling import EpisodeDataset, sample_episodes, stream
 
-from .oracles import full_rank_oracle_model, loglog_slope
+from .oracles import full_rank_oracle_model, loglog_slope, recover_rewards_on_truth
 
 SEED = 20260808
 FULL = os.environ.get("INVGAME_FULL_ACCEPTANCE") == "1"
@@ -164,9 +164,8 @@ class TestCriterion05OracleExactness:
         config = InversionConfig(
             features=feats, eta=spec.eta, gamma=spec.gamma, kappa=0.0,
             ridge_lambda=0.01, theta_norm_cap=10.0,
-            exact_policies=truth, exact_transition=spec.transition,
         )
-        sample = recover_rewards(data, config)[0]
+        sample = recover_rewards_on_truth(data, config, truth, spec.transition)
         err = reward_metric_D(sample.rewards, spec.rewards)
         assert err <= 1e-6
         elapsed = time.perf_counter() - started

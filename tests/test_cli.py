@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -356,7 +357,11 @@ class TestCommands:
             tmp_path / "run2" / "runs.csv"
         ).read_bytes()
 
-    def test_numerical_failures_exit_two(self, tmp_path, capsys):
+    def test_numerical_failures_exit_two(self, tmp_path, capsys, monkeypatch):
+        # a truth solve cut off after one iteration fails every record
+        monkeypatch.setattr(
+            experiments, "solve_qre", partial(experiments.solve_qre, max_iter=1)
+        )
         config = tmp_path / "cfg.json"
         config.write_text(
             json.dumps(
@@ -366,7 +371,6 @@ class TestCommands:
                     "samples": [100],
                     "reps": 2,
                     "theta": [0.5, -0.25],
-                    "eta": -1.0,  # invalid regularization: every record fails
                     "out": str(tmp_path / "bad"),
                 }
             )
@@ -481,6 +485,35 @@ class TestUsageErrors:
         if command == "invert-markov":
             args += ["--data", str(tmp_path / "missing.csv")]
         self.assert_usage_error(capsys, args, "markov model")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command", ["experiment", "simulate", "invert-matrix", "invert-markov"]
+    )
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("eta", -0.5, "eta must be positive and finite"),
+            ("eta", 0.0, "eta must be positive and finite"),
+            ("eta", float("inf"), "eta must be positive and finite"),
+            ("gamma", 1.5, "gamma must be in [0, 1]"),
+            ("gamma", -0.1, "gamma must be in [0, 1]"),
+            ("ridge_lambda", 0.0, "ridge_lambda must be positive and finite"),
+            ("kappa_scale", -1.0, "kappa_scale must be nonnegative and finite"),
+            ("kappa_scale", float("inf"), "kappa_scale must be nonnegative and finite"),
+            ("threads", 0, "threads must be at least 1"),
+        ],
+        ids=["negative_eta", "zero_eta", "infinite_eta", "gamma_above_1", "negative_gamma",
+             "zero_ridge_lambda", "negative_kappa_scale", "infinite_kappa_scale",
+             "zero_threads"],
+    )
+    def test_out_of_range_value(self, tmp_path, capsys, command, field, value, message):
+        kind = "setup1" if command == "invert-matrix" else "markov"
+        config = write_config(tmp_path, {"kind": kind, "samples": [100], field: value})
+        args = [command, "--config", config, "--out", str(tmp_path / "out")]
+        if command.startswith("invert"):
+            args += ["--data", str(tmp_path / "missing.csv")]
+        self.assert_usage_error(capsys, args, message)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

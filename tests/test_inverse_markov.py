@@ -22,7 +22,7 @@ from invgame.inverse_markov import (
     ridge_fit,
     stepwise_confidence_sets,
 )
-from invgame.inverse_matrix import ConfidenceSet, floor_distribution, theoretical_kappa
+from invgame.inverse_matrix import ConfidenceSet, floor_distribution
 from invgame.markov_game import LinearMDPModel, backward_qre
 from invgame.matrix_game import entropy
 from invgame.metrics import reward_metric_D
@@ -39,6 +39,8 @@ from .oracles import (
     full_rank_oracle_model,
     matrix_linear_system,
     mle_fit_by_einsum,
+    recover_rewards_on_truth,
+    theoretical_kappa,
     tv_error_bound,
 )
 
@@ -263,9 +265,8 @@ class TestRecoverRewards:
         config = InversionConfig(
             features=feats, eta=spec.eta, gamma=spec.gamma, kappa=0.0,
             ridge_lambda=0.01, theta_norm_cap=10.0,
-            exact_policies=truth, exact_transition=spec.transition,
         )
-        sample = recover_rewards(data, config)[0]
+        sample = recover_rewards_on_truth(data, config, truth, spec.transition)
         assert reward_metric_D(sample.rewards, spec.rewards) <= 1e-6
         assert np.abs(sample.thetas - thetas).max() < 1e-8
         assert sample.feasible.all()
@@ -371,9 +372,8 @@ class TestRecoverRewards:
         config = InversionConfig(
             features=model.features, eta=spec.eta, gamma=spec.gamma, kappa=0.0,
             ridge_lambda=0.01, theta_norm_cap=10.0,
-            exact_policies=truth, exact_transition=spec.transition,
         )
-        sample = recover_rewards(data, config)[0]
+        sample = recover_rewards_on_truth(data, config, truth, spec.transition)
         replay_spec = type(spec)(
             sample.rewards, spec.transition, eta=spec.eta, gamma=spec.gamma
         )
@@ -382,30 +382,14 @@ class TestRecoverRewards:
         tv_nu = 0.5 * np.abs(replay.nu - truth.nu).sum(axis=2)
         assert max(tv_mu.max(), tv_nu.max()) <= 1e-6
 
-    def test_extra_members_are_feasible_trajectories(self):
-        model = markov_model(stream(89), horizon=2)
-        spec = model.to_tabular()
-        truth, _ = backward_qre(spec, tol=1e-13)
-        data = sample_episodes(spec, truth, np.full(spec.S, 0.25), 5000, 90)
-        config = InversionConfig(
-            features=model.features, eta=spec.eta, gamma=spec.gamma, kappa=5.0,
-            ridge_lambda=0.01, theta_norm_cap=10.0, extra_members=3, member_seed=91,
-        )
-        samples = recover_rewards(data, config)
-        assert len(samples) == 4
-        csets = stepwise_confidence_sets(data, config)
-        for sample in samples[1:]:
-            for h in range(spec.H):
-                assert csets[h].contains(sample.thetas[h], slack=1e-9)
-
-    def test_every_trajectory_shares_one_ridge_fit_per_step(self, monkeypatch):
+    def test_one_ridge_fit_per_step(self, monkeypatch):
         model = markov_model(stream(89))
         spec = model.to_tabular()
         truth, _ = backward_qre(spec, tol=1e-13)
         data = sample_episodes(spec, truth, np.full(spec.S, 0.25), 5000, 90)
         config = InversionConfig(
             features=model.features, eta=spec.eta, gamma=spec.gamma, kappa=5.0,
-            ridge_lambda=0.01, theta_norm_cap=10.0, extra_members=3, member_seed=91,
+            ridge_lambda=0.01, theta_norm_cap=10.0,
         )
         steps = []
 
@@ -414,8 +398,8 @@ class TestRecoverRewards:
             return ridge_fit(*args)
 
         monkeypatch.setattr(inverse_markov, "ridge_fit", counting)
-        assert len(recover_rewards(data, config)) == 4
-        assert sorted(steps) == list(range(spec.H))  # H fits, not H per trajectory
+        assert len(recover_rewards(data, config)) == 1
+        assert sorted(steps) == list(range(spec.H))
 
     def test_samples_carry_the_sets_they_were_drawn_from(self):
         model = markov_model(stream(93), horizon=3)
@@ -425,7 +409,6 @@ class TestRecoverRewards:
         config = InversionConfig(
             features=model.features, eta=spec.eta, gamma=spec.gamma,
             kappa=np.array([5.0, 6.0, 7.0]), ridge_lambda=0.01, theta_norm_cap=10.0,
-            extra_members=1,
         )
         samples = recover_rewards(data, config)
         rebuilt = stepwise_confidence_sets(data, config)
@@ -660,9 +643,8 @@ class TestRecoverRewardsMle:
         config = InversionConfig(
             features=feats, eta=spec.eta, gamma=spec.gamma, kappa=0.0,
             ridge_lambda=0.01, theta_norm_cap=10.0,
-            exact_policies=truth, exact_transition=spec.transition,
         )
-        sample = recover_rewards_mle(data, config)[0]
+        sample = recover_rewards_on_truth(data, config, truth, spec.transition, mle=True)
         assert reward_metric_D(sample.rewards, spec.rewards) <= 1e-6
 
     def test_unvisited_state_contributes_no_rows(self):

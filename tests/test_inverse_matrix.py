@@ -22,7 +22,6 @@ from invgame.inverse_matrix import (
     min_norm_theta,
     rank_condition,
     reconstruct_payoff,
-    theoretical_kappa,
     _distances_to,
 )
 from invgame.matrix_game import MatrixGameSpec, PolicyPair, solve_qre
@@ -31,8 +30,8 @@ from invgame.sampling import frequency_estimate_matrix, sample_matrix_actions, s
 from .oracles import (
     feasible_projection_by_clamp,
     matrix_linear_system,
-    matrix_theoretical_kappa,
     payoff_from_features,
+    theoretical_kappa,
     tv_error_bound,
 )
 from .test_sampling import one_step_dataset
@@ -343,33 +342,23 @@ class TestExactProjection:
 
 
 class TestTheoreticalKappa:
-    def test_single_state_is_the_matrix_formula(self):
-        # unequal errors tell the pairings apart: the a-side norm goes with
-        # nu's error eps2, the b-side norm with mu's error eps1
-        for seed in range(5):
-            rng = stream(31, seed)
-            features = rng.standard_normal((3, 7, 2))
-            mu = rng.dirichlet(np.ones(3)) + 0.05
-            nu = rng.dirichlet(np.ones(7)) + 0.05
-            mu, nu = mu / mu.sum(), nu / nu.sum()
-            eps1, eps2 = 0.3 * mu.min(), 0.8 * nu.min()
-            got = theoretical_kappa(
-                features[None], mu[None], nu[None], 100.0, 0.5, eps1, eps2
-            )
-            expected = matrix_theoretical_kappa(
-                features, mu, nu, 100.0, 0.5, eps1, eps2
-            )
-            assert got == pytest.approx(expected, rel=1e-12)
-            swapped = matrix_theoretical_kappa(
-                features, mu, nu, 100.0, 0.5, eps2, eps1
-            )
-            assert got != pytest.approx(swapped, rel=1e-6)
-
-    def test_eps_at_smallest_probability_rejected(self):
-        features = stream(32).standard_normal((1, 2, 2, 2))
-        mu = np.array([[0.25, 0.75]])
-        with pytest.raises(ValueError):
-            theoretical_kappa(features, mu, mu, 1.0, 0.5, 0.25, 0.1)
+    def test_two_state_value_by_hand(self):
+        # d = 1, so each Phi is a row and its norm is Euclidean: Phi_1 =
+        # (3, 3, 0, 0) and Phi_2 = (0, 0, 4, 4), norms^2 18 and 32.  With
+        # M = 2, eta = 1/2, eps1 = 0.2 < min mu = 0.4, eps2 = 0.05 < min nu =
+        # 0.25 (both gaps 0.2):
+        #   M |Phi_1|^2 eps2^2 = 0.09    S m eps1^2 / (eta gap)^2 = 16
+        #   M |Phi_2|^2 eps1^2 = 2.56    S n eps2^2 / (eta gap)^2 = 1
+        # so kappa = 2 (0.09 + 16 + 2.56 + 1) = 39.3.  Pairing Phi_1 with
+        # eps1 and Phi_2 with eps2 instead would give 2 (1.44 + 16 + 0.16 + 1)
+        # = 37.2.
+        features = np.array([[[0.0, 0.0], [3.0, 3.0]], [[0.0, 4.0], [0.0, 4.0]]])[..., None]
+        mu = np.array([[0.5, 0.5], [0.4, 0.6]])
+        nu = np.array([[0.25, 0.75], [0.5, 0.5]])
+        kappa = theoretical_kappa(features, mu, nu, 2.0, 0.5, 0.2, 0.05)
+        assert kappa == pytest.approx(39.3, rel=1e-12)
+        swapped = theoretical_kappa(features, mu, nu, 2.0, 0.5, 0.05, 0.2)
+        assert swapped != pytest.approx(kappa, rel=1e-6)
 
 
 class TestFeasibleSet:
