@@ -54,7 +54,6 @@ from invgame.matrix_game import (
 )
 from invgame.metrics import (
     ErrorReport,
-    hellinger_sq,
     qre_discrepancy,
     qre_discrepancy_markov,
     reward_metric_D,

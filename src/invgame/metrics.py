@@ -1,4 +1,4 @@
-"""Distances and error metrics: TV, Hellinger, payoff/reward errors, and the
+"""Distances and error metrics: TV, payoff/reward errors, and the
 discrepancy between re-solved and observed equilibria."""
 
 from __future__ import annotations
@@ -35,12 +35,6 @@ def tv(p: np.ndarray, q: np.ndarray) -> float:
     """Total variation distance, half the L1 distance."""
     p, q = _check_pair(p, q)
     return float(0.5 * np.abs(p - q).sum())
-
-
-def hellinger_sq(p: np.ndarray, q: np.ndarray) -> float:
-    """Squared Hellinger distance with the 1/2 convention, so TV <= sqrt(2 H^2)."""
-    p, q = _check_pair(p, q)
-    return float(0.5 * ((np.sqrt(p) - np.sqrt(q)) ** 2).sum())
 
 
 def reward_metric_D(r: np.ndarray, r_prime: np.ndarray) -> float:

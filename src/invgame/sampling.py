@@ -34,10 +34,8 @@ def stream(seed: int, rep: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class EpisodeDataset:
-    """T episodes of H steps: states, actions, and successor states.
-
-    states, actions_a, actions_b, next_states all have shape (T, H).
-    """
+    """T episodes of H steps: states, actions and successor states, each a
+    (T, H) array of any strides (sampled ones are step-major views)."""
 
     states: np.ndarray
     actions_a: np.ndarray
@@ -45,9 +43,13 @@ class EpisodeDataset:
     next_states: np.ndarray
 
     def __post_init__(self):
-        arrays = (self.actions_a, self.actions_b, self.next_states)
-        if self.states.ndim != 2 or any(a.shape != self.states.shape for a in arrays):
+        if self.states.ndim != 2 or any(a.shape != self.states.shape for a in self.arrays):
             raise ValueError("episode arrays must share one shape (T, H)")
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """(states, actions_a, actions_b, next_states): the file's columns in order."""
+        return (self.states, self.actions_a, self.actions_b, self.next_states)
 
     @property
     def n_episodes(self) -> int:
@@ -58,18 +60,12 @@ class EpisodeDataset:
         return self.states.shape[1]
 
     def prefix(self, t: int) -> "EpisodeDataset":
-        return EpisodeDataset(
-            self.states[:t],
-            self.actions_a[:t],
-            self.actions_b[:t],
-            self.next_states[:t],
-        )
+        return EpisodeDataset(*(a[:t] for a in self.arrays))
 
     @cached_property
     def _ranges(self) -> list[tuple[int, int]]:
         """(min, max) of each array, in _COLUMNS order; none without episodes."""
-        arrays = (self.states, self.actions_a, self.actions_b, self.next_states)
-        return [(a.min(), a.max()) for a in arrays] if self.states.size else []
+        return [(a.min(), a.max()) for a in self.arrays] if self.states.size else []
 
     def check(self, s_len: int, m: int, n: int) -> None:
         """Reject indices a model of s_len states and m x n actions lacks, with
@@ -133,28 +129,34 @@ def sample_episodes(
     seed: int,
     rep: int = 0,
 ) -> EpisodeDataset:
-    """Roll out T episodes under the stage policies, storing successors."""
+    """Roll out T episodes under the stage policies, storing successors.  The
+    arrays are (T, H) views of one step-major block, so each step's columns
+    are contiguous and drawn in place: a, then b, then s'."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
     rng = stream(seed, rep)
-    h_len = spec.H
-    t = n_episodes
-    states = np.zeros((t, h_len), dtype=np.int64)
-    acts_a = np.zeros((t, h_len), dtype=np.int64)
-    acts_b = np.zeros((t, h_len), dtype=np.int64)
-    nexts = np.zeros((t, h_len), dtype=np.int64)
-    s = _draw_categorical(rng, np.cumsum(np.asarray(initial, dtype=float)), t)
-    cum_p = np.cumsum(spec.transition, axis=4)
-    for h in range(h_len):
-        states[:, h] = s
-        cum_mu = np.cumsum(policies.mu[h], axis=1)
-        cum_nu = np.cumsum(policies.nu[h], axis=1)
-        a = (rng.random(t)[:, None] > cum_mu[s]).sum(axis=1)
-        b = (rng.random(t)[:, None] > cum_nu[s]).sum(axis=1)
-        s_next = (rng.random(t)[:, None] > cum_p[h][s, a, b]).sum(axis=1)
-        acts_a[:, h], acts_b[:, h], nexts[:, h] = a, b, s_next
-        s = s_next
-    return EpisodeDataset(states, acts_a, acts_b, nexts)
+    block = np.empty((4, spec.H, n_episodes), dtype=np.int64)
+    states, acts_a, acts_b, nexts = block
+    states[0] = _draw_categorical(rng, np.cumsum(np.asarray(initial, dtype=float)), n_episodes)
+    cum_p = np.cumsum(spec.transition, axis=4).reshape(spec.H, -1, spec.S)
+    for h in range(spec.H):
+        _draw_rows(rng, np.cumsum(policies.mu[h], axis=1), states[h], acts_a[h])
+        _draw_rows(rng, np.cumsum(policies.nu[h], axis=1), states[h], acts_b[h])
+        row = (states[h] * spec.m + acts_a[h]) * spec.n + acts_b[h]  # int64: cannot wrap
+        _draw_rows(rng, cum_p[h], row, nexts[h])
+        if h + 1 < spec.H:
+            states[h + 1] = nexts[h]
+    return EpisodeDataset(*block.transpose(0, 2, 1))
+
+
+def _draw_rows(rng: np.random.Generator, cum: np.ndarray, rows: np.ndarray, out: np.ndarray):
+    """Inverse-CDF draws out[i] = #{j : u_i > cum[rows[i], j]}, counted one
+    column of cum at a time (no (T, k) gather) in a dtype that holds k."""
+    u = rng.random(rows.size)
+    count = np.zeros(rows.size, dtype=np.min_scalar_type(cum.shape[1]))
+    for column in cum.T:
+        count += u > column[rows]
+    out[...] = count
 
 
 def frequency_estimate_markov(
@@ -181,6 +183,8 @@ def state_action_counts(
     states: np.ndarray, actions: np.ndarray, s_len: int, n_actions: int
 ) -> np.ndarray:
     """Visits to each (state, action) pair of one step, shape (S, n_actions)."""
+    if s_len == 1:  # every state is 0: count the actions alone
+        return np.bincount(actions, minlength=n_actions)[None]
     flat = states * n_actions
     flat += actions  # in place, so one index array of the step is alive at a time
     return np.bincount(flat, minlength=s_len * n_actions).reshape(s_len, n_actions)
@@ -189,6 +193,8 @@ def state_action_counts(
 def state_visit_counts(data: EpisodeDataset, s_len: int) -> np.ndarray:
     """Per-step state visit counts N_h(s) with shape (H, S)."""
     data._check_columns((s_len,))
+    if s_len == 1:  # every episode is at state 0 at every step
+        return np.full((data.horizon, 1), data.n_episodes, dtype=np.int64)
     counts = np.zeros((data.horizon, s_len), dtype=np.int64)
     for h in range(data.horizon):
         counts[h] = np.bincount(data.states[:, h], minlength=s_len)
@@ -236,7 +242,6 @@ def write_dataset(data: EpisodeDataset, path: str | Path) -> None:
     the dataset.
     """
     h_len = data.horizon
-    columns = (data.states, data.actions_a, data.actions_b, data.next_states)
     n_rows = data.states.size
     with open(path, "wb") as fh:
         fh.write(DATASET_HEADER.encode("ascii") + b"\n")
@@ -247,7 +252,7 @@ def write_dataset(data: EpisodeDataset, path: str | Path) -> None:
             table = np.empty((episode.size, 6), dtype=np.int64)
             table[:, 0] = episode
             table[:, 1] = step
-            for k, column in enumerate(columns, start=2):
+            for k, column in enumerate(data.arrays, start=2):
                 table[:, k] = column[episode, step]
             fh.write(_format_rows(table))
 

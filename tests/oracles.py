@@ -5,8 +5,10 @@ scalar loops, bisection on 1-D reductions, brute-force grids, and Monte
 Carlo rollouts.  The exceptions are full_rank_oracle_model, a test-only
 instance builder that solves its stage games with solve_qre_batch;
 mle_fit_by_einsum, mle_fit's earlier loop, which counts the observed actions
-with the library's state_action_counts; and recover_rewards_on_truth, which
-runs the library's backward pass on the true policies and kernel.
+with the library's state_action_counts; sample_episodes_by_gather,
+sample_episodes' earlier body, which draws from the library's stream and
+initial-state draw; and recover_rewards_on_truth, which runs the library's
+backward pass on the true policies and kernel.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from invgame.markov_game import MarkovGameSpec
 from invgame.matrix_game import solve_qre_batch, stage_values
 from invgame.sampling import (
     EpisodeDataset,
+    _draw_categorical,
     empirical_state_distribution,
     state_action_counts,
     stream,
@@ -171,6 +174,15 @@ def matrix_linear_system(
 def marginals_by_bincount(actions: np.ndarray, n_actions: int) -> np.ndarray:
     """A matrix game's empirical marginal: each action's count over N."""
     return np.bincount(actions, minlength=n_actions) / actions.size
+
+
+def hellinger_sq(p: np.ndarray, q: np.ndarray) -> float:
+    """Squared Hellinger distance with the 1/2 convention, so TV <= sqrt(2 H^2)."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError(f"distribution shapes differ: {p.shape} vs {q.shape}")
+    return float(0.5 * ((np.sqrt(p) - np.sqrt(q)) ** 2).sum())
 
 
 def theoretical_kappa(
@@ -417,3 +429,30 @@ def full_rank_oracle_model(
         spec = MarkovGameSpec(reward_table, transition, eta=ETA, gamma=gamma)
         return spec, feats, thetas
     raise RuntimeError("no valid full-rank oracle instance found")
+
+
+def sample_episodes_by_gather(spec, policies, initial, n_episodes, seed, rep=0):
+    """sample_episodes' earlier body: episode-major (T, H) arrays, each step's
+    draws counted across a (T, k) gather of the cumulative table's rows.
+    The same Philox calls in the same order, so the same datasets."""
+    if n_episodes < 1:
+        raise ValueError("n_episodes must be at least 1")
+    rng = stream(seed, rep)
+    h_len = spec.H
+    t = n_episodes
+    states = np.zeros((t, h_len), dtype=np.int64)
+    acts_a = np.zeros((t, h_len), dtype=np.int64)
+    acts_b = np.zeros((t, h_len), dtype=np.int64)
+    nexts = np.zeros((t, h_len), dtype=np.int64)
+    s = _draw_categorical(rng, np.cumsum(np.asarray(initial, dtype=float)), t)
+    cum_p = np.cumsum(spec.transition, axis=4)
+    for h in range(h_len):
+        states[:, h] = s
+        cum_mu = np.cumsum(policies.mu[h], axis=1)
+        cum_nu = np.cumsum(policies.nu[h], axis=1)
+        a = (rng.random(t)[:, None] > cum_mu[s]).sum(axis=1)
+        b = (rng.random(t)[:, None] > cum_nu[s]).sum(axis=1)
+        s_next = (rng.random(t)[:, None] > cum_p[h][s, a, b]).sum(axis=1)
+        acts_a[:, h], acts_b[:, h], nexts[:, h] = a, b, s_next
+        s = s_next
+    return EpisodeDataset(states, acts_a, acts_b, nexts)

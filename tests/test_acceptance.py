@@ -26,10 +26,15 @@ from invgame.experiments import run_rep
 from invgame.inverse_markov import InversionConfig, ridge_fit
 from invgame.markov_game import backward_qre
 from invgame.matrix_game import MatrixGameSpec, qre_residual, solve_qre
-from invgame.metrics import hellinger_sq, reward_metric_D, reward_metric_D1, tv
+from invgame.metrics import reward_metric_D, reward_metric_D1, tv
 from invgame.sampling import EpisodeDataset, sample_episodes, stream
 
-from .oracles import full_rank_oracle_model, loglog_slope, recover_rewards_on_truth
+from .oracles import (
+    full_rank_oracle_model,
+    hellinger_sq,
+    loglog_slope,
+    recover_rewards_on_truth,
+)
 
 SEED = 20260808
 FULL = os.environ.get("INVGAME_FULL_ACCEPTANCE") == "1"

@@ -4,7 +4,6 @@ import pytest
 from invgame.markov_game import backward_qre, visit_distributions
 from invgame.matrix_game import PolicyPair
 from invgame.metrics import (
-    hellinger_sq,
     qre_discrepancy,
     qre_discrepancy_markov,
     reward_metric_D,
@@ -12,6 +11,7 @@ from invgame.metrics import (
     tv,
 )
 
+from .oracles import hellinger_sq
 from .test_markov_game import make_rng, simplex_feature_model
 from .test_matrix_game import seeded_features
 

@@ -47,7 +47,6 @@ PUBLIC_NAMES = [
     "frequency_estimate_matrix",
     "game_value",
     "hausdorff_estimate",
-    "hellinger_sq",
     "least_squares_theta",
     "min_norm_theta",
     "mle_fit",
@@ -116,7 +115,7 @@ def test_cli_only_parses_and_writes():
     assert not {"invgame.inverse_matrix", "invgame.inverse_markov"} & set(imported)
     assert not {"inverse_matrix", "inverse_markov"} & imported.get("invgame", set())
     assert imported["invgame.sampling"] == {"read_dataset", "write_dataset"}
-    assert len(PUBLIC_NAMES) == 53
+    assert len(PUBLIC_NAMES) == 52
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"

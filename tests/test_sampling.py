@@ -3,8 +3,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from invgame.experiments import custom_model, setup1_model, setup2_model
-from invgame.markov_game import MarkovGameSpec, backward_qre, visit_distributions
+from invgame.experiments import (
+    ExperimentConfig,
+    build_model,
+    custom_model,
+    saturated_policy_model,
+    setup1_model,
+    setup2_model,
+)
+from invgame.inverse_markov import InversionConfig, mle_fit, recover_rewards
+from invgame.markov_game import (
+    MarkovGameSpec,
+    StagePolicies,
+    backward_qre,
+    visit_distributions,
+)
 from invgame.matrix_game import MatrixGameSpec, PolicyPair, solve_qre
 from invgame.sampling import (
     _WRITE_BLOCK_ROWS,
@@ -26,6 +39,7 @@ from .oracles import (
     marginals_by_bincount,
     payoff_from_features,
     rows_by_join,
+    sample_episodes_by_gather,
 )
 from .test_markov_game import simplex_feature_model
 
@@ -36,6 +50,38 @@ def one_step_dataset(actions_a, actions_b) -> EpisodeDataset:
     return EpisodeDataset(
         state, np.array(actions_a)[:, None], np.array(actions_b)[:, None], state
     )
+
+
+def markov_instance(seed):
+    """Experiment instance `seed` of the markov kind (its model at rep 0), with
+    its QRE policies and the uniform start."""
+    spec = build_model(ExperimentConfig("markov", seed=seed), 0).to_tabular()
+    policies, _ = backward_qre(spec, tol=1e-12)
+    return spec, policies, np.full(spec.S, 1.0 / spec.S)
+
+
+def dirichlet_instance(seed, s_len, m, n, h_len=3):
+    """Random kernel, policies and start of the given sizes, all Dirichlet(1)."""
+    rng = stream(seed)
+    transition = rng.dirichlet(np.ones(s_len), size=(h_len, s_len, m, n))
+    spec = MarkovGameSpec(np.zeros((h_len, s_len, m, n)), transition, eta=1.0)
+    policies = StagePolicies(
+        rng.dirichlet(np.ones(m), size=(h_len, s_len)),
+        rng.dirichlet(np.ones(n), size=(h_len, s_len)),
+    )
+    return spec, policies, rng.dirichlet(np.ones(s_len))
+
+
+def deterministic_chain(h_len=3):
+    """Two states that swap at every step whatever is played; both players
+    always play action 0, and every episode starts at state 0."""
+    transition = np.zeros((h_len, 2, 2, 2, 2))
+    transition[:, 0, :, :, 1] = 1.0
+    transition[:, 1, :, :, 0] = 1.0
+    spec = MarkovGameSpec(np.zeros((h_len, 2, 2, 2)), transition, eta=1.0)
+    mu = np.zeros((h_len, 2, 2))
+    mu[:, :, 0] = 1.0
+    return spec, StagePolicies(mu, mu.copy()), np.array([1.0, 0.0])
 
 
 class TestSampleMatrixActions:
@@ -131,16 +177,7 @@ class TestFrequencyEstimateMatrix:
 
 class TestSampleEpisodes:
     def test_deterministic_chain(self):
-        h_len, s_len = 3, 2
-        rewards = np.zeros((h_len, s_len, 2, 2))
-        transition = np.zeros((h_len, s_len, 2, 2, s_len))
-        transition[:, 0, :, :, 1] = 1.0
-        transition[:, 1, :, :, 0] = 1.0
-        spec = MarkovGameSpec(rewards, transition, eta=1.0)
-        mu = np.zeros((h_len, s_len, 2))
-        mu[:, :, 0] = 1.0
-        policies = type("SP", (), {"mu": mu, "nu": mu.copy()})
-        data = sample_episodes(spec, policies, np.array([1.0, 0.0]), 10, seed=5)
+        data = sample_episodes(*deterministic_chain(), 10, seed=5)
         assert np.all(data.states == [0, 1, 0])
         assert np.all(data.next_states == [1, 0, 1])
         assert np.all(data.actions_a == 0)
@@ -172,6 +209,96 @@ class TestSampleEpisodes:
         d2 = sample_episodes(spec, policies, initial, 100, seed=3, rep=4)
         assert np.array_equal(d1.states, d2.states)
         assert np.array_equal(d1.next_states, d2.next_states)
+
+
+class TestSampleEpisodesAgainstGather:
+    """sample_episodes against its earlier gather-and-sum body in the oracles:
+    the same Philox draws must give the same int64 datasets.  Tables of more
+    than 255 actions or (state, action, action) rows catch a count or a row
+    index formed in too narrow a dtype."""
+
+    def assert_same_draws(self, instance, n_episodes, seed):
+        data = sample_episodes(*instance, n_episodes, seed, rep=2)
+        oracle = sample_episodes_by_gather(*instance, n_episodes, seed, rep=2)
+        for got, want in zip(data.arrays, oracle.arrays):
+            assert got.dtype == np.int64 and got.shape == (n_episodes, instance[0].H)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_episodes", [1, 7, 20000])
+    @pytest.mark.parametrize("seed", range(9))
+    def test_markov_instances(self, seed, n_episodes):
+        self.assert_same_draws(markov_instance(seed), n_episodes, seed)
+
+    @pytest.mark.parametrize("n_episodes", [1, 7, 1000])
+    def test_deterministic_chain(self, n_episodes):
+        self.assert_same_draws(deterministic_chain(), n_episodes, 5)
+
+    @pytest.mark.parametrize("n_episodes", [1, 7, 1000])
+    @pytest.mark.parametrize(
+        "sizes", [(3, 2, 300), (2, 300, 3), (5, 17, 19), (1, 2, 2)], ids=str
+    )
+    def test_dirichlet_instances(self, sizes, n_episodes):
+        self.assert_same_draws(dirichlet_instance(27, *sizes), n_episodes, 28)
+
+    def test_memory_is_the_dataset_and_one_step(self):
+        # 1e5 episodes of H=6: the dataset's own int64 arrays take
+        # 4 * T * H * 8 = 19.2 MB; a transposed copy of them would show here
+        # (and in the benchmark's peak_rss_mb) as a peak near twice that
+        spec, policies, initial = markov_instance(1)
+        t = 10**5
+        tracemalloc.start()
+        try:
+            sample_episodes(spec, policies, initial, t, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 4 * t * spec.H * 8
+
+
+class TestLayoutIndependence:
+    """EpisodeDataset arrays are (T, H) views of any strides: a sampled
+    dataset's step-major views and C-contiguous copies of them must give the
+    same results."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        spec, policies, initial = markov_instance(3)
+        model = build_model(ExperimentConfig("markov", seed=3), 0)
+        data = sample_episodes(spec, policies, initial, 5000, seed=3)
+        assert not data.states.flags.c_contiguous
+        copy = EpisodeDataset(*(np.ascontiguousarray(a) for a in data.arrays))
+        return spec, model, data, copy
+
+    def test_frequency_estimate_markov(self, case):
+        spec, _, data, copy = case
+        est, est_copy = (frequency_estimate_markov(d, spec.S, spec.m, spec.n) for d in (data, copy))
+        for field in ("mu_hat", "nu_hat", "counts", "visited"):
+            assert np.array_equal(getattr(est, field), getattr(est_copy, field))
+
+    def test_recover_rewards(self, case):
+        spec, model, data, copy = case
+        config = InversionConfig(
+            features=model.features, eta=spec.eta, gamma=spec.gamma, kappa=0.2,
+            ridge_lambda=0.01, theta_norm_cap=model.theta_norm_cap,
+        )
+        sample, sample_copy = (recover_rewards(d, config)[0] for d in (data, copy))
+        for field in ("thetas", "q_values", "v_values", "rewards", "feasible"):
+            assert np.array_equal(getattr(sample, field), getattr(sample_copy, field))
+
+    def test_mle_fit(self, case):
+        spec, _, data, copy = case
+        policy_model = saturated_policy_model(spec.S, spec.m, spec.n)
+        for player in ("a", "b"):
+            fit, fit_copy = (mle_fit(d.prefix(200), policy_model, 2, player) for d in (data, copy))
+            assert fit.iterations == fit_copy.iterations
+            assert np.array_equal(fit.params, fit_copy.params)
+            assert np.array_equal(fit.objective_trace, fit_copy.objective_trace)
+
+    def test_write_dataset(self, case, tmp_path):
+        _, _, data, copy = case
+        write_dataset(data, tmp_path / "views.csv")
+        write_dataset(copy, tmp_path / "copies.csv")
+        assert (tmp_path / "views.csv").read_bytes() == (tmp_path / "copies.csv").read_bytes()
 
 
 class TestFrequencyEstimateMarkov:
