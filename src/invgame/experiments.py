@@ -37,7 +37,7 @@ from invgame.inverse_matrix import (
     reconstruct_payoff,
 )
 from invgame.markov_game import LinearMDPModel, backward_qre, visit_distributions
-from invgame.matrix_game import FeatureModel, MatrixGameSpec, solve_qre
+from invgame.matrix_game import FeatureModel, MatrixGameSpec, QreConvergenceError, solve_qre
 from invgame.metrics import (
     ErrorReport,
     qre_discrepancy,
@@ -50,7 +50,7 @@ from invgame.sampling import (
     frequency_estimate_matrix,
     sample_episodes,
     sample_matrix_actions,
-    state_visit_counts,
+    step_counts,
     stream,
 )
 
@@ -463,13 +463,19 @@ def run_markov_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
         recover, block_weights = recover_rewards, lambda counts, n: counts > 0
     samples = []
     for n_episodes in config.samples:
-        subset = data.prefix(n_episodes)
-        counts = state_visit_counts(subset, spec.S)
-        kappa = kappa_rule(counts, block_weights(counts, n_episodes), config.kappa_scale)
-        samples.append(recover(subset, _inversion(config, model, kappa, policy_model))[0])
-    qre_errs, per_step_qres = qre_discrepancy_markov(
-        spec, np.stack([sample.rewards for sample in samples]), truth, state_dists
-    )
+        try:
+            subset = data.prefix(n_episodes)
+            counts = step_counts(subset, spec.S, spec.m, spec.n).sum(axis=(2, 3, 4))
+            kappa = kappa_rule(counts, block_weights(counts, n_episodes), config.kappa_scale)
+            samples.append(recover(subset, _inversion(config, model, kappa, policy_model))[0])
+        except Exception as err:
+            raise RuntimeError(f"recovery failed at N={n_episodes}: {err!r}") from err
+    rewards = np.stack([sample.rewards for sample in samples])
+    try:
+        qre_errs, per_step_qres = qre_discrepancy_markov(spec, rewards, truth, state_dists)
+    except QreConvergenceError as err:  # failed entries are (size index, state)
+        n_episodes = config.samples[err.failed[0][0]]
+        raise RuntimeError(f"re-solve failed at N={n_episodes}: {err!r}") from err
 
     def per_step(diff):  # the norm of each step's slice
         return np.linalg.norm(diff.reshape(spec.H, -1), axis=1)

@@ -27,37 +27,38 @@ from invgame.sampling import (
     EpisodeDataset,
     empirical_state_distribution,
     frequency_estimate_markov,
-    state_action_counts,
+    step_counts,
 )
 
 
 @dataclass(frozen=True)
 class RidgeTransitionEstimator:
-    """Gram matrix and step samples backing the ridge value predictor."""
+    """Gram matrix and the step's cell counts (of step_counts) behind the ridge predictor."""
 
     gram: np.ndarray
-    sample_features: np.ndarray  # (T, d) features of the step-h samples
-    next_states: np.ndarray  # (T,) observed successors
+    cell_features: np.ndarray  # (S*m*n, d) features of the (s, a, b) cells
+    successor_counts: np.ndarray  # (S*m*n, S) the step's N(s, a, b, s')
 
     def value_weights(self, v_next: np.ndarray) -> np.ndarray:
-        """Solve Lambda w = sum_t phi_t V(s'_t) for the prediction weights."""
-        target = self.sample_features.T @ np.asarray(v_next, dtype=float)[
-            self.next_states
-        ]
-        return np.linalg.solve(self.gram, target)
+        """Solve Lambda w = sum_t phi_t V(s'_t), summed as Phi' (N V) over the cells."""
+        cell_sums = self.successor_counts @ np.asarray(v_next, dtype=float)
+        return np.linalg.solve(self.gram, self.cell_features.T @ cell_sums)
 
 
 def ridge_fit(
     data: EpisodeDataset, features: np.ndarray, ridge_lambda: float, step: int
 ) -> RidgeTransitionEstimator:
-    """Accumulate the step's Gram matrix Lambda = sum phi phi' + lambda I."""
+    """The step's Gram matrix Lambda = sum_t phi_t phi_t' + lambda I, summed
+    as sum over cells of N(s, a, b) phi phi' from the dataset's step count
+    table (counted once per dataset), so its cost does not grow with T."""
     if not ridge_lambda > 0:
         raise ValueError("ridge_lambda must be positive")
     features = np.asarray(features, dtype=float)
-    data.check(*features.shape[:3])
-    phi_t = features[data.states[:, step], data.actions_a[:, step], data.actions_b[:, step]]
-    gram = phi_t.T @ phi_t + ridge_lambda * np.eye(features.shape[3])
-    return RidgeTransitionEstimator(gram, phi_t, data.next_states[:, step])
+    s_len, m, n, d = features.shape
+    counts = step_counts(data, s_len, m, n)[step].reshape(-1, s_len)
+    cell_features = features.reshape(-1, d)
+    gram = (cell_features.T * counts.sum(axis=1)) @ cell_features + ridge_lambda * np.eye(d)
+    return RidgeTransitionEstimator(gram, cell_features, counts)
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,8 @@ def mle_fit(
     the softmax model; fixed step 1/K^2 where K bounds the feature norms,
     stopping when the gradient-mapping norm falls below tol.  The objective
     is convex, so the trace is nonincreasing.  Each iteration reads only the
-    step's (S, actions) count table, so it costs O(S * actions * d),
-    independent of the number of episodes.
+    step's (S, actions) marginal of the dataset's count table (step_counts),
+    so it costs O(S * actions * d), independent of the number of episodes.
     """
     if player not in ("a", "b"):
         raise ValueError("player must be 'a' or 'b'")
@@ -127,13 +128,10 @@ def mle_fit(
         raise ValueError("max_iter must be at least 1")
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
-    data.check(*model.psi_a.shape[:2], model.psi_b.shape[1])
+    table = step_counts(data, *model.psi_a.shape[:2], model.psi_b.shape[1])[step]
     psi = model.psi_a if player == "a" else model.psi_b
-    actions = data.actions_a if player == "a" else data.actions_b
     s_len, n_actions, dim = psi.shape
-    counts = state_action_counts(
-        data.states[:, step], actions[:, step], s_len, n_actions
-    ).astype(float)
+    counts = table.sum(axis=(2, 3) if player == "a" else (1, 3)).astype(float)
     total = counts.sum()
     if total == 0:
         raise ValueError(f"no samples at step {step}")
@@ -237,7 +235,7 @@ def _estimates(data: EpisodeDataset, config: InversionConfig, mle: bool) -> _Est
             ])
             for player, psi in (("a", model.psi_a), ("b", model.psi_b))
         )
-        weights = empirical_state_distribution(data, config.features.shape[0])
+        weights = empirical_state_distribution(data, *config.features.shape[:3])
     return _Estimates(floor_distribution(mu), floor_distribution(nu), weights)
 
 
@@ -293,7 +291,6 @@ def _backward_pass(
 def _run_algorithm(
     data: EpisodeDataset, config: InversionConfig, mle: bool
 ) -> list[RecoveredRewardSample]:
-    data.check(*config.features.shape[:3])
     estimates = _estimates(data, config, mle)
     sets = tuple(stepwise_confidence_sets(data, config, estimates))
     s_len, m, n, d = config.features.shape

@@ -1,4 +1,4 @@
-"""Observation datasets drawn from QRE play, and frequency estimators.
+"""Observation datasets drawn from QRE play, their count tables, and frequency estimators.
 
 A matrix game's samples are one-step episodes at state 0, so both game
 classes share one dataset type and one estimator.
@@ -22,6 +22,7 @@ from invgame.matrix_game import PolicyPair
 DATASET_HEADER = "episode,step,state,action_a,action_b,next_state"
 _COLUMNS = DATASET_HEADER.split(",")[2:]  # the EpisodeDataset arrays, as the file names them
 _WRITE_BLOCK_ROWS = 1 << 10  # dataset rows formatted at once
+_COUNT_BLOCK = 1 << 14  # episodes whose cell indices are formed at once
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)  # 1 .. 10**19: every uint64 digit count
 
 
@@ -63,20 +64,14 @@ class EpisodeDataset:
         return EpisodeDataset(*(a[:t] for a in self.arrays))
 
     @cached_property
-    def _ranges(self) -> list[tuple[int, int]]:
-        """(min, max) of each array, in _COLUMNS order; none without episodes."""
-        return [(a.min(), a.max()) for a in self.arrays] if self.states.size else []
+    def _step_counts(self) -> dict[tuple[int, int, int], np.ndarray]:  # by (S, m, n)
+        return {}
 
     def check(self, s_len: int, m: int, n: int) -> None:
         """Reject indices a model of s_len states and m x n actions lacks, with
-        a ValueError naming the column as the dataset file spells it.  Ranges
-        are computed once per dataset, so every entry point can afford this."""
-        self._check_columns((s_len, m, n, s_len))
-
-    def _check_columns(self, sizes: tuple[int, ...]) -> None:
-        """check's test of the first len(sizes) columns, in _COLUMNS order."""
-        for column, (lo, hi), size in zip(_COLUMNS, self._ranges, sizes):
-            if lo < 0 or hi >= size:
+        a ValueError naming the column as the dataset file spells it."""
+        for column, a, size in zip(_COLUMNS, self.arrays, (s_len, m, n, s_len)):
+            if a.size and (a.min() < 0 or a.max() >= size):
                 raise ValueError(f"{column} must lie in 0..{size - 1}")
 
 
@@ -113,9 +108,7 @@ def sample_matrix_actions(
     return EpisodeDataset(state, a[:, None], b[:, None], state)
 
 
-def frequency_estimate_matrix(
-    data: EpisodeDataset, m: int, n: int
-) -> EmpiricalMarkovQRE:
+def frequency_estimate_matrix(data: EpisodeDataset, m: int, n: int) -> EmpiricalMarkovQRE:
     """Empirical marginals mu_hat(a) = #{a^k = a} / N and likewise for nu, of
     one-step episodes at state 0: the S=1 case of frequency_estimate_markov."""
     return frequency_estimate_markov(data, 1, m, n)
@@ -162,48 +155,52 @@ def _draw_rows(rng: np.random.Generator, cum: np.ndarray, rows: np.ndarray, out:
 def frequency_estimate_markov(
     data: EpisodeDataset, s_len: int, m: int, n: int
 ) -> EmpiricalMarkovQRE:
-    """Per-(h, s) conditional frequencies with the (N_h(s) v 1) denominator."""
-    data.check(s_len, m, n)
-    h_len = data.horizon
-    counts = state_visit_counts(data, s_len)
-    mu_hat = np.zeros((h_len, s_len, m))
-    nu_hat = np.zeros((h_len, s_len, n))
-    for h in range(h_len):
-        denom = np.maximum(counts[h], 1)[:, None]
-        s_col = data.states[:, h]
-        mu_hat[h] = state_action_counts(s_col, data.actions_a[:, h], s_len, m) / denom
-        nu_hat[h] = state_action_counts(s_col, data.actions_b[:, h], s_len, n) / denom
+    """Per-(h, s) conditional frequencies of step_counts, over N_h(s) v 1."""
+    table = step_counts(data, s_len, m, n)
+    counts = table.sum(axis=(2, 3, 4))
+    denom = np.maximum(counts, 1)[:, :, None]
+    mu_hat = table.sum(axis=(3, 4)) / denom
+    nu_hat = table.sum(axis=(2, 4)) / denom
     visited = counts > 0
     mu_hat[~visited] = 1.0 / m
     nu_hat[~visited] = 1.0 / n
     return EmpiricalMarkovQRE(mu_hat, nu_hat, counts, visited)
 
 
-def state_action_counts(
-    states: np.ndarray, actions: np.ndarray, s_len: int, n_actions: int
-) -> np.ndarray:
-    """Visits to each (state, action) pair of one step, shape (S, n_actions)."""
-    if s_len == 1:  # every state is 0: count the actions alone
-        return np.bincount(actions, minlength=n_actions)[None]
-    flat = states * n_actions
-    flat += actions  # in place, so one index array of the step is alive at a time
-    return np.bincount(flat, minlength=s_len * n_actions).reshape(s_len, n_actions)
+def step_counts(data: EpisodeDataset, s_len: int, m: int, n: int) -> np.ndarray:
+    """The read-only int64 table N_h(s, a, b, s'), shaped (H, S, m, n, S) like
+    the transition kernel, that every estimator reads.  It is counted once per
+    dataset and model shape, after data.check, so an index out of range is
+    named rather than counted in a neighbouring cell."""
+    table = data._step_counts.get((s_len, m, n))
+    if table is None:
+        data.check(s_len, m, n)
+        table = data._step_counts[s_len, m, n] = _count_steps(data, s_len, m, n)
+    return table
 
 
-def state_visit_counts(data: EpisodeDataset, s_len: int) -> np.ndarray:
-    """Per-step state visit counts N_h(s) with shape (H, S)."""
-    data._check_columns((s_len,))
-    if s_len == 1:  # every episode is at state 0 at every step
-        return np.full((data.horizon, 1), data.n_episodes, dtype=np.int64)
-    counts = np.zeros((data.horizon, s_len), dtype=np.int64)
-    for h in range(data.horizon):
-        counts[h] = np.bincount(data.states[:, h], minlength=s_len)
-    return counts
+def _count_steps(data: EpisodeDataset, s_len: int, m: int, n: int) -> np.ndarray:
+    """One bincount per step and block of episodes over the cells' flat
+    indices, formed in place: one block-sized index array is alive at a time."""
+    cells = s_len * m * n * s_len
+    table = np.zeros((data.horizon, cells), dtype=np.int64)
+    for start in range(0, data.n_episodes, _COUNT_BLOCK):
+        states, acts_a, acts_b, nexts = (a[start : start + _COUNT_BLOCK].T for a in data.arrays)
+        for h in range(data.horizon):
+            key = np.multiply(states[h], m, dtype=np.int64)  # any index dtype: no wrap
+            key += acts_a[h]
+            key *= n
+            key += acts_b[h]
+            key *= s_len
+            key += nexts[h]
+            table[h] += np.bincount(key, minlength=cells)
+    table.flags.writeable = False
+    return table.reshape(data.horizon, s_len, m, n, s_len)
 
 
-def empirical_state_distribution(data: EpisodeDataset, s_len: int) -> np.ndarray:
+def empirical_state_distribution(data: EpisodeDataset, s_len: int, m: int, n: int) -> np.ndarray:
     """Per-step state frequencies rho_hat = N_h(s) / N with shape (H, S)."""
-    return state_visit_counts(data, s_len) / data.n_episodes
+    return step_counts(data, s_len, m, n).sum(axis=(2, 3, 4)) / data.n_episodes
 
 
 def _format_rows(table: np.ndarray) -> np.ndarray:

@@ -4,11 +4,12 @@ Everything here deliberately avoids the library's own solution paths:
 scalar loops, bisection on 1-D reductions, brute-force grids, and Monte
 Carlo rollouts.  The exceptions are full_rank_oracle_model, a test-only
 instance builder that solves its stage games with solve_qre_batch;
-mle_fit_by_einsum, mle_fit's earlier loop, which counts the observed actions
-with the library's state_action_counts; sample_episodes_by_gather,
-sample_episodes' earlier body, which draws from the library's stream and
-initial-state draw; and recover_rewards_on_truth, which runs the library's
-backward pass on the true policies and kernel.
+sample_episodes_by_gather, sample_episodes' earlier body, which draws from
+the library's stream and initial-state draw; and recover_rewards_on_truth,
+which runs the library's backward pass on the true policies and kernel
+(and reads the visit weights of the library's count table).  The earlier
+estimator bodies (mle_fit_by_einsum, ridge_fit_by_gather and
+frequency_estimate_by_step) count the dataset themselves.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from invgame.sampling import (
     EpisodeDataset,
     _draw_categorical,
     empirical_state_distribution,
-    state_action_counts,
     stream,
 )
 
@@ -230,7 +230,7 @@ def recover_rewards_on_truth(data, config, truth, transition, mle=False):
     each, or their empirical visit probability under mle, as in the drivers.
     """
     weights = (
-        empirical_state_distribution(data, truth.mu.shape[1])
+        empirical_state_distribution(data, *truth.mu.shape[1:], truth.nu.shape[2])
         if mle
         else np.ones(truth.mu.shape[:2])
     )
@@ -324,9 +324,9 @@ def mle_fit_by_einsum(
     psi = model.psi_a if player == "a" else model.psi_b
     actions = data.actions_a if player == "a" else data.actions_b
     s_len, n_actions, dim = psi.shape
-    counts = state_action_counts(
-        data.states[:, step], actions[:, step], s_len, n_actions
-    ).astype(float)
+    counts = np.bincount(
+        data.states[:, step] * n_actions + actions[:, step], minlength=s_len * n_actions
+    ).reshape(s_len, n_actions).astype(float)
     total = counts.sum()
     if total == 0:
         raise ValueError(f"no samples at step {step}")
@@ -456,3 +456,46 @@ def sample_episodes_by_gather(spec, policies, initial, n_episodes, seed, rep=0):
         acts_a[:, h], acts_b[:, h], nexts[:, h] = a, b, s_next
         s = s_next
     return EpisodeDataset(states, acts_a, acts_b, nexts)
+
+
+def step_counts_by_add_at(data, s_len, m, n):
+    """The (H, S, m, n, S) table N_h(s, a, b, s'), scattered one episode per
+    unit with np.add.at."""
+    table = np.zeros((data.horizon, s_len, m, n, s_len), dtype=np.int64)
+    for h in range(data.horizon):
+        cells = (data.states[:, h], data.actions_a[:, h], data.actions_b[:, h])
+        np.add.at(table[h], cells + (data.next_states[:, h],), 1)
+    return table
+
+
+def frequency_estimate_by_step(data, s_len, m, n):
+    """frequency_estimate_markov's earlier body: each step's (state, action)
+    pairs counted by their own bincount.  Returns (mu_hat, nu_hat, counts)."""
+    h_len = data.horizon
+    counts = np.zeros((h_len, s_len), dtype=np.int64)
+    mu_hat, nu_hat = np.zeros((h_len, s_len, m)), np.zeros((h_len, s_len, n))
+    for h in range(h_len):
+        s_col = data.states[:, h]
+        counts[h] = np.bincount(s_col, minlength=s_len)
+        denom = np.maximum(counts[h], 1)[:, None]
+        for out, actions, k in ((mu_hat, data.actions_a, m), (nu_hat, data.actions_b, n)):
+            pairs = np.bincount(s_col * k + actions[:, h], minlength=s_len * k)
+            out[h] = pairs.reshape(s_len, k) / denom
+    mu_hat[counts == 0] = 1.0 / m
+    nu_hat[counts == 0] = 1.0 / n
+    return mu_hat, nu_hat, counts
+
+
+def ridge_fit_by_gather(data, features, ridge_lambda, step):
+    """ridge_fit's earlier body: the step's (T, d) feature rows gathered one
+    per episode, Lambda = Phi' Phi + lambda I, and the prediction weights
+    Lambda^-1 Phi' V(s').  Returns (gram, value_weights)."""
+    features = np.asarray(features, dtype=float)
+    phi_t = features[data.states[:, step], data.actions_a[:, step], data.actions_b[:, step]]
+    gram = phi_t.T @ phi_t + ridge_lambda * np.eye(features.shape[3])
+    next_states = data.next_states[:, step]
+
+    def value_weights(v_next):
+        return np.linalg.solve(gram, phi_t.T @ np.asarray(v_next, dtype=float)[next_states])
+
+    return gram, value_weights

@@ -16,8 +16,10 @@ from invgame.cli import (
 )
 from invgame import experiments
 from invgame.experiments import markov_model, run_rep
+from invgame.inverse_markov import recover_rewards
 from invgame.inverse_matrix import ConfidenceSet, empirical_system
 from invgame.markov_game import backward_qre
+from invgame.matrix_game import QreConvergenceError
 from invgame.sampling import (
     frequency_estimate_matrix,
     read_dataset,
@@ -119,6 +121,40 @@ class TestRunExperiment:
         assert len(drawn) == 1
         for column in ("states", "actions_a", "actions_b", "next_states"):
             assert np.array_equal(getattr(drawn[0], column), getattr(simulated, column))
+
+    def test_failed_markov_rep_names_the_failing_size(self, monkeypatch):
+        # the recovery fails at N = 1000 only; every record of the rep fails,
+        # and each names that size
+        config = ExperimentConfig(kind="markov", seed=5, samples=(500, 1000, 2000), horizon=3)
+
+        def failing_at_1000(data, inversion):
+            if data.n_episodes == 1000:
+                raise np.linalg.LinAlgError("singular at this size")
+            return recover_rewards(data, inversion)
+
+        monkeypatch.setattr(experiments, "recover_rewards", failing_at_1000)
+        records = run_rep(config, 0)
+        assert [r.sample_size for r in records] == [500, 1000, 2000]
+        for record in records:
+            assert record.report is None
+            assert "failed at N=1000:" in record.error
+            assert "singular at this size" in record.error
+            assert "N=500" not in record.error and "N=2000" not in record.error
+
+    def test_failed_markov_re_solve_names_the_failing_size(self, monkeypatch):
+        # the re-solve stacks the sizes: an unconverged entry (k, state)
+        # belongs to sample size k
+        config = ExperimentConfig(kind="markov", seed=5, samples=(500, 1000, 2000), horizon=3)
+
+        def unconverged_at_2000(spec, rewards, *args):
+            assert rewards.shape[0] == 3
+            raise QreConvergenceError(7, 0.5, [(2, 1)], step=1, state=1)
+
+        monkeypatch.setattr(experiments, "qre_discrepancy_markov", unconverged_at_2000)
+        for record in run_rep(config, 0):
+            assert record.report is None
+            assert "re-solve failed at N=2000:" in record.error
+            assert "at step 1, state 1" in record.error
 
     @pytest.mark.parametrize(
         "base",

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from invgame import inverse_markov
+from invgame import experiments, inverse_markov, sampling
 from invgame.experiments import (
     ExperimentConfig,
     kappa_rule,
@@ -30,16 +30,18 @@ from invgame.sampling import (
     EpisodeDataset,
     frequency_estimate_markov,
     sample_episodes,
-    state_action_counts,
-    state_visit_counts,
+    step_counts,
     stream,
 )
 
 from .oracles import (
+    frequency_estimate_by_step,
     full_rank_oracle_model,
     matrix_linear_system,
     mle_fit_by_einsum,
     recover_rewards_on_truth,
+    ridge_fit_by_gather,
+    step_counts_by_add_at,
     theoretical_kappa,
     tv_error_bound,
 )
@@ -237,6 +239,88 @@ class TestRidge:
                     oracle = v_next[nexts[mask, 0]].mean()
                     pred = feats[s, a, b] @ est.value_weights(v_next)
                     assert pred == pytest.approx(oracle, abs=1e-6)
+
+
+class TestEstimatorsAgainstEarlierBodies:
+    """Every estimator reads the step count table.  On 1e5 sampled episodes
+    (the markov kind's instance at seed 20260808, rep 0) the frequency
+    estimates must equal their earlier per-step body bit for bit, the MLE
+    iterates must not move by a bit on the scatter-add oracle's table, and
+    the ridge fit, now summed per cell, must match the per-sample gather to
+    round-off."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        model = markov_model(stream(20260808, 0))
+        spec = model.to_tabular()
+        truth, _ = backward_qre(spec, tol=1e-12)
+        data = sample_episodes(spec, truth, np.full(spec.S, 0.25), 10**5, 20260808, 0)
+        return model, spec, data
+
+    def test_ridge_fit_matches_the_gather(self, case):
+        model, spec, data = case
+        rng = stream(99)
+        for step in range(spec.H):
+            fit = ridge_fit(data, model.features, 0.01, step)
+            gram, value_weights = ridge_fit_by_gather(data, model.features, 0.01, step)
+            np.testing.assert_allclose(fit.gram, gram, rtol=1e-12, atol=0)
+            for v_next in (rng.standard_normal(spec.S), np.arange(1.0, spec.S + 1)):
+                np.testing.assert_allclose(
+                    fit.value_weights(v_next), value_weights(v_next), rtol=1e-12, atol=0
+                )
+
+    def test_frequency_estimates_are_bit_identical(self, case):
+        _, spec, data = case
+        est = frequency_estimate_markov(data, spec.S, spec.m, spec.n)
+        mu_hat, nu_hat, counts = frequency_estimate_by_step(data, spec.S, spec.m, spec.n)
+        assert np.array_equal(est.mu_hat, mu_hat) and np.array_equal(est.nu_hat, nu_hat)
+        assert np.array_equal(est.counts, counts) and np.array_equal(est.visited, counts > 0)
+
+    def test_mle_iterates_are_bit_identical_on_the_oracle_table(self, case, monkeypatch):
+        # the fit sees the data only through the table, so the scatter-add
+        # table must give the same iterates to the last bit
+        _, spec, data = case
+        policy = saturated_policy_model(spec.S, spec.m, spec.n)
+        fits = [mle_fit(data, policy, step, player) for step in (0, 5) for player in "ab"]
+        monkeypatch.setattr(inverse_markov, "step_counts", step_counts_by_add_at)
+        for fit, (step, player) in zip(fits, [(0, "a"), (0, "b"), (5, "a"), (5, "b")]):
+            oracle = mle_fit(data, policy, step, player)
+            assert fit.iterations == oracle.iterations and fit.converged
+            assert np.array_equal(fit.params, oracle.params)
+            assert np.array_equal(fit.objective_trace, oracle.objective_trace)
+
+
+class TestOneCountPass:
+    """Each dataset prefix a markov op inverts is counted once: the runner's
+    thresholds, the policy estimates, the visit weights and every step's
+    ridge fit read one table."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        counted = []
+        count_steps = sampling._count_steps
+
+        def counting(data, *shape):
+            counted.append(data.n_episodes)
+            return count_steps(data, *shape)
+
+        monkeypatch.setattr(sampling, "_count_steps", counting)
+        return counted
+
+    @pytest.mark.parametrize("policy_estimator", ["frequency", "mle"])
+    def test_run_markov_rep(self, passes, policy_estimator):
+        config = markov_config(5, [500, 1000, 3000], policy_estimator=policy_estimator)
+        records = run_markov_rep(config, 0)
+        assert all(record.report is not None for record in records)
+        assert passes == [500, 1000, 3000]
+
+    def test_invert_markov(self, passes):
+        config = markov_config(5, [2000])
+        model = experiments.build_model(config, 0)
+        data = experiments.sample_dataset(config, 0, 2000)
+        result = experiments.invert_markov(config, model, data)
+        assert len(result["theta_hat"]) == config.horizon
+        assert passes == [2000]
 
 
 def unobserved_last_action_case():
@@ -586,7 +670,7 @@ class TestMleFit:
         data, model = dense_mle_case(radius)
         fit = mle_fit(data, model, 0, "a")
         assert abs(np.linalg.norm(fit.params) - radius) <= 1e-12
-        freqs = state_action_counts(data.states[:, 0], data.actions_a[:, 0], 3, 4) / 500
+        freqs = step_counts(data, 3, 4, 2)[0].sum(axis=(2, 3)) / 500
         probs = model.conditionals(model.psi_a, fit.params)
         grad = np.einsum("s,sa,sad->d", freqs.sum(axis=1), probs, model.psi_a)
         grad -= np.einsum("sa,sad->d", freqs, model.psi_a)
@@ -703,7 +787,7 @@ class TestPerBlockThreshold:
         n = 10**4
         record = run_markov_rep(markov_config(20260808, [n]), 1)[0]
         model, spec, data = self.markov_rep_data(20260808, 1, n)
-        counts = state_visit_counts(data, spec.S)
+        counts = step_counts(data, spec.S, spec.m, spec.n).sum(axis=(2, 3, 4))
         config = InversionConfig(
             features=model.features, eta=spec.eta, gamma=spec.gamma,
             kappa=kappa_rule(counts, counts > 0), ridge_lambda=0.01, theta_norm_cap=10.0,
@@ -722,7 +806,7 @@ class TestPerBlockThreshold:
             markov_config(20260808, [n], policy_estimator="mle"), 1
         )[0]
         _, spec, data = self.markov_rep_data(20260808, 1, n)
-        counts = state_visit_counts(data, spec.S)
+        counts = step_counts(data, spec.S, spec.m, spec.n).sum(axis=(2, 3, 4))
         mle_kappa = kappa_rule(counts, counts / n)
         assert [cset.kappa for cset in record.sets] == mle_kappa.tolist()
         assert mle_kappa == pytest.approx(1e3 * (counts > 0).sum(axis=1) / n)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from invgame import sampling
 from invgame.experiments import (
     ExperimentConfig,
     build_model,
@@ -29,7 +30,7 @@ from invgame.sampling import (
     read_dataset,
     sample_episodes,
     sample_matrix_actions,
-    state_visit_counts,
+    step_counts,
     stream,
     write_dataset,
 )
@@ -40,6 +41,7 @@ from .oracles import (
     payoff_from_features,
     rows_by_join,
     sample_episodes_by_gather,
+    step_counts_by_add_at,
 )
 from .test_markov_game import simplex_feature_model
 
@@ -195,7 +197,7 @@ class TestSampleEpisodes:
         policies, _ = backward_qre(spec)
         initial = np.full(spec.S, 0.25)
         data = sample_episodes(spec, policies, initial, 10**5, seed=13)
-        rho = empirical_state_distribution(data, spec.S)
+        rho = empirical_state_distribution(data, spec.S, spec.m, spec.n)
         state, _ = visit_distributions(spec, policies, initial)
         tv = 0.5 * np.abs(rho - state).sum(axis=1)
         assert tv.max() < 1e-2
@@ -301,6 +303,111 @@ class TestLayoutIndependence:
         assert (tmp_path / "views.csv").read_bytes() == (tmp_path / "copies.csv").read_bytes()
 
 
+class TestStepCounts:
+    """step_counts against a scatter-add oracle, on every array layout the
+    library makes, with its cache and its range check."""
+
+    def assert_counts(self, data, s_len, m, n):
+        table = step_counts(data, s_len, m, n)
+        assert table.dtype == np.int64 and table.shape == (data.horizon, s_len, m, n, s_len)
+        assert np.array_equal(table, step_counts_by_add_at(data, s_len, m, n))
+        assert table.sum() == data.states.size
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_sampled_step_major_views(self, seed):
+        spec, policies, initial = markov_instance(seed)
+        data = sample_episodes(spec, policies, initial, 20000, seed)
+        assert not data.states.flags.c_contiguous
+        self.assert_counts(data, spec.S, spec.m, spec.n)
+
+    @pytest.mark.parametrize(
+        "sizes", [(3, 2, 300), (2, 300, 3), (5, 17, 19), (1, 2, 2)], ids=str
+    )
+    def test_dirichlet_instances(self, sizes):
+        spec, policies, initial = dirichlet_instance(29, *sizes)
+        self.assert_counts(sample_episodes(spec, policies, initial, 1000, 30), *sizes)
+
+    def test_read_dataset_row_major_arrays(self, tmp_path):
+        spec, policies, initial = markov_instance(2)
+        write_dataset(sample_episodes(spec, policies, initial, 3000, 2), tmp_path / "d.csv")
+        data = read_dataset(tmp_path / "d.csv", (spec.S, spec.m, spec.n))
+        assert data.states.base is not None and not data.states.flags.c_contiguous
+        self.assert_counts(data, spec.S, spec.m, spec.n)
+
+    def test_matrix_zero_stride_state_columns(self):
+        pair = PolicyPair(np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.1, 0.2, 0.1]))
+        data = sample_matrix_actions(pair, 5000, seed=31)
+        assert data.states.strides == (0, 0)
+        self.assert_counts(data, 1, 3, 4)
+        table = step_counts(data, 1, 3, 4)[0, 0, :, :, 0]
+        assert np.array_equal(table.sum(axis=1), np.bincount(data.actions_a[:, 0], minlength=3))
+        assert np.array_equal(table.sum(axis=0), np.bincount(data.actions_b[:, 0], minlength=4))
+
+    @pytest.mark.parametrize("t", [0, 1, 999, 4000])
+    def test_prefix_views(self, t):
+        spec, policies, initial = markov_instance(5)
+        full = sample_episodes(spec, policies, initial, 4000, 5)
+        step_counts(full, spec.S, spec.m, spec.n)  # a cached full table must not leak
+        self.assert_counts(full.prefix(t), spec.S, spec.m, spec.n)
+
+    def test_narrow_index_dtypes_do_not_wrap(self):
+        # flat cell indices reach S*m*n*S - 1 = 399 here, past uint8's 255
+        spec, policies, initial = markov_instance(7)
+        data = sample_episodes(spec, policies, initial, 2000, 7)
+        narrow = EpisodeDataset(*(a.astype(np.uint8) for a in data.arrays))
+        self.assert_counts(narrow, spec.S, spec.m, spec.n)
+
+    def test_counted_once_per_dataset_and_shape(self, monkeypatch):
+        spec, policies, initial = markov_instance(6)
+        data = sample_episodes(spec, policies, initial, 500, 6)
+        passes = []
+
+        def counting(data, *shape):
+            passes.append(shape)
+            return count_steps(data, *shape)
+
+        count_steps = sampling._count_steps
+        monkeypatch.setattr(sampling, "_count_steps", counting)
+        table = step_counts(data, spec.S, spec.m, spec.n)
+        assert step_counts(data, spec.S, spec.m, spec.n) is table
+        assert len(passes) == 1
+        wider = step_counts(data, spec.S + 1, spec.m, spec.n)  # another shape: recounted
+        assert len(passes) == 2 and wider is not table
+        assert np.array_equal(wider[:, : spec.S, :, :, : spec.S], table)
+        assert wider[:, spec.S].sum() == 0 and wider[..., spec.S].sum() == 0
+        assert step_counts(data.prefix(500), spec.S, spec.m, spec.n) is not table
+        assert len(passes) == 3
+        with pytest.raises(ValueError):
+            table[0, 0, 0, 0, 0] = 1  # read-only: a caller cannot change the cache
+
+    @pytest.mark.parametrize(
+        "column, bad, message",
+        [
+            ("states", 3, "state must lie in 0..2"),
+            ("states", -1, "state must lie in 0..2"),
+            ("actions_a", 4, "action_a must lie in 0..3"),
+            ("actions_b", -2, "action_b must lie in 0..1"),
+            ("next_states", 3, "next_state must lie in 0..2"),
+        ],
+    )
+    def test_out_of_range_index_named_before_counting(self, monkeypatch, column, bad, message):
+        # a key built from an out-of-range index would land in a neighbouring
+        # cell (or wrap), so nothing may be counted before the check
+        arrays = {name: np.zeros((4, 2), dtype=np.int64) for name in
+                  ("states", "actions_a", "actions_b", "next_states")}
+        arrays[column][2, 1] = bad
+        data = EpisodeDataset(**arrays)
+
+        def no_counting(*args):
+            raise AssertionError("counted before the check")
+
+        monkeypatch.setattr(sampling, "_count_steps", no_counting)
+        for count in (step_counts, frequency_estimate_markov, empirical_state_distribution):
+            with pytest.raises(ValueError, match=message):
+                count(data, 3, 4, 2)
+        assert data._step_counts == {}
+
+
 class TestFrequencyEstimateMarkov:
     def test_unvisited_state_gets_uniform_default(self):
         states = np.zeros((4, 1), dtype=np.int64)
@@ -369,14 +476,14 @@ class TestEmpiricalStateDistribution:
     def test_all_start_at_state_zero(self):
         states = np.zeros((5, 2), dtype=np.int64)
         data = EpisodeDataset(states, states, states, states)
-        rho = empirical_state_distribution(data, 3)
+        rho = empirical_state_distribution(data, 3, 1, 1)
         assert np.allclose(rho[0], [1, 0, 0])
 
     def test_two_episode_example(self):
         states = np.array([[0, 0], [0, 2]], dtype=np.int64)
         zeros = np.zeros_like(states)
         data = EpisodeDataset(states, zeros, zeros, zeros)
-        rho = empirical_state_distribution(data, 4)
+        rho = empirical_state_distribution(data, 4, 1, 1)
         assert np.allclose(rho[1], [0.5, 0, 0.5, 0])
 
     @pytest.mark.parametrize("state", [4, -4])
@@ -384,9 +491,8 @@ class TestEmpiricalStateDistribution:
         states = np.array([[0, 1], [2, state]], dtype=np.int64)
         zeros = np.zeros_like(states)
         data = EpisodeDataset(states, zeros, zeros, zeros)
-        for count in (state_visit_counts, empirical_state_distribution):
-            with pytest.raises(ValueError, match="state must lie in 0..3"):
-                count(data, 4)
+        with pytest.raises(ValueError, match="state must lie in 0..3"):
+            empirical_state_distribution(data, 4, 1, 1)
 
     def test_halving_t_reduces_error(self):
         model = simplex_feature_model(16, h_len=3)
@@ -397,7 +503,7 @@ class TestEmpiricalStateDistribution:
         full = sample_episodes(spec, policies, initial, 4 * 10**4, seed=17)
         errs = []
         for t in (10**4, 4 * 10**4):
-            rho = empirical_state_distribution(full.prefix(t), spec.S)
+            rho = empirical_state_distribution(full.prefix(t), spec.S, spec.m, spec.n)
             errs.append(np.abs(rho - state).max())
         assert errs[1] <= errs[0]
 
