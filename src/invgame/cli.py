@@ -38,7 +38,7 @@ RUNS_HEADER = ",".join(
 )
 SUMMARY_HEADER = "experiment,sample_size,metric,mean,ci_lo,ci_hi"
 STEPS_HEADER = "experiment,sample_size,rep,seed,step,reward_frob,qre_tv"
-ALIASES = {"S": "s_len", "H": "horizon", "d": "dim"}
+ALIASES = {"S": "s_len", "H": "horizon"}
 
 
 def _typed(key: str, value, hint):

@@ -23,13 +23,12 @@ import numpy as np
 from invgame.inverse_markov import (
     InversionConfig,
     SoftmaxPolicyModel,
+    block_weights,
     recover_rewards,
     recover_rewards_mle,
 )
 from invgame.inverse_matrix import (
     ConfidenceSet,
-    LinearSystem,
-    PartialIdentifiabilityError,
     empirical_system,
     least_squares_theta,
     min_norm_theta,
@@ -86,7 +85,6 @@ FIELD_KINDS = {
     "gamma": ("markov",),
     "s_len": ("markov",),
     "horizon": ("markov",),
-    "dim": ("markov",),
     "policy_estimator": ("markov",),
     "ridge_lambda": ("markov",),
 }
@@ -113,7 +111,6 @@ class ExperimentConfig:
     n: int = 0
     s_len: int = 4
     horizon: int = 6
-    dim: int = 2
     theta: tuple[float, ...] = ()
     norm_cap: float = 0.0
     kappa_scale: float = KAPPA_SCALE
@@ -162,8 +159,9 @@ class RepRecord:
 
     report is None when the repetition failed; error then says why.
     duration_ms is the repetition's wall time divided evenly over its sample
-    sizes.  Matrix kinds fill `covered` under the confidence-set estimator;
-    markov fills the per-step fields, each of length H.
+    sizes.  The per-step fields hold H entries for markov and one for a
+    matrix game, a single step; matrix records leave the per-step errors
+    empty, and `feasible` too under least_squares.
     """
 
     experiment: str
@@ -173,12 +171,11 @@ class RepRecord:
     report: ErrorReport | None
     duration_ms: float = 0.0
     error: str = ""
-    covered: bool | None = None  # true theta inside the confidence set
-    coverage: np.ndarray | None = None  # membership of the true Q-parameters
+    coverage: np.ndarray | None = None  # membership of the true parameters
     per_step_qre: np.ndarray | None = None
     per_step_reward_frob: np.ndarray | None = None
-    feasible: np.ndarray | None = None  # recovered theta_h certified inside its set
-    sets: tuple[ConfidenceSet, ...] = ()  # the recovery's sets behind `coverage`
+    feasible: np.ndarray | None = None  # estimate theta_h certified inside its set
+    sets: tuple[ConfidenceSet, ...] = ()  # the sets behind `coverage`
     true_thetas: np.ndarray | None = None  # (H, d)
 
 
@@ -214,10 +211,8 @@ def kappa_rule(
 
 
 def setup1_model(rng: np.random.Generator) -> FeatureModel:
-    """Strong identifiability: 4x6 game, d=2, unit-norm Gaussian features."""
-    feats = rng.standard_normal((4, 6, 2))
-    feats /= np.linalg.norm(feats, axis=2, keepdims=True)
-    return FeatureModel(feats, SETUP1_THETA, norm_sq_cap=SETUP2_NORM_SQ_CAP)
+    """Strong identifiability: the 4x6 custom game at theta = SETUP1_THETA (d=2)."""
+    return custom_model(rng, 4, 6, SETUP1_THETA, SETUP2_NORM_SQ_CAP)
 
 
 def setup2_model(rng: np.random.Generator) -> FeatureModel:
@@ -255,24 +250,19 @@ def markov_model(
     m: int = 5,
     n: int = 5,
     horizon: int = 6,
-    dim: int = 2,
     gamma: float = 1.0,
     eta: float = ETA,
 ) -> LinearMDPModel:
     """Exactly linear tabular instance: simplex features and probability-vector
-    transition columns, so P_h = Pi_h phi is a kernel by construction."""
-    if dim != MARKOV_OMEGA.shape[0]:
-        raise ValueError(
-            f"markov instances fix the reward parameter to {MARKOV_OMEGA}; "
-            f"dim must be {MARKOV_OMEGA.shape[0]}"
-        )
+    transition columns, so P_h = Pi_h phi is a kernel by construction; d is
+    the length of MARKOV_OMEGA, the reward parameter of every step."""
     if min(m, n) < 2:
         raise ValueError(f"each player needs at least two actions, got {m}x{n}")
     if min(s_len, horizon) < 1:
         raise ValueError(f"need at least one state and one step, got S={s_len}, H={horizon}")
-    feats = np.abs(rng.standard_normal((s_len, m, n, dim)))
+    feats = np.abs(rng.standard_normal((s_len, m, n, MARKOV_OMEGA.size)))
     feats /= feats.sum(axis=3, keepdims=True)
-    cols = np.abs(rng.standard_normal((horizon, s_len, dim)))
+    cols = np.abs(rng.standard_normal((horizon, s_len, MARKOV_OMEGA.size)))
     cols /= cols.sum(axis=1, keepdims=True)
     omegas = np.tile(MARKOV_OMEGA, (horizon, 1))
     return LinearMDPModel(
@@ -302,7 +292,6 @@ def build_model(config: ExperimentConfig, rep: int) -> FeatureModel | LinearMDPM
         m=config.m,
         n=config.n,
         horizon=config.horizon,
-        dim=config.dim,
         gamma=config.gamma,
         eta=config.eta,
     )
@@ -351,53 +340,51 @@ def run_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     return [replace(record, duration_ms=duration) for record in records]
 
 
-def _matrix_system(
-    config: ExperimentConfig, model: FeatureModel, data: EpisodeDataset
-) -> tuple[LinearSystem, float]:
-    """A matrix dataset's constraint system at its frequency estimate, and
-    its threshold kappa_rule(N)."""
+def _matrix_estimate(config: ExperimentConfig, model: FeatureModel, data: EpisodeDataset):
+    """(theta_hat, route, rank, cset, feasible) of a matrix dataset's S=1
+    system at its frequency estimate, cset its set at kappa_rule(N): the
+    set's min-norm member under confidence_set (feasible: it is certified),
+    else least squares at full rank and X^+ y below (feasible None).  route
+    names the branch taken."""
     est = frequency_estimate_matrix(data, *model.features.shape[:2])
     system = empirical_system(est, model.features, config.eta)
-    return system, kappa_rule(data.n_episodes, scale=config.kappa_scale)
+    kappa = kappa_rule(data.n_episodes, scale=config.kappa_scale)
+    cset = ConfidenceSet(system.X, system.y, kappa, model.norm_sq_cap)
+    full_rank, rank = rank_condition(system.X, system.dim)
+    if config.estimator == "confidence_set":
+        theta_hat, feasible = cset.min_norm_member()
+        return theta_hat, "min_norm_member", rank, cset, feasible
+    if full_rank:
+        return least_squares_theta(system), "least_squares", rank, cset, None
+    return min_norm_theta(system), "min_norm_theta", rank, cset, None
 
 
 def invert_matrix(config: ExperimentConfig, model: FeatureModel, data: EpisodeDataset) -> dict:
-    """invert-matrix's result: the least-squares theta when the system has
-    full rank, else the confidence set's min-norm member."""
-    system, kappa = _matrix_system(config, model, data)
-    full_rank, rank = rank_condition(system.X, system.dim)
-    cset = ConfidenceSet(system.X, system.y, kappa, model.norm_sq_cap)
-    if full_rank:
-        theta_hat, route = least_squares_theta(system), "least_squares"
-    else:
-        theta_hat, route = cset.min_norm_member()[0], "min_norm_member"
+    """invert-matrix's result: the estimate the experiment runner makes from
+    the same dataset under the config's estimator (see _matrix_estimate)."""
+    theta_hat, route, rank, cset, _ = _matrix_estimate(config, model, data)
     return {
         "theta_hat": theta_hat.tolist(),
         "route": route,
         "rank": rank,
-        "full_rank": bool(full_rank),
-        "kappa": kappa,
+        "full_rank": rank == theta_hat.size,
+        "kappa": cset.kappa,
         "residual_sq": cset.residual_sq(theta_hat),
         "payoff_hat": reconstruct_payoff(theta_hat, model.features).tolist(),
     }
 
 
 def _run_matrix_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
-    """Least-squares or confidence-set estimation on one matrix instance."""
+    """One matrix instance's estimates at each sample size, each a one-step
+    record: coverage and sets hold its one confidence set."""
     model, payoff, truth, data = _instance(config, rep, max(config.samples))
     records = []
     for n_samples in config.samples:
-        system, kappa = _matrix_system(config, model, data.prefix(n_samples))
-        covered = None
-        if config.estimator == "least_squares":
-            try:
-                theta_hat = least_squares_theta(system)
-            except PartialIdentifiabilityError:
-                theta_hat = min_norm_theta(system)
-        else:
-            cset = ConfidenceSet(system.X, system.y, kappa, model.norm_sq_cap)
-            theta_hat, _ = cset.min_norm_member()
-            covered = cset.contains(model.theta)
+        try:
+            estimate = _matrix_estimate(config, model, data.prefix(n_samples))
+        except Exception as err:
+            raise RuntimeError(f"estimate failed at N={n_samples}: {err!r}") from err
+        theta_hat, _, _, cset, feasible = estimate
         q_hat = reconstruct_payoff(theta_hat, model.features)
         report = ErrorReport(
             theta_error=float(np.linalg.norm(theta_hat - model.theta)),
@@ -405,7 +392,12 @@ def _run_matrix_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
             qre_tv_error=qre_discrepancy(q_hat, truth, config.eta),
         )
         records.append(
-            RepRecord(config.kind, n_samples, rep, config.seed, report, covered=covered)
+            RepRecord(
+                config.kind, n_samples, rep, config.seed, report,
+                coverage=np.array([cset.contains(model.theta)]),
+                feasible=None if feasible is None else np.array([feasible]),
+                sets=(cset,), true_thetas=model.theta[None],
+            )
         )
     return records
 
@@ -455,18 +447,15 @@ def run_markov_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     model, spec, (truth, values), data = _instance(config, rep, max(config.samples))
     true_thetas = model.q_params(values.V)
     state_dists, _ = visit_distributions(spec, truth, np.full(spec.S, 1.0 / spec.S))
-    if config.policy_estimator == "mle":
-        policy_model = saturated_policy_model(spec.S, spec.m, spec.n)
-        recover, block_weights = recover_rewards_mle, lambda counts, n: counts / n
-    else:
-        policy_model = None
-        recover, block_weights = recover_rewards, lambda counts, n: counts > 0
+    mle = config.policy_estimator == "mle"
+    policy_model = saturated_policy_model(spec.S, spec.m, spec.n) if mle else None
+    recover = recover_rewards_mle if mle else recover_rewards
     samples = []
     for n_episodes in config.samples:
         try:
             subset = data.prefix(n_episodes)
             counts = step_counts(subset, spec.S, spec.m, spec.n).sum(axis=(2, 3, 4))
-            kappa = kappa_rule(counts, block_weights(counts, n_episodes), config.kappa_scale)
+            kappa = kappa_rule(counts, block_weights(counts, mle), config.kappa_scale)
             samples.append(recover(subset, _inversion(config, model, kappa, policy_model))[0])
         except Exception as err:
             raise RuntimeError(f"recovery failed at N={n_episodes}: {err!r}") from err

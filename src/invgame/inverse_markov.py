@@ -23,12 +23,7 @@ from invgame.inverse_matrix import (
     floor_distribution,
 )
 from invgame.matrix_game import stage_values
-from invgame.sampling import (
-    EpisodeDataset,
-    empirical_state_distribution,
-    frequency_estimate_markov,
-    step_counts,
-)
+from invgame.sampling import EpisodeDataset, frequency_estimate_markov, step_counts
 
 
 @dataclass(frozen=True)
@@ -214,17 +209,22 @@ class _Estimates:
     weights: np.ndarray  # (H, S) per-state block weights
 
 
-def _estimates(data: EpisodeDataset, config: InversionConfig, mle: bool) -> _Estimates:
-    """Each step's floored policies and per-state block weights.
+def block_weights(counts: np.ndarray, mle: bool) -> np.ndarray:
+    """Per-state block weights from the (H, S) visit counts N_h(s): each
+    visited state 1 for frequency sets, and its empirical visit probability
+    rho_h(s) = N_h(s) / N for MLE sets, so unvisited states weigh nothing."""
+    if mle:
+        return counts / counts.sum(axis=-1, keepdims=True)
+    return (counts > 0).astype(float)
 
-    Frequency estimates weight each visited state by 1 and softmax-MLE
-    estimates (of config.policy_model) each state by its empirical visit
-    probability rho, so unvisited states contribute nothing.
-    """
+
+def _estimates(data: EpisodeDataset, config: InversionConfig, mle: bool) -> _Estimates:
+    """Each step's floored policies (frequency or softmax-MLE ones, of
+    config.policy_model) and per-state block weights (block_weights)."""
     model = config.policy_model
     if not mle:
         est = frequency_estimate_markov(data, *config.features.shape[:3])
-        mu, nu, weights = est.mu_hat, est.nu_hat, est.visited.astype(float)
+        mu, nu = est.mu_hat, est.nu_hat
     elif model is None:
         raise ValueError("recover_rewards_mle needs a policy_model")
     else:
@@ -235,8 +235,8 @@ def _estimates(data: EpisodeDataset, config: InversionConfig, mle: bool) -> _Est
             ])
             for player, psi in (("a", model.psi_a), ("b", model.psi_b))
         )
-        weights = empirical_state_distribution(data, *config.features.shape[:3])
-    return _Estimates(floor_distribution(mu), floor_distribution(nu), weights)
+    counts = step_counts(data, *config.features.shape[:3]).sum(axis=(2, 3, 4))
+    return _Estimates(floor_distribution(mu), floor_distribution(nu), block_weights(counts, mle))
 
 
 def stepwise_confidence_sets(

@@ -123,23 +123,24 @@ def sample_episodes(
     rep: int = 0,
 ) -> EpisodeDataset:
     """Roll out T episodes under the stage policies, storing successors.  The
-    arrays are (T, H) views of one step-major block, so each step's columns
-    are contiguous and drawn in place: a, then b, then s'."""
+    arrays are (T, H) views of one step-major (3H + 1, T) block: the state
+    chain s_0..s_H, then each step's a and b.  States and successors are the
+    chain's first and last H rows, so each s' is drawn in place as the next
+    step's state, and every step's columns are contiguous: a, then b, then s'."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
     rng = stream(seed, rep)
-    block = np.empty((4, spec.H, n_episodes), dtype=np.int64)
-    states, acts_a, acts_b, nexts = block
-    states[0] = _draw_categorical(rng, np.cumsum(np.asarray(initial, dtype=float)), n_episodes)
+    block = np.empty((3 * spec.H + 1, n_episodes), dtype=np.int64)
+    chain = block[: spec.H + 1]
+    acts_a, acts_b = block[spec.H + 1 :].reshape(2, spec.H, n_episodes)
+    chain[0] = _draw_categorical(rng, np.cumsum(np.asarray(initial, dtype=float)), n_episodes)
     cum_p = np.cumsum(spec.transition, axis=4).reshape(spec.H, -1, spec.S)
     for h in range(spec.H):
-        _draw_rows(rng, np.cumsum(policies.mu[h], axis=1), states[h], acts_a[h])
-        _draw_rows(rng, np.cumsum(policies.nu[h], axis=1), states[h], acts_b[h])
-        row = (states[h] * spec.m + acts_a[h]) * spec.n + acts_b[h]  # int64: cannot wrap
-        _draw_rows(rng, cum_p[h], row, nexts[h])
-        if h + 1 < spec.H:
-            states[h + 1] = nexts[h]
-    return EpisodeDataset(*block.transpose(0, 2, 1))
+        _draw_rows(rng, np.cumsum(policies.mu[h], axis=1), chain[h], acts_a[h])
+        _draw_rows(rng, np.cumsum(policies.nu[h], axis=1), chain[h], acts_b[h])
+        row = (chain[h] * spec.m + acts_a[h]) * spec.n + acts_b[h]  # int64: cannot wrap
+        _draw_rows(rng, cum_p[h], row, chain[h + 1])
+    return EpisodeDataset(chain[:-1].T, acts_a.T, acts_b.T, chain[1:].T)
 
 
 def _draw_rows(rng: np.random.Generator, cum: np.ndarray, rows: np.ndarray, out: np.ndarray):

@@ -119,7 +119,7 @@ class TestCriterion04Coverage:
     def test_setup2_coverage_at_surrogate_threshold(self):
         started = time.perf_counter()
         covered = sum(
-            records("setup2", rep, [10**4])[0].covered for rep in range(100)
+            records("setup2", rep, [10**4])[0].coverage[0] for rep in range(100)
         )
         elapsed = time.perf_counter() - started
         assert covered >= 95

@@ -60,7 +60,7 @@ class TestConfig:
 
     def test_dimension_aliases(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"kind": "markov", "S": 3, "H": 2, "d": 2}))
+        path.write_text(json.dumps({"kind": "markov", "S": 3, "H": 2}))
         config = load_config(
             type("A", (), {"config": str(path), "kind": None, "seed": None,
                            "reps": None, "threads": None, "out": None,
@@ -140,6 +140,45 @@ class TestRunExperiment:
             assert "failed at N=1000:" in record.error
             assert "singular at this size" in record.error
             assert "N=500" not in record.error and "N=2000" not in record.error
+
+    def test_failed_matrix_rep_names_the_failing_size(self, monkeypatch):
+        # the estimate fails at N = 1000 only; every record of the rep fails,
+        # and each names that size
+        config = ExperimentConfig(kind="setup2", seed=5, samples=(500, 1000, 2000))
+
+        def failing_at_1000(est, features, eta):
+            if est.counts.sum() == 1000:
+                raise np.linalg.LinAlgError("singular at this size")
+            return empirical_system(est, features, eta)
+
+        monkeypatch.setattr(experiments, "empirical_system", failing_at_1000)
+        records = run_rep(config, 0)
+        assert [r.sample_size for r in records] == [500, 1000, 2000]
+        for record in records:
+            assert record.report is None
+            assert "estimate failed at N=1000:" in record.error
+            assert "singular at this size" in record.error
+            assert "N=500" not in record.error and "N=2000" not in record.error
+
+    @pytest.mark.parametrize("estimator", ["least_squares", "confidence_set"])
+    def test_matrix_records_are_one_step_records(self, estimator):
+        # coverage, sets and true_thetas hold the one step of a matrix game
+        config = ExperimentConfig(kind="setup2", seed=5, samples=(300, 3000), estimator=estimator)
+        model = experiments.build_model(config, 1)
+        records = run_rep(config, 1)
+        assert [r.coverage.tolist() for r in records] == [
+            [r.sets[0].contains(model.theta)] for r in records
+        ]
+        assert any(r.coverage[0] for r in records)
+        for record in records:
+            assert len(record.sets) == 1
+            assert record.sets[0].kappa == 1e3 / record.sample_size
+            assert np.array_equal(record.true_thetas, model.theta[None])
+            assert record.per_step_qre is None
+            if estimator == "least_squares":
+                assert record.feasible is None
+            else:
+                assert record.feasible.shape == (1,)
 
     def test_failed_markov_re_solve_names_the_failing_size(self, monkeypatch):
         # the re-solve stacks the sizes: an unconverged entry (k, state)
@@ -271,6 +310,49 @@ class TestCommands:
         system = empirical_system(est, model.features, experiments.ETA)
         expected = ConfidenceSet(system.X, system.y, 1e3 / 5000, 4.0).min_norm_member()[0]
         assert np.array_equal(result["theta_hat"], expected)
+
+    @pytest.mark.parametrize(
+        "kind, estimator, route",
+        [("setup1", "confidence_set", "min_norm_member"),
+         ("setup2", "least_squares", "min_norm_theta")],
+    )
+    def test_invert_matrix_honours_the_estimator(self, tmp_path, capsys, kind, estimator, route):
+        out = tmp_path / "sim"
+        kind_args = ["--kind", kind, "--seed", "3"]
+        assert run_cli(["simulate", *kind_args, "--samples", "5000", "--out", str(out)]) == 0
+        config = write_config(tmp_path, {"estimator": estimator})
+        result_path = tmp_path / "est.json"
+        assert run_cli(["invert-matrix", "--config", config, *kind_args, "--data",
+                        str(out / "dataset.csv"), "--out", str(result_path)]) == 0
+        capsys.readouterr()
+        assert json.loads(result_path.read_text())["route"] == route
+
+    @pytest.mark.parametrize("estimator", ["least_squares", "confidence_set"])
+    @pytest.mark.parametrize(
+        "fields",
+        [{"kind": "setup1"}, {"kind": "setup2"},
+         {"kind": "custom", "theta": (0.5, -0.25, 0.3), "m": 2, "n": 3}],
+        ids=["setup1", "setup2", "custom"],
+    )
+    def test_invert_matrix_estimates_as_the_runner(self, monkeypatch, fields, estimator):
+        # the runner and invert-matrix make one estimate of one dataset
+        config = ExperimentConfig(**fields, seed=4, samples=(2000,), estimator=estimator)
+        real, estimates = experiments._matrix_estimate, []
+
+        def recording(*args):
+            estimates.append(real(*args))
+            return estimates[-1]
+
+        monkeypatch.setattr(experiments, "_matrix_estimate", recording)
+        (record,) = run_rep(config, 1)
+        monkeypatch.undo()
+        model = experiments.build_model(config, 1)
+        result = experiments.invert_matrix(
+            config, model, experiments.sample_dataset(config, 1, 2000)
+        )
+        assert np.array_equal(result["theta_hat"], estimates[0][0])
+        theta_error = np.linalg.norm(np.array(result["theta_hat"]) - model.theta)
+        assert record.report.theta_error == theta_error
 
     def test_simulate_then_invert_markov(self, tmp_path, capsys):
         out = tmp_path / "sim"
@@ -511,16 +593,25 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", ["simulate", "invert-markov", "experiment"])
     @pytest.mark.parametrize(
-        "fields", [{"d": 3}, {"m": 1}, {"S": 0}, {"H": 0}], ids=["d3", "m1", "S0", "H0"]
+        "fields, message",
+        [
+            # markov instances fix d to the length of their reward parameter,
+            # so d is no config field
+            ({"d": 3}, "unknown config field 'd'"),
+            ({"m": 1}, "markov model"),
+            ({"S": 0}, "markov model"),
+            ({"H": 0}, "markov model"),
+        ],
+        ids=["d3", "m1", "S0", "H0"],
     )
-    def test_markov_model_the_builder_rejects(self, tmp_path, capsys, command, fields):
+    def test_markov_model_the_builder_rejects(self, tmp_path, capsys, command, fields, message):
         config = write_config(
             tmp_path, {"kind": "markov", "samples": [100], "reps": 2, **fields}
         )
         args = [command, "--config", config, "--out", str(tmp_path / "out")]
         if command == "invert-markov":
             args += ["--data", str(tmp_path / "missing.csv")]
-        self.assert_usage_error(capsys, args, "markov model")
+        self.assert_usage_error(capsys, args, message)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -11,10 +11,12 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import re
 import sys
 from pathlib import Path
 
 import invgame
+from invgame.cli import ALIASES
 from invgame.experiments import ExperimentConfig
 
 PUBLIC_NAMES = [
@@ -82,7 +84,7 @@ OPTIONS = {
     ],
     ExperimentConfig: [
         "kind", "seed", "samples", "reps", "threads", "out", "eta", "gamma", "m", "n",
-        "s_len", "horizon", "dim", "theta", "norm_cap", "kappa_scale", "ridge_lambda",
+        "s_len", "horizon", "theta", "norm_cap", "kappa_scale", "ridge_lambda",
         "estimator", "policy_estimator", "emit_timings",
     ],
     invgame.solve_qre: ["spec", "tol", "max_iter"],
@@ -101,6 +103,21 @@ def test_options_are_the_reviewed_list():
         else:
             got = list(inspect.signature(owner).parameters)
         assert got == names, owner.__name__
+
+
+def test_readme_config_table_names_every_field():
+    # the README's config table is the user's list of fields: its first
+    # column, aliases read as the fields they stand for, is every field a
+    # config may set (kind has its own flag and paragraph)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| field | read by | default | accepted |", 1)[1]
+    named = []
+    for line in table.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        named += re.findall(r"`([^`]+)`", line.split("|")[1])
+    fields = [field.name for field in dataclasses.fields(ExperimentConfig)]
+    assert sorted(ALIASES.get(name, name) for name in named) == sorted(set(fields) - {"kind"})
 
 
 def test_cli_only_parses_and_writes():

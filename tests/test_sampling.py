@@ -256,6 +256,18 @@ class TestSampleEpisodesAgainstGather:
             tracemalloc.stop()
         assert peak <= 1.2 * 4 * t * spec.H * 8
 
+    def test_states_and_successors_are_one_chain(self):
+        # next_states[:, h] is states[:, h + 1], stored once: the four arrays
+        # are views of one block of (3H + 1) * T int64 values
+        spec, policies, initial = markov_instance(1)
+        t = 1000
+        data = sample_episodes(spec, policies, initial, t, seed=1)
+        assert np.shares_memory(data.states, data.next_states)
+        block = data.states.base
+        assert all(a.base is block for a in data.arrays)
+        assert block.nbytes == (3 * spec.H + 1) * t * 8
+        assert np.array_equal(data.next_states[:, :-1], data.states[:, 1:])
+
 
 class TestLayoutIndependence:
     """EpisodeDataset arrays are (T, H) views of any strides: a sampled
