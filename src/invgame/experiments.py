@@ -3,7 +3,10 @@
 Four kinds share one config (`ExperimentConfig`), one builder
 (`build_model`) and one runner (`run_rep`): a strongly identified matrix game
 (setup1), a partially identified matrix game (setup2), a user-dimensioned
-matrix game (custom), and the tabular Markov game inversion (markov).
+matrix game (custom), and the tabular Markov game inversion (markov).  A
+matrix game is the one-step, one-state Markov game of its payoff, so every
+kind has one truth solve (`backward_qre`), one stacked re-solve of all its
+sample sizes and one scorer (`run_markov_rep`).
 
 Repetition rep of seed s generates its instance from stream(s, rep).  Its
 data are then drawn from a second, fresh stream(s, rep), not from where the
@@ -35,11 +38,10 @@ from invgame.inverse_matrix import (
     rank_condition,
     reconstruct_payoff,
 )
-from invgame.markov_game import LinearMDPModel, backward_qre, visit_distributions
-from invgame.matrix_game import FeatureModel, MatrixGameSpec, QreConvergenceError, solve_qre
+from invgame.markov_game import LinearMDPModel, MarkovGameSpec, backward_qre, visit_distributions
+from invgame.matrix_game import FeatureModel, PolicyPair, QreConvergenceError
 from invgame.metrics import (
     ErrorReport,
-    qre_discrepancy,
     qre_discrepancy_markov,
     reward_metric_D,
     reward_metric_D1,
@@ -160,8 +162,9 @@ class RepRecord:
     report is None when the repetition failed; error then says why.
     duration_ms is the repetition's wall time divided evenly over its sample
     sizes.  The per-step fields hold H entries for markov and one for a
-    matrix game, a single step; matrix records leave the per-step errors
-    empty, and `feasible` too under least_squares.
+    matrix game, the one-step, one-state case; matrix records leave the
+    reward and per-step errors empty, since their one step is the game, and
+    `feasible` too under least_squares.
     """
 
     experiment: str
@@ -298,20 +301,24 @@ def build_model(config: ExperimentConfig, rep: int) -> FeatureModel | LinearMDPM
 
 
 def _instance(config: ExperimentConfig, rep: int, n_samples: int):
-    """Repetition rep's model, its game (a payoff matrix or a tabular spec),
-    the game's true equilibrium as its solver returns it, and n_samples
-    episodes of QRE play from a uniform start; a matrix game's samples are
-    single-step episodes at state 0."""
+    """Repetition rep's model, its tabular game (a matrix game is the
+    one-step, one-state game of its payoff), the game's true policies and
+    values, and n_samples episodes of QRE play from a uniform start; a
+    matrix game's samples are single-step episodes at state 0."""
     model = build_model(config, rep)
     if config.kind == "markov":
         spec = model.to_tabular()
-        solution = backward_qre(spec, tol=1e-12)
+    else:
+        payoff = reconstruct_payoff(model.theta, model.features)[None, None]
+        spec = MarkovGameSpec(payoff, np.ones(payoff.shape + (1,)), config.eta)
+    truth, values = backward_qre(spec, tol=1e-12)
+    if config.kind == "markov":
         initial = np.full(spec.S, 1.0 / spec.S)
-        data = sample_episodes(spec, solution[0], initial, n_samples, config.seed, rep)
-        return model, spec, solution, data
-    payoff = reconstruct_payoff(model.theta, model.features)
-    truth = solve_qre(MatrixGameSpec(payoff, config.eta), tol=1e-12)
-    return model, payoff, truth, sample_matrix_actions(truth, n_samples, config.seed, rep)
+        data = sample_episodes(spec, truth, initial, n_samples, config.seed, rep)
+    else:
+        pair = PolicyPair(truth.mu[0, 0], truth.nu[0, 0])
+        data = sample_matrix_actions(pair, n_samples, config.seed, rep)
+    return model, spec, (truth, values), data
 
 
 def sample_dataset(config: ExperimentConfig, rep: int, n_samples: int) -> EpisodeDataset:
@@ -327,10 +334,7 @@ def run_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     """
     started = time.perf_counter()
     try:
-        if config.kind == "markov":
-            records = run_markov_rep(config, rep)
-        else:
-            records = _run_matrix_rep(config, rep)
+        records = run_markov_rep(config, rep)
     except Exception as err:
         records = [
             RepRecord(config.kind, n, rep, config.seed, None, error=repr(err))
@@ -361,8 +365,9 @@ def _matrix_estimate(config: ExperimentConfig, model: FeatureModel, data: Episod
 
 def invert_matrix(config: ExperimentConfig, model: FeatureModel, data: EpisodeDataset) -> dict:
     """invert-matrix's result: the estimate the experiment runner makes from
-    the same dataset under the config's estimator (see _matrix_estimate)."""
-    theta_hat, route, rank, cset, _ = _matrix_estimate(config, model, data)
+    the same dataset under the config's estimator (see _matrix_estimate).
+    feasible is null under least_squares."""
+    theta_hat, route, rank, cset, feasible = _matrix_estimate(config, model, data)
     return {
         "theta_hat": theta_hat.tolist(),
         "route": route,
@@ -371,35 +376,8 @@ def invert_matrix(config: ExperimentConfig, model: FeatureModel, data: EpisodeDa
         "kappa": cset.kappa,
         "residual_sq": cset.residual_sq(theta_hat),
         "payoff_hat": reconstruct_payoff(theta_hat, model.features).tolist(),
+        "feasible": None if feasible is None else bool(feasible),
     }
-
-
-def _run_matrix_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
-    """One matrix instance's estimates at each sample size, each a one-step
-    record: coverage and sets hold its one confidence set."""
-    model, payoff, truth, data = _instance(config, rep, max(config.samples))
-    records = []
-    for n_samples in config.samples:
-        try:
-            estimate = _matrix_estimate(config, model, data.prefix(n_samples))
-        except Exception as err:
-            raise RuntimeError(f"estimate failed at N={n_samples}: {err!r}") from err
-        theta_hat, _, _, cset, feasible = estimate
-        q_hat = reconstruct_payoff(theta_hat, model.features)
-        report = ErrorReport(
-            theta_error=float(np.linalg.norm(theta_hat - model.theta)),
-            payoff_error=float(np.linalg.norm(q_hat - payoff)),
-            qre_tv_error=qre_discrepancy(q_hat, truth, config.eta),
-        )
-        records.append(
-            RepRecord(
-                config.kind, n_samples, rep, config.seed, report,
-                coverage=np.array([cset.contains(model.theta)]),
-                feasible=None if feasible is None else np.array([feasible]),
-                sets=(cset,), true_thetas=model.theta[None],
-            )
-        )
-    return records
 
 
 def _inversion(
@@ -434,60 +412,75 @@ def invert_markov(config: ExperimentConfig, model: LinearMDPModel, data: Episode
 
 
 def run_markov_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
-    """Reward recovery on the tabular Markov instance.
+    """Repetition rep's records, one per sample size, for every kind: a
+    matrix game runs as the one-step, one-state Markov game of its payoff.
 
-    policy_estimator "frequency" uses per-state frequency policies; "mle"
-    uses saturated one-hot softmax MLE policies with empirical
-    visit-probability weights.  Each step's threshold is kappa_rule over that
-    step's state visit counts, with the block weights of the set it bounds.
-    Coverage is measured on the sets the recovery drew its parameters from:
-    frequency sets, or the rho-weighted MLE sets.  The recovered rewards of
-    all sample sizes are re-solved together in one backward pass.
+    A markov estimate is a reward recovery.  policy_estimator "frequency"
+    uses per-state frequency policies; "mle" uses saturated one-hot softmax
+    MLE policies with empirical visit-probability weights.  Each step's
+    threshold is kappa_rule over that step's state visit counts, with the
+    block weights of the set it bounds.  A matrix estimate is
+    _matrix_estimate's, its payoff the step's Q and reward.  Coverage is
+    measured on the sets the estimates drew their parameters from.  The
+    rewards of all sample sizes are re-solved together in one backward pass.
     """
     model, spec, (truth, values), data = _instance(config, rep, max(config.samples))
-    true_thetas = model.q_params(values.V)
     state_dists, _ = visit_distributions(spec, truth, np.full(spec.S, 1.0 / spec.S))
-    mle = config.policy_estimator == "mle"
-    policy_model = saturated_policy_model(spec.S, spec.m, spec.n) if mle else None
-    recover = recover_rewards_mle if mle else recover_rewards
-    samples = []
-    for n_episodes in config.samples:
-        try:
-            subset = data.prefix(n_episodes)
+    markov = config.kind == "markov"
+    if markov:
+        true_thetas = model.q_params(values.V)
+        mle = config.policy_estimator == "mle"
+        policy_model = saturated_policy_model(spec.S, spec.m, spec.n) if mle else None
+        recover = recover_rewards_mle if mle else recover_rewards
+
+        def estimate(subset):  # (thetas, Q, rewards, sets, feasible), per step
             counts = step_counts(subset, spec.S, spec.m, spec.n).sum(axis=(2, 3, 4))
             kappa = kappa_rule(counts, block_weights(counts, mle), config.kappa_scale)
-            samples.append(recover(subset, _inversion(config, model, kappa, policy_model))[0])
+            sample = recover(subset, _inversion(config, model, kappa, policy_model))[0]
+            return sample.thetas, sample.q_values, sample.rewards, sample.sets, sample.feasible
+    else:
+        true_thetas = model.theta[None]
+
+        def estimate(subset):
+            theta_hat, _, _, cset, feasible = _matrix_estimate(config, model, subset)
+            q_hat = reconstruct_payoff(theta_hat, model.features)[None, None]
+            feasible = None if feasible is None else np.array([feasible])
+            return theta_hat[None], q_hat, q_hat, (cset,), feasible
+
+    estimates = []
+    for n_samples in config.samples:
+        try:
+            estimates.append(estimate(data.prefix(n_samples)))
         except Exception as err:
-            raise RuntimeError(f"recovery failed at N={n_episodes}: {err!r}") from err
-    rewards = np.stack([sample.rewards for sample in samples])
+            raise RuntimeError(f"estimate failed at N={n_samples}: {err!r}") from err
+    rewards = np.stack([estimated[2] for estimated in estimates])
     try:
         qre_errs, per_step_qres = qre_discrepancy_markov(spec, rewards, truth, state_dists)
     except QreConvergenceError as err:  # failed entries are (size index, state)
-        n_episodes = config.samples[err.failed[0][0]]
-        raise RuntimeError(f"re-solve failed at N={n_episodes}: {err!r}") from err
+        n_samples = config.samples[err.failed[0][0]]
+        raise RuntimeError(f"re-solve failed at N={n_samples}: {err!r}") from err
 
     def per_step(diff):  # the norm of each step's slice
         return np.linalg.norm(diff.reshape(spec.H, -1), axis=1)
 
     records = []
-    for k, (n_episodes, sample) in enumerate(zip(config.samples, samples)):
-        coverage = np.array(
-            [cset.contains(theta) for cset, theta in zip(sample.sets, true_thetas)]
-        )
+    for k, (n_samples, estimated) in enumerate(zip(config.samples, estimates)):
+        thetas, q_values, rewards, sets, feasible = estimated
+        # a matrix game's one step is the game: no reward or per-step errors
         report = ErrorReport(
-            theta_error=float(per_step(sample.thetas - true_thetas).mean()),
-            payoff_error=float(per_step(sample.q_values - values.Q).mean()),
+            theta_error=float(per_step(thetas - true_thetas).mean()),
+            payoff_error=float(per_step(q_values - values.Q).mean()),
             qre_tv_error=float(qre_errs[k]),
-            reward_D=reward_metric_D(sample.rewards, spec.rewards),
-            reward_D1=reward_metric_D1(sample.rewards, spec.rewards, state_dists),
+            reward_D=reward_metric_D(rewards, spec.rewards) if markov else None,
+            reward_D1=reward_metric_D1(rewards, spec.rewards, state_dists) if markov else None,
         )
         records.append(
             RepRecord(
-                config.kind, n_episodes, rep, config.seed, report,
-                coverage=coverage, per_step_qre=per_step_qres[k],
-                per_step_reward_frob=per_step(sample.rewards - spec.rewards),
-                feasible=sample.feasible,
-                sets=sample.sets, true_thetas=true_thetas,
+                config.kind, n_samples, rep, config.seed, report,
+                coverage=np.array([cset.contains(theta) for cset, theta in zip(sets, true_thetas)]),
+                per_step_qre=per_step_qres[k] if markov else None,
+                per_step_reward_frob=per_step(rewards - spec.rewards) if markov else None,
+                feasible=feasible, sets=sets, true_thetas=true_thetas,
             )
         )
     return records

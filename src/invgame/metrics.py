@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from invgame.markov_game import MarkovGameSpec, StagePolicies, backward_qre_stack
-from invgame.matrix_game import MatrixGameSpec, PolicyPair, solve_qre
+from invgame.matrix_game import PolicyPair
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,13 @@ def qre_discrepancy(
 ) -> float:
     """Re-solve the matrix game on the estimated payoff and compare equilibria.
 
-    Returns TV(mu_hat, mu*) + TV(nu_hat, nu*).
+    Returns TV(mu_hat, mu*) + TV(nu_hat, nu*): qre_discrepancy_markov of the
+    one-step, one-state game.
     """
-    pair = solve_qre(MatrixGameSpec(estimated_payoff, eta), tol=tol)
-    return tv(pair.mu, true_policies.mu) + tv(pair.nu, true_policies.nu)
+    rewards = np.asarray(estimated_payoff, dtype=float)[None, None]
+    spec = MarkovGameSpec(rewards, np.ones(rewards.shape + (1,)), eta)
+    truth = StagePolicies(true_policies.mu[None, None], true_policies.nu[None, None])
+    return qre_discrepancy_markov(spec, rewards, truth, np.ones((1, 1)), tol)[0]
 
 
 def qre_discrepancy_markov(

@@ -14,12 +14,12 @@ from invgame.cli import (
     run_experiment,
     summarize,
 )
-from invgame import experiments
+from invgame import experiments, markov_game, matrix_game
 from invgame.experiments import markov_model, run_rep
 from invgame.inverse_markov import recover_rewards
 from invgame.inverse_matrix import ConfidenceSet, empirical_system
 from invgame.markov_game import backward_qre
-from invgame.matrix_game import QreConvergenceError
+from invgame.matrix_game import QreConvergenceError, solve_qre_batch
 from invgame.sampling import (
     frequency_estimate_matrix,
     read_dataset,
@@ -180,20 +180,40 @@ class TestRunExperiment:
             else:
                 assert record.feasible.shape == (1,)
 
-    def test_failed_markov_re_solve_names_the_failing_size(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "fields, entry",
+        [(dict(kind="markov", horizon=3), (1, 1)), (dict(kind="setup2"), (0, 0))],
+        ids=["markov", "setup2"],
+    )
+    def test_failed_re_solve_names_the_failing_size(self, monkeypatch, fields, entry):
         # the re-solve stacks the sizes: an unconverged entry (k, state)
         # belongs to sample size k
-        config = ExperimentConfig(kind="markov", seed=5, samples=(500, 1000, 2000), horizon=3)
+        config = ExperimentConfig(**fields, seed=5, samples=(500, 1000, 2000))
+        step, state = entry
 
         def unconverged_at_2000(spec, rewards, *args):
             assert rewards.shape[0] == 3
-            raise QreConvergenceError(7, 0.5, [(2, 1)], step=1, state=1)
+            raise QreConvergenceError(7, 0.5, [(2, state)], step=step, state=state)
 
         monkeypatch.setattr(experiments, "qre_discrepancy_markov", unconverged_at_2000)
         for record in run_rep(config, 0):
             assert record.report is None
             assert "re-solve failed at N=2000:" in record.error
-            assert "at step 1, state 1" in record.error
+            assert f"at step {step}, state {state}" in record.error
+
+    def test_a_matrix_rep_re_solves_once(self, monkeypatch):
+        # one truth solve, then one stacked re-solve of all three sizes
+        stacks = []
+
+        def counting(payoffs, *args):
+            stacks.append(len(payoffs))
+            return solve_qre_batch(payoffs, *args)
+
+        for module in (matrix_game, markov_game):
+            monkeypatch.setattr(module, "solve_qre_batch", counting)
+        config = ExperimentConfig(kind="setup2", seed=5, samples=(500, 1000, 2000))
+        assert all(record.report is not None for record in run_rep(config, 0))
+        assert stacks == [1, 3]
 
     @pytest.mark.parametrize(
         "base",
@@ -287,9 +307,29 @@ class TestCommands:
         )
         assert code == 0
         result = json.loads(result_path.read_text())
-        assert result["full_rank"]
+        assert result["full_rank"] and result["feasible"] is None
         theta = np.array(result["theta_hat"])
         assert np.linalg.norm(theta - np.array([0.8, -0.6])) < 0.2
+
+    @pytest.mark.parametrize("kappa_scale, feasible", [(0.0, False), (1e3, True)])
+    def test_invert_matrix_reports_whether_its_member_is_certified(
+        self, tmp_path, capsys, kappa_scale, feasible
+    ):
+        # at kappa 0 the set is empty, and its min-norm member a surrogate
+        out = tmp_path / "sim"
+        kind = ["--kind", "setup1", "--seed", "3"]
+        assert run_cli(["simulate", *kind, "--samples", "20000", "--out", str(out)]) == 0
+        config = write_config(
+            tmp_path, {"estimator": "confidence_set", "kappa_scale": kappa_scale}
+        )
+        result_path = tmp_path / "est.json"
+        assert run_cli(["invert-matrix", "--config", config, *kind, "--data",
+                        str(out / "dataset.csv"), "--out", str(result_path)]) == 0
+        capsys.readouterr()
+        result = json.loads(result_path.read_text())
+        assert result["route"] == "min_norm_member"
+        assert result["feasible"] is feasible
+        assert (result["residual_sq"] <= result["kappa"]) is feasible
 
     def test_invert_matrix_takes_the_min_norm_member_below_full_rank(self, tmp_path, capsys):
         out = tmp_path / "sim"
@@ -478,7 +518,7 @@ class TestCommands:
     def test_numerical_failures_exit_two(self, tmp_path, capsys, monkeypatch):
         # a truth solve cut off after one iteration fails every record
         monkeypatch.setattr(
-            experiments, "solve_qre", partial(experiments.solve_qre, max_iter=1)
+            markov_game, "solve_qre_batch", partial(solve_qre_batch, max_iter=1)
         )
         config = tmp_path / "cfg.json"
         config.write_text(

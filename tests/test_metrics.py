@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from invgame import experiments
+from invgame.experiments import ExperimentConfig
+from invgame.inverse_matrix import reconstruct_payoff
 from invgame.markov_game import backward_qre, visit_distributions
-from invgame.matrix_game import PolicyPair
+from invgame.matrix_game import MatrixGameSpec, PolicyPair, solve_qre
 from invgame.metrics import (
     qre_discrepancy,
     qre_discrepancy_markov,
@@ -102,16 +105,12 @@ class TestRewardMetrics:
 
 class TestQreDiscrepancy:
     def test_true_payoff_gives_zero(self):
-        from invgame.matrix_game import MatrixGameSpec, solve_qre
-
         feats = seeded_features(4, 6, 2, seed=30)
         q = feats @ np.array([0.8, -0.6])
         pair = solve_qre(MatrixGameSpec(q, 0.5), tol=1e-13)
         assert qre_discrepancy(q, pair, 0.5, tol=1e-13) < 2e-13 * (4 + 6)
 
     def test_shift_invariance(self):
-        from invgame.matrix_game import MatrixGameSpec, solve_qre
-
         feats = seeded_features(3, 3, 2, seed=31)
         q = feats @ np.array([0.8, -0.6])
         pair = solve_qre(MatrixGameSpec(q, 1.0), tol=1e-13)
@@ -162,3 +161,35 @@ class TestQreDiscrepancy:
             assert np.abs(per_steps[k] - per_step).max() <= 1e-15
         with pytest.raises(ValueError):
             qre_discrepancy_markov(spec, stack[:, :2], policies, state)
+
+
+class TestMatrixGameIsOneMarkovStep:
+    # the runner solves and re-solves a matrix game as the one-step,
+    # one-state Markov game; both must match the matrix solver exactly
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"kind": "setup1"}, {"kind": "setup2"},
+         {"kind": "custom", "m": 3, "n": 5, "theta": (0.5, -0.25, 0.3)}],
+        ids=["setup1", "setup2", "custom"],
+    )
+    def test_backward_qre_truth_is_the_matrix_qre(self, fields):
+        config = ExperimentConfig(**fields, seed=8)
+        for rep in range(3):
+            model, spec, (truth, _), _ = experiments._instance(config, rep, 1)
+            assert (spec.H, spec.S) == (1, 1)
+            payoff = reconstruct_payoff(model.theta, model.features)
+            pair = solve_qre(MatrixGameSpec(payoff, config.eta), tol=1e-12)
+            assert np.array_equal(truth.mu[0, 0], pair.mu)
+            assert np.array_equal(truth.nu[0, 0], pair.nu)
+
+    def test_qre_discrepancy_is_the_matrix_re_solve(self):
+        rng = make_rng(41)
+        for m, n in ((2, 2), (3, 5), (6, 4)):
+            q = rng.standard_normal((m, n))
+            truth = solve_qre(MatrixGameSpec(q, 0.5), tol=1e-12)
+            for scale in (1e-3, 0.3, 3.0):
+                q_hat = q + scale * rng.standard_normal((m, n))
+                pair = solve_qre(MatrixGameSpec(q_hat, 0.5), tol=1e-12)
+                expected = tv(pair.mu, truth.mu) + tv(pair.nu, truth.nu)
+                assert qre_discrepancy(q_hat, truth, 0.5) == expected
