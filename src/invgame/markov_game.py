@@ -183,7 +183,7 @@ def backward_qre_stack(
             index = np.unravel_index(err.failed, lead + (s_len,))
             failed = [tuple(map(int, entry)) for entry in zip(*index)]
             raise QreConvergenceError(
-                err.iterations, err.residual, failed, step=h, state=failed[0][-1]
+                err.iterations, err.residual, failed, err.reached, step=h, state=failed[0][-1]
             ) from None
         mu_h, nu_h = mu_h.reshape(lead + (s_len, m)), nu_h.reshape(lead + (s_len, n))
         q[..., h, :, :, :], mu[..., h, :, :], nu[..., h, :, :] = q_h, mu_h, nu_h

@@ -13,23 +13,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PROB_FLOOR = 1e-300  # representation-level floor only; softmax outputs are positive
-DAMPING = 0.5  # a game's initial weight on its new best-response logits
 
 
 class QreConvergenceError(RuntimeError):
-    """Fixed-point iteration failed to reach the requested tolerance.
+    """The Newton continuation did not reach the requested tolerance.
 
-    `failed` lists the unconverged stack entries, `residual` is their largest
-    last residual; backward induction sets `step` and the first failed `state`.
+    `failed` lists the unconverged stack entries, `reached` the fraction t of
+    eta each had solved (0 is uniform play) and `residual` their largest last
+    residual; backward induction sets `step` and the first failed `state`.
     """
 
-    def __init__(self, iterations, residual, failed=(0,), step=None, state=None):
+    def __init__(self, iterations, residual, failed=(0,), reached=(), step=None, state=None):
         self.iterations, self.residual, self.failed = iterations, residual, tuple(failed)
-        self.step, self.state = step, state
+        self.reached, self.step, self.state = tuple(reached), step, state
         where = "" if step is None else f" at step {step}, state {state}"
         super().__init__(
-            f"QRE iteration did not converge{where} after {iterations} iterations "
-            f"(last residual {residual:.3e}; failed entries {list(self.failed)})"
+            f"QRE solve did not converge{where} after {iterations} Newton steps "
+            f"(last residual {residual:.3e}; failed entries {list(self.failed)}; "
+            f"reached t {[round(t, 6) for t in self.reached]})"
         )
 
 
@@ -125,65 +126,84 @@ def solve_qre_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """QRE of every game in a (B, m, n) stack; returns mu (B, m), nu (B, n).
 
-    Damped fixed-point iteration in logit space: from the current pair the
-    softmax best-response logits are mixed into the old logits with weight
-    DAMPING.  A game converges when both the sup-norm policy change and the
-    fixed-point residual drop below `tol`, and is then frozen.  Its damping
-    factor is halved (down to 1/1024) whenever its residual stalls, which
-    extends the convergent range to strongly scaled payoffs.  All of this is
-    per game, so each game follows exactly the iterates it would alone.
+    Newton's method on the saddle point's KKT system in the logits u, v of
+    mu, nu with multipliers lam, kap: u - eta Q nu + lam 1 = 0, v + eta Q' mu
+    + kap 1 = 0, 1'mu = 1'nu = 1.  Its Jacobian (diag(1/mu, 1/nu) plus a skew
+    eta Q coupling, bordered by the constraints, times diag(mu, nu, 1, 1)) is
+    nonsingular at every finite point; u, v are renormalized after each step.
+    The QRE is unique at every eta, so a game follows its branch by
+    continuation from uniform play at eta = 0: from a solution accepted at
+    t * eta it tries a larger t, first t = 1 (plain Newton from uniform).  A
+    trial hits when the fixed-point residual is at most `tol` and the step
+    moves the policies by less than `tol`: at t = 1 the game is frozen, below
+    1 the point is accepted and the next step is 1.5x longer.  A trial that
+    has not hit after 8 steps, whose residual rises while above 1e-8 or whose
+    point is not finite restarts from the accepted point at half the step.
+    All of this is per game, so each game follows exactly the iterates it
+    would alone.
 
-    Raises QreConvergenceError, naming the unconverged entries, after max_iter.
+    Raises QreConvergenceError, naming the unconverged entries and the t
+    each reached, after max_iter Newton steps.
     """
     if not (tol > 0 and eta > 0):
         raise ValueError(f"tol and eta must be positive, got {tol} and {eta}")
     q = np.ascontiguousarray(payoffs, dtype=float)  # one BLAS path for all
     _check_payoffs(q, 3)
     b_len, m, n = q.shape
-    log_mu_out, log_nu_out = np.empty((b_len, m)), np.empty((b_len, n))
+    mn = m + n
+    # z = (u, v, lam, kap), w = (mu, nu, 1, 1): the system is lin z + kkt w =
+    # sums and, kkt's last two columns being zero, its Jacobian lin + kkt diag(w)
+    sums = np.r_[np.zeros(mn), 1.0, 1.0]
+    logit = 1 - sums
+    lin = np.diag(logit)
+    lin[:m, mn] = lin[m:mn, mn + 1] = 1
+    kkt = np.zeros((b_len, mn + 2, mn + 2))
+    kkt[:, mn, :m] = kkt[:, mn + 1, m:mn] = 1
+
+    def couple(games, t):  # the eta Q blocks of these games at t * eta
+        scaled = (eta * t)[:, None, None] * q[games]
+        kkt[games, :m, m:mn], kkt[games, m:mn, :m] = -scaled, scaled.transpose(0, 2, 1)
+
+    couple(slice(None), np.ones(b_len))
+    uniform = np.r_[np.full(m, -np.log(m)), np.full(n, -np.log(n)), np.log(m), np.log(n)]
+    z = np.tile(uniform, (b_len, 1))
+    w, accepted = np.exp(z * logit), z.copy()
     live = np.arange(b_len)  # stack entries still iterating
-    log_mu, log_nu = np.full((b_len, m), -np.log(m)), np.full((b_len, n), -np.log(n))
-    alpha = np.full((b_len, 1), DAMPING)
-    best_residual = np.full(b_len, np.inf)
-    last_gain = np.full(b_len, -1)  # iteration of the last gain or halving
-    next_stall = 499  # no game can have stalled 500 times before this
-    qt, stay = q.transpose(0, 2, 1), 1 - alpha
-    for it in range(max_iter):
-        mu, nu = np.exp(log_mu), np.exp(log_nu)
-        target_mu = _log_softmax(eta * (q @ nu[:, :, None])[:, :, 0])
-        target_nu = _log_softmax(-eta * (qt @ mu[:, :, None])[:, :, 0])
-        residual = np.maximum(
-            np.abs(np.exp(target_mu) - mu).max(axis=1),
-            np.abs(np.exp(target_nu) - nu).max(axis=1),
-        )
-        log_mu = _log_softmax(stay * log_mu + alpha * target_mu)
-        log_nu = _log_softmax(stay * log_nu + alpha * target_nu)
-        change = np.maximum(
-            np.abs(np.exp(log_mu) - mu).max(axis=1),
-            np.abs(np.exp(log_nu) - nu).max(axis=1),
-        )
-        if residual.min() <= tol and (done := (change < tol) & (residual <= tol)).any():
-            log_mu_out[live[done]], log_nu_out[live[done]] = log_mu[done], log_nu[done]
+    t_accepted, t_step = np.zeros(b_len), np.ones(b_len)
+    newton, last = np.zeros(b_len, dtype=int), np.full(b_len, np.inf)  # in this trial
+    out = np.empty((b_len, mn))
+    for _ in range(max_iter):
+        g = (kkt @ w[:, :, None])[:, :, 0]
+        response = np.concatenate([_log_softmax(-g[:, :m]), _log_softmax(-g[:, m:mn])], 1)
+        residual = np.abs(np.exp(response) - w[:, :mn]).max(axis=1)
+        f = z @ lin.T + g - sums
+        z = z - np.linalg.solve(kkt * w[:, None, :] + lin, f[:, :, None])[:, :, 0]
+        z[:, :m], z[:, m:mn] = _log_softmax(z[:, :m]), _log_softmax(z[:, m:mn])
+        w, w_old = np.exp(z * logit), w
+        hit = (residual <= tol) & (np.abs(w - w_old).max(axis=1) < tol)
+        newton += 1
+        rose = (residual > last) & (residual > 1e-8)
+        miss = ~hit & ((newton == 8) | rose | ~np.isfinite(z).all(axis=1))
+        last, t_try = residual, np.minimum(t_accepted + t_step, 1.0)
+        done = hit & (t_try == 1.0)
+        if (retry := miss | (hit & ~done)).any():
+            accepted[hit], t_accepted[hit] = z[hit], t_try[hit]
+            t_step[hit] *= 1.5
+            t_step[miss] /= 2
+            z[miss], w[miss] = accepted[miss], np.exp(accepted[miss] * logit)
+            newton[retry], last[retry] = 0, np.inf
+            couple(retry, np.minimum(t_accepted + t_step, 1.0)[retry])
+        if done.any():
+            out[live[done]] = z[done, :mn]
             if done.all():
-                mu = np.maximum(np.exp(log_mu_out), PROB_FLOOR)
-                nu = np.maximum(np.exp(log_nu_out), PROB_FLOOR)
+                policies = np.maximum(np.exp(out), PROB_FLOOR)
+                mu, nu = policies[:, :m], policies[:, m:]
                 return mu / mu.sum(axis=1, keepdims=True), nu / nu.sum(axis=1, keepdims=True)
-            per_game = (live, q, log_mu, log_nu, alpha, residual, best_residual, last_gain)
-            live, q, log_mu, log_nu, alpha, residual, best_residual, last_gain = (
+            per_game = (live, q, kkt, z, w, accepted, t_accepted, t_step, newton, last, residual)
+            live, q, kkt, z, w, accepted, t_accepted, t_step, newton, last, residual = (
                 x[~done] for x in per_game
             )
-            qt, stay = q.transpose(0, 2, 1), 1 - alpha
-        # residual stalling for 500 iterations signals oscillation; damp harder
-        improved = residual < best_residual * (1 - 1e-3)
-        np.copyto(best_residual, residual, where=improved)
-        np.copyto(last_gain, it, where=improved)
-        if it >= next_stall:
-            halve = (it - last_gain >= 500) & (alpha[:, 0] > 1 / 1024)
-            alpha[halve] /= 2
-            stay = 1 - alpha
-            last_gain[halve] = it
-            next_stall = int(last_gain.min()) + 500
-    raise QreConvergenceError(max_iter, float(residual.max()), live.tolist())
+    raise QreConvergenceError(max_iter, float(residual.max()), live.tolist(), t_accepted.tolist())
 
 
 def solve_qre(

@@ -9,7 +9,8 @@ the library's stream and initial-state draw; and recover_rewards_on_truth,
 which runs the library's backward pass on the true policies and kernel
 (and reads the visit weights of the library's count table).  The earlier
 estimator bodies (mle_fit_by_einsum, ridge_fit_by_gather and
-frequency_estimate_by_step) count the dataset themselves.
+frequency_estimate_by_step) count the dataset themselves, and
+qre_by_damped_iteration is solve_qre_batch's earlier damped fixed point.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from invgame.experiments import ETA, MARKOV_OMEGA
 from invgame.inverse_markov import MleFit, SoftmaxPolicyModel, stepwise_confidence_sets
 from invgame.inverse_matrix import floor_distribution
 from invgame.markov_game import MarkovGameSpec
-from invgame.matrix_game import solve_qre_batch, stage_values
+from invgame.matrix_game import QreConvergenceError, solve_qre_batch, stage_values
 from invgame.sampling import (
     EpisodeDataset,
     _draw_categorical,
@@ -303,6 +304,69 @@ def feasible_projection_by_clamp(feasible, point: np.ndarray) -> np.ndarray:
     if norm > feasible.radius:
         z = z * (feasible.radius / norm)
     return feasible.particular + feasible.null_basis @ z
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def qre_by_damped_iteration(
+    payoffs: np.ndarray, eta: float, tol: float = 1e-12, max_iter: int = 100_000
+) -> tuple[np.ndarray, np.ndarray]:
+    """solve_qre_batch as it was before the Newton continuation: a damped
+    fixed-point iteration in logit space.  From the current pair the softmax
+    best-response logits are mixed into the old logits with weight 0.5; a
+    game whose residual stalls for 500 iterations has its weight halved
+    (down to 1/1024).  A game stops when both the sup-norm policy change and
+    the fixed-point residual drop below `tol`.  Linear convergence, thousands
+    of iterations on strongly scaled payoffs: the reference the Newton
+    solutions are compared against."""
+    q = np.ascontiguousarray(payoffs, dtype=float)
+    b_len, m, n = q.shape
+    log_mu_out, log_nu_out = np.empty((b_len, m)), np.empty((b_len, n))
+    live = np.arange(b_len)
+    log_mu, log_nu = np.full((b_len, m), -np.log(m)), np.full((b_len, n), -np.log(n))
+    alpha = np.full((b_len, 1), 0.5)
+    best_residual = np.full(b_len, np.inf)
+    last_gain = np.full(b_len, -1)  # iteration of the last gain or halving
+    next_stall = 499  # no game can have stalled 500 times before this
+    qt, stay = q.transpose(0, 2, 1), 1 - alpha
+    for it in range(max_iter):
+        mu, nu = np.exp(log_mu), np.exp(log_nu)
+        target_mu = _log_softmax(eta * (q @ nu[:, :, None])[:, :, 0])
+        target_nu = _log_softmax(-eta * (qt @ mu[:, :, None])[:, :, 0])
+        residual = np.maximum(
+            np.abs(np.exp(target_mu) - mu).max(axis=1),
+            np.abs(np.exp(target_nu) - nu).max(axis=1),
+        )
+        log_mu = _log_softmax(stay * log_mu + alpha * target_mu)
+        log_nu = _log_softmax(stay * log_nu + alpha * target_nu)
+        change = np.maximum(
+            np.abs(np.exp(log_mu) - mu).max(axis=1),
+            np.abs(np.exp(log_nu) - nu).max(axis=1),
+        )
+        if residual.min() <= tol and (done := (change < tol) & (residual <= tol)).any():
+            log_mu_out[live[done]], log_nu_out[live[done]] = log_mu[done], log_nu[done]
+            if done.all():
+                mu, nu = np.exp(log_mu_out), np.exp(log_nu_out)
+                return mu / mu.sum(axis=1, keepdims=True), nu / nu.sum(axis=1, keepdims=True)
+            per_game = (live, q, log_mu, log_nu, alpha, residual, best_residual, last_gain)
+            live, q, log_mu, log_nu, alpha, residual, best_residual, last_gain = (
+                x[~done] for x in per_game
+            )
+            qt, stay = q.transpose(0, 2, 1), 1 - alpha
+        # residual stalling for 500 iterations signals oscillation; damp harder
+        improved = residual < best_residual * (1 - 1e-3)
+        np.copyto(best_residual, residual, where=improved)
+        np.copyto(last_gain, it, where=improved)
+        if it >= next_stall:
+            halve = (it - last_gain >= 500) & (alpha[:, 0] > 1 / 1024)
+            alpha[halve] /= 2
+            stay = 1 - alpha
+            last_gain[halve] = it
+            next_stall = int(last_gain.min()) + 500
+    raise QreConvergenceError(max_iter, float(residual.max()), live.tolist())
 
 
 def mle_fit_by_einsum(

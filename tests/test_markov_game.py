@@ -158,10 +158,12 @@ class TestBackwardQre:
         assert (err.value.step, err.value.state) == (1, 1)
         assert err.value.failed == ((1,),)
         assert err.value.iterations == 3
+        assert err.value.reached == (0.0,)
         with pytest.raises(QreConvergenceError) as err:
             backward_qre_stack(np.stack([rewards, rewards]), transition, 2.0)
         assert (err.value.step, err.value.state) == (1, 1)
         assert err.value.failed == ((0, 1), (1, 1))
+        assert err.value.reached == (0.0, 0.0)
 
 
 class TestVisitDistributions:

@@ -3,6 +3,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from invgame import experiments
+from invgame.markov_game import backward_qre
 from invgame.matrix_game import (
     FeatureModel,
     MatrixGameSpec,
@@ -18,6 +20,7 @@ from .oracles import (
     payoff_by_scalar_loops,
     payoff_from_features,
     qre_2x2_bisection,
+    qre_by_damped_iteration,
     simplex_mesh,
 )
 
@@ -32,8 +35,9 @@ def seeded_features(m, n, d, seed, unit_norm=True):
 
 @lru_cache(maxsize=None)
 def strongly_scaled_game():
-    """A near-deterministic 4x4 game whose solve needs damping halvings,
-    with its single-game QRE (cached: the solve takes seconds)."""
+    """A near-deterministic 4x4 game that plain Newton from uniform play
+    does not solve, so its solve takes several continuation steps in eta,
+    with its single-game QRE (cached: several tests share it)."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(124)))
     spec = MatrixGameSpec(rng.standard_normal((4, 4)) * 20, eta=2.0)
     return spec, solve_qre(spec, tol=1e-12)
@@ -134,11 +138,27 @@ class TestSolveQre:
         assert pair.mu.min() > 0
         assert pair.nu.min() > 0
 
-    def test_strongly_scaled_payoffs_converge_via_damping(self):
-        # near-deterministic equilibrium regime: plain damping 0.5 cycles and
-        # the stall-triggered halving has to carry the iteration
+    def test_strongly_scaled_payoffs_converge_via_continuation(self):
+        # near-deterministic equilibrium regime: the full-eta Newton trial
+        # misses and the continuation in eta has to carry the solve
         spec, pair = strongly_scaled_game()
         assert qre_residual(spec, pair) <= 1e-10
+
+    def test_strongly_scaled_2x2_against_bisection_oracle(self):
+        q = 50 * np.array([[7.0, -2.0], [0.5, 3.0]])
+        pair = solve_qre(MatrixGameSpec(q, eta=1.0))
+        mu_star, nu_star = qre_2x2_bisection(q, eta=1.0)
+        assert np.abs(pair.mu - mu_star).max() < 1e-10
+        assert np.abs(pair.nu - nu_star).max() < 1e-10
+
+    def test_nonconvergence_reports_the_continuation_reached(self):
+        # cut off part-way along the strongly scaled game's branch in eta
+        spec, _ = strongly_scaled_game()
+        with pytest.raises(QreConvergenceError) as err:
+            solve_qre(spec, tol=1e-12, max_iter=20)
+        (reached,) = err.value.reached
+        assert 0 < reached < 1
+        assert f"reached t [{round(reached, 6)}]" in str(err.value)
 
     def test_nonconvergence_reports_residual(self):
         spec = MatrixGameSpec(np.array([[7.0, -2.0], [0.5, 3.0]]), eta=2.0)
@@ -150,7 +170,7 @@ class TestSolveQre:
 
 class TestSolveQreBatch:
     def test_games_in_a_stack_follow_their_own_iterates(self):
-        # the hard game keeps iterating, and halving its damping, long after
+        # the hard game keeps retrying shorter continuation steps long after
         # the easy games have converged and been frozen
         hard_spec, hard_pair = strongly_scaled_game()
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(125)))
@@ -162,6 +182,46 @@ class TestSolveQreBatch:
             assert np.abs(mu[i] - alone.mu).max() <= 1e-15
             assert np.abs(nu[i] - alone.nu).max() <= 1e-15
             assert qre_residual(MatrixGameSpec(q, 2.0), PolicyPair(mu[i], nu[i])) <= 1e-10
+
+    def test_continued_games_in_a_stack_follow_their_own_iterates(self):
+        # payoffs scaled by 300: each game takes its own number of
+        # continuation steps, from 39 to 123 Newton steps
+        stack = np.random.default_rng(3).standard_normal((8, 5, 5)) * 300
+        mu, nu = solve_qre_batch(stack, 0.5, tol=1e-12)
+        for i, q in enumerate(stack):
+            alone = solve_qre(MatrixGameSpec(q, 0.5), tol=1e-12)
+            assert np.abs(mu[i] - alone.mu).max() <= 1e-15
+            assert np.abs(nu[i] - alone.nu).max() <= 1e-15
+            assert qre_residual(MatrixGameSpec(q, 0.5), PolicyPair(mu[i], nu[i])) <= 1e-10
+
+    @pytest.mark.parametrize("eta", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("scale", [1, 10, 100, 300])
+    def test_converges_across_sizes_and_payoff_scales(self, scale, eta):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(127)))
+        for m, n in [(2, 2), (2, 5), (4, 3), (5, 5), (7, 6)]:
+            stack = rng.standard_normal((3, m, n)) * scale
+            mu, nu = solve_qre_batch(stack, eta, tol=1e-12)
+            for q, mu_q, nu_q in zip(stack, mu, nu):
+                assert qre_residual(MatrixGameSpec(q, eta), PolicyPair(mu_q, nu_q)) <= 1e-10
+
+    @pytest.mark.parametrize("scale", [1, 3, 10])
+    def test_random_games_against_damped_iteration(self, scale):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(128)))
+        stack = rng.standard_normal((6, 4, 5)) * scale
+        mu, nu = solve_qre_batch(stack, 0.5, tol=1e-12)
+        mu_ref, nu_ref = qre_by_damped_iteration(stack, 0.5, tol=1e-12)
+        assert np.abs(mu - mu_ref).max() <= 1e-10
+        assert np.abs(nu - nu_ref).max() <= 1e-10
+
+    def test_benchmark_stage_stacks_against_damped_iteration(self):
+        # every state's stage game of each step of markov instance 3
+        spec = experiments.markov_model(experiments.stream(3, 0)).to_tabular()
+        _, values = backward_qre(spec)
+        for stage in values.Q:
+            mu, nu = solve_qre_batch(stage, spec.eta, tol=1e-12)
+            mu_ref, nu_ref = qre_by_damped_iteration(stage, spec.eta, tol=1e-12)
+            assert np.abs(mu - mu_ref).max() <= 1e-10
+            assert np.abs(nu - nu_ref).max() <= 1e-10
 
     def test_2x2_stack_against_bisection_oracle(self):
         stack = np.array(
