@@ -23,7 +23,7 @@ from invgame.sampling import EmpiricalMarkovQRE, stream
 
 LOG_FLOOR = 1e-12  # probabilities are floored here before log-ratios
 RANK_TOL_FACTOR = 1e-12
-_BISECTIONS = 53  # resolves t in [0, 1] to 2^-53, the spacing of doubles below 1
+_ULPS = 4 * np.finfo(float).eps  # a few ulps, as a relative width
 _CLOUD_CHUNK = 1 << 14  # point-to-cloud distances held at once
 
 
@@ -172,6 +172,30 @@ def _ball_draws(k: int, dim: int, radius: float, rng: np.random.Generator) -> np
     return raw
 
 
+def _secular_step(f: np.ndarray, slope: np.ndarray, target) -> np.ndarray:
+    """Newton step toward f(x) = target on f^(-1/2), f decreasing with slope -f'(x):
+    monotone from below for a secular f = sum_i w_i^2 / (s_i + x)^2 (More & Sorensen 1983).
+    Formed from f - target, as sqrt(f) - sqrt(target) rounds to 0 an ulp from the root."""
+    return 2 * f * (f - target) / (np.sqrt(target) * (np.sqrt(f) + np.sqrt(target)) * slope)
+
+
+def _ball_solve(a: np.ndarray, den: np.ndarray, cap: float):
+    """Rows z = a / (den + nu) for the least nu >= 0 with ||z||^2 <= cap (den is
+    0 only where a is); also den + nu (1 where it is 0) and whether nu > 0."""
+    nu = np.zeros((len(a), 1))
+    for _ in range(100):  # a cap the monotone iteration stays far below
+        shifted = np.where(den + nu > 0, den + nu, 1.0)
+        z = a / shifted
+        sq = (z * z).sum(axis=1, keepdims=True)
+        out = sq > cap
+        slope = np.where(out, 2 * (z * z / shifted).sum(axis=1, keepdims=True), 1.0)
+        step = np.where(out, _secular_step(sq, slope, cap), 0.0)
+        if not (step > 1e-15 * nu).any():
+            break
+        nu = nu + step
+    return z, shifted, nu[:, 0] > 0
+
+
 @dataclass(frozen=True)
 class ConfidenceSet:
     """{theta : ||X theta - y||^2 <= kappa, ||theta||^2 <= norm_sq_cap}.
@@ -218,48 +242,47 @@ class ConfidenceSet:
         """Exact projections of the rows of `points`; whether the set is nonempty.
 
         The projection theta of p solves p - theta = lam X'(X theta - y) + mu theta
-        with lam, mu >= 0: for t = lam / (1 + lam) it minimises (1-t) ||theta - p||^2
-        + t ||X theta - y||^2 over the ball, whose multiplier is a secular root.  The
-        residual does not increase with t, so bisection finds the least t within
-        kappa.  At t = 1 theta is the least-residual point of the ball; the set is
-        empty exactly when that residual exceeds kappa, and then every row gets it.
+        with lam, mu >= 0: z = V' theta = (V'p + lam sigma c) / (1 + lam sigma^2 + mu),
+        mu the ball's secular root.  lam = inf gives the ball's least-residual point;
+        the set is empty exactly when that residual, least, exceeds kappa, and then
+        every row gets it.  Otherwise Newton steps on (phi - least)^(-1/2) seek the
+        least lam with residual phi <= kappa, bisecting the bracket [lo, hi] of lams
+        seen infeasible and feasible when they leave it.  A row stops at a feasible
+        iterate within a few ulps of kappa or of its step, or once [lo, hi] is a few
+        ulps wide; its member is z at hi (p itself for a point of the set).
         """
         vt, sigma, c, y_perp_sq = self._svd
-        q = points @ vt.T
-        cap, radius = self.norm_sq_cap, np.sqrt(self.norm_sq_cap)
-
-        def solve(t):
-            # z = a / (den + nu) for the least nu >= 0 with ||z||^2 <= cap (den
-            # is 0 only where a is).  1/||z(nu)|| is concave and increasing, so
-            # Newton's method on 1/||z|| = 1/radius from nu = 0 rises
-            # monotonically to the root (More & Sorensen 1983).
-            t = t[:, None]
-            a, den = (1 - t) * q + t * sigma * c, (1 - t) + t * sigma**2
-            nu = np.zeros_like(t)
-            for _ in range(100):  # a cap the monotone iteration stays far below
-                shifted = np.where(den + nu > 0, den + nu, 1.0)
-                z = a / shifted
-                sq = (z * z).sum(axis=1, keepdims=True)
-                out = sq > cap
-                slope = np.where(out, (z * z / shifted).sum(axis=1, keepdims=True), 1.0)
-                step = np.where(out, sq * (np.sqrt(sq) - radius) / (radius * slope), 0.0)
-                if not (step > 1e-15 * nu).any():
-                    break
-                nu = nu + step
-            return z, ((sigma * z - c) ** 2).sum(axis=1) + y_perp_sq <= self.kappa
-
-        lo, hi = np.zeros(len(q)), np.ones(len(q))
-        z_hi, nonempty = solve(hi)
-        z_lo, ball_only = solve(lo)
-        hi[ball_only], z_hi[ball_only] = 0.0, z_lo[ball_only]
-        for _ in range(_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            z_mid, ok = solve(mid)
-            hi[ok], z_hi[ok], lo[~ok] = mid[ok], z_mid[ok], mid[~ok]
+        q, cap, kappa = points @ vt.T, self.norm_sq_cap, self.kappa
+        z_far, _, _ = _ball_solve((sigma * c)[None], (sigma**2)[None], cap)
+        least = ((sigma * z_far - c) ** 2).sum() + y_perp_sq
+        z_hi = np.repeat(z_far, len(q), axis=0)
+        rows = np.arange(len(q) if least <= kappa else 0)  # the rows still iterating
+        at, lo, hi = np.zeros(rows.size), np.zeros(len(q)), np.full(len(q), np.inf)
+        for _ in range(100):  # a cap the bracketed iteration stays far below
+            if not rows.size:
+                break
+            a, den = q[rows] + at[:, None] * sigma * c, 1 + at[:, None] * sigma**2
+            z, shifted, active = _ball_solve(a, den, cap)
+            ok = (phi := ((sigma * z - c) ** 2).sum(axis=1) + y_perp_sq) <= kappa
+            hi[rows[ok]], z_hi[rows[ok]], lo[rows[~ok]] = at[ok], z[ok], at[~ok]
+            lo_r, hi_r, sr = lo[rows], hi[rows], sigma * (sigma * z - c)
+            # -phi'(lam), r = sigma z - c, D = 1 + lam sigma^2 + mu: dz = -(sigma r + z mu') / D
+            # with mu' = -sum(z sigma r / D) / sum(z^2 / D) while the ball is active, else 0
+            u, v = (z * sr / shifted).sum(axis=1), (z * z / shifted).sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):  # a nan or inf step bisects
+                slope = 2 * ((sr * sr / shifted).sum(axis=1) - np.where(active, u * u / v, 0.0))
+                step = _secular_step(phi - least, slope, kappa - least)
+            close = (np.abs(phi - kappa) <= _ULPS * kappa) | (np.abs(step) <= _ULPS * at)
+            # past lam = 1 / _ULPS, z is z_far to rounding
+            live = ~(ok & close) & (lo_r < np.minimum(hi_r, 1 / _ULPS) * (1 - _ULPS))
+            lam_next = at + step + np.where(close & ~ok, _ULPS * at, 0.0)  # step over
+            mid = np.where(hi_r < np.inf, 0.5 * (lo_r + hi_r), 2 * lo_r + 1)  # t-midpoint at inf
+            lam_next = np.where((lo_r < lam_next) & (lam_next < hi_r), lam_next, mid)
+            rows, at = rows[live], lam_next[live]
         members = z_hi @ vt
-        inside = ball_only & ((points * points).sum(axis=1) <= cap)
+        inside = (hi == 0) & ((points * points).sum(axis=1) <= cap)
         members[inside] = points[inside]
-        return members, bool(nonempty.all())
+        return members, bool(least <= kappa)
 
     def project(self, point: np.ndarray) -> tuple[np.ndarray, float, bool]:
         """Exact Euclidean projection: (member, distance, feasible).  A point of

@@ -147,6 +147,8 @@ def solve_qre_batch(
     """
     if not (tol > 0 and eta > 0):
         raise ValueError(f"tol and eta must be positive, got {tol} and {eta}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     q = np.ascontiguousarray(payoffs, dtype=float)  # one BLAS path for all
     _check_payoffs(q, 3)
     b_len, m, n = q.shape

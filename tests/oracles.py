@@ -9,8 +9,10 @@ the library's stream and initial-state draw; and recover_rewards_on_truth,
 which runs the library's backward pass on the true policies and kernel
 (and reads the visit weights of the library's count table).  The earlier
 estimator bodies (mle_fit_by_einsum, ridge_fit_by_gather and
-frequency_estimate_by_step) count the dataset themselves, and
-qre_by_damped_iteration is solve_qre_batch's earlier damped fixed point.
+frequency_estimate_by_step) count the dataset themselves,
+qre_by_damped_iteration is solve_qre_batch's earlier damped fixed point, and
+project_by_bisection is ConfidenceSet._project's earlier bisection in t,
+which reads the set's cached SVD.
 """
 
 from __future__ import annotations
@@ -304,6 +306,58 @@ def feasible_projection_by_clamp(feasible, point: np.ndarray) -> np.ndarray:
     if norm > feasible.radius:
         z = z * (feasible.radius / norm)
     return feasible.particular + feasible.null_basis @ z
+
+
+_BISECTIONS = 53  # resolves t in [0, 1] to 2^-53, the spacing of doubles below 1
+
+
+def project_by_bisection(cset, points: np.ndarray) -> tuple[np.ndarray, bool]:
+    """ConfidenceSet._project's earlier body: exact projections of the rows of
+    `points` and whether the set is nonempty.
+
+    The projection theta of p solves p - theta = lam X'(X theta - y) + mu theta
+    with lam, mu >= 0: for t = lam / (1 + lam) it minimises (1-t) ||theta - p||^2
+    + t ||X theta - y||^2 over the ball, whose multiplier is a secular root.  The
+    residual does not increase with t, so bisection finds the least t within
+    kappa.  At t = 1 theta is the least-residual point of the ball; the set is
+    empty exactly when that residual exceeds kappa, and then every row gets it.
+    """
+    vt, sigma, c, y_perp_sq = cset._svd
+    q = points @ vt.T
+    cap, radius = cset.norm_sq_cap, np.sqrt(cset.norm_sq_cap)
+
+    def solve(t):
+        # z = a / (den + nu) for the least nu >= 0 with ||z||^2 <= cap (den
+        # is 0 only where a is).  1/||z(nu)|| is concave and increasing, so
+        # Newton's method on 1/||z|| = 1/radius from nu = 0 rises
+        # monotonically to the root (More & Sorensen 1983).
+        t = t[:, None]
+        a, den = (1 - t) * q + t * sigma * c, (1 - t) + t * sigma**2
+        nu = np.zeros_like(t)
+        for _ in range(100):  # a cap the monotone iteration stays far below
+            shifted = np.where(den + nu > 0, den + nu, 1.0)
+            z = a / shifted
+            sq = (z * z).sum(axis=1, keepdims=True)
+            out = sq > cap
+            slope = np.where(out, (z * z / shifted).sum(axis=1, keepdims=True), 1.0)
+            step = np.where(out, sq * (np.sqrt(sq) - radius) / (radius * slope), 0.0)
+            if not (step > 1e-15 * nu).any():
+                break
+            nu = nu + step
+        return z, ((sigma * z - c) ** 2).sum(axis=1) + y_perp_sq <= cset.kappa
+
+    lo, hi = np.zeros(len(q)), np.ones(len(q))
+    z_hi, nonempty = solve(hi)
+    z_lo, ball_only = solve(lo)
+    hi[ball_only], z_hi[ball_only] = 0.0, z_lo[ball_only]
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        z_mid, ok = solve(mid)
+        hi[ok], z_hi[ok], lo[~ok] = mid[ok], z_mid[ok], mid[~ok]
+    members = z_hi @ vt
+    inside = ball_only & ((points * points).sum(axis=1) <= cap)
+    members[inside] = points[inside]
+    return members, bool(nonempty.all())
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

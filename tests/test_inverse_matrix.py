@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from invgame import inverse_matrix
 from invgame.experiments import (
     SETUP2_THETA,
     custom_model,
@@ -31,6 +34,7 @@ from .oracles import (
     feasible_projection_by_clamp,
     matrix_linear_system,
     payoff_from_features,
+    project_by_bisection,
     theoretical_kappa,
     tv_error_bound,
 )
@@ -339,6 +343,213 @@ class TestExactProjection:
         for index, cset in enumerate(setup2_confidence_sets()):
             for theta in cset.sample_members(100, stream(53, index)):
                 assert cset.contains(theta, slack=1e-12)
+
+
+def least_residual_in_ball(x, y, cap):
+    """The least residual over the ball, at the member of the (empty) kappa = 0
+    set, which is the ball's least-residual point."""
+    cset = ConfidenceSet(x, y, 0.0, cap)
+    return cset.residual_sq(cset.project(np.zeros(x.shape[1]))[0])
+
+
+def projection_cases():
+    """(X, y, kappa, points): tall, square and wide X and a numerically
+    rank-deficient one, each with its least-squares point inside the radius-2
+    ball and outside it; kappa 0, moderate and, least-squares point inside,
+    large or the ball's least residual plus 1e-12.  y is X theta plus 1e-3 noise.
+    Near-empty sets are ill-conditioned where the least residual is large or
+    sits on the ball: rounding phi (~eps kappa) then moves their boundary, and
+    both solvers land 1e-11 to 1e-9 from a projection in extended precision.  Query points lie inside, near and outside the ball;
+    the lens of test_both_constraints_active_at_a_corner comes last."""
+    rng = stream(60)
+    shapes = [
+        rng.standard_normal((10, 6)),
+        rng.standard_normal((6, 6)),
+        rng.standard_normal((3, 6)),
+        rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6)),
+    ]
+    for x in shapes:
+        for theta_norm in (1.0, 2.05):
+            theta = rng.standard_normal(6)
+            theta *= theta_norm / np.linalg.norm(theta)
+            y = x @ theta + 1e-3 * rng.standard_normal(len(x))
+            least = least_residual_in_ball(x, y, 4.0)
+            points = rng.standard_normal((32, 6)) * rng.choice([0.3, 1.0, 3.0], size=(32, 1))
+            margins = (1e-12, 0.1, 10.0) if theta_norm < 2 else (0.1,)
+            for kappa in (0.0, *(least + margin for margin in margins)):
+                yield x, y, kappa, points
+    corner = np.array([[1.0, 2.0 * np.sqrt(3.0)], [1.5, 2.5], [0.0, 3.0], [3.0, 0.0]])
+    yield np.array([[1.0, 0.0]]), np.array([2.0]), 1.0, corner
+
+
+class TestNewtonProjection:
+    """ConfidenceSet._project finds the residual multiplier by bracketed Newton
+    steps; project_by_bisection is its earlier 53-step bisection."""
+
+    @staticmethod
+    def assert_agrees(x, y, kappa, points):
+        """Projections onto the set against the bisection's to 1e-12, the
+        bounds with 1e-12 slack.  For a full-rank X, also with X, y scaled by
+        1e-3 and 1e3 against the bisection's at scale 1: its grid in t = lam /
+        (1 + lam) is too coarse for the 1e6-fold lam of the 1e-3 scale (up to
+        1e-9 off), and the tiny singular values of a rank-deficient X change
+        with the scale."""
+        expected, _ = project_by_bisection(ConfidenceSet(x, y, kappa, 4.0), points)
+        full_rank = np.linalg.matrix_rank(x) == min(x.shape)
+        for scale in (1e-3, 1.0, 1e3) if full_rank else (1.0,):
+            cset = ConfidenceSet(scale * x, scale * y, scale**2 * kappa, 4.0)
+            members, nonempty = cset._project(points)
+            assert nonempty == project_by_bisection(cset, points)[1]
+            assert np.isfinite(members).all()
+            assert np.abs(members - expected).max() <= 1e-12
+            if nonempty:
+                for member in members:  # in the units of the unscaled set
+                    assert cset.residual_sq(member) / scale**2 <= kappa + 1e-12
+                    assert member @ member <= 4.0 + 1e-12
+        return members, nonempty
+
+    def test_agrees_with_bisection(self):
+        shapes, counts = set(), dict(empty=0, ball=0, corner=0, inside=0)
+        for x, y, kappa, points in projection_cases():
+            shapes.add(x.shape)
+            members, nonempty = self.assert_agrees(x, y, kappa, points)
+            if not nonempty:
+                counts["empty"] += 1
+                continue
+            residuals = ((members @ x.T - y) ** 2).sum(axis=1)
+            on_ball = (members**2).sum(axis=1) >= 4.0 * (1 - 1e-9)
+            on_kappa = residuals >= kappa * (1 - 1e-9)
+            counts["ball"] += int((on_ball & ~on_kappa).sum())
+            counts["corner"] += int((on_ball & on_kappa).sum())
+            # the members and the midpoints of neighbours lie in the set
+            queries = np.vstack([members, 0.5 * (members[1:] + members[:-1])])
+            again, _ = self.assert_agrees(x, y, kappa, queries)
+            counts["inside"] += int((again == queries).all(axis=1).sum())
+        assert shapes == {(10, 6), (6, 6), (3, 6), (1, 2)}
+        assert min(counts.values()) >= 5, counts
+
+    def test_rank_deficient_system_carries_residual_on_a_zero_singular_value(self):
+        rng = stream(61)
+        x = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6))
+        y = rng.standard_normal(6)
+        kappa = least_residual_in_ball(x, y, 4.0) + 0.5
+        _, sigma, c, _ = ConfidenceSet(x, y, kappa, 4.0)._svd
+        assert sigma[-1] <= 1e-12 * sigma[0] and np.abs(c[3:]).min() > 1e-3
+        self.assert_agrees(x, y, kappa, rng.standard_normal((64, 6)) * 2.0)
+
+
+class TestProjectionEdgeCases:
+    """Sets where the Newton step divides by zero (kappa at the least residual,
+    a zero y_perp at kappa = 0) or meets an exactly zero singular value: no
+    warning, finite members, and the bisection's emptiness verdict."""
+
+    @staticmethod
+    def project_without_warnings(cset, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            members, nonempty = cset._project(points)
+        assert np.isfinite(members).all()
+        assert nonempty == project_by_bisection(cset, points)[1]
+        return members, nonempty
+
+    def test_kappa_at_the_least_squares_residual(self):
+        # residual (theta_0 - 2)^2 + (2 theta_1 - 1)^2 + 9, y_perp = (0, 0, 3):
+        # kappa = 9 leaves the least-squares point (2, 1/2), inside the ball
+        x = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+        cset = ConfidenceSet(x, np.array([2.0, 1.0, 3.0]), kappa=9.0, norm_sq_cap=9.0)
+        assert cset._svd[3] == 9.0
+        points = stream(62).standard_normal((40, 2)) * 3.0
+        members, nonempty = self.project_without_warnings(cset, points)
+        # phi rounds to kappa within ~sqrt(ulp(9)) = 4e-8 of that point
+        assert nonempty and all(cset.contains(m) for m in members)
+        assert np.abs(members - [2.0, 0.5]).max() <= 1e-7
+
+    def test_zero_y_perp(self):
+        x = np.array([[1.0, 0.0], [0.0, 2.0]])
+        cset = ConfidenceSet(x, np.array([1.0, 1.0]), kappa=0.25, norm_sq_cap=4.0)
+        assert cset._svd[3] == 0.0
+        points = stream(63).standard_normal((40, 2)) * 3.0
+        members, nonempty = self.project_without_warnings(cset, points)
+        assert nonempty and all(cset.contains(m, slack=1e-12) for m in members)
+        assert np.abs(members - project_by_bisection(cset, points)[0]).max() <= 1e-12
+
+    def test_zero_singular_value(self):
+        # sigma = (1, 0) exactly; the zero one carries c = 1 of residual
+        x = np.array([[1.0, 0.0], [0.0, 0.0]])
+        cset = ConfidenceSet(x, np.array([1.0, 1.0]), kappa=1.5, norm_sq_cap=4.0)
+        assert cset._svd[1][-1] == 0.0
+        points = stream(64).standard_normal((40, 2)) * 3.0
+        members, nonempty = self.project_without_warnings(cset, points)
+        assert nonempty and all(cset.contains(m, slack=1e-12) for m in members)
+        assert np.abs(members - project_by_bisection(cset, points)[0]).max() <= 1e-12
+
+    def test_zero_kappa_with_zero_y_perp(self):
+        # a square invertible X at kappa = 0: the set is the one solution
+        x = np.array([[1.0, 0.0], [0.0, 2.0]])
+        cset = ConfidenceSet(x, np.array([1.0, 1.0]), kappa=0.0, norm_sq_cap=4.0)
+        members, nonempty = self.project_without_warnings(cset, stream(65).standard_normal((8, 2)))
+        assert nonempty
+        assert members == pytest.approx(np.tile([1.0, 0.5], (8, 1)), abs=1e-12)
+
+
+def count_projection_steps(monkeypatch) -> list[int]:
+    """The outer Newton steps of each later ConfidenceSet._project call, appended
+    to the returned list: its ball solves after the lam = inf and lam = 0 ones."""
+    solves, steps = [0], []
+    ball_solve, project = inverse_matrix._ball_solve, ConfidenceSet._project
+
+    def counting_solve(*args):
+        solves[0] += 1
+        return ball_solve(*args)
+
+    def counting_project(self, points):
+        solves[0] = 0
+        result = project(self, points)
+        steps.append(solves[0] - 2)
+        return result
+
+    monkeypatch.setattr(inverse_matrix, "_ball_solve", counting_solve)
+    monkeypatch.setattr(ConfidenceSet, "_project", counting_project)
+    return steps
+
+
+def test_projection_steps_on_setup2(monkeypatch):
+    """At most 30 outer Newton steps in every projection of setup2
+    instances 0-8 as the setup2 geometry benchmark makes them (min-norm
+    members, Hausdorff estimates at k = 64, a 1000-member cloud)."""
+    steps = count_projection_steps(monkeypatch)
+    for instance in range(9):
+        model = setup2_model(stream(instance, 0))
+        truth = solve_qre(MatrixGameSpec(payoff_from_features(model), 0.5), tol=1e-12)
+        data = sample_matrix_actions(truth, 10**5, instance, 0)
+        feasible = feasible_set_from_policies(model.features, truth, 0.5, 4.0)
+        sets = []
+        for n in (10**3, 10**4, 10**5):
+            est = frequency_estimate_matrix(data.prefix(n), 6, 6)
+            sets.append(build_confidence_set(est, model.features, 0.5, kappa_rule(n), 4.0))
+            sets[-1].min_norm_member()
+            hausdorff_estimate(feasible, sets[-1], k=64, seed=instance)
+        for coarse, fine in zip(sets, sets[1:]):
+            hausdorff_estimate(coarse, fine, k=64, seed=instance)
+        sets[-1].sample_members(1000, stream(instance, 1))
+    assert len(steps) > 100
+    assert max(steps) <= 30
+
+
+def test_projection_steps_on_rank_deficient_sets(monkeypatch):
+    """Newton on (phi - least)^(-1/2) stays fast where the least residual in
+    the ball carries the residual of near-zero singular values and of an
+    active ball: at most 10 steps (7 today), where an offset of ||y_perp||^2
+    alone takes 16-24 on the near-empty sets."""
+    steps = count_projection_steps(monkeypatch)
+    for seed in (61, 62, 63):
+        rng = stream(seed)
+        x = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6))
+        y = rng.standard_normal(6)
+        least = least_residual_in_ball(x, y, 4.0)
+        for margin in (0.5, 1e-3, 1e-6):
+            ConfidenceSet(x, y, least + margin, 4.0)._project(rng.standard_normal((64, 6)) * 2.0)
+            assert steps[-1] <= 10
 
 
 class TestTheoreticalKappa:

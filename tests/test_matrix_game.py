@@ -262,6 +262,14 @@ class TestSolveQreBatch:
         with pytest.raises(ValueError):
             solve_qre_batch(np.zeros((1, 2, 2)), 0.0)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        spec = MatrixGameSpec(np.array([[7.0, -2.0], [0.5, 3.0]]), eta=2.0)
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            solve_qre_batch(spec.payoff[None], spec.eta, max_iter=max_iter)
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            solve_qre(spec, max_iter=max_iter)
+
 
 class TestQreResidual:
     def test_uniform_pair_exact_for_zero_payoff(self):
