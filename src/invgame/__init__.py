@@ -24,14 +24,11 @@ from invgame.inverse_matrix import (
     ConfidenceSet,
     FeasibleSet,
     LinearSystem,
-    PartialIdentifiabilityError,
     build_confidence_set,
     build_stepwise_system,
     feasible_set_from_policies,
     hausdorff_estimate,
-    least_squares_theta,
     min_norm_theta,
-    rank_condition,
     reconstruct_payoff,
 )
 from invgame.markov_game import (

@@ -5,8 +5,9 @@ Each kind's model, runner and defaults, and the invert commands' inversions,
 live in `invgame.experiments`; this module parses arguments and configs,
 reads and writes files, and maps outcomes to exit codes.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure
-threshold exceeded (more than 5% of experiment records failed).
+Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure:
+a single-shot command's QRE solve did not converge, or more than 5% of
+experiment records failed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ import numpy as np
 
 from invgame import experiments
 from invgame.experiments import KINDS, ExperimentConfig, RepRecord, UsageError
-from invgame.matrix_game import MatrixGameSpec, game_value, qre_residual, solve_qre
+from invgame.matrix_game import (
+    MatrixGameSpec,
+    QreConvergenceError,
+    game_value,
+    qre_residual,
+    solve_qre,
+)
 from invgame.sampling import read_dataset, write_dataset
 
 # runs.csv metric column -> ErrorReport attribute
@@ -330,6 +337,9 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
+    except QreConvergenceError as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -32,10 +32,8 @@ from invgame.inverse_markov import (
 )
 from invgame.inverse_matrix import (
     ConfidenceSet,
-    empirical_system,
-    least_squares_theta,
+    build_confidence_set,
     min_norm_theta,
-    rank_condition,
     reconstruct_payoff,
 )
 from invgame.markov_game import LinearMDPModel, MarkovGameSpec, backward_qre, visit_distributions
@@ -346,21 +344,19 @@ def run_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
 
 def _matrix_estimate(config: ExperimentConfig, model: FeatureModel, data: EpisodeDataset):
     """(theta_hat, route, rank, cset, feasible) of a matrix dataset's S=1
-    system at its frequency estimate, cset its set at kappa_rule(N): the
-    set's min-norm member under confidence_set (feasible: it is certified),
-    else least squares at full rank and X^+ y below (feasible None).  route
-    names the branch taken."""
+    system at its frequency estimate, cset its set at kappa_rule(N), whose
+    one SVD gives the rank: the set's min-norm member under confidence_set
+    (feasible: it is certified), else X^+ y (feasible None).  route names
+    the estimator and, under least_squares, the rank: X^+ y is the
+    least-squares solution at full rank and the min-norm one below it."""
     est = frequency_estimate_matrix(data, *model.features.shape[:2])
-    system = empirical_system(est, model.features, config.eta)
     kappa = kappa_rule(data.n_episodes, scale=config.kappa_scale)
-    cset = ConfidenceSet(system.X, system.y, kappa, model.norm_sq_cap)
-    full_rank, rank = rank_condition(system.X, system.dim)
+    cset = build_confidence_set(est, model.features, config.eta, kappa, model.norm_sq_cap)
     if config.estimator == "confidence_set":
         theta_hat, feasible = cset.min_norm_member()
-        return theta_hat, "min_norm_member", rank, cset, feasible
-    if full_rank:
-        return least_squares_theta(system), "least_squares", rank, cset, None
-    return min_norm_theta(system), "min_norm_theta", rank, cset, None
+        return theta_hat, "min_norm_member", cset.rank, cset, feasible
+    route = "least_squares" if cset.rank == cset.X.shape[1] else "min_norm_theta"
+    return min_norm_theta(cset), route, cset.rank, cset, None
 
 
 def invert_matrix(config: ExperimentConfig, model: FeatureModel, data: EpisodeDataset) -> dict:

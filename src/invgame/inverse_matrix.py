@@ -1,10 +1,14 @@
-"""Identifiability machinery: the QRE-constraint linear system, rank tests,
-least-squares / minimum-norm estimators, confidence sets, and
-Hausdorff-distance estimation between parameter sets.
+"""Identifiability machinery: the QRE-constraint linear system and its one
+SVD, which gives the rank, the minimum-norm estimate, and the confidence and
+feasible sets; Hausdorff-distance estimation between parameter sets.
 
 One builder serves both game classes: a Markov step stacks one constraint
 block per state, and a matrix game is the single-state case (features with a
 leading S=1 axis).
+
+Each system decomposes X once, and one rank cutoff decides identifiability:
+at full rank theta is the unique least-squares solution X^+ y; below it
+theta is known only up to a set, of which X^+ y is the least-norm point.
 
 Conventions: action 0 is the baseline for both players (log-ratios are taken
 against it), and norm caps are on the squared Euclidean norm, so a cap of M
@@ -13,7 +17,7 @@ admits exactly the parameters with ||theta||^2 <= M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,10 +31,6 @@ _ULPS = 4 * np.finfo(float).eps  # a few ulps, as a relative width
 _CLOUD_CHUNK = 1 << 14  # point-to-cloud distances held at once
 
 
-class PartialIdentifiabilityError(np.linalg.LinAlgError):
-    """Normal matrix is numerically singular; the system does not pin theta."""
-
-
 def floor_distribution(p: np.ndarray) -> np.ndarray:
     """Clip probabilities up to LOG_FLOOR so log-ratios exist, then
     renormalise over the last axis."""
@@ -40,7 +40,7 @@ def floor_distribution(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Stacked QRE constraints X theta = y."""
+    """Stacked QRE constraints X theta = y, read through one cached SVD."""
 
     X: np.ndarray
     y: np.ndarray
@@ -49,9 +49,25 @@ class LinearSystem:
         if self.X.ndim != 2 or self.y.shape != (self.X.shape[0],):
             raise ValueError("X must be 2-D with matching right-hand side")
 
+    @cached_property
+    def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
+        """(V', sigma, c, ||y_perp||^2, rank) from the one SVD X = U diag(sigma) V',
+        with c = U'y and sigma, c padded to d.  The rank counts the singular
+        values above sigma_1 * max(rows, d) * RANK_TOL_FACTOR."""
+        rows, d = self.X.shape
+        # a wide X needs the full V for its null space
+        u, sigma, vt = np.linalg.svd(self.X, full_matrices=rows < d)
+        c = u[:, : sigma.size].T @ self.y
+        y_perp = self.y - u[:, : sigma.size] @ c
+        cutoff = sigma[0] * max(rows, d) * RANK_TOL_FACTOR if sigma.size else 0.0
+        rank = int((sigma > cutoff).sum())
+        pad = (0, d - sigma.size)
+        return vt, np.pad(sigma, pad), np.pad(c, pad), float(y_perp @ y_perp), rank
+
     @property
-    def dim(self) -> int:
-        return self.X.shape[1]
+    def rank(self) -> int:
+        """Numerical rank of X: theta is identified when it equals d."""
+        return self._svd[4]
 
 
 def build_stepwise_system(
@@ -103,49 +119,11 @@ def build_stepwise_system(
     return LinearSystem(np.vstack([a_rows, b_rows]), np.concatenate([c.ravel(), d_vec.ravel()]))
 
 
-def empirical_system(
-    empirical: EmpiricalMarkovQRE, features: np.ndarray, eta: float
-) -> LinearSystem:
-    """A matrix game's constraints at its floored empirical marginals: the
-    estimate's one step, whose one state is the matrix game."""
-    return build_stepwise_system(
-        np.asarray(features, dtype=float)[None],
-        floor_distribution(empirical.mu_hat[0]),
-        floor_distribution(empirical.nu_hat[0]),
-        eta,
-    )
-
-
-def numerical_rank(sigma: np.ndarray, shape: tuple[int, ...]) -> int:
-    """Rank of a matrix of the given shape from its descending singular
-    values: the count above sigma_1 * max(rows, cols) * 1e-12."""
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int((sigma > sigma[0] * max(shape) * RANK_TOL_FACTOR).sum())
-
-
-def rank_condition(x: np.ndarray, d: int) -> tuple[bool, int]:
-    """Whether the stacked constraint matrix pins all d parameter directions."""
-    x = np.asarray(x, dtype=float)
-    rank = numerical_rank(np.linalg.svd(x, compute_uv=False), x.shape)
-    return rank == d, rank
-
-
-def least_squares_theta(system: LinearSystem) -> np.ndarray:
-    """Unique least-squares solution; requires a numerically full-rank system."""
-    ok, rank = rank_condition(system.X, system.dim)
-    if not ok:
-        raise PartialIdentifiabilityError(
-            f"system rank {rank} < {system.dim}: theta is only partially "
-            "identified; use min_norm_theta or a confidence set"
-        )
-    theta, *_ = np.linalg.lstsq(system.X, system.y, rcond=None)
-    return theta
-
-
-def min_norm_theta(system: LinearSystem | ConfidenceSet) -> np.ndarray:
-    """Moore-Penrose solution X^+ y, the least-squares solution of least norm."""
-    return np.linalg.pinv(system.X) @ system.y
+def min_norm_theta(system: LinearSystem) -> np.ndarray:
+    """Moore-Penrose solution X^+ y at the system's rank: the least-squares
+    solution of least norm, and at full rank the unique one."""
+    vt, sigma, c, _, rank = system._svd
+    return vt[:rank].T @ (c[:rank] / sigma[:rank])
 
 
 def reconstruct_payoff(theta: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -197,35 +175,23 @@ def _ball_solve(a: np.ndarray, den: np.ndarray, cap: float):
 
 
 @dataclass(frozen=True)
-class ConfidenceSet:
+class ConfidenceSet(LinearSystem):
     """{theta : ||X theta - y||^2 <= kappa, ||theta||^2 <= norm_sq_cap}.
 
-    An intersection of two convex quadrics, handled exactly in the SVD basis
-    X = U diag(sigma) V', taken once: with z = V' theta and c = U' y the
-    residual is sum_i (sigma_i z_i - c_i)^2 + ||y_perp||^2.
+    An intersection of two convex quadrics, handled exactly in the basis of
+    the system's one SVD X = U diag(sigma) V': with z = V' theta and c = U' y
+    the residual is sum_i (sigma_i z_i - c_i)^2 + ||y_perp||^2.
     """
 
-    X: np.ndarray
-    y: np.ndarray
     kappa: float
     norm_sq_cap: float
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kappa < 0:
             raise ValueError("kappa must be nonnegative")
         if not self.norm_sq_cap > 0:
             raise ValueError("norm cap must be positive")
-
-    @cached_property
-    def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """(V', sigma, c, ||y_perp||^2), padded to dim; only projections use it."""
-        rows, d = self.X.shape
-        # a wide X needs the full V for its null space
-        u, sigma, vt = np.linalg.svd(self.X, full_matrices=rows < d)
-        c = u[:, : sigma.size].T @ self.y
-        y_perp = self.y - u[:, : sigma.size] @ c
-        pad = (0, d - sigma.size)
-        return vt, np.pad(sigma, pad), np.pad(c, pad), float(y_perp @ y_perp)
 
     def residual_sq(self, theta: np.ndarray) -> float:
         r = self.X @ theta - self.y
@@ -251,7 +217,7 @@ class ConfidenceSet:
         iterate within a few ulps of kappa or of its step, or once [lo, hi] is a few
         ulps wide; its member is z at hi (p itself for a point of the set).
         """
-        vt, sigma, c, y_perp_sq = self._svd
+        vt, sigma, c, y_perp_sq, _ = self._svd
         q, cap, kappa = points @ vt.T, self.norm_sq_cap, self.kappa
         z_far, _, _ = _ball_solve((sigma * c)[None], (sigma**2)[None], cap)
         least = ((sigma * z_far - c) ** 2).sum() + y_perp_sq
@@ -302,19 +268,19 @@ class ConfidenceSet:
         return members
 
     def min_norm_member(self) -> tuple[np.ndarray, bool]:
-        """Canonical point estimate: the pseudoinverse solution when it is a
-        member, otherwise the projection of the origin onto the set.
+        """Canonical point estimate: the minimum-norm solution X^+ y when it
+        is a member, otherwise the projection of the origin onto the set.
 
         The second element is False when the set is empty and the returned
         point is only a surrogate.
         """
-        pinv_theta = min_norm_theta(self)
-        if self.contains(pinv_theta, slack=1e-12):
-            return pinv_theta, True
-        if self.residual_sq(pinv_theta) > self.kappa + 1e-12:
+        theta = min_norm_theta(self)
+        if self.contains(theta, slack=1e-12):
+            return theta, True
+        if self.residual_sq(theta) > self.kappa + 1e-12:
             # even the least-squares residual exceeds kappa: the set is empty
-            # and the clamped pseudoinverse point is the canonical surrogate
-            return _ball_clamp(pinv_theta, self.norm_sq_cap), False
+            # and the clamped minimum-norm point is the canonical surrogate
+            return _ball_clamp(theta, self.norm_sq_cap), False
         member, _, feasible = self.project(np.zeros(self.X.shape[1]))
         return member, feasible
 
@@ -326,31 +292,34 @@ def build_confidence_set(
     kappa: float,
     norm_sq_cap: float,
 ) -> ConfidenceSet:
-    """Confidence set from a matrix game's empirical marginals (floored
-    before log-ratios), as empirical_system reads them."""
-    system = empirical_system(empirical, features, eta)
+    """Confidence set of a matrix game's constraints at its empirical
+    marginals, floored before log-ratios: the estimate's one step, whose one
+    state is the matrix game."""
+    system = build_stepwise_system(
+        np.asarray(features, dtype=float)[None],
+        floor_distribution(empirical.mu_hat[0]),
+        floor_distribution(empirical.nu_hat[0]),
+        eta,
+    )
     return ConfidenceSet(system.X, system.y, kappa, norm_sq_cap)
 
 
 @dataclass(frozen=True)
-class FeasibleSet:
+class FeasibleSet(LinearSystem):
     """Exact solution set {theta : X theta = y, ||theta||^2 <= norm_sq_cap},
-    represented by the pseudoinverse particular solution plus an orthonormal
-    null-space basis."""
+    represented by the minimum-norm particular solution plus an orthonormal
+    null-space basis, both from the system's one SVD."""
 
-    X: np.ndarray
-    y: np.ndarray
     norm_sq_cap: float
-    particular: np.ndarray = field(init=False)
-    null_basis: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        x = np.asarray(self.X, dtype=float)
-        u, sigma, vt = np.linalg.svd(x, full_matrices=True)
-        r = numerical_rank(sigma, x.shape)
-        particular = vt[:r].T @ ((u[:, :r].T @ self.y) / sigma[:r])
-        object.__setattr__(self, "particular", particular)
-        object.__setattr__(self, "null_basis", vt[r:].T)
+    @cached_property
+    def particular(self) -> np.ndarray:
+        return min_norm_theta(self)
+
+    @cached_property
+    def null_basis(self) -> np.ndarray:
+        vt, *_, rank = self._svd
+        return vt[rank:].T
 
     @property
     def radius(self) -> float:
@@ -396,17 +365,23 @@ def feasible_set_from_policies(
     return FeasibleSet(system.X, system.y, norm_sq_cap)
 
 
-def _sample_points(obj, k: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_points(obj, k: int, rng: np.random.Generator, dim: int | None = None) -> np.ndarray:
+    """K points of a set, or at most K rows of a nonempty cloud, checked to
+    lie in R^dim when dim is given."""
     if isinstance(obj, FeasibleSet):
-        return obj.sample(k, rng)
-    if isinstance(obj, ConfidenceSet):
-        return obj.sample_members(k, rng)
-    pts = np.asarray(obj, dtype=float)
-    if pts.ndim != 2:
-        raise TypeError("point clouds must be 2-D arrays")
-    if pts.shape[0] > k:
-        idx = rng.choice(pts.shape[0], size=k, replace=False)
-        pts = pts[idx]
+        pts = obj.sample(k, rng)
+    elif isinstance(obj, ConfidenceSet):
+        pts = obj.sample_members(k, rng)
+    else:
+        pts = np.asarray(obj, dtype=float)
+        if pts.ndim != 2:
+            raise TypeError("point clouds must be 2-D arrays")
+        if not len(pts):
+            raise ValueError("point cloud is empty")
+        if pts.shape[0] > k:
+            pts = pts[rng.choice(pts.shape[0], size=k, replace=False)]
+    if dim is not None and pts.shape[1] != dim:
+        raise ValueError(f"sets in dimensions {dim} and {pts.shape[1]} have no distance")
     return pts
 
 
@@ -430,14 +405,15 @@ def _distances_to(obj, points: np.ndarray) -> np.ndarray:
 def hausdorff_estimate(set_a, set_b, k: int = 64, seed: int = 0) -> float:
     """Sampled Hausdorff distance between parameter sets.
 
-    Each set may be a FeasibleSet, a ConfidenceSet, or an (n, d) point cloud.
-    Directed distances take the max over K sampled points of one set of the
-    distance to the other; distances to either kind of set are exact
-    projections, so only the sampling depends on the seed.
+    Each set may be a FeasibleSet, a ConfidenceSet, or a nonempty (n, d)
+    point cloud, both in one dimension d.  Directed distances take the max
+    over K sampled points of one set of the distance to the other; distances
+    to either kind of set are exact projections, so only the sampling
+    depends on the seed.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     rng = stream(seed)
     pts_a = _sample_points(set_a, k, rng)
-    pts_b = _sample_points(set_b, k, rng)
+    pts_b = _sample_points(set_b, k, rng, dim=pts_a.shape[1])
     return float(max(_distances_to(set_b, pts_a).max(), _distances_to(set_a, pts_b).max()))

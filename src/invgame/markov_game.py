@@ -39,8 +39,8 @@ class MarkovGameSpec:
             raise ValueError("horizon must be at least 1")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.eta < np.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if np.any(transition < 0) or np.any(
             np.abs(transition.sum(axis=4) - 1.0) > 1e-12
         ):

@@ -52,8 +52,8 @@ class MatrixGameSpec:
         payoff = np.asarray(self.payoff, dtype=float)
         object.__setattr__(self, "payoff", payoff)
         _check_payoffs(payoff, 2)
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.eta < np.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
 
     @property
     def m(self) -> int:
@@ -118,6 +118,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a trial that overflows is a miss
 def solve_qre_batch(
     payoffs: np.ndarray,
     eta: float,
@@ -145,8 +146,8 @@ def solve_qre_batch(
     Raises QreConvergenceError, naming the unconverged entries and the t
     each reached, after max_iter Newton steps.
     """
-    if not (tol > 0 and eta > 0):
-        raise ValueError(f"tol and eta must be positive, got {tol} and {eta}")
+    if not (tol > 0 and 0 < eta < np.inf):
+        raise ValueError(f"tol and eta must be positive and eta finite, got {tol} and {eta}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     q = np.ascontiguousarray(payoffs, dtype=float)  # one BLAS path for all

@@ -322,7 +322,7 @@ def project_by_bisection(cset, points: np.ndarray) -> tuple[np.ndarray, bool]:
     kappa.  At t = 1 theta is the least-residual point of the ball; the set is
     empty exactly when that residual exceeds kappa, and then every row gets it.
     """
-    vt, sigma, c, y_perp_sq = cset._svd
+    vt, sigma, c, y_perp_sq, _ = cset._svd
     q = points @ vt.T
     cap, radius = cset.norm_sq_cap, np.sqrt(cset.norm_sq_cap)
 

@@ -14,10 +14,10 @@ from invgame.cli import (
     run_experiment,
     summarize,
 )
-from invgame import experiments, markov_game, matrix_game
+from invgame import cli, experiments, markov_game, matrix_game
 from invgame.experiments import markov_model, run_rep
 from invgame.inverse_markov import recover_rewards
-from invgame.inverse_matrix import ConfidenceSet, empirical_system
+from invgame.inverse_matrix import build_confidence_set
 from invgame.markov_game import backward_qre
 from invgame.matrix_game import QreConvergenceError, solve_qre_batch
 from invgame.sampling import (
@@ -146,12 +146,12 @@ class TestRunExperiment:
         # and each names that size
         config = ExperimentConfig(kind="setup2", seed=5, samples=(500, 1000, 2000))
 
-        def failing_at_1000(est, features, eta):
+        def failing_at_1000(est, *args):
             if est.counts.sum() == 1000:
                 raise np.linalg.LinAlgError("singular at this size")
-            return empirical_system(est, features, eta)
+            return build_confidence_set(est, *args)
 
-        monkeypatch.setattr(experiments, "empirical_system", failing_at_1000)
+        monkeypatch.setattr(experiments, "build_confidence_set", failing_at_1000)
         records = run_rep(config, 0)
         assert [r.sample_size for r in records] == [500, 1000, 2000]
         for record in records:
@@ -347,8 +347,9 @@ class TestCommands:
         assert result["residual_sq"] <= result["kappa"]
         model = experiments.setup2_model(stream(3, 0))
         est = frequency_estimate_matrix(read_dataset(dataset), 6, 6)
-        system = empirical_system(est, model.features, experiments.ETA)
-        expected = ConfidenceSet(system.X, system.y, 1e3 / 5000, 4.0).min_norm_member()[0]
+        expected = build_confidence_set(
+            est, model.features, experiments.ETA, 1e3 / 5000, 4.0
+        ).min_norm_member()[0]
         assert np.array_equal(result["theta_hat"], expected)
 
     @pytest.mark.parametrize(
@@ -542,6 +543,29 @@ class TestCommands:
         assert len(lines) == 3
         assert lines[1].split(",")[4] == ""  # failed records carry no metrics
 
+    @pytest.mark.parametrize(
+        "command, fields, where",
+        [("solve-qre", {"payoff": [[1e308, -1e308], [0, 1]]}, ""),
+         ("simulate", {"kind": "markov", "eta": 1e300, "samples": [100]}, " at step 5, state 0")],
+        ids=["solve_qre", "simulate"],
+    )
+    def test_single_shot_numerical_failure_exits_two(
+        self, tmp_path, capsys, monkeypatch, command, fields, where
+    ):
+        # both solves do not converge; a 20-step cut stands in for the full
+        # 100,000 steps they take
+        monkeypatch.setattr(cli, "solve_qre", partial(matrix_game.solve_qre, max_iter=20))
+        monkeypatch.setattr(
+            markov_game, "solve_qre_batch", partial(solve_qre_batch, max_iter=20)
+        )
+        config = write_config(tmp_path, fields)
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: QRE solve did not converge" + where)
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_custom_kind_via_config(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(
@@ -718,9 +742,11 @@ class TestUsageErrors:
              "eta must be positive"),
             ({"p.csv": "1,0\n0,1\n"}, ["--payoff", "p.csv", "--tol", "0"],
              "tol and eta must be positive"),
+            ({"p.csv": "1,2\n3,4\n"}, ["--payoff", "p.csv", "--eta", "inf"],
+             "eta must be positive and finite"),
         ],
         ids=["missing_payoff", "missing_config", "config_without_payoff", "non_numeric",
-             "one_row", "negative_eta", "zero_tol"],
+             "one_row", "negative_eta", "zero_tol", "infinite_eta"],
     )
     def test_solve_qre_bad_input(self, tmp_path, capsys, monkeypatch, files, args, message):
         monkeypatch.chdir(tmp_path)

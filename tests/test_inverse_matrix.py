@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from invgame import inverse_matrix
+from invgame import experiments, inverse_matrix
 from invgame.experiments import (
     SETUP2_THETA,
+    ExperimentConfig,
     custom_model,
     kappa_rule,
     setup1_model,
@@ -14,16 +15,13 @@ from invgame.experiments import (
 from invgame.inverse_matrix import (
     ConfidenceSet,
     FeasibleSet,
-    PartialIdentifiabilityError,
+    LinearSystem,
     build_confidence_set,
     build_stepwise_system,
-    empirical_system,
     feasible_set_from_policies,
     floor_distribution,
     hausdorff_estimate,
-    least_squares_theta,
     min_norm_theta,
-    rank_condition,
     reconstruct_payoff,
     _distances_to,
 )
@@ -109,7 +107,7 @@ class TestLogFloor:
         assert mu_hat[2] == 0.0
         eta = 0.5
         features = stream(31).standard_normal((4, 3, 2))
-        system = empirical_system(est, features, eta)
+        system = build_confidence_set(est, features, eta, 1.0, 1.0)
         assert np.isfinite(system.X).all() and np.isfinite(system.y).all()
         mu = floor_distribution(mu_hat)
         # row a - 1 holds action a's A-side constraint
@@ -117,23 +115,24 @@ class TestLogFloor:
         assert system.y[1] == pytest.approx(np.log(1e-12 / mu_hat[0]) / eta)
 
 
+def rank_of(x):
+    return LinearSystem(x, np.zeros(len(x))).rank
+
+
 class TestRankCondition:
     def test_more_parameters_than_rows(self):
         rng = stream(4)
         x = rng.standard_normal((8, 9))
-        ok, rank = rank_condition(x, 9)
-        assert not ok and rank <= 8
+        assert rank_of(x) <= 8
 
     def test_duplicate_columns(self):
         rng = stream(5)
         col = rng.standard_normal((6, 1))
-        ok, rank = rank_condition(np.hstack([col, col]), 2)
-        assert not ok and rank == 1
+        assert rank_of(np.hstack([col, col])) == 1
 
     def test_setup1_full_rank(self):
         _, system = setup1_exact_system(seed=6)
-        ok, rank = rank_condition(system.X, 2)
-        assert ok and rank == 2
+        assert system.rank == 2
 
     def test_constant_feature_produces_zero_column(self):
         # appending a constant feature direction never changes the
@@ -146,28 +145,19 @@ class TestRankCondition:
         pair = solve_qre(MatrixGameSpec(payoff_from_features(model), 0.5))
         system = matrix_system(augmented, pair, 0.5)
         assert np.allclose(system.X[:, 2], 0.0)
-        ok, _ = rank_condition(system.X, 3)
-        assert not ok
+        assert system.rank < 3
 
 
 class TestLeastSquares:
-    def test_identity_system(self):
-        from invgame.inverse_matrix import LinearSystem
+    """At full rank, min_norm_theta is the unique least-squares solution."""
 
+    def test_identity_system(self):
         system = LinearSystem(np.eye(2), np.array([0.8, -0.6]))
-        assert np.allclose(least_squares_theta(system), [0.8, -0.6])
+        assert np.allclose(min_norm_theta(system), [0.8, -0.6])
 
     def test_exact_setup1_recovers_theta(self):
         model, system = setup1_exact_system(seed=8)
-        assert np.linalg.norm(least_squares_theta(system) - model.theta) <= 1e-8
-
-    def test_singular_system_raises(self):
-        from invgame.inverse_matrix import LinearSystem
-
-        x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        system = LinearSystem(x, np.ones(3))
-        with pytest.raises(PartialIdentifiabilityError):
-            least_squares_theta(system)
+        assert np.linalg.norm(min_norm_theta(system) - model.theta) <= 1e-8
 
     def test_empirical_setup1_close_at_large_n(self):
         model = setup1_model(stream(9))
@@ -178,25 +168,21 @@ class TestLeastSquares:
             data = sample_matrix_actions(truth, 10**6, 99, rep)
             est = frequency_estimate_matrix(data, 4, 6)
             pair = PolicyPair(est.mu_hat[0, 0], est.nu_hat[0, 0])
-            theta = least_squares_theta(
-                matrix_system(model.features, pair, 0.5)
-            )
+            theta = min_norm_theta(matrix_system(model.features, pair, 0.5))
             hits += np.linalg.norm(theta - model.theta) <= 0.05
         assert hits >= 38  # 95% of reps
 
 
 class TestMinNorm:
     def test_wide_system_minimal_preimage(self):
-        from invgame.inverse_matrix import LinearSystem
-
         system = LinearSystem(np.array([[1.0, 0.0]]), np.array([1.0]))
         assert np.allclose(min_norm_theta(system), [1.0, 0.0])
 
     def test_full_rank_agrees_with_least_squares(self):
         _, system = setup1_exact_system(seed=10)
-        assert np.allclose(
-            min_norm_theta(system), least_squares_theta(system), atol=1e-10
-        )
+        assert system.rank == 2
+        reference, *_ = np.linalg.lstsq(system.X, system.y, rcond=None)
+        assert np.allclose(min_norm_theta(system), reference, atol=1e-10)
 
     def test_rank_deficient_setup2_min_norm(self):
         model = setup2_model(stream(11))
@@ -209,6 +195,88 @@ class TestMinNorm:
         samples = feasible.sample(1000, stream(12))
         norms = np.linalg.norm(samples, axis=1)
         assert np.all(np.linalg.norm(theta_hat) <= norms + 1e-9)
+
+
+def count_linalg_calls(monkeypatch) -> dict[str, int]:
+    """The np.linalg svd, pinv and lstsq calls made after this one."""
+    calls = dict(svd=0, pinv=0, lstsq=0)
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+class TestOneDecomposition:
+    """Rank, X^+ y, the feasible set and the runner's route read one SVD at
+    one rank cutoff."""
+
+    @staticmethod
+    def near_rank_one_system():
+        # singular values (1, 1e-13): numerically rank 1, but the second
+        # direction still inverts to ~1e10 at a cutoff of a few ulps
+        rng = stream(70)
+        u, _ = np.linalg.qr(rng.standard_normal((8, 2)))
+        v, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        x = u @ np.diag([1.0, 1e-13]) @ v.T
+        return x, x @ np.array([0.8, -0.6]) + 1e-3 * rng.standard_normal(8)
+
+    @pytest.mark.parametrize(
+        "estimator, route",
+        [("least_squares", "min_norm_theta"), ("confidence_set", "min_norm_member")],
+    )
+    def test_rank_estimate_and_sets_agree(self, monkeypatch, estimator, route):
+        x, y = self.near_rank_one_system()
+        system = LinearSystem(x, y)
+        theta = min_norm_theta(system)
+        assert system.rank == 1
+        assert np.linalg.norm(theta) <= 1.0
+        assert np.linalg.norm(x @ theta - y) <= 1e-2
+        feasible = FeasibleSet(x, y, 4.0)
+        assert np.array_equal(feasible.particular, theta)
+        assert feasible.null_basis.shape == (2, 1)
+        config = ExperimentConfig(kind="setup1", seed=0, samples=(100,), estimator=estimator)
+        model = experiments.build_model(config, 0)
+        data = experiments.sample_dataset(config, 0, 100)
+        monkeypatch.setattr(
+            experiments, "build_confidence_set", lambda *args: ConfidenceSet(x, y, 1.0, 4.0)
+        )
+        estimate = experiments._matrix_estimate(config, model, data)
+        assert estimate[1:3] == (route, 1) and estimate[3].rank == 1
+        assert np.array_equal(estimate[0], theta)
+
+    def test_a_confidence_set_decomposes_once(self, monkeypatch):
+        calls = count_linalg_calls(monkeypatch)
+        cset = next(setup2_confidence_sets())
+        assert cset.rank == 5
+        cset.min_norm_member()
+        cset.project(np.ones(6))
+        cset.sample_members(8, stream(71))
+        hausdorff_estimate(cset, np.zeros((3, 6)), k=8)
+        assert calls == dict(svd=1, pinv=0, lstsq=0)
+
+    def test_a_feasible_set_decomposes_once(self, monkeypatch):
+        model = setup2_model(stream(72))
+        pair = solve_qre(MatrixGameSpec(payoff_from_features(model), 0.5), tol=1e-13)
+        calls = count_linalg_calls(monkeypatch)
+        feasible = feasible_set_from_policies(model.features, pair, 0.5, 4.0)
+        assert feasible.rank == 5 and not feasible.is_empty()
+        feasible.project(np.ones(6))
+        feasible.sample(8, stream(73))
+        assert calls == dict(svd=1, pinv=0, lstsq=0)
+
+    @pytest.mark.parametrize("estimator", ["least_squares", "confidence_set"])
+    @pytest.mark.parametrize("kind", ["setup1", "setup2"])
+    def test_a_matrix_estimate_decomposes_once(self, monkeypatch, kind, estimator):
+        config = ExperimentConfig(kind=kind, seed=3, samples=(2000,), estimator=estimator)
+        model = experiments.build_model(config, 0)
+        data = experiments.sample_dataset(config, 0, 2000)
+        calls = count_linalg_calls(monkeypatch)
+        _, _, rank, cset, _ = experiments._matrix_estimate(config, model, data)
+        assert rank == cset.rank == {"setup1": 2, "setup2": 5}[kind]
+        assert calls == dict(svd=1, pinv=0, lstsq=0)
 
 
 class TestConfidenceSet:
@@ -433,7 +501,7 @@ class TestNewtonProjection:
         x = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6))
         y = rng.standard_normal(6)
         kappa = least_residual_in_ball(x, y, 4.0) + 0.5
-        _, sigma, c, _ = ConfidenceSet(x, y, kappa, 4.0)._svd
+        _, sigma, c, _, _ = ConfidenceSet(x, y, kappa, 4.0)._svd
         assert sigma[-1] <= 1e-12 * sigma[0] and np.abs(c[3:]).min() > 1e-3
         self.assert_agrees(x, y, kappa, rng.standard_normal((64, 6)) * 2.0)
 
@@ -683,6 +751,21 @@ class TestHausdorff:
         assert medians[-1] < medians[0]
 
 
+    @pytest.mark.parametrize(
+        "set_a, set_b, message",
+        [
+            (np.zeros((3, 2)), np.zeros((0, 2)), "point cloud is empty"),
+            (np.zeros((0, 2)), np.zeros((3, 2)), "point cloud is empty"),
+            (np.zeros((3, 3)), np.zeros((3, 2)), "dimensions 3 and 2"),
+            (FeasibleSet(np.eye(3)[:1], np.zeros(1), 1.0), np.zeros((3, 2)), "dimensions 3 and 2"),
+        ],
+        ids=["empty_b", "empty_a", "dimensions", "set_and_cloud"],
+    )
+    def test_bad_clouds_are_rejected(self, set_a, set_b, message):
+        with pytest.raises(ValueError, match=message):
+            hausdorff_estimate(set_a, set_b)
+
+
 class TestReconstructPayoff:
     def test_matches_feature_contraction(self):
         model = setup1_model(stream(29))
@@ -704,5 +787,5 @@ class TestExactDataIdentity:
             spec = MatrixGameSpec(payoff_from_features(model), 0.5)
             pair = solve_qre(spec, tol=1e-13)
             system = matrix_system(model.features, pair, 0.5)
-            theta = least_squares_theta(system)
+            theta = min_norm_theta(system)
             assert np.linalg.norm(theta - model.theta) <= 1e-8

@@ -59,6 +59,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             MarkovGameSpec(rewards, transition, eta=1.0)
 
+    @pytest.mark.parametrize("eta", [np.inf, np.nan])
+    def test_rejects_nonfinite_eta(self, eta):
+        spec = random_spec(0)
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            MarkovGameSpec(spec.rewards, spec.transition, eta=eta)
+
     def test_gamma_range(self):
         spec = random_spec(0)
         with pytest.raises(ValueError):

@@ -52,6 +52,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             MatrixGameSpec(np.zeros((2, 2)), eta=0.0)
 
+    @pytest.mark.parametrize("eta", [np.inf, np.nan])
+    def test_rejects_nonfinite_eta(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            MatrixGameSpec(np.zeros((2, 2)), eta=eta)
+        with pytest.raises(ValueError, match="eta"):
+            solve_qre_batch(np.zeros((1, 2, 2)), eta)
+
     def test_rejects_nonfinite_payoff(self):
         q = np.zeros((2, 2))
         q[0, 0] = np.inf

@@ -32,7 +32,6 @@ PUBLIC_NAMES = [
     "MarkovGameSpec",
     "MatrixGameSpec",
     "MleFit",
-    "PartialIdentifiabilityError",
     "PolicyPair",
     "QreConvergenceError",
     "RecoveredRewardSample",
@@ -49,13 +48,11 @@ PUBLIC_NAMES = [
     "frequency_estimate_matrix",
     "game_value",
     "hausdorff_estimate",
-    "least_squares_theta",
     "min_norm_theta",
     "mle_fit",
     "qre_discrepancy",
     "qre_discrepancy_markov",
     "qre_residual",
-    "rank_condition",
     "read_dataset",
     "reconstruct_payoff",
     "recover_rewards",
@@ -132,7 +129,7 @@ def test_cli_only_parses_and_writes():
     assert not {"invgame.inverse_matrix", "invgame.inverse_markov"} & set(imported)
     assert not {"inverse_matrix", "inverse_markov"} & imported.get("invgame", set())
     assert imported["invgame.sampling"] == {"read_dataset", "write_dataset"}
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 49
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
