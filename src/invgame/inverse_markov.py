@@ -12,7 +12,6 @@ transition -> plug-in reward.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,8 @@ from invgame.inverse_matrix import (
 )
 from invgame.matrix_game import stage_values
 from invgame.sampling import EpisodeDataset, frequency_estimate_markov, step_counts
+
+_TRACE_BLOCK = 32  # iterations whose iterates are kept to form their objective at once
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,11 @@ def mle_fit(
     is convex, so the trace is nonincreasing.  Each iteration reads only the
     step's (S, actions) marginal of the dataset's count table (step_counts),
     so it costs O(S * actions * d), independent of the number of episodes.
+
+    The fits are made once per dataset, model and stopping rule: the first
+    call fits every step of both players in one lockstep loop (_fit_stack)
+    and caches them on the dataset, like the count table; later calls read
+    them.  The params and trace are read-only.
     """
     if player not in ("a", "b"):
         raise ValueError("player must be 'a' or 'b'")
@@ -123,45 +129,124 @@ def mle_fit(
         raise ValueError("max_iter must be at least 1")
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
-    table = step_counts(data, *model.psi_a.shape[:2], model.psi_b.shape[1])[step]
-    psi = model.psi_a if player == "a" else model.psi_b
-    s_len, n_actions, dim = psi.shape
-    counts = table.sum(axis=(2, 3) if player == "a" else (1, 3)).astype(float)
-    total = counts.sum()
-    if total == 0:
+    table = step_counts(data, *model.psi_a.shape[:2], model.psi_b.shape[1])
+    # every episode has one record per step, so all steps or none have samples
+    if not table[step].any():
         raise ValueError(f"no samples at step {step}")
-    lipschitz = max(model.feature_scale**2, 1e-12)
-    radius = model.ball_radius
-    flat = psi.reshape(-1, dim)
-    # the mean NLL is weights @ log Z(theta) - observed @ theta
-    weights = counts.sum(axis=1) / total
-    observed = counts.ravel() @ flat / total
+    key = tuple((p.dtype.str, p.shape, p.tobytes()) for p in (model.psi_a, model.psi_b))
+    key += (model.ball_radius, max_iter, tol)
+    fits = data._mle_fits.get(key)
+    if fits is None:
+        fits = data._mle_fits[key] = _fit_every_step(table, model, max_iter, tol)
+    return fits[player][step]
 
-    theta = np.zeros(dim)
-    trace = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        logits = (flat @ theta).reshape(s_len, n_actions)
-        shift = logits.max(axis=1)
-        e = np.exp(logits - shift[:, None])
-        z = e.sum(axis=1)
-        trace.append(weights @ (np.log(z) + shift) - observed @ theta)
-        grad = flat.T @ (e * (weights / z)[:, None]).ravel() - observed
+
+def _fit_every_step(
+    table: np.ndarray, model: SoftmaxPolicyModel, max_iter: int, tol: float
+) -> dict[str, list[MleFit]]:
+    """Every step's fit of each player, by player: one stack of both
+    players' H fits, or one per player when psi_a and psi_b differ in shape."""
+    h_len = table.shape[0]
+    counts = {"a": table.sum(axis=(3, 4)), "b": table.sum(axis=(2, 4))}  # (H, S, actions)
+    flats = {  # (H, S * actions, d): each step's copy of the player's features
+        p: np.repeat(psi.reshape(1, -1, psi.shape[2]), h_len, axis=0)
+        for p, psi in (("a", model.psi_a), ("b", model.psi_b))
+    }
+    lipschitz = max(model.feature_scale**2, 1e-12)
+    stacks = ("ab",) if model.psi_a.shape == model.psi_b.shape else ("a", "b")
+    fits = {}
+    for players in stacks:
+        stack = _fit_stack(
+            np.concatenate([flats[p] for p in players], dtype=float),
+            np.concatenate([counts[p] for p in players], dtype=float),
+            lipschitz, model.ball_radius, max_iter, tol,
+        )
+        for k, p in enumerate(players):
+            fits[p] = stack[k * h_len : (k + 1) * h_len]
+    return fits
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[..., i, :] @ y[..., i, :] for every leading index, each the BLAS dot
+    the two rows alone make."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _objectives(history: list, weights: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """The mean NLL weights @ (log z + shift) - observed @ theta of each
+    (theta, shift, z) in history, as (iterations, fits), by the operations a
+    fit alone makes at each iteration."""
+    theta, shift, z = (np.array(x) for x in zip(*history))
+    return _dots(weights, np.log(z) + shift) - _dots(observed, theta)
+
+
+def _fit_stack(
+    flats: np.ndarray,
+    counts: np.ndarray,
+    lipschitz: float,
+    radius: float,
+    max_iter: int,
+    tol: float,
+) -> list[MleFit]:
+    """Projected-gradient fits of a stack in one loop: fit i has features
+    flats[i] (S * actions, d) and counts[i] (S, actions).  Each fit freezes
+    once its own gradient mapping is at most tol, and each of its products is
+    the same BLAS call (a gemv or a dot on its own rows) a fit alone makes,
+    so it follows exactly the iterates it would alone.  The objective trace
+    is formed from the recorded iterates every _TRACE_BLOCK iterations and at
+    each freeze, not once per iteration."""
+    b_len, s_len, n_actions = counts.shape
+    totals = counts.sum(axis=(1, 2))[:, None]
+    # the mean NLL is weights @ log Z(theta) - observed @ theta
+    weights = counts.sum(axis=2) / totals
+    observed = (counts.reshape(b_len, 1, -1) @ flats)[:, 0] / totals
+    theta = np.zeros((b_len, flats.shape[2]))
+    params, iterations = np.empty_like(theta), np.full(b_len, max_iter)
+    converged = np.zeros(b_len, dtype=bool)
+    live = np.arange(b_len)  # fits still iterating
+    traces = [[] for _ in range(b_len)]  # each fit's objective, one piece per block
+    history = []  # (theta, shift, z) of each iteration of the open block
+    flats_t = flats.transpose(0, 2, 1)
+    for it in range(1, max_iter + 1):
+        logits = (flats @ theta[:, :, None]).reshape(-1, s_len, n_actions)
+        shift = logits.max(axis=2)
+        e = np.exp(logits - shift[:, :, None])
+        z = e.sum(axis=2)
+        history.append((theta, shift, z))
+        cells = (e * (weights / z)[:, :, None]).reshape(len(live), -1, 1)
+        grad = (flats_t @ cells)[:, :, 0] - observed
         new_theta = theta - grad / lipschitz
-        norm = math.sqrt(new_theta @ new_theta)
-        if norm > radius:
-            new_theta = new_theta * (radius / norm)
-            moved = theta - new_theta
-            gradient_mapping = lipschitz * math.sqrt(moved @ moved)
-        else:
-            # L * ||theta - (theta - grad / L)|| is ||grad||
-            gradient_mapping = math.sqrt(grad @ grad)
+        # L * ||theta - (theta - grad / L)|| is ||grad|| inside the ball
+        gradient_mapping = np.sqrt(_dots(grad, grad))
+        norm = np.sqrt(_dots(new_theta, new_theta))
+        if np.count_nonzero(out := norm > radius):  # cheaper than .any() on a few fits
+            new_theta[out] *= (radius / norm[out])[:, None]
+            moved = theta[out] - new_theta[out]
+            gradient_mapping[out] = lipschitz * np.sqrt(_dots(moved, moved))
         theta = new_theta
-        if gradient_mapping <= tol:
-            converged = True
-            break
-    return MleFit(theta, np.array(trace), iterations, converged)
+        done = gradient_mapping <= tol
+        frozen = np.count_nonzero(done)
+        if frozen or len(history) == _TRACE_BLOCK or it == max_iter:
+            for i, objective in zip(live, _objectives(history, weights, observed).T):
+                traces[i].append(objective)
+            history = []
+        if frozen:
+            finished = live[done]
+            params[finished], iterations[finished], converged[finished] = theta[done], it, True
+            live, theta, flats, weights, observed = (
+                x[~done] for x in (live, theta, flats, weights, observed)
+            )
+            if not live.size:
+                break
+            flats_t = flats.transpose(0, 2, 1)
+    params[live] = theta  # the fits max_iter stopped
+    params.flags.writeable = False
+    fits = []
+    for i in range(b_len):
+        trace = np.concatenate(traces[i])
+        trace.flags.writeable = False
+        fits.append(MleFit(params[i], trace, int(iterations[i]), bool(converged[i])))
+    return fits
 
 
 @dataclass(frozen=True)

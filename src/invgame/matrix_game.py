@@ -144,7 +144,8 @@ def solve_qre_batch(
     would alone.
 
     Raises QreConvergenceError, naming the unconverged entries and the t
-    each reached, after max_iter Newton steps.
+    each reached, after max_iter Newton steps, or naming the stalled entries
+    as soon as a halved step no longer moves a game's t.
     """
     if not (tol > 0 and 0 < eta < np.inf):
         raise ValueError(f"tol and eta must be positive and eta finite, got {tol} and {eta}")
@@ -175,7 +176,7 @@ def solve_qre_batch(
     t_accepted, t_step = np.zeros(b_len), np.ones(b_len)
     newton, last = np.zeros(b_len, dtype=int), np.full(b_len, np.inf)  # in this trial
     out = np.empty((b_len, mn))
-    for _ in range(max_iter):
+    for steps in range(1, max_iter + 1):
         g = (kkt @ w[:, :, None])[:, :, 0]
         response = np.concatenate([_log_softmax(-g[:, :m]), _log_softmax(-g[:, m:mn])], 1)
         residual = np.abs(np.exp(response) - w[:, :mn]).max(axis=1)
@@ -193,6 +194,11 @@ def solve_qre_batch(
             accepted[hit], t_accepted[hit] = z[hit], t_try[hit]
             t_step[hit] *= 1.5
             t_step[miss] /= 2
+            if (stalled := t_accepted + t_step == t_accepted).any():  # t can no longer move
+                raise QreConvergenceError(
+                    steps, float(residual[stalled].max()), live[stalled].tolist(),
+                    t_accepted[stalled].tolist(),
+                )
             z[miss], w[miss] = accepted[miss], np.exp(accepted[miss] * logit)
             newton[retry], last[retry] = 0, np.inf
             couple(retry, np.minimum(t_accepted + t_step, 1.0)[retry])

@@ -67,6 +67,10 @@ class EpisodeDataset:
     def _step_counts(self) -> dict[tuple[int, int, int], np.ndarray]:  # by (S, m, n)
         return {}
 
+    @cached_property
+    def _mle_fits(self) -> dict[tuple, dict]:  # inverse_markov.mle_fit's, by model and stop
+        return {}
+
     def check(self, s_len: int, m: int, n: int) -> None:
         """Reject indices a model of s_len states and m x n actions lacks, with
         a ValueError naming the column as the dataset file spells it."""
@@ -149,7 +153,7 @@ def _draw_rows(rng: np.random.Generator, cum: np.ndarray, rows: np.ndarray, out:
     u = rng.random(rows.size)
     count = np.zeros(rows.size, dtype=np.min_scalar_type(cum.shape[1]))
     for column in cum.T:
-        count += u > column[rows]
+        count += u > column.take(rows)
     out[...] = count
 
 

@@ -9,13 +9,16 @@ the library's stream and initial-state draw; and recover_rewards_on_truth,
 which runs the library's backward pass on the true policies and kernel
 (and reads the visit weights of the library's count table).  The earlier
 estimator bodies (mle_fit_by_einsum, ridge_fit_by_gather and
-frequency_estimate_by_step) count the dataset themselves,
+frequency_estimate_by_step) count the dataset themselves, mle_fit_alone is
+mle_fit's earlier one-fit loop on the library's count table,
 qre_by_damped_iteration is solve_qre_batch's earlier damped fixed point, and
 project_by_bisection is ConfidenceSet._project's earlier bisection in t,
 which reads the set's cached SVD.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from invgame.sampling import (
     EpisodeDataset,
     _draw_categorical,
     empirical_state_distribution,
+    step_counts,
     stream,
 )
 
@@ -478,6 +482,59 @@ def mle_fit_by_einsum(
         trace.append(nll)
         new_theta = clamp(theta - grad / lipschitz)
         gradient_mapping = lipschitz * np.linalg.norm(theta - new_theta)
+        theta = new_theta
+        if gradient_mapping <= tol:
+            converged = True
+            break
+    return MleFit(theta, np.array(trace), iterations, converged)
+
+
+def mle_fit_alone(
+    data: EpisodeDataset,
+    model: SoftmaxPolicyModel,
+    step: int,
+    player: str,
+    max_iter: int = 10_000,
+    tol: float = 1e-8,
+) -> MleFit:
+    """mle_fit's projected-gradient loop as it was before the lockstep: one
+    fit alone, on the step's (S, actions) marginal of the count table, with
+    Python-scalar norms.  The reference the stacked fits' iterates are
+    compared against, to the last bit."""
+    if player not in ("a", "b"):
+        raise ValueError("player must be 'a' or 'b'")
+    table = step_counts(data, *model.psi_a.shape[:2], model.psi_b.shape[1])[step]
+    psi = model.psi_a if player == "a" else model.psi_b
+    s_len, n_actions, dim = psi.shape
+    counts = table.sum(axis=(2, 3) if player == "a" else (1, 3)).astype(float)
+    total = counts.sum()
+    if total == 0:
+        raise ValueError(f"no samples at step {step}")
+    lipschitz = max(model.feature_scale**2, 1e-12)
+    radius = model.ball_radius
+    flat = psi.reshape(-1, dim)
+    weights = counts.sum(axis=1) / total
+    observed = counts.ravel() @ flat / total
+
+    theta = np.zeros(dim)
+    trace = []
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        logits = (flat @ theta).reshape(s_len, n_actions)
+        shift = logits.max(axis=1)
+        e = np.exp(logits - shift[:, None])
+        z = e.sum(axis=1)
+        trace.append(weights @ (np.log(z) + shift) - observed @ theta)
+        grad = flat.T @ (e * (weights / z)[:, None]).ravel() - observed
+        new_theta = theta - grad / lipschitz
+        norm = math.sqrt(new_theta @ new_theta)
+        if norm > radius:
+            new_theta = new_theta * (radius / norm)
+            moved = theta - new_theta
+            gradient_mapping = lipschitz * math.sqrt(moved @ moved)
+        else:
+            gradient_mapping = math.sqrt(grad @ grad)
         theta = new_theta
         if gradient_mapping <= tol:
             converged = True

@@ -566,6 +566,29 @@ class TestCommands:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_a_stalled_solve_fails_simulate_quickly(self, tmp_path, capsys, monkeypatch):
+        # at eta = 1e300 the continuation stalls near t = 0; with no cut, the
+        # solve gives up at the stall, not after max_iter Newton steps
+        steps = []
+        real = markov_game.solve_qre_batch
+
+        def counting(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except QreConvergenceError as err:
+                steps.append(err.iterations)
+                raise
+
+        monkeypatch.setattr(markov_game, "solve_qre_batch", counting)
+        config = write_config(tmp_path, {"kind": "markov", "eta": 1e300, "samples": [100]})
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: QRE solve did not converge at step 5")
+        assert err.count("\n") == 1
+        assert steps and max(steps) <= 10_000
+        assert not out.exists()
+
     def test_custom_kind_via_config(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(

@@ -38,6 +38,7 @@ from .oracles import (
     frequency_estimate_by_step,
     full_rank_oracle_model,
     matrix_linear_system,
+    mle_fit_alone,
     mle_fit_by_einsum,
     recover_rewards_on_truth,
     ridge_fit_by_gather,
@@ -92,6 +93,19 @@ def assert_same_fit(fit, oracle):
     assert fit.converged == oracle.converged
     assert np.abs(fit.params - oracle.params).max() <= 1e-12
     assert np.abs(fit.objective_trace - oracle.objective_trace).max() <= 1e-12
+
+
+def assert_fits_alone(data, model, keys, **stop):
+    """Each (step, player) fit of the lockstep loop is the one-fit loop's on
+    a fresh copy of the dataset, to the last bit."""
+    fits = [mle_fit(data, model, step, player, **stop) for step, player in keys]
+    fresh = EpisodeDataset(*data.arrays)
+    for fit, (step, player) in zip(fits, keys):
+        alone = mle_fit_alone(fresh, model, step, player, **stop)
+        assert (fit.iterations, fit.converged) == (alone.iterations, alone.converged)
+        assert np.array_equal(fit.params, alone.params)
+        assert np.array_equal(fit.objective_trace, alone.objective_trace)
+    return fits
 
 
 class TestBuildStepwiseSystem:
@@ -283,8 +297,9 @@ class TestEstimatorsAgainstEarlierBodies:
         policy = saturated_policy_model(spec.S, spec.m, spec.n)
         fits = [mle_fit(data, policy, step, player) for step in (0, 5) for player in "ab"]
         monkeypatch.setattr(inverse_markov, "step_counts", step_counts_by_add_at)
+        fresh = EpisodeDataset(*data.arrays)  # no cached fits: the oracle table is read
         for fit, (step, player) in zip(fits, [(0, "a"), (0, "b"), (5, "a"), (5, "b")]):
-            oracle = mle_fit(data, policy, step, player)
+            oracle = mle_fit(fresh, policy, step, player)
             assert fit.iterations == oracle.iterations and fit.converged
             assert np.array_equal(fit.params, oracle.params)
             assert np.array_equal(fit.objective_trace, oracle.objective_trace)
@@ -632,6 +647,9 @@ class TestMleFit:
         truth, _ = backward_qre(spec, tol=1e-12)
         data = sample_episodes(spec, truth, np.full(spec.S, 0.25), n_episodes, 20260808, 0)
         policy = saturated_policy_model(spec.S, spec.m, spec.n)
+        fits = assert_fits_alone(data, policy, [(h, p) for h in range(spec.H) for p in "ab"])
+        # the stack runs until its slowest fit stops; the others froze earlier
+        assert len({fit.iterations for fit in fits}) > 1
         for step in (0, 2, 5):
             for player in ("a", "b"):
                 assert_same_fit(
@@ -646,6 +664,7 @@ class TestMleFit:
         data, model = dense_mle_case(ball_radius)
         fit = mle_fit(data, model, 0, "a")
         assert (np.linalg.norm(fit.params) == pytest.approx(ball_radius)) == binding
+        assert_fits_alone(data, model, [(0, "a"), (0, "b")])
         for player in ("a", "b"):
             assert_same_fit(
                 mle_fit(data, model, 0, player), mle_fit_by_einsum(data, model, 0, player)
@@ -664,6 +683,60 @@ class TestMleFit:
             assert again.iterations == fit.iterations
             assert np.array_equal(again.params, fit.params)
             assert np.array_equal(again.objective_trace, fit.objective_trace)
+
+    def test_a_stack_of_binding_and_free_fits_matches_each_fit_alone(self):
+        # psi_a and psi_b of one shape: both players' two steps share a stack
+        rng = stream(5)
+        psi_a, psi_b = rng.standard_normal((3, 4, 5)), rng.standard_normal((3, 4, 5))
+        data = EpisodeDataset(*(rng.integers(0, k, (500, 2)) for k in (3, 4, 4, 3)))
+        model = SoftmaxPolicyModel(psi_a, psi_b, 0.15)
+        keys = [(step, player) for step in range(2) for player in "ab"]
+        fits = assert_fits_alone(data, model, keys)
+        binding = [np.linalg.norm(fit.params) == pytest.approx(0.15) for fit in fits]
+        assert any(binding) and not all(binding)
+
+    def test_players_of_different_shapes_match_each_fit_alone(self):
+        rng = stream(11)
+        s_len, m, n, h_len = 3, 2, 3, 4
+        data = EpisodeDataset(
+            *(rng.integers(0, size, (200, h_len)) for size in (s_len, m, n, s_len))
+        )
+        policy = saturated_policy_model(s_len, m, n)
+        assert_fits_alone(data, policy, [(h, p) for h in range(h_len) for p in "ab"])
+
+    def test_fits_are_cached_per_model_and_stopping_rule(self):
+        data, model = dense_mle_case(0.05)
+        calls = [
+            (model, {}),
+            (replace(model, ball_radius=10.0), {}),
+            (model, {"tol": 1e-4}),
+            (model, {"max_iter": 50}),
+        ]
+        fits = [assert_fits_alone(data, m, [(0, "a")], **stop)[0] for m, stop in calls]
+        assert len(data._mle_fits) == len(calls)
+        assert len({(fit.iterations, fit.params.tobytes()) for fit in fits}) == len(calls)
+        # a model equal in value is the same key: its fit is read, not refit
+        same = SoftmaxPolicyModel(model.psi_a.copy(), model.psi_b.copy(), 0.05)
+        assert mle_fit(data, same, 0, "a") is fits[0]
+        assert len(data._mle_fits) == len(calls)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            ({"player": "c"}, "player must be 'a' or 'b'"),
+            ({"max_iter": 0}, "max_iter must be at least 1"),
+            ({"tol": -1e-8}, "tol must be nonnegative"),
+            ({"episodes": 0}, "no samples at step 0"),
+        ],
+        ids=["player", "max_iter", "tol", "no_samples"],
+    )
+    def test_a_bad_call_raises_and_caches_no_fit(self, call, message):
+        data, model = dense_mle_case(1.0)
+        call = {"step": 0, "player": "a", **call}
+        data = data.prefix(call.pop("episodes", data.n_episodes))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mle_fit(data, model, **call)
+        assert data._mle_fits == {}
 
     def test_binding_ball_fit_meets_kkt_conditions(self):
         radius = 0.05

@@ -174,6 +174,17 @@ class TestSolveQre:
         assert err.value.iterations == 3
         assert err.value.residual > 0
 
+    def test_a_stalled_continuation_fails_without_spending_max_iter(self):
+        # with 1e308 payoffs the continuation accepts no t above ~1e-280,
+        # where a halved step soon stops moving t; the stall fails there,
+        # far below the 100,000 Newton steps of the default max_iter
+        stack = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1e308, -1e308], [0.0, 1.0]]])
+        with pytest.raises(QreConvergenceError, match=r"failed entries \[1\]") as err:
+            solve_qre_batch(stack, 0.5)
+        assert err.value.iterations <= 20_000
+        (reached,) = err.value.reached
+        assert 0 <= reached < 1e-200
+
 
 class TestSolveQreBatch:
     def test_games_in_a_stack_follow_their_own_iterates(self):
