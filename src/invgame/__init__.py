@@ -55,7 +55,6 @@ from invgame.metrics import (
     qre_discrepancy_markov,
     reward_metric_D,
     reward_metric_D1,
-    tv,
 )
 from invgame.sampling import (
     EmpiricalMarkovQRE,

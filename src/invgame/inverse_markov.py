@@ -24,6 +24,8 @@ from invgame.inverse_matrix import (
 from invgame.matrix_game import stage_values
 from invgame.sampling import EpisodeDataset, frequency_estimate_markov, step_counts
 
+MLE_MAX_ITER = 10_000  # projected-gradient iterations after which a fit stops unconverged
+MLE_TOL = 1e-8  # a fit converges once its gradient mapping is at most this
 _TRACE_BLOCK = 32  # iterations whose iterates are kept to form their objective at once
 
 
@@ -61,21 +63,19 @@ def ridge_fit(
 class SoftmaxPolicyModel:
     """Softmax conditionals exp(psi(s,a)' theta) with unit-ball parameters.
 
-    psi_a: (S, m, d_a); psi_b: (S, n, d_b).  ball_radius applies to both
-    players' parameter vectors.
+    psi_a: (S, m, d_a); psi_b: (S, n, d_b).  Both players' parameter vectors
+    lie in the unit ball; a radius-r ball with features psi is the unit ball
+    with features r * psi.
     """
 
     psi_a: np.ndarray
     psi_b: np.ndarray
-    ball_radius: float = 1.0
 
     def __post_init__(self):
         if self.psi_a.ndim != 3 or self.psi_b.ndim != 3:
             raise ValueError("psi maps must have shape (S, actions, dim)")
         if self.psi_a.shape[0] != self.psi_b.shape[0]:
             raise ValueError("psi_a and psi_b must have the same number of states")
-        if not self.ball_radius > 0:
-            raise ValueError("ball_radius must be positive")
 
     @property
     def feature_scale(self) -> float:
@@ -106,44 +106,36 @@ def mle_fit(
     model: SoftmaxPolicyModel,
     step: int,
     player: str,
-    max_iter: int = 10_000,
-    tol: float = 1e-8,
 ) -> MleFit:
-    """Projected-gradient MLE of one step's policy parameters on the ball.
+    """Projected-gradient MLE of one step's policy parameters on the unit ball.
 
     Minimizes the mean negative log-likelihood of the observed actions under
     the softmax model; fixed step 1/K^2 where K bounds the feature norms,
-    stopping when the gradient-mapping norm falls below tol.  The objective
-    is convex, so the trace is nonincreasing.  Each iteration reads only the
-    step's (S, actions) marginal of the dataset's count table (step_counts),
-    so it costs O(S * actions * d), independent of the number of episodes.
+    converged once the gradient-mapping norm is at most MLE_TOL and stopped
+    unconverged after MLE_MAX_ITER iterations.  The objective is convex, so
+    the trace is nonincreasing.  Each iteration reads only the step's
+    (S, actions) marginal of the dataset's count table (step_counts), so it
+    costs O(S * actions * d), independent of the number of episodes.
 
-    The fits are made once per dataset, model and stopping rule: the first
-    call fits every step of both players in one lockstep loop (_fit_stack)
-    and caches them on the dataset, like the count table; later calls read
-    them.  The params and trace are read-only.
+    The fits are made once per dataset and model (its psi_a and psi_b): the
+    first call fits every step of both players in one lockstep loop
+    (_fit_stack) and caches them on the dataset, like the count table; later
+    calls read them.  The params and trace are read-only.
     """
     if player not in ("a", "b"):
         raise ValueError("player must be 'a' or 'b'")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if not tol >= 0:
-        raise ValueError("tol must be nonnegative")
     table = step_counts(data, *model.psi_a.shape[:2], model.psi_b.shape[1])
     # every episode has one record per step, so all steps or none have samples
     if not table[step].any():
         raise ValueError(f"no samples at step {step}")
     key = tuple((p.dtype.str, p.shape, p.tobytes()) for p in (model.psi_a, model.psi_b))
-    key += (model.ball_radius, max_iter, tol)
     fits = data._mle_fits.get(key)
     if fits is None:
-        fits = data._mle_fits[key] = _fit_every_step(table, model, max_iter, tol)
+        fits = data._mle_fits[key] = _fit_every_step(table, model)
     return fits[player][step]
 
 
-def _fit_every_step(
-    table: np.ndarray, model: SoftmaxPolicyModel, max_iter: int, tol: float
-) -> dict[str, list[MleFit]]:
+def _fit_every_step(table: np.ndarray, model: SoftmaxPolicyModel) -> dict[str, list[MleFit]]:
     """Every step's fit of each player, by player: one stack of both
     players' H fits, or one per player when psi_a and psi_b differ in shape."""
     h_len = table.shape[0]
@@ -159,7 +151,7 @@ def _fit_every_step(
         stack = _fit_stack(
             np.concatenate([flats[p] for p in players], dtype=float),
             np.concatenate([counts[p] for p in players], dtype=float),
-            lipschitz, model.ball_radius, max_iter, tol,
+            lipschitz,
         )
         for k, p in enumerate(players):
             fits[p] = stack[k * h_len : (k + 1) * h_len]
@@ -180,19 +172,12 @@ def _objectives(history: list, weights: np.ndarray, observed: np.ndarray) -> np.
     return _dots(weights, np.log(z) + shift) - _dots(observed, theta)
 
 
-def _fit_stack(
-    flats: np.ndarray,
-    counts: np.ndarray,
-    lipschitz: float,
-    radius: float,
-    max_iter: int,
-    tol: float,
-) -> list[MleFit]:
+def _fit_stack(flats: np.ndarray, counts: np.ndarray, lipschitz: float) -> list[MleFit]:
     """Projected-gradient fits of a stack in one loop: fit i has features
     flats[i] (S * actions, d) and counts[i] (S, actions).  Each fit freezes
-    once its own gradient mapping is at most tol, and each of its products is
-    the same BLAS call (a gemv or a dot on its own rows) a fit alone makes,
-    so it follows exactly the iterates it would alone.  The objective trace
+    once its own gradient mapping is at most MLE_TOL, and each of its
+    products is the same BLAS call (a gemv or a dot on its own rows) a fit
+    alone makes, so it follows exactly the iterates it would alone.  The objective trace
     is formed from the recorded iterates every _TRACE_BLOCK iterations and at
     each freeze, not once per iteration."""
     b_len, s_len, n_actions = counts.shape
@@ -201,13 +186,13 @@ def _fit_stack(
     weights = counts.sum(axis=2) / totals
     observed = (counts.reshape(b_len, 1, -1) @ flats)[:, 0] / totals
     theta = np.zeros((b_len, flats.shape[2]))
-    params, iterations = np.empty_like(theta), np.full(b_len, max_iter)
+    params, iterations = np.empty_like(theta), np.full(b_len, MLE_MAX_ITER)
     converged = np.zeros(b_len, dtype=bool)
     live = np.arange(b_len)  # fits still iterating
     traces = [[] for _ in range(b_len)]  # each fit's objective, one piece per block
     history = []  # (theta, shift, z) of each iteration of the open block
     flats_t = flats.transpose(0, 2, 1)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MLE_MAX_ITER + 1):
         logits = (flats @ theta[:, :, None]).reshape(-1, s_len, n_actions)
         shift = logits.max(axis=2)
         e = np.exp(logits - shift[:, :, None])
@@ -219,14 +204,14 @@ def _fit_stack(
         # L * ||theta - (theta - grad / L)|| is ||grad|| inside the ball
         gradient_mapping = np.sqrt(_dots(grad, grad))
         norm = np.sqrt(_dots(new_theta, new_theta))
-        if np.count_nonzero(out := norm > radius):  # cheaper than .any() on a few fits
-            new_theta[out] *= (radius / norm[out])[:, None]
+        if np.count_nonzero(out := norm > 1):  # cheaper than .any() on a few fits
+            new_theta[out] *= (1 / norm[out])[:, None]  # onto the unit ball
             moved = theta[out] - new_theta[out]
             gradient_mapping[out] = lipschitz * np.sqrt(_dots(moved, moved))
         theta = new_theta
-        done = gradient_mapping <= tol
+        done = gradient_mapping <= MLE_TOL
         frozen = np.count_nonzero(done)
-        if frozen or len(history) == _TRACE_BLOCK or it == max_iter:
+        if frozen or len(history) == _TRACE_BLOCK or it == MLE_MAX_ITER:
             for i, objective in zip(live, _objectives(history, weights, observed).T):
                 traces[i].append(objective)
             history = []
@@ -239,7 +224,7 @@ def _fit_stack(
             if not live.size:
                 break
             flats_t = flats.transpose(0, 2, 1)
-    params[live] = theta  # the fits max_iter stopped
+    params[live] = theta  # the fits MLE_MAX_ITER stopped
     params.flags.writeable = False
     fits = []
     for i in range(b_len):

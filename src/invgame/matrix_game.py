@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PROB_FLOOR = 1e-300  # representation-level floor only; softmax outputs are positive
+MAX_NEWTON_STEPS = 100_000  # solve_qre_batch's cap on Newton steps over all trials
 
 
 class QreConvergenceError(RuntimeError):
@@ -20,17 +21,20 @@ class QreConvergenceError(RuntimeError):
 
     `failed` lists the unconverged stack entries, `reached` the fraction t of
     eta each had solved (0 is uniform play) and `residual` their largest last
-    residual; backward induction sets `step` and the first failed `state`.
+    residual, or None when they stalled: a stalled entry's last trial hit at
+    its unmoved t, so its residual says nothing of the solve.  Backward
+    induction sets `step` and the first failed `state`.
     """
 
     def __init__(self, iterations, residual, failed=(0,), reached=(), step=None, state=None):
         self.iterations, self.residual, self.failed = iterations, residual, tuple(failed)
         self.reached, self.step, self.state = tuple(reached), step, state
         where = "" if step is None else f" at step {step}, state {state}"
+        status = "stalled" if residual is None else f"last residual {residual:.3e}"
         super().__init__(
             f"QRE solve did not converge{where} after {iterations} Newton steps "
-            f"(last residual {residual:.3e}; failed entries {list(self.failed)}; "
-            f"reached t {[round(t, 6) for t in self.reached]})"
+            f"({status}; failed entries {list(self.failed)}; "
+            f"reached t [{', '.join(f'{t:.3g}' for t in self.reached)}])"
         )
 
 
@@ -123,7 +127,6 @@ def solve_qre_batch(
     payoffs: np.ndarray,
     eta: float,
     tol: float = 1e-12,
-    max_iter: int = 100_000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """QRE of every game in a (B, m, n) stack; returns mu (B, m), nu (B, n).
 
@@ -144,13 +147,11 @@ def solve_qre_batch(
     would alone.
 
     Raises QreConvergenceError, naming the unconverged entries and the t
-    each reached, after max_iter Newton steps, or naming the stalled entries
-    as soon as a halved step no longer moves a game's t.
+    each reached, after MAX_NEWTON_STEPS Newton steps, or naming the stalled
+    entries as soon as a halved step no longer moves a game's t.
     """
     if not (tol > 0 and 0 < eta < np.inf):
         raise ValueError(f"tol and eta must be positive and eta finite, got {tol} and {eta}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     q = np.ascontiguousarray(payoffs, dtype=float)  # one BLAS path for all
     _check_payoffs(q, 3)
     b_len, m, n = q.shape
@@ -176,7 +177,7 @@ def solve_qre_batch(
     t_accepted, t_step = np.zeros(b_len), np.ones(b_len)
     newton, last = np.zeros(b_len, dtype=int), np.full(b_len, np.inf)  # in this trial
     out = np.empty((b_len, mn))
-    for steps in range(1, max_iter + 1):
+    for steps in range(1, MAX_NEWTON_STEPS + 1):
         g = (kkt @ w[:, :, None])[:, :, 0]
         response = np.concatenate([_log_softmax(-g[:, :m]), _log_softmax(-g[:, m:mn])], 1)
         residual = np.abs(np.exp(response) - w[:, :mn]).max(axis=1)
@@ -196,8 +197,7 @@ def solve_qre_batch(
             t_step[miss] /= 2
             if (stalled := t_accepted + t_step == t_accepted).any():  # t can no longer move
                 raise QreConvergenceError(
-                    steps, float(residual[stalled].max()), live[stalled].tolist(),
-                    t_accepted[stalled].tolist(),
+                    steps, None, live[stalled].tolist(), t_accepted[stalled].tolist()
                 )
             z[miss], w[miss] = accepted[miss], np.exp(accepted[miss] * logit)
             newton[retry], last[retry] = 0, np.inf
@@ -212,16 +212,14 @@ def solve_qre_batch(
             live, q, kkt, z, w, accepted, t_accepted, t_step, newton, last, residual = (
                 x[~done] for x in per_game
             )
-    raise QreConvergenceError(max_iter, float(residual.max()), live.tolist(), t_accepted.tolist())
+    raise QreConvergenceError(
+        MAX_NEWTON_STEPS, float(residual.max()), live.tolist(), t_accepted.tolist()
+    )
 
 
-def solve_qre(
-    spec: MatrixGameSpec,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> PolicyPair:
+def solve_qre(spec: MatrixGameSpec, tol: float = 1e-12) -> PolicyPair:
     """The QRE of one game: solve_qre_batch on a stack of one."""
-    mu, nu = solve_qre_batch(spec.payoff[None], spec.eta, tol, max_iter)
+    mu, nu = solve_qre_batch(spec.payoff[None], spec.eta, tol)
     return PolicyPair(mu[0], nu[0])
 
 

@@ -1,5 +1,5 @@
-"""Distances and error metrics: TV, payoff/reward errors, and the
-discrepancy between re-solved and observed equilibria."""
+"""Error metrics: reward errors and the discrepancy (in total variation)
+between re-solved and observed equilibria."""
 
 from __future__ import annotations
 
@@ -21,20 +21,6 @@ class ErrorReport:
     qre_tv_error: float | None = None
     reward_D: float | None = None
     reward_D1: float | None = None
-
-
-def _check_pair(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"distribution shapes differ: {p.shape} vs {q.shape}")
-    return p, q
-
-
-def tv(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation distance, half the L1 distance."""
-    p, q = _check_pair(p, q)
-    return float(0.5 * np.abs(p - q).sum())
 
 
 def reward_metric_D(r: np.ndarray, r_prime: np.ndarray) -> float:

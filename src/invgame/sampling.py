@@ -68,7 +68,7 @@ class EpisodeDataset:
         return {}
 
     @cached_property
-    def _mle_fits(self) -> dict[tuple, dict]:  # inverse_markov.mle_fit's, by model and stop
+    def _mle_fits(self) -> dict[tuple, dict]:  # inverse_markov.mle_fit's, by psi_a and psi_b
         return {}
 
     def check(self, s_len: int, m: int, n: int) -> None:
@@ -94,8 +94,10 @@ class EmpiricalMarkovQRE:
 
 
 def _draw_categorical(rng: np.random.Generator, cum: np.ndarray, size: int) -> np.ndarray:
-    """Inverse-CDF draws; cum is the cumulative distribution (1-D)."""
-    return np.searchsorted(cum, rng.random(size), side="right").astype(np.int64)
+    """Inverse-CDF draws; cum is the cumulative distribution (1-D).  Its last
+    entry is left out: it may round below 1, and a draw above it is still the
+    last category, never one past it."""
+    return np.searchsorted(cum[:-1], rng.random(size), side="right").astype(np.int64)
 
 
 def sample_matrix_actions(
@@ -148,11 +150,12 @@ def sample_episodes(
 
 
 def _draw_rows(rng: np.random.Generator, cum: np.ndarray, rows: np.ndarray, out: np.ndarray):
-    """Inverse-CDF draws out[i] = #{j : u_i > cum[rows[i], j]}, counted one
-    column of cum at a time (no (T, k) gather) in a dtype that holds k."""
+    """Inverse-CDF draws out[i] = #{j < k - 1 : u_i > cum[rows[i], j]}, counted
+    one column of cum at a time (no (T, k) gather) in a dtype that holds k.
+    The last column is left out, as in _draw_categorical."""
     u = rng.random(rows.size)
     count = np.zeros(rows.size, dtype=np.min_scalar_type(cum.shape[1]))
-    for column in cum.T:
+    for column in cum.T[:-1]:
         count += u > column.take(rows)
     out[...] = count
 

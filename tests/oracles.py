@@ -13,7 +13,10 @@ frequency_estimate_by_step) count the dataset themselves, mle_fit_alone is
 mle_fit's earlier one-fit loop on the library's count table,
 qre_by_damped_iteration is solve_qre_batch's earlier damped fixed point, and
 project_by_bisection is ConfidenceSet._project's earlier bisection in t,
-which reads the set's cached SVD.
+which reads the set's cached SVD.  The two MLE bodies read the library's
+stopping rule, inverse_markov.MLE_MAX_ITER and MLE_TOL, at call time.  tv,
+the total variation distance, is test-only: the library's discrepancies
+sum it inline.
 """
 
 from __future__ import annotations
@@ -181,6 +184,15 @@ def matrix_linear_system(
 def marginals_by_bincount(actions: np.ndarray, n_actions: int) -> np.ndarray:
     """A matrix game's empirical marginal: each action's count over N."""
     return np.bincount(actions, minlength=n_actions) / actions.size
+
+
+def tv(p: np.ndarray, q: np.ndarray) -> float:
+    """Total variation distance, half the L1 distance."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError(f"distribution shapes differ: {p.shape} vs {q.shape}")
+    return float(0.5 * np.abs(p - q).sum())
 
 
 def hellinger_sq(p: np.ndarray, q: np.ndarray) -> float:
@@ -428,12 +440,7 @@ def qre_by_damped_iteration(
 
 
 def mle_fit_by_einsum(
-    data: EpisodeDataset,
-    model: SoftmaxPolicyModel,
-    step: int,
-    player: str,
-    max_iter: int = 10_000,
-    tol: float = 1e-8,
+    data: EpisodeDataset, model: SoftmaxPolicyModel, step: int, player: str
 ) -> MleFit:
     """mle_fit's projected-gradient loop as it was before the count-table
     rewrite: each iteration re-forms the (S, m) log-likelihood and takes the
@@ -455,11 +462,10 @@ def mle_fit_by_einsum(
     state_counts = counts.sum(axis=1)
     scale = model.feature_scale
     lipschitz = max(scale**2, 1e-12)
-    radius = model.ball_radius
 
-    def clamp(theta):
+    def clamp(theta):  # onto the unit ball
         norm = np.linalg.norm(theta)
-        return theta * (radius / norm) if norm > radius else theta
+        return theta * (1.0 / norm) if norm > 1.0 else theta
 
     def objective_and_grad(theta):
         logits = psi @ theta
@@ -477,25 +483,20 @@ def mle_fit_by_einsum(
     trace = []
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, inverse_markov.MLE_MAX_ITER + 1):
         nll, grad = objective_and_grad(theta)
         trace.append(nll)
         new_theta = clamp(theta - grad / lipschitz)
         gradient_mapping = lipschitz * np.linalg.norm(theta - new_theta)
         theta = new_theta
-        if gradient_mapping <= tol:
+        if gradient_mapping <= inverse_markov.MLE_TOL:
             converged = True
             break
     return MleFit(theta, np.array(trace), iterations, converged)
 
 
 def mle_fit_alone(
-    data: EpisodeDataset,
-    model: SoftmaxPolicyModel,
-    step: int,
-    player: str,
-    max_iter: int = 10_000,
-    tol: float = 1e-8,
+    data: EpisodeDataset, model: SoftmaxPolicyModel, step: int, player: str
 ) -> MleFit:
     """mle_fit's projected-gradient loop as it was before the lockstep: one
     fit alone, on the step's (S, actions) marginal of the count table, with
@@ -511,7 +512,6 @@ def mle_fit_alone(
     if total == 0:
         raise ValueError(f"no samples at step {step}")
     lipschitz = max(model.feature_scale**2, 1e-12)
-    radius = model.ball_radius
     flat = psi.reshape(-1, dim)
     weights = counts.sum(axis=1) / total
     observed = counts.ravel() @ flat / total
@@ -520,7 +520,7 @@ def mle_fit_alone(
     trace = []
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, inverse_markov.MLE_MAX_ITER + 1):
         logits = (flat @ theta).reshape(s_len, n_actions)
         shift = logits.max(axis=1)
         e = np.exp(logits - shift[:, None])
@@ -529,14 +529,14 @@ def mle_fit_alone(
         grad = flat.T @ (e * (weights / z)[:, None]).ravel() - observed
         new_theta = theta - grad / lipschitz
         norm = math.sqrt(new_theta @ new_theta)
-        if norm > radius:
-            new_theta = new_theta * (radius / norm)
+        if norm > 1.0:  # onto the unit ball
+            new_theta = new_theta * (1.0 / norm)
             moved = theta - new_theta
             gradient_mapping = lipschitz * math.sqrt(moved @ moved)
         else:
             gradient_mapping = math.sqrt(grad @ grad)
         theta = new_theta
-        if gradient_mapping <= tol:
+        if gradient_mapping <= inverse_markov.MLE_TOL:
             converged = True
             break
     return MleFit(theta, np.array(trace), iterations, converged)

@@ -26,7 +26,7 @@ from invgame.experiments import run_rep
 from invgame.inverse_markov import InversionConfig, ridge_fit
 from invgame.markov_game import backward_qre
 from invgame.matrix_game import MatrixGameSpec, qre_residual, solve_qre
-from invgame.metrics import reward_metric_D, reward_metric_D1, tv
+from invgame.metrics import reward_metric_D, reward_metric_D1
 from invgame.sampling import EpisodeDataset, sample_episodes, stream
 
 from .oracles import (
@@ -34,6 +34,7 @@ from .oracles import (
     hellinger_sq,
     loglog_slope,
     recover_rewards_on_truth,
+    tv,
 )
 
 SEED = 20260808

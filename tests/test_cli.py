@@ -1,6 +1,5 @@
 import json
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -519,10 +518,8 @@ class TestCommands:
         ).read_bytes()
 
     def test_numerical_failures_exit_two(self, tmp_path, capsys, monkeypatch):
-        # a truth solve cut off after one iteration fails every record
-        monkeypatch.setattr(
-            markov_game, "solve_qre_batch", partial(solve_qre_batch, max_iter=1)
-        )
+        # a truth solve cut off after one Newton step fails every record
+        monkeypatch.setattr(matrix_game, "MAX_NEWTON_STEPS", 1)
         config = tmp_path / "cfg.json"
         config.write_text(
             json.dumps(
@@ -552,12 +549,9 @@ class TestCommands:
     def test_single_shot_numerical_failure_exits_two(
         self, tmp_path, capsys, monkeypatch, command, fields, where
     ):
-        # both solves do not converge; a 20-step cut stands in for the full
-        # 100,000 steps they take
-        monkeypatch.setattr(cli, "solve_qre", partial(matrix_game.solve_qre, max_iter=20))
-        monkeypatch.setattr(
-            markov_game, "solve_qre_batch", partial(solve_qre_batch, max_iter=20)
-        )
+        # both solves do not converge; a 20-step cut stands in for the
+        # thousands of steps they take before they stall
+        monkeypatch.setattr(matrix_game, "MAX_NEWTON_STEPS", 20)
         config = write_config(tmp_path, fields)
         out = tmp_path / "out"
         assert run_cli([command, "--config", config, "--out", str(out)]) == 2
@@ -568,7 +562,7 @@ class TestCommands:
 
     def test_a_stalled_solve_fails_simulate_quickly(self, tmp_path, capsys, monkeypatch):
         # at eta = 1e300 the continuation stalls near t = 0; with no cut, the
-        # solve gives up at the stall, not after max_iter Newton steps
+        # solve gives up at the stall, not after MAX_NEWTON_STEPS Newton steps
         steps = []
         real = markov_game.solve_qre_batch
 
@@ -585,6 +579,8 @@ class TestCommands:
         assert run_cli(["simulate", "--config", config, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: QRE solve did not converge at step 5")
+        # the stall is named; the residual of its last trial, below tol, is not
+        assert "Newton steps (stalled; failed entries" in err and "residual" not in err
         assert err.count("\n") == 1
         assert steps and max(steps) <= 10_000
         assert not out.exists()

@@ -79,13 +79,15 @@ def near_uniform_markov_model(seed, uniform_transitions=False):
     return LinearMDPModel(feats, omegas, cols, eta=0.5, gamma=1.0)
 
 
-def dense_mle_case(ball_radius, seed=5, t=500):
-    """Dense Gaussian psi maps (3 states, 4 and 2 actions, d = 5) and t
-    one-step episodes of uniform draws."""
+def dense_mle_case(scale, seed=5, t=500):
+    """Dense Gaussian psi maps (3 states, 4 and 2 actions, d = 5) times
+    scale, and t one-step episodes of uniform draws.  The unit ball with
+    features scale * psi is the radius-scale ball with features psi, so a
+    small scale makes the ball bind and a large one leaves it inactive."""
     rng = stream(seed)
     psi_a, psi_b = rng.standard_normal((3, 4, 5)), rng.standard_normal((3, 2, 5))
     data = EpisodeDataset(*(rng.integers(0, k, (t, 1)) for k in (3, 4, 2, 3)))
-    return data, SoftmaxPolicyModel(psi_a, psi_b, ball_radius)
+    return data, SoftmaxPolicyModel(scale * psi_a, scale * psi_b)
 
 
 def assert_same_fit(fit, oracle):
@@ -95,13 +97,13 @@ def assert_same_fit(fit, oracle):
     assert np.abs(fit.objective_trace - oracle.objective_trace).max() <= 1e-12
 
 
-def assert_fits_alone(data, model, keys, **stop):
+def assert_fits_alone(data, model, keys):
     """Each (step, player) fit of the lockstep loop is the one-fit loop's on
     a fresh copy of the dataset, to the last bit."""
-    fits = [mle_fit(data, model, step, player, **stop) for step, player in keys]
+    fits = [mle_fit(data, model, step, player) for step, player in keys]
     fresh = EpisodeDataset(*data.arrays)
     for fit, (step, player) in zip(fits, keys):
-        alone = mle_fit_alone(fresh, model, step, player, **stop)
+        alone = mle_fit_alone(fresh, model, step, player)
         assert (fit.iterations, fit.converged) == (alone.iterations, alone.converged)
         assert np.array_equal(fit.params, alone.params)
         assert np.array_equal(fit.objective_trace, alone.objective_trace)
@@ -658,12 +660,12 @@ class TestMleFit:
                 )
 
     @pytest.mark.parametrize(
-        "ball_radius, binding", [(0.05, True), (10.0, False)], ids=["binding", "inactive"]
+        "scale, binding", [(0.05, True), (10.0, False)], ids=["binding", "inactive"]
     )
-    def test_dense_fits_match_the_einsum_loop(self, ball_radius, binding):
-        data, model = dense_mle_case(ball_radius)
+    def test_dense_fits_match_the_einsum_loop(self, scale, binding):
+        data, model = dense_mle_case(scale)
         fit = mle_fit(data, model, 0, "a")
-        assert (np.linalg.norm(fit.params) == pytest.approx(ball_radius)) == binding
+        assert (np.linalg.norm(fit.params) == pytest.approx(1.0)) == binding
         assert_fits_alone(data, model, [(0, "a"), (0, "b")])
         for player in ("a", "b"):
             assert_same_fit(
@@ -689,10 +691,10 @@ class TestMleFit:
         rng = stream(5)
         psi_a, psi_b = rng.standard_normal((3, 4, 5)), rng.standard_normal((3, 4, 5))
         data = EpisodeDataset(*(rng.integers(0, k, (500, 2)) for k in (3, 4, 4, 3)))
-        model = SoftmaxPolicyModel(psi_a, psi_b, 0.15)
+        model = SoftmaxPolicyModel(0.15 * psi_a, 0.15 * psi_b)
         keys = [(step, player) for step in range(2) for player in "ab"]
         fits = assert_fits_alone(data, model, keys)
-        binding = [np.linalg.norm(fit.params) == pytest.approx(0.15) for fit in fits]
+        binding = [np.linalg.norm(fit.params) == pytest.approx(1.0) for fit in fits]
         assert any(binding) and not all(binding)
 
     def test_players_of_different_shapes_match_each_fit_alone(self):
@@ -704,31 +706,37 @@ class TestMleFit:
         policy = saturated_policy_model(s_len, m, n)
         assert_fits_alone(data, policy, [(h, p) for h in range(h_len) for p in "ab"])
 
-    def test_fits_are_cached_per_model_and_stopping_rule(self):
+    def test_fits_are_cached_per_psi(self):
         data, model = dense_mle_case(0.05)
-        calls = [
-            (model, {}),
-            (replace(model, ball_radius=10.0), {}),
-            (model, {"tol": 1e-4}),
-            (model, {"max_iter": 50}),
-        ]
-        fits = [assert_fits_alone(data, m, [(0, "a")], **stop)[0] for m, stop in calls]
-        assert len(data._mle_fits) == len(calls)
-        assert len({(fit.iterations, fit.params.tobytes()) for fit in fits}) == len(calls)
+        # the last model differs from the first in psi_b alone
+        models = [model, dense_mle_case(10.0)[1], replace(model, psi_b=model.psi_b[:, :, :3])]
+        fits = [assert_fits_alone(data, m, [(0, "a")])[0] for m in models]
+        assert len(data._mle_fits) == len(models)
+        assert fits[0].params.tobytes() != fits[1].params.tobytes()
         # a model equal in value is the same key: its fit is read, not refit
-        same = SoftmaxPolicyModel(model.psi_a.copy(), model.psi_b.copy(), 0.05)
+        same = SoftmaxPolicyModel(model.psi_a.copy(), model.psi_b.copy())
         assert mle_fit(data, same, 0, "a") is fits[0]
-        assert len(data._mle_fits) == len(calls)
+        assert len(data._mle_fits) == len(models)
+
+    @pytest.mark.parametrize("name, value", [("MLE_MAX_ITER", 50), ("MLE_TOL", 1e-4)])
+    def test_the_stopping_rule_is_the_module_constants(self, monkeypatch, name, value):
+        data, model = dense_mle_case(0.05)
+        default = mle_fit(EpisodeDataset(*data.arrays), model, 0, "a")
+        monkeypatch.setattr(inverse_markov, name, value)
+        (fit,) = assert_fits_alone(data, model, [(0, "a")])
+        if name == "MLE_MAX_ITER":
+            assert (fit.iterations, fit.converged) == (50, False)
+        else:
+            assert fit.converged and fit.iterations < default.iterations
+        assert len(fit.objective_trace) == fit.iterations < default.iterations
 
     @pytest.mark.parametrize(
         "call, message",
         [
             ({"player": "c"}, "player must be 'a' or 'b'"),
-            ({"max_iter": 0}, "max_iter must be at least 1"),
-            ({"tol": -1e-8}, "tol must be nonnegative"),
             ({"episodes": 0}, "no samples at step 0"),
         ],
-        ids=["player", "max_iter", "tol", "no_samples"],
+        ids=["player", "no_samples"],
     )
     def test_a_bad_call_raises_and_caches_no_fit(self, call, message):
         data, model = dense_mle_case(1.0)
@@ -739,8 +747,8 @@ class TestMleFit:
         assert data._mle_fits == {}
 
     def test_binding_ball_fit_meets_kkt_conditions(self):
-        radius = 0.05
-        data, model = dense_mle_case(radius)
+        radius = 1.0  # the unit ball, made to bind by shrinking psi
+        data, model = dense_mle_case(0.05)
         fit = mle_fit(data, model, 0, "a")
         assert abs(np.linalg.norm(fit.params) - radius) <= 1e-12
         freqs = step_counts(data, 3, 4, 2)[0].sum(axis=(2, 3)) / 500
@@ -758,17 +766,9 @@ PSI = np.ones((2, 3, 2))
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda data: SoftmaxPolicyModel(PSI, PSI, ball_radius=-1.0), "ball_radius"),
-        (lambda data: SoftmaxPolicyModel(PSI, PSI, ball_radius=0.0), "ball_radius"),
-        (lambda data: SoftmaxPolicyModel(PSI, PSI, ball_radius=np.nan), "ball_radius"),
         (lambda data: SoftmaxPolicyModel(PSI, PSI[:1, :2]), "psi_a and psi_b"),
-        (lambda data: mle_fit(data, SoftmaxPolicyModel(PSI, PSI), 0, "a", max_iter=0),
-         "max_iter"),
-        (lambda data: mle_fit(data, SoftmaxPolicyModel(PSI, PSI), 0, "a", tol=-1e-8), "tol"),
-        (lambda data: mle_fit(data, SoftmaxPolicyModel(PSI, PSI), 0, "a", tol=np.nan), "tol"),
     ],
-    ids=["negative_radius", "zero_radius", "nan_radius", "state_mismatch", "zero_max_iter",
-         "negative_tol", "nan_tol"],
+    ids=["state_mismatch"],
 )
 def test_softmax_mle_rejects_bad_settings(call, message):
     data = EpisodeDataset(*(np.zeros((4, 1), dtype=np.int64),) * 4)

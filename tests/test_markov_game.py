@@ -1,9 +1,7 @@
-from functools import partial
-
 import numpy as np
 import pytest
 
-from invgame import markov_game
+from invgame import matrix_game
 from invgame.markov_game import (
     LinearMDPModel,
     MarkovGameSpec,
@@ -18,7 +16,6 @@ from invgame.matrix_game import (
     entropy,
     qre_residual,
     solve_qre,
-    solve_qre_batch,
 )
 
 from .oracles import (
@@ -156,9 +153,7 @@ class TestBackwardQre:
         rewards[1, 1] = [[7.0, -2.0], [0.5, 3.0]]
         transition = np.full((2, 2, 2, 2, 2), 0.5)
         spec = MarkovGameSpec(rewards, transition, eta=2.0)
-        monkeypatch.setattr(
-            markov_game, "solve_qre_batch", partial(solve_qre_batch, max_iter=3)
-        )
+        monkeypatch.setattr(matrix_game, "MAX_NEWTON_STEPS", 3)
         with pytest.raises(QreConvergenceError, match="at step 1, state 1") as err:
             backward_qre(spec)
         assert (err.value.step, err.value.state) == (1, 1)

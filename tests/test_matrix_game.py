@@ -3,7 +3,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from invgame import experiments
+from invgame import experiments, matrix_game
 from invgame.markov_game import backward_qre
 from invgame.matrix_game import (
     FeatureModel,
@@ -158,32 +158,41 @@ class TestSolveQre:
         assert np.abs(pair.mu - mu_star).max() < 1e-10
         assert np.abs(pair.nu - nu_star).max() < 1e-10
 
-    def test_nonconvergence_reports_the_continuation_reached(self):
+    def test_nonconvergence_reports_the_continuation_reached(self, monkeypatch):
         # cut off part-way along the strongly scaled game's branch in eta
         spec, _ = strongly_scaled_game()
+        monkeypatch.setattr(matrix_game, "MAX_NEWTON_STEPS", 20)
         with pytest.raises(QreConvergenceError) as err:
-            solve_qre(spec, tol=1e-12, max_iter=20)
+            solve_qre(spec, tol=1e-12)
         (reached,) = err.value.reached
         assert 0 < reached < 1
-        assert f"reached t [{round(reached, 6)}]" in str(err.value)
+        assert f"(last residual {err.value.residual:.3e};" in str(err.value)
+        assert f"reached t [{reached:.3g}])" in str(err.value)
 
-    def test_nonconvergence_reports_residual(self):
+    def test_nonconvergence_reports_residual(self, monkeypatch):
         spec = MatrixGameSpec(np.array([[7.0, -2.0], [0.5, 3.0]]), eta=2.0)
+        monkeypatch.setattr(matrix_game, "MAX_NEWTON_STEPS", 3)
         with pytest.raises(QreConvergenceError) as err:
-            solve_qre(spec, tol=1e-12, max_iter=3)
+            solve_qre(spec, tol=1e-12)
         assert err.value.iterations == 3
         assert err.value.residual > 0
 
     def test_a_stalled_continuation_fails_without_spending_max_iter(self):
         # with 1e308 payoffs the continuation accepts no t above ~1e-280,
         # where a halved step soon stops moving t; the stall fails there,
-        # far below the 100,000 Newton steps of the default max_iter
+        # far below the 100,000 Newton steps of MAX_NEWTON_STEPS
         stack = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1e308, -1e308], [0.0, 1.0]]])
         with pytest.raises(QreConvergenceError, match=r"failed entries \[1\]") as err:
             solve_qre_batch(stack, 0.5)
         assert err.value.iterations <= 20_000
         (reached,) = err.value.reached
-        assert 0 <= reached < 1e-200
+        assert 0 < reached < 1e-200
+        # the stall is named, t keeps its digits, and the residual of the
+        # last trial, which hit at the unmoved t, is not reported
+        assert err.value.residual is None
+        assert "(stalled; failed entries [1]" in str(err.value)
+        assert f"reached t [{reached:.3g}])" in str(err.value)
+        assert "residual" not in str(err.value)
 
 
 class TestSolveQreBatch:
@@ -259,12 +268,13 @@ class TestSolveQreBatch:
             assert np.abs(mu[i] - mu_star).max() < 1e-10
             assert np.abs(nu[i] - nu_star).max() < 1e-10
 
-    def test_nonconvergence_names_the_failed_entries(self):
+    def test_nonconvergence_names_the_failed_entries(self, monkeypatch):
         # the zero game is solved by the uniform start; the others are not
         hard = np.array([[7.0, -2.0], [0.5, 3.0]])
         stack = np.stack([np.zeros((2, 2)), hard, 2 * hard])
+        monkeypatch.setattr(matrix_game, "MAX_NEWTON_STEPS", 3)
         with pytest.raises(QreConvergenceError, match=r"failed entries \[1, 2\]") as err:
-            solve_qre_batch(stack, 2.0, tol=1e-12, max_iter=3)
+            solve_qre_batch(stack, 2.0, tol=1e-12)
         assert err.value.failed == (1, 2)
         assert err.value.iterations == 3
         assert err.value.residual > 0
@@ -279,14 +289,6 @@ class TestSolveQreBatch:
             solve_qre_batch(np.full((1, 2, 2), np.nan), 1.0)
         with pytest.raises(ValueError):
             solve_qre_batch(np.zeros((1, 2, 2)), 0.0)
-
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_rejects_max_iter_below_one(self, max_iter):
-        spec = MatrixGameSpec(np.array([[7.0, -2.0], [0.5, 3.0]]), eta=2.0)
-        with pytest.raises(ValueError, match="max_iter must be at least 1"):
-            solve_qre_batch(spec.payoff[None], spec.eta, max_iter=max_iter)
-        with pytest.raises(ValueError, match="max_iter must be at least 1"):
-            solve_qre(spec, max_iter=max_iter)
 
 
 class TestQreResidual:

@@ -11,10 +11,9 @@ from invgame.metrics import (
     qre_discrepancy_markov,
     reward_metric_D,
     reward_metric_D1,
-    tv,
 )
 
-from .oracles import hellinger_sq
+from .oracles import hellinger_sq, tv
 from .test_markov_game import make_rng, simplex_feature_model
 from .test_matrix_game import seeded_features
 

@@ -66,7 +66,6 @@ PUBLIC_NAMES = [
     "solve_qre_batch",
     "stepwise_confidence_sets",
     "stream",
-    "tv",
     "visit_distributions",
     "write_dataset",
 ]
@@ -84,8 +83,10 @@ OPTIONS = {
         "s_len", "horizon", "theta", "norm_cap", "kappa_scale", "ridge_lambda",
         "estimator", "policy_estimator", "emit_timings",
     ],
-    invgame.solve_qre: ["spec", "tol", "max_iter"],
-    invgame.solve_qre_batch: ["payoffs", "eta", "tol", "max_iter"],
+    invgame.solve_qre: ["spec", "tol"],
+    invgame.solve_qre_batch: ["payoffs", "eta", "tol"],
+    invgame.mle_fit: ["data", "model", "step", "player"],
+    invgame.SoftmaxPolicyModel: ["psi_a", "psi_b"],
 }
 
 
@@ -117,6 +118,21 @@ def test_readme_config_table_names_every_field():
     assert sorted(ALIASES.get(name, name) for name in named) == sorted(set(fields) - {"kind"})
 
 
+def test_readme_states_the_stopping_rules():
+    # the solvers' caps and tolerance are module constants, not options; the
+    # README names each with its value
+    from invgame import inverse_markov, matrix_game
+
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    for module, name in (
+        (matrix_game, "MAX_NEWTON_STEPS"), (inverse_markov, "MLE_MAX_ITER"),
+        (inverse_markov, "MLE_TOL"),
+    ):
+        qualified = f"{module.__name__.removeprefix('invgame.')}.{name}"
+        stated = re.findall(rf"`{re.escape(qualified)}` \(([0-9.,e-]+)\)", readme)
+        assert stated and float(stated[0].replace(",", "")) == getattr(module, name)
+
+
 def test_cli_only_parses_and_writes():
     # the inversions live in experiments; the CLI reads and writes datasets
     tree = ast.parse((Path(invgame.__file__).parent / "cli.py").read_text())
@@ -129,7 +145,7 @@ def test_cli_only_parses_and_writes():
     assert not {"invgame.inverse_matrix", "invgame.inverse_markov"} & set(imported)
     assert not {"inverse_matrix", "inverse_markov"} & imported.get("invgame", set())
     assert imported["invgame.sampling"] == {"read_dataset", "write_dataset"}
-    assert len(PUBLIC_NAMES) == 49
+    assert len(PUBLIC_NAMES) == 48
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"

@@ -213,6 +213,67 @@ class TestSampleEpisodes:
         assert np.array_equal(d1.next_states, d2.next_states)
 
 
+class _TopUniforms:
+    """A generator stub whose every uniform is 1 - 2**-53, the largest double
+    below 1."""
+
+    def random(self, size):
+        return np.full(size, 1 - 2.0**-53)
+
+
+# a 7-action policy whose cumulative sum rounds to 1 - 2**-52, below the
+# stub's uniform
+SHORT_CDF_POLICY = np.array([
+    0.1242902460447487, 0.23080964338334756, 0.03500757465089961,
+    0.23036907294402506, 0.07572483463857646, 0.10280016701299959,
+    0.20099846132540283,
+])
+
+
+class TestDrawAboveTheLastCdfEntry:
+    """A uniform above a cumulative sum that rounds below 1 is the last
+    category: an inverse-CDF draw never returns one the model lacks."""
+
+    def test_the_policy_sums_short(self):
+        assert np.cumsum(SHORT_CDF_POLICY)[-1] < 1 - 2.0**-53
+
+    def test_matrix_actions(self, monkeypatch):
+        monkeypatch.setattr(sampling, "stream", lambda *args: _TopUniforms())
+        pair = PolicyPair(SHORT_CDF_POLICY, SHORT_CDF_POLICY[::-1])
+        data = sample_matrix_actions(pair, 5, seed=0)
+        assert data.actions_a.ravel().tolist() == [6] * 5
+        assert data.actions_b.ravel().tolist() == [6] * 5
+
+    def test_episodes(self, monkeypatch):
+        monkeypatch.setattr(sampling, "stream", lambda *args: _TopUniforms())
+        h_len, s_len, k = 2, 2, len(SHORT_CDF_POLICY)
+        transition = np.zeros((h_len, s_len, k, k, s_len))
+        transition[..., 1] = 1.0
+        spec = MarkovGameSpec(np.zeros((h_len, s_len, k, k)), transition, eta=1.0)
+        mu = np.broadcast_to(SHORT_CDF_POLICY, (h_len, s_len, k)).copy()
+        data = sample_episodes(spec, StagePolicies(mu, mu[..., ::-1].copy()), [1.0, 0.0], 3, 0)
+        data.check(s_len, k, k)
+        assert np.all(data.actions_a == k - 1) and np.all(data.actions_b == k - 1)
+        assert np.all(data.next_states == 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 300])
+    def test_in_range_draws_count_the_whole_cdf(self, k):
+        # below the last CDF entry, leaving it out changes no draw
+        rng = stream(31, k)
+        p = rng.random((3, k))
+        cum = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+        rows = rng.integers(0, 3, 5000)
+        u = stream(32, k).random(5000)
+        out = np.empty(5000, dtype=np.int64)
+        sampling._draw_rows(stream(32, k), cum, rows, out)
+        in_range = u < cum[rows, -1]
+        assert np.array_equal(out[in_range], (u[:, None] > cum[rows]).sum(axis=1)[in_range])
+        draws = sampling._draw_categorical(stream(32, k), cum[0], 5000)
+        in_range = u < cum[0, -1]
+        assert np.array_equal(draws[in_range], np.searchsorted(cum[0], u[in_range], "right"))
+        assert max(out.max(), draws.max()) <= k - 1
+
+
 class TestSampleEpisodesAgainstGather:
     """sample_episodes against its earlier gather-and-sum body in the oracles:
     the same Philox draws must give the same int64 datasets.  Tables of more
