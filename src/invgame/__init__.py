@@ -50,7 +50,6 @@ from invgame.matrix_game import (
     solve_qre_batch,
 )
 from invgame.metrics import (
-    ErrorReport,
     qre_discrepancy,
     qre_discrepancy_markov,
     reward_metric_D,

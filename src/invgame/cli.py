@@ -3,7 +3,9 @@ inversions, and the full repeated experiment protocols with CSV output.
 
 Each kind's model, runner and defaults, and the invert commands' inversions,
 live in `invgame.experiments`; this module parses arguments and configs,
-reads and writes files, and maps outcomes to exit codes.
+reads and writes files, and maps outcomes to exit codes.  An experiment's
+CSV files are written from its records alone, whose metric fields are the
+runs.csv columns of the same names.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure:
 a single-shot command's QRE solve did not converge, or more than 5% of
@@ -32,14 +34,8 @@ from invgame.matrix_game import (
 )
 from invgame.sampling import read_dataset, write_dataset
 
-# runs.csv metric column -> ErrorReport attribute
-METRIC_FIELDS = {
-    "theta_err": "theta_error",
-    "payoff_err": "payoff_error",
-    "qre_tv_err": "qre_tv_error",
-    "reward_D": "reward_D",
-    "reward_D1": "reward_D1",
-}
+# runs.csv's metric columns, each the RepRecord field of that name
+METRIC_FIELDS = ("theta_err", "payoff_err", "qre_tv_err", "reward_D", "reward_D1")
 RUNS_HEADER = ",".join(
     ("experiment", "sample_size", "rep", "seed", *METRIC_FIELDS, "duration_ms")
 )
@@ -100,36 +96,30 @@ def load_config(args, default_kind: str = "setup1") -> ExperimentConfig:
     return config
 
 
-def run_experiment(config: ExperimentConfig):
-    """All (sample size, repetition) records plus markov per-step rows."""
+def run_experiment(config: ExperimentConfig) -> list[RepRecord]:
+    """All (sample size, repetition) records, by sample size, then rep."""
     reps = range(config.reps)
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             per_rep = list(pool.map(lambda rep: experiments.run_rep(config, rep), reps))
     else:
         per_rep = [experiments.run_rep(config, rep) for rep in reps]
-    records = sorted(
+    return sorted(
         (record for recs in per_rep for record in recs),
         key=lambda r: (r.sample_size, r.rep),
     )
-    step_rows = [
-        (r.experiment, r.sample_size, r.rep, r.seed, h, frob, qre)
-        for r in records
-        if r.per_step_qre is not None
-        for h, (frob, qre) in enumerate(zip(r.per_step_reward_frob, r.per_step_qre))
-    ]
-    return records, step_rows
 
 
 def summarize(records: list[RepRecord]) -> list[tuple]:
-    """Per sample size and metric: mean plus 2.5/97.5 empirical percentiles."""
+    """Per sample size and metric: mean plus 2.5/97.5 empirical percentiles
+    over the records that did not fail; a metric some record lacks is left out."""
     rows = []
     for size in sorted({r.sample_size for r in records}):
-        group = [r for r in records if r.sample_size == size and r.report]
+        group = [r for r in records if r.sample_size == size and not r.error]
         if not group:
             continue
-        for metric, attr in METRIC_FIELDS.items():
-            values = [getattr(r.report, attr) for r in group]
+        for metric in METRIC_FIELDS:
+            values = [getattr(r, metric) for r in group]
             if any(v is None for v in values):
                 continue
             arr = np.array(values, dtype=float)
@@ -156,32 +146,36 @@ def _write_csv(path: Path, header: str, rows) -> Path:
 
 
 def emit_csv(
-    records: list[RepRecord],
-    summary: list[tuple],
-    out_dir: str | Path,
-    step_rows: list[tuple] | None = None,
-    emit_timings: bool = False,
+    records: list[RepRecord], out_dir: str | Path, emit_timings: bool = False
 ) -> list[Path]:
-    """Write runs.csv and summary.csv (and steps.csv for markov runs).
+    """Write runs.csv, summary.csv (summarize's rows) and, when some record
+    has per-step errors (markov runs), steps.csv, all from the records.
 
     Files are byte-identical across re-runs of the same config; the
     duration_ms field stays empty unless emit_timings is set, since
-    wall-clock times are inherently nondeterministic.
+    wall-clock times are inherently nondeterministic.  A failed record's
+    metric columns are empty.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runs = (
         (r.experiment, r.sample_size, r.rep, r.seed)
-        + tuple(getattr(r.report, a) if r.report else None for a in METRIC_FIELDS.values())
+        + tuple(getattr(r, metric) for metric in METRIC_FIELDS)
         + (r.duration_ms if emit_timings else None,)
         for r in records
     )
+    steps = [
+        (r.experiment, r.sample_size, r.rep, r.seed, h, frob, qre)
+        for r in records
+        if r.per_step_qre is not None
+        for h, (frob, qre) in enumerate(zip(r.per_step_reward_frob, r.per_step_qre))
+    ]
     paths = [
         _write_csv(out / "runs.csv", RUNS_HEADER, runs),
-        _write_csv(out / "summary.csv", SUMMARY_HEADER, summary),
+        _write_csv(out / "summary.csv", SUMMARY_HEADER, summarize(records)),
     ]
-    if step_rows:
-        paths.append(_write_csv(out / "steps.csv", STEPS_HEADER, step_rows))
+    if steps:
+        paths.append(_write_csv(out / "steps.csv", STEPS_HEADER, steps))
     return paths
 
 
@@ -190,9 +184,9 @@ def _cmd_experiment(args) -> int:
     # every rep builds its model alike, so rep 0 shows whether the builder
     # takes the config before any rep runs
     _build_model(config, 0)
-    records, step_rows = run_experiment(config)
-    emit_csv(records, summarize(records), config.out, step_rows, config.emit_timings)
-    failed = [r for r in records if r.report is None]
+    records = run_experiment(config)
+    emit_csv(records, config.out, config.emit_timings)
+    failed = [r for r in records if r.error]
     for r in failed:
         print(f"record failed: N={r.sample_size} rep={r.rep}: {r.error}", file=sys.stderr)
     print(f"wrote {len(records)} records to {config.out}")

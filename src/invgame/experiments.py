@@ -38,12 +38,7 @@ from invgame.inverse_matrix import (
 )
 from invgame.markov_game import LinearMDPModel, MarkovGameSpec, backward_qre, visit_distributions
 from invgame.matrix_game import FeatureModel, PolicyPair, QreConvergenceError
-from invgame.metrics import (
-    ErrorReport,
-    qre_discrepancy_markov,
-    reward_metric_D,
-    reward_metric_D1,
-)
+from invgame.metrics import qre_discrepancy_markov, reward_metric_D, reward_metric_D1
 from invgame.sampling import (
     EpisodeDataset,
     frequency_estimate_matrix,
@@ -157,19 +152,25 @@ class ExperimentConfig:
 class RepRecord:
     """One (sample size, repetition) result of an experiment.
 
-    report is None when the repetition failed; error then says why.
-    duration_ms is the repetition's wall time divided evenly over its sample
-    sizes.  The per-step fields hold H entries for markov and one for a
-    matrix game, the one-step, one-state case; matrix records leave the
-    reward and per-step errors empty, since their one step is the game, and
-    `feasible` too under least_squares.
+    The five metric fields are runs.csv's columns of the same names.  Each
+    is None where it does not apply, and all are None when the repetition
+    failed; error then says why.  The per-step fields hold H entries for
+    markov and one for a matrix game, the one-step, one-state case; matrix
+    records leave the reward metrics and per-step errors empty, since their
+    one step is the game, and `feasible` too under least_squares.
+    duration_ms is the repetition's wall time divided evenly over its
+    sample sizes.
     """
 
     experiment: str
     sample_size: int
     rep: int
     seed: int
-    report: ErrorReport | None
+    theta_err: float | None = None
+    payoff_err: float | None = None
+    qre_tv_err: float | None = None
+    reward_D: float | None = None
+    reward_D1: float | None = None
     duration_ms: float = 0.0
     error: str = ""
     coverage: np.ndarray | None = None  # membership of the true parameters
@@ -266,9 +267,7 @@ def markov_model(
     cols = np.abs(rng.standard_normal((horizon, s_len, MARKOV_OMEGA.size)))
     cols /= cols.sum(axis=1, keepdims=True)
     omegas = np.tile(MARKOV_OMEGA, (horizon, 1))
-    return LinearMDPModel(
-        feats, omegas, cols, eta=eta, gamma=gamma, theta_norm_cap=MARKOV_THETA_CAP
-    )
+    return LinearMDPModel(feats, omegas, cols, eta=eta, gamma=gamma)
 
 
 def saturated_policy_model(s_len: int, m: int, n: int) -> SoftmaxPolicyModel:
@@ -328,14 +327,14 @@ def run_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     """Repetition rep's records, one per sample size.
 
     An exception fails the whole repetition: each of its records then holds
-    the error and no report, and the experiment goes on.
+    the error and no metrics, and the experiment goes on.
     """
     started = time.perf_counter()
     try:
         records = run_markov_rep(config, rep)
     except Exception as err:
         records = [
-            RepRecord(config.kind, n, rep, config.seed, None, error=repr(err))
+            RepRecord(config.kind, n, rep, config.seed, error=repr(err))
             for n in config.samples
         ]
     duration = 1000 * (time.perf_counter() - started) / len(records)
@@ -389,7 +388,7 @@ def _inversion(
         gamma=config.gamma,
         kappa=kappa,
         ridge_lambda=config.ridge_lambda,
-        theta_norm_cap=model.theta_norm_cap,
+        theta_norm_cap=MARKOV_THETA_CAP,
         policy_model=policy_model,
     )
 
@@ -463,16 +462,14 @@ def run_markov_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     for k, (n_samples, estimated) in enumerate(zip(config.samples, estimates)):
         thetas, q_values, rewards, sets, feasible = estimated
         # a matrix game's one step is the game: no reward or per-step errors
-        report = ErrorReport(
-            theta_error=float(per_step(thetas - true_thetas).mean()),
-            payoff_error=float(per_step(q_values - values.Q).mean()),
-            qre_tv_error=float(qre_errs[k]),
-            reward_D=reward_metric_D(rewards, spec.rewards) if markov else None,
-            reward_D1=reward_metric_D1(rewards, spec.rewards, state_dists) if markov else None,
-        )
         records.append(
             RepRecord(
-                config.kind, n_samples, rep, config.seed, report,
+                config.kind, n_samples, rep, config.seed,
+                theta_err=float(per_step(thetas - true_thetas).mean()),
+                payoff_err=float(per_step(q_values - values.Q).mean()),
+                qre_tv_err=float(qre_errs[k]),
+                reward_D=reward_metric_D(rewards, spec.rewards) if markov else None,
+                reward_D1=reward_metric_D1(rewards, spec.rewards, state_dists) if markov else None,
                 coverage=np.array([cset.contains(theta) for cset, theta in zip(sets, true_thetas)]),
                 per_step_qre=per_step_qres[k] if markov else None,
                 per_step_reward_frob=per_step(rewards - spec.rewards) if markov else None,

@@ -254,11 +254,6 @@ class InversionConfig:
         if not self.theta_norm_cap > 0:
             raise ValueError("theta_norm_cap must be positive")
 
-    def kappa_at(self, h: int) -> float:
-        if np.ndim(self.kappa) == 0:
-            return float(self.kappa)
-        return float(np.asarray(self.kappa)[h])
-
 
 @dataclass(frozen=True)
 class RecoveredRewardSample:
@@ -315,7 +310,14 @@ def stepwise_confidence_sets(
     """The per-step confidence sets {theta : ||X theta - y||^2 <= kappa_h,
     ||theta|| <= theta_norm_cap} the recovery draws its parameters from: by
     default recover_rewards' frequency sets.  Both drivers pass the estimates
-    they recover with, so that this one function builds every set."""
+    they recover with, so that this one function builds every set.
+    config.kappa must be a scalar or hold one threshold per step."""
+    kappa = np.asarray(config.kappa, dtype=float)
+    if kappa.shape not in ((), (data.horizon,)):
+        raise ValueError(
+            f"kappa must be a scalar or of shape (H,) = ({data.horizon},), got {kappa.shape}"
+        )
+    kappas = np.broadcast_to(kappa, (data.horizon,))
     if estimates is None:
         estimates = _estimates(data, config, mle=False)
     sets = []
@@ -325,7 +327,7 @@ def stepwise_confidence_sets(
             estimates.weights[h],
         )
         sets.append(
-            ConfidenceSet(system.X, system.y, config.kappa_at(h), config.theta_norm_cap**2)
+            ConfidenceSet(system.X, system.y, float(kappas[h]), config.theta_norm_cap**2)
         )
     return sets
 

@@ -188,7 +188,7 @@ class ConfidenceSet(LinearSystem):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.kappa < 0:
+        if not self.kappa >= 0:  # NaN fails this too
             raise ValueError("kappa must be nonnegative")
         if not self.norm_sq_cap > 0:
             raise ValueError("norm cap must be positive")

@@ -7,7 +7,7 @@ and V_h comes from the regularized stage objective at that equilibrium.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,6 @@ class LinearMDPModel:
     transition_params: np.ndarray
     eta: float
     gamma: float = 1.0
-    theta_norm_cap: float = field(default=np.inf)
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=float)

@@ -1,26 +1,12 @@
-"""Error metrics: reward errors and the discrepancy (in total variation)
-between re-solved and observed equilibria."""
+"""Error metrics: the reward metrics D and D1, and the discrepancy (in
+total variation) between re-solved and observed equilibria."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from invgame.markov_game import MarkovGameSpec, StagePolicies, backward_qre_stack
 from invgame.matrix_game import PolicyPair
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """One repetition's error metrics; None marks a metric that does not
-    apply to the experiment kind (never coerced to zero)."""
-
-    theta_error: float | None = None
-    payoff_error: float | None = None
-    qre_tv_error: float | None = None
-    reward_D: float | None = None
-    reward_D1: float | None = None
 
 
 def reward_metric_D(r: np.ndarray, r_prime: np.ndarray) -> float:

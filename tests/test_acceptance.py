@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from invgame.cli import ExperimentConfig, emit_csv, run_experiment, summarize
+from invgame.cli import ExperimentConfig, emit_csv, run_experiment
 from invgame.experiments import run_rep
 from invgame.inverse_markov import InversionConfig, ridge_fit
 from invgame.markov_game import backward_qre
@@ -81,7 +81,7 @@ class TestCriterion02StrongIdentifiabilityRate:
         errors = {n: [] for n in sizes}
         for rep in range(20):
             for record in records("setup1", rep, sizes):
-                errors[record.sample_size].append(record.report.theta_error)
+                errors[record.sample_size].append(record.theta_err)
         medians = np.array([np.median(errors[n]) for n in sizes])
         slope = loglog_slope(sizes, medians)
         assert -0.65 <= slope <= -0.35
@@ -98,8 +98,8 @@ class TestCriterion03PartialIdentifiability:
         theta_errs = {n: [] for n in sizes}
         for rep in range(20):
             for record in records("setup2", rep, sizes):
-                qre_errs[record.sample_size].append(record.report.qre_tv_error)
-                theta_errs[record.sample_size].append(record.report.theta_error)
+                qre_errs[record.sample_size].append(record.qre_tv_err)
+                theta_errs[record.sample_size].append(record.theta_err)
         first = np.median(qre_errs[10**3])
         last = np.median(qre_errs[10**6])
         assert last <= first / 10
@@ -188,8 +188,8 @@ class TestCriterion06MarkovTrend:
         reward = {n: [] for n in sizes}
         for rep in range(reps):
             for record in records("markov", rep, sizes):
-                qre[record.sample_size].append(record.report.qre_tv_error)
-                reward[record.sample_size].append(record.report.reward_D)
+                qre[record.sample_size].append(record.qre_tv_err)
+                reward[record.sample_size].append(record.reward_D)
         means = np.array([np.mean(qre[n]) for n in sizes])
         assert np.all(np.diff(means) < 0), f"means not decreasing: {means}"
         ratio = means[-1] / means[0]
@@ -340,10 +340,8 @@ class TestCriterion10Determinism:
                 reps=2,
                 horizon=extra.get("horizon", 6),
             )
-            records_a, steps_a = run_experiment(config)
-            records_b, steps_b = run_experiment(config)
-            emit_csv(records_a, summarize(records_a), tmp_path / f"{kind}_a", steps_a)
-            emit_csv(records_b, summarize(records_b), tmp_path / f"{kind}_b", steps_b)
+            emit_csv(run_experiment(config), tmp_path / f"{kind}_a")
+            emit_csv(run_experiment(config), tmp_path / f"{kind}_b")
             names = ["runs.csv", "summary.csv"] + (
                 ["steps.csv"] if kind == "markov" else []
             )

@@ -77,20 +77,24 @@ class TestRunExperiment:
         config = ExperimentConfig(
             kind="setup1", seed=5, samples=(1000,), reps=2
         )
-        records, step_rows = run_experiment(config)
+        records = run_experiment(config)
         assert len(records) == 2
-        assert step_rows == []
+        assert all(r.per_step_qre is None for r in records)  # no step rows
         summary = summarize(records)
         assert len(summary) == 3  # theta, payoff, qre metrics for one size
 
-    def test_markov_emits_step_rows(self):
+    def test_markov_emits_step_rows(self, tmp_path):
         config = ExperimentConfig(
             kind="markov", seed=5, samples=(500,), reps=1, horizon=3
         )
-        records, step_rows = run_experiment(config)
+        records = run_experiment(config)
         assert len(records) == 1
+        emit_csv(records, tmp_path)
+        step_rows = [
+            line.split(",") for line in (tmp_path / "steps.csv").read_text().splitlines()[1:]
+        ]
         assert len(step_rows) == 3
-        assert all(row[4] in (0, 1, 2) for row in step_rows)
+        assert all(row[4] in ("0", "1", "2") for row in step_rows)
 
     def test_markov_honours_kappa_scale(self):
         base = dict(kind="markov", seed=5, samples=(500,), reps=1, horizon=3)
@@ -114,7 +118,7 @@ class TestRunExperiment:
             return drawn[-1]
 
         monkeypatch.setattr(experiments, "sample_matrix_actions", recording)
-        assert run_rep(config, 2)[0].report is not None
+        assert not run_rep(config, 2)[0].error
         monkeypatch.undo()
         simulated = experiments.sample_dataset(config, 2, 700)
         assert len(drawn) == 1
@@ -135,7 +139,7 @@ class TestRunExperiment:
         records = run_rep(config, 0)
         assert [r.sample_size for r in records] == [500, 1000, 2000]
         for record in records:
-            assert record.report is None
+            assert all(getattr(record, m) is None for m in cli.METRIC_FIELDS)
             assert "failed at N=1000:" in record.error
             assert "singular at this size" in record.error
             assert "N=500" not in record.error and "N=2000" not in record.error
@@ -154,7 +158,7 @@ class TestRunExperiment:
         records = run_rep(config, 0)
         assert [r.sample_size for r in records] == [500, 1000, 2000]
         for record in records:
-            assert record.report is None
+            assert all(getattr(record, m) is None for m in cli.METRIC_FIELDS)
             assert "estimate failed at N=1000:" in record.error
             assert "singular at this size" in record.error
             assert "N=500" not in record.error and "N=2000" not in record.error
@@ -196,7 +200,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiments, "qre_discrepancy_markov", unconverged_at_2000)
         for record in run_rep(config, 0):
-            assert record.report is None
+            assert all(getattr(record, m) is None for m in cli.METRIC_FIELDS)
             assert "re-solve failed at N=2000:" in record.error
             assert f"at step {step}, state {state}" in record.error
 
@@ -211,35 +215,46 @@ class TestRunExperiment:
         for module in (matrix_game, markov_game):
             monkeypatch.setattr(module, "solve_qre_batch", counting)
         config = ExperimentConfig(kind="setup2", seed=5, samples=(500, 1000, 2000))
-        assert all(record.report is not None for record in run_rep(config, 0))
+        assert not any(record.error for record in run_rep(config, 0))
         assert stacks == [1, 3]
 
     @pytest.mark.parametrize(
         "base",
         [
             dict(kind="setup1", seed=9, samples=(1000, 2000), reps=3),
+            dict(kind="setup2", seed=9, samples=(1000, 2000), reps=3),
+            dict(kind="custom", seed=9, samples=(1000, 2000), reps=3,
+                 theta=(0.5, -0.25, 0.75), estimator="confidence_set"),
             dict(kind="markov", seed=9, samples=(500, 1000), reps=3, horizon=3),
             dict(kind="markov", seed=9, samples=(500, 1000), reps=3, horizon=3,
                  policy_estimator="mle"),
         ],
-        ids=["setup1", "markov_frequency", "markov_mle"],
+        ids=["setup1", "setup2", "custom_confidence_set", "markov_frequency", "markov_mle"],
     )
-    def test_threads_do_not_change_results(self, base):
-        serial, serial_steps = run_experiment(ExperimentConfig(**base))
-        threaded, threaded_steps = run_experiment(ExperimentConfig(**base, threads=3))
+    def test_threads_do_not_change_results(self, tmp_path, base):
+        serial = run_experiment(ExperimentConfig(**base))
+        threaded = run_experiment(ExperimentConfig(**base, threads=3))
         assert [(r.sample_size, r.rep) for r in serial] == [
             (r.sample_size, r.rep) for r in threaded
         ]
         for a, b in zip(serial, threaded):
-            assert a.report is not None and a.report == b.report
-            for field in ("coverage", "per_step_qre", "per_step_reward_frob", "feasible"):
+            assert not a.error and not b.error
+            for field in (*cli.METRIC_FIELDS, "coverage", "per_step_qre",
+                          "per_step_reward_frob", "feasible"):
                 assert np.array_equal(getattr(a, field), getattr(b, field)), field
-        assert serial_steps == threaded_steps
+        emit_csv(serial, tmp_path / "serial")
+        emit_csv(threaded, tmp_path / "threaded")
+        names = ["runs.csv", "summary.csv"] + (["steps.csv"] if base["kind"] == "markov" else [])
+        assert sorted(p.name for p in (tmp_path / "serial").iterdir()) == sorted(names)
+        for name in names:
+            assert (tmp_path / "serial" / name).read_bytes() == (
+                tmp_path / "threaded" / name
+            ).read_bytes(), name
 
 
 class TestEmitCsv:
     def test_empty_records_headers_only(self, tmp_path):
-        paths = emit_csv([], [], tmp_path)
+        paths = emit_csv([], tmp_path)
         assert paths[0].read_text().strip() == (
             "experiment,sample_size,rep,seed,theta_err,payoff_err,qre_tv_err,"
             "reward_D,reward_D1,duration_ms"
@@ -250,8 +265,7 @@ class TestEmitCsv:
 
     def test_two_records_two_rows(self, tmp_path):
         config = ExperimentConfig(kind="setup1", seed=5, samples=(1000,), reps=2)
-        records, _ = run_experiment(config)
-        paths = emit_csv(records, summarize(records), tmp_path)
+        paths = emit_csv(run_experiment(config), tmp_path)
         lines = paths[0].read_text().strip().splitlines()
         assert len(lines) == 3
         # absent metrics stay empty, never zero
@@ -262,10 +276,8 @@ class TestEmitCsv:
         config = ExperimentConfig(
             kind="setup2", seed=11, samples=(500, 1000), reps=2
         )
-        records, steps = run_experiment(config)
-        emit_csv(records, summarize(records), tmp_path / "a", steps)
-        records2, steps2 = run_experiment(config)
-        emit_csv(records2, summarize(records2), tmp_path / "b", steps2)
+        emit_csv(run_experiment(config), tmp_path / "a")
+        emit_csv(run_experiment(config), tmp_path / "b")
         for name in ("runs.csv", "summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
@@ -394,7 +406,7 @@ class TestCommands:
         # the runner's per-step norm (axis=1) sums the squares in another
         # order than the 1-D norm, so compare with that form, not to an ulp
         diff = np.array(result["theta_hat"]) - model.theta
-        assert record.report.theta_error == np.linalg.norm(diff[None], axis=1)[0]
+        assert record.theta_err == np.linalg.norm(diff[None], axis=1)[0]
 
     def test_simulate_then_invert_markov(self, tmp_path, capsys):
         out = tmp_path / "sim"

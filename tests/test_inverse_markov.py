@@ -328,7 +328,7 @@ class TestOneCountPass:
     def test_run_markov_rep(self, passes, policy_estimator):
         config = markov_config(5, [500, 1000, 3000], policy_estimator=policy_estimator)
         records = run_markov_rep(config, 0)
-        assert all(record.report is not None for record in records)
+        assert not any(record.error for record in records)
         assert passes == [500, 1000, 3000]
 
     def test_invert_markov(self, passes):
@@ -501,6 +501,25 @@ class TestRecoverRewards:
         monkeypatch.setattr(inverse_markov, "ridge_fit", counting)
         assert len(recover_rewards(data, config)) == 1
         assert sorted(steps) == list(range(spec.H))
+
+    @pytest.mark.parametrize("shape", [(3,), (8,), (6, 1)], ids=["short", "long", "column"])
+    def test_a_kappa_of_another_shape_than_one_per_step_is_rejected(self, shape):
+        # H = 6: a length-8 kappa was truncated, and lengths 3 and (6, 1) failed
+        # with an IndexError and a TypeError
+        model = markov_model(stream(93))
+        spec = model.to_tabular()
+        truth, _ = backward_qre(spec, tol=1e-13)
+        data = sample_episodes(spec, truth, np.full(spec.S, 0.25), 500, 94)
+        config = InversionConfig(
+            features=model.features, eta=spec.eta, gamma=spec.gamma,
+            kappa=np.full(shape, 5.0), ridge_lambda=0.01, theta_norm_cap=10.0,
+        )
+        for call in (stepwise_confidence_sets, recover_rewards):
+            with pytest.raises(ValueError, match=r"shape \(H,\) = \(6,\)"):
+                call(data, config)
+        per_step = stepwise_confidence_sets(data, replace(config, kappa=np.full(6, 5.0)))
+        scalar = stepwise_confidence_sets(data, replace(config, kappa=5.0))
+        assert [cset.kappa for cset in per_step] == [cset.kappa for cset in scalar] == [5.0] * 6
 
     def test_samples_carry_the_sets_they_were_drawn_from(self):
         model = markov_model(stream(93), horizon=3)

@@ -290,6 +290,12 @@ class TestConfidenceSet:
         off = model.theta + np.array([0.1, 0, 0, 0, 0, 0])
         assert not cset.contains(off, slack=1e-12)
 
+    @pytest.mark.parametrize("kappa", [-1.0, np.nan], ids=["negative", "nan"])
+    def test_a_negative_or_nan_kappa_is_rejected(self, kappa):
+        # a NaN threshold would make every set silently empty
+        with pytest.raises(ValueError, match="kappa must be nonnegative"):
+            ConfidenceSet(np.eye(2), np.ones(2), kappa, 4.0)
+
     def test_norm_cap_rejects_large_theta(self):
         cset = ConfidenceSet(np.eye(2), np.zeros(2), kappa=100.0, norm_sq_cap=4.0)
         assert not cset.contains(np.array([3.0, 0.0]))

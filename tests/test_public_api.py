@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "ConfidenceSet",
     "EmpiricalMarkovQRE",
     "EpisodeDataset",
-    "ErrorReport",
     "FeasibleSet",
     "FeatureModel",
     "InversionConfig",
@@ -145,7 +144,7 @@ def test_cli_only_parses_and_writes():
     assert not {"invgame.inverse_matrix", "invgame.inverse_markov"} & set(imported)
     assert not {"inverse_matrix", "inverse_markov"} & imported.get("invgame", set())
     assert imported["invgame.sampling"] == {"read_dataset", "write_dataset"}
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 47
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"

@@ -5,6 +5,7 @@ import pytest
 
 from invgame import sampling
 from invgame.experiments import (
+    MARKOV_THETA_CAP,
     ExperimentConfig,
     build_model,
     custom_model,
@@ -354,7 +355,7 @@ class TestLayoutIndependence:
         spec, model, data, copy = case
         config = InversionConfig(
             features=model.features, eta=spec.eta, gamma=spec.gamma, kappa=0.2,
-            ridge_lambda=0.01, theta_norm_cap=model.theta_norm_cap,
+            ridge_lambda=0.01, theta_norm_cap=MARKOV_THETA_CAP,
         )
         sample, sample_copy = (recover_rewards(d, config)[0] for d in (data, copy))
         for field in ("thetas", "q_values", "v_values", "rewards", "feasible"):
