@@ -1,11 +1,11 @@
 """Command-line harness: forward solves, dataset simulation, single-shot
 inversions, and the full repeated experiment protocols with CSV output.
 
-Each kind's model, runner and defaults, and the invert commands' inversions,
-live in `invgame.experiments`; this module parses arguments and configs,
-reads and writes files, and maps outcomes to exit codes.  An experiment's
-CSV files are written from its records alone, whose metric fields are the
-runs.csv columns of the same names.
+Each kind's model, runner and defaults, and the estimates the invert
+commands share with the runner, live in `invgame.experiments`; this module
+parses arguments and configs, reads and writes files, and maps outcomes to
+exit codes.  An experiment's CSV files are written from its records alone,
+whose metric fields are the runs.csv columns of the same names.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure:
 a single-shot command's QRE solve did not converge, or more than 5% of
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -48,7 +49,10 @@ def _typed(key: str, value, hint):
     """A config value as its field's type; any other value is a usage error.
 
     Numbers may come as JSON numbers or strings, but must be exact: "1e3"
-    is not an integer sample size, and NaN is no parameter value."""
+    is not an integer sample size, and NaN is no parameter value.  A field
+    that may be None (unset) takes a value of its other type."""
+    if typing.get_origin(hint) is types.UnionType:
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
     if typing.get_origin(hint) is tuple:
         if isinstance(value, (list, tuple)):
             return tuple(_typed(key, item, typing.get_args(hint)[0]) for item in value)

@@ -1,4 +1,4 @@
-"""Experiment kinds: their config, instances, runner, and the invert commands' inversions.
+"""Experiment kinds: their config, instances, runner, and estimates.
 
 Four kinds share one config (`ExperimentConfig`), one builder
 (`build_model`) and one runner (`run_rep`): a strongly identified matrix game
@@ -6,7 +6,9 @@ Four kinds share one config (`ExperimentConfig`), one builder
 matrix game (custom), and the tabular Markov game inversion (markov).  A
 matrix game is the one-step, one-state Markov game of its payoff, so every
 kind has one truth solve (`backward_qre`), one stacked re-solve of all its
-sample sizes and one scorer (`run_markov_rep`).
+sample sizes and one scorer (`run_markov_rep`).  The runner and each invert
+command make one estimate per kind family: `_markov_estimate` or
+`_matrix_estimate`.
 
 Repetition rep of seed s generates its instance from stream(s, rep).  Its
 data are then drawn from a second, fresh stream(s, rep), not from where the
@@ -60,7 +62,7 @@ KAPPA_SCALE = 1e3
 
 KINDS = ("setup1", "setup2", "markov", "custom")
 # The config fields whose default depends on the kind, filled in where a
-# config leaves them at zero.  setup1 (4x6, d=2) and setup2 (6x6, d=6) are
+# config leaves them out (None).  setup1 (4x6, d=2) and setup2 (6x6, d=6) are
 # fixed instances with norm cap SETUP2_NORM_SQ_CAP, and markov fixes its
 # cap to MARKOV_THETA_CAP, so those kinds read no m, n or norm_cap of theirs.
 KIND_DEFAULTS = {
@@ -92,7 +94,7 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment's settings, read alike by every command.  A field of
-    KIND_DEFAULTS left at zero takes its kind's default."""
+    KIND_DEFAULTS left out (None) takes its kind's default."""
 
     kind: str
     seed: int = 0
@@ -102,15 +104,15 @@ class ExperimentConfig:
     out: str = "results"
     eta: float = ETA
     gamma: float = 1.0
-    m: int = 0
-    n: int = 0
+    m: int | None = None
+    n: int | None = None
     s_len: int = 4
     horizon: int = 6
     theta: tuple[float, ...] = ()
-    norm_cap: float = 0.0
+    norm_cap: float | None = None
     kappa_scale: float = KAPPA_SCALE
     ridge_lambda: float = MARKOV_RIDGE_LAMBDA
-    estimator: str = ""
+    estimator: str | None = None
     policy_estimator: str = "frequency"
     emit_timings: bool = False
 
@@ -118,7 +120,7 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise UsageError(f"unknown experiment kind {self.kind!r}")
         for name, default in KIND_DEFAULTS[self.kind].items():
-            if not getattr(self, name):
+            if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
         for name, ok, rule in (  # a comparison with NaN is False
             ("reps", self.reps >= 1, "at least 1"),
@@ -140,6 +142,8 @@ class ExperimentConfig:
         if self.kind == "custom":
             if not self.theta:
                 raise UsageError("custom experiments need an explicit theta")
+            if not self.norm_cap > 0:
+                raise UsageError(f"norm_cap must be positive, got {self.norm_cap!r}")
             norm_sq = float(np.dot(self.theta, self.theta))
             # the relative slack FeatureModel allows
             if not norm_sq <= self.norm_cap * (1 + 1e-12):
@@ -341,68 +345,82 @@ def run_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     return [replace(record, duration_ms=duration) for record in records]
 
 
-def _matrix_estimate(config: ExperimentConfig, model: FeatureModel, data: EpisodeDataset):
-    """(theta_hat, route, rank, cset, feasible) of a matrix dataset's S=1
-    system at its frequency estimate, cset its set at kappa_rule(N), whose
-    one SVD gives the rank: the set's min-norm member under confidence_set
-    (feasible: it is certified), else X^+ y (feasible None).  route names
-    the estimator and, under least_squares, the rank: X^+ y is the
-    least-squares solution at full rank and the min-norm one below it."""
+def _thresholds(config: ExperimentConfig, data: EpisodeDataset, *shape: int) -> np.ndarray:
+    """Each step's kappa_rule over its state visit counts N_h(s) under the
+    model's shape (S, m, n), with the block weights of the set it bounds: for
+    a matrix game's one step at one state, exactly kappa_rule(N)."""
+    counts = step_counts(data, *shape).sum(axis=(2, 3, 4))
+    mle = config.policy_estimator == "mle"
+    return kappa_rule(counts, block_weights(counts, mle), config.kappa_scale)
+
+
+def _matrix_estimate(config: ExperimentConfig, model: FeatureModel, data: EpisodeDataset, kappa):
+    """(thetas, Q, rewards, sets, feasible) of a matrix dataset's one step,
+    from its S=1 set at the frequency estimate and kappa's one threshold:
+    the set's min-norm member under confidence_set (feasible: it is
+    certified), else X^+ y from the set's one SVD (feasible None).  Q and
+    the reward are the estimate's payoff."""
     est = frequency_estimate_matrix(data, *model.features.shape[:2])
-    kappa = kappa_rule(data.n_episodes, scale=config.kappa_scale)
-    cset = build_confidence_set(est, model.features, config.eta, kappa, model.norm_sq_cap)
+    cset = build_confidence_set(est, model.features, config.eta, kappa.item(), model.norm_sq_cap)
     if config.estimator == "confidence_set":
-        theta_hat, feasible = cset.min_norm_member()
-        return theta_hat, "min_norm_member", cset.rank, cset, feasible
-    route = "least_squares" if cset.rank == cset.X.shape[1] else "min_norm_theta"
-    return min_norm_theta(cset), route, cset.rank, cset, None
+        theta_hat, certified = cset.min_norm_member()
+        feasible = np.array([certified])
+    else:
+        theta_hat, feasible = min_norm_theta(cset), None
+    q_hat = reconstruct_payoff(theta_hat, model.features)[None, None]
+    return theta_hat[None], q_hat, q_hat, (cset,), feasible
 
 
 def invert_matrix(config: ExperimentConfig, model: FeatureModel, data: EpisodeDataset) -> dict:
-    """invert-matrix's result: the estimate the experiment runner makes from
-    the same dataset under the config's estimator (see _matrix_estimate).
-    feasible is null under least_squares."""
-    theta_hat, route, rank, cset, feasible = _matrix_estimate(config, model, data)
+    """invert-matrix's result: the runner's estimate of the same dataset
+    (_matrix_estimate at _thresholds).  route names the estimator and, under
+    least_squares, the rank: X^+ y is the least-squares solution at full
+    rank and the min-norm one below it.  feasible is null under least_squares."""
+    kappa = _thresholds(config, data, 1, *model.features.shape[:2])
+    (theta_hat,), q_hat, _, (cset,), feasible = _matrix_estimate(config, model, data, kappa)
+    full_rank = cset.rank == theta_hat.size
+    if config.estimator == "confidence_set":
+        route = "min_norm_member"
+    else:
+        route = "least_squares" if full_rank else "min_norm_theta"
     return {
         "theta_hat": theta_hat.tolist(),
         "route": route,
-        "rank": rank,
-        "full_rank": rank == theta_hat.size,
+        "rank": cset.rank,
+        "full_rank": full_rank,
         "kappa": cset.kappa,
         "residual_sq": cset.residual_sq(theta_hat),
-        "payoff_hat": reconstruct_payoff(theta_hat, model.features).tolist(),
-        "feasible": None if feasible is None else bool(feasible),
+        "payoff_hat": q_hat[0, 0].tolist(),
+        "feasible": None if feasible is None else bool(feasible[0]),
     }
 
 
-def _inversion(
-    config: ExperimentConfig,
-    model: LinearMDPModel,
-    kappa: float | np.ndarray,
-    policy_model: SoftmaxPolicyModel | None = None,
-) -> InversionConfig:
-    """The reward recovery's inputs for a markov instance at threshold kappa."""
-    return InversionConfig(
-        features=model.features,
-        eta=config.eta,
-        gamma=config.gamma,
-        kappa=kappa,
-        ridge_lambda=config.ridge_lambda,
-        theta_norm_cap=MARKOV_THETA_CAP,
+def _markov_estimate(config: ExperimentConfig, model: LinearMDPModel, data: EpisodeDataset, kappa):
+    """(thetas, Q, rewards, sets, feasible), per step, of the reward recovery
+    at threshold kappa (a scalar or one per step): recover_rewards, or
+    recover_rewards_mle on saturated one-hot softmax MLE policies under
+    policy_estimator "mle"."""
+    mle = config.policy_estimator == "mle"
+    policy_model = saturated_policy_model(*model.features.shape[:3]) if mle else None
+    inversion = InversionConfig(
+        features=model.features, eta=config.eta, gamma=config.gamma, kappa=kappa,
+        ridge_lambda=config.ridge_lambda, theta_norm_cap=MARKOV_THETA_CAP,
         policy_model=policy_model,
     )
+    sample = (recover_rewards_mle if mle else recover_rewards)(data, inversion)[0]
+    return sample.thetas, sample.q_values, sample.rewards, sample.sets, sample.feasible
 
 
 def invert_markov(config: ExperimentConfig, model: LinearMDPModel, data: EpisodeDataset) -> dict:
-    """invert-markov's result: the min-norm trajectory of recover_rewards at
-    the scalar threshold kappa_rule(N)."""
-    inversion = _inversion(config, model, kappa_rule(data.n_episodes, scale=config.kappa_scale))
-    sample = recover_rewards(data, inversion)[0]
+    """invert-markov's result: the runner's reward recovery (_markov_estimate)
+    at the scalar threshold kappa_rule(N)."""
+    kappa = kappa_rule(data.n_episodes, scale=config.kappa_scale)
+    thetas, _, rewards, _, feasible = _markov_estimate(config, model, data, kappa)
     return {
-        "theta_hat": sample.thetas.tolist(),
-        "feasible": sample.feasible.tolist(),
-        "kappa": inversion.kappa,
-        "rewards": sample.rewards.tolist(),
+        "theta_hat": thetas.tolist(),
+        "feasible": feasible.tolist(),
+        "kappa": kappa,
+        "rewards": rewards.tolist(),
     }
 
 
@@ -410,42 +428,24 @@ def run_markov_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     """Repetition rep's records, one per sample size, for every kind: a
     matrix game runs as the one-step, one-state Markov game of its payoff.
 
-    A markov estimate is a reward recovery.  policy_estimator "frequency"
-    uses per-state frequency policies; "mle" uses saturated one-hot softmax
-    MLE policies with empirical visit-probability weights.  Each step's
-    threshold is kappa_rule over that step's state visit counts, with the
-    block weights of the set it bounds.  A matrix estimate is
-    _matrix_estimate's, its payoff the step's Q and reward.  Coverage is
-    measured on the sets the estimates drew their parameters from.  The
-    rewards of all sample sizes are re-solved together in one backward pass.
+    Each size's estimate is its kind family's, the one its invert command
+    makes (_markov_estimate, or _matrix_estimate with the payoff as the
+    step's Q and reward), at each step's threshold from _thresholds.
+    Coverage is measured on the sets the estimates drew their parameters
+    from.  The rewards of all sample sizes are re-solved together in one
+    backward pass.
     """
     model, spec, (truth, values), data = _instance(config, rep, max(config.samples))
     state_dists, _ = visit_distributions(spec, truth, np.full(spec.S, 1.0 / spec.S))
     markov = config.kind == "markov"
-    if markov:
-        true_thetas = model.q_params(values.V)
-        mle = config.policy_estimator == "mle"
-        policy_model = saturated_policy_model(spec.S, spec.m, spec.n) if mle else None
-        recover = recover_rewards_mle if mle else recover_rewards
-
-        def estimate(subset):  # (thetas, Q, rewards, sets, feasible), per step
-            counts = step_counts(subset, spec.S, spec.m, spec.n).sum(axis=(2, 3, 4))
-            kappa = kappa_rule(counts, block_weights(counts, mle), config.kappa_scale)
-            sample = recover(subset, _inversion(config, model, kappa, policy_model))[0]
-            return sample.thetas, sample.q_values, sample.rewards, sample.sets, sample.feasible
-    else:
-        true_thetas = model.theta[None]
-
-        def estimate(subset):
-            theta_hat, _, _, cset, feasible = _matrix_estimate(config, model, subset)
-            q_hat = reconstruct_payoff(theta_hat, model.features)[None, None]
-            feasible = None if feasible is None else np.array([feasible])
-            return theta_hat[None], q_hat, q_hat, (cset,), feasible
-
+    estimate = _markov_estimate if markov else _matrix_estimate
+    true_thetas = model.q_params(values.V) if markov else model.theta[None]
     estimates = []
     for n_samples in config.samples:
+        subset = data.prefix(n_samples)
         try:
-            estimates.append(estimate(data.prefix(n_samples)))
+            kappa = _thresholds(config, subset, spec.S, spec.m, spec.n)
+            estimates.append(estimate(config, model, subset, kappa))
         except Exception as err:
             raise RuntimeError(f"estimate failed at N={n_samples}: {err!r}") from err
     rewards = np.stack([estimated[2] for estimated in estimates])

@@ -382,8 +382,11 @@ def recover_rewards(
 
     Policies come from per-state frequencies; unvisited states carry uniform
     placeholders and zero block weight.  Returns one sample, the trajectory
-    of each step's min-norm member.
+    of each step's min-norm member.  A config with a policy_model is
+    rejected: only recover_rewards_mle reads it.
     """
+    if config.policy_model is not None:
+        raise ValueError("recover_rewards reads no policy_model; use recover_rewards_mle")
     return _run_algorithm(data, config, mle=False)
 
 

@@ -14,8 +14,8 @@ from invgame.cli import (
     summarize,
 )
 from invgame import cli, experiments, markov_game, matrix_game
-from invgame.experiments import markov_model, run_rep
-from invgame.inverse_markov import recover_rewards
+from invgame.experiments import markov_model, run_rep, saturated_policy_model
+from invgame.inverse_markov import InversionConfig, recover_rewards, recover_rewards_mle
 from invgame.inverse_matrix import build_confidence_set
 from invgame.markov_game import backward_qre
 from invgame.matrix_game import QreConvergenceError, solve_qre_batch
@@ -402,7 +402,7 @@ class TestCommands:
         result = experiments.invert_matrix(
             config, model, experiments.sample_dataset(config, 1, 2000)
         )
-        assert np.array_equal(result["theta_hat"], estimates[0][0])
+        assert np.array_equal(result["theta_hat"], estimates[0][0][0])
         # the runner's per-step norm (axis=1) sums the squares in another
         # order than the 1-D norm, so compare with that form, not to an ulp
         diff = np.array(result["theta_hat"]) - model.theta
@@ -426,6 +426,68 @@ class TestCommands:
         assert code == 0
         result = json.loads(result_path.read_text())
         assert len(result["theta_hat"]) == 3
+
+    @pytest.mark.parametrize("policy_estimator", ["frequency", "mle"])
+    def test_invert_markov_estimates_as_the_runner(self, monkeypatch, policy_estimator):
+        # the runner and invert-markov make one estimate with one config; the
+        # command's threshold is the scalar kappa_rule(N), the runner's per step
+        config = ExperimentConfig(
+            kind="markov", seed=4, samples=(2000,), horizon=3, policy_estimator=policy_estimator
+        )
+        real, calls = experiments._markov_estimate, []
+
+        def recording(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(experiments, "_markov_estimate", recording)
+        (record,) = run_rep(config, 1)
+        model = experiments.build_model(config, 1)
+        data = experiments.sample_dataset(config, 1, 2000)
+        result = experiments.invert_markov(config, model, data)
+        monkeypatch.undo()
+        assert not record.error
+        (run_args, run_estimate), (invert_args, invert_estimate) = calls
+        assert run_args[0] is invert_args[0] is config
+        assert invert_args[3] == result["kappa"] == experiments.kappa_rule(2000)
+        assert np.array_equal(result["theta_hat"], invert_estimate[0])
+        assert np.array_equal(result["rewards"], invert_estimate[2])
+        assert result["feasible"] == invert_estimate[4].tolist()
+        # at the runner's thresholds, the command's model and data give the runner's estimate
+        again = real(config, model, data, run_args[3])
+        for k in (0, 1, 2, 4):
+            assert np.array_equal(again[k], run_estimate[k])
+
+    def test_invert_markov_under_mle_is_the_mle_recovery(self, tmp_path, capsys):
+        # invert-markov ran recover_rewards under either policy_estimator, so
+        # its mle JSON was the frequency one
+        sim = tmp_path / "sim"
+        args = ["simulate", "--kind", "markov", "--seed", "3", "--samples", "3000"]
+        assert run_cli([*args, "--out", str(sim)]) == 0
+        results = {}
+        for estimator in ("frequency", "mle"):
+            fields = {"kind": "markov", "seed": 3, "policy_estimator": estimator}
+            config = write_config(tmp_path, fields, f"{estimator}.json")
+            path = tmp_path / f"{estimator}_result.json"
+            assert run_cli(["invert-markov", "--config", config, "--data",
+                            str(sim / "dataset.csv"), "--out", str(path)]) == 0
+            results[estimator] = json.loads(path.read_text())
+        capsys.readouterr()
+        assert results["mle"] != results["frequency"]
+        model = markov_model(stream(3, 0))
+        inversion = InversionConfig(
+            features=model.features, eta=experiments.ETA, gamma=1.0,
+            kappa=experiments.kappa_rule(3000), ridge_lambda=experiments.MARKOV_RIDGE_LAMBDA,
+            theta_norm_cap=experiments.MARKOV_THETA_CAP,
+            policy_model=saturated_policy_model(4, 5, 5),
+        )
+        sample = recover_rewards_mle(read_dataset(sim / "dataset.csv"), inversion)[0]
+        assert results["mle"] == {
+            "theta_hat": sample.thetas.tolist(),
+            "feasible": sample.feasible.tolist(),
+            "kappa": inversion.kappa,
+            "rewards": sample.rewards.tolist(),
+        }
 
     def test_simulate_rerun_gives_identical_bytes(self, tmp_path, capsys):
         args = ["simulate", "--kind", "markov", "--seed", "6", "--samples", "3000"]
@@ -643,6 +705,42 @@ class TestEveryCommandReadsTheConfig:
         capsys.readouterr()
         assert runs[0] != runs[1]
 
+    @pytest.fixture(scope="class")
+    def datasets(self, tmp_path_factory):
+        # a markov and a setup1 dataset of seed 3, simulated once
+        out = tmp_path_factory.mktemp("sim")
+        for kind in ("markov", "setup1"):
+            args = ["simulate", "--kind", kind, "--seed", "3", "--samples", "3000"]
+            assert run_cli([*args, "--out", str(out / kind)]) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            ("invert-markov", "policy_estimator", "mle"),
+            ("invert-markov", "ridge_lambda", 1.0),
+            ("invert-markov", "kappa_scale", 1e5),
+            ("invert-markov", "gamma", 0.5),
+            ("invert-markov", "eta", 0.7),
+            ("invert-matrix", "estimator", "confidence_set"),
+            ("invert-matrix", "kappa_scale", 1e5),
+            ("invert-matrix", "eta", 0.7),
+        ],
+    )
+    def test_changing_the_field_changes_the_inversion(
+        self, tmp_path, capsys, datasets, command, field, value
+    ):
+        kind = "markov" if command == "invert-markov" else "setup1"
+        results = []
+        for name, extra in (("default", {}), ("changed", {field: value})):
+            config = write_config(tmp_path, {"kind": kind, "seed": 3, **extra}, f"{name}.json")
+            out = tmp_path / f"{name}_result.json"
+            data = str(datasets / kind / "dataset.csv")
+            assert run_cli([command, "--config", config, "--data", data, "--out", str(out)]) == 0
+            results.append(out.read_text())
+        capsys.readouterr()
+        assert results[0] != results[1]
+
     def test_simulate_markov_draws_from_the_configured_eta(self, tmp_path, capsys):
         fields = {"kind": "markov", "eta": 1.0, "seed": 3, "samples": [500], "H": 3}
         config = write_config(tmp_path, fields)
@@ -686,6 +784,31 @@ class TestUsageErrors:
         if command == "invert-matrix":
             args += ["--data", str(tmp_path / "missing.csv")]
         self.assert_usage_error(capsys, args, "above norm_cap")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"kind": "custom", "m": 0, "norm_cap": 0, "theta": [0.1, 0.2]},
+             "norm_cap must be positive, got 0.0"),
+            ({"kind": "custom", "norm_cap": -1.0, "theta": [0.0, 0.0]},
+             "norm_cap must be positive, got -1.0"),
+            ({"kind": "custom", "m": 0, "theta": [0.1, 0.2]}, "got 0x4"),
+            ({"kind": "markov", "n": 0}, "got 5x0"),
+            ({"kind": "setup1", "estimator": ""}, "unknown estimator ''"),
+            ({"kind": "custom", "m": None, "theta": [0.1, 0.2]}, "'m' cannot be None"),
+        ],
+        ids=["custom_zero_m_and_norm_cap", "custom_negative_norm_cap", "custom_zero_m",
+             "markov_zero_n", "empty_estimator", "null_m"],
+    )
+    def test_an_explicit_zero_or_empty_value_is_no_default(
+        self, tmp_path, capsys, fields, message
+    ):
+        # only a field the config leaves out takes its kind's default; a 0 m
+        # and norm_cap ran a 4x4 game at cap 4.0, and "" the default estimator
+        config = write_config(tmp_path, {"samples": [100], "reps": 1, **fields})
+        args = ["experiment", "--config", config, "--out", str(tmp_path / "out")]
+        self.assert_usage_error(capsys, args, message)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "invert-markov", "experiment"])

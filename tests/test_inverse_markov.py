@@ -359,6 +359,24 @@ def unobserved_last_action_case():
 
 
 class TestRecoverRewards:
+    def test_a_policy_model_is_rejected(self):
+        # recover_rewards estimates frequency policies and gave the same thetas
+        # with and without a policy model; only recover_rewards_mle reads it
+        rng = stream(11)
+        s_len, m, n, h_len = 3, 2, 3, 4
+        data = EpisodeDataset(
+            *(rng.integers(0, size, (200, h_len)) for size in (s_len, m, n, s_len))
+        )
+        config = InversionConfig(
+            features=rng.standard_normal((s_len, m, n, 2)), eta=0.5, gamma=1.0, kappa=1e5,
+            ridge_lambda=0.01, theta_norm_cap=10.0,
+            policy_model=saturated_policy_model(s_len, m, n),
+        )
+        with pytest.raises(ValueError, match="use recover_rewards_mle"):
+            recover_rewards(data, config)
+        frequency = recover_rewards(data, replace(config, policy_model=None))[0]
+        assert not np.array_equal(recover_rewards_mle(data, config)[0].thetas, frequency.thetas)
+
     def test_oracle_inputs_recover_exactly(self):
         spec, feats, thetas = full_rank_oracle_model(321)
         truth, values = backward_qre(spec, tol=1e-13)
@@ -938,7 +956,8 @@ ENTRIES = {
         lambda data, config: frequency_estimate_markov(data, *config.features.shape[:3]),
     "ridge_fit": lambda data, config: ridge_fit(data, config.features, 0.01, step=0),
     "mle_fit": lambda data, config: mle_fit(data, config.policy_model, 0, "a"),
-    "recover_rewards": recover_rewards,
+    "recover_rewards":
+        lambda data, config: recover_rewards(data, replace(config, policy_model=None)),
     "recover_rewards_mle": recover_rewards_mle,
 }
 

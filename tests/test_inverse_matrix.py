@@ -243,9 +243,11 @@ class TestOneDecomposition:
         monkeypatch.setattr(
             experiments, "build_confidence_set", lambda *args: ConfidenceSet(x, y, 1.0, 4.0)
         )
-        estimate = experiments._matrix_estimate(config, model, data)
-        assert estimate[1:3] == (route, 1) and estimate[3].rank == 1
-        assert np.array_equal(estimate[0], theta)
+        kappa = experiments._thresholds(config, data, 1, *model.features.shape[:2])
+        (theta_hat,), _, _, (cset,), _ = experiments._matrix_estimate(config, model, data, kappa)
+        result = experiments.invert_matrix(config, model, data)  # the route and rank it reports
+        assert (result["route"], result["rank"]) == (route, 1) and cset.rank == 1
+        assert np.array_equal(theta_hat, theta)
 
     def test_a_confidence_set_decomposes_once(self, monkeypatch):
         calls = count_linalg_calls(monkeypatch)
@@ -274,9 +276,11 @@ class TestOneDecomposition:
         model = experiments.build_model(config, 0)
         data = experiments.sample_dataset(config, 0, 2000)
         calls = count_linalg_calls(monkeypatch)
-        _, _, rank, cset, _ = experiments._matrix_estimate(config, model, data)
-        assert rank == cset.rank == {"setup1": 2, "setup2": 5}[kind]
+        kappa = experiments._thresholds(config, data, 1, *model.features.shape[:2])
+        _, _, _, (cset,), _ = experiments._matrix_estimate(config, model, data, kappa)
+        assert cset.rank == {"setup1": 2, "setup2": 5}[kind]
         assert calls == dict(svd=1, pinv=0, lstsq=0)
+        assert experiments.invert_matrix(config, model, data)["rank"] == cset.rank
 
 
 class TestConfidenceSet:
