@@ -8,7 +8,9 @@ matrix game is the one-step, one-state Markov game of its payoff, so every
 kind has one truth solve (`backward_qre`), one stacked re-solve of all its
 sample sizes and one scorer (`run_markov_rep`).  The runner and each invert
 command make one estimate per kind family: `_markov_estimate` or
-`_matrix_estimate`.
+`_matrix_estimate`.  `ExperimentConfig` alone decides whether a config
+runs: under KIND_FIELDS, which kinds read a field and with what default,
+every config it accepts builds its model.
 
 Repetition rep of seed s generates its instance from stream(s, rep).  Its
 data are then drawn from a second, fresh stream(s, rep), not from where the
@@ -61,29 +63,23 @@ SETUP2_CONSTANT_COORD = 0.5  # shared last coordinate of every setup2 feature
 KAPPA_SCALE = 1e3
 
 KINDS = ("setup1", "setup2", "markov", "custom")
-# The config fields whose default depends on the kind, filled in where a
-# config leaves them out (None).  setup1 (4x6, d=2) and setup2 (6x6, d=6) are
-# fixed instances with norm cap SETUP2_NORM_SQ_CAP, and markov fixes its
-# cap to MARKOV_THETA_CAP, so those kinds read no m, n or norm_cap of theirs.
-KIND_DEFAULTS = {
-    "setup1": {"estimator": "least_squares"},
-    "setup2": {"estimator": "confidence_set"},
-    "markov": {"m": 5, "n": 5},
-    "custom": {"m": 4, "n": 4, "norm_cap": 4.0, "estimator": "least_squares"},
-}
-# The config fields only some kinds read, and those kinds; every other field
-# is read by every kind.
-FIELD_KINDS = {
-    "estimator": ("setup1", "setup2", "custom"),
-    "m": ("custom", "markov"),
-    "n": ("custom", "markov"),
-    "theta": ("custom",),
-    "norm_cap": ("custom",),
-    "gamma": ("markov",),
-    "s_len": ("markov",),
-    "horizon": ("markov",),
-    "policy_estimator": ("markov",),
-    "ridge_lambda": ("markov",),
+# The config fields only some kinds read, each with the default of every kind
+# that reads it, filled in where a config leaves the field out (None); every
+# other field is read by every kind.  custom's theta has no default: its
+# config must give one.  setup1 (4x6, d=2) and setup2 (6x6, d=6) are fixed
+# instances with norm cap SETUP2_NORM_SQ_CAP, and markov fixes its cap to
+# MARKOV_THETA_CAP, so those kinds read no m, n or norm_cap of theirs.
+KIND_FIELDS = {
+    "estimator": dict(setup1="least_squares", setup2="confidence_set", custom="least_squares"),
+    "m": dict(custom=4, markov=5),
+    "n": dict(custom=4, markov=5),
+    "theta": dict(custom=None),
+    "norm_cap": dict(custom=4.0),
+    "gamma": dict(markov=1.0),
+    "s_len": dict(markov=4),
+    "horizon": dict(markov=6),
+    "policy_estimator": dict(markov="frequency"),
+    "ridge_lambda": dict(markov=MARKOV_RIDGE_LAMBDA),
 }
 
 
@@ -93,8 +89,10 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment's settings, read alike by every command.  A field of
-    KIND_DEFAULTS left out (None) takes its kind's default."""
+    """One experiment's settings, read alike by every command.  Each value
+    given is range-checked; then a field of KIND_FIELDS left out (None) takes
+    its kind's default, and one given to a kind that does not read it is a
+    usage error, as is a model shape no builder takes."""
 
     kind: str
     seed: int = 0
@@ -103,47 +101,57 @@ class ExperimentConfig:
     threads: int = 1
     out: str = "results"
     eta: float = ETA
-    gamma: float = 1.0
+    gamma: float | None = None
     m: int | None = None
     n: int | None = None
-    s_len: int = 4
-    horizon: int = 6
-    theta: tuple[float, ...] = ()
+    s_len: int | None = None
+    horizon: int | None = None
+    theta: tuple[float, ...] | None = None
     norm_cap: float | None = None
     kappa_scale: float = KAPPA_SCALE
-    ridge_lambda: float = MARKOV_RIDGE_LAMBDA
+    ridge_lambda: float | None = None
     estimator: str | None = None
-    policy_estimator: str = "frequency"
+    policy_estimator: str | None = None
     emit_timings: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise UsageError(f"unknown experiment kind {self.kind!r}")
-        for name, default in KIND_DEFAULTS[self.kind].items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, default)
         for name, ok, rule in (  # a comparison with NaN is False
             ("reps", self.reps >= 1, "at least 1"),
             ("threads", self.threads >= 1, "at least 1"),
             ("eta", 0 < self.eta < math.inf, "positive and finite"),
-            ("gamma", 0 <= self.gamma <= 1, "in [0, 1]"),
-            ("ridge_lambda", 0 < self.ridge_lambda < math.inf, "positive and finite"),
+            ("gamma", self.gamma is None or 0 <= self.gamma <= 1, "in [0, 1]"),
+            ("ridge_lambda", self.ridge_lambda is None or 0 < self.ridge_lambda < math.inf,
+             "positive and finite"),
             ("kappa_scale", 0 <= self.kappa_scale < math.inf, "nonnegative and finite"),
+            ("norm_cap", self.norm_cap is None or self.norm_cap > 0, "positive"),
+            ("theta", self.theta is None or np.isfinite(self.theta).all(), "finite"),
         ):
             if not ok:
                 raise UsageError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         samples = list(self.samples)
         if not samples or samples[0] < 1 or samples != sorted(set(samples)):
             raise UsageError("samples must be positive and strictly increasing")
-        if self.kind != "markov" and self.estimator not in ("least_squares", "confidence_set"):
+        if self.estimator not in (None, "least_squares", "confidence_set"):
             raise UsageError(f"unknown estimator {self.estimator!r}")
-        if self.policy_estimator not in ("frequency", "mle"):
+        if self.policy_estimator not in (None, "frequency", "mle"):
             raise UsageError(f"unknown policy_estimator {self.policy_estimator!r}")
+        for name, defaults in KIND_FIELDS.items():
+            if self.kind not in defaults:
+                if getattr(self, name) is not None:
+                    raise UsageError(f"kind {self.kind!r} does not read config field {name!r}")
+            elif getattr(self, name) is None:
+                object.__setattr__(self, name, defaults[self.kind])
+        if self.m is not None and min(self.m, self.n) < 2:
+            raise UsageError(f"a {self.kind} model needs m, n >= 2, got {self.m}x{self.n}")
+        if self.kind == "markov" and min(self.s_len, self.horizon) < 1:
+            raise UsageError(
+                f"a markov model needs S, H >= 1, got S={self.s_len}, H={self.horizon}"
+            )
         if self.kind == "custom":
             if not self.theta:
                 raise UsageError("custom experiments need an explicit theta")
-            if not self.norm_cap > 0:
-                raise UsageError(f"norm_cap must be positive, got {self.norm_cap!r}")
             norm_sq = float(np.dot(self.theta, self.theta))
             # the relative slack FeatureModel allows
             if not norm_sq <= self.norm_cap * (1 + 1e-12):

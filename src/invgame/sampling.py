@@ -273,9 +273,11 @@ def read_dataset(path: str | Path, model_shape: tuple | None = None) -> EpisodeD
         header = fh.readline().strip()
         if header != DATASET_HEADER:
             raise ValueError(f"unexpected dataset header: {header!r}")
+        start = fh.tell()  # loadtxt warns on a body of blank and '#' lines alone
+        if not any(line.split("#")[0].strip() for line in iter(fh.readline, "")):
+            raise ValueError("dataset file has no records")
+        fh.seek(start)
         rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
-    if rows.size == 0:
-        raise ValueError("dataset file has no records")
     if rows.shape[1] != 6:
         raise ValueError(f"a record needs 6 fields, not {rows.shape[1]}")
     t, h_len = (int(v) + 1 for v in rows[:, :2].max(axis=0))

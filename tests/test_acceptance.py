@@ -330,16 +330,10 @@ class TestCriterion09MetricSuite:
 class TestCriterion10Determinism:
     def test_rerun_yields_byte_identical_csvs(self, tmp_path):
         for kind, extra in (
-            ("setup2", {}),
+            ("setup2", {"samples": (500, 1000)}),
             ("markov", {"horizon": 3, "samples": (400, 800)}),
         ):
-            config = ExperimentConfig(
-                kind=kind,
-                seed=SEED,
-                samples=extra.get("samples", (500, 1000)),
-                reps=2,
-                horizon=extra.get("horizon", 6),
-            )
+            config = ExperimentConfig(kind=kind, seed=SEED, reps=2, **extra)
             emit_csv(run_experiment(config), tmp_path / f"{kind}_a")
             emit_csv(run_experiment(config), tmp_path / f"{kind}_b")
             names = ["runs.csv", "summary.csv"] + (

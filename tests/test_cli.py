@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -70,6 +72,19 @@ class TestConfig:
     def test_custom_requires_theta(self):
         with pytest.raises(UsageError):
             ExperimentConfig(kind="custom")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(kind="setup1", policy_estimator="mle", ridge_lambda=5.0, horizon=9),
+             "kind 'setup1' does not read config field"),
+            (dict(kind="markov", m=1), "a markov model needs m, n >= 2, got 1x5"),
+        ],
+        ids=["unread_fields", "markov_one_action"],
+    )
+    def test_the_library_rejects_what_the_cli_does(self, fields, message):
+        with pytest.raises(UsageError, match=re.escape(message)):
+            ExperimentConfig(**fields)
 
 
 class TestRunExperiment:
@@ -777,13 +792,21 @@ class TestUsageErrors:
         self.assert_usage_error(capsys, args, repr(next(iter(fields))))
 
     @pytest.mark.parametrize("command", ["experiment", "simulate", "invert-matrix"])
-    def test_custom_theta_outside_the_norm_cap(self, tmp_path, capsys, command):
-        fields = {"kind": "custom", "theta": [1.5, -1.5], "norm_cap": 4.0, "samples": [100]}
+    @pytest.mark.parametrize(
+        "theta, norm_cap, message",
+        [([1.5, -1.5], 4.0, "above norm_cap"),
+         ([math.inf, 0.0], math.inf, "theta must be finite, got (inf, 0.0)")],
+        ids=["above_the_norm_cap", "infinite"],
+    )
+    def test_custom_theta_the_config_rejects(
+        self, tmp_path, capsys, theta, norm_cap, message, command
+    ):
+        fields = {"kind": "custom", "theta": theta, "norm_cap": norm_cap, "samples": [100]}
         args = [command, "--config", write_config(tmp_path, fields)]
         args += ["--out", str(tmp_path / "out")]
         if command == "invert-matrix":
             args += ["--data", str(tmp_path / "missing.csv")]
-        self.assert_usage_error(capsys, args, "above norm_cap")
+        self.assert_usage_error(capsys, args, message)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -868,7 +891,7 @@ class TestUsageErrors:
         [
             ({"kind": "setup1", "m": 3, "theta": [1.0], "H": 2}, "m"),
             ({"kind": "setup2", "ridge_lambda": 1.0}, "ridge_lambda"),
-            ({"kind": "custom", "theta": [0.5, -0.25], "H": 2}, "H"),
+            ({"kind": "custom", "theta": [0.5, -0.25], "H": 2}, "horizon"),
             ({"kind": "custom", "theta": [0.5, -0.25], "policy_estimator": "mle"},
              "policy_estimator"),
             ({"kind": "markov", "estimator": "least_squares"}, "estimator"),

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import invgame
 from invgame.cli import ALIASES
-from invgame.experiments import ExperimentConfig
+from invgame.experiments import KIND_FIELDS, KINDS, ExperimentConfig
 
 PUBLIC_NAMES = [
     "ConfidenceSet",
@@ -115,6 +115,23 @@ def test_readme_config_table_names_every_field():
         named += re.findall(r"`([^`]+)`", line.split("|")[1])
     fields = [field.name for field in dataclasses.fields(ExperimentConfig)]
     assert sorted(ALIASES.get(name, name) for name in named) == sorted(set(fields) - {"kind"})
+
+
+def test_readme_config_table_names_the_kinds_that_read_each_field():
+    # a field only some kinds read names exactly those kinds, as
+    # experiments.KIND_FIELDS has them, in its "read by" cell
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| field | read by | default | accepted |", 1)[1]
+    read_by = {}
+    for line in table.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        cells = line.split("|")
+        kinds = set(re.findall(r"`([^`]+)`", cells[2])) & set(KINDS)
+        for name in re.findall(r"`([^`]+)`", cells[1]):
+            read_by[ALIASES.get(name, name)] = kinds
+    for field, defaults in KIND_FIELDS.items():
+        assert read_by[field] == set(defaults), field
 
 
 def test_readme_states_the_stopping_rules():

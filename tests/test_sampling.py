@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from invgame.markov_game import (
 from invgame.matrix_game import MatrixGameSpec, PolicyPair, solve_qre
 from invgame.sampling import (
     _WRITE_BLOCK_ROWS,
+    DATASET_HEADER,
     EpisodeDataset,
     _format_rows,
     empirical_state_distribution,
@@ -601,6 +603,15 @@ class TestSerialization:
         path.write_text("0,0,0,0,0,0\n")
         with pytest.raises(ValueError):
             read_dataset(path)
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "# no episodes\n"])
+    def test_a_header_alone_has_no_records(self, tmp_path, body):
+        path = tmp_path / "empty.csv"
+        path.write_text(DATASET_HEADER + "\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="dataset file has no records"):
+                read_dataset(path)
 
     @pytest.mark.parametrize(
         "keys, grid",
