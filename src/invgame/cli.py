@@ -88,11 +88,14 @@ def load_config(args, default_kind: str = "setup1") -> ExperimentConfig:
         raw["emit_timings"] = True
     raw.setdefault("kind", default_kind)
     hints = typing.get_type_hints(ExperimentConfig)
-    cleaned = {}
+    cleaned, keys = {}, {}
     for key, value in raw.items():
         field = ALIASES.get(key, key)
         if field not in hints:
             raise UsageError(f"unknown config field {key!r}")
+        if field in keys:  # by its alias and by its name
+            raise UsageError(f"config sets {field!r} twice, as {keys[field]!r} and {key!r}")
+        keys[field] = key
         cleaned[field] = _typed(field, value, hints[field])
     return ExperimentConfig(**cleaned)
 

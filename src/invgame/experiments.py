@@ -16,7 +16,9 @@ Repetition rep of seed s generates its instance from stream(s, rep).  Its
 data are then drawn from a second, fresh stream(s, rep), not from where the
 first one stopped, so the first data draws reuse the raw Philox words that
 generated the features.  Datasets across sample sizes are nested prefixes
-and the whole record set is reproducible bit-for-bit.
+of one dataset (EpisodeDataset.prefixes), counted in one pass and, under
+MLE policies, fitted in one lockstep loop, each size bit for bit as it
+would be alone; the whole record set is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -449,8 +451,7 @@ def run_markov_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     estimate = _markov_estimate if markov else _matrix_estimate
     true_thetas = model.q_params(values.V) if markov else model.theta[None]
     estimates = []
-    for n_samples in config.samples:
-        subset = data.prefix(n_samples)
+    for n_samples, subset in zip(config.samples, data.prefixes(config.samples)):
         try:
             kappa = _thresholds(config, subset, spec.S, spec.m, spec.n)
             estimates.append(estimate(config, model, subset, kappa))

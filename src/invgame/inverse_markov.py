@@ -117,44 +117,61 @@ def mle_fit(
     (S, actions) marginal of the dataset's count table (step_counts), so it
     costs O(S * actions * d), independent of the number of episodes.
 
-    The fits are made once per dataset and model (its psi_a and psi_b): the
-    first call fits every step of both players in one lockstep loop
-    (_fit_stack) and caches them on the dataset, like the count table; later
-    calls read them.  The params and trace are read-only.
+    The fits are made once per family of prefixes (EpisodeDataset.prefixes)
+    and model (its psi_a and psi_b): the first call fits every step of both
+    players of every member with samples in one lockstep loop (_fit_stack)
+    and caches them on the members, like the count table; later calls read
+    them.  The params and trace are read-only.
     """
     if player not in ("a", "b"):
         raise ValueError("player must be 'a' or 'b'")
-    table = step_counts(data, *model.psi_a.shape[:2], model.psi_b.shape[1])
+    shape = (*model.psi_a.shape[:2], model.psi_b.shape[1])
+    table = step_counts(data, *shape)
     # every episode has one record per step, so all steps or none have samples
     if not table[step].any():
         raise ValueError(f"no samples at step {step}")
     key = tuple((p.dtype.str, p.shape, p.tobytes()) for p in (model.psi_a, model.psi_b))
     fits = data._mle_fits.get(key)
     if fits is None:
-        fits = data._mle_fits[key] = _fit_every_step(table, model)
+        sampled = [  # a member with no samples is never fitted
+            (member, counts)
+            for member in data._members()
+            if (counts := step_counts(member, *shape)).any()
+        ]
+        fitted = _fit_every_step([counts for _, counts in sampled], model)
+        for (member, _), member_fits in zip(sampled, fitted):
+            member._mle_fits[key] = member_fits
+        fits = data._mle_fits[key]
     return fits[player][step]
 
 
-def _fit_every_step(table: np.ndarray, model: SoftmaxPolicyModel) -> dict[str, list[MleFit]]:
-    """Every step's fit of each player, by player: one stack of both
-    players' H fits, or one per player when psi_a and psi_b differ in shape."""
-    h_len = table.shape[0]
-    counts = {"a": table.sum(axis=(3, 4)), "b": table.sum(axis=(2, 4))}  # (H, S, actions)
+def _fit_every_step(
+    tables: list[np.ndarray], model: SoftmaxPolicyModel
+) -> list[dict[str, list[MleFit]]]:
+    """Every step's fit of each player on each count table, by table, then
+    player: one stack of all the tables' fits of both players, or one per
+    player when psi_a and psi_b differ in shape."""
+    h_len = tables[0].shape[0]
+    counts = {  # each table's (H, S, actions) marginal
+        "a": [table.sum(axis=(3, 4)) for table in tables],
+        "b": [table.sum(axis=(2, 4)) for table in tables],
+    }
     flats = {  # (H, S * actions, d): each step's copy of the player's features
         p: np.repeat(psi.reshape(1, -1, psi.shape[2]), h_len, axis=0)
         for p, psi in (("a", model.psi_a), ("b", model.psi_b))
     }
     lipschitz = max(model.feature_scale**2, 1e-12)
     stacks = ("ab",) if model.psi_a.shape == model.psi_b.shape else ("a", "b")
-    fits = {}
+    fits = [{} for _ in tables]
     for players in stacks:
+        order = [(k, p) for k in range(len(tables)) for p in players]
         stack = _fit_stack(
-            np.concatenate([flats[p] for p in players], dtype=float),
-            np.concatenate([counts[p] for p in players], dtype=float),
+            np.concatenate([flats[p] for _, p in order], dtype=float),
+            np.concatenate([counts[p][k] for k, p in order], dtype=float),
             lipschitz,
         )
-        for k, p in enumerate(players):
-            fits[p] = stack[k * h_len : (k + 1) * h_len]
+        for i, (k, p) in enumerate(order):
+            fits[k][p] = stack[i * h_len : (i + 1) * h_len]
     return fits
 
 

@@ -10,6 +10,7 @@ with the same seed produce bit-identical datasets.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -61,7 +62,33 @@ class EpisodeDataset:
         return self.states.shape[1]
 
     def prefix(self, t: int) -> "EpisodeDataset":
-        return EpisodeDataset(*(a[:t] for a in self.arrays))
+        return self.prefixes((t,))[0]
+
+    def prefixes(self, sizes) -> list["EpisodeDataset"]:
+        """The first t episodes for each t of sizes (nonnegative and strictly
+        increasing), as one family: the first member that misses its count
+        table (step_counts) or its MLE fits (inverse_markov.mle_fit) has them
+        made for every member still referenced at once, each the same to the
+        bit as that member's alone."""
+        sizes = list(sizes)
+        if not sizes or sizes[0] < 0 or sizes != sorted(set(sizes)):
+            raise ValueError(
+                f"prefix sizes must be nonnegative and strictly increasing, got {sizes}"
+            )
+        members = [EpisodeDataset(*(a[:t] for a in self.arrays)) for t in sizes]
+        # weak references, so that a member and its family form no cycle
+        family = tuple(weakref.ref(member) for member in members)
+        for member in members:
+            member.__dict__["_family"] = family  # where cached_property keeps its value
+        return members
+
+    @cached_property
+    def _family(self) -> tuple[weakref.ref, ...]:  # set by prefixes, else a family of one
+        return (weakref.ref(self),)
+
+    def _members(self) -> list["EpisodeDataset"]:
+        """The members of this dataset's family still referenced, by size."""
+        return [member for ref in self._family if (member := ref()) is not None]
 
     @cached_property
     def _step_counts(self) -> dict[tuple[int, int, int], np.ndarray]:  # by (S, m, n)
@@ -177,13 +204,23 @@ def frequency_estimate_markov(
 
 def step_counts(data: EpisodeDataset, s_len: int, m: int, n: int) -> np.ndarray:
     """The read-only int64 table N_h(s, a, b, s'), shaped (H, S, m, n, S) like
-    the transition kernel, that every estimator reads.  It is counted once per
-    dataset and model shape, after data.check, so an index out of range is
-    named rather than counted in a neighbouring cell."""
+    the transition kernel, that every estimator reads.  It is made once per
+    family of prefixes (EpisodeDataset.prefixes) and model shape, for every
+    member at once: check runs once, on the largest member, so an index out
+    of range is named rather than counted in a neighbouring cell; the
+    episodes each member adds to the one before are counted once, and a
+    member's table is the running sum of those counts."""
     table = data._step_counts.get((s_len, m, n))
     if table is None:
-        data.check(s_len, m, n)
-        table = data._step_counts[s_len, m, n] = _count_steps(data, s_len, m, n)
+        members = data._members()
+        members[-1].check(s_len, m, n)
+        table, start = 0, 0
+        for member in members:
+            added = EpisodeDataset(*(a[start:] for a in member.arrays))
+            table = table + _count_steps(added, s_len, m, n)
+            table.flags.writeable = False
+            member._step_counts[s_len, m, n], start = table, member.n_episodes
+        table = data._step_counts[s_len, m, n]
     return table
 
 
@@ -202,7 +239,6 @@ def _count_steps(data: EpisodeDataset, s_len: int, m: int, n: int) -> np.ndarray
             key *= s_len
             key += nexts[h]
             table[h] += np.bincount(key, minlength=cells)
-    table.flags.writeable = False
     return table.reshape(data.horizon, s_len, m, n, s_len)
 
 

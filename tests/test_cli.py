@@ -906,6 +906,18 @@ class TestUsageErrors:
         self.assert_usage_error(capsys, args, f"does not read config field {key!r}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("alias, field", sorted(cli.ALIASES.items()))
+    def test_a_field_set_by_its_alias_and_its_name(self, tmp_path, capsys, alias, field):
+        # one of the two values was dropped silently
+        config = write_config(
+            tmp_path, {"kind": "markov", "samples": [100], "reps": 1, alias: 2, field: 3}
+        )
+        args = ["experiment", "--config", config, "--out", str(tmp_path / "out")]
+        self.assert_usage_error(
+            capsys, args, f"config sets {field!r} twice, as {alias!r} and {field!r}"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "files, args, message",
         [

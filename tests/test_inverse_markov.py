@@ -308,9 +308,10 @@ class TestEstimatorsAgainstEarlierBodies:
 
 
 class TestOneCountPass:
-    """Each dataset prefix a markov op inverts is counted once: the runner's
-    thresholds, the policy estimates, the visit weights and every step's
-    ridge fit read one table."""
+    """Each dataset a markov op inverts is counted once, and a rep's nested
+    sample sizes in one pass, a slice of episodes between consecutive sizes
+    at a time: the runner's thresholds, the policy estimates, the visit
+    weights and every step's ridge fit read one table per size."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -325,11 +326,34 @@ class TestOneCountPass:
         return counted
 
     @pytest.mark.parametrize("policy_estimator", ["frequency", "mle"])
-    def test_run_markov_rep(self, passes, policy_estimator):
+    def test_run_markov_rep(self, monkeypatch, passes, policy_estimator):
+        # the sizes are nested prefixes of one dataset: one range check, one
+        # count of each slice between sizes and one lockstep MLE loop serve
+        # them all, and each size's estimate is the one its prefix alone gives
         config = markov_config(5, [500, 1000, 3000], policy_estimator=policy_estimator)
-        records = run_markov_rep(config, 0)
-        assert not any(record.error for record in records)
-        assert passes == [500, 1000, 3000]
+        calls = {"check": [], "_fit_stack": [], "_markov_estimate": []}
+        for module, name in ((EpisodeDataset, "check"), (inverse_markov, "_fit_stack"),
+                             (experiments, "_markov_estimate")):
+
+            def recording(*args, original=getattr(module, name), name=name):
+                result = original(*args)
+                calls[name].append((args, result))
+                return result
+
+            monkeypatch.setattr(module, name, recording)
+        run_markov_rep(config, 0)
+        monkeypatch.undo()
+        assert passes == [500, 500, 2000]
+        assert len(calls["check"]) == 1
+        assert len(calls["_fit_stack"]) == (policy_estimator == "mle")
+        model = experiments.build_model(config, 0)
+        data = experiments.sample_dataset(config, 0, max(config.samples))
+        for n, ((*_, kappa), estimate) in zip(config.samples, calls["_markov_estimate"]):
+            alone = data.prefix(n)  # a family of one, with no table or fit cached
+            shape = (config.s_len, config.m, config.n)
+            assert np.array_equal(kappa, experiments._thresholds(config, alone, *shape))
+            thetas = experiments._markov_estimate(config, model, alone, kappa)[0]
+            assert np.array_equal(estimate[0], thetas)
 
     def test_invert_markov(self, passes):
         config = markov_config(5, [2000])
@@ -742,6 +766,32 @@ class TestMleFit:
         )
         policy = saturated_policy_model(s_len, m, n)
         assert_fits_alone(data, policy, [(h, p) for h in range(h_len) for p in "ab"])
+
+    @pytest.mark.parametrize("m, n", [(3, 3), (2, 3)], ids=["one_stack", "a_stack_per_player"])
+    def test_a_prefix_family_fits_each_member_as_it_alone(self, monkeypatch, m, n):
+        rng = stream(13)
+        s_len, h_len = 3, 4
+        data = EpisodeDataset(
+            *(rng.integers(0, size, (600, h_len)) for size in (s_len, m, n, s_len))
+        )
+        stacks = []
+        fit_stack = inverse_markov._fit_stack
+
+        def counting(flats, *args):
+            stacks.append(len(flats))
+            return fit_stack(flats, *args)
+
+        monkeypatch.setattr(inverse_markov, "_fit_stack", counting)
+        policy = saturated_policy_model(s_len, m, n)
+        keys = [(h, p) for h in range(h_len) for p in "ab"]
+        empty, *members = data.prefixes((0, 50, 200, 600))
+        for member in (members[1], *members):  # the first call fits the family
+            assert_fits_alone(member, policy, keys)
+        # one loop for the three members with samples: none for the empty one
+        assert stacks == ([3 * 2 * h_len] if m == n else [3 * h_len, 3 * h_len])
+        with pytest.raises(ValueError, match="^no samples at step 0$"):
+            mle_fit(empty, policy, 0, "a")
+        assert empty._mle_fits == {}
 
     def test_fits_are_cached_per_psi(self):
         data, model = dense_mle_case(0.05)

@@ -484,6 +484,78 @@ class TestStepCounts:
         assert data._step_counts == {}
 
 
+class TestPrefixFamily:
+    """EpisodeDataset.prefixes: one range check and one count of each slice
+    between consecutive sizes serve every member, and each member's table is
+    the one its episodes alone give."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"check": 0, "slices": []}
+        check, count_steps = EpisodeDataset.check, sampling._count_steps
+
+        def checking(data, *shape):
+            calls["check"] += 1
+            return check(data, *shape)
+
+        def counting(data, *shape):
+            calls["slices"].append(data.n_episodes)
+            return count_steps(data, *shape)
+
+        monkeypatch.setattr(EpisodeDataset, "check", checking)
+        monkeypatch.setattr(sampling, "_count_steps", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "kind, sizes, slices",
+        [
+            # 20000 and 40000 episodes span more than one _COUNT_BLOCK
+            ("markov", (0, 700, 20000, 40000), [0, 700, 19300, 20000]),
+            ("markov", (3000,), [3000]),
+            ("markov", (100, 10**6), [100, 39900]),  # a size past T is all of it
+            ("matrix", (1, 999, 40000), [1, 998, 39001]),
+        ],
+        ids=["markov", "one", "past_the_end", "matrix"],
+    )
+    def test_each_member_counts_as_its_episodes_alone(self, calls, kind, sizes, slices):
+        if kind == "markov":
+            spec, policies, initial = markov_instance(5)
+            data = sample_episodes(spec, policies, initial, 40000, 5)
+            shape = (spec.S, spec.m, spec.n)
+        else:
+            pair = PolicyPair(np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.1, 0.2, 0.1]))
+            data = sample_matrix_actions(pair, 40000, seed=31)
+            shape = (1, 3, 4)
+        members = data.prefixes(sizes)
+        assert [m.n_episodes for m in members] == [min(t, 40000) for t in sizes]
+        tables = [step_counts(m, *shape) for m in reversed(members)][::-1]
+        assert calls == {"check": 1, "slices": slices}
+        for member, table in zip(members, tables):
+            assert step_counts(member, *shape) is table and not table.flags.writeable
+            fresh = EpisodeDataset(*member.arrays)  # no family: one slice, all of it
+            assert np.array_equal(table, sampling._count_steps(fresh, *shape))
+            assert np.array_equal(table, step_counts_by_add_at(fresh, *shape))
+
+    @pytest.mark.parametrize("sizes", [(), (100, 100), (200, 100), (-1, 100)], ids=str)
+    def test_sizes_must_be_nonnegative_and_strictly_increasing(self, sizes):
+        data = one_step_dataset([0, 1, 0], [1, 0, 1])
+        with pytest.raises(ValueError, match="prefix sizes must be nonnegative and strictly"):
+            data.prefixes(sizes)
+
+    def test_out_of_range_index_named_before_counting(self, calls):
+        # the check runs once, on the largest member, so a member named it
+        # before any slice is counted, even one whose episodes are in range
+        arrays = {name: np.zeros((4, 2), dtype=np.int64) for name in
+                  ("states", "actions_a", "actions_b", "next_states")}
+        arrays["actions_a"][2, 1] = 4
+        members = EpisodeDataset(**arrays).prefixes((1, 3, 4))
+        for member in members:
+            with pytest.raises(ValueError, match="action_a must lie in 0..3"):
+                step_counts(member, 3, 4, 2)
+        assert calls == {"check": len(members), "slices": []}
+        assert all(member._step_counts == {} for member in members)
+
+
 class TestFrequencyEstimateMarkov:
     def test_unvisited_state_gets_uniform_default(self):
         states = np.zeros((4, 1), dtype=np.int64)
