@@ -16,6 +16,7 @@ experiment records failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import types
@@ -271,7 +272,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process: parse_args keeps no state between
+    calls, so each call of main parses as a fresh parser would."""
     parser = _Parser(prog="invgame", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -22,9 +22,8 @@ from invgame.matrix_game import PolicyPair
 
 DATASET_HEADER = "episode,step,state,action_a,action_b,next_state"
 _COLUMNS = DATASET_HEADER.split(",")[2:]  # the EpisodeDataset arrays, as the file names them
-_WRITE_BLOCK_ROWS = 1 << 10  # dataset rows formatted at once
+_WRITE_BLOCK_ROWS = 1 << 12  # dataset rows formatted at once, at most
 _COUNT_BLOCK = 1 << 14  # episodes whose cell indices are formed at once
-_POW10 = 10 ** np.arange(20, dtype=np.uint64)  # 1 .. 10**19: every uint64 digit count
 
 
 def stream(seed: int, rep: int = 0) -> np.random.Generator:
@@ -98,9 +97,20 @@ class EpisodeDataset:
     def _mle_fits(self) -> dict[tuple, dict]:  # inverse_markov.mle_fit's, by psi_a and psi_b
         return {}
 
+    @cached_property
+    def _checked(self) -> set[tuple[int, int, int]]:  # the (S, m, n) check has passed
+        return set()
+
     def check(self, s_len: int, m: int, n: int) -> None:
         """Reject indices a model of s_len states and m x n actions lacks, with
-        a ValueError naming the column as the dataset file spells it."""
+        a ValueError naming the column as the dataset file spells it.  A shape
+        once passed returns at once: like the count tables, this relies on a
+        dataset's arrays not changing."""
+        if (s_len, m, n) not in self._checked:
+            self._scan(s_len, m, n)
+            self._checked.add((s_len, m, n))
+
+    def _scan(self, s_len: int, m: int, n: int) -> None:
         for column, a, size in zip(_COLUMNS, self.arrays, (s_len, m, n, s_len)):
             if a.size and (a.min() < 0 or a.max() >= size):
                 raise ValueError(f"{column} must lie in 0..{size - 1}")
@@ -252,50 +262,64 @@ def _format_rows(table: np.ndarray) -> np.ndarray:
 
     Each row is its values in decimal, joined by "," and ended by "\n":
     byte for byte what ",".join(str(int(x)) for x in row) + "\n" gives.
+    The rows are laid out at one fixed width per column: a sign slot when
+    the column holds a negative value, as many digit slots as its widest
+    magnitude has digits, then a separator.  Each digit position is filled
+    for the whole column at once, and one boolean index drops the slots a
+    value does not use: its leading zeros, and the sign of a nonnegative
+    value.  Columns are read one at a time, so a column-major table (the
+    transpose of a C-ordered one) reads fastest.
     """
-    cols = table.shape[1]
-    values = table.ravel()
-    negative = values < 0
+    negative = table < 0
     # abs wraps int64's minimum to itself, which reads as 2**63 unsigned
-    magnitude = np.abs(values).view(np.uint64)
-    digits = np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1)
-    ends = np.cumsum(digits + negative + 1)  # one past each value's separator
-    buf = np.empty(ends[-1], dtype=np.uint8)
-    buf[ends - 1] = ord(",")
-    buf[ends[cols - 1 :: cols] - 1] = ord("\n")
-    buf[(ends - 2 - digits)[negative]] = ord("-")
-    # fill digits from the last: each pass writes one more digit of every
-    # value that has one left
-    pos, rest, left = ends - 2, magnitude, digits
-    while pos.size:
-        buf[pos] = rest % 10 + ord("0")
-        more = left > 1
-        pos, rest, left = pos[more] - 1, rest[more] // 10, left[more] - 1
-    return buf
+    magnitude = np.abs(table).view(np.uint64)
+    signed = negative.any(axis=0)
+    widths = [len(str(int(top))) for top in magnitude.max(axis=0, initial=0)]
+    matrix = np.empty((table.shape[0], signed.sum() + sum(widths) + len(widths)), np.uint8)
+    keep = np.ones(matrix.shape, dtype=bool)
+    slot = 0
+    for column, width in enumerate(widths):
+        if signed[column]:
+            matrix[:, slot] = ord("-")
+            keep[:, slot] = negative[:, column]
+            slot += 1
+        rest = magnitude[:, column]
+        for p in range(width):  # from the last digit: rest is magnitude // 10**p
+            pos = slot + width - 1 - p
+            if p:  # kept where magnitude >= 10**p: not a leading zero
+                keep[:, pos] = rest != 0
+            quotient = rest // 10  # far faster than np.divmod or % on uint64
+            matrix[:, pos] = rest - quotient * 10 + ord("0")
+            rest = quotient
+        slot += width + 1
+        matrix[:, slot - 1] = ord(",")
+    matrix[:, -1] = ord("\n")
+    return matrix[keep]
 
 
 def write_dataset(data: EpisodeDataset, path: str | Path) -> None:
     """Serialize to the line-delimited interchange format (0-based indices).
 
     Rows come in (episode, step) order, with no spaces and LF line endings,
-    so the same dataset always gives the same bytes.  They are formatted
-    _WRITE_BLOCK_ROWS at a time, so the writer's memory does not grow with
-    the dataset.
+    so the same dataset always gives the same bytes.  They are formatted a
+    block of whole episodes at a time, _WRITE_BLOCK_ROWS rows or fewer (one
+    episode when H is larger), so the writer's memory does not grow with
+    the dataset.  A block is built column-major, the way _format_rows reads
+    it: episode and step by repeat and tile, each other column as its
+    episodes' rows raveled.
     """
     h_len = data.horizon
-    n_rows = data.states.size
+    per_block = max(_WRITE_BLOCK_ROWS // max(h_len, 1), 1)
     with open(path, "wb") as fh:
         fh.write(DATASET_HEADER.encode("ascii") + b"\n")
-        for start in range(0, n_rows, _WRITE_BLOCK_ROWS):
-            episode, step = np.divmod(
-                np.arange(start, min(start + _WRITE_BLOCK_ROWS, n_rows)), h_len
-            )
-            table = np.empty((episode.size, 6), dtype=np.int64)
-            table[:, 0] = episode
-            table[:, 1] = step
-            for k, column in enumerate(data.arrays, start=2):
-                table[:, k] = column[episode, step]
-            fh.write(_format_rows(table))
+        for start in range(0, data.n_episodes, per_block):
+            stop = min(start + per_block, data.n_episodes)
+            table = np.empty((6, (stop - start) * h_len), dtype=np.int64)
+            table[0] = np.repeat(np.arange(start, stop), h_len)
+            table[1] = np.tile(np.arange(h_len), stop - start)
+            for row, column in zip(table[2:], data.arrays):
+                row[:] = column[start:stop].ravel()
+            fh.write(_format_rows(table.T))
 
 
 def read_dataset(path: str | Path, model_shape: tuple | None = None) -> EpisodeDataset:
@@ -303,7 +327,8 @@ def read_dataset(path: str | Path, model_shape: tuple | None = None) -> EpisodeD
 
     The (episode, step) keys must be the grid 0..T-1 x 0..H-1, each pair once,
     and next_state at step h must be state at step h+1.  With model_shape
-    (S, m, n) the indices are checked first: one out of range is named as such.
+    (S, m, n) the indices are checked first: one out of range is named as
+    such, and the dataset's count tables of that shape do not check it again.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()

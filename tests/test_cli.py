@@ -15,13 +15,14 @@ from invgame.cli import (
     run_experiment,
     summarize,
 )
-from invgame import cli, experiments, markov_game, matrix_game
+from invgame import cli, experiments, markov_game, matrix_game, sampling
 from invgame.experiments import markov_model, run_rep, saturated_policy_model
 from invgame.inverse_markov import InversionConfig, recover_rewards, recover_rewards_mle
 from invgame.inverse_matrix import build_confidence_set
 from invgame.markov_game import backward_qre
 from invgame.matrix_game import QreConvergenceError, solve_qre_batch
 from invgame.sampling import (
+    EpisodeDataset,
     frequency_estimate_matrix,
     read_dataset,
     sample_episodes,
@@ -544,6 +545,33 @@ class TestCommands:
         assert message in capsys.readouterr().err
         assert not result_path.exists()
 
+    @pytest.mark.parametrize(
+        "command, kind", [("invert-matrix", "setup1"), ("invert-markov", "markov")]
+    )
+    def test_invert_scans_the_dataset_once(self, tmp_path, capsys, monkeypatch, command, kind):
+        # read_dataset checks the indices against the model, and the count
+        # table of the same shape does not check them again
+        out = tmp_path / "sim"
+        args = ["--kind", kind, "--seed", "3"]
+        assert run_cli(["simulate", *args, "--samples", "500", "--out", str(out)]) == 0
+        scans, passes = [], []
+        scan, count_steps = EpisodeDataset._scan, sampling._count_steps
+
+        def scanning(data, *shape):
+            scans.append(shape)
+            return scan(data, *shape)
+
+        def counting(data, *shape):
+            passes.append(shape)
+            return count_steps(data, *shape)
+
+        monkeypatch.setattr(EpisodeDataset, "_scan", scanning)
+        monkeypatch.setattr(sampling, "_count_steps", counting)
+        result = tmp_path / "result.json"
+        code = run_cli([command, *args, "--data", str(out / "dataset.csv"), "--out", str(result)])
+        assert code == 0 and result.exists()
+        assert len(scans) == 1 and passes == scans
+
     def test_invert_matrix_rejects_bad_dataset(self, tmp_path, capsys):
         out = tmp_path / "sim"
         kind = ["--kind", "setup1", "--seed", "3"]
@@ -695,6 +723,40 @@ class TestCommands:
         capsys.readouterr()
         lines = (tmp_path / "custom" / "runs.csv").read_text().splitlines()
         assert len(lines) == 3
+
+
+class TestMainCallsInOneProcess:
+    """main builds its parser once per process, and each call parses as a
+    fresh parser would: no exit code or flag carries over to the next."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_usage_error_then_a_valid_command(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        simulate = ["simulate", "--kind", "setup1", "--seed", "3", "--samples", "200",
+                    "--out", str(out)]
+        for _ in range(2):
+            assert run_cli(["simulate", "--samples"]) == 1  # the flag lacks its value
+            assert "usage error" in capsys.readouterr().err
+            assert run_cli(simulate) == 0
+            assert capsys.readouterr().err == ""
+        assert (out / "dataset.csv").exists()
+
+    def test_emit_timings_is_not_carried_over(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"kind": "setup1", "seed": 12, "samples": [200],
+                                         "reps": 2})
+
+        def durations(*flags):
+            out = tmp_path / f"run{len(flags)}"
+            assert run_cli(["experiment", "--config", config, *flags, "--out", str(out)]) == 0
+            return [row.split(",")[-1] for row in (out / "runs.csv").read_text().splitlines()[1:]]
+
+        assert all(durations("--emit-timings"))
+        assert durations() == ["", ""]
+        fresh = cli.build_parser.__wrapped__()
+        for argv in (["experiment", "--emit-timings", "--seed", "1"], ["experiment"]):
+            assert vars(cli.build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
 
 
 class TestEveryCommandReadsTheConfig:

@@ -483,6 +483,40 @@ class TestStepCounts:
                 count(data, 3, 4, 2)
         assert data._step_counts == {}
 
+    def test_a_shape_that_passed_is_not_scanned_again(self, monkeypatch):
+        scans = []
+        scan = EpisodeDataset._scan
+
+        def scanning(data, *shape):
+            scans.append(shape)
+            return scan(data, *shape)
+
+        monkeypatch.setattr(EpisodeDataset, "_scan", scanning)
+        data = EpisodeDataset(*(np.zeros((4, 2), dtype=np.int64) for _ in range(4)))
+        data.check(3, 4, 2)
+        data.check(3, 4, 2)
+        step_counts(data, 3, 4, 2)
+        assert scans == [(3, 4, 2)]
+        data.check(1, 1, 1)  # another shape is scanned
+        assert scans == [(3, 4, 2), (1, 1, 1)]
+        # a shape that failed is not remembered: each call names the column
+        arrays = [np.zeros((4, 2), dtype=np.int64) for _ in range(4)]
+        arrays[1][3, 0] = 4
+        bad = EpisodeDataset(*arrays)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="action_a must lie in 0..3"):
+                bad.check(3, 4, 2)
+        assert len(scans) == 4 and bad._checked == set()
+
+    def test_a_file_index_out_of_range_is_named_by_read_and_by_count(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(DATASET_HEADER + "\n0,0,0,1,1,0\n0,1,0,4,1,0\n")
+        with pytest.raises(ValueError, match="action_a must lie in 0..3"):
+            read_dataset(path, (3, 4, 2))
+        data = read_dataset(path)  # no model shape: no check yet
+        with pytest.raises(ValueError, match="action_a must lie in 0..3"):
+            step_counts(data, 3, 4, 2)
+
 
 class TestPrefixFamily:
     """EpisodeDataset.prefixes: one range check and one count of each slice
@@ -776,6 +810,49 @@ class TestWriteDataset:
         assert _format_rows(table).tobytes() == rows_by_join(table)
         column = table.reshape(-1, 1)
         assert _format_rows(column).tobytes() == rows_by_join(column)
+
+    def test_an_episode_longer_than_a_block(self, tmp_path):
+        # each block is then one episode
+        h_len = _WRITE_BLOCK_ROWS + 5
+        rng = stream(27)
+        data = EpisodeDataset(*(rng.integers(0, 12, size=(3, h_len)) for _ in range(4)))
+        assert self.written(data, tmp_path) == dataset_file_by_join(data)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (5, 0)], ids=["no_episodes", "no_steps"])
+    def test_no_rows_is_the_header_alone(self, tmp_path, shape):
+        data = EpisodeDataset(*(np.zeros(shape, dtype=np.int64) for _ in range(4)))
+        header = (DATASET_HEADER + "\n").encode("ascii")
+        assert self.written(data, tmp_path) == dataset_file_by_join(data) == header
+
+    @pytest.mark.parametrize(
+        "block_rows, at_edge",
+        [(_WRITE_BLOCK_ROWS, False), (2000, True)],
+        ids=["inside_a_block", "at_a_block_edge"],
+    )
+    def test_episode_index_gains_a_digit(self, tmp_path, monkeypatch, block_rows, at_edge):
+        # with H=2 a block holds block_rows // 2 episodes, so episode 10000
+        # begins a block exactly when that count divides it
+        h_len, t = 2, 10050
+        monkeypatch.setattr(sampling, "_WRITE_BLOCK_ROWS", block_rows)
+        assert (10000 % (block_rows // h_len) == 0) is at_edge
+        rng = stream(28)
+        data = EpisodeDataset(*(rng.integers(0, 3, size=(t, h_len)) for _ in range(4)))
+        assert self.written(data, tmp_path) == dataset_file_by_join(data)
+
+    def test_a_sign_only_one_block_needs_and_an_all_zero_column(self, tmp_path):
+        # states are negative in the second of three blocks only, and hold
+        # int64's extremes there; action_a is zero throughout
+        h_len = 2
+        per_block = _WRITE_BLOCK_ROWS // h_len
+        t = 3 * per_block
+        rng = stream(29)
+        states = rng.integers(0, 9, size=(t, h_len))
+        states[per_block : 2 * per_block] *= -1
+        extremes = np.iinfo(np.int64)
+        states[per_block + 1] = extremes.min, extremes.max
+        zeros = np.zeros((t, h_len), dtype=np.int64)
+        data = EpisodeDataset(states, zeros, rng.integers(0, 100, size=(t, h_len)), states)
+        assert self.written(data, tmp_path) == dataset_file_by_join(data)
 
     def test_writer_memory_does_not_grow_with_the_dataset(self, tmp_path):
         # 20,000 episodes of H=6: the dataset's own int64 arrays take
