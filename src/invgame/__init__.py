@@ -50,7 +50,6 @@ from invgame.matrix_game import (
     solve_qre_batch,
 )
 from invgame.metrics import (
-    qre_discrepancy,
     qre_discrepancy_markov,
     reward_metric_D,
     reward_metric_D1,
@@ -58,12 +57,10 @@ from invgame.metrics import (
 from invgame.sampling import (
     EmpiricalMarkovQRE,
     EpisodeDataset,
-    empirical_state_distribution,
     frequency_estimate_markov,
     frequency_estimate_matrix,
     read_dataset,
     sample_episodes,
-    sample_matrix_actions,
     stream,
     write_dataset,
 )

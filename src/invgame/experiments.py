@@ -5,12 +5,13 @@ Four kinds share one config (`ExperimentConfig`), one builder
 (setup1), a partially identified matrix game (setup2), a user-dimensioned
 matrix game (custom), and the tabular Markov game inversion (markov).  A
 matrix game is the one-step, one-state Markov game of its payoff, so every
-kind has one truth solve (`backward_qre`), one stacked re-solve of all its
-sample sizes and one scorer (`run_markov_rep`).  The runner and each invert
-command make one estimate per kind family: `_markov_estimate` or
-`_matrix_estimate`.  `ExperimentConfig` alone decides whether a config
-runs: under KIND_FIELDS, which kinds read a field and with what default,
-every config it accepts builds its model.
+kind has one truth solve (`backward_qre`), one sampler (`sample_episodes`),
+one stacked re-solve of all its sample sizes and one scorer
+(`run_markov_rep`).  The runner and each invert command make one estimate
+per kind family: `_markov_estimate` or `_matrix_estimate`.
+`ExperimentConfig` alone decides whether a config runs: under KIND_FIELDS,
+which kinds read a field and with what default, every config it accepts
+builds its model.
 
 Repetition rep of seed s generates its instance from stream(s, rep).  Its
 data are then drawn from a second, fresh stream(s, rep), not from where the
@@ -43,13 +44,12 @@ from invgame.inverse_matrix import (
     reconstruct_payoff,
 )
 from invgame.markov_game import LinearMDPModel, MarkovGameSpec, backward_qre, visit_distributions
-from invgame.matrix_game import FeatureModel, PolicyPair, QreConvergenceError
+from invgame.matrix_game import FeatureModel, QreConvergenceError
 from invgame.metrics import qre_discrepancy_markov, reward_metric_D, reward_metric_D1
 from invgame.sampling import (
     EpisodeDataset,
     frequency_estimate_matrix,
     sample_episodes,
-    sample_matrix_actions,
     step_counts,
     stream,
 )
@@ -314,21 +314,14 @@ def build_model(config: ExperimentConfig, rep: int) -> FeatureModel | LinearMDPM
 def _instance(config: ExperimentConfig, rep: int, n_samples: int):
     """Repetition rep's model, its tabular game (a matrix game is the
     one-step, one-state game of its payoff), the game's true policies and
-    values, and n_samples episodes of QRE play from a uniform start; a
-    matrix game's samples are single-step episodes at state 0."""
+    values, and n_samples episodes of QRE play from a uniform start."""
     model = build_model(config, rep)
     if config.kind == "markov":
         spec = model.to_tabular()
     else:
-        payoff = reconstruct_payoff(model.theta, model.features)[None, None]
-        spec = MarkovGameSpec(payoff, np.ones(payoff.shape + (1,)), config.eta)
+        spec = MarkovGameSpec.one_step(reconstruct_payoff(model.theta, model.features), config.eta)
     truth, values = backward_qre(spec, tol=1e-12)
-    if config.kind == "markov":
-        initial = np.full(spec.S, 1.0 / spec.S)
-        data = sample_episodes(spec, truth, initial, n_samples, config.seed, rep)
-    else:
-        pair = PolicyPair(truth.mu[0, 0], truth.nu[0, 0])
-        data = sample_matrix_actions(pair, n_samples, config.seed, rep)
+    data = sample_episodes(spec, truth, np.full(spec.S, 1.0 / spec.S), n_samples, config.seed, rep)
     return model, spec, (truth, values), data
 
 

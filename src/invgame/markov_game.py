@@ -62,6 +62,24 @@ class MarkovGameSpec:
     def n(self) -> int:
         return self.rewards.shape[3]
 
+    @classmethod
+    def one_step(cls, payoff, eta: float) -> "MarkovGameSpec":
+        """The one-step, one-state game of an m x n payoff: a matrix game."""
+        rewards = np.asarray(payoff, dtype=float)[None, None]
+        return cls(rewards, np.ones(rewards.shape + (1,)), eta)
+
+    def check_play(self, policies: "StagePolicies", initial) -> np.ndarray:
+        """initial as floats, once policies fit the game and initial is a
+        distribution over its states; else a ValueError naming the argument."""
+        for name, p, k in (("mu", policies.mu, self.m), ("nu", policies.nu, self.n)):
+            if p.shape != (self.H, self.S, k):
+                raise ValueError(f"policies.{name} must be {(self.H, self.S, k)}, not {p.shape}")
+        initial = np.asarray(initial, dtype=float)
+        ok = initial.shape == (self.S,) and (initial >= 0).all()  # NaN fails the sum
+        if not (ok and abs(initial.sum() - 1.0) <= 1e-12):
+            raise ValueError(f"initial must be a distribution over the game's {self.S} states")
+        return initial
+
 
 @dataclass(frozen=True)
 class LinearMDPModel:
@@ -198,9 +216,7 @@ def visit_distributions(
     Returns (state_dists, joint_dists) with shapes (H, S) and (H, S, m, n);
     joint_dists[h, s, a, b] = d_h(s) mu_h(a|s) nu_h(b|s).
     """
-    initial = np.asarray(initial, dtype=float)
-    if initial.shape != (spec.S,) or abs(initial.sum() - 1.0) > 1e-12:
-        raise ValueError("initial must be a distribution over states")
+    initial = spec.check_play(policies, initial)
     h_len = spec.H
     state = np.zeros((h_len, spec.S))
     joint = np.zeros((h_len, spec.S, spec.m, spec.n))

@@ -34,20 +34,16 @@ def reward_metric_D1(
 
 
 def qre_discrepancy(
-    estimated_payoff: np.ndarray,
-    true_policies: PolicyPair,
-    eta: float,
-    tol: float = 1e-12,
+    estimated_payoff: np.ndarray, true_policies: PolicyPair, eta: float, tol: float = 1e-12
 ) -> float:
     """Re-solve the matrix game on the estimated payoff and compare equilibria.
 
     Returns TV(mu_hat, mu*) + TV(nu_hat, nu*): qre_discrepancy_markov of the
     one-step, one-state game.
     """
-    rewards = np.asarray(estimated_payoff, dtype=float)[None, None]
-    spec = MarkovGameSpec(rewards, np.ones(rewards.shape + (1,)), eta)
+    spec = MarkovGameSpec.one_step(estimated_payoff, eta)
     truth = StagePolicies(true_policies.mu[None, None], true_policies.nu[None, None])
-    return qre_discrepancy_markov(spec, rewards, truth, np.ones((1, 1)), tol)[0]
+    return qre_discrepancy_markov(spec, spec.rewards, truth, np.ones((1, 1)), tol)[0]
 
 
 def qre_discrepancy_markov(

@@ -1,7 +1,8 @@
 """Observation datasets drawn from QRE play, their count tables, and frequency estimators.
 
 A matrix game's samples are one-step episodes at state 0, so both game
-classes share one dataset type and one estimator.
+classes share one dataset type, one sampler (sample_episodes) and one
+estimator.
 
 All sampling is driven by Philox streams derived from (seed, rep) via
 SeedSequence spawn keys, so repetitions are order-independent and two runs
@@ -130,25 +131,14 @@ class EmpiricalMarkovQRE:
     visited: np.ndarray  # (H, S) bool
 
 
-def _draw_categorical(rng: np.random.Generator, cum: np.ndarray, size: int) -> np.ndarray:
-    """Inverse-CDF draws; cum is the cumulative distribution (1-D).  Its last
-    entry is left out: it may round below 1, and a draw above it is still the
-    last category, never one past it."""
-    return np.searchsorted(cum[:-1], rng.random(size), side="right").astype(np.int64)
-
-
 def sample_matrix_actions(
     policies: PolicyPair, n_samples: int, seed: int, rep: int = 0
 ) -> EpisodeDataset:
-    """Draw N independent (a, b) pairs with a ~ mu and b ~ nu, as N one-step
-    episodes at state 0 (the state columns are zero-stride views)."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    rng = stream(seed, rep)
-    a = _draw_categorical(rng, np.cumsum(policies.mu), n_samples)
-    b = _draw_categorical(rng, np.cumsum(policies.nu), n_samples)
-    state = np.broadcast_to(np.int64(0), (n_samples, 1))
-    return EpisodeDataset(state, a[:, None], b[:, None], state)
+    """Draw N independent (a, b) pairs with a ~ mu and b ~ nu: sample_episodes
+    on the one-step, one-state game (any payoff: the sampler reads none)."""
+    spec = MarkovGameSpec.one_step(np.zeros((policies.mu.size, policies.nu.size)), 1.0)
+    stage = StagePolicies(policies.mu[None, None], policies.nu[None, None])
+    return sample_episodes(spec, stage, [1.0], n_samples, seed, rep)
 
 
 def frequency_estimate_matrix(data: EpisodeDataset, m: int, n: int) -> EmpiricalMarkovQRE:
@@ -158,42 +148,48 @@ def frequency_estimate_matrix(data: EpisodeDataset, m: int, n: int) -> Empirical
 
 
 def sample_episodes(
-    spec: MarkovGameSpec,
-    policies: StagePolicies,
-    initial: np.ndarray,
-    n_episodes: int,
-    seed: int,
-    rep: int = 0,
+    spec: MarkovGameSpec, policies: StagePolicies, initial: np.ndarray, n_episodes: int,
+    seed: int, rep: int = 0,
 ) -> EpisodeDataset:
-    """Roll out T episodes under the stage policies, storing successors.  The
-    arrays are (T, H) views of one step-major (3H + 1, T) block: the state
-    chain s_0..s_H, then each step's a and b.  States and successors are the
-    chain's first and last H rows, so each s' is drawn in place as the next
-    step's state, and every step's columns are contiguous: a, then b, then s'."""
+    """Roll out T episodes under the stage policies, storing successors: the
+    one sampler, of which a matrix game's samples are the one-step, one-state
+    case.  The arrays are (T, H) views of one step-major (3H + 1, T) int64
+    block: the state chain s_0..s_H, then each step's a and b, so each s' is
+    drawn in place as the next step's state.  A one-state chain is state 0
+    throughout: a zero-stride view, not drawn, beside a (2H, T) block."""
+    initial = spec.check_play(policies, initial)
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
-    rng = stream(seed, rep)
-    block = np.empty((3 * spec.H + 1, n_episodes), dtype=np.int64)
-    chain = block[: spec.H + 1]
-    acts_a, acts_b = block[spec.H + 1 :].reshape(2, spec.H, n_episodes)
-    chain[0] = _draw_categorical(rng, np.cumsum(np.asarray(initial, dtype=float)), n_episodes)
-    cum_p = np.cumsum(spec.transition, axis=4).reshape(spec.H, -1, spec.S)
-    for h in range(spec.H):
+    rng, h_len = stream(seed, rep), spec.H
+    if spec.S == 1:
+        block = np.empty((2 * h_len, n_episodes), dtype=np.int64)
+        chain = np.broadcast_to(np.int64(0), (h_len + 1, n_episodes))
+    else:
+        block = np.empty((3 * h_len + 1, n_episodes), dtype=np.int64)
+        chain = block[: h_len + 1]
+        _draw_rows(rng, np.cumsum(initial)[None], None, chain[0])
+    acts_a, acts_b = block[-2 * h_len :].reshape(2, h_len, n_episodes)
+    cum_p = np.cumsum(spec.transition, axis=4).reshape(h_len, -1, spec.S)
+    for h in range(h_len):
         _draw_rows(rng, np.cumsum(policies.mu[h], axis=1), chain[h], acts_a[h])
         _draw_rows(rng, np.cumsum(policies.nu[h], axis=1), chain[h], acts_b[h])
-        row = (chain[h] * spec.m + acts_a[h]) * spec.n + acts_b[h]  # int64: cannot wrap
-        _draw_rows(rng, cum_p[h], row, chain[h + 1])
+        if spec.S > 1:
+            row = (chain[h] * spec.m + acts_a[h]) * spec.n + acts_b[h]  # int64: cannot wrap
+            _draw_rows(rng, cum_p[h], row, chain[h + 1])
     return EpisodeDataset(chain[:-1].T, acts_a.T, acts_b.T, chain[1:].T)
 
 
-def _draw_rows(rng: np.random.Generator, cum: np.ndarray, rows: np.ndarray, out: np.ndarray):
-    """Inverse-CDF draws out[i] = #{j < k - 1 : u_i > cum[rows[i], j]}, counted
-    one column of cum at a time (no (T, k) gather) in a dtype that holds k.
-    The last column is left out, as in _draw_categorical."""
-    u = rng.random(rows.size)
-    count = np.zeros(rows.size, dtype=np.min_scalar_type(cum.shape[1]))
+def _draw_rows(rng: np.random.Generator, cum: np.ndarray, rows: np.ndarray | None, out: np.ndarray):
+    """Inverse-CDF draws out[i] = #{j < k - 1 : u_i >= cum[rows[i], j]} into
+    the int64 row out, over uniforms u drawn into its own memory: category j
+    takes [cum[j - 1], cum[j]), so none of probability zero is drawn, and a
+    u above a last entry that rounds below 1 is still the last category.
+    Counted a column at a time, gathered by rows unless cum has one row (rows
+    is then unread), in a dtype that holds k."""
+    u = rng.random(out=out.view(np.float64))
+    count = np.zeros(out.size, dtype=np.min_scalar_type(cum.shape[1]))
     for column in cum.T[:-1]:
-        count += u > column.take(rows)
+        count += u >= (column if column.size == 1 else column.take(rows))
     out[...] = count
 
 

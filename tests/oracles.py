@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own solution paths:
 scalar loops, bisection on 1-D reductions, brute-force grids, and Monte
 Carlo rollouts.  The exceptions are full_rank_oracle_model, a test-only
 instance builder that solves its stage games with solve_qre_batch;
-sample_episodes_by_gather, sample_episodes' earlier body, which draws from
-the library's stream and initial-state draw; and recover_rewards_on_truth,
+sample_episodes_by_gather and sample_matrix_actions_by_searchsorted, the
+earlier bodies of sample_episodes and sample_matrix_actions, which draw from
+the library's stream; and recover_rewards_on_truth,
 which runs the library's backward pass on the true policies and kernel
 (and reads the visit weights of the library's count table).  The earlier
 estimator bodies (mle_fit_by_einsum, ridge_fit_by_gather and
@@ -33,7 +34,6 @@ from invgame.markov_game import MarkovGameSpec
 from invgame.matrix_game import QreConvergenceError, solve_qre_batch, stage_values
 from invgame.sampling import (
     EpisodeDataset,
-    _draw_categorical,
     empirical_state_distribution,
     step_counts,
     stream,
@@ -608,8 +608,10 @@ def full_rank_oracle_model(
 
 def sample_episodes_by_gather(spec, policies, initial, n_episodes, seed, rep=0):
     """sample_episodes' earlier body: episode-major (T, H) arrays, each step's
-    draws counted across a (T, k) gather of the cumulative table's rows.
-    The same Philox calls in the same order, so the same datasets."""
+    draws counted across a (T, k) gather of the cumulative table's rows,
+    under the half-open rule (u >= cum: category j takes [cum[j-1], cum[j])).
+    The same Philox calls in the same order, so the same datasets: no draw
+    for a one-state chain, which is state 0 throughout."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
     rng = stream(seed, rep)
@@ -619,18 +621,36 @@ def sample_episodes_by_gather(spec, policies, initial, n_episodes, seed, rep=0):
     acts_a = np.zeros((t, h_len), dtype=np.int64)
     acts_b = np.zeros((t, h_len), dtype=np.int64)
     nexts = np.zeros((t, h_len), dtype=np.int64)
-    s = _draw_categorical(rng, np.cumsum(np.asarray(initial, dtype=float)), t)
+    s = np.zeros(t, dtype=np.int64)
+    if spec.S > 1:
+        cum_init = np.cumsum(np.asarray(initial, dtype=float))
+        s = (rng.random(t)[:, None] >= cum_init[:-1]).sum(axis=1)
     cum_p = np.cumsum(spec.transition, axis=4)
     for h in range(h_len):
         states[:, h] = s
         cum_mu = np.cumsum(policies.mu[h], axis=1)
         cum_nu = np.cumsum(policies.nu[h], axis=1)
-        a = (rng.random(t)[:, None] > cum_mu[s]).sum(axis=1)
-        b = (rng.random(t)[:, None] > cum_nu[s]).sum(axis=1)
-        s_next = (rng.random(t)[:, None] > cum_p[h][s, a, b]).sum(axis=1)
-        acts_a[:, h], acts_b[:, h], nexts[:, h] = a, b, s_next
-        s = s_next
+        a = (rng.random(t)[:, None] >= cum_mu[s, :-1]).sum(axis=1)
+        b = (rng.random(t)[:, None] >= cum_nu[s, :-1]).sum(axis=1)
+        if spec.S > 1:
+            s = (rng.random(t)[:, None] >= cum_p[h][s, a, b, :-1]).sum(axis=1)
+        acts_a[:, h], acts_b[:, h], nexts[:, h] = a, b, s
     return EpisodeDataset(states, acts_a, acts_b, nexts)
+
+
+def sample_matrix_actions_by_searchsorted(policies, n_samples, seed, rep=0):
+    """sample_matrix_actions' earlier body: a, then b, each N draws by
+    searchsorted(side="right") on its cumulative distribution with the last
+    entry left out, as N one-step episodes at state 0."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    rng = stream(seed, rep)
+    a, b = (
+        np.searchsorted(np.cumsum(p)[:-1], rng.random(n_samples), side="right").astype(np.int64)
+        for p in (policies.mu, policies.nu)
+    )
+    state = np.zeros((n_samples, 1), dtype=np.int64)
+    return EpisodeDataset(state, a[:, None], b[:, None], state)
 
 
 def step_counts_by_add_at(data, s_len, m, n):

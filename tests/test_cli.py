@@ -26,7 +26,6 @@ from invgame.sampling import (
     frequency_estimate_matrix,
     read_dataset,
     sample_episodes,
-    sample_matrix_actions,
     stream,
 )
 
@@ -130,10 +129,10 @@ class TestRunExperiment:
         drawn = []
 
         def recording(*args):
-            drawn.append(sample_matrix_actions(*args))
+            drawn.append(sample_episodes(*args))
             return drawn[-1]
 
-        monkeypatch.setattr(experiments, "sample_matrix_actions", recording)
+        monkeypatch.setattr(experiments, "sample_episodes", recording)
         assert not run_rep(config, 2)[0].error
         monkeypatch.undo()
         simulated = experiments.sample_dataset(config, 2, 700)

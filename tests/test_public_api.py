@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "backward_qre",
     "build_confidence_set",
     "build_stepwise_system",
-    "empirical_state_distribution",
     "feasible_set_from_policies",
     "frequency_estimate_markov",
     "frequency_estimate_matrix",
@@ -49,7 +48,6 @@ PUBLIC_NAMES = [
     "hausdorff_estimate",
     "min_norm_theta",
     "mle_fit",
-    "qre_discrepancy",
     "qre_discrepancy_markov",
     "qre_residual",
     "read_dataset",
@@ -60,7 +58,6 @@ PUBLIC_NAMES = [
     "reward_metric_D1",
     "ridge_fit",
     "sample_episodes",
-    "sample_matrix_actions",
     "solve_qre",
     "solve_qre_batch",
     "stepwise_confidence_sets",
@@ -161,7 +158,7 @@ def test_cli_only_parses_and_writes():
     assert not {"invgame.inverse_matrix", "invgame.inverse_markov"} & set(imported)
     assert not {"inverse_matrix", "inverse_markov"} & imported.get("invgame", set())
     assert imported["invgame.sampling"] == {"read_dataset", "write_dataset"}
-    assert len(PUBLIC_NAMES) == 47
+    assert len(PUBLIC_NAMES) == 44
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"

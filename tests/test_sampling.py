@@ -1,10 +1,11 @@
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from invgame import sampling
+from invgame import experiments, sampling
 from invgame.experiments import (
     MARKOV_THETA_CAP,
     ExperimentConfig,
@@ -15,6 +16,7 @@ from invgame.experiments import (
     setup2_model,
 )
 from invgame.inverse_markov import InversionConfig, mle_fit, recover_rewards
+from invgame.inverse_matrix import reconstruct_payoff
 from invgame.markov_game import (
     MarkovGameSpec,
     StagePolicies,
@@ -44,6 +46,7 @@ from .oracles import (
     payoff_from_features,
     rows_by_join,
     sample_episodes_by_gather,
+    sample_matrix_actions_by_searchsorted,
     step_counts_by_add_at,
 )
 from .test_markov_game import simplex_feature_model
@@ -115,6 +118,55 @@ class TestSampleMatrixActions:
         d1 = sample_matrix_actions(pair, 1000, seed=7, rep=0)
         d2 = sample_matrix_actions(pair, 1000, seed=7, rep=1)
         assert not np.array_equal(d1.actions_a, d2.actions_a)
+
+    @pytest.mark.parametrize("rep", range(3))
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "fields",
+        [{"kind": "setup1"}, {"kind": "setup2"}, {"kind": "custom", "theta": (0.5, -0.25, 0.1)}],
+        ids=["setup1", "setup2", "custom"],
+    )
+    def test_the_searchsorted_body_draws_the_same(self, fields, seed, rep):
+        # the sampler, and the runner's and simulate's dataset, against the
+        # earlier searchsorted body, bit for bit, at the instance's QRE
+        config = ExperimentConfig(**fields, seed=seed)
+        model = build_model(config, rep)
+        payoff = reconstruct_payoff(model.theta, model.features)
+        pair = solve_qre(MatrixGameSpec(payoff, config.eta), tol=1e-12)
+        oracle = sample_matrix_actions_by_searchsorted(pair, 5000, seed, rep)
+        for data in (
+            sample_matrix_actions(pair, 5000, seed, rep),
+            experiments.sample_dataset(config, rep, 5000),
+        ):
+            for got, want in zip(data.arrays, oracle.arrays):
+                assert got.dtype == np.int64 and got.shape == (5000, 1)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_state_one_step_markov_config_samples_its_matrix_game(self, seed):
+        # S=1, H=1 markov is the matrix game of its one payoff: the same
+        # draws as sample_matrix_actions at that payoff's QRE
+        config = ExperimentConfig("markov", seed=seed, s_len=1, horizon=1)
+        spec = build_model(config, 1).to_tabular()
+        pair = solve_qre(MatrixGameSpec(spec.rewards[0, 0], config.eta), tol=1e-12)
+        want = sample_matrix_actions(pair, 5000, seed, 1)
+        got = experiments.sample_dataset(config, 1, 5000)
+        for column, expected in zip(got.arrays, want.arrays):
+            assert np.array_equal(column, expected)
+
+    def test_memory_is_the_two_action_columns(self):
+        # 1e5 pairs take 2 * T * 8 bytes: the state columns are zero-stride
+        # views, and each column's uniforms are drawn into its own memory
+        pair = PolicyPair(np.full(6, 1.0 / 6.0), np.array([0.1, 0.2, 0.3, 0.4]))
+        t = 10**5
+        sample_matrix_actions(pair, 1, seed=1)  # numpy.random's lazy imports, untraced
+        tracemalloc.start()
+        try:
+            sample_matrix_actions(pair, t, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 2 * t * 8
 
 
 class TestFrequencyEstimateMatrix:
@@ -216,16 +268,25 @@ class TestSampleEpisodes:
         assert np.array_equal(d1.next_states, d2.next_states)
 
 
-class _TopUniforms:
-    """A generator stub whose every uniform is 1 - 2**-53, the largest double
-    below 1."""
+class _GivenUniforms:
+    """A generator stub whose every draw of T uniforms is the given values
+    (one value, or T of them)."""
 
-    def random(self, size):
-        return np.full(size, 1 - 2.0**-53)
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, size=None, out=None):
+        if out is None:
+            out = np.empty(size)
+        out[...] = self.values
+        return out
 
 
-# a 7-action policy whose cumulative sum rounds to 1 - 2**-52, below the
-# stub's uniform
+TOP_UNIFORM = 1 - 2.0**-53  # the largest double below 1
+
+
+# a 7-action policy whose cumulative sum rounds to 1 - 2**-52, below
+# TOP_UNIFORM
 SHORT_CDF_POLICY = np.array([
     0.1242902460447487, 0.23080964338334756, 0.03500757465089961,
     0.23036907294402506, 0.07572483463857646, 0.10280016701299959,
@@ -238,17 +299,17 @@ class TestDrawAboveTheLastCdfEntry:
     category: an inverse-CDF draw never returns one the model lacks."""
 
     def test_the_policy_sums_short(self):
-        assert np.cumsum(SHORT_CDF_POLICY)[-1] < 1 - 2.0**-53
+        assert np.cumsum(SHORT_CDF_POLICY)[-1] < TOP_UNIFORM
 
     def test_matrix_actions(self, monkeypatch):
-        monkeypatch.setattr(sampling, "stream", lambda *args: _TopUniforms())
+        monkeypatch.setattr(sampling, "stream", lambda *args: _GivenUniforms(TOP_UNIFORM))
         pair = PolicyPair(SHORT_CDF_POLICY, SHORT_CDF_POLICY[::-1])
         data = sample_matrix_actions(pair, 5, seed=0)
         assert data.actions_a.ravel().tolist() == [6] * 5
         assert data.actions_b.ravel().tolist() == [6] * 5
 
     def test_episodes(self, monkeypatch):
-        monkeypatch.setattr(sampling, "stream", lambda *args: _TopUniforms())
+        monkeypatch.setattr(sampling, "stream", lambda *args: _GivenUniforms(TOP_UNIFORM))
         h_len, s_len, k = 2, 2, len(SHORT_CDF_POLICY)
         transition = np.zeros((h_len, s_len, k, k, s_len))
         transition[..., 1] = 1.0
@@ -259,22 +320,91 @@ class TestDrawAboveTheLastCdfEntry:
         assert np.all(data.actions_a == k - 1) and np.all(data.actions_b == k - 1)
         assert np.all(data.next_states == 1)
 
+    @pytest.mark.parametrize("n_rows", [1, 3])
     @pytest.mark.parametrize("k", [1, 2, 7, 300])
-    def test_in_range_draws_count_the_whole_cdf(self, k):
-        # below the last CDF entry, leaving it out changes no draw
+    def test_in_range_draws_count_the_whole_cdf(self, k, n_rows):
+        # each draw is searchsorted(side="right") on its row without the last
+        # entry, for every u, ties and 0.0 included; below the last entry,
+        # leaving it out changes no draw
         rng = stream(31, k)
-        p = rng.random((3, k))
+        p = rng.random((n_rows, k))
         cum = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
-        rows = rng.integers(0, 3, 5000)
+        rows = rng.integers(0, n_rows, 5000)
         u = stream(32, k).random(5000)
+        u[:k] = cum[rows[:k], np.arange(k)]  # exactly at each cumulative sum
+        u[k] = 0.0
         out = np.empty(5000, dtype=np.int64)
-        sampling._draw_rows(stream(32, k), cum, rows, out)
+        sampling._draw_rows(_GivenUniforms(u), cum, rows, out)
+        want = [np.searchsorted(cum[r, :-1], x, side="right") for r, x in zip(rows, u)]
+        assert np.array_equal(out, want)
         in_range = u < cum[rows, -1]
-        assert np.array_equal(out[in_range], (u[:, None] > cum[rows]).sum(axis=1)[in_range])
-        draws = sampling._draw_categorical(stream(32, k), cum[0], 5000)
-        in_range = u < cum[0, -1]
-        assert np.array_equal(draws[in_range], np.searchsorted(cum[0], u[in_range], "right"))
-        assert max(out.max(), draws.max()) <= k - 1
+        whole = np.array([np.searchsorted(cum[r], x, side="right") for r, x in zip(rows, u)])
+        assert np.array_equal(out[in_range], whole[in_range])
+        assert out.max() <= k - 1
+
+
+class TestTiesGoToTheUpperCategory:
+    """Category j takes the half-open [cum[j - 1], cum[j]): a uniform of 0.0,
+    or one exactly at a cumulative sum, never draws an action, initial state
+    or next state of probability zero, and a tie goes to the upper category."""
+
+    # cumulative sums 0, .5, .5, 1; 0, 0, .5, 1; and 0, .5, 1 for the start
+    # and every transition row: categories of probability zero at each end
+    # and inside
+    MU = np.array([0.0, 0.5, 0.0, 0.5])
+    NU = np.array([0.0, 0.0, 0.5, 0.5])
+    STATES = np.array([0.0, 0.5, 0.5])
+
+    @pytest.mark.parametrize("u, a, b, s", [(0.0, 1, 2, 1), (0.5, 3, 3, 2)], ids=["zero", "tie"])
+    def test_episodes(self, monkeypatch, u, a, b, s):
+        monkeypatch.setattr(sampling, "stream", lambda *args: _GivenUniforms(u))
+        h_len, s_len = 2, 3
+        transition = np.broadcast_to(self.STATES, (h_len, s_len, 4, 4, s_len))
+        spec = MarkovGameSpec(np.zeros((h_len, s_len, 4, 4)), transition, eta=1.0)
+        policies = StagePolicies(
+            *(np.broadcast_to(p, (h_len, s_len, 4)) for p in (self.MU, self.NU))
+        )
+        data = sample_episodes(spec, policies, self.STATES, 5, seed=0)
+        assert (self.MU[data.actions_a] > 0).all() and (self.NU[data.actions_b] > 0).all()
+        assert (self.STATES[data.states] > 0).all() and (self.STATES[data.next_states] > 0).all()
+        assert np.all(data.actions_a == a) and np.all(data.actions_b == b)
+        assert np.all(data.states == s) and np.all(data.next_states == s)
+
+    @pytest.mark.parametrize("u, a, b", [(0.0, 1, 2), (0.5, 3, 3)], ids=["zero", "tie"])
+    def test_matrix_actions(self, monkeypatch, u, a, b):
+        monkeypatch.setattr(sampling, "stream", lambda *args: _GivenUniforms(u))
+        data = sample_matrix_actions(PolicyPair(self.MU, self.NU), 5, seed=0)
+        assert (self.MU[data.actions_a] > 0).all() and (self.NU[data.actions_b] > 0).all()
+        assert np.all(data.actions_a == a) and np.all(data.actions_b == b)
+
+
+class TestSampleEpisodesInput:
+    """A start or policies that do not fit the game are a ValueError naming
+    the argument, in the sampler and in visit_distributions alike."""
+
+    @pytest.mark.parametrize(
+        "initial, sizes, named",
+        [
+            ([0.5, 0.5], None, "initial"),  # would never start in state 2
+            ([0.2, 0.2, 0.2], None, "initial"),  # would start 60% in state 2
+            ([0.6, 0.6, -0.2], None, "initial"),
+            ([np.nan, 0.5, 0.5], None, "initial"),
+            (None, (2, 2, 4, 2), "policies.mu"),  # (S, m, n, H): one state short
+            (None, (3, 3, 4, 2), "policies.mu"),
+            (None, (3, 2, 5, 2), "policies.nu"),
+            (None, (3, 2, 4, 3), "policies.mu"),
+        ],
+        ids=["short", "sum", "negative", "nan", "states", "m", "n", "steps"],
+    )
+    def test_named_value_errors(self, initial, sizes, named):
+        spec, policies, start = dirichlet_instance(29, 3, 2, 4, h_len=2)
+        if sizes is not None:
+            policies = dirichlet_instance(29, *sizes[:3], h_len=sizes[3])[1]
+        initial = start if initial is None else initial
+        with pytest.raises(ValueError, match=f"^{re.escape(named)} must"):
+            sample_episodes(spec, policies, initial, 10, seed=0)
+        with pytest.raises(ValueError, match=f"^{re.escape(named)} must"):
+            visit_distributions(spec, policies, initial)
 
 
 class TestSampleEpisodesAgainstGather:
