@@ -392,13 +392,21 @@ def _distances_to(obj, points: np.ndarray) -> np.ndarray:
         members, _ = obj._project(points)
         return np.linalg.norm(points - members, axis=1)
     cloud = np.asarray(obj, dtype=float)
-    # plain differences, in chunks of rows, so a cloud point is at distance 0
+    columns = np.ascontiguousarray(cloud.T)  # one contiguous row per coordinate
+    # plain differences, in chunks of rows, so a cloud point is at distance 0;
+    # squares summed in coordinate order, in two buffers reused by every chunk
     rows = max(1, _CLOUD_CHUNK // len(cloud))
     nearest = np.empty(len(points))
+    acc_buf, diff_buf = (np.empty((min(rows, len(points)), len(cloud))) for _ in range(2))
     for start in range(0, len(points), rows):
         block = points[start : start + rows]
-        sq = sum((block[:, j, None] - cloud[:, j]) ** 2 for j in range(cloud.shape[1]))
-        nearest[start : start + rows] = sq.min(axis=1)
+        acc, diff = acc_buf[: len(block)], diff_buf[: len(block)]
+        np.subtract(block[:, 0, None], columns[0], out=acc)
+        np.multiply(acc, acc, out=acc)
+        for j in range(1, len(columns)):
+            np.subtract(block[:, j, None], columns[j], out=diff)
+            acc += np.multiply(diff, diff, out=diff)
+        nearest[start : start + rows] = acc.min(axis=1)
     return np.sqrt(nearest)
 
 

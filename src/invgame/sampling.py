@@ -321,31 +321,41 @@ def write_dataset(data: EpisodeDataset, path: str | Path) -> None:
 def read_dataset(path: str | Path, model_shape: tuple | None = None) -> EpisodeDataset:
     """Parse the line-delimited interchange format written by write_dataset.
 
-    The (episode, step) keys must be the grid 0..T-1 x 0..H-1, each pair once,
-    and next_state at step h must be state at step h+1.  With model_shape
-    (S, m, n) the indices are checked first: one out of range is named as
-    such, and the dataset's count tables of that shape do not check it again.
+    The body is what np.loadtxt reads as comma-separated integers: blank and
+    '#' lines, spaces around fields and CRLF endings are accepted.  Records
+    may come in any order, since the (episode, step) keys must be the grid
+    0..T-1 x 0..H-1, each pair once; a file in (episode, step) order, as
+    write_dataset writes it, is neither sorted nor copied: the arrays are
+    views of the parsed rows.  next_state at step h must be state at step
+    h+1.  With model_shape (S, m, n) the indices are checked first: one out
+    of range is named as such, and the dataset's count tables of that shape
+    do not check it again.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != DATASET_HEADER:
             raise ValueError(f"unexpected dataset header: {header!r}")
-        start = fh.tell()  # loadtxt warns on a body of blank and '#' lines alone
-        if not any(line.split("#")[0].strip() for line in iter(fh.readline, "")):
+        # loadtxt warns on a body of blank and '#' lines alone
+        if not any(line.split("#")[0].strip() for line in fh):
             raise ValueError("dataset file has no records")
-        fh.seek(start)
-        rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+    # by path, loadtxt reads the file in chunks rather than a line at a time
+    rows = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2, skiprows=1, encoding="ascii")
     if rows.shape[1] != 6:
         raise ValueError(f"a record needs 6 fields, not {rows.shape[1]}")
-    t, h_len = (int(v) + 1 for v in rows[:, :2].max(axis=0))
+    episodes, steps = rows[:, 0], rows[:, 1]
+    t, h_len = int(episodes.max()) + 1, int(steps.max()) + 1
     off_grid = f"(episode, step) must be each of 0..{t - 1} x 0..{h_len - 1} once"
-    if rows[:, :2].min() < 0 or rows.shape[0] != t * h_len:
+    if min(episodes.min(), steps.min()) < 0 or rows.shape[0] != t * h_len:
         raise ValueError(off_grid)
-    keys = rows[:, 0] * h_len + rows[:, 1]
-    order = np.argsort(keys, kind="stable")
-    if not np.array_equal(keys[order], np.arange(keys.size)):  # a key repeats
-        raise ValueError(off_grid)
-    data = EpisodeDataset(*rows[order, 2:].reshape(t, h_len, 4).transpose(2, 0, 1))
+    keys = episodes * h_len + steps
+    grid = np.arange(keys.size)
+    body = rows[:, 2:]
+    if not np.array_equal(keys, grid):
+        order = np.argsort(keys, kind="stable")
+        if not np.array_equal(keys[order], grid):  # a key repeats
+            raise ValueError(off_grid)
+        body = body[order]
+    data = EpisodeDataset(*body.reshape(t, h_len, 4).transpose(2, 0, 1))
     if model_shape is not None:
         data.check(*model_shape)
     if not np.array_equal(data.next_states[:, :-1], data.states[:, 1:]):
