@@ -71,6 +71,8 @@ def _typed(key: str, value, hint):
 
 
 def load_config(args, default_kind: str = "setup1") -> ExperimentConfig:
+    if getattr(args, "rep", 0) < 0:  # stream(seed, rep) takes neither negative
+        raise UsageError(f"rep must be nonnegative, got {args.rep}")
     raw: dict = {}
     if args.config:
         try:

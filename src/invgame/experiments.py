@@ -120,6 +120,7 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise UsageError(f"unknown experiment kind {self.kind!r}")
         for name, ok, rule in (  # a comparison with NaN is False
+            ("seed", self.seed >= 0, "nonnegative"),
             ("reps", self.reps >= 1, "at least 1"),
             ("threads", self.threads >= 1, "at least 1"),
             ("eta", 0 < self.eta < math.inf, "positive and finite"),

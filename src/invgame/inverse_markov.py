@@ -119,30 +119,24 @@ def mle_fit(
 
     The fits are made once per family of prefixes (EpisodeDataset.prefixes)
     and model (its psi_a and psi_b): the first call fits every step of both
-    players of every member with samples in one lockstep loop (_fit_stack)
-    and caches them on the members, like the count table; later calls read
+    players of every member with samples in one lockstep loop (_fit_stack),
+    kept in the family's memo beside its count tables; later calls read
     them.  The params and trace are read-only.
     """
     if player not in ("a", "b"):
         raise ValueError("player must be 'a' or 'b'")
-    shape = (*model.psi_a.shape[:2], model.psi_b.shape[1])
-    table = step_counts(data, *shape)
+    family, k = data._family
+    tables = family.step_counts(*model.psi_a.shape[:2], model.psi_b.shape[1])
     # every episode has one record per step, so all steps or none have samples
-    if not table[step].any():
+    if not tables[k][step].any():
         raise ValueError(f"no samples at step {step}")
-    key = tuple((p.dtype.str, p.shape, p.tobytes()) for p in (model.psi_a, model.psi_b))
-    fits = data._mle_fits.get(key)
-    if fits is None:
-        sampled = [  # a member with no samples is never fitted
-            (member, counts)
-            for member in data._members()
-            if (counts := step_counts(member, *shape)).any()
-        ]
-        fitted = _fit_every_step([counts for _, counts in sampled], model)
-        for (member, _), member_fits in zip(sampled, fitted):
-            member._mle_fits[key] = member_fits
-        fits = data._mle_fits[key]
-    return fits[player][step]
+
+    def fit():  # by member: a member with no samples is never fitted
+        sampled = [i for i, table in enumerate(tables) if table.any()]
+        return dict(zip(sampled, _fit_every_step([tables[i] for i in sampled], model)))
+
+    key = ("mle_fit", *((p.dtype.str, p.shape, p.tobytes()) for p in (model.psi_a, model.psi_b)))
+    return family.share(key, fit)[k][player][step]
 
 
 def _fit_every_step(
@@ -300,15 +294,14 @@ def block_weights(counts: np.ndarray, mle: bool) -> np.ndarray:
     return (counts > 0).astype(float)
 
 
-def _estimates(data: EpisodeDataset, config: InversionConfig, mle: bool) -> _Estimates:
-    """Each step's floored policies (frequency or softmax-MLE ones, of
-    config.policy_model) and per-state block weights (block_weights)."""
+def _estimates(data: EpisodeDataset, config: InversionConfig) -> _Estimates:
+    """Each step's floored policies (frequency ones, or softmax-MLE ones of
+    config.policy_model when it has one) and per-state block weights
+    (block_weights)."""
     model = config.policy_model
-    if not mle:
+    if model is None:
         est = frequency_estimate_markov(data, *config.features.shape[:3])
         mu, nu = est.mu_hat, est.nu_hat
-    elif model is None:
-        raise ValueError("recover_rewards_mle needs a policy_model")
     else:
         mu, nu = (
             np.stack([
@@ -318,6 +311,7 @@ def _estimates(data: EpisodeDataset, config: InversionConfig, mle: bool) -> _Est
             for player, psi in (("a", model.psi_a), ("b", model.psi_b))
         )
     counts = step_counts(data, *config.features.shape[:3]).sum(axis=(2, 3, 4))
+    mle = model is not None
     return _Estimates(floor_distribution(mu), floor_distribution(nu), block_weights(counts, mle))
 
 
@@ -326,8 +320,10 @@ def stepwise_confidence_sets(
 ) -> list[ConfidenceSet]:
     """The per-step confidence sets {theta : ||X theta - y||^2 <= kappa_h,
     ||theta|| <= theta_norm_cap} the recovery draws its parameters from: by
-    default recover_rewards' frequency sets.  Both drivers pass the estimates
-    they recover with, so that this one function builds every set.
+    default at the estimates of the driver the config selects, so
+    recover_rewards' frequency sets, or recover_rewards_mle's sets when
+    config has a policy_model.  Both drivers pass the estimates they recover
+    with, so that this one function builds every set.
     config.kappa must be a scalar or hold one threshold per step."""
     kappa = np.asarray(config.kappa, dtype=float)
     if kappa.shape not in ((), (data.horizon,)):
@@ -336,7 +332,7 @@ def stepwise_confidence_sets(
         )
     kappas = np.broadcast_to(kappa, (data.horizon,))
     if estimates is None:
-        estimates = _estimates(data, config, mle=False)
+        estimates = _estimates(data, config)
     sets = []
     for h in range(data.horizon):
         system = build_stepwise_system(
@@ -377,10 +373,8 @@ def _backward_pass(
     return RecoveredRewardSample(thetas, q_values, v_values, rewards, feasible, sets)
 
 
-def _run_algorithm(
-    data: EpisodeDataset, config: InversionConfig, mle: bool
-) -> list[RecoveredRewardSample]:
-    estimates = _estimates(data, config, mle)
+def _run_algorithm(data: EpisodeDataset, config: InversionConfig) -> list[RecoveredRewardSample]:
+    estimates = _estimates(data, config)
     sets = tuple(stepwise_confidence_sets(data, config, estimates))
     s_len, m, n, d = config.features.shape
     flat_features = config.features.reshape(-1, d)
@@ -404,7 +398,7 @@ def recover_rewards(
     """
     if config.policy_model is not None:
         raise ValueError("recover_rewards reads no policy_model; use recover_rewards_mle")
-    return _run_algorithm(data, config, mle=False)
+    return _run_algorithm(data, config)
 
 
 def recover_rewards_mle(
@@ -416,4 +410,6 @@ def recover_rewards_mle(
     state's constraints are weighted by the empirical visit probability, so
     unvisited states contribute nothing.
     """
-    return _run_algorithm(data, config, mle=True)
+    if config.policy_model is None:
+        raise ValueError("recover_rewards_mle needs a policy_model")
+    return _run_algorithm(data, config)

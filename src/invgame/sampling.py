@@ -11,7 +11,6 @@ with the same seed produce bit-identical datasets.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -66,55 +65,66 @@ class EpisodeDataset:
 
     def prefixes(self, sizes) -> list["EpisodeDataset"]:
         """The first t episodes for each t of sizes (nonnegative and strictly
-        increasing), as one family: the first member that misses its count
-        table (step_counts) or its MLE fits (inverse_markov.mle_fit) has them
-        made for every member still referenced at once, each the same to the
-        bit as that member's alone."""
+        increasing), as one family (_Family): the first call of step_counts
+        or inverse_markov.mle_fit on any member makes that result for every
+        member at once, each the same to the bit as that member's alone."""
         sizes = list(sizes)
         if not sizes or sizes[0] < 0 or sizes != sorted(set(sizes)):
             raise ValueError(
                 f"prefix sizes must be nonnegative and strictly increasing, got {sizes}"
             )
         members = [EpisodeDataset(*(a[:t] for a in self.arrays)) for t in sizes]
-        # weak references, so that a member and its family form no cycle
-        family = tuple(weakref.ref(member) for member in members)
-        for member in members:
-            member.__dict__["_family"] = family  # where cached_property keeps its value
+        family = _Family(members[-1].arrays, [member.n_episodes for member in members])
+        for k, member in enumerate(members):
+            member.__dict__["_family"] = family, k  # where cached_property keeps its value
         return members
 
     @cached_property
-    def _family(self) -> tuple[weakref.ref, ...]:  # set by prefixes, else a family of one
-        return (weakref.ref(self),)
-
-    def _members(self) -> list["EpisodeDataset"]:
-        """The members of this dataset's family still referenced, by size."""
-        return [member for ref in self._family if (member := ref()) is not None]
-
-    @cached_property
-    def _step_counts(self) -> dict[tuple[int, int, int], np.ndarray]:  # by (S, m, n)
-        return {}
-
-    @cached_property
-    def _mle_fits(self) -> dict[tuple, dict]:  # inverse_markov.mle_fit's, by psi_a and psi_b
-        return {}
-
-    @cached_property
-    def _checked(self) -> set[tuple[int, int, int]]:  # the (S, m, n) check has passed
-        return set()
+    def _family(self) -> tuple["_Family", int]:  # set by prefixes, else a family of one
+        return _Family(self.arrays, [self.n_episodes]), 0
 
     def check(self, s_len: int, m: int, n: int) -> None:
         """Reject indices a model of s_len states and m x n actions lacks, with
-        a ValueError naming the column as the dataset file spells it.  A shape
-        once passed returns at once: like the count tables, this relies on a
-        dataset's arrays not changing."""
-        if (s_len, m, n) not in self._checked:
-            self._scan(s_len, m, n)
-            self._checked.add((s_len, m, n))
-
-    def _scan(self, s_len: int, m: int, n: int) -> None:
+        a ValueError naming the column as the dataset file spells it."""
         for column, a, size in zip(_COLUMNS, self.arrays, (s_len, m, n, s_len)):
             if a.size and (a.min() < 0 or a.max() >= size):
                 raise ValueError(f"{column} must lie in 0..{size - 1}")
+
+
+class _Family:
+    """What a prefix family's members share: the largest member's arrays,
+    each member's size, and the results made for all members at once.  It
+    holds no member, so it forms no reference cycle with one; its results
+    rely on a dataset's arrays not changing."""
+
+    def __init__(self, arrays: tuple[np.ndarray, ...], sizes: list[int]):
+        self.arrays, self.sizes, self.made = arrays, sizes, {}
+
+    def share(self, key, make):
+        """make()'s results, one per member (indexable by its place in the
+        family), made on the key's first use; a make that raises stores nothing."""
+        if key not in self.made:
+            self.made[key] = make()
+        return self.made[key]
+
+    def step_counts(self, s_len: int, m: int, n: int) -> list[np.ndarray]:
+        """Each member's step_counts table: the indices are checked once, so
+        one out of range is named rather than counted in a neighbouring cell,
+        then the episodes each member adds to the one before are counted once,
+        and a member's table is the read-only running sum of those counts."""
+
+        def count():
+            EpisodeDataset(*self.arrays).check(s_len, m, n)
+            tables, table, start = [], 0, 0
+            for stop in self.sizes:
+                added = EpisodeDataset(*(a[start:stop] for a in self.arrays))
+                table = table + _count_steps(added, s_len, m, n)
+                table.flags.writeable = False
+                tables.append(table)
+                start = stop
+            return tables
+
+        return self.share(("step_counts", s_len, m, n), count)
 
 
 @dataclass(frozen=True)
@@ -212,22 +222,10 @@ def step_counts(data: EpisodeDataset, s_len: int, m: int, n: int) -> np.ndarray:
     """The read-only int64 table N_h(s, a, b, s'), shaped (H, S, m, n, S) like
     the transition kernel, that every estimator reads.  It is made once per
     family of prefixes (EpisodeDataset.prefixes) and model shape, for every
-    member at once: check runs once, on the largest member, so an index out
-    of range is named rather than counted in a neighbouring cell; the
-    episodes each member adds to the one before are counted once, and a
-    member's table is the running sum of those counts."""
-    table = data._step_counts.get((s_len, m, n))
-    if table is None:
-        members = data._members()
-        members[-1].check(s_len, m, n)
-        table, start = 0, 0
-        for member in members:
-            added = EpisodeDataset(*(a[start:] for a in member.arrays))
-            table = table + _count_steps(added, s_len, m, n)
-            table.flags.writeable = False
-            member._step_counts[s_len, m, n], start = table, member.n_episodes
-        table = data._step_counts[s_len, m, n]
-    return table
+    member at once (_Family.step_counts); an index out of range is named
+    before anything is counted."""
+    family, k = data._family
+    return family.step_counts(s_len, m, n)[k]
 
 
 def _count_steps(data: EpisodeDataset, s_len: int, m: int, n: int) -> np.ndarray:
@@ -327,9 +325,9 @@ def read_dataset(path: str | Path, model_shape: tuple | None = None) -> EpisodeD
     0..T-1 x 0..H-1, each pair once; a file in (episode, step) order, as
     write_dataset writes it, is neither sorted nor copied: the arrays are
     views of the parsed rows.  next_state at step h must be state at step
-    h+1.  With model_shape (S, m, n) the indices are checked first: one out
-    of range is named as such, and the dataset's count tables of that shape
-    do not check it again.
+    h+1.  With model_shape (S, m, n) the dataset's count table of that shape
+    (step_counts) is made first, so an index out of range is named as such,
+    and the estimators that read the table do not scan or count again.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -357,7 +355,7 @@ def read_dataset(path: str | Path, model_shape: tuple | None = None) -> EpisodeD
         body = body[order]
     data = EpisodeDataset(*body.reshape(t, h_len, 4).transpose(2, 0, 1))
     if model_shape is not None:
-        data.check(*model_shape)
+        step_counts(data, *model_shape)
     if not np.array_equal(data.next_states[:, :-1], data.states[:, 1:]):
         raise ValueError("next_state at step h must equal state at step h+1")
     return data

@@ -548,13 +548,13 @@ class TestCommands:
         "command, kind", [("invert-matrix", "setup1"), ("invert-markov", "markov")]
     )
     def test_invert_scans_the_dataset_once(self, tmp_path, capsys, monkeypatch, command, kind):
-        # read_dataset checks the indices against the model, and the count
-        # table of the same shape does not check them again
+        # read_dataset makes the count table of the model's shape, which
+        # checks the indices, and the estimators read that same table
         out = tmp_path / "sim"
         args = ["--kind", kind, "--seed", "3"]
         assert run_cli(["simulate", *args, "--samples", "500", "--out", str(out)]) == 0
         scans, passes = [], []
-        scan, count_steps = EpisodeDataset._scan, sampling._count_steps
+        scan, count_steps = EpisodeDataset.check, sampling._count_steps
 
         def scanning(data, *shape):
             scans.append(shape)
@@ -564,7 +564,7 @@ class TestCommands:
             passes.append(shape)
             return count_steps(data, *shape)
 
-        monkeypatch.setattr(EpisodeDataset, "_scan", scanning)
+        monkeypatch.setattr(EpisodeDataset, "check", scanning)
         monkeypatch.setattr(sampling, "_count_steps", counting)
         result = tmp_path / "result.json"
         code = run_cli([command, *args, "--data", str(out / "dataset.csv"), "--out", str(result)])
@@ -917,6 +917,25 @@ class TestUsageErrors:
             args += ["--data", str(tmp_path / "missing.csv")]
         self.assert_usage_error(capsys, args, message)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("simulate", "--seed"), ("simulate", "--rep"), ("invert-matrix", "--seed"),
+         ("invert-matrix", "--rep"), ("invert-markov", "--seed"), ("invert-markov", "--rep"),
+         ("experiment", "--seed")],
+    )
+    def test_a_negative_seed_or_rep(self, tmp_path, capsys, command, flag):
+        # a stream's seed and rep are nonnegative: rejected where they enter,
+        # not by SeedSequence in the middle of a command or of every record
+        kind = "setup1" if command == "invert-matrix" else "markov"
+        out = tmp_path / "out"
+        args = [command, "--kind", kind, flag, "-1", "--samples", "100", "--out", str(out)]
+        if command == "experiment":
+            args += ["--reps", "1"]
+        elif command.startswith("invert"):
+            args += ["--data", str(tmp_path / "missing.csv")]
+        self.assert_usage_error(capsys, args, f"{flag[2:]} must be nonnegative, got -1")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command", ["experiment", "simulate", "invert-matrix", "invert-markov"]

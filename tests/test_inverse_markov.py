@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -95,6 +97,11 @@ def assert_same_fit(fit, oracle):
     assert fit.converged == oracle.converged
     assert np.abs(fit.params - oracle.params).max() <= 1e-12
     assert np.abs(fit.objective_trace - oracle.objective_trace).max() <= 1e-12
+
+
+def mle_memo(data):
+    """The MLE fits kept in the memo of data's prefix family, by key."""
+    return {key: fits for key, fits in data._family[0].made.items() if key[0] == "mle_fit"}
 
 
 def assert_fits_alone(data, model, keys):
@@ -791,19 +798,36 @@ class TestMleFit:
         assert stacks == ([3 * 2 * h_len] if m == n else [3 * h_len, 3 * h_len])
         with pytest.raises(ValueError, match="^no samples at step 0$"):
             mle_fit(empty, policy, 0, "a")
-        assert empty._mle_fits == {}
+        (fits,) = mle_memo(empty).values()  # by member: the empty one has none
+        assert sorted(fits) == [1, 2, 3]
+
+    def test_members_are_freed_with_gc_disabled(self):
+        # a member and its family's memo form no reference cycle, so a member
+        # goes as soon as nothing refers to it, with the collector off
+        data, model = dense_mle_case(1.0)
+        members = data.prefixes((100, 300, 500))
+        for member in members:
+            step_counts(member, 3, 4, 2)
+            mle_fit(member, model, 0, "a")
+        refs = [weakref.ref(member) for member in members]
+        gc.disable()
+        try:
+            del member, members
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
     def test_fits_are_cached_per_psi(self):
         data, model = dense_mle_case(0.05)
         # the last model differs from the first in psi_b alone
         models = [model, dense_mle_case(10.0)[1], replace(model, psi_b=model.psi_b[:, :, :3])]
         fits = [assert_fits_alone(data, m, [(0, "a")])[0] for m in models]
-        assert len(data._mle_fits) == len(models)
+        assert len(mle_memo(data)) == len(models)
         assert fits[0].params.tobytes() != fits[1].params.tobytes()
         # a model equal in value is the same key: its fit is read, not refit
         same = SoftmaxPolicyModel(model.psi_a.copy(), model.psi_b.copy())
         assert mle_fit(data, same, 0, "a") is fits[0]
-        assert len(data._mle_fits) == len(models)
+        assert len(mle_memo(data)) == len(models)
 
     @pytest.mark.parametrize("name, value", [("MLE_MAX_ITER", 50), ("MLE_TOL", 1e-4)])
     def test_the_stopping_rule_is_the_module_constants(self, monkeypatch, name, value):
@@ -831,7 +855,7 @@ class TestMleFit:
         data = data.prefix(call.pop("episodes", data.n_episodes))
         with pytest.raises(ValueError, match=f"^{message}$"):
             mle_fit(data, model, **call)
-        assert data._mle_fits == {}
+        assert mle_memo(data) == {}
 
     def test_binding_ball_fit_meets_kkt_conditions(self):
         radius = 1.0  # the unit ball, made to bind by shrinking psi
@@ -915,6 +939,27 @@ class TestRecoverRewardsMle:
         )
         assert np.allclose(a_part[1:], 0.0)
         assert not np.allclose(a_part[0], 0.0)
+
+    def test_default_sets_of_an_mle_config_are_the_mle_sets(self):
+        # stepwise_confidence_sets builds, by default, the sets of the driver
+        # its config selects: with a policy_model, recover_rewards_mle's
+        model = markov_model(stream(3, 0))
+        spec = model.to_tabular()
+        truth, _ = backward_qre(spec, tol=1e-12)
+        data = sample_episodes(spec, truth, np.full(spec.S, 0.25), 2000, 3)
+        config = InversionConfig(
+            features=model.features, eta=spec.eta, gamma=spec.gamma, kappa=0.5,
+            ridge_lambda=0.01, theta_norm_cap=10.0,
+            policy_model=saturated_policy_model(spec.S, spec.m, spec.n),
+        )
+        expected = recover_rewards_mle(data, config)[0].sets
+        sets = stepwise_confidence_sets(data, config)
+        assert len(sets) == len(expected) == spec.H
+        for cset, want in zip(sets, expected):
+            assert np.array_equal(cset.X, want.X) and np.array_equal(cset.y, want.y)
+            assert cset.kappa == want.kappa
+        frequency = stepwise_confidence_sets(data, replace(config, policy_model=None))
+        assert not np.array_equal(frequency[0].X, sets[0].X)
 
 
 class TestPerBlockThreshold:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import invgame
 from invgame.cli import ALIASES
-from invgame.experiments import KIND_FIELDS, KINDS, ExperimentConfig
+from invgame.experiments import KIND_FIELDS, KINDS, ExperimentConfig, markov_model
 
 PUBLIC_NAMES = [
     "ConfidenceSet",
@@ -129,6 +129,15 @@ def test_readme_config_table_names_the_kinds_that_read_each_field():
             read_by[ALIASES.get(name, name)] = kinds
     for field, defaults in KIND_FIELDS.items():
         assert read_by[field] == set(defaults), field
+
+
+def test_one_set_of_markov_defaults():
+    # a markov config left at its defaults builds markov_model's instance:
+    # KIND_FIELDS and ExperimentConfig.eta agree with its signature defaults
+    signature = inspect.signature(markov_model).parameters
+    for field in ("s_len", "m", "n", "horizon", "gamma"):
+        assert KIND_FIELDS[field]["markov"] == signature[field].default, field
+    assert ExperimentConfig("markov").eta == signature["eta"].default
 
 
 def test_readme_states_the_stopping_rules():

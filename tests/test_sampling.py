@@ -611,32 +611,7 @@ class TestStepCounts:
         for count in (step_counts, frequency_estimate_markov, empirical_state_distribution):
             with pytest.raises(ValueError, match=message):
                 count(data, 3, 4, 2)
-        assert data._step_counts == {}
-
-    def test_a_shape_that_passed_is_not_scanned_again(self, monkeypatch):
-        scans = []
-        scan = EpisodeDataset._scan
-
-        def scanning(data, *shape):
-            scans.append(shape)
-            return scan(data, *shape)
-
-        monkeypatch.setattr(EpisodeDataset, "_scan", scanning)
-        data = EpisodeDataset(*(np.zeros((4, 2), dtype=np.int64) for _ in range(4)))
-        data.check(3, 4, 2)
-        data.check(3, 4, 2)
-        step_counts(data, 3, 4, 2)
-        assert scans == [(3, 4, 2)]
-        data.check(1, 1, 1)  # another shape is scanned
-        assert scans == [(3, 4, 2), (1, 1, 1)]
-        # a shape that failed is not remembered: each call names the column
-        arrays = [np.zeros((4, 2), dtype=np.int64) for _ in range(4)]
-        arrays[1][3, 0] = 4
-        bad = EpisodeDataset(*arrays)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="action_a must lie in 0..3"):
-                bad.check(3, 4, 2)
-        assert len(scans) == 4 and bad._checked == set()
+        assert data._family[0].made == {}  # nothing is kept: each call names the column
 
     def test_a_file_index_out_of_range_is_named_by_read_and_by_count(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -716,8 +691,9 @@ class TestPrefixFamily:
         for member in members:
             with pytest.raises(ValueError, match="action_a must lie in 0..3"):
                 step_counts(member, 3, 4, 2)
+        # a failed check is not kept: each call checks again and names the column
         assert calls == {"check": len(members), "slices": []}
-        assert all(member._step_counts == {} for member in members)
+        assert all(member._family[0].made == {} for member in members)
 
 
 class TestFrequencyEstimateMarkov:
