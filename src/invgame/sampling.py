@@ -36,7 +36,9 @@ def stream(seed: int, rep: int = 0) -> np.random.Generator:
 @dataclass(frozen=True)
 class EpisodeDataset:
     """T episodes of H steps: states, actions and successor states, each a
-    (T, H) array of any strides (sampled ones are step-major views)."""
+    (T, H) array of any strides and any integer dtype (sampled ones are
+    step-major views in the smallest signed dtype that holds every index,
+    read ones int64)."""
 
     states: np.ndarray
     actions_a: np.ndarray
@@ -46,6 +48,9 @@ class EpisodeDataset:
     def __post_init__(self):
         if self.states.ndim != 2 or any(a.shape != self.states.shape for a in self.arrays):
             raise ValueError("episode arrays must share one shape (T, H)")
+        for a in self.arrays:
+            if not np.issubdtype(a.dtype, np.integer):
+                raise ValueError(f"episode arrays must be of an integer dtype, got {a.dtype}")
 
     @property
     def arrays(self) -> tuple[np.ndarray, ...]:
@@ -163,44 +168,50 @@ def sample_episodes(
 ) -> EpisodeDataset:
     """Roll out T episodes under the stage policies, storing successors: the
     one sampler, of which a matrix game's samples are the one-step, one-state
-    case.  The arrays are (T, H) views of one step-major (3H + 1, T) int64
-    block: the state chain s_0..s_H, then each step's a and b, so each s' is
-    drawn in place as the next step's state.  A one-state chain is state 0
-    throughout: a zero-stride view, not drawn, beside a (2H, T) block."""
+    case.  The arrays are (T, H) views of one step-major (3H + 1, T) block in
+    the smallest signed dtype that holds max(S, m, n) - 1 (int8 up to 128
+    states or actions): the state chain s_0..s_H, then each step's a and b,
+    so each s' is drawn in place as the next step's state.  A one-state
+    chain is state 0 throughout: a zero-stride view, not drawn, beside a
+    (2H, T) block.  Every draw takes its T uniforms into one float64 buffer."""
     initial = spec.check_play(policies, initial)
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
     rng, h_len = stream(seed, rep), spec.H
+    dtype = np.min_scalar_type(-max(spec.S, spec.m, spec.n))  # holds -max, so max - 1 too
+    u = np.empty(n_episodes)
     if spec.S == 1:
-        block = np.empty((2 * h_len, n_episodes), dtype=np.int64)
-        chain = np.broadcast_to(np.int64(0), (h_len + 1, n_episodes))
+        block = np.empty((2 * h_len, n_episodes), dtype=dtype)
+        chain = np.broadcast_to(dtype.type(0), (h_len + 1, n_episodes))
     else:
-        block = np.empty((3 * h_len + 1, n_episodes), dtype=np.int64)
+        block = np.empty((3 * h_len + 1, n_episodes), dtype=dtype)
         chain = block[: h_len + 1]
-        _draw_rows(rng, np.cumsum(initial)[None], None, chain[0])
+        _draw_rows(rng.random(out=u), np.cumsum(initial)[None], None, chain[0])
     acts_a, acts_b = block[-2 * h_len :].reshape(2, h_len, n_episodes)
     cum_p = np.cumsum(spec.transition, axis=4).reshape(h_len, -1, spec.S)
     for h in range(h_len):
-        _draw_rows(rng, np.cumsum(policies.mu[h], axis=1), chain[h], acts_a[h])
-        _draw_rows(rng, np.cumsum(policies.nu[h], axis=1), chain[h], acts_b[h])
+        rows = chain[h].astype(np.intp) if spec.S > 1 else None  # one-row tables read none
+        _draw_rows(rng.random(out=u), np.cumsum(policies.mu[h], axis=1), rows, acts_a[h])
+        _draw_rows(rng.random(out=u), np.cumsum(policies.nu[h], axis=1), rows, acts_b[h])
         if spec.S > 1:
-            row = (chain[h] * spec.m + acts_a[h]) * spec.n + acts_b[h]  # int64: cannot wrap
-            _draw_rows(rng, cum_p[h], row, chain[h + 1])
+            rows *= spec.m  # the transition row (s * m + a) * n + b, in intp: cannot wrap
+            rows += acts_a[h]
+            rows *= spec.n
+            rows += acts_b[h]
+            _draw_rows(rng.random(out=u), cum_p[h], rows, chain[h + 1])
     return EpisodeDataset(chain[:-1].T, acts_a.T, acts_b.T, chain[1:].T)
 
 
-def _draw_rows(rng: np.random.Generator, cum: np.ndarray, rows: np.ndarray | None, out: np.ndarray):
-    """Inverse-CDF draws out[i] = #{j < k - 1 : u_i >= cum[rows[i], j]} into
-    the int64 row out, over uniforms u drawn into its own memory: category j
-    takes [cum[j - 1], cum[j]), so none of probability zero is drawn, and a
-    u above a last entry that rounds below 1 is still the last category.
-    Counted a column at a time, gathered by rows unless cum has one row (rows
-    is then unread), in a dtype that holds k."""
-    u = rng.random(out=out.view(np.float64))
-    count = np.zeros(out.size, dtype=np.min_scalar_type(cum.shape[1]))
+def _draw_rows(u: np.ndarray, cum: np.ndarray, rows: np.ndarray | None, out: np.ndarray):
+    """Inverse-CDF draws out[i] = #{j < k - 1 : u_i >= cum[rows[i], j]},
+    counted straight into the integer row out, whose dtype holds k - 1:
+    category j takes [cum[j - 1], cum[j]), so none of probability zero is
+    drawn, and a u above a last entry that rounds below 1 is still the last
+    category.  Counted a column at a time, gathered by the intp rows unless
+    cum has one row (rows is then unread)."""
+    out[...] = 0
     for column in cum.T[:-1]:
-        count += u >= (column if column.size == 1 else column.take(rows))
-    out[...] = count
+        out += u >= (column if column.size == 1 else column.take(rows))
 
 
 def frequency_estimate_markov(
@@ -237,11 +248,11 @@ def _count_steps(data: EpisodeDataset, s_len: int, m: int, n: int) -> np.ndarray
         states, acts_a, acts_b, nexts = (a[start : start + _COUNT_BLOCK].T for a in data.arrays)
         for h in range(data.horizon):
             key = np.multiply(states[h], m, dtype=np.int64)  # any index dtype: no wrap
-            key += acts_a[h]
+            np.add(key, acts_a[h], out=key, dtype=np.int64)  # += makes uint64 float
             key *= n
-            key += acts_b[h]
+            np.add(key, acts_b[h], out=key, dtype=np.int64)
             key *= s_len
-            key += nexts[h]
+            np.add(key, nexts[h], out=key, dtype=np.int64)
             table[h] += np.bincount(key, minlength=cells)
     return table.reshape(data.horizon, s_len, m, n, s_len)
 

@@ -454,7 +454,8 @@ def mle_fit_by_einsum(
     actions = data.actions_a if player == "a" else data.actions_b
     s_len, n_actions, dim = psi.shape
     counts = np.bincount(
-        data.states[:, step] * n_actions + actions[:, step], minlength=s_len * n_actions
+        data.states[:, step].astype(np.intp) * n_actions + actions[:, step],  # no wrap
+        minlength=s_len * n_actions,
     ).reshape(s_len, n_actions).astype(float)
     total = counts.sum()
     if total == 0:
@@ -670,7 +671,7 @@ def frequency_estimate_by_step(data, s_len, m, n):
     counts = np.zeros((h_len, s_len), dtype=np.int64)
     mu_hat, nu_hat = np.zeros((h_len, s_len, m)), np.zeros((h_len, s_len, n))
     for h in range(h_len):
-        s_col = data.states[:, h]
+        s_col = data.states[:, h].astype(np.intp)  # any index dtype: no wrap
         counts[h] = np.bincount(s_col, minlength=s_len)
         denom = np.maximum(counts[h], 1)[:, None]
         for out, actions, k in ((mu_hat, data.actions_a, m), (nu_hat, data.actions_b, n)):

@@ -15,7 +15,12 @@ from invgame.experiments import (
     setup1_model,
     setup2_model,
 )
-from invgame.inverse_markov import InversionConfig, mle_fit, recover_rewards
+from invgame.inverse_markov import (
+    InversionConfig,
+    mle_fit,
+    recover_rewards,
+    recover_rewards_mle,
+)
 from invgame.inverse_matrix import reconstruct_payoff
 from invgame.markov_game import (
     MarkovGameSpec,
@@ -80,6 +85,13 @@ def dirichlet_instance(seed, s_len, m, n, h_len=3):
     return spec, policies, rng.dirichlet(np.ones(s_len))
 
 
+def narrowest_signed(k):
+    """The smallest signed integer dtype that holds k - 1: the dtype of a
+    sampled dataset whose largest of S, m and n is k."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max >= k - 1)
+
+
 def deterministic_chain(h_len=3):
     """Two states that swap at every step whatever is played; both players
     always play action 0, and every episode starts at state 0."""
@@ -134,12 +146,13 @@ class TestSampleMatrixActions:
         payoff = reconstruct_payoff(model.theta, model.features)
         pair = solve_qre(MatrixGameSpec(payoff, config.eta), tol=1e-12)
         oracle = sample_matrix_actions_by_searchsorted(pair, 5000, seed, rep)
+        dtype = narrowest_signed(max(pair.mu.size, pair.nu.size))
         for data in (
             sample_matrix_actions(pair, 5000, seed, rep),
             experiments.sample_dataset(config, rep, 5000),
         ):
             for got, want in zip(data.arrays, oracle.arrays):
-                assert got.dtype == np.int64 and got.shape == (5000, 1)
+                assert got.dtype == dtype and got.shape == (5000, 1)
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -155,8 +168,8 @@ class TestSampleMatrixActions:
             assert np.array_equal(column, expected)
 
     def test_memory_is_the_two_action_columns(self):
-        # 1e5 pairs take 2 * T * 8 bytes: the state columns are zero-stride
-        # views, and each column's uniforms are drawn into its own memory
+        # 1e5 pairs take 2 * T int8 bytes, one buffer of T float64 uniforms
+        # and one of T bools: the state columns are zero-stride views
         pair = PolicyPair(np.full(6, 1.0 / 6.0), np.array([0.1, 0.2, 0.3, 0.4]))
         t = 10**5
         sample_matrix_actions(pair, 1, seed=1)  # numpy.random's lazy imports, untraced
@@ -166,7 +179,7 @@ class TestSampleMatrixActions:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2 * 2 * t * 8
+        assert peak <= 1.2 * (2 * t + t * 8 + t)
 
 
 class TestFrequencyEstimateMatrix:
@@ -333,8 +346,8 @@ class TestDrawAboveTheLastCdfEntry:
         u = stream(32, k).random(5000)
         u[:k] = cum[rows[:k], np.arange(k)]  # exactly at each cumulative sum
         u[k] = 0.0
-        out = np.empty(5000, dtype=np.int64)
-        sampling._draw_rows(_GivenUniforms(u), cum, rows, out)
+        out = np.empty(5000, dtype=narrowest_signed(k))
+        sampling._draw_rows(u, cum, rows, out)
         want = [np.searchsorted(cum[r, :-1], x, side="right") for r, x in zip(rows, u)]
         assert np.array_equal(out, want)
         in_range = u < cum[rows, -1]
@@ -409,15 +422,18 @@ class TestSampleEpisodesInput:
 
 class TestSampleEpisodesAgainstGather:
     """sample_episodes against its earlier gather-and-sum body in the oracles:
-    the same Philox draws must give the same int64 datasets.  Tables of more
-    than 255 actions or (state, action, action) rows catch a count or a row
-    index formed in too narrow a dtype."""
+    the same Philox draws must give the same datasets, in the smallest signed
+    dtype that holds every index.  Tables of more than 255 actions or
+    (state, action, action) rows catch a count or a row index formed in too
+    narrow a dtype."""
 
     def assert_same_draws(self, instance, n_episodes, seed):
         data = sample_episodes(*instance, n_episodes, seed, rep=2)
         oracle = sample_episodes_by_gather(*instance, n_episodes, seed, rep=2)
+        spec = instance[0]
+        dtype = narrowest_signed(max(spec.S, spec.m, spec.n))
         for got, want in zip(data.arrays, oracle.arrays):
-            assert got.dtype == np.int64 and got.shape == (n_episodes, instance[0].H)
+            assert got.dtype == dtype and got.shape == (n_episodes, spec.H)
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n_episodes", [1, 7, 20000])
@@ -436,10 +452,21 @@ class TestSampleEpisodesAgainstGather:
     def test_dirichlet_instances(self, sizes, n_episodes):
         self.assert_same_draws(dirichlet_instance(27, *sizes), n_episodes, 28)
 
+    @pytest.mark.parametrize(
+        "sizes", [(128, 2, 2), (2, 128, 3), (2, 3, 129), (129, 2, 2)], ids=str
+    )
+    def test_the_dtype_widens_past_128_categories(self, sizes):
+        # indices up to 127 are int8; one more state or action is int16
+        instance = dirichlet_instance(33, *sizes, h_len=2)
+        data = sample_episodes(*instance, 500, 34)
+        assert data.states.dtype == (np.int8 if max(sizes) <= 128 else np.int16)
+        self.assert_same_draws(instance, 500, 34)
+
     def test_memory_is_the_dataset_and_one_step(self):
-        # 1e5 episodes of H=6: the dataset's own int64 arrays take
-        # 4 * T * H * 8 = 19.2 MB; a transposed copy of them would show here
-        # (and in the benchmark's peak_rss_mb) as a peak near twice that
+        # 1e5 episodes of H=6: the int8 block of (3H + 1) * T = 1.9 MB, and
+        # one step's T uniforms, intp rows, gathered CDF column and bools
+        # (measured: 4.4 MB); an int64 block, or a copy of the int8 one,
+        # would break the bound
         spec, policies, initial = markov_instance(1)
         t = 10**5
         tracemalloc.start()
@@ -448,65 +475,114 @@ class TestSampleEpisodesAgainstGather:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2 * 4 * t * spec.H * 8
+        assert peak <= 1.2 * ((3 * spec.H + 1) * t + 4 * t * 8)
 
     def test_states_and_successors_are_one_chain(self):
         # next_states[:, h] is states[:, h + 1], stored once: the four arrays
-        # are views of one block of (3H + 1) * T int64 values
+        # are views of one block of (3H + 1) * T int8 values
         spec, policies, initial = markov_instance(1)
         t = 1000
         data = sample_episodes(spec, policies, initial, t, seed=1)
         assert np.shares_memory(data.states, data.next_states)
         block = data.states.base
         assert all(a.base is block for a in data.arrays)
-        assert block.nbytes == (3 * spec.H + 1) * t * 8
+        assert block.dtype == np.int8
+        assert block.nbytes == (3 * spec.H + 1) * t * block.itemsize
         assert np.array_equal(data.next_states[:, :-1], data.states[:, 1:])
 
 
 class TestLayoutIndependence:
-    """EpisodeDataset arrays are (T, H) views of any strides: a sampled
-    dataset's step-major views and C-contiguous copies of them must give the
-    same results."""
+    """EpisodeDataset arrays are (T, H) views of any strides and any integer
+    dtype: a sampled dataset's int8 step-major views, C-contiguous copies of
+    them and int64 copies of them must give the same results."""
 
     @pytest.fixture(scope="class")
     def case(self):
         spec, policies, initial = markov_instance(3)
         model = build_model(ExperimentConfig("markov", seed=3), 0)
         data = sample_episodes(spec, policies, initial, 5000, seed=3)
-        assert not data.states.flags.c_contiguous
-        copy = EpisodeDataset(*(np.ascontiguousarray(a) for a in data.arrays))
-        return spec, model, data, copy
+        assert not data.states.flags.c_contiguous and data.states.dtype == np.int8
+        copies = [
+            EpisodeDataset(*(np.ascontiguousarray(a) for a in data.arrays)),
+            EpisodeDataset(*(a.astype(np.int64) for a in data.arrays)),
+        ]
+        return spec, model, data, copies
+
+    def test_step_counts(self, case):
+        spec, _, data, copies = case
+        table = step_counts(data, spec.S, spec.m, spec.n)
+        for copy in copies:
+            assert np.array_equal(step_counts(copy, spec.S, spec.m, spec.n), table)
 
     def test_frequency_estimate_markov(self, case):
-        spec, _, data, copy = case
-        est, est_copy = (frequency_estimate_markov(d, spec.S, spec.m, spec.n) for d in (data, copy))
-        for field in ("mu_hat", "nu_hat", "counts", "visited"):
-            assert np.array_equal(getattr(est, field), getattr(est_copy, field))
+        spec, _, data, copies = case
+        est = frequency_estimate_markov(data, spec.S, spec.m, spec.n)
+        for copy in copies:
+            est_copy = frequency_estimate_markov(copy, spec.S, spec.m, spec.n)
+            for field in ("mu_hat", "nu_hat", "counts", "visited"):
+                assert np.array_equal(getattr(est, field), getattr(est_copy, field))
 
-    def test_recover_rewards(self, case):
-        spec, model, data, copy = case
+    @staticmethod
+    def assert_same_recovery(case, recover, policy_model=None):
+        spec, model, data, copies = case
         config = InversionConfig(
             features=model.features, eta=spec.eta, gamma=spec.gamma, kappa=0.2,
-            ridge_lambda=0.01, theta_norm_cap=MARKOV_THETA_CAP,
+            ridge_lambda=0.01, theta_norm_cap=MARKOV_THETA_CAP, policy_model=policy_model,
         )
-        sample, sample_copy = (recover_rewards(d, config)[0] for d in (data, copy))
-        for field in ("thetas", "q_values", "v_values", "rewards", "feasible"):
-            assert np.array_equal(getattr(sample, field), getattr(sample_copy, field))
+        sample = recover(data, config)[0]
+        for copy in copies:
+            sample_copy = recover(copy, config)[0]
+            for field in ("thetas", "q_values", "v_values", "rewards", "feasible"):
+                assert np.array_equal(getattr(sample, field), getattr(sample_copy, field))
+
+    def test_recover_rewards(self, case):
+        self.assert_same_recovery(case, recover_rewards)
+
+    def test_recover_rewards_mle(self, case):
+        spec = case[0]
+        policy_model = saturated_policy_model(spec.S, spec.m, spec.n)
+        self.assert_same_recovery(case, recover_rewards_mle, policy_model)
 
     def test_mle_fit(self, case):
-        spec, _, data, copy = case
+        spec, _, data, copies = case
         policy_model = saturated_policy_model(spec.S, spec.m, spec.n)
-        for player in ("a", "b"):
-            fit, fit_copy = (mle_fit(d.prefix(200), policy_model, 2, player) for d in (data, copy))
-            assert fit.iterations == fit_copy.iterations
-            assert np.array_equal(fit.params, fit_copy.params)
-            assert np.array_equal(fit.objective_trace, fit_copy.objective_trace)
+        for copy in copies:
+            for player in ("a", "b"):
+                fit, fit_copy = (
+                    mle_fit(d.prefix(200), policy_model, 2, player) for d in (data, copy)
+                )
+                assert fit.iterations == fit_copy.iterations
+                assert np.array_equal(fit.params, fit_copy.params)
+                assert np.array_equal(fit.objective_trace, fit_copy.objective_trace)
 
     def test_write_dataset(self, case, tmp_path):
-        _, _, data, copy = case
+        _, _, data, copies = case
         write_dataset(data, tmp_path / "views.csv")
-        write_dataset(copy, tmp_path / "copies.csv")
-        assert (tmp_path / "views.csv").read_bytes() == (tmp_path / "copies.csv").read_bytes()
+        for k, copy in enumerate(copies):
+            write_dataset(copy, tmp_path / f"copy{k}.csv")
+            assert (tmp_path / f"copy{k}.csv").read_bytes() == (tmp_path / "views.csv").read_bytes()
+
+
+class TestEpisodeDatasetInput:
+    """A dataset's arrays are integer arrays of one (T, H) shape; anything
+    else is a ValueError when the dataset is built, not a wrong file or a
+    numpy error later."""
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="one shape"):
+            EpisodeDataset(*(np.zeros((2, 2), dtype=np.int64),) * 3, np.zeros((2, 3), dtype=int))
+
+    @pytest.mark.parametrize(
+        "bad", [np.full((2, 2), 1.7), np.ones((2, 2), dtype=bool)], ids=["float", "bool"]
+    )
+    def test_a_non_integer_dtype_is_rejected(self, bad):
+        zeros = np.zeros((2, 2), dtype=np.int64)
+        message = f"episode arrays must be of an integer dtype, got {bad.dtype}"
+        for column in range(4):
+            arrays = [zeros] * 4
+            arrays[column] = bad
+            with pytest.raises(ValueError, match=re.escape(message)):
+                EpisodeDataset(*arrays)
 
 
 class TestStepCounts:
@@ -562,6 +638,14 @@ class TestStepCounts:
         data = sample_episodes(spec, policies, initial, 2000, 7)
         narrow = EpisodeDataset(*(a.astype(np.uint8) for a in data.arrays))
         self.assert_counts(narrow, spec.S, spec.m, spec.n)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.uint16, np.int32, np.uint32, np.uint64])
+    def test_any_integer_dtype(self, dtype):
+        spec, policies, initial = markov_instance(7)
+        data = sample_episodes(spec, policies, initial, 2000, 7)
+        self.assert_counts(
+            EpisodeDataset(*(a.astype(dtype) for a in data.arrays)), spec.S, spec.m, spec.n
+        )
 
     def test_counted_once_per_dataset_and_shape(self, monkeypatch):
         spec, policies, initial = markov_instance(6)
