@@ -11,6 +11,9 @@ with the same seed produce bit-identical datasets.
 
 from __future__ import annotations
 
+import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -24,6 +27,7 @@ DATASET_HEADER = "episode,step,state,action_a,action_b,next_state"
 _COLUMNS = DATASET_HEADER.split(",")[2:]  # the EpisodeDataset arrays, as the file names them
 _WRITE_BLOCK_ROWS = 1 << 12  # dataset rows formatted at once, at most
 _COUNT_BLOCK = 1 << 14  # episodes whose cell indices are formed at once
+_MIN_PART_EPISODES = 1 << 15  # episodes per part of a draw, at least (see _draw_parts)
 
 
 def stream(seed: int, rep: int = 0) -> np.random.Generator:
@@ -173,33 +177,103 @@ def sample_episodes(
     states or actions): the state chain s_0..s_H, then each step's a and b,
     so each s' is drawn in place as the next step's state.  A one-state
     chain is state 0 throughout: a zero-stride view, not drawn, beside a
-    (2H, T) block.  Every draw takes its T uniforms into one float64 buffer."""
+    (2H, T) block.
+
+    Draw j of the call (the initial state when S > 1, then each step's a,
+    b and s') reads words jT .. jT + T - 1 of stream(seed, rep), episode i
+    word jT + i.  The episodes are split into contiguous parts, one per
+    available CPU and at least _MIN_PART_EPISODES each, drawn at once on
+    their own threads (_draw_parts); each part reads only its own words
+    (_uniforms), so neither the split nor the CPU count changes a dataset."""
     initial = spec.check_play(policies, initial)
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
-    rng, h_len = stream(seed, rep), spec.H
+    h_len = spec.H
     dtype = np.min_scalar_type(-max(spec.S, spec.m, spec.n))  # holds -max, so max - 1 too
-    u = np.empty(n_episodes)
     if spec.S == 1:
         block = np.empty((2 * h_len, n_episodes), dtype=dtype)
         chain = np.broadcast_to(dtype.type(0), (h_len + 1, n_episodes))
     else:
         block = np.empty((3 * h_len + 1, n_episodes), dtype=dtype)
         chain = block[: h_len + 1]
-        _draw_rows(rng.random(out=u), np.cumsum(initial)[None], None, chain[0])
     acts_a, acts_b = block[-2 * h_len :].reshape(2, h_len, n_episodes)
+    cum_init = np.cumsum(initial)[None]
+    cum_mu, cum_nu = (np.cumsum(p, axis=2) for p in (policies.mu, policies.nu))
     cum_p = np.cumsum(spec.transition, axis=4).reshape(h_len, -1, spec.S)
-    for h in range(h_len):
-        rows = chain[h].astype(np.intp) if spec.S > 1 else None  # one-row tables read none
-        _draw_rows(rng.random(out=u), np.cumsum(policies.mu[h], axis=1), rows, acts_a[h])
-        _draw_rows(rng.random(out=u), np.cumsum(policies.nu[h], axis=1), rows, acts_b[h])
+
+    def draw(lo: int, hi: int):  # episodes lo..hi-1, into their slices of the block
+        uniforms = _uniforms(seed, rep, n_episodes, lo, hi)
+        states, part_a, part_b = chain[:, lo:hi], acts_a[:, lo:hi], acts_b[:, lo:hi]
         if spec.S > 1:
-            rows *= spec.m  # the transition row (s * m + a) * n + b, in intp: cannot wrap
-            rows += acts_a[h]
-            rows *= spec.n
-            rows += acts_b[h]
-            _draw_rows(rng.random(out=u), cum_p[h], rows, chain[h + 1])
+            _draw_rows(next(uniforms), cum_init, None, states[0])
+        for h in range(h_len):
+            rows = states[h].astype(np.intp) if spec.S > 1 else None  # one-row tables read none
+            _draw_rows(next(uniforms), cum_mu[h], rows, part_a[h])
+            _draw_rows(next(uniforms), cum_nu[h], rows, part_b[h])
+            if spec.S > 1:
+                rows *= spec.m  # the transition row (s * m + a) * n + b, in intp: cannot wrap
+                rows += part_a[h]
+                rows *= spec.n
+                rows += part_b[h]
+                _draw_rows(next(uniforms), cum_p[h], rows, states[h + 1])
+
+    _draw_parts(draw, n_episodes)
     return EpisodeDataset(chain[:-1].T, acts_a.T, acts_b.T, chain[1:].T)
+
+
+def _available_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _draw_parts(draw, n_episodes: int) -> None:
+    """draw(lo, hi) for each part [lo, hi) of the T episodes: one part per
+    available CPU, but none under _MIN_PART_EPISODES, where a second thread
+    costs more than it saves.  One part is drawn on the calling thread
+    alone; otherwise the first is, and each other on a thread of its own.
+    Every thread is joined before this returns or raises, and the first
+    part that raises (in part order) raises here."""
+    parts = max(1, min(_available_cpus(), n_episodes // _MIN_PART_EPISODES))
+    if parts == 1:
+        draw(0, n_episodes)
+        return
+    bounds = [n_episodes * k // parts for k in range(parts + 1)]
+    with ThreadPoolExecutor(parts - 1) as pool:  # leaving the block joins every thread
+        others = [pool.submit(draw, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        draw(bounds[0], bounds[1])
+        for other in others:
+            other.result()
+
+
+def _uniforms(seed: int, rep: int, n_episodes: int, lo: int, hi: int):
+    """The uniforms of episodes lo..hi-1 for each draw of a sample_episodes
+    call of T episodes, in draw order, in one reused buffer of hi - lo
+    doubles: draw j's are words jT + lo .. jT + hi - 1 of stream(seed, rep),
+    one per double.  The part's own Philox skips the words of other parts
+    (_seek); a part of all T episodes reads the stream in order, skipping none."""
+    rng = stream(seed, rep)
+    u, at = np.empty(hi - lo), 0
+    for word in itertools.count(lo, n_episodes):
+        if word > at:
+            _seek(rng.bit_generator, at, word)
+        yield rng.random(out=u)
+        at = word + hi - lo
+
+
+def _seek(bit_generator: np.random.Philox, at: int, word: int) -> None:
+    """Move a Philox that has given words 0..at-1 of its stream on to word
+    `word` (at or later), so that its next word is that one.  A counter step
+    makes 4 words, and has been taken for each block begun: advance skips
+    whole blocks (and drops the rest of one begun), and the words before
+    `word` in its block are drawn and dropped."""
+    begun = -(-at // 4)
+    if word // 4 < begun:  # in the block begun
+        bit_generator.random_raw(word - at)
+    else:
+        bit_generator.advance(word // 4 - begun)
+        bit_generator.random_raw(word % 4)
 
 
 def _draw_rows(u: np.ndarray, cum: np.ndarray, rows: np.ndarray | None, out: np.ndarray):
@@ -208,7 +282,9 @@ def _draw_rows(u: np.ndarray, cum: np.ndarray, rows: np.ndarray | None, out: np.
     category j takes [cum[j - 1], cum[j]), so none of probability zero is
     drawn, and a u above a last entry that rounds below 1 is still the last
     category.  Counted a column at a time, gathered by the intp rows unless
-    cum has one row (rows is then unread)."""
+    cum has one row (rows is then unread).  Parts of one draw run at once on
+    their own slices of u, rows and out (sample_episodes), so it writes
+    nothing but out."""
     out[...] = 0
     for column in cum.T[:-1]:
         out += u >= (column if column.size == 1 else column.take(rows))

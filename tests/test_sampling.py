@@ -1,4 +1,7 @@
+import itertools
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -281,18 +284,21 @@ class TestSampleEpisodes:
         assert np.array_equal(d1.next_states, d2.next_states)
 
 
-class _GivenUniforms:
-    """A generator stub whose every draw of T uniforms is the given values
-    (one value, or T of them)."""
+def force_parts(monkeypatch, parts):
+    """Make a sample_episodes call of at least `parts` episodes draw in
+    `parts` parts (fewer episodes: one part per episode)."""
+    monkeypatch.setattr(sampling, "_available_cpus", lambda: parts)
+    monkeypatch.setattr(sampling, "_MIN_PART_EPISODES", 1)
 
-    def __init__(self, values):
-        self.values = values
 
-    def random(self, size=None, out=None):
-        if out is None:
-            out = np.empty(size)
-        out[...] = self.values
-        return out
+def given_uniforms(monkeypatch, values):
+    """Make every draw of a sample_episodes call take the given uniforms (one
+    value, or T of them), in whichever parts it is drawn."""
+
+    def uniforms(seed, rep, n_episodes, lo, hi):
+        return itertools.repeat(np.broadcast_to(values, (n_episodes,))[lo:hi])
+
+    monkeypatch.setattr(sampling, "_uniforms", uniforms)
 
 
 TOP_UNIFORM = 1 - 2.0**-53  # the largest double below 1
@@ -309,20 +315,25 @@ SHORT_CDF_POLICY = np.array([
 
 class TestDrawAboveTheLastCdfEntry:
     """A uniform above a cumulative sum that rounds below 1 is the last
-    category: an inverse-CDF draw never returns one the model lacks."""
+    category: an inverse-CDF draw never returns one the model lacks, drawn
+    in one part or in two."""
 
     def test_the_policy_sums_short(self):
         assert np.cumsum(SHORT_CDF_POLICY)[-1] < TOP_UNIFORM
 
-    def test_matrix_actions(self, monkeypatch):
-        monkeypatch.setattr(sampling, "stream", lambda *args: _GivenUniforms(TOP_UNIFORM))
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_matrix_actions(self, monkeypatch, parts):
+        force_parts(monkeypatch, parts)
+        given_uniforms(monkeypatch, TOP_UNIFORM)
         pair = PolicyPair(SHORT_CDF_POLICY, SHORT_CDF_POLICY[::-1])
         data = sample_matrix_actions(pair, 5, seed=0)
         assert data.actions_a.ravel().tolist() == [6] * 5
         assert data.actions_b.ravel().tolist() == [6] * 5
 
-    def test_episodes(self, monkeypatch):
-        monkeypatch.setattr(sampling, "stream", lambda *args: _GivenUniforms(TOP_UNIFORM))
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_episodes(self, monkeypatch, parts):
+        force_parts(monkeypatch, parts)
+        given_uniforms(monkeypatch, TOP_UNIFORM)
         h_len, s_len, k = 2, 2, len(SHORT_CDF_POLICY)
         transition = np.zeros((h_len, s_len, k, k, s_len))
         transition[..., 1] = 1.0
@@ -359,7 +370,8 @@ class TestDrawAboveTheLastCdfEntry:
 class TestTiesGoToTheUpperCategory:
     """Category j takes the half-open [cum[j - 1], cum[j]): a uniform of 0.0,
     or one exactly at a cumulative sum, never draws an action, initial state
-    or next state of probability zero, and a tie goes to the upper category."""
+    or next state of probability zero, and a tie goes to the upper category,
+    drawn in one part or in two."""
 
     # cumulative sums 0, .5, .5, 1; 0, 0, .5, 1; and 0, .5, 1 for the start
     # and every transition row: categories of probability zero at each end
@@ -368,9 +380,11 @@ class TestTiesGoToTheUpperCategory:
     NU = np.array([0.0, 0.0, 0.5, 0.5])
     STATES = np.array([0.0, 0.5, 0.5])
 
+    @pytest.mark.parametrize("parts", [1, 2])
     @pytest.mark.parametrize("u, a, b, s", [(0.0, 1, 2, 1), (0.5, 3, 3, 2)], ids=["zero", "tie"])
-    def test_episodes(self, monkeypatch, u, a, b, s):
-        monkeypatch.setattr(sampling, "stream", lambda *args: _GivenUniforms(u))
+    def test_episodes(self, monkeypatch, u, a, b, s, parts):
+        force_parts(monkeypatch, parts)
+        given_uniforms(monkeypatch, u)
         h_len, s_len = 2, 3
         transition = np.broadcast_to(self.STATES, (h_len, s_len, 4, 4, s_len))
         spec = MarkovGameSpec(np.zeros((h_len, s_len, 4, 4)), transition, eta=1.0)
@@ -383,9 +397,11 @@ class TestTiesGoToTheUpperCategory:
         assert np.all(data.actions_a == a) and np.all(data.actions_b == b)
         assert np.all(data.states == s) and np.all(data.next_states == s)
 
+    @pytest.mark.parametrize("parts", [1, 2])
     @pytest.mark.parametrize("u, a, b", [(0.0, 1, 2), (0.5, 3, 3)], ids=["zero", "tie"])
-    def test_matrix_actions(self, monkeypatch, u, a, b):
-        monkeypatch.setattr(sampling, "stream", lambda *args: _GivenUniforms(u))
+    def test_matrix_actions(self, monkeypatch, u, a, b, parts):
+        force_parts(monkeypatch, parts)
+        given_uniforms(monkeypatch, u)
         data = sample_matrix_actions(PolicyPair(self.MU, self.NU), 5, seed=0)
         assert (self.MU[data.actions_a] > 0).all() and (self.NU[data.actions_b] > 0).all()
         assert np.all(data.actions_a == a) and np.all(data.actions_b == b)
@@ -489,6 +505,150 @@ class TestSampleEpisodesAgainstGather:
         assert block.dtype == np.int8
         assert block.nbytes == (3 * spec.H + 1) * t * block.itemsize
         assert np.array_equal(data.next_states[:, :-1], data.states[:, 1:])
+
+
+PART_INSTANCES = {
+    "markov0": lambda: markov_instance(0),
+    "markov5": lambda: markov_instance(5),
+    "chain": deterministic_chain,
+    "one_state": lambda: dirichlet_instance(27, 1, 2, 2),
+    "5x17x19": lambda: dirichlet_instance(27, 5, 17, 19),
+    "300_actions": lambda: dirichlet_instance(27, 3, 2, 300),
+    "129_states": lambda: dirichlet_instance(33, 129, 2, 2, h_len=2),
+}
+WIDE_INSTANCES = ("300_actions", "129_states")  # the oracle's (T, k) gather is big at 2^16 + 3
+
+
+class TestPartCountInvariance:
+    """A dataset drawn in 1, 2, 3 or 4 parts is the one drawn in order: the
+    earlier gather body's (tests/oracles), dtype included.  At these T, part
+    bounds fall off the Philox's 4-word blocks."""
+
+    @pytest.mark.parametrize(
+        "name, n_episodes",
+        [
+            (name, t)
+            for name in PART_INSTANCES
+            for t in (1, 2, 3, 5, 7, 1001, 2**16 + 3)
+            if not (name in WIDE_INSTANCES and t > 1001)
+        ],
+    )
+    def test_every_split_draws_the_same(self, monkeypatch, name, n_episodes):
+        instance = PART_INSTANCES[name]()
+        spec = instance[0]
+        oracle = sample_episodes_by_gather(*instance, n_episodes, 11, rep=2)
+        dtype = narrowest_signed(max(spec.S, spec.m, spec.n))
+        for parts in range(1, 5):
+            force_parts(monkeypatch, parts)
+            data = sample_episodes(*instance, n_episodes, 11, rep=2)
+            for got, want in zip(data.arrays, oracle.arrays):
+                assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("word", [*range(10), 2**20 + 3])
+    def test_seek_from_the_start(self, word):
+        sequential = stream(6, 1).bit_generator.random_raw(word + 9)
+        bit_generator = stream(6, 1).bit_generator
+        sampling._seek(bit_generator, 0, word)
+        assert np.array_equal(bit_generator.random_raw(9), sequential[word:])
+
+    @pytest.mark.parametrize("at", range(9))
+    def test_seek_from_any_word(self, at):
+        sequential = stream(6, 1).bit_generator.random_raw(at + 20)
+        for word in range(at, at + 11):
+            bit_generator = stream(6, 1).bit_generator
+            bit_generator.random_raw(at)
+            sampling._seek(bit_generator, at, word)
+            assert np.array_equal(bit_generator.random_raw(9), sequential[word : word + 9])
+
+    @pytest.mark.parametrize("lo, hi", [(0, 13), (0, 5), (3, 9), (7, 13), (12, 13)])
+    def test_a_part_reads_its_own_words(self, lo, hi):
+        # draw j of episode i is word j * T + i of the stream, as a double
+        words = stream(6, 1).random(4 * 13).reshape(4, 13)
+        draws = sampling._uniforms(6, 1, 13, lo, hi)
+        for j in range(4):
+            assert np.array_equal(next(draws), words[j, lo:hi])
+
+
+def within(seconds, fn):
+    """fn() on a thread of its own, joined with a timeout: its result, or its
+    exception raised here; a call still running after `seconds` fails."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = fn()
+        except Exception as err:  # handed to the test's thread
+            outcome["error"] = err
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+class TestNoThreadOutlivesACall:
+    """Every part's thread is joined before sample_episodes returns or
+    raises, and a part's exception reaches the caller, not a hang."""
+
+    def test_after_a_call_in_parts(self, monkeypatch):
+        force_parts(monkeypatch, 2)
+        before = threading.active_count()
+        within(60, lambda: sample_episodes(*markov_instance(1), 1000, seed=1))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_a_part_that_raises(self, monkeypatch, where):
+        force_parts(monkeypatch, 2)
+        instance, callers, draw_rows = markov_instance(1), [], sampling._draw_rows
+
+        def draw_or_raise(u, cum, rows, out):
+            if (threading.current_thread() is callers[0]) == (where == "caller"):
+                raise RuntimeError(f"the {where}'s part failed")
+            draw_rows(u, cum, rows, out)
+
+        def call():
+            callers.append(threading.current_thread())
+            return sample_episodes(*instance, 1000, seed=1)
+
+        monkeypatch.setattr(sampling, "_draw_rows", draw_or_raise)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"the {where}'s part failed"):
+            within(60, call)
+        assert threading.active_count() == before
+
+    def test_the_first_part_that_raises_is_raised(self, monkeypatch):
+        # parts [500, 750) and [750, 1000) both fail, in either order in time
+        force_parts(monkeypatch, 4)
+        instance, uniforms = markov_instance(1), sampling._uniforms
+
+        def uniforms_or_raise(seed, rep, n_episodes, lo, hi):
+            if lo >= 500:
+                raise RuntimeError(f"part at {lo}")
+            return uniforms(seed, rep, n_episodes, lo, hi)
+
+        monkeypatch.setattr(sampling, "_uniforms", uniforms_or_raise)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^part at 500$"):
+            within(60, lambda: sample_episodes(*instance, 1000, seed=1))
+        assert threading.active_count() == before
+
+    def test_more_parts_than_cores_under_frequent_switches(self, monkeypatch):
+        # 8 threads writing one block, switched every 10 us, draw the
+        # dataset drawn in order
+        force_parts(monkeypatch, 8)
+        instance = markov_instance(2)
+        oracle = sample_episodes_by_gather(*instance, 20003, 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            data = within(60, lambda: sample_episodes(*instance, 20003, 3))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(data.arrays, oracle.arrays):
+            assert np.array_equal(got, want)
 
 
 class TestLayoutIndependence:
