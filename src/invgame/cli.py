@@ -35,7 +35,7 @@ from invgame.matrix_game import (
     qre_residual,
     solve_qre,
 )
-from invgame.sampling import read_dataset, write_dataset
+from invgame.sampling import read_counts, write_dataset
 
 # runs.csv's metric columns, each the RepRecord field of that name
 METRIC_FIELDS = ("theta_err", "payoff_err", "qre_tv_err", "reward_D", "reward_D1")
@@ -250,13 +250,13 @@ def _cmd_invert(args) -> int:
     shape = model.features.shape[:3] if markov else (1, *model.features.shape[:2])
     horizon = config.horizon if markov else 1
     try:
-        data = read_dataset(args.data, shape)
+        table = read_counts(args.data, *shape)
     except (OSError, ValueError) as err:
         raise UsageError(f"cannot read dataset {args.data}: {err}") from err
-    if data.horizon != horizon:
-        raise UsageError(f"dataset has horizon {data.horizon}, the model {horizon}")
+    if table.shape[0] != horizon:
+        raise UsageError(f"dataset has horizon {table.shape[0]}, the model {horizon}")
     invert = experiments.invert_markov if markov else experiments.invert_matrix
-    _write_json(invert(config, model, data), args.out)
+    _write_json(invert(config, model, table), args.out)
     return 0
 
 

@@ -17,9 +17,10 @@ Repetition rep of seed s generates its instance from stream(s, rep).  Its
 data are then drawn from a second, fresh stream(s, rep), not from where the
 first one stopped, so the first data draws reuse the raw Philox words that
 generated the features.  Datasets across sample sizes are nested prefixes
-of one dataset (EpisodeDataset.prefixes), counted in one pass and, under
-MLE policies, fitted in one lockstep loop, each size bit for bit as it
-would be alone; the whole record set is reproducible bit-for-bit.
+of one dataset, whose count tables are made in one pass (prefix_counts)
+and, under MLE policies, fitted in one lockstep loop (fit_every_step), each
+size bit for bit as it would be alone; the whole record set is
+reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ import numpy as np
 from invgame.inverse_markov import (
     InversionConfig,
     SoftmaxPolicyModel,
+    _run_algorithm,
     block_weights,
+    fit_every_step,
     recover_rewards,
     recover_rewards_mle,
 )
@@ -49,8 +52,8 @@ from invgame.metrics import qre_discrepancy_markov, reward_metric_D, reward_metr
 from invgame.sampling import (
     EpisodeDataset,
     frequency_estimate_matrix,
+    prefix_counts,
     sample_episodes,
-    step_counts,
     stream,
 )
 
@@ -349,22 +352,22 @@ def run_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     return [replace(record, duration_ms=duration) for record in records]
 
 
-def _thresholds(config: ExperimentConfig, data: EpisodeDataset, *shape: int) -> np.ndarray:
-    """Each step's kappa_rule over its state visit counts N_h(s) under the
-    model's shape (S, m, n), with the block weights of the set it bounds: for
-    a matrix game's one step at one state, exactly kappa_rule(N)."""
-    counts = step_counts(data, *shape).sum(axis=(2, 3, 4))
+def _thresholds(config: ExperimentConfig, table: np.ndarray) -> np.ndarray:
+    """Each step's kappa_rule over the count table's state visit counts
+    N_h(s), with the block weights of the set it bounds: for a matrix game's
+    one step at one state, exactly kappa_rule(N)."""
+    counts = table.sum(axis=(2, 3, 4))
     mle = config.policy_estimator == "mle"
     return kappa_rule(counts, block_weights(counts, mle), config.kappa_scale)
 
 
-def _matrix_estimate(config: ExperimentConfig, model: FeatureModel, data: EpisodeDataset, kappa):
-    """(thetas, Q, rewards, sets, feasible) of a matrix dataset's one step,
+def _matrix_estimate(config: ExperimentConfig, model: FeatureModel, table: np.ndarray, kappa):
+    """(thetas, Q, rewards, sets, feasible) of a matrix count table's one step,
     from its S=1 set at the frequency estimate and kappa's one threshold:
     the set's min-norm member under confidence_set (feasible: it is
     certified), else X^+ y from the set's one SVD (feasible None).  Q and
     the reward are the estimate's payoff."""
-    est = frequency_estimate_matrix(data, *model.features.shape[:2])
+    est = frequency_estimate_matrix(table, *model.features.shape[:2])
     cset = build_confidence_set(est, model.features, config.eta, kappa.item(), model.norm_sq_cap)
     if config.estimator == "confidence_set":
         theta_hat, certified = cset.min_norm_member()
@@ -375,13 +378,13 @@ def _matrix_estimate(config: ExperimentConfig, model: FeatureModel, data: Episod
     return theta_hat[None], q_hat, q_hat, (cset,), feasible
 
 
-def invert_matrix(config: ExperimentConfig, model: FeatureModel, data: EpisodeDataset) -> dict:
-    """invert-matrix's result: the runner's estimate of the same dataset
-    (_matrix_estimate at _thresholds).  route names the estimator and, under
-    least_squares, the rank: X^+ y is the least-squares solution at full
-    rank and the min-norm one below it.  feasible is null under least_squares."""
-    kappa = _thresholds(config, data, 1, *model.features.shape[:2])
-    (theta_hat,), q_hat, _, (cset,), feasible = _matrix_estimate(config, model, data, kappa)
+def invert_matrix(config: ExperimentConfig, model: FeatureModel, table: np.ndarray) -> dict:
+    """invert-matrix's result: the runner's estimate of a dataset's count
+    table (_matrix_estimate at _thresholds).  route names the estimator and,
+    under least_squares, the rank: X^+ y is the least-squares solution at
+    full rank and the min-norm one below it.  feasible is null under least_squares."""
+    kappa = _thresholds(config, table)
+    (theta_hat,), q_hat, _, (cset,), feasible = _matrix_estimate(config, model, table, kappa)
     full_rank = cset.rank == theta_hat.size
     if config.estimator == "confidence_set":
         route = "min_norm_member"
@@ -399,11 +402,13 @@ def invert_matrix(config: ExperimentConfig, model: FeatureModel, data: EpisodeDa
     }
 
 
-def _markov_estimate(config: ExperimentConfig, model: LinearMDPModel, data: EpisodeDataset, kappa):
+def _markov_estimate(
+    config: ExperimentConfig, model: LinearMDPModel, table: np.ndarray, kappa, fits=None
+):
     """(thetas, Q, rewards, sets, feasible), per step, of the reward recovery
-    at threshold kappa (a scalar or one per step): recover_rewards, or
-    recover_rewards_mle on saturated one-hot softmax MLE policies under
-    policy_estimator "mle"."""
+    from a count table at threshold kappa (a scalar or one per step):
+    recover_rewards, or recover_rewards_mle on saturated one-hot softmax MLE
+    policies under policy_estimator "mle", at the runner's fits if given."""
     mle = config.policy_estimator == "mle"
     policy_model = saturated_policy_model(*model.features.shape[:3]) if mle else None
     inversion = InversionConfig(
@@ -411,15 +416,18 @@ def _markov_estimate(config: ExperimentConfig, model: LinearMDPModel, data: Epis
         ridge_lambda=config.ridge_lambda, theta_norm_cap=MARKOV_THETA_CAP,
         policy_model=policy_model,
     )
-    sample = (recover_rewards_mle if mle else recover_rewards)(data, inversion)[0]
+    if fits is None:
+        sample = (recover_rewards_mle if mle else recover_rewards)(table, inversion)[0]
+    else:  # fitted by the runner with every other size's, in one loop
+        sample = _run_algorithm(table, inversion, fits)[0]
     return sample.thetas, sample.q_values, sample.rewards, sample.sets, sample.feasible
 
 
-def invert_markov(config: ExperimentConfig, model: LinearMDPModel, data: EpisodeDataset) -> dict:
+def invert_markov(config: ExperimentConfig, model: LinearMDPModel, table: np.ndarray) -> dict:
     """invert-markov's result: the runner's reward recovery (_markov_estimate)
-    at the scalar threshold kappa_rule(N)."""
-    kappa = kappa_rule(data.n_episodes, scale=config.kappa_scale)
-    thetas, _, rewards, _, feasible = _markov_estimate(config, model, data, kappa)
+    of a dataset's count table at the scalar threshold kappa_rule(N)."""
+    kappa = kappa_rule(table[0].sum(), scale=config.kappa_scale)
+    thetas, _, rewards, _, feasible = _markov_estimate(config, model, table, kappa)
     return {
         "theta_hat": thetas.tolist(),
         "feasible": feasible.tolist(),
@@ -433,8 +441,9 @@ def run_markov_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     matrix game runs as the one-step, one-state Markov game of its payoff.
 
     Each size's estimate is its kind family's, the one its invert command
-    makes (_markov_estimate, or _matrix_estimate with the payoff as the
-    step's Q and reward), at each step's threshold from _thresholds.
+    makes from that size's count table (_markov_estimate, or
+    _matrix_estimate with the payoff as the step's Q and reward), at each
+    step's threshold from _thresholds.
     Coverage is measured on the sets the estimates drew their parameters
     from.  The rewards of all sample sizes are re-solved together in one
     backward pass.
@@ -442,13 +451,19 @@ def run_markov_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     model, spec, (truth, values), data = _instance(config, rep, max(config.samples))
     state_dists, _ = visit_distributions(spec, truth, np.full(spec.S, 1.0 / spec.S))
     markov = config.kind == "markov"
-    estimate = _markov_estimate if markov else _matrix_estimate
     true_thetas = model.q_params(values.V) if markov else model.theta[None]
+    tables = prefix_counts(data, config.samples, spec.S, spec.m, spec.n)
+    fits = [None] * len(tables)
+    if markov and config.policy_estimator == "mle":
+        fits = fit_every_step(tables, saturated_policy_model(spec.S, spec.m, spec.n))
     estimates = []
-    for n_samples, subset in zip(config.samples, data.prefixes(config.samples)):
+    for n_samples, table, fit in zip(config.samples, tables, fits):
         try:
-            kappa = _thresholds(config, subset, spec.S, spec.m, spec.n)
-            estimates.append(estimate(config, model, subset, kappa))
+            kappa = _thresholds(config, table)
+            if markov:
+                estimates.append(_markov_estimate(config, model, table, kappa, fit))
+            else:
+                estimates.append(_matrix_estimate(config, model, table, kappa))
         except Exception as err:
             raise RuntimeError(f"estimate failed at N={n_samples}: {err!r}") from err
     rewards = np.stack([estimated[2] for estimated in estimates])

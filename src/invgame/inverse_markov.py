@@ -7,7 +7,9 @@ Two drivers are provided: `recover_rewards` (frequency-estimated policies,
 equal state weights) and `recover_rewards_mle` (softmax-MLE policies with
 empirical visit-probability weights).  They differ only in their estimates
 and run the same backward pass: confidence set -> Q and V estimates -> ridge
-transition -> plug-in reward.
+transition -> plug-in reward.  Every estimator reads the data only through
+its count table (`sampling.step_counts`), so each takes a dataset or that
+table.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from invgame.inverse_matrix import (
     floor_distribution,
 )
 from invgame.matrix_game import stage_values
-from invgame.sampling import EpisodeDataset, frequency_estimate_markov, step_counts
+from invgame.sampling import DataOrTable, frequency_estimate_markov, step_counts
 
 MLE_MAX_ITER = 10_000  # projected-gradient iterations after which a fit stops unconverged
 MLE_TOL = 1e-8  # a fit converges once its gradient mapping is at most this
@@ -44,16 +46,16 @@ class RidgeTransitionEstimator:
 
 
 def ridge_fit(
-    data: EpisodeDataset, features: np.ndarray, ridge_lambda: float, step: int
+    data: DataOrTable, features: np.ndarray, ridge_lambda: float, step: int
 ) -> RidgeTransitionEstimator:
     """The step's Gram matrix Lambda = sum_t phi_t phi_t' + lambda I, summed
-    as sum over cells of N(s, a, b) phi phi' from the dataset's step count
-    table (counted once per dataset), so its cost does not grow with T."""
+    as sum over cells of N(s, a, b) phi phi' from the step's count table, so
+    its cost does not grow with T."""
     if not ridge_lambda > 0:
         raise ValueError("ridge_lambda must be positive")
     features = np.asarray(features, dtype=float)
     s_len, m, n, d = features.shape
-    counts = step_counts(data, s_len, m, n)[step].reshape(-1, s_len)
+    counts = _step(step_counts(data, s_len, m, n), step).reshape(-1, s_len)
     cell_features = features.reshape(-1, d)
     gram = (cell_features.T * counts.sum(axis=1)) @ cell_features + ridge_lambda * np.eye(d)
     return RidgeTransitionEstimator(gram, cell_features, counts)
@@ -101,12 +103,17 @@ class MleFit:
     converged: bool
 
 
-def mle_fit(
-    data: EpisodeDataset,
-    model: SoftmaxPolicyModel,
-    step: int,
-    player: str,
-) -> MleFit:
+Fits = dict[str, list[MleFit]]  # each step's fit, by player ("a" or "b")
+
+
+def _step(table: np.ndarray, step: int) -> np.ndarray:
+    """Step `step` of a count table, named in a ValueError when it has none."""
+    if not 0 <= step < table.shape[0]:
+        raise ValueError(f"step must lie in 0..{table.shape[0] - 1}, got {step}")
+    return table[step]
+
+
+def mle_fit(data: DataOrTable, model: SoftmaxPolicyModel, step: int, player: str) -> MleFit:
     """Projected-gradient MLE of one step's policy parameters on the unit ball.
 
     Minimizes the mean negative log-likelihood of the observed actions under
@@ -114,37 +121,30 @@ def mle_fit(
     converged once the gradient-mapping norm is at most MLE_TOL and stopped
     unconverged after MLE_MAX_ITER iterations.  The objective is convex, so
     the trace is nonincreasing.  Each iteration reads only the step's
-    (S, actions) marginal of the dataset's count table (step_counts), so it
-    costs O(S * actions * d), independent of the number of episodes.
-
-    The fits are made once per family of prefixes (EpisodeDataset.prefixes)
-    and model (its psi_a and psi_b): the first call fits every step of both
-    players of every member with samples in one lockstep loop (_fit_stack),
-    kept in the family's memo beside its count tables; later calls read
-    them.  The params and trace are read-only.
+    (S, actions) marginal of the count table (step_counts), so it costs
+    O(S * actions * d), independent of the number of episodes.  It is
+    _fit_stack's loop on one fit, whose iterates fit_every_step follows too.
+    The params and trace are read-only.
     """
     if player not in ("a", "b"):
         raise ValueError("player must be 'a' or 'b'")
-    family, k = data._family
-    tables = family.step_counts(*model.psi_a.shape[:2], model.psi_b.shape[1])
-    # every episode has one record per step, so all steps or none have samples
-    if not tables[k][step].any():
+    table = step_counts(data, *model.psi_a.shape[:2], model.psi_b.shape[1])
+    psi, axes = (model.psi_a, (2, 3)) if player == "a" else (model.psi_b, (1, 3))
+    counts = _step(table, step).sum(axis=axes)
+    if not counts.any():
         raise ValueError(f"no samples at step {step}")
-
-    def fit():  # by member: a member with no samples is never fitted
-        sampled = [i for i, table in enumerate(tables) if table.any()]
-        return dict(zip(sampled, _fit_every_step([tables[i] for i in sampled], model)))
-
-    key = ("mle_fit", *((p.dtype.str, p.shape, p.tobytes()) for p in (model.psi_a, model.psi_b)))
-    return family.share(key, fit)[k][player][step]
+    lipschitz = max(model.feature_scale**2, 1e-12)
+    flat = psi.reshape(1, -1, psi.shape[2]).astype(float)
+    return _fit_stack(flat, counts[None].astype(float), lipschitz)[0]
 
 
-def _fit_every_step(
-    tables: list[np.ndarray], model: SoftmaxPolicyModel
-) -> list[dict[str, list[MleFit]]]:
+def fit_every_step(tables: list[np.ndarray], model: SoftmaxPolicyModel) -> list[Fits]:
     """Every step's fit of each player on each count table, by table, then
-    player: one stack of all the tables' fits of both players, or one per
-    player when psi_a and psi_b differ in shape."""
+    player, each the one mle_fit makes: one lockstep stack of all the
+    tables' fits of both players, or one per player when psi_a and psi_b
+    differ in shape.  Every table must hold samples."""
+    if not all(table.any() for table in tables):
+        raise ValueError("no samples at step 0")  # one record per step: all steps or none
     h_len = tables[0].shape[0]
     counts = {  # each table's (H, S, actions) marginal
         "a": [table.sum(axis=(3, 4)) for table in tables],
@@ -294,29 +294,28 @@ def block_weights(counts: np.ndarray, mle: bool) -> np.ndarray:
     return (counts > 0).astype(float)
 
 
-def _estimates(data: EpisodeDataset, config: InversionConfig) -> _Estimates:
+def _estimates(table: np.ndarray, config: InversionConfig, fits: Fits | None = None) -> _Estimates:
     """Each step's floored policies (frequency ones, or softmax-MLE ones of
-    config.policy_model when it has one) and per-state block weights
-    (block_weights)."""
+    config.policy_model when it has one: the fits given, else the table's
+    from fit_every_step) and per-state block weights (block_weights)."""
     model = config.policy_model
     if model is None:
-        est = frequency_estimate_markov(data, *config.features.shape[:3])
+        est = frequency_estimate_markov(table, *config.features.shape[:3])
         mu, nu = est.mu_hat, est.nu_hat
     else:
+        if fits is None:
+            (fits,) = fit_every_step([table], model)
         mu, nu = (
-            np.stack([
-                model.conditionals(psi, mle_fit(data, model, h, player).params)
-                for h in range(data.horizon)
-            ])
+            np.stack([model.conditionals(psi, fit.params) for fit in fits[player]])
             for player, psi in (("a", model.psi_a), ("b", model.psi_b))
         )
-    counts = step_counts(data, *config.features.shape[:3]).sum(axis=(2, 3, 4))
+    counts = table.sum(axis=(2, 3, 4))
     mle = model is not None
     return _Estimates(floor_distribution(mu), floor_distribution(nu), block_weights(counts, mle))
 
 
 def stepwise_confidence_sets(
-    data: EpisodeDataset, config: InversionConfig, estimates: _Estimates | None = None
+    data: DataOrTable, config: InversionConfig, estimates: _Estimates | None = None
 ) -> list[ConfidenceSet]:
     """The per-step confidence sets {theta : ||X theta - y||^2 <= kappa_h,
     ||theta|| <= theta_norm_cap} the recovery draws its parameters from: by
@@ -325,16 +324,16 @@ def stepwise_confidence_sets(
     config has a policy_model.  Both drivers pass the estimates they recover
     with, so that this one function builds every set.
     config.kappa must be a scalar or hold one threshold per step."""
+    table = step_counts(data, *config.features.shape[:3])
+    h_len = table.shape[0]
     kappa = np.asarray(config.kappa, dtype=float)
-    if kappa.shape not in ((), (data.horizon,)):
-        raise ValueError(
-            f"kappa must be a scalar or of shape (H,) = ({data.horizon},), got {kappa.shape}"
-        )
-    kappas = np.broadcast_to(kappa, (data.horizon,))
+    if kappa.shape not in ((), (h_len,)):
+        raise ValueError(f"kappa must be a scalar or of shape (H,) = ({h_len},), got {kappa.shape}")
+    kappas = np.broadcast_to(kappa, (h_len,))
     if estimates is None:
-        estimates = _estimates(data, config)
+        estimates = _estimates(table, config)
     sets = []
-    for h in range(data.horizon):
+    for h in range(h_len):
         system = build_stepwise_system(
             config.features, estimates.mu[h], estimates.nu[h], config.eta,
             estimates.weights[h],
@@ -373,22 +372,24 @@ def _backward_pass(
     return RecoveredRewardSample(thetas, q_values, v_values, rewards, feasible, sets)
 
 
-def _run_algorithm(data: EpisodeDataset, config: InversionConfig) -> list[RecoveredRewardSample]:
-    estimates = _estimates(data, config)
-    sets = tuple(stepwise_confidence_sets(data, config, estimates))
+def _run_algorithm(
+    data: DataOrTable, config: InversionConfig, fits: Fits | None = None
+) -> list[RecoveredRewardSample]:
+    """The recovery from the count table (at the fits given, if any)."""
     s_len, m, n, d = config.features.shape
+    table = step_counts(data, s_len, m, n)
+    estimates = _estimates(table, config, fits)
+    sets = tuple(stepwise_confidence_sets(table, config, estimates))
     flat_features = config.features.reshape(-1, d)
 
     def continuation(h, v_next):  # step h's ridge predictor
-        fit = ridge_fit(data, config.features, config.ridge_lambda, h)
+        fit = ridge_fit(table, config.features, config.ridge_lambda, h)
         return (flat_features @ fit.value_weights(v_next)).reshape(s_len, m, n)
 
     return [_backward_pass(config, estimates, sets, continuation)]
 
 
-def recover_rewards(
-    data: EpisodeDataset, config: InversionConfig
-) -> list[RecoveredRewardSample]:
+def recover_rewards(data: DataOrTable, config: InversionConfig) -> list[RecoveredRewardSample]:
     """Frequency-estimator reward recovery (backward confidence-set pass).
 
     Policies come from per-state frequencies; unvisited states carry uniform
@@ -401,9 +402,7 @@ def recover_rewards(
     return _run_algorithm(data, config)
 
 
-def recover_rewards_mle(
-    data: EpisodeDataset, config: InversionConfig
-) -> list[RecoveredRewardSample]:
+def recover_rewards_mle(data: DataOrTable, config: InversionConfig) -> list[RecoveredRewardSample]:
     """MLE-based reward recovery with visit-probability block weights.
 
     Policies come from softmax MLE fits of config.policy_model and each

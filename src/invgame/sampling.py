@@ -15,7 +15,6 @@ import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -70,27 +69,10 @@ class EpisodeDataset:
         return self.states.shape[1]
 
     def prefix(self, t: int) -> "EpisodeDataset":
-        return self.prefixes((t,))[0]
-
-    def prefixes(self, sizes) -> list["EpisodeDataset"]:
-        """The first t episodes for each t of sizes (nonnegative and strictly
-        increasing), as one family (_Family): the first call of step_counts
-        or inverse_markov.mle_fit on any member makes that result for every
-        member at once, each the same to the bit as that member's alone."""
-        sizes = list(sizes)
-        if not sizes or sizes[0] < 0 or sizes != sorted(set(sizes)):
-            raise ValueError(
-                f"prefix sizes must be nonnegative and strictly increasing, got {sizes}"
-            )
-        members = [EpisodeDataset(*(a[:t] for a in self.arrays)) for t in sizes]
-        family = _Family(members[-1].arrays, [member.n_episodes for member in members])
-        for k, member in enumerate(members):
-            member.__dict__["_family"] = family, k  # where cached_property keeps its value
-        return members
-
-    @cached_property
-    def _family(self) -> tuple["_Family", int]:  # set by prefixes, else a family of one
-        return _Family(self.arrays, [self.n_episodes]), 0
+        """The first t episodes, 0 <= t <= T, as views."""
+        if not 0 <= t <= self.n_episodes:
+            raise ValueError(f"a prefix holds 0..{self.n_episodes} episodes, not {t}")
+        return EpisodeDataset(*(a[:t] for a in self.arrays))
 
     def check(self, s_len: int, m: int, n: int) -> None:
         """Reject indices a model of s_len states and m x n actions lacks, with
@@ -100,40 +82,7 @@ class EpisodeDataset:
                 raise ValueError(f"{column} must lie in 0..{size - 1}")
 
 
-class _Family:
-    """What a prefix family's members share: the largest member's arrays,
-    each member's size, and the results made for all members at once.  It
-    holds no member, so it forms no reference cycle with one; its results
-    rely on a dataset's arrays not changing."""
-
-    def __init__(self, arrays: tuple[np.ndarray, ...], sizes: list[int]):
-        self.arrays, self.sizes, self.made = arrays, sizes, {}
-
-    def share(self, key, make):
-        """make()'s results, one per member (indexable by its place in the
-        family), made on the key's first use; a make that raises stores nothing."""
-        if key not in self.made:
-            self.made[key] = make()
-        return self.made[key]
-
-    def step_counts(self, s_len: int, m: int, n: int) -> list[np.ndarray]:
-        """Each member's step_counts table: the indices are checked once, so
-        one out of range is named rather than counted in a neighbouring cell,
-        then the episodes each member adds to the one before are counted once,
-        and a member's table is the read-only running sum of those counts."""
-
-        def count():
-            EpisodeDataset(*self.arrays).check(s_len, m, n)
-            tables, table, start = [], 0, 0
-            for stop in self.sizes:
-                added = EpisodeDataset(*(a[start:stop] for a in self.arrays))
-                table = table + _count_steps(added, s_len, m, n)
-                table.flags.writeable = False
-                tables.append(table)
-                start = stop
-            return tables
-
-        return self.share(("step_counts", s_len, m, n), count)
+DataOrTable = EpisodeDataset | np.ndarray  # an estimator's input: a dataset, or its table
 
 
 @dataclass(frozen=True)
@@ -160,7 +109,7 @@ def sample_matrix_actions(
     return sample_episodes(spec, stage, [1.0], n_samples, seed, rep)
 
 
-def frequency_estimate_matrix(data: EpisodeDataset, m: int, n: int) -> EmpiricalMarkovQRE:
+def frequency_estimate_matrix(data: DataOrTable, m: int, n: int) -> EmpiricalMarkovQRE:
     """Empirical marginals mu_hat(a) = #{a^k = a} / N and likewise for nu, of
     one-step episodes at state 0: the S=1 case of frequency_estimate_markov."""
     return frequency_estimate_markov(data, 1, m, n)
@@ -290,9 +239,7 @@ def _draw_rows(u: np.ndarray, cum: np.ndarray, rows: np.ndarray | None, out: np.
         out += u >= (column if column.size == 1 else column.take(rows))
 
 
-def frequency_estimate_markov(
-    data: EpisodeDataset, s_len: int, m: int, n: int
-) -> EmpiricalMarkovQRE:
+def frequency_estimate_markov(data: DataOrTable, s_len: int, m: int, n: int) -> EmpiricalMarkovQRE:
     """Per-(h, s) conditional frequencies of step_counts, over N_h(s) v 1."""
     table = step_counts(data, s_len, m, n)
     counts = table.sum(axis=(2, 3, 4))
@@ -305,14 +252,39 @@ def frequency_estimate_markov(
     return EmpiricalMarkovQRE(mu_hat, nu_hat, counts, visited)
 
 
-def step_counts(data: EpisodeDataset, s_len: int, m: int, n: int) -> np.ndarray:
-    """The read-only int64 table N_h(s, a, b, s'), shaped (H, S, m, n, S) like
-    the transition kernel, that every estimator reads.  It is made once per
-    family of prefixes (EpisodeDataset.prefixes) and model shape, for every
-    member at once (_Family.step_counts); an index out of range is named
-    before anything is counted."""
-    family, k = data._family
-    return family.step_counts(s_len, m, n)[k]
+def step_counts(data: DataOrTable, s_len: int, m: int, n: int) -> np.ndarray:
+    """The int64 table N_h(s, a, b, s'), shaped (H, S, m, n, S) like the
+    transition kernel: every estimator reads the data only through it, so
+    each takes a dataset or its table.  A dataset is range-checked, so an
+    index out of range is named rather than counted in a neighbouring cell,
+    and counted into a read-only table (prefix_counts of its one size); a
+    table is returned unchanged once its shape is checked."""
+    if isinstance(data, EpisodeDataset):
+        return prefix_counts(data, [data.n_episodes], s_len, m, n)[0]
+    if data.shape[1:] != (s_len, m, n, s_len):
+        shape = f"(H, {s_len}, {m}, {n}, {s_len})"
+        raise ValueError(f"a table must be shaped {shape}, not {data.shape}")
+    return data
+
+
+def prefix_counts(data: EpisodeDataset, sizes, s_len: int, m: int, n: int) -> list[np.ndarray]:
+    """The step_counts table of data.prefix(t) for each t of sizes (strictly
+    increasing, in 0..T), each the same to the bit as that prefix's alone:
+    the indices are checked once, then the episodes each size adds to the
+    one before are counted once, and a size's table is the read-only running
+    sum of those counts."""
+    sizes = list(sizes)
+    if not sizes or sizes != sorted(set(sizes)) or sizes[0] < 0 or sizes[-1] > data.n_episodes:
+        raise ValueError(f"prefix sizes must rise strictly in 0..{data.n_episodes}, got {sizes}")
+    data.prefix(sizes[-1]).check(s_len, m, n)
+    tables, table, start = [], 0, 0
+    for stop in sizes:
+        added = EpisodeDataset(*(a[start:stop] for a in data.arrays))
+        table = table + _count_steps(added, s_len, m, n)
+        table.flags.writeable = False
+        tables.append(table)
+        start = stop
+    return tables
 
 
 def _count_steps(data: EpisodeDataset, s_len: int, m: int, n: int) -> np.ndarray:
@@ -333,9 +305,10 @@ def _count_steps(data: EpisodeDataset, s_len: int, m: int, n: int) -> np.ndarray
     return table.reshape(data.horizon, s_len, m, n, s_len)
 
 
-def empirical_state_distribution(data: EpisodeDataset, s_len: int, m: int, n: int) -> np.ndarray:
+def empirical_state_distribution(data: DataOrTable, s_len: int, m: int, n: int) -> np.ndarray:
     """Per-step state frequencies rho_hat = N_h(s) / N with shape (H, S)."""
-    return step_counts(data, s_len, m, n).sum(axis=(2, 3, 4)) / data.n_episodes
+    counts = step_counts(data, s_len, m, n).sum(axis=(2, 3, 4))
+    return counts / counts[0].sum()
 
 
 def _format_rows(table: np.ndarray) -> np.ndarray:
@@ -412,9 +385,9 @@ def read_dataset(path: str | Path, model_shape: tuple | None = None) -> EpisodeD
     0..T-1 x 0..H-1, each pair once; a file in (episode, step) order, as
     write_dataset writes it, is neither sorted nor copied: the arrays are
     views of the parsed rows.  next_state at step h must be state at step
-    h+1.  With model_shape (S, m, n) the dataset's count table of that shape
-    (step_counts) is made first, so an index out of range is named as such,
-    and the estimators that read the table do not scan or count again.
+    h+1.  With model_shape (S, m, n) the indices are range-checked
+    (EpisodeDataset.check) before the state chain, so an index out of range
+    is named as such.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -442,7 +415,16 @@ def read_dataset(path: str | Path, model_shape: tuple | None = None) -> EpisodeD
         body = body[order]
     data = EpisodeDataset(*body.reshape(t, h_len, 4).transpose(2, 0, 1))
     if model_shape is not None:
-        step_counts(data, *model_shape)
+        data.check(*model_shape)
     if not np.array_equal(data.next_states[:, :-1], data.states[:, 1:]):
         raise ValueError("next_state at step h must equal state at step h+1")
     return data
+
+
+def read_counts(path: str | Path, s_len: int, m: int, n: int) -> np.ndarray:
+    """The read-only step_counts table, for s_len states and m x n actions,
+    of the dataset file at path (read_dataset with that model shape): the
+    file is range-checked once and counted once."""
+    table = _count_steps(read_dataset(path, (s_len, m, n)), s_len, m, n)
+    table.flags.writeable = False
+    return table

@@ -26,6 +26,7 @@ from invgame.sampling import (
     frequency_estimate_matrix,
     read_dataset,
     sample_episodes,
+    step_counts,
     stream,
 )
 
@@ -145,10 +146,10 @@ class TestRunExperiment:
         # and each names that size
         config = ExperimentConfig(kind="markov", seed=5, samples=(500, 1000, 2000), horizon=3)
 
-        def failing_at_1000(data, inversion):
-            if data.n_episodes == 1000:
+        def failing_at_1000(table, inversion):  # each size's count table
+            if table[0].sum() == 1000:
                 raise np.linalg.LinAlgError("singular at this size")
-            return recover_rewards(data, inversion)
+            return recover_rewards(table, inversion)
 
         monkeypatch.setattr(experiments, "recover_rewards", failing_at_1000)
         records = run_rep(config, 0)
@@ -414,9 +415,9 @@ class TestCommands:
         (record,) = run_rep(config, 1)
         monkeypatch.undo()
         model = experiments.build_model(config, 1)
-        result = experiments.invert_matrix(
-            config, model, experiments.sample_dataset(config, 1, 2000)
-        )
+        data = experiments.sample_dataset(config, 1, 2000)
+        table = step_counts(data, 1, *model.features.shape[:2])
+        result = experiments.invert_matrix(config, model, table)
         assert np.array_equal(result["theta_hat"], estimates[0][0][0])
         # the runner's per-step norm (axis=1) sums the squares in another
         # order than the 1-D norm, so compare with that form, not to an ulp
@@ -458,8 +459,8 @@ class TestCommands:
         monkeypatch.setattr(experiments, "_markov_estimate", recording)
         (record,) = run_rep(config, 1)
         model = experiments.build_model(config, 1)
-        data = experiments.sample_dataset(config, 1, 2000)
-        result = experiments.invert_markov(config, model, data)
+        table = step_counts(experiments.sample_dataset(config, 1, 2000), 4, 5, 5)
+        result = experiments.invert_markov(config, model, table)
         monkeypatch.undo()
         assert not record.error
         (run_args, run_estimate), (invert_args, invert_estimate) = calls
@@ -469,7 +470,7 @@ class TestCommands:
         assert np.array_equal(result["rewards"], invert_estimate[2])
         assert result["feasible"] == invert_estimate[4].tolist()
         # at the runner's thresholds, the command's model and data give the runner's estimate
-        again = real(config, model, data, run_args[3])
+        again = real(config, model, table, run_args[3])
         for k in (0, 1, 2, 4):
             assert np.array_equal(again[k], run_estimate[k])
 
@@ -548,8 +549,8 @@ class TestCommands:
         "command, kind", [("invert-matrix", "setup1"), ("invert-markov", "markov")]
     )
     def test_invert_scans_the_dataset_once(self, tmp_path, capsys, monkeypatch, command, kind):
-        # read_dataset makes the count table of the model's shape, which
-        # checks the indices, and the estimators read that same table
+        # read_counts has read_dataset check the indices, then makes the
+        # count table of the model's shape, and the estimators read that table
         out = tmp_path / "sim"
         args = ["--kind", kind, "--seed", "3"]
         assert run_cli(["simulate", *args, "--samples", "500", "--out", str(out)]) == 0

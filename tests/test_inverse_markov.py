@@ -1,6 +1,6 @@
-import gc
+import dataclasses
+import re
 import warnings
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +18,7 @@ from invgame.inverse_markov import (
     InversionConfig,
     SoftmaxPolicyModel,
     build_stepwise_system,
+    fit_every_step,
     mle_fit,
     recover_rewards,
     recover_rewards_mle,
@@ -26,12 +27,15 @@ from invgame.inverse_markov import (
 )
 from invgame.inverse_matrix import ConfidenceSet, floor_distribution
 from invgame.markov_game import LinearMDPModel, backward_qre
-from invgame.matrix_game import entropy
+from invgame.matrix_game import PolicyPair, entropy
 from invgame.metrics import reward_metric_D
 from invgame.sampling import (
     EpisodeDataset,
     frequency_estimate_markov,
+    frequency_estimate_matrix,
+    prefix_counts,
     sample_episodes,
+    sample_matrix_actions,
     step_counts,
     stream,
 )
@@ -99,21 +103,17 @@ def assert_same_fit(fit, oracle):
     assert np.abs(fit.objective_trace - oracle.objective_trace).max() <= 1e-12
 
 
-def mle_memo(data):
-    """The MLE fits kept in the memo of data's prefix family, by key."""
-    return {key: fits for key, fits in data._family[0].made.items() if key[0] == "mle_fit"}
-
-
 def assert_fits_alone(data, model, keys):
-    """Each (step, player) fit of the lockstep loop is the one-fit loop's on
-    a fresh copy of the dataset, to the last bit."""
+    """Each (step, player) fit, of mle_fit and of the lockstep loop over every
+    step of both players (fit_every_step), is the one-fit loop's, to the
+    last bit."""
+    table = step_counts(data, *model.psi_a.shape[:2], model.psi_b.shape[1])
+    (stacked,) = fit_every_step([table], model)
     fits = [mle_fit(data, model, step, player) for step, player in keys]
-    fresh = EpisodeDataset(*data.arrays)
     for fit, (step, player) in zip(fits, keys):
-        alone = mle_fit_alone(fresh, model, step, player)
-        assert (fit.iterations, fit.converged) == (alone.iterations, alone.converged)
-        assert np.array_equal(fit.params, alone.params)
-        assert np.array_equal(fit.objective_trace, alone.objective_trace)
+        alone = mle_fit_alone(data, model, step, player)
+        assert_bit_identical(fit, alone)
+        assert_bit_identical(stacked[player][step], alone)
     return fits
 
 
@@ -306,9 +306,8 @@ class TestEstimatorsAgainstEarlierBodies:
         policy = saturated_policy_model(spec.S, spec.m, spec.n)
         fits = [mle_fit(data, policy, step, player) for step in (0, 5) for player in "ab"]
         monkeypatch.setattr(inverse_markov, "step_counts", step_counts_by_add_at)
-        fresh = EpisodeDataset(*data.arrays)  # no cached fits: the oracle table is read
         for fit, (step, player) in zip(fits, [(0, "a"), (0, "b"), (5, "a"), (5, "b")]):
-            oracle = mle_fit(fresh, policy, step, player)
+            oracle = mle_fit(data, policy, step, player)  # on the oracle's table
             assert fit.iterations == oracle.iterations and fit.converged
             assert np.array_equal(fit.params, oracle.params)
             assert np.array_equal(fit.objective_trace, oracle.objective_trace)
@@ -355,10 +354,13 @@ class TestOneCountPass:
         assert len(calls["_fit_stack"]) == (policy_estimator == "mle")
         model = experiments.build_model(config, 0)
         data = experiments.sample_dataset(config, 0, max(config.samples))
-        for n, ((*_, kappa), estimate) in zip(config.samples, calls["_markov_estimate"]):
-            alone = data.prefix(n)  # a family of one, with no table or fit cached
-            shape = (config.s_len, config.m, config.n)
-            assert np.array_equal(kappa, experiments._thresholds(config, alone, *shape))
+        shape = (config.s_len, config.m, config.n)
+        for n, ((_, _, table, kappa, _), estimate) in zip(
+            config.samples, calls["_markov_estimate"]
+        ):
+            alone = step_counts(data.prefix(n), *shape)  # counted and fitted alone
+            assert np.array_equal(table, alone)
+            assert np.array_equal(kappa, experiments._thresholds(config, alone))
             thetas = experiments._markov_estimate(config, model, alone, kappa)[0]
             assert np.array_equal(estimate[0], thetas)
 
@@ -366,9 +368,84 @@ class TestOneCountPass:
         config = markov_config(5, [2000])
         model = experiments.build_model(config, 0)
         data = experiments.sample_dataset(config, 0, 2000)
-        result = experiments.invert_markov(config, model, data)
+        result = experiments.invert_markov(config, model, step_counts(data, 4, 5, 5))
         assert len(result["theta_hat"]) == config.horizon
         assert passes == [2000]
+
+
+def assert_bit_identical(got, expected):
+    """Equal to the last bit, field by field through dataclasses and sequences."""
+    if dataclasses.is_dataclass(expected):
+        for field in dataclasses.fields(expected):
+            assert_bit_identical(getattr(got, field.name), getattr(expected, field.name))
+    elif isinstance(expected, (list, tuple)):
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert_bit_identical(g, e)
+    else:
+        assert type(got) is type(expected) and np.array_equal(got, expected)
+
+
+class TestTheTableIsTheInput:
+    """Every public estimator reads the data only through its count table,
+    so it gives the same result to the bit for a dataset and for its
+    step_counts table."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        model = markov_model(stream(61), horizon=3)
+        spec = model.to_tabular()
+        truth, _ = backward_qre(spec, tol=1e-12)
+        data = sample_episodes(spec, truth, np.full(spec.S, 0.25), 3000, 62)
+        config = InversionConfig(
+            features=model.features, eta=spec.eta, gamma=spec.gamma, kappa=5.0,
+            ridge_lambda=0.01, theta_norm_cap=10.0,
+        )
+        policy = saturated_policy_model(spec.S, spec.m, spec.n)
+        return spec, data, config, replace(config, policy_model=policy)
+
+    @pytest.mark.parametrize(
+        "estimator",
+        [
+            "frequency_estimate_markov", "frequency_estimate_matrix", "ridge_fit", "mle_fit",
+            "stepwise_confidence_sets", "stepwise_confidence_sets_mle", "recover_rewards",
+            "recover_rewards_mle",
+        ],
+    )
+    def test_a_dataset_and_its_table_give_one_result(self, case, estimator):
+        spec, data, config, mle_config = case
+        shape = (spec.S, spec.m, spec.n)
+        calls = {
+            "frequency_estimate_markov": lambda d: frequency_estimate_markov(d, *shape),
+            "ridge_fit": lambda d: [
+                ridge_fit(d, config.features, 0.01, h) for h in range(spec.H)
+            ],
+            "mle_fit": lambda d: [
+                mle_fit(d, mle_config.policy_model, h, p) for h in range(spec.H) for p in "ab"
+            ],
+            "stepwise_confidence_sets": lambda d: stepwise_confidence_sets(d, config),
+            "stepwise_confidence_sets_mle": lambda d: stepwise_confidence_sets(d, mle_config),
+            "recover_rewards": lambda d: recover_rewards(d, config),
+            "recover_rewards_mle": lambda d: recover_rewards_mle(d, mle_config),
+        }
+        if estimator == "frequency_estimate_matrix":
+            pair = PolicyPair(np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.1, 0.2, 0.1]))
+            data, shape = sample_matrix_actions(pair, 3000, seed=63), (1, 3, 4)
+            calls[estimator] = lambda d: frequency_estimate_matrix(d, 3, 4)
+        expected = calls[estimator](data)
+        assert_bit_identical(calls[estimator](step_counts(data, *shape)), expected)
+
+    @pytest.mark.parametrize("step", [-1, 3, 10])
+    def test_a_step_outside_the_horizon_is_named(self, case, step):
+        # H = 3: step -1 read step 2's counts, and step 3 ended in an IndexError
+        spec, data, config, mle_config = case
+        message = re.escape(f"step must lie in 0..2, got {step}")
+        for source in (data, step_counts(data, spec.S, spec.m, spec.n)):
+            with pytest.raises(ValueError, match=message):
+                ridge_fit(source, config.features, 0.01, step)
+            for player in "ab":
+                with pytest.raises(ValueError, match=message):
+                    mle_fit(source, mle_config.policy_model, step, player)
 
 
 def unobserved_last_action_case():
@@ -775,7 +852,7 @@ class TestMleFit:
         assert_fits_alone(data, policy, [(h, p) for h in range(h_len) for p in "ab"])
 
     @pytest.mark.parametrize("m, n", [(3, 3), (2, 3)], ids=["one_stack", "a_stack_per_player"])
-    def test_a_prefix_family_fits_each_member_as_it_alone(self, monkeypatch, m, n):
+    def test_one_loop_fits_each_prefix_table_as_it_alone(self, monkeypatch, m, n):
         rng = stream(13)
         s_len, h_len = 3, 4
         data = EpisodeDataset(
@@ -790,44 +867,21 @@ class TestMleFit:
 
         monkeypatch.setattr(inverse_markov, "_fit_stack", counting)
         policy = saturated_policy_model(s_len, m, n)
-        keys = [(h, p) for h in range(h_len) for p in "ab"]
-        empty, *members = data.prefixes((0, 50, 200, 600))
-        for member in (members[1], *members):  # the first call fits the family
-            assert_fits_alone(member, policy, keys)
-        # one loop for the three members with samples: none for the empty one
+        sizes = (50, 200, 600)
+        fits = fit_every_step(prefix_counts(data, sizes, s_len, m, n), policy)
+        # one loop for the three tables
         assert stacks == ([3 * 2 * h_len] if m == n else [3 * h_len, 3 * h_len])
+        monkeypatch.undo()
+        for size, fitted in zip(sizes, fits):
+            for h in range(h_len):
+                for p in "ab":
+                    alone = mle_fit_alone(data.prefix(size), policy, h, p)
+                    assert_bit_identical(fitted[p][h], alone)
+        empty = step_counts(data.prefix(0), s_len, m, n)
+        with pytest.raises(ValueError, match="^no samples at step 0$"):
+            fit_every_step([empty], policy)
         with pytest.raises(ValueError, match="^no samples at step 0$"):
             mle_fit(empty, policy, 0, "a")
-        (fits,) = mle_memo(empty).values()  # by member: the empty one has none
-        assert sorted(fits) == [1, 2, 3]
-
-    def test_members_are_freed_with_gc_disabled(self):
-        # a member and its family's memo form no reference cycle, so a member
-        # goes as soon as nothing refers to it, with the collector off
-        data, model = dense_mle_case(1.0)
-        members = data.prefixes((100, 300, 500))
-        for member in members:
-            step_counts(member, 3, 4, 2)
-            mle_fit(member, model, 0, "a")
-        refs = [weakref.ref(member) for member in members]
-        gc.disable()
-        try:
-            del member, members
-            assert [ref() for ref in refs] == [None] * len(refs)
-        finally:
-            gc.enable()
-
-    def test_fits_are_cached_per_psi(self):
-        data, model = dense_mle_case(0.05)
-        # the last model differs from the first in psi_b alone
-        models = [model, dense_mle_case(10.0)[1], replace(model, psi_b=model.psi_b[:, :, :3])]
-        fits = [assert_fits_alone(data, m, [(0, "a")])[0] for m in models]
-        assert len(mle_memo(data)) == len(models)
-        assert fits[0].params.tobytes() != fits[1].params.tobytes()
-        # a model equal in value is the same key: its fit is read, not refit
-        same = SoftmaxPolicyModel(model.psi_a.copy(), model.psi_b.copy())
-        assert mle_fit(data, same, 0, "a") is fits[0]
-        assert len(mle_memo(data)) == len(models)
 
     @pytest.mark.parametrize("name, value", [("MLE_MAX_ITER", 50), ("MLE_TOL", 1e-4)])
     def test_the_stopping_rule_is_the_module_constants(self, monkeypatch, name, value):
@@ -849,13 +903,12 @@ class TestMleFit:
         ],
         ids=["player", "no_samples"],
     )
-    def test_a_bad_call_raises_and_caches_no_fit(self, call, message):
+    def test_a_bad_call_raises(self, call, message):
         data, model = dense_mle_case(1.0)
         call = {"step": 0, "player": "a", **call}
         data = data.prefix(call.pop("episodes", data.n_episodes))
         with pytest.raises(ValueError, match=f"^{message}$"):
             mle_fit(data, model, **call)
-        assert mle_memo(data) == {}
 
     def test_binding_ball_fit_meets_kkt_conditions(self):
         radius = 1.0  # the unit ball, made to bind by shrinking psi

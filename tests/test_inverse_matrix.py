@@ -26,7 +26,12 @@ from invgame.inverse_matrix import (
     _distances_to,
 )
 from invgame.matrix_game import MatrixGameSpec, PolicyPair, solve_qre
-from invgame.sampling import frequency_estimate_matrix, sample_matrix_actions, stream
+from invgame.sampling import (
+    frequency_estimate_matrix,
+    sample_matrix_actions,
+    step_counts,
+    stream,
+)
 
 from .oracles import (
     feasible_projection_by_clamp,
@@ -243,9 +248,10 @@ class TestOneDecomposition:
         monkeypatch.setattr(
             experiments, "build_confidence_set", lambda *args: ConfidenceSet(x, y, 1.0, 4.0)
         )
-        kappa = experiments._thresholds(config, data, 1, *model.features.shape[:2])
-        (theta_hat,), _, _, (cset,), _ = experiments._matrix_estimate(config, model, data, kappa)
-        result = experiments.invert_matrix(config, model, data)  # the route and rank it reports
+        table = step_counts(data, 1, *model.features.shape[:2])
+        kappa = experiments._thresholds(config, table)
+        (theta_hat,), _, _, (cset,), _ = experiments._matrix_estimate(config, model, table, kappa)
+        result = experiments.invert_matrix(config, model, table)  # the route and rank it reports
         assert (result["route"], result["rank"]) == (route, 1) and cset.rank == 1
         assert np.array_equal(theta_hat, theta)
 
@@ -275,12 +281,13 @@ class TestOneDecomposition:
         config = ExperimentConfig(kind=kind, seed=3, samples=(2000,), estimator=estimator)
         model = experiments.build_model(config, 0)
         data = experiments.sample_dataset(config, 0, 2000)
+        table = step_counts(data, 1, *model.features.shape[:2])
         calls = count_linalg_calls(monkeypatch)
-        kappa = experiments._thresholds(config, data, 1, *model.features.shape[:2])
-        _, _, _, (cset,), _ = experiments._matrix_estimate(config, model, data, kappa)
+        kappa = experiments._thresholds(config, table)
+        _, _, _, (cset,), _ = experiments._matrix_estimate(config, model, table, kappa)
         assert cset.rank == {"setup1": 2, "setup2": 5}[kind]
         assert calls == dict(svd=1, pinv=0, lstsq=0)
-        assert experiments.invert_matrix(config, model, data)["rank"] == cset.rank
+        assert experiments.invert_matrix(config, model, table)["rank"] == cset.rank
 
 
 class TestConfidenceSet:

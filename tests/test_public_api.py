@@ -166,7 +166,7 @@ def test_cli_only_parses_and_writes():
             imported.update({alias.name: set() for alias in node.names})
     assert not {"invgame.inverse_matrix", "invgame.inverse_markov"} & set(imported)
     assert not {"inverse_matrix", "inverse_markov"} & imported.get("invgame", set())
-    assert imported["invgame.sampling"] == {"read_dataset", "write_dataset"}
+    assert imported["invgame.sampling"] == {"read_counts", "write_dataset"}
     assert len(PUBLIC_NAMES) == 44
 
 
@@ -224,19 +224,21 @@ def test_benchmark_workloads_run_and_pass_their_checks(tmp_path, monkeypatch):
         assert workload.check(1, outputs) == [], workload.name
 
 
-def test_mle_recovery_makes_one_traced_fit_per_step_and_player(monkeypatch):
-    # the traced run counts inverse_markov.mle_fit calls and reads each
-    # result's iterations and converged; a batched fit would zero those layers
+def test_mle_recovery_fits_each_step_and_player_as_mle_fit_does(monkeypatch):
+    # recover_rewards_mle fits every step of a player in one lockstep loop
+    # (inverse_markov.fit_every_step), not by one mle_fit call per step, so
+    # the traced run bills that time to the driver; each fit of the loop is
+    # mle_fit's, which the traced run reads iterations and converged of
     from invgame import inverse_markov
     from invgame.experiments import saturated_policy_model
 
-    real, fits = inverse_markov.mle_fit, []
+    real, stacks = inverse_markov._fit_stack, []
 
-    def counting(*args, **kwargs):
-        fits.append(real(*args, **kwargs))
-        return fits[-1]
+    def recording(*args):
+        stacks.append(real(*args))
+        return stacks[-1]
 
-    monkeypatch.setattr(inverse_markov, "mle_fit", counting)
+    monkeypatch.setattr(inverse_markov, "_fit_stack", recording)
     rng = invgame.stream(11)
     s_len, m, n, h_len = 3, 2, 3, 4
     data = invgame.EpisodeDataset(
@@ -248,6 +250,13 @@ def test_mle_recovery_makes_one_traced_fit_per_step_and_player(monkeypatch):
         policy_model=saturated_policy_model(s_len, m, n),
     )
     invgame.recover_rewards_mle(data, config)
-    assert len(fits) == 2 * h_len
-    for fit in fits:
-        assert isinstance(fit.iterations, int) and isinstance(fit.converged, bool)
+    monkeypatch.undo()
+    # psi_a and psi_b differ in shape (m != n): one stack per player
+    assert [len(stack) for stack in stacks] == [h_len, h_len]
+    for player, stack in zip("ab", stacks):
+        for step, fit in enumerate(stack):
+            alone = invgame.mle_fit(data, config.policy_model, step, player)
+            assert isinstance(alone.iterations, int) and isinstance(alone.converged, bool)
+            assert (fit.iterations, fit.converged) == (alone.iterations, alone.converged)
+            assert fit.params.tobytes() == alone.params.tobytes()
+            assert fit.objective_trace.tobytes() == alone.objective_trace.tobytes()

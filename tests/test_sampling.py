@@ -40,6 +40,8 @@ from invgame.sampling import (
     empirical_state_distribution,
     frequency_estimate_markov,
     frequency_estimate_matrix,
+    prefix_counts,
+    read_counts,
     read_dataset,
     sample_episodes,
     sample_matrix_actions,
@@ -747,7 +749,7 @@ class TestEpisodeDatasetInput:
 
 class TestStepCounts:
     """step_counts against a scatter-add oracle, on every array layout the
-    library makes, with its cache and its range check."""
+    library makes, with its range check and its pass-through of a table."""
 
     def assert_counts(self, data, s_len, m, n):
         table = step_counts(data, s_len, m, n)
@@ -807,7 +809,7 @@ class TestStepCounts:
             EpisodeDataset(*(a.astype(dtype) for a in data.arrays)), spec.S, spec.m, spec.n
         )
 
-    def test_counted_once_per_dataset_and_shape(self, monkeypatch):
+    def test_a_table_is_passed_through_and_a_dataset_counted(self, monkeypatch):
         spec, policies, initial = markov_instance(6)
         data = sample_episodes(spec, policies, initial, 500, 6)
         passes = []
@@ -819,16 +821,24 @@ class TestStepCounts:
         count_steps = sampling._count_steps
         monkeypatch.setattr(sampling, "_count_steps", counting)
         table = step_counts(data, spec.S, spec.m, spec.n)
-        assert step_counts(data, spec.S, spec.m, spec.n) is table
+        assert step_counts(table, spec.S, spec.m, spec.n) is table
         assert len(passes) == 1
-        wider = step_counts(data, spec.S + 1, spec.m, spec.n)  # another shape: recounted
-        assert len(passes) == 2 and wider is not table
+        again = step_counts(data, spec.S, spec.m, spec.n)  # nothing is kept: counted again
+        assert len(passes) == 2 and again is not table and np.array_equal(again, table)
+        wider = step_counts(data, spec.S + 1, spec.m, spec.n)
         assert np.array_equal(wider[:, : spec.S, :, :, : spec.S], table)
         assert wider[:, spec.S].sum() == 0 and wider[..., spec.S].sum() == 0
-        assert step_counts(data.prefix(500), spec.S, spec.m, spec.n) is not table
-        assert len(passes) == 3
         with pytest.raises(ValueError):
-            table[0, 0, 0, 0, 0] = 1  # read-only: a caller cannot change the cache
+            table[0, 0, 0, 0, 0] = 1  # read-only, like every table a dataset gives
+
+    @pytest.mark.parametrize(
+        "shape", [(6, 3, 4, 2, 2), (6, 3, 2, 4, 3), (3, 4, 2, 3), (6, 3, 4, 2, 3, 1)], ids=str
+    )
+    def test_a_table_of_another_shape_is_rejected(self, shape):
+        # the model has 3 states and 4 x 2 actions
+        message = f"a table must be shaped (H, 3, 4, 2, 3), not {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            step_counts(np.zeros(shape, dtype=np.int64), 3, 4, 2)
 
     @pytest.mark.parametrize(
         "column, bad, message",
@@ -855,22 +865,22 @@ class TestStepCounts:
         for count in (step_counts, frequency_estimate_markov, empirical_state_distribution):
             with pytest.raises(ValueError, match=message):
                 count(data, 3, 4, 2)
-        assert data._family[0].made == {}  # nothing is kept: each call names the column
 
     def test_a_file_index_out_of_range_is_named_by_read_and_by_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(DATASET_HEADER + "\n0,0,0,1,1,0\n0,1,0,4,1,0\n")
-        with pytest.raises(ValueError, match="action_a must lie in 0..3"):
-            read_dataset(path, (3, 4, 2))
+        for read in (lambda: read_dataset(path, (3, 4, 2)), lambda: read_counts(path, 3, 4, 2)):
+            with pytest.raises(ValueError, match="action_a must lie in 0..3"):
+                read()
         data = read_dataset(path)  # no model shape: no check yet
         with pytest.raises(ValueError, match="action_a must lie in 0..3"):
             step_counts(data, 3, 4, 2)
 
 
-class TestPrefixFamily:
-    """EpisodeDataset.prefixes: one range check and one count of each slice
-    between consecutive sizes serve every member, and each member's table is
-    the one its episodes alone give."""
+class TestPrefixCounts:
+    """prefix_counts: one range check and one count of each slice between
+    consecutive sizes serve every size, and each size's table is the one its
+    episodes alone give."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -895,12 +905,11 @@ class TestPrefixFamily:
             # 20000 and 40000 episodes span more than one _COUNT_BLOCK
             ("markov", (0, 700, 20000, 40000), [0, 700, 19300, 20000]),
             ("markov", (3000,), [3000]),
-            ("markov", (100, 10**6), [100, 39900]),  # a size past T is all of it
             ("matrix", (1, 999, 40000), [1, 998, 39001]),
         ],
-        ids=["markov", "one", "past_the_end", "matrix"],
+        ids=["markov", "one", "matrix"],
     )
-    def test_each_member_counts_as_its_episodes_alone(self, calls, kind, sizes, slices):
+    def test_each_size_counts_as_its_episodes_alone(self, calls, kind, sizes, slices):
         if kind == "markov":
             spec, policies, initial = markov_instance(5)
             data = sample_episodes(spec, policies, initial, 40000, 5)
@@ -909,35 +918,47 @@ class TestPrefixFamily:
             pair = PolicyPair(np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.1, 0.2, 0.1]))
             data = sample_matrix_actions(pair, 40000, seed=31)
             shape = (1, 3, 4)
-        members = data.prefixes(sizes)
-        assert [m.n_episodes for m in members] == [min(t, 40000) for t in sizes]
-        tables = [step_counts(m, *shape) for m in reversed(members)][::-1]
+        tables = prefix_counts(data, sizes, *shape)
         assert calls == {"check": 1, "slices": slices}
-        for member, table in zip(members, tables):
-            assert step_counts(member, *shape) is table and not table.flags.writeable
-            fresh = EpisodeDataset(*member.arrays)  # no family: one slice, all of it
-            assert np.array_equal(table, sampling._count_steps(fresh, *shape))
-            assert np.array_equal(table, step_counts_by_add_at(fresh, *shape))
+        for size, table in zip(sizes, tables):
+            assert not table.flags.writeable
+            alone = data.prefix(size)
+            assert np.array_equal(table, sampling._count_steps(alone, *shape))
+            assert np.array_equal(table, step_counts_by_add_at(alone, *shape))
 
-    @pytest.mark.parametrize("sizes", [(), (100, 100), (200, 100), (-1, 100)], ids=str)
-    def test_sizes_must_be_nonnegative_and_strictly_increasing(self, sizes):
-        data = one_step_dataset([0, 1, 0], [1, 0, 1])
-        with pytest.raises(ValueError, match="prefix sizes must be nonnegative and strictly"):
-            data.prefixes(sizes)
+    @pytest.mark.parametrize(
+        "sizes", [(), (100, 100), (200, 100), (-1, 100), (100, 501)], ids=str
+    )
+    def test_sizes_must_be_strictly_increasing_within_the_dataset(self, sizes):
+        data = EpisodeDataset(*(np.zeros((500, 2), dtype=np.int64),) * 4)
+        with pytest.raises(ValueError, match=r"prefix sizes must rise strictly in 0\.\.500"):
+            prefix_counts(data, sizes, 1, 1, 1)
 
     def test_out_of_range_index_named_before_counting(self, calls):
-        # the check runs once, on the largest member, so a member named it
-        # before any slice is counted, even one whose episodes are in range
+        # the check runs once, on the largest size, so an index out of range
+        # is named before any slice is counted, even one whose episodes are
+        # in range
         arrays = {name: np.zeros((4, 2), dtype=np.int64) for name in
                   ("states", "actions_a", "actions_b", "next_states")}
         arrays["actions_a"][2, 1] = 4
-        members = EpisodeDataset(**arrays).prefixes((1, 3, 4))
-        for member in members:
-            with pytest.raises(ValueError, match="action_a must lie in 0..3"):
-                step_counts(member, 3, 4, 2)
-        # a failed check is not kept: each call checks again and names the column
-        assert calls == {"check": len(members), "slices": []}
-        assert all(member._family[0].made == {} for member in members)
+        with pytest.raises(ValueError, match="action_a must lie in 0..3"):
+            prefix_counts(EpisodeDataset(**arrays), (1, 3, 4), 3, 4, 2)
+        assert calls == {"check": 1, "slices": []}
+
+
+class TestPrefix:
+    @pytest.mark.parametrize("t", [0, 1, 500])
+    def test_the_first_t_episodes(self, t):
+        data = EpisodeDataset(*(np.arange(1000).reshape(500, 2),) * 4)
+        prefix = data.prefix(t)
+        assert (prefix.n_episodes, prefix.horizon) == (t, 2)
+        assert [a.tolist() for a in prefix.arrays] == [a[:t].tolist() for a in data.arrays]
+
+    @pytest.mark.parametrize("t", [-1, 501, 10**6])
+    def test_a_size_outside_the_dataset_is_rejected(self, t):
+        data = EpisodeDataset(*(np.zeros((500, 2), dtype=np.int64),) * 4)
+        with pytest.raises(ValueError, match=re.escape(f"a prefix holds 0..500 episodes, not {t}")):
+            data.prefix(t)
 
 
 class TestFrequencyEstimateMarkov:
@@ -1167,8 +1188,9 @@ class TestSerialization:
         with pytest.raises(ValueError, match="next_state at step h must equal state at step h"):
             read_dataset(path)
         # against a model the out-of-range state is what gets named
-        with pytest.raises(ValueError, match="state must lie in 0..1"):
-            read_dataset(path, (2, 2, 2))
+        for read in (lambda: read_dataset(path, (2, 2, 2)), lambda: read_counts(path, 2, 2, 2)):
+            with pytest.raises(ValueError, match="state must lie in 0..1"):
+                read()
 
     def test_matrix_dataset_as_episodes(self):
         pair = PolicyPair(np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0]))
