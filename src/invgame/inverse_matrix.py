@@ -10,6 +10,17 @@ Each system decomposes X once, and one rank cutoff decides identifiability:
 at full rank theta is the unique least-squares solution X^+ y; below it
 theta is known only up to a set, of which X^+ y is the least-norm point.
 
+Distances to a point cloud are bit for bit the plain ones, each point's
+least sum of squared coordinate differences in coordinate order, whatever
+the BLAS kernel or its thread count; they cost one matmul per block of
+points and a recheck of few pairs (_nearest_sq).  The matmul screens the
+cloud by |c - t|^2 - 2(p - t).(c - t), t the cloud's mean; each cloud point
+within a proven rounding margin of a row's screen minimum gets the plain
+sum, and the row takes their least.  One 1,000 x 1,000 pass in R^6 takes
+about 3 ms, a quarter of the plain loop's time, on one core of a 2-core
+Xeon VM; a cloud of ties, where every pair is a candidate, takes up to
+about three times the plain loop's.
+
 Conventions: action 0 is the baseline for both players (log-ratios are taken
 against it), and norm caps are on the squared Euclidean norm, so a cap of M
 admits exactly the parameters with ||theta||^2 <= M.
@@ -28,7 +39,7 @@ from invgame.sampling import EmpiricalMarkovQRE, stream
 LOG_FLOOR = 1e-12  # probabilities are floored here before log-ratios
 RANK_TOL_FACTOR = 1e-12
 _ULPS = 4 * np.finfo(float).eps  # a few ulps, as a relative width
-_CLOUD_CHUNK = 1 << 14  # point-to-cloud distances held at once
+_CLOUD_CHUNK = 1 << 15  # point-cloud screen values, or recheck coordinates, held at once
 
 
 def floor_distribution(p: np.ndarray) -> np.ndarray:
@@ -366,8 +377,8 @@ def feasible_set_from_policies(
 
 
 def _sample_points(obj, k: int, rng: np.random.Generator, dim: int | None = None) -> np.ndarray:
-    """K points of a set, or at most K rows of a nonempty cloud, checked to
-    lie in R^dim when dim is given."""
+    """K points of a set, or at most K rows of a nonempty, finite cloud,
+    checked to lie in R^dim when dim is given."""
     if isinstance(obj, FeasibleSet):
         pts = obj.sample(k, rng)
     elif isinstance(obj, ConfidenceSet):
@@ -378,6 +389,8 @@ def _sample_points(obj, k: int, rng: np.random.Generator, dim: int | None = None
             raise TypeError("point clouds must be 2-D arrays")
         if not len(pts):
             raise ValueError("point cloud is empty")
+        if not np.isfinite(pts).all():
+            raise ValueError("point clouds must be finite")
         if pts.shape[0] > k:
             pts = pts[rng.choice(pts.shape[0], size=k, replace=False)]
     if dim is not None and pts.shape[1] != dim:
@@ -391,30 +404,127 @@ def _distances_to(obj, points: np.ndarray) -> np.ndarray:
     if isinstance(obj, ConfidenceSet):
         members, _ = obj._project(points)
         return np.linalg.norm(points - members, axis=1)
-    cloud = np.asarray(obj, dtype=float)
-    columns = np.ascontiguousarray(cloud.T)  # one contiguous row per coordinate
-    # plain differences, in chunks of rows, so a cloud point is at distance 0;
-    # squares summed in coordinate order, in two buffers reused by every chunk
-    rows = max(1, _CLOUD_CHUNK // len(cloud))
+    return np.sqrt(_nearest_sq(np.asarray(obj, dtype=float), np.asarray(points, dtype=float)))
+
+
+def _nearest_sq(cloud: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Squared distance from each point p to its nearest point c of a finite
+    cloud, bit for bit the minimum over the cloud of the plain sum
+    D(c) = fl(sum_k fl(fl(p_k - c_k)^2)) in coordinate order, whatever the
+    BLAS kernel, its summation order or its thread count.
+
+    Screen.  With t the cloud's mean, u = fl(p - t) and v = fl(c - t), one
+    matmul of the rows [-2u, 1] with the columns [v, fl(|v|^2)] gives
+    s(c) ~ |v|^2 - 2 u.v, and |u - v|^2 = |u|^2 + s(c) exactly, so s ranks
+    the cloud as |p - c|^2 does, up to rounding.  With w = eps/2,
+    S = |u|^2 + max_c |v|^2 and E(c) = |p - c|^2 in exact arithmetic, each
+    bound to first order in w:
+      (a) |D - E| <= (d + 2) w E: three roundings per term, d - 1 additions;
+          and E <= (|u| + |v|)^2 <= 2S, so |D - E| <= 2(d + 2) w S.
+      (b) u - v differs from p - c by at most w(|u| + |v|) in norm, so
+          | |u - v|^2 - E | <= 2w(|u| + |v|)^2 <= 4wS.
+      (c) the |v|^2 column is off by at most d w |v|^2, and a dot product
+          of d + 1 terms, summed in any order with or without FMA, by at
+          most (d + 1) w sum_k |x_k y_k| <= 2(d + 1) w S; together
+          <= (3d + 2) w S.
+    So D(c) = |u|^2 + s(c) + r(c) with |r| <= R = (5d + 10) w S.  If c* has
+    the least D and m the least s, then s(c*) - R <= D(c*) - |u|^2 <=
+    D(m) - |u|^2 <= s(m) + R, so s(c*) <= s(m) + (5d + 10) eps S.  The
+    margin 8(d + 4) eps S leaves (3d + 22) eps S for rounding the threshold
+    s(m) + margin (under 2 eps S), computing S and the margin, and
+    second-order terms.  Products below the normal range err by at most half the
+    smallest subnormal each, 3d + 1 of them per value, which the margin's
+    absolute term 8(d + 4) * smallest_subnormal covers.  Below
+    S <= max / 16 no step overflows; a row above it, or whose threshold is
+    not finite, is a candidate at every cloud point.
+
+    Recheck.  The candidates, the cloud points whose s is at most the
+    row's threshold, include c*; each gets the plain sum D, and the row
+    takes their least, which is D(c*).  The screen holds _CLOUD_CHUNK
+    values of rows x cloud points at once.  Candidates are held across
+    blocks until _CLOUD_CHUNK / d pairs (or one block's) are held, and are
+    then rechecked together, gathering at most _CLOUD_CHUNK coordinates
+    of each side at once."""
+    n, d = cloud.shape
+    mean = cloud.mean(axis=0)
+    columns = np.empty((d + 1, n))  # [v, |v|^2] as columns of the matmul
+    queries = np.empty((len(points), d + 1))  # [-2u, 1] as rows
+    with np.errstate(over="ignore", invalid="ignore"):  # S > max / 16: rechecked in full
+        np.subtract(cloud, mean, out=columns[:d].T)
+        np.einsum("ij,ij->j", columns[:d], columns[:d], out=columns[d])
+        np.subtract(points, mean, out=queries[:, :d])
+        scale = np.einsum("ij,ij->i", queries[:, :d], queries[:, :d])  # S per row
+        scale += columns[d].max()
+    queries[:, :d] *= -2.0
+    queries[:, d] = 1.0
+    unbounded = ~(scale <= np.finfo(float).max / 16)
+    margin = scale  # 8(d + 4)(eps S + smallest_subnormal), in place
+    margin *= 8 * (d + 4) * np.finfo(float).eps
+    margin += 8 * (d + 4) * np.finfo(float).smallest_subnormal
+    margin[unbounded] = np.inf
+    rows = max(1, _CLOUD_CHUNK // n)
+    pairs = max(1, _CLOUD_CHUNK // d)  # candidate pairs held, and rechecked, at once
     nearest = np.empty(len(points))
-    acc_buf, diff_buf = (np.empty((min(rows, len(points)), len(cloud))) for _ in range(2))
+
+    held_rows, held_cols = [], []  # candidates of rows held_from.. not yet rechecked
+    held_from = 0
+
+    def recheck(stop: int) -> None:
+        """nearest[held_from:stop], the least plain sum over each row's
+        held candidates."""
+        nonlocal held_from
+        hit_rows, hit_cols = (np.concatenate(a) if len(a) > 1 else a[0] for a in (held_rows, held_cols))
+        held_rows.clear()
+        held_cols.clear()
+        sums = np.empty(len(hit_rows))
+        for lo in range(0, len(hit_rows), pairs):
+            sq = np.take(points, hit_rows[lo : lo + pairs], axis=0)
+            sq -= np.take(cloud, hit_cols[lo : lo + pairs], axis=0)
+            sq *= sq
+            acc = sums[lo : lo + pairs]
+            acc[:] = sq[:, 0]
+            for j in range(1, d):
+                acc += sq[:, j]
+        # every row has a candidate, its screen minimum, so each run is nonempty
+        runs = np.searchsorted(hit_rows, np.arange(held_from, stop))
+        nearest[held_from:stop] = np.minimum.reduceat(sums, runs)
+        held_from = stop
+
+    screen_buf = np.empty((min(rows, len(points)), n))
+    held = 0
     for start in range(0, len(points), rows):
-        block = points[start : start + rows]
-        acc, diff = acc_buf[: len(block)], diff_buf[: len(block)]
-        np.subtract(block[:, 0, None], columns[0], out=acc)
-        np.multiply(acc, acc, out=acc)
-        for j in range(1, len(columns)):
-            np.subtract(block[:, j, None], columns[j], out=diff)
-            acc += np.multiply(diff, diff, out=diff)
-        nearest[start : start + rows] = acc.min(axis=1)
-    return np.sqrt(nearest)
+        block = queries[start : start + rows]
+        with np.errstate(over="ignore", invalid="ignore"):  # such rows are not finite
+            screen = np.matmul(block, columns, out=screen_buf[: len(block)])
+            threshold = screen.min(axis=1)
+            threshold += margin[start : start + rows]
+        candidates = screen <= threshold[:, None]
+        unscreened = ~np.isfinite(threshold)
+        if unscreened.any():
+            candidates[unscreened] = True
+        hit_cols = np.flatnonzero(candidates)  # row-major; 2-D nonzero is slow
+        hit_rows = hit_cols // n
+        hit_cols -= hit_rows * n
+        hit_rows += start
+        if held and held + len(hit_rows) > pairs:
+            recheck(start)
+            held = 0
+        held_rows.append(hit_rows)
+        held_cols.append(hit_cols)
+        held += len(hit_rows)
+        if held >= pairs:  # a block's worth already: recheck it while it is in cache
+            recheck(start + len(block))
+            held = 0
+    if held:
+        recheck(len(points))
+    return nearest
 
 
 def hausdorff_estimate(set_a, set_b, k: int = 64, seed: int = 0) -> float:
     """Sampled Hausdorff distance between parameter sets.
 
-    Each set may be a FeasibleSet, a ConfidenceSet, or a nonempty (n, d)
-    point cloud, both in one dimension d.  Directed distances take the max
+    Each set may be a FeasibleSet, a ConfidenceSet, or a nonempty, finite
+    (n, d) point cloud, both in one dimension d.  Directed distances take the max
     over K sampled points of one set of the distance to the other; distances
     to either kind of set are exact projections, so only the sampling
     depends on the seed.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +28,8 @@ _COLUMNS = DATASET_HEADER.split(",")[2:]  # the EpisodeDataset arrays, as the fi
 _WRITE_BLOCK_ROWS = 1 << 12  # dataset rows formatted at once, at most
 _COUNT_BLOCK = 1 << 14  # episodes whose cell indices are formed at once
 _MIN_PART_EPISODES = 1 << 15  # episodes per part of a draw, at least (see _draw_parts)
+_running_lock = threading.Lock()
+_running_draws = 0  # sample_episodes calls drawing now, which share the CPUs
 
 
 def stream(seed: int, rep: int = 0) -> np.random.Generator:
@@ -131,8 +134,9 @@ def sample_episodes(
     Draw j of the call (the initial state when S > 1, then each step's a,
     b and s') reads words jT .. jT + T - 1 of stream(seed, rep), episode i
     word jT + i.  The episodes are split into contiguous parts, one per
-    available CPU and at least _MIN_PART_EPISODES each, drawn at once on
-    their own threads (_draw_parts); each part reads only its own words
+    available CPU (shared with the calls drawing at the same time) and at
+    least _MIN_PART_EPISODES each, drawn at once on their own threads
+    (_draw_parts); each part reads only its own words
     (_uniforms), so neither the split nor the CPU count changes a dataset."""
     initial = spec.check_play(policies, initial)
     if n_episodes < 1:
@@ -179,21 +183,31 @@ def _available_cpus() -> int:
 
 def _draw_parts(draw, n_episodes: int) -> None:
     """draw(lo, hi) for each part [lo, hi) of the T episodes: one part per
-    available CPU, but none under _MIN_PART_EPISODES, where a second thread
-    costs more than it saves.  One part is drawn on the calling thread
-    alone; otherwise the first is, and each other on a thread of its own.
-    Every thread is joined before this returns or raises, and the first
-    part that raises (in part order) raises here."""
-    parts = max(1, min(_available_cpus(), n_episodes // _MIN_PART_EPISODES))
-    if parts == 1:
-        draw(0, n_episodes)
-        return
-    bounds = [n_episodes * k // parts for k in range(parts + 1)]
-    with ThreadPoolExecutor(parts - 1) as pool:  # leaving the block joins every thread
-        others = [pool.submit(draw, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        draw(bounds[0], bounds[1])
-        for other in others:
-            other.result()
+    available CPU, the CPUs shared among the draws running at that moment
+    (a pool of repetitions draws concurrently), but none under
+    _MIN_PART_EPISODES, where a second thread costs more than it saves.
+    One part is drawn on the calling thread alone; otherwise the first is,
+    and each other on a thread of its own.  Every thread is joined before
+    this returns or raises, and the first part that raises (in part order)
+    raises here."""
+    global _running_draws
+    with _running_lock:
+        _running_draws += 1
+    try:
+        cpus = _available_cpus() // _running_draws  # counted after this draw joined
+        parts = max(1, min(cpus, n_episodes // _MIN_PART_EPISODES))
+        if parts == 1:
+            draw(0, n_episodes)
+            return
+        bounds = [n_episodes * k // parts for k in range(parts + 1)]
+        with ThreadPoolExecutor(parts - 1) as pool:  # leaving the block joins every thread
+            others = [pool.submit(draw, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+            draw(bounds[0], bounds[1])
+            for other in others:
+                other.result()
+    finally:
+        with _running_lock:
+            _running_draws -= 1
 
 
 def _uniforms(seed: int, rep: int, n_episodes: int, lo: int, hi: int):

@@ -12,12 +12,14 @@ which runs the library's backward pass on the true policies and kernel
 estimator bodies (mle_fit_by_einsum, ridge_fit_by_gather and
 frequency_estimate_by_step) count the dataset themselves, mle_fit_alone is
 mle_fit's earlier one-fit loop on the library's count table,
-qre_by_damped_iteration is solve_qre_batch's earlier damped fixed point, and
+qre_by_damped_iteration is solve_qre_batch's earlier damped fixed point,
 project_by_bisection is ConfidenceSet._project's earlier bisection in t,
-which reads the set's cached SVD.  The two MLE bodies read the library's
-stopping rule, inverse_markov.MLE_MAX_ITER and MLE_TOL, at call time.  tv,
-the total variation distance, is test-only: the library's discrepancies
-sum it inline.
+which reads the set's cached SVD, and nearest_sq_by_differences is the
+earlier point-cloud branch of inverse_matrix._distances_to, before its
+square root.  The two MLE bodies read the library's stopping rule,
+inverse_markov.MLE_MAX_ITER and MLE_TOL, at call time.  tv, the total
+variation distance, is test-only: the library's discrepancies sum it
+inline.
 """
 
 from __future__ import annotations
@@ -322,6 +324,22 @@ def feasible_projection_by_clamp(feasible, point: np.ndarray) -> np.ndarray:
     if norm > feasible.radius:
         z = z * (feasible.radius / norm)
     return feasible.particular + feasible.null_basis @ z
+
+
+def nearest_sq_by_differences(points: np.ndarray, cloud: np.ndarray) -> np.ndarray:
+    """Squared distance from each point to its nearest cloud point: plain
+    differences, so a cloud point is at distance 0, squared and summed in
+    coordinate order, for every (point, cloud point) pair."""
+    columns = np.ascontiguousarray(cloud.T)  # one contiguous row per coordinate
+    rows = max(1, (1 << 14) // len(cloud))
+    nearest = np.empty(len(points))
+    for start in range(0, len(points), rows):
+        block = points[start : start + rows]
+        acc = np.square(block[:, 0, None] - columns[0])
+        for j in range(1, len(columns)):
+            acc += np.square(block[:, j, None] - columns[j])
+        nearest[start : start + rows] = acc.min(axis=1)
+    return nearest
 
 
 _BISECTIONS = 53  # resolves t in [0, 1] to 2^-53, the spacing of doubles below 1

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,6 +37,7 @@ from invgame.sampling import (
 from .oracles import (
     feasible_projection_by_clamp,
     matrix_linear_system,
+    nearest_sq_by_differences,
     payoff_from_features,
     project_by_bisection,
     theoretical_kappa,
@@ -775,12 +777,95 @@ class TestHausdorff:
             (np.zeros((0, 2)), np.zeros((3, 2)), "point cloud is empty"),
             (np.zeros((3, 3)), np.zeros((3, 2)), "dimensions 3 and 2"),
             (FeasibleSet(np.eye(3)[:1], np.zeros(1), 1.0), np.zeros((3, 2)), "dimensions 3 and 2"),
+            (np.array([[0.0, np.nan], [1.0, 2.0]]), np.zeros((3, 2)), "clouds must be finite"),
+            (np.zeros((3, 2)), np.array([[1.0, 2.0], [-np.inf, 0.0]]), "clouds must be finite"),
         ],
-        ids=["empty_b", "empty_a", "dimensions", "set_and_cloud"],
+        ids=["empty_b", "empty_a", "dimensions", "set_and_cloud", "nan_a", "inf_b"],
     )
     def test_bad_clouds_are_rejected(self, set_a, set_b, message):
         with pytest.raises(ValueError, match=message):
             hausdorff_estimate(set_a, set_b)
+
+
+def cloud_cases():
+    """(cloud, points) pairs named for what they probe in the screen."""
+    rng = stream(41)
+    cases = {}
+    for d in (1, 3, 6):
+        cloud, points = rng.standard_normal((300, d)), rng.standard_normal((200, d))
+        cases[f"normal_d{d}"] = (cloud, points)
+        cases[f"offset_1e8_d{d}"] = (cloud + 1e8, points + 1e8)
+        cases[f"scaled_1e-150_d{d}"] = (cloud * 1e-150, points * 1e-150)
+        cases[f"scaled_1e150_d{d}"] = (cloud * 1e150, points * 1e150)
+    lattice = np.stack(np.meshgrid(*[np.arange(6.0)] * 3), axis=-1).reshape(-1, 3)
+    # a cube's centre is equidistant from its 8 corners; a lattice point is at 0
+    cases["lattice_ties"] = (lattice, np.vstack([lattice[::7] + 0.5, lattice[::11]]))
+    cases["duplicates"] = (np.repeat(rng.standard_normal((5, 4)), 100, axis=0), rng.standard_normal((80, 4)))
+    basis = rng.standard_normal((2, 6))
+    cases["subspace"] = (rng.standard_normal((300, 2)) @ basis, rng.standard_normal((100, 2)) @ basis)
+    itself = rng.standard_normal((250, 6))
+    cases["itself"] = (itself, itself)
+    # two cloud points a few ulps apart in distance from each point, in a
+    # cloud 2,000 wide: the screen's rounding exceeds their gap
+    centres, offsets = rng.uniform(-1e3, 1e3, (200, 3)), rng.standard_normal((200, 3))
+    gaps = 1 + rng.integers(-4, 5, (200, 1)) * np.finfo(float).eps
+    cases["near_ties_in_a_wide_cloud"] = (np.vstack([centres + offsets, centres - offsets * gaps]), centres)
+    # rows past the screen's overflow bound are rechecked against every point
+    far = rng.standard_normal((60, 6))
+    far[::3] *= 2e153
+    cases["beyond_the_screen"] = (rng.standard_normal((300, 6)), far)
+    return cases
+
+
+CLOUD_CASES = cloud_cases()
+
+
+class TestCloudDistances:
+    """Point-to-cloud distances screened by one matmul per block and
+    rechecked with the plain sum are the plain loop's (tests/oracles), to
+    the bit, in blocks of many rows, of one row, and in several blocks."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 1024], ids=["default", "one_row", "several_blocks"])
+    @pytest.mark.parametrize("name", list(CLOUD_CASES))
+    def test_bit_identical_to_the_plain_loop(self, monkeypatch, name, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(inverse_matrix, "_CLOUD_CHUNK", chunk)
+        cloud, points = CLOUD_CASES[name]
+        got = _distances_to(cloud, points)
+        assert np.array_equal(got, np.sqrt(nearest_sq_by_differences(points, cloud)))
+        if name == "itself":
+            assert not got.any()
+
+    def test_a_screen_that_overflows_is_rechecked_in_full(self):
+        # clusters at +-1e154 centre the cloud on 0, so -2 u.v and |v|^2
+        # overflow to -inf and inf, and the screen row is nan, while each
+        # point's own cluster is near; the other cluster's squares overflow
+        # in both bodies
+        rng = stream(43)
+        cluster = 1e154 * (1 + 1e-3 * rng.standard_normal((50, 2)))
+        cloud, points = np.vstack([cluster, -cluster]), cluster[::5] * (1 + 1e-6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _distances_to(cloud, points)
+            want = np.sqrt(nearest_sq_by_differences(points, cloud))
+        assert np.isfinite(want).all() and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_cloud, n_points", [(2000, 2000), (8000, 2000), (2000, 8000)])
+    def test_memory_is_the_block_budget(self, n_cloud, n_points):
+        # the screen block, its mask, the recheck's two gathers and its
+        # candidate indices hold under 5 blocks of _CLOUD_CHUNK doubles,
+        # beside d + 4 doubles per point of either set: no (points x cloud)
+        # table, however large the clouds
+        d, rng = 6, stream(42)
+        cloud, points = rng.standard_normal((n_cloud, d)), rng.standard_normal((n_points, d))
+        _distances_to(cloud[:10], points[:10])  # numpy's lazy imports, untraced
+        tracemalloc.start()
+        try:
+            _distances_to(cloud, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 8 * inverse_matrix._CLOUD_CHUNK
+        assert peak <= 5 * block + 8 * (d + 4) * (n_cloud + n_points)
 
 
 class TestReconstructPayoff:
