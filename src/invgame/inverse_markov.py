@@ -122,9 +122,11 @@ def mle_fit(data: DataOrTable, model: SoftmaxPolicyModel, step: int, player: str
     unconverged after MLE_MAX_ITER iterations.  The objective is convex, so
     the trace is nonincreasing.  Each iteration reads only the step's
     (S, actions) marginal of the count table (step_counts), so it costs
-    O(S * actions * d), independent of the number of episodes.  It is
-    _fit_stack's loop on one fit, whose iterates fit_every_step follows too.
-    The params and trace are read-only.
+    O(S * actions * d), independent of the number of episodes, and
+    O(S * actions) on identity features, whose two products are exact and
+    skipped.  It is _fit_stack's loop on one fit, whose iterates
+    fit_every_step follows too; its norms are np.vecdot's BLAS dot.  The
+    params and trace are read-only.
     """
     if player not in ("a", "b"):
         raise ValueError("player must be 'a' or 'b'")
@@ -142,10 +144,16 @@ def fit_every_step(tables: list[np.ndarray], model: SoftmaxPolicyModel) -> list[
     """Every step's fit of each player on each count table, by table, then
     player, each the one mle_fit makes: one lockstep stack of all the
     tables' fits of both players, or one per player when psi_a and psi_b
-    differ in shape.  Every table must hold samples."""
+    differ in shape.  There must be a table, each of step_counts' shape for
+    the model, of one horizon and holding samples."""
+    if not tables:
+        raise ValueError("no tables to fit")
+    tables = [step_counts(table, *model.psi_a.shape[:2], model.psi_b.shape[1]) for table in tables]
+    h_len = tables[0].shape[0]
+    if any(table.shape[0] != h_len for table in tables):
+        raise ValueError("the tables must share one horizon")
     if not all(table.any() for table in tables):
         raise ValueError("no samples at step 0")  # one record per step: all steps or none
-    h_len = tables[0].shape[0]
     counts = {  # each table's (H, S, actions) marginal
         "a": [table.sum(axis=(3, 4)) for table in tables],
         "b": [table.sum(axis=(2, 4)) for table in tables],
@@ -169,33 +177,31 @@ def fit_every_step(tables: list[np.ndarray], model: SoftmaxPolicyModel) -> list[
     return fits
 
 
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x[..., i, :] @ y[..., i, :] for every leading index, each the BLAS dot
-    the two rows alone make."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
 def _objectives(history: list, weights: np.ndarray, observed: np.ndarray) -> np.ndarray:
     """The mean NLL weights @ (log z + shift) - observed @ theta of each
     (theta, shift, z) in history, as (iterations, fits), by the operations a
     fit alone makes at each iteration."""
     theta, shift, z = (np.array(x) for x in zip(*history))
-    return _dots(weights, np.log(z) + shift) - _dots(observed, theta)
+    return np.vecdot(weights, np.log(z) + shift) - np.vecdot(observed, theta)
 
 
 def _fit_stack(flats: np.ndarray, counts: np.ndarray, lipschitz: float) -> list[MleFit]:
     """Projected-gradient fits of a stack in one loop: fit i has features
     flats[i] (S * actions, d) and counts[i] (S, actions).  Each fit freezes
     once its own gradient mapping is at most MLE_TOL, and each of its
-    products is the same BLAS call (a gemv or a dot on its own rows) a fit
-    alone makes, so it follows exactly the iterates it would alone.  The objective trace
-    is formed from the recorded iterates every _TRACE_BLOCK iterations and at
+    products is the same BLAS call (a gemv, or np.vecdot's dot on its own
+    rows) a fit alone makes, so it follows exactly the iterates it would
+    alone.  Identity features (saturated_policy_model's one-hot ones) skip
+    both gemvs: a row of one 1.0 and zeros gives each finite entry back
+    exactly, so an iteration costs O(S * actions).  The objective trace is
+    formed from the recorded iterates every _TRACE_BLOCK iterations and at
     each freeze, not once per iteration."""
     b_len, s_len, n_actions = counts.shape
     totals = counts.sum(axis=(1, 2))[:, None]
     # the mean NLL is weights @ log Z(theta) - observed @ theta
     weights = counts.sum(axis=2) / totals
     observed = (counts.reshape(b_len, 1, -1) @ flats)[:, 0] / totals
+    identity = flats.shape[1] == flats.shape[2] and (flats == np.eye(flats.shape[1])).all()
     theta = np.zeros((b_len, flats.shape[2]))
     params, iterations = np.empty_like(theta), np.full(b_len, MLE_MAX_ITER)
     converged = np.zeros(b_len, dtype=bool)
@@ -204,21 +210,23 @@ def _fit_stack(flats: np.ndarray, counts: np.ndarray, lipschitz: float) -> list[
     history = []  # (theta, shift, z) of each iteration of the open block
     flats_t = flats.transpose(0, 2, 1)
     for it in range(1, MLE_MAX_ITER + 1):
-        logits = (flats @ theta[:, :, None]).reshape(-1, s_len, n_actions)
-        shift = logits.max(axis=2)
+        logits = (theta if identity else flats @ theta[:, :, None]).reshape(-1, s_len, n_actions)
+        # a max is exact in any order, and a leading axis reduces fastest; the
+        # sum z stays on the last axis, where a fit alone sums its actions
+        shift = np.maximum.reduce(np.ascontiguousarray(logits.transpose(2, 0, 1)))
         e = np.exp(logits - shift[:, :, None])
         z = e.sum(axis=2)
         history.append((theta, shift, z))
-        cells = (e * (weights / z)[:, :, None]).reshape(len(live), -1, 1)
-        grad = (flats_t @ cells)[:, :, 0] - observed
+        cells = (e * (weights / z)[:, :, None]).reshape(len(live), -1)
+        grad = (cells if identity else (flats_t @ cells[:, :, None])[:, :, 0]) - observed
         new_theta = theta - grad / lipschitz
         # L * ||theta - (theta - grad / L)|| is ||grad|| inside the ball
-        gradient_mapping = np.sqrt(_dots(grad, grad))
-        norm = np.sqrt(_dots(new_theta, new_theta))
+        gradient_mapping = np.sqrt(np.vecdot(grad, grad))
+        norm = np.sqrt(np.vecdot(new_theta, new_theta))
         if np.count_nonzero(out := norm > 1):  # cheaper than .any() on a few fits
             new_theta[out] *= (1 / norm[out])[:, None]  # onto the unit ball
             moved = theta[out] - new_theta[out]
-            gradient_mapping[out] = lipschitz * np.sqrt(_dots(moved, moved))
+            gradient_mapping[out] = lipschitz * np.sqrt(np.vecdot(moved, moved))
         theta = new_theta
         done = gradient_mapping <= MLE_TOL
         frozen = np.count_nonzero(done)

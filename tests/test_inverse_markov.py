@@ -382,6 +382,9 @@ def assert_bit_identical(got, expected):
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert_bit_identical(g, e)
+    elif isinstance(expected, np.ndarray):  # signed zeros and NaN payloads too
+        assert type(got) is np.ndarray and (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()
     else:
         assert type(got) is type(expected) and np.array_equal(got, expected)
 
@@ -842,13 +845,37 @@ class TestMleFit:
         binding = [np.linalg.norm(fit.params) == pytest.approx(1.0) for fit in fits]
         assert any(binding) and not all(binding)
 
-    def test_players_of_different_shapes_match_each_fit_alone(self):
+    @pytest.mark.parametrize(
+        "m, n, features",
+        [
+            (2, 3, "one_hot"),
+            (8, 9, "one_hot"),
+            (10, 10, "one_hot"),
+            (3, 3, "scaled"),
+            (3, 4, "permuted"),
+        ],
+        ids=["m2_n3", "m8_n9", "m10_n10", "two_eye", "permuted_eye"],
+    )
+    def test_fits_of_each_shape_and_feature_match_each_fit_alone(self, m, n, features):
+        # from 8 actions numpy sums a row pairwise, as a fit alone does; the
+        # scaled (K = 2, so L = 4) and row-permuted one-hot features are not
+        # the identity, so their fits take the two products
         rng = stream(11)
-        s_len, m, n, h_len = 3, 2, 3, 4
+        s_len, h_len = 3, 4
         data = EpisodeDataset(
             *(rng.integers(0, size, (200, h_len)) for size in (s_len, m, n, s_len))
         )
         policy = saturated_policy_model(s_len, m, n)
+        if features == "scaled":
+            policy = SoftmaxPolicyModel(2 * policy.psi_a, 2 * policy.psi_b)
+            assert policy.feature_scale**2 == 4
+        elif features == "permuted":
+            rows = [psi.reshape(-1, psi.shape[2]) for psi in (policy.psi_a, policy.psi_b)]
+            rows = [flat[rng.permutation(len(flat))] for flat in rows]
+            assert not any(np.array_equal(flat, np.eye(len(flat))) for flat in rows)
+            policy = SoftmaxPolicyModel(
+                *(flat.reshape(psi.shape) for flat, psi in zip(rows, (policy.psi_a, policy.psi_b)))
+            )
         assert_fits_alone(data, policy, [(h, p) for h in range(h_len) for p in "ab"])
 
     @pytest.mark.parametrize("m, n", [(3, 3), (2, 3)], ids=["one_stack", "a_stack_per_player"])
@@ -909,6 +936,21 @@ class TestMleFit:
         data = data.prefix(call.pop("episodes", data.n_episodes))
         with pytest.raises(ValueError, match=f"^{message}$"):
             mle_fit(data, model, **call)
+
+    @pytest.mark.parametrize(
+        "tables, message",
+        [
+            ([np.zeros((1, 2, 2, 2, 2), dtype=np.int64)],
+             re.escape("a table must be shaped (H, 3, 2, 2, 3), not (1, 2, 2, 2, 2)")),
+            ([], "no tables to fit"),
+            ([np.ones((h, 3, 2, 2, 3), dtype=np.int64) for h in (2, 3)],
+             "the tables must share one horizon"),
+        ],
+        ids=["shape", "no_tables", "horizons"],
+    )
+    def test_a_bad_fit_every_step_call_raises(self, tables, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_every_step(tables, saturated_policy_model(3, 2, 2))
 
     def test_binding_ball_fit_meets_kkt_conditions(self):
         radius = 1.0  # the unit ball, made to bind by shrinking psi
