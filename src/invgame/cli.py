@@ -70,6 +70,12 @@ def _typed(key: str, value, hint):
     raise UsageError(f"config field {key!r} cannot be {value!r}")
 
 
+@functools.cache
+def _config_hints() -> dict:
+    """ExperimentConfig's field types, resolved once per process."""
+    return typing.get_type_hints(ExperimentConfig)
+
+
 def load_config(args, default_kind: str = "setup1") -> ExperimentConfig:
     if getattr(args, "rep", 0) < 0:  # stream(seed, rep) takes neither negative
         raise UsageError(f"rep must be nonnegative, got {args.rep}")
@@ -90,7 +96,7 @@ def load_config(args, default_kind: str = "setup1") -> ExperimentConfig:
     if getattr(args, "emit_timings", False):
         raw["emit_timings"] = True
     raw.setdefault("kind", default_kind)
-    hints = typing.get_type_hints(ExperimentConfig)
+    hints = _config_hints()
     cleaned, keys = {}, {}
     for key, value in raw.items():
         field = ALIASES.get(key, key)
@@ -119,19 +125,21 @@ def run_experiment(config: ExperimentConfig) -> list[RepRecord]:
 
 def summarize(records: list[RepRecord]) -> list[tuple]:
     """Per sample size and metric: mean plus 2.5/97.5 empirical percentiles
-    over the records that did not fail; a metric some record lacks is left out."""
+    over the records that did not fail; a metric some record lacks is left
+    out.  One np.percentile call per size takes every metric's row at once."""
     rows = []
     for size in sorted({r.sample_size for r in records}):
         group = [r for r in records if r.sample_size == size and not r.error]
-        if not group:
+        values = {m: [getattr(r, m) for r in group] for m in METRIC_FIELDS}
+        metrics = [m for m in METRIC_FIELDS if values[m] and None not in values[m]]
+        if not metrics:
             continue
-        for metric in METRIC_FIELDS:
-            values = [getattr(r, metric) for r in group]
-            if any(v is None for v in values):
-                continue
-            arr = np.array(values, dtype=float)
-            lo, hi = np.percentile(arr, (2.5, 97.5))
-            rows.append((group[0].experiment, size, metric, float(arr.mean()), lo, hi))
+        arr = np.array([values[m] for m in metrics], dtype=float)
+        means, (lo, hi) = arr.mean(axis=1), np.percentile(arr, (2.5, 97.5), axis=1)
+        rows += [
+            (group[0].experiment, size, metric, float(means[i]), lo[i], hi[i])
+            for i, metric in enumerate(metrics)
+        ]
     return rows
 
 

@@ -8,7 +8,8 @@ matrix game is the one-step, one-state Markov game of its payoff, so every
 kind has one truth solve (`backward_qre`), one sampler (`sample_episodes`),
 one stacked re-solve of all its sample sizes and one scorer
 (`run_markov_rep`).  The runner and each invert command make one estimate
-per kind family: `_markov_estimate` or `_matrix_estimate`.
+per kind family: `_markov_estimate`, one stacked reward recovery of all the
+sizes given, or `_matrix_estimate`.
 `ExperimentConfig` alone decides whether a config runs: under KIND_FIELDS,
 which kinds read a field and with what default, every config it accepts
 builds its model.
@@ -18,7 +19,8 @@ data are then drawn from a second, fresh stream(s, rep), not from where the
 first one stopped, so the first data draws reuse the raw Philox words that
 generated the features.  Datasets across sample sizes are nested prefixes
 of one dataset, whose count tables are made in one pass (prefix_counts)
-and, under MLE policies, fitted in one lockstep loop (fit_every_step), each
+and recovered in one stacked pass (recover_rewards on the list of tables;
+under MLE policies, fitted in one lockstep loop, fit_every_step), each
 size bit for bit as it would be alone; the whole record set is
 reproducible bit-for-bit.
 """
@@ -34,9 +36,7 @@ import numpy as np
 from invgame.inverse_markov import (
     InversionConfig,
     SoftmaxPolicyModel,
-    _run_algorithm,
     block_weights,
-    fit_every_step,
     recover_rewards,
     recover_rewards_mle,
 )
@@ -402,13 +402,12 @@ def invert_matrix(config: ExperimentConfig, model: FeatureModel, table: np.ndarr
     }
 
 
-def _markov_estimate(
-    config: ExperimentConfig, model: LinearMDPModel, table: np.ndarray, kappa, fits=None
-):
-    """(thetas, Q, rewards, sets, feasible), per step, of the reward recovery
-    from a count table at threshold kappa (a scalar or one per step):
-    recover_rewards, or recover_rewards_mle on saturated one-hot softmax MLE
-    policies under policy_estimator "mle", at the runner's fits if given."""
+def _markov_estimate(config: ExperimentConfig, model: LinearMDPModel, tables: list, kappa):
+    """Each count table's (thetas, Q, rewards, sets, feasible), per step, from
+    one reward recovery of the list at threshold kappa (a scalar, one per
+    step, or one per table and step): recover_rewards, or
+    recover_rewards_mle on saturated one-hot softmax MLE policies under
+    policy_estimator "mle"."""
     mle = config.policy_estimator == "mle"
     policy_model = saturated_policy_model(*model.features.shape[:3]) if mle else None
     inversion = InversionConfig(
@@ -416,18 +415,15 @@ def _markov_estimate(
         ridge_lambda=config.ridge_lambda, theta_norm_cap=MARKOV_THETA_CAP,
         policy_model=policy_model,
     )
-    if fits is None:
-        sample = (recover_rewards_mle if mle else recover_rewards)(table, inversion)[0]
-    else:  # fitted by the runner with every other size's, in one loop
-        sample = _run_algorithm(table, inversion, fits)[0]
-    return sample.thetas, sample.q_values, sample.rewards, sample.sets, sample.feasible
+    samples = (recover_rewards_mle if mle else recover_rewards)(tables, inversion)
+    return [(s.thetas, s.q_values, s.rewards, s.sets, s.feasible) for s in samples]
 
 
 def invert_markov(config: ExperimentConfig, model: LinearMDPModel, table: np.ndarray) -> dict:
     """invert-markov's result: the runner's reward recovery (_markov_estimate)
     of a dataset's count table at the scalar threshold kappa_rule(N)."""
     kappa = kappa_rule(table[0].sum(), scale=config.kappa_scale)
-    thetas, _, rewards, _, feasible = _markov_estimate(config, model, table, kappa)
+    thetas, _, rewards, _, feasible = _markov_estimate(config, model, [table], kappa)[0]
     return {
         "theta_hat": thetas.tolist(),
         "feasible": feasible.tolist(),
@@ -443,7 +439,9 @@ def run_markov_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     Each size's estimate is its kind family's, the one its invert command
     makes from that size's count table (_markov_estimate, or
     _matrix_estimate with the payoff as the step's Q and reward), at each
-    step's threshold from _thresholds.
+    step's threshold from _thresholds; markov recovers every size's rewards
+    in one stacked _markov_estimate call.  A failed estimate names its size,
+    or every size when the stacked recovery cannot tell which one failed.
     Coverage is measured on the sets the estimates drew their parameters
     from.  The rewards of all sample sizes are re-solved together in one
     backward pass.
@@ -453,19 +451,18 @@ def run_markov_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     markov = config.kind == "markov"
     true_thetas = model.q_params(values.V) if markov else model.theta[None]
     tables = prefix_counts(data, config.samples, spec.S, spec.m, spec.n)
-    fits = [None] * len(tables)
-    if markov and config.policy_estimator == "mle":
-        fits = fit_every_step(tables, saturated_policy_model(spec.S, spec.m, spec.n))
+    kappas = [_thresholds(config, table) for table in tables]
     estimates = []
-    for n_samples, table, fit in zip(config.samples, tables, fits):
-        try:
-            kappa = _thresholds(config, table)
-            if markov:
-                estimates.append(_markov_estimate(config, model, table, kappa, fit))
-            else:
+    try:
+        if markov:  # every size's rewards in one stacked recovery
+            estimates = _markov_estimate(config, model, tables, np.stack(kappas))
+        else:
+            for table, kappa in zip(tables, kappas):
                 estimates.append(_matrix_estimate(config, model, table, kappa))
-        except Exception as err:
-            raise RuntimeError(f"estimate failed at N={n_samples}: {err!r}") from err
+    except Exception as err:  # the size of the table that failed, else every size
+        k = getattr(err, "table", None if markov else len(estimates))
+        sizes = config.samples if k is None else config.samples[k : k + 1]
+        raise RuntimeError(f"estimate failed at N={','.join(map(str, sizes))}: {err!r}") from err
     rewards = np.stack([estimated[2] for estimated in estimates])
     try:
         qre_errs, per_step_qres = qre_discrepancy_markov(spec, rewards, truth, state_dists)

@@ -10,6 +10,14 @@ and run the same backward pass: confidence set -> Q and V estimates -> ridge
 transition -> plug-in reward.  Every estimator reads the data only through
 its count table (`sampling.step_counts`), so each takes a dataset or that
 table.
+
+The drivers, stepwise_confidence_sets and ridge_fit also take a list of K
+datasets or tables of one shape and horizon (an experiment's sample sizes)
+in one stacked pass: one einsum per side builds the K x H stepwise systems,
+one batched SVD decomposes them, each step's ridge fits are formed for all
+K at once and one backward pass walks the H steps.  A dataset or table
+alone is the stack of one, and each table's result is the one it gives
+alone, to the bit.
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ import numpy as np
 
 from invgame.inverse_matrix import (
     ConfidenceSet,
+    _confidence_sets,
+    _stepwise_rows,
     build_stepwise_system,
     floor_distribution,
 )
@@ -33,31 +43,37 @@ _TRACE_BLOCK = 32  # iterations whose iterates are kept to form their objective 
 
 @dataclass(frozen=True)
 class RidgeTransitionEstimator:
-    """Gram matrix and the step's cell counts (of step_counts) behind the ridge predictor."""
+    """Gram matrix and the step's cell counts (of step_counts) behind the
+    ridge predictor, each table's under a leading axis for a list of them."""
 
-    gram: np.ndarray
+    gram: np.ndarray  # (d, d), or (K, d, d)
     cell_features: np.ndarray  # (S*m*n, d) features of the (s, a, b) cells
-    successor_counts: np.ndarray  # (S*m*n, S) the step's N(s, a, b, s')
+    successor_counts: np.ndarray  # (S*m*n, S), or (K, S*m*n, S): the step's N(s, a, b, s')
 
     def value_weights(self, v_next: np.ndarray) -> np.ndarray:
-        """Solve Lambda w = sum_t phi_t V(s'_t), summed as Phi' (N V) over the cells."""
-        cell_sums = self.successor_counts @ np.asarray(v_next, dtype=float)
-        return np.linalg.solve(self.gram, self.cell_features.T @ cell_sums)
+        """Solve Lambda w = sum_t phi_t V(s'_t), summed as Phi' (N V) over the
+        cells: v_next (S,) gives w (d,), and (K, S) gives each table's (K, d)."""
+        cell_sums = self.successor_counts @ np.asarray(v_next, dtype=float)[..., None]
+        return np.linalg.solve(self.gram, self.cell_features.T @ cell_sums)[..., 0]
 
 
 def ridge_fit(
-    data: DataOrTable, features: np.ndarray, ridge_lambda: float, step: int
+    data: DataOrTable | list, features: np.ndarray, ridge_lambda: float, step: int
 ) -> RidgeTransitionEstimator:
     """The step's Gram matrix Lambda = sum_t phi_t phi_t' + lambda I, summed
     as sum over cells of N(s, a, b) phi phi' from the step's count table, so
-    its cost does not grow with T."""
+    its cost does not grow with T.  A list gives each table's on a leading axis."""
     if not ridge_lambda > 0:
         raise ValueError("ridge_lambda must be positive")
     features = np.asarray(features, dtype=float)
     s_len, m, n, d = features.shape
-    counts = _step(step_counts(data, s_len, m, n), step).reshape(-1, s_len)
+    tables, _ = _tables(data, s_len, m, n)
+    counts = np.stack([_step(table, step) for table in tables]).reshape(len(tables), -1, s_len)
     cell_features = features.reshape(-1, d)
-    gram = (cell_features.T * counts.sum(axis=1)) @ cell_features + ridge_lambda * np.eye(d)
+    gram = (cell_features.T * counts.sum(axis=2)[:, None]) @ cell_features
+    gram += ridge_lambda * np.eye(d)
+    if not isinstance(data, (list, tuple)):
+        gram, counts = gram[0], counts[0]
     return RidgeTransitionEstimator(gram, cell_features, counts)
 
 
@@ -103,9 +119,6 @@ class MleFit:
     converged: bool
 
 
-Fits = dict[str, list[MleFit]]  # each step's fit, by player ("a" or "b")
-
-
 def _step(table: np.ndarray, step: int) -> np.ndarray:
     """Step `step` of a count table, named in a ValueError when it has none."""
     if not 0 <= step < table.shape[0]:
@@ -140,9 +153,9 @@ def mle_fit(data: DataOrTable, model: SoftmaxPolicyModel, step: int, player: str
     return _fit_stack(flat, counts[None].astype(float), lipschitz)[0]
 
 
-def fit_every_step(tables: list[np.ndarray], model: SoftmaxPolicyModel) -> list[Fits]:
+def fit_every_step(tables: list[np.ndarray], model: SoftmaxPolicyModel) -> list[dict]:
     """Every step's fit of each player on each count table, by table, then
-    player, each the one mle_fit makes: one lockstep stack of all the
+    player ("a" or "b"), each the one mle_fit makes: one lockstep stack of all the
     tables' fits of both players, or one per player when psi_a and psi_b
     differ in shape.  There must be a table, each of step_counts' shape for
     the model, of one horizon and holding samples."""
@@ -257,7 +270,8 @@ def _fit_stack(flats: np.ndarray, counts: np.ndarray, lipschitz: float) -> list[
 class InversionConfig:
     """Inputs shared by the reward-recovery drivers.
 
-    kappa may be a scalar or a length-H array of per-step thresholds.
+    kappa may be a scalar, a length-H array of per-step thresholds, or, for
+    a list of K count tables, a (K, H) array of each table's.
     theta_norm_cap bounds ||theta_h|| (not its square) and must be positive.
     """
 
@@ -288,13 +302,13 @@ class RecoveredRewardSample:
 
 @dataclass(frozen=True)
 class _Estimates:
-    mu: np.ndarray  # (H, S, m), strictly positive
-    nu: np.ndarray  # (H, S, n)
-    weights: np.ndarray  # (H, S) per-state block weights
+    mu: np.ndarray  # (K, H, S, m), strictly positive: each table's
+    nu: np.ndarray  # (K, H, S, n)
+    weights: np.ndarray  # (K, H, S) per-state block weights
 
 
 def block_weights(counts: np.ndarray, mle: bool) -> np.ndarray:
-    """Per-state block weights from the (H, S) visit counts N_h(s): each
+    """Per-state block weights from the (..., S) visit counts N_h(s): each
     visited state 1 for frequency sets, and its empirical visit probability
     rho_h(s) = N_h(s) / N for MLE sets, so unvisited states weigh nothing."""
     if mle:
@@ -302,120 +316,137 @@ def block_weights(counts: np.ndarray, mle: bool) -> np.ndarray:
     return (counts > 0).astype(float)
 
 
-def _estimates(table: np.ndarray, config: InversionConfig, fits: Fits | None = None) -> _Estimates:
-    """Each step's floored policies (frequency ones, or softmax-MLE ones of
-    config.policy_model when it has one: the fits given, else the table's
-    from fit_every_step) and per-state block weights (block_weights)."""
+def _tables(data, s_len: int, m: int, n: int, kappa=0.0) -> tuple[list, np.ndarray]:
+    """The step_counts tables of a list of K datasets or tables of one shape
+    and horizon, or of one alone (K = 1), and kappa (a scalar, (H,) or
+    (K, H)) as each table's (K, H) per-step thresholds."""
+    stack = data if isinstance(data, (list, tuple)) else [data]
+    if not stack:
+        raise ValueError("no tables to recover from")
+    tables = [step_counts(table, s_len, m, n) for table in stack]
+    k_len, h_len = len(tables), tables[0].shape[0]
+    if any(table.shape[0] != h_len for table in tables):
+        raise ValueError("the tables must share one horizon")
+    kappa = np.asarray(kappa, dtype=float)
+    if kappa.shape not in ((), (h_len,), (k_len, h_len)):
+        shapes = f"(H,) = ({h_len},) or (K, H) = ({k_len}, {h_len})"
+        raise ValueError(f"kappa must be a scalar or of shape {shapes}, got {kappa.shape}")
+    return tables, np.broadcast_to(kappa, (k_len, h_len))
+
+
+def _estimates(tables: list, config: InversionConfig) -> _Estimates:
+    """Each table's and step's floored policies (frequency ones, or the
+    softmax-MLE ones of config.policy_model when it has one, all fitted in
+    one fit_every_step call) and per-state block weights (block_weights)."""
     model = config.policy_model
     if model is None:
-        est = frequency_estimate_markov(table, *config.features.shape[:3])
-        mu, nu = est.mu_hat, est.nu_hat
+        ests = [frequency_estimate_markov(table, *config.features.shape[:3]) for table in tables]
+        mu, nu = np.stack([e.mu_hat for e in ests]), np.stack([e.nu_hat for e in ests])
     else:
-        if fits is None:
-            (fits,) = fit_every_step([table], model)
+        fits = fit_every_step(tables, model)
         mu, nu = (
-            np.stack([model.conditionals(psi, fit.params) for fit in fits[player]])
+            np.array([[model.conditionals(psi, fit.params) for fit in f[player]] for f in fits])
             for player, psi in (("a", model.psi_a), ("b", model.psi_b))
         )
-    counts = table.sum(axis=(2, 3, 4))
+    counts = np.stack([table.sum(axis=(2, 3, 4)) for table in tables])
     mle = model is not None
     return _Estimates(floor_distribution(mu), floor_distribution(nu), block_weights(counts, mle))
 
 
 def stepwise_confidence_sets(
-    data: DataOrTable, config: InversionConfig, estimates: _Estimates | None = None
-) -> list[ConfidenceSet]:
+    data: DataOrTable | list, config: InversionConfig, estimates: _Estimates | None = None
+) -> list:
     """The per-step confidence sets {theta : ||X theta - y||^2 <= kappa_h,
     ||theta|| <= theta_norm_cap} the recovery draws its parameters from: by
     default at the estimates of the driver the config selects, so
     recover_rewards' frequency sets, or recover_rewards_mle's sets when
     config has a policy_model.  Both drivers pass the estimates they recover
-    with, so that this one function builds every set.
-    config.kappa must be a scalar or hold one threshold per step."""
-    table = step_counts(data, *config.features.shape[:3])
-    h_len = table.shape[0]
-    kappa = np.asarray(config.kappa, dtype=float)
-    if kappa.shape not in ((), (h_len,)):
-        raise ValueError(f"kappa must be a scalar or of shape (H,) = ({h_len},), got {kappa.shape}")
-    kappas = np.broadcast_to(kappa, (h_len,))
+    with, so that this one function builds every set.  A list gives each
+    table's list of sets, all decomposed by one batched SVD.  config.kappa
+    must be a scalar or hold one threshold per step, or per table and step."""
+    tables, kappas = _tables(data, *config.features.shape[:3], config.kappa)
+    k_len, h_len = kappas.shape
     if estimates is None:
-        estimates = _estimates(table, config)
-    sets = []
-    for h in range(h_len):
-        system = build_stepwise_system(
-            config.features, estimates.mu[h], estimates.nu[h], config.eta,
-            estimates.weights[h],
-        )
-        sets.append(
-            ConfidenceSet(system.X, system.y, float(kappas[h]), config.theta_norm_cap**2)
-        )
-    return sets
+        estimates = _estimates(tables, config)
+    mu, nu, weights = estimates.mu, estimates.nu, estimates.weights
+    X, y = _stepwise_rows(config.features, mu, nu, config.eta, weights)
+    flat = X.reshape(-1, *X.shape[2:]), y.reshape(-1, y.shape[2]), kappas.ravel()
+    sets = _confidence_sets(*flat, config.theta_norm_cap**2)
+    by_table = [sets[k * h_len : (k + 1) * h_len] for k in range(k_len)]
+    return by_table if isinstance(data, (list, tuple)) else by_table[0]
 
 
 def _backward_pass(
-    config: InversionConfig,
-    estimates: _Estimates,
-    sets: tuple[ConfidenceSet, ...],
-    continuation,
-) -> RecoveredRewardSample:
-    """Bellman plug-in from the last step back at each set's min-norm member:
-    r_h = Q_h - gamma * continuation(h, V_{h+1}), where continuation returns
-    the (S, m, n) expected next-step value."""
+    config: InversionConfig, estimates: _Estimates, sets: list, continuation
+) -> list[RecoveredRewardSample]:
+    """Bellman plug-in from the last step back at each set's min-norm member,
+    every table's step at once: r_h = Q_h - gamma * continuation(h, V_{h+1}),
+    where continuation maps the (K, S) next-step values to the (K, S, m, n)
+    expected ones.  A failed theta selection carries its table's index as
+    the attribute `table`."""
     s_len, m, n, d = config.features.shape
-    h_len = len(sets)
-    thetas = np.zeros((h_len, d))
-    q_values = np.zeros((h_len, s_len, m, n))
-    v_values = np.zeros((h_len + 1, s_len))
-    rewards = np.zeros((h_len, s_len, m, n))
-    feasible = np.zeros(h_len, dtype=bool)
+    k_len, h_len = len(sets), len(sets[0])
+    thetas = np.zeros((k_len, h_len, d))
+    q_values = np.zeros((k_len, h_len, s_len, m, n))
+    v_values = np.zeros((k_len, h_len + 1, s_len))
+    rewards = np.zeros((k_len, h_len, s_len, m, n))
+    feasible = np.zeros((k_len, h_len), dtype=bool)
     flat_features = config.features.reshape(-1, d)
     for h in range(h_len - 1, -1, -1):
-        try:
-            thetas[h], feasible[h] = sets[h].min_norm_member()
-        except Exception as err:
-            raise RuntimeError(f"theta selection failed at step {h}") from err
-        q_values[h] = (flat_features @ thetas[h]).reshape(s_len, m, n)
-        v_values[h] = stage_values(q_values[h], estimates.mu[h], estimates.nu[h], config.eta)
-        rewards[h] = q_values[h] - config.gamma * continuation(h, v_values[h + 1])
-    return RecoveredRewardSample(thetas, q_values, v_values, rewards, feasible, sets)
+        for k in range(k_len):
+            try:
+                thetas[k, h], feasible[k, h] = sets[k][h].min_norm_member()
+            except Exception as err:
+                failure = RuntimeError(f"theta selection failed at step {h}")
+                failure.table = k
+                raise failure from err
+        q_values[:, h] = q = (flat_features @ thetas[:, h, :, None]).reshape(k_len, s_len, m, n)
+        v_values[:, h] = stage_values(q, estimates.mu[:, h], estimates.nu[:, h], config.eta)
+        rewards[:, h] = q - config.gamma * continuation(h, v_values[:, h + 1])
+    by_table = zip(thetas, q_values, v_values, rewards, feasible, map(tuple, sets))
+    return [RecoveredRewardSample(*fields) for fields in by_table]
 
 
-def _run_algorithm(
-    data: DataOrTable, config: InversionConfig, fits: Fits | None = None
-) -> list[RecoveredRewardSample]:
-    """The recovery from the count table (at the fits given, if any)."""
+def _run_algorithm(data, config: InversionConfig) -> list[RecoveredRewardSample]:
+    """The recovery of each count table in one stacked pass."""
     s_len, m, n, d = config.features.shape
-    table = step_counts(data, s_len, m, n)
-    estimates = _estimates(table, config, fits)
-    sets = tuple(stepwise_confidence_sets(table, config, estimates))
+    tables, _ = _tables(data, s_len, m, n, config.kappa)  # kappa checked before any work
+    estimates = _estimates(tables, config)
+    sets = stepwise_confidence_sets(tables, config, estimates)
     flat_features = config.features.reshape(-1, d)
 
-    def continuation(h, v_next):  # step h's ridge predictor
-        fit = ridge_fit(table, config.features, config.ridge_lambda, h)
-        return (flat_features @ fit.value_weights(v_next)).reshape(s_len, m, n)
+    def continuation(h, v_next):  # step h's ridge predictor of each table
+        fit = ridge_fit(tables, config.features, config.ridge_lambda, h)
+        return (flat_features @ fit.value_weights(v_next)[..., None]).reshape(-1, s_len, m, n)
 
-    return [_backward_pass(config, estimates, sets, continuation)]
+    return _backward_pass(config, estimates, sets, continuation)
 
 
-def recover_rewards(data: DataOrTable, config: InversionConfig) -> list[RecoveredRewardSample]:
+def recover_rewards(
+    data: DataOrTable | list, config: InversionConfig
+) -> list[RecoveredRewardSample]:
     """Frequency-estimator reward recovery (backward confidence-set pass).
 
     Policies come from per-state frequencies; unvisited states carry uniform
-    placeholders and zero block weight.  Returns one sample, the trajectory
-    of each step's min-norm member.  A config with a policy_model is
-    rejected: only recover_rewards_mle reads it.
+    placeholders and zero block weight.  Returns one sample per count table
+    (one for a dataset or table alone), the trajectory of each step's
+    min-norm member.  A config with a policy_model is rejected: only
+    recover_rewards_mle reads it.
     """
     if config.policy_model is not None:
         raise ValueError("recover_rewards reads no policy_model; use recover_rewards_mle")
     return _run_algorithm(data, config)
 
 
-def recover_rewards_mle(data: DataOrTable, config: InversionConfig) -> list[RecoveredRewardSample]:
+def recover_rewards_mle(
+    data: DataOrTable | list, config: InversionConfig
+) -> list[RecoveredRewardSample]:
     """MLE-based reward recovery with visit-probability block weights.
 
     Policies come from softmax MLE fits of config.policy_model and each
     state's constraints are weighted by the empirical visit probability, so
-    unvisited states contribute nothing.
+    unvisited states contribute nothing.  A list's fits are one
+    fit_every_step call.
     """
     if config.policy_model is None:
         raise ValueError("recover_rewards_mle needs a policy_model")

@@ -9,6 +9,8 @@ leading S=1 axis).
 Each system decomposes X once, and one rank cutoff decides identifiability:
 at full rank theta is the unique least-squares solution X^+ y; below it
 theta is known only up to a set, of which X^+ y is the least-norm point.
+A stack of systems, such as the steps of several count tables, is built and
+decomposed at once (one batched SVD), each system to the bit as alone.
 
 Distances to a point cloud are bit for bit the plain ones, each point's
 least sum of squared coordinate differences in coordinate order, whatever
@@ -62,23 +64,40 @@ class LinearSystem:
 
     @cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
-        """(V', sigma, c, ||y_perp||^2, rank) from the one SVD X = U diag(sigma) V',
-        with c = U'y and sigma, c padded to d.  The rank counts the singular
-        values above sigma_1 * max(rows, d) * RANK_TOL_FACTOR."""
-        rows, d = self.X.shape
-        # a wide X needs the full V for its null space
-        u, sigma, vt = np.linalg.svd(self.X, full_matrices=rows < d)
-        c = u[:, : sigma.size].T @ self.y
-        y_perp = self.y - u[:, : sigma.size] @ c
-        cutoff = sigma[0] * max(rows, d) * RANK_TOL_FACTOR if sigma.size else 0.0
-        rank = int((sigma > cutoff).sum())
-        pad = (0, d - sigma.size)
-        return vt, np.pad(sigma, pad), np.pad(c, pad), float(y_perp @ y_perp), rank
+        """(V', sigma, c, ||y_perp||^2, rank): _decompositions of the stack of one."""
+        return _decompositions(self.X[None], self.y[None])[0]
 
     @property
     def rank(self) -> int:
         """Numerical rank of X: theta is identified when it equals d."""
         return self._svd[4]
+
+
+def _decompositions(X: np.ndarray, y: np.ndarray) -> list[tuple]:
+    """(V', sigma, c, ||y_perp||^2, rank) of each system X[i] theta = y[i] of a
+    stack, from one batched SVD X = U diag(sigma) V', with c = U'y and sigma, c
+    padded to d; the rank counts the singular values above sigma_1 * max(rows,
+    d) * RANK_TOL_FACTOR.  Each system's LAPACK and BLAS calls are its own."""
+    rows, d = X.shape[1:]
+    # a wide X needs the full V for its null space
+    u, sigma, vt = np.linalg.svd(X, full_matrices=rows < d)
+    u = u[:, :, : sigma.shape[1]]
+    c = (u.mT @ y[:, :, None])[:, :, 0]
+    y_perp = y - (u @ c[:, :, None])[:, :, 0]
+    ranks = (sigma > sigma[:, :1] * max(rows, d) * RANK_TOL_FACTOR).sum(axis=1)
+    padded = np.zeros((2, len(X), d))  # sigma and c
+    padded[:, :, : sigma.shape[1]] = sigma, c
+    y_perp_sq = np.vecdot(y_perp, y_perp)
+    return [(vt[i], *padded[:, i], float(y_perp_sq[i]), int(ranks[i])) for i in range(len(X))]
+
+
+def _confidence_sets(X, y, kappas, norm_sq_cap: float) -> list[ConfidenceSet]:
+    """The ConfidenceSet of each system X[i] theta = y[i] of a stack at
+    kappas[i], each holding its tuple of the stack's _decompositions."""
+    sets = [ConfidenceSet(x, b, float(kappa), norm_sq_cap) for x, b, kappa in zip(X, y, kappas)]
+    for cset, svd in zip(sets, _decompositions(X, y)):
+        cset.__dict__["_svd"] = svd  # where the cached_property keeps it
+    return sets
 
 
 def build_stepwise_system(
@@ -102,32 +121,40 @@ def build_stepwise_system(
     positive wherever the weight is positive; callers holding empirical
     estimates floor them first.  A matrix game is the case S=1.
     """
+    return LinearSystem(*_stepwise_rows(features, mu_h, nu_h, eta, weights))
+
+
+def _stepwise_rows(features, mu, nu, eta, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """build_stepwise_system's X (..., rows, d) and y (..., rows) for mu
+    (..., S, m), nu (..., S, n) and weights (..., S) under any leading axes,
+    each step's system the same to the bit as alone."""
     features = np.asarray(features, dtype=float)
     s_len, m, n, d = features.shape
-    mu_h = np.asarray(mu_h, dtype=float)
-    nu_h = np.asarray(nu_h, dtype=float)
-    if mu_h.shape != (s_len, m) or nu_h.shape != (s_len, n):
+    mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
+    lead = mu.shape[:-2]
+    if mu.shape[-2:] != (s_len, m) or nu.shape != (*lead, s_len, n):
         raise ValueError("policy dimensions do not match features")
     if weights is None:
         weights = np.ones(s_len)
-    weights = np.asarray(weights, dtype=float)
+    weights = np.broadcast_to(np.asarray(weights, dtype=float), (*lead, s_len))
     if np.any(weights < 0):
         raise ValueError("weights must be nonnegative")
     active = weights > 0
-    if np.any(mu_h[active] <= 0) or np.any(nu_h[active] <= 0):
+    if np.any(mu[active] <= 0) or np.any(nu[active] <= 0):
         raise ValueError("zero probability at a positively weighted state")
     root_w = np.sqrt(weights)
-    # A-side: rows (s, a) for a >= 1, contracted against nu_h(s)
+    # A-side: rows (s, a) for a >= 1, contracted against nu(s)
     diff_a = features[:, 1:] - features[:, :1]  # (S, m-1, n, d)
-    a_rows = np.einsum("sand,sn,s->sad", diff_a, nu_h, root_w).reshape(-1, d)
+    a_rows = np.einsum("sand,...sn,...s->...sad", diff_a, nu, root_w)
     diff_b = features[:, :, 1:] - features[:, :, :1]  # (S, m, n-1, d)
-    b_rows = np.einsum("sabd,sa,s->sbd", diff_b, mu_h, root_w).reshape(-1, d)
+    b_rows = np.einsum("sabd,...sa,...s->...sbd", diff_b, mu, root_w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_mu = np.where(mu_h > 0, np.log(np.maximum(mu_h, 1e-300)), 0.0)
-        log_nu = np.where(nu_h > 0, np.log(np.maximum(nu_h, 1e-300)), 0.0)
-    c = ((log_mu[:, 1:] - log_mu[:, :1]) / eta) * root_w[:, None]
-    d_vec = (-(log_nu[:, 1:] - log_nu[:, :1]) / eta) * root_w[:, None]
-    return LinearSystem(np.vstack([a_rows, b_rows]), np.concatenate([c.ravel(), d_vec.ravel()]))
+        log_mu = np.where(mu > 0, np.log(np.maximum(mu, 1e-300)), 0.0)
+        log_nu = np.where(nu > 0, np.log(np.maximum(nu, 1e-300)), 0.0)
+    c = ((log_mu[..., 1:] - log_mu[..., :1]) / eta) * root_w[..., None]
+    d_vec = (-(log_nu[..., 1:] - log_nu[..., :1]) / eta) * root_w[..., None]
+    X = np.concatenate([a_rows.reshape(*lead, -1, d), b_rows.reshape(*lead, -1, d)], axis=-2)
+    return X, np.concatenate([c.reshape(*lead, -1), d_vec.reshape(*lead, -1)], axis=-1)
 
 
 def min_norm_theta(system: LinearSystem) -> np.ndarray:

@@ -14,9 +14,11 @@ frequency_estimate_by_step) count the dataset themselves, mle_fit_alone is
 mle_fit's earlier one-fit loop on the library's count table,
 qre_by_damped_iteration is solve_qre_batch's earlier damped fixed point,
 project_by_bisection is ConfidenceSet._project's earlier bisection in t,
-which reads the set's cached SVD, and nearest_sq_by_differences is the
-earlier point-cloud branch of inverse_matrix._distances_to, before its
-square root.  The two MLE bodies read the library's stopping rule,
+which reads the set's cached SVD, svd_by_pad is LinearSystem._svd's
+earlier body, one SVD per system, summarize_by_metric is cli.summarize's
+earlier body, one np.percentile call per (size, metric), and
+nearest_sq_by_differences is the earlier point-cloud branch of
+inverse_matrix._distances_to, before its square root.  The two MLE bodies read the library's stopping rule,
 inverse_markov.MLE_MAX_ITER and MLE_TOL, at call time.  tv, the total
 variation distance, is test-only: the library's discrepancies sum it
 inline.
@@ -255,13 +257,13 @@ def recover_rewards_on_truth(data, config, truth, transition, mle=False):
         if mle
         else np.ones(truth.mu.shape[:2])
     )
-    estimates = inverse_markov._Estimates(
-        floor_distribution(truth.mu), floor_distribution(truth.nu), weights
+    estimates = inverse_markov._Estimates(  # of the stack of one table
+        floor_distribution(truth.mu)[None], floor_distribution(truth.nu)[None], weights[None]
     )
-    sets = tuple(stepwise_confidence_sets(data, config, estimates))
+    sets = stepwise_confidence_sets([data], config, estimates)
     return inverse_markov._backward_pass(
-        config, estimates, sets, lambda h, v_next: transition[h] @ v_next
-    )
+        config, estimates, sets, lambda h, v_next: (transition[h] @ v_next[0])[None]
+    )[0]
 
 
 def payoff_from_features(model) -> np.ndarray:
@@ -698,6 +700,38 @@ def frequency_estimate_by_step(data, s_len, m, n):
     mu_hat[counts == 0] = 1.0 / m
     nu_hat[counts == 0] = 1.0 / n
     return mu_hat, nu_hat, counts
+
+
+def summarize_by_metric(records, metric_fields):
+    """cli.summarize's earlier body: per sample size and metric, the mean and
+    2.5/97.5 percentiles of the metric's 1-D array over the records that did
+    not fail, leaving out a metric some record lacks."""
+    rows = []
+    for size in sorted({r.sample_size for r in records}):
+        group = [r for r in records if r.sample_size == size and not r.error]
+        if not group:
+            continue
+        for metric in metric_fields:
+            values = [getattr(r, metric) for r in group]
+            if any(v is None for v in values):
+                continue
+            arr = np.array(values, dtype=float)
+            lo, hi = np.percentile(arr, (2.5, 97.5))
+            rows.append((group[0].experiment, size, metric, float(arr.mean()), lo, hi))
+    return rows
+
+
+def svd_by_pad(system):
+    """LinearSystem._svd's earlier body: one SVD of the system alone, with
+    sigma and c zero-padded to d by np.pad."""
+    rows, d = system.X.shape
+    u, sigma, vt = np.linalg.svd(system.X, full_matrices=rows < d)
+    c = u[:, : sigma.size].T @ system.y
+    y_perp = system.y - u[:, : sigma.size] @ c
+    cutoff = sigma[0] * max(rows, d) * 1e-12 if sigma.size else 0.0
+    rank = int((sigma > cutoff).sum())
+    pad = (0, d - sigma.size)
+    return vt, np.pad(sigma, pad), np.pad(c, pad), float(y_perp @ y_perp), rank
 
 
 def ridge_fit_by_gather(data, features, ridge_lambda, step):

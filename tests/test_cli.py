@@ -18,7 +18,7 @@ from invgame.cli import (
 from invgame import cli, experiments, markov_game, matrix_game, sampling
 from invgame.experiments import markov_model, run_rep, saturated_policy_model
 from invgame.inverse_markov import InversionConfig, recover_rewards, recover_rewards_mle
-from invgame.inverse_matrix import build_confidence_set
+from invgame.inverse_matrix import ConfidenceSet, build_confidence_set
 from invgame.markov_game import backward_qre
 from invgame.matrix_game import QreConvergenceError, solve_qre_batch
 from invgame.sampling import (
@@ -29,6 +29,8 @@ from invgame.sampling import (
     step_counts,
     stream,
 )
+
+from .oracles import summarize_by_metric
 
 
 def run_cli(args):
@@ -99,6 +101,33 @@ class TestRunExperiment:
         summary = summarize(records)
         assert len(summary) == 3  # theta, payoff, qre metrics for one size
 
+    @pytest.mark.parametrize("reps", [1, 2, 9, 20])
+    def test_the_summary_is_each_metric_summarized_alone(self, tmp_path, reps):
+        # one np.percentile call per size over a (metrics, records) array
+        # gives each metric's mean and percentiles as its own 1-D array does:
+        # markov records, matrix ones (no reward metrics), a failed record, a
+        # size of failed records only, and a record lacking a metric, which
+        # leaves that metric out of its size
+        rng = stream(77, reps)
+        records = []
+        for kind, size in (("markov", 100), ("markov", 1000), ("setup2", 300)):
+            for rep in range(reps):
+                values = rng.standard_normal(5) * 10.0 ** rng.integers(-4, 5, 5)
+                fields = dict(zip(cli.METRIC_FIELDS, values.tolist()))
+                if kind == "setup2":
+                    fields.update(reward_D=None, reward_D1=None)
+                records.append(experiments.RepRecord(kind, size, rep, 77, **fields))
+        records[0] = replace(records[0], reward_D1=None)
+        for n in (1000, 5000):
+            records.append(experiments.RepRecord("markov", n, reps, 77, error="boom"))
+        expected = summarize_by_metric(records, cli.METRIC_FIELDS)
+        assert summarize(records) == expected  # every float to the last bit
+        emit_csv(records, tmp_path / "out")
+        cli._write_csv(tmp_path / "expected.csv", cli.SUMMARY_HEADER, expected)
+        assert (tmp_path / "out" / "summary.csv").read_bytes() == (
+            tmp_path / "expected.csv"
+        ).read_bytes()
+
     def test_markov_emits_step_rows(self, tmp_path):
         config = ExperimentConfig(
             kind="markov", seed=5, samples=(500,), reps=1, horizon=3
@@ -142,23 +171,41 @@ class TestRunExperiment:
             assert np.array_equal(getattr(drawn[0], column), getattr(simulated, column))
 
     def test_failed_markov_rep_names_the_failing_size(self, monkeypatch):
-        # the recovery fails at N = 1000 only; every record of the rep fails,
-        # and each names that size
+        # the recovery, one stacked call for every size, fails at N = 1000
+        # only; every record of the rep fails, and each names that size
         config = ExperimentConfig(kind="markov", seed=5, samples=(500, 1000, 2000), horizon=3)
+        data = experiments.sample_dataset(config, 0, 2000)
+        kappas = {  # each size's thresholds, which its sets hold
+            n: experiments._thresholds(config, step_counts(data.prefix(n), 4, 5, 5)).tolist()
+            for n in config.samples
+        }
+        assert not set(kappas[1000]) & set(kappas[500] + kappas[2000])
+        real = ConfidenceSet.min_norm_member
 
-        def failing_at_1000(table, inversion):  # each size's count table
-            if table[0].sum() == 1000:
+        def failing_at_1000(cset):
+            if cset.kappa in kappas[1000]:
                 raise np.linalg.LinAlgError("singular at this size")
-            return recover_rewards(table, inversion)
+            return real(cset)
 
-        monkeypatch.setattr(experiments, "recover_rewards", failing_at_1000)
+        monkeypatch.setattr(ConfidenceSet, "min_norm_member", failing_at_1000)
         records = run_rep(config, 0)
         assert [r.sample_size for r in records] == [500, 1000, 2000]
         for record in records:
             assert all(getattr(record, m) is None for m in cli.METRIC_FIELDS)
             assert "failed at N=1000:" in record.error
-            assert "singular at this size" in record.error
+            assert "theta selection failed at step 2" in record.error  # the last step's, first
             assert "N=500" not in record.error and "N=2000" not in record.error
+
+    def test_a_failure_of_the_whole_stack_names_every_size(self, monkeypatch):
+        config = ExperimentConfig(kind="markov", seed=5, samples=(500, 1000, 2000), horizon=3)
+
+        def failing(tables, inversion):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(experiments, "recover_rewards", failing)
+        for record in run_rep(config, 0):
+            assert "estimate failed at N=500,1000,2000:" in record.error
+            assert "SVD did not converge" in record.error
 
     def test_failed_matrix_rep_names_the_failing_size(self, monkeypatch):
         # the estimate fails at N = 1000 only; every record of the rep fails,
@@ -463,14 +510,14 @@ class TestCommands:
         result = experiments.invert_markov(config, model, table)
         monkeypatch.undo()
         assert not record.error
-        (run_args, run_estimate), (invert_args, invert_estimate) = calls
+        (run_args, (run_estimate,)), (invert_args, (invert_estimate,)) = calls
         assert run_args[0] is invert_args[0] is config
         assert invert_args[3] == result["kappa"] == experiments.kappa_rule(2000)
         assert np.array_equal(result["theta_hat"], invert_estimate[0])
         assert np.array_equal(result["rewards"], invert_estimate[2])
         assert result["feasible"] == invert_estimate[4].tolist()
         # at the runner's thresholds, the command's model and data give the runner's estimate
-        again = real(config, model, table, run_args[3])
+        (again,) = real(config, model, [table], run_args[3])
         for k in (0, 1, 2, 4):
             assert np.array_equal(again[k], run_estimate[k])
 
@@ -731,6 +778,22 @@ class TestMainCallsInOneProcess:
 
     def test_the_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+
+    def test_the_config_field_types_are_resolved_once(self, monkeypatch, tmp_path):
+        resolved, get_type_hints = [], cli.typing.get_type_hints
+
+        def counting(*args):
+            resolved.append(args)
+            return get_type_hints(*args)
+
+        monkeypatch.setattr(cli.typing, "get_type_hints", counting)
+        cli._config_hints.cache_clear()
+        out = str(tmp_path / "sim")
+        for seed in ("1", "2"):
+            argv = ["simulate", "--kind", "markov", "--seed", seed, "--samples", "10", "--out", out]
+            assert run_cli(argv) == 0
+        assert resolved == [(ExperimentConfig,)]
+        assert cli._config_hints() == get_type_hints(ExperimentConfig)
 
     def test_a_usage_error_then_a_valid_command(self, tmp_path, capsys):
         out = tmp_path / "sim"

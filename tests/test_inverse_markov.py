@@ -49,6 +49,7 @@ from .oracles import (
     recover_rewards_on_truth,
     ridge_fit_by_gather,
     step_counts_by_add_at,
+    svd_by_pad,
     theoretical_kappa,
     tv_error_bound,
 )
@@ -334,8 +335,9 @@ class TestOneCountPass:
     @pytest.mark.parametrize("policy_estimator", ["frequency", "mle"])
     def test_run_markov_rep(self, monkeypatch, passes, policy_estimator):
         # the sizes are nested prefixes of one dataset: one range check, one
-        # count of each slice between sizes and one lockstep MLE loop serve
-        # them all, and each size's estimate is the one its prefix alone gives
+        # count of each slice between sizes, one stacked recovery and one
+        # lockstep MLE loop serve them all, and each size's estimate is the
+        # one its prefix alone gives
         config = markov_config(5, [500, 1000, 3000], policy_estimator=policy_estimator)
         calls = {"check": [], "_fit_stack": [], "_markov_estimate": []}
         for module, name in ((EpisodeDataset, "check"), (inverse_markov, "_fit_stack"),
@@ -355,13 +357,13 @@ class TestOneCountPass:
         model = experiments.build_model(config, 0)
         data = experiments.sample_dataset(config, 0, max(config.samples))
         shape = (config.s_len, config.m, config.n)
-        for n, ((_, _, table, kappa, _), estimate) in zip(
-            config.samples, calls["_markov_estimate"]
-        ):
+        # one recovery call for every size
+        (((_, _, tables, kappas), estimates),) = calls["_markov_estimate"]
+        for n, table, kappa, estimate in zip(config.samples, tables, kappas, estimates, strict=True):
             alone = step_counts(data.prefix(n), *shape)  # counted and fitted alone
             assert np.array_equal(table, alone)
             assert np.array_equal(kappa, experiments._thresholds(config, alone))
-            thetas = experiments._markov_estimate(config, model, alone, kappa)[0]
+            thetas = experiments._markov_estimate(config, model, [alone], kappa)[0][0]
             assert np.array_equal(estimate[0], thetas)
 
     def test_invert_markov(self, passes):
@@ -449,6 +451,149 @@ class TestTheTableIsTheInput:
             for player in "ab":
                 with pytest.raises(ValueError, match=message):
                     mle_fit(source, mle_config.policy_model, step, player)
+
+
+def stacked_case(estimator, sizes, seed=31, **shape):
+    """A markov instance's nested count tables at sizes, and an inversion
+    config of the estimator at each size's per-step thresholds, (K, H)."""
+    config = markov_config(seed, sizes, policy_estimator=estimator, **shape)
+    model, spec, _, data = experiments._instance(config, 0, max(sizes))
+    tables = prefix_counts(data, sizes, spec.S, spec.m, spec.n)
+    mle = estimator == "mle"
+    inversion = InversionConfig(
+        features=model.features, eta=config.eta, gamma=config.gamma,
+        kappa=np.stack([experiments._thresholds(config, table) for table in tables]),
+        ridge_lambda=config.ridge_lambda, theta_norm_cap=experiments.MARKOV_THETA_CAP,
+        policy_model=saturated_policy_model(spec.S, spec.m, spec.n) if mle else None,
+    )
+    return tables, inversion
+
+
+def assert_sets_bit_identical(got, expected):
+    """Each set's X, y, kappa and cap, and its SVD tuple, to the last bit."""
+    assert_bit_identical(got, expected)
+    for cset, alone in zip(got, expected, strict=True):
+        assert_bit_identical(cset._svd, alone._svd)
+
+
+class TestStackedRecovery:
+    """A list of count tables is recovered in one stacked pass (one einsum
+    per side, one batched SVD, one backward pass), and each table's sample
+    is the one it gives alone, to the last bit: the benchmark's shape, and
+    S=6, m=8, n=9 at small N, where some states go unvisited."""
+
+    CASES = {
+        "benchmark_frequency": ("frequency", (10**4, 2 * 10**4, 5 * 10**4, 10**5), {}),
+        "benchmark_mle": ("mle", (10**4, 10**5), {}),
+        "unvisited_frequency": ("frequency", (20, 200, 2000), dict(s_len=6, m=8, n=9)),
+        "unvisited_mle": ("mle", (20, 2000), dict(s_len=6, m=8, n=9)),
+    }
+
+    @pytest.fixture(scope="class", params=list(CASES))
+    def case(self, request):
+        estimator, sizes, shape = self.CASES[request.param]
+        return stacked_case(estimator, sizes, **shape)
+
+    @staticmethod
+    def recover(tables, inversion):
+        driver = recover_rewards if inversion.policy_model is None else recover_rewards_mle
+        return driver(tables, inversion)
+
+    def test_each_table_of_one_call_is_that_table_alone(self, case):
+        tables, inversion = case
+        if tables[0].shape[1] == 6:  # small N leaves states unvisited
+            assert (tables[0].sum(axis=(2, 3, 4)) == 0).any()
+        stacked = self.recover(tables, inversion)
+        sets = stepwise_confidence_sets(tables, inversion)
+        assert len(stacked) == len(sets) == len(tables)
+        for table, kappa, sample, table_sets in zip(tables, inversion.kappa, stacked, sets):
+            (alone,) = self.recover(table, replace(inversion, kappa=kappa))
+            assert_bit_identical(sample, alone)
+            assert_sets_bit_identical(sample.sets, alone.sets)
+            assert_sets_bit_identical(table_sets, alone.sets)
+
+    def test_each_set_is_the_per_step_system_and_svd(self, case):
+        # the stacked einsums and SVD against build_stepwise_system on one
+        # step and LinearSystem._svd's earlier body on one system
+        tables, inversion = case
+        estimates = inverse_markov._estimates(tables, inversion)
+        for k, table_sets in enumerate(stepwise_confidence_sets(tables, inversion)):
+            for h, cset in enumerate(table_sets):
+                system = build_stepwise_system(
+                    inversion.features, estimates.mu[k, h], estimates.nu[k, h],
+                    inversion.eta, estimates.weights[k, h],
+                )
+                assert_bit_identical((cset.X, cset.y), (system.X, system.y))
+                assert_bit_identical(cset._svd, svd_by_pad(system))
+
+    def test_ridge_fit_of_a_list_is_each_table_alone(self, case):
+        tables, inversion = case
+        v_next = stream(32).standard_normal((len(tables), tables[0].shape[1]))
+        for step in (0, tables[0].shape[0] - 1):
+            fit = ridge_fit(tables, inversion.features, inversion.ridge_lambda, step)
+            weights = fit.value_weights(v_next)
+            for k, table in enumerate(tables):
+                alone = ridge_fit(table, inversion.features, inversion.ridge_lambda, step)
+                assert_bit_identical(fit.gram[k], alone.gram)
+                assert_bit_identical(fit.successor_counts[k], alone.successor_counts)
+                assert_bit_identical(weights[k], alone.value_weights(v_next[k]))
+
+    def test_a_wide_rank_deficient_system_matches_alone(self):
+        # rows = S (m - 1 + n - 1) = 3 < d = 5: the SVD keeps the full V for
+        # the null space, and sigma and c are padded to d
+        rng = stream(33)
+        features = rng.standard_normal((1, 2, 3, 5))
+        tables = [rng.integers(1, 40, (3, 1, 2, 3, 1)) for _ in range(3)]
+        inversion = InversionConfig(
+            features=features, eta=0.5, gamma=1.0, kappa=0.5, ridge_lambda=0.01,
+            theta_norm_cap=10.0,
+        )
+        stacked = recover_rewards(tables, inversion)
+        for table, sample in zip(tables, stacked, strict=True):
+            (alone,) = recover_rewards(table, inversion)
+            assert_bit_identical(sample, alone)
+            assert_sets_bit_identical(sample.sets, alone.sets)
+            for cset in sample.sets:
+                vt, sigma, *_, rank = cset._svd
+                assert vt.shape == (5, 5) and sigma.shape == (5,) and rank == 3
+                assert_bit_identical(cset._svd, svd_by_pad(cset))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda t: [], "no tables to recover from"),
+            (lambda t: [t[0], np.zeros((6, 3, 5, 5, 3), dtype=np.int64)],
+             re.escape("a table must be shaped (H, 4, 5, 5, 4), not (6, 3, 5, 5, 3)")),
+            (lambda t: [t[0], t[1][:5]], "the tables must share one horizon"),
+        ],
+        ids=["empty", "shapes", "horizons"],
+    )
+    @pytest.mark.parametrize("entry", ["recover_rewards", "recover_rewards_mle",
+                                       "stepwise_confidence_sets", "ridge_fit"])
+    def test_a_bad_list_is_rejected_at_entry(self, monkeypatch, change, message, entry):
+        tables, inversion = stacked_case("frequency", (200, 400))
+        calls = {
+            "recover_rewards": lambda t: recover_rewards(t, replace(inversion, kappa=1.0)),
+            "recover_rewards_mle": lambda t: recover_rewards_mle(t, replace(
+                inversion, kappa=1.0, policy_model=saturated_policy_model(4, 5, 5))),
+            "stepwise_confidence_sets": lambda t: stepwise_confidence_sets(
+                t, replace(inversion, kappa=1.0)),
+            "ridge_fit": lambda t: ridge_fit(t, inversion.features, 0.01, 0),
+        }
+        monkeypatch.setattr(inverse_markov, "_estimates", None)  # no estimate is made
+        with pytest.raises(ValueError, match=message):
+            calls[entry](change(tables))
+
+    @pytest.mark.parametrize("shape", [(3, 6), (2, 5), (7,), (2, 6, 1), (6, 2)])
+    def test_a_kappa_of_another_shape_is_rejected_at_entry(self, monkeypatch, shape):
+        # two tables of H = 6: a scalar, (6,) or (2, 6) kappa
+        tables, inversion = stacked_case("frequency", (200, 400))
+        monkeypatch.setattr(inverse_markov, "_estimates", None)
+        bad = replace(inversion, kappa=np.ones(shape))
+        message = re.escape(f"(H,) = (6,) or (K, H) = (2, 6), got {shape}")
+        for call in (recover_rewards, stepwise_confidence_sets):
+            with pytest.raises(ValueError, match=message):
+                call(tables, bad)
 
 
 def unobserved_last_action_case():
