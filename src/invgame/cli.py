@@ -51,8 +51,9 @@ def _typed(key: str, value, hint):
     """A config value as its field's type; any other value is a usage error.
 
     Numbers may come as JSON numbers or strings, but must be exact: "1e3"
-    is not an integer sample size, and NaN is no parameter value.  A field
-    that may be None (unset) takes a value of its other type."""
+    is not an integer sample size, and NaN is no parameter value.  A JSON
+    boolean is no number, though int(True) == 1.  A field that may be None
+    (unset) takes a value of its other type."""
     if typing.get_origin(hint) is types.UnionType:
         (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
     if typing.get_origin(hint) is tuple:
@@ -61,7 +62,7 @@ def _typed(key: str, value, hint):
     elif hint in (int, float):
         try:
             number = hint(value)
-            if number == float(value):
+            if number == float(value) and not isinstance(value, bool):
                 return number
         except (TypeError, ValueError, OverflowError):
             pass
@@ -213,6 +214,8 @@ def _cmd_solve_qre(args) -> int:
         if args.config:
             raw = json.loads(Path(args.config).read_text())
             payoff, eta = raw["payoff"], raw.get("eta", args.eta)
+            if isinstance(eta, bool):
+                raise UsageError(f"config eta cannot be {eta!r}")
         elif args.payoff:
             payoff, eta = np.loadtxt(args.payoff, delimiter=",", ndmin=2), args.eta
         else:

@@ -21,16 +21,20 @@ nearest_sq_by_differences is the earlier point-cloud branch of
 inverse_matrix._distances_to, before its square root.  The two MLE bodies read the library's stopping rule,
 inverse_markov.MLE_MAX_ITER and MLE_TOL, at call time.  tv, the total
 variation distance, is test-only: the library's discrepancies sum it
-inline.
+inline.  assert_bit_identical, assert_fits_alone and
+assert_sets_bit_identical compare results to the last bit, and stacked_case
+builds a markov instance's nested count tables and their inversion config,
+as the runner does.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
-from invgame import inverse_markov
+from invgame import experiments, inverse_markov
 from invgame.experiments import ETA, MARKOV_OMEGA
 from invgame.inverse_markov import MleFit, SoftmaxPolicyModel, stepwise_confidence_sets
 from invgame.inverse_matrix import floor_distribution
@@ -39,6 +43,7 @@ from invgame.matrix_game import QreConvergenceError, solve_qre_batch, stage_valu
 from invgame.sampling import (
     EpisodeDataset,
     empirical_state_distribution,
+    prefix_counts,
     step_counts,
     stream,
 )
@@ -747,3 +752,65 @@ def ridge_fit_by_gather(data, features, ridge_lambda, step):
         return np.linalg.solve(gram, phi_t.T @ np.asarray(v_next, dtype=float)[next_states])
 
     return gram, value_weights
+
+
+def assert_bit_identical(got, expected):
+    """Equal to the last bit, field by field through dataclasses and sequences."""
+    if dataclasses.is_dataclass(expected):
+        for field in dataclasses.fields(expected):
+            assert_bit_identical(getattr(got, field.name), getattr(expected, field.name))
+    elif isinstance(expected, (list, tuple)):
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert_bit_identical(g, e)
+    elif isinstance(expected, np.ndarray):  # signed zeros and NaN payloads too
+        assert type(got) is np.ndarray and (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()
+    else:
+        assert type(got) is type(expected) and np.array_equal(got, expected)
+
+
+def assert_fits_alone(data, sizes, model, stacked=None):
+    """Each fit of one lockstep loop over the nested tables of data at sizes
+    (fit_every_step's, or stacked, a recovery's, when given) is the one-fit
+    loop's on its episodes alone and, unless given, mle_fit's, to the last
+    bit.  Returns the lockstep fits, by size, then player, then step."""
+    tables = prefix_counts(data, sizes, *model.psi_a.shape[:2], model.psi_b.shape[1])
+    one_fit = stacked is None
+    if one_fit:
+        stacked = inverse_markov.fit_every_step(tables, model)
+    for size, fits in zip(sizes, stacked, strict=True):
+        for player in "ab":
+            for step, fit in enumerate(fits[player]):
+                alone = mle_fit_alone(data.prefix(size), model, step, player)
+                assert_bit_identical(fit, alone)
+                if one_fit:
+                    fit = inverse_markov.mle_fit(data.prefix(size), model, step, player)
+                    assert_bit_identical(fit, alone)
+    return stacked
+
+
+def assert_sets_bit_identical(got, expected):
+    """Each set's X, y, kappa and cap, and its SVD tuple, to the last bit."""
+    assert_bit_identical(got, expected)
+    for cset, alone in zip(got, expected, strict=True):
+        assert_bit_identical(cset._svd, alone._svd)
+
+
+def stacked_case(estimator, sizes, seed=31, **shape):
+    """A markov instance's tabular game, true values and dataset, its nested
+    count tables at sizes, and an inversion config of the estimator at each
+    size's per-step thresholds, (K, H)."""
+    config = experiments.ExperimentConfig(
+        "markov", seed=seed, samples=tuple(sizes), policy_estimator=estimator, **shape
+    )
+    model, spec, (_, values), data = experiments._instance(config, 0, max(sizes))
+    tables = prefix_counts(data, sizes, spec.S, spec.m, spec.n)
+    mle = estimator == "mle"
+    inversion = inverse_markov.InversionConfig(
+        features=model.features, eta=config.eta, gamma=config.gamma,
+        kappa=np.stack([experiments._thresholds(config, table) for table in tables]),
+        ridge_lambda=config.ridge_lambda, theta_norm_cap=experiments.MARKOV_THETA_CAP,
+        policy_model=experiments.saturated_policy_model(spec.S, spec.m, spec.n) if mle else None,
+    )
+    return spec, values, data, tables, inversion

@@ -101,6 +101,7 @@ class TestRunExperiment:
         summary = summarize(records)
         assert len(summary) == 3  # theta, payoff, qre metrics for one size
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("reps", [1, 2, 9, 20])
     def test_the_summary_is_each_metric_summarized_alone(self, tmp_path, reps):
         # one np.percentile call per size over a (metrics, records) array
@@ -226,6 +227,7 @@ class TestRunExperiment:
             assert "singular at this size" in record.error
             assert "N=500" not in record.error and "N=2000" not in record.error
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("estimator", ["least_squares", "confidence_set"])
     def test_matrix_records_are_one_step_records(self, estimator):
         # coverage, sets and true_thetas hold the one step of a matrix game
@@ -281,6 +283,7 @@ class TestRunExperiment:
         assert not any(record.error for record in run_rep(config, 0))
         assert stacks == [1, 3]
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize(
         "base",
         [
@@ -442,6 +445,7 @@ class TestCommands:
         capsys.readouterr()
         assert json.loads(result_path.read_text())["route"] == route
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("estimator", ["least_squares", "confidence_set"])
     @pytest.mark.parametrize(
         "fields",
@@ -490,6 +494,7 @@ class TestCommands:
         result = json.loads(result_path.read_text())
         assert len(result["theta_hat"]) == 3
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("policy_estimator", ["frequency", "mle"])
     def test_invert_markov_estimates_as_the_runner(self, monkeypatch, policy_estimator):
         # the runner and invert-markov make one estimate with one config; the
@@ -908,8 +913,10 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "fields",
-        [{"samples": [1000, "many"]}, {"samples": [float("inf")]}, {"theta": [0.5, "x"]}],
-        ids=["samples", "infinite_samples", "theta"],
+        [{"samples": [1000, "many"]}, {"samples": [float("inf")]}, {"theta": [0.5, "x"]},
+         {"reps": True}, {"samples": [True, 100]}, {"eta": True}, {"theta": [True, 0.5]}],
+        ids=["samples", "infinite_samples", "theta", "boolean_reps", "boolean_sample",
+             "boolean_eta", "boolean_theta"],
     )
     def test_non_numeric_json_values(self, tmp_path, capsys, fields):
         config = write_config(tmp_path, {"kind": "custom", "theta": [0.5, -0.25], **fields})
@@ -1070,6 +1077,8 @@ class TestUsageErrors:
             ({"cfg.json": '{"eta": 1.0}'}, ["--config", "cfg.json"], "no 'payoff' entry"),
             ({"cfg.json": '{"payoff": [[1, "x"], [0, 1]]}'}, ["--config", "cfg.json"],
              "could not convert"),
+            ({"cfg.json": '{"payoff": [[1, 0], [0, 1]], "eta": true}'},
+             ["--config", "cfg.json"], "config eta cannot be True"),
             ({"p.csv": "1,0\n"}, ["--payoff", "p.csv"], "at least 2x2, got shape (1, 2)"),
             ({"p.csv": "1,0\n0,1\n"}, ["--payoff", "p.csv", "--eta", "-1"],
              "eta must be positive"),
@@ -1079,7 +1088,7 @@ class TestUsageErrors:
              "eta must be positive and finite"),
         ],
         ids=["missing_payoff", "missing_config", "config_without_payoff", "non_numeric",
-             "one_row", "negative_eta", "zero_tol", "infinite_eta"],
+             "boolean_eta", "one_row", "negative_eta", "zero_tol", "infinite_eta"],
     )
     def test_solve_qre_bad_input(self, tmp_path, capsys, monkeypatch, files, args, message):
         monkeypatch.chdir(tmp_path)

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import warnings
 from dataclasses import replace
@@ -41,15 +40,16 @@ from invgame.sampling import (
 )
 
 from .oracles import (
+    assert_bit_identical,
+    assert_fits_alone,
     frequency_estimate_by_step,
     full_rank_oracle_model,
     matrix_linear_system,
-    mle_fit_alone,
     mle_fit_by_einsum,
     recover_rewards_on_truth,
     ridge_fit_by_gather,
+    stacked_case,
     step_counts_by_add_at,
-    svd_by_pad,
     theoretical_kappa,
     tv_error_bound,
 )
@@ -104,21 +104,8 @@ def assert_same_fit(fit, oracle):
     assert np.abs(fit.objective_trace - oracle.objective_trace).max() <= 1e-12
 
 
-def assert_fits_alone(data, model, keys):
-    """Each (step, player) fit, of mle_fit and of the lockstep loop over every
-    step of both players (fit_every_step), is the one-fit loop's, to the
-    last bit."""
-    table = step_counts(data, *model.psi_a.shape[:2], model.psi_b.shape[1])
-    (stacked,) = fit_every_step([table], model)
-    fits = [mle_fit(data, model, step, player) for step, player in keys]
-    for fit, (step, player) in zip(fits, keys):
-        alone = mle_fit_alone(data, model, step, player)
-        assert_bit_identical(fit, alone)
-        assert_bit_identical(stacked[player][step], alone)
-    return fits
-
-
 class TestBuildStepwiseSystem:
+    @pytest.mark.bitwise
     def test_single_state_reduces_to_matrix_system(self):
         rng = stream(70)
         feats = rng.standard_normal((1, 3, 4, 2))
@@ -293,6 +280,7 @@ class TestEstimatorsAgainstEarlierBodies:
                     fit.value_weights(v_next), value_weights(v_next), rtol=1e-12, atol=0
                 )
 
+    @pytest.mark.bitwise
     def test_frequency_estimates_are_bit_identical(self, case):
         _, spec, data = case
         est = frequency_estimate_markov(data, spec.S, spec.m, spec.n)
@@ -300,6 +288,7 @@ class TestEstimatorsAgainstEarlierBodies:
         assert np.array_equal(est.mu_hat, mu_hat) and np.array_equal(est.nu_hat, nu_hat)
         assert np.array_equal(est.counts, counts) and np.array_equal(est.visited, counts > 0)
 
+    @pytest.mark.bitwise
     def test_mle_iterates_are_bit_identical_on_the_oracle_table(self, case, monkeypatch):
         # the fit sees the data only through the table, so the scatter-add
         # table must give the same iterates to the last bit
@@ -309,11 +298,11 @@ class TestEstimatorsAgainstEarlierBodies:
         monkeypatch.setattr(inverse_markov, "step_counts", step_counts_by_add_at)
         for fit, (step, player) in zip(fits, [(0, "a"), (0, "b"), (5, "a"), (5, "b")]):
             oracle = mle_fit(data, policy, step, player)  # on the oracle's table
-            assert fit.iterations == oracle.iterations and fit.converged
-            assert np.array_equal(fit.params, oracle.params)
-            assert np.array_equal(fit.objective_trace, oracle.objective_trace)
+            assert fit.converged
+            assert_bit_identical(fit, oracle)
 
 
+@pytest.mark.bitwise
 class TestOneCountPass:
     """Each dataset a markov op inverts is counted once, and a rep's nested
     sample sizes in one pass, a slice of episodes between consecutive sizes
@@ -375,22 +364,6 @@ class TestOneCountPass:
         assert passes == [2000]
 
 
-def assert_bit_identical(got, expected):
-    """Equal to the last bit, field by field through dataclasses and sequences."""
-    if dataclasses.is_dataclass(expected):
-        for field in dataclasses.fields(expected):
-            assert_bit_identical(getattr(got, field.name), getattr(expected, field.name))
-    elif isinstance(expected, (list, tuple)):
-        assert len(got) == len(expected)
-        for g, e in zip(got, expected):
-            assert_bit_identical(g, e)
-    elif isinstance(expected, np.ndarray):  # signed zeros and NaN payloads too
-        assert type(got) is np.ndarray and (got.dtype, got.shape) == (expected.dtype, expected.shape)
-        assert got.tobytes() == expected.tobytes()
-    else:
-        assert type(got) is type(expected) and np.array_equal(got, expected)
-
-
 class TestTheTableIsTheInput:
     """Every public estimator reads the data only through its count table,
     so it gives the same result to the bit for a dataset and for its
@@ -409,6 +382,7 @@ class TestTheTableIsTheInput:
         policy = saturated_policy_model(spec.S, spec.m, spec.n)
         return spec, data, config, replace(config, policy_model=policy)
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize(
         "estimator",
         [
@@ -453,110 +427,10 @@ class TestTheTableIsTheInput:
                     mle_fit(source, mle_config.policy_model, step, player)
 
 
-def stacked_case(estimator, sizes, seed=31, **shape):
-    """A markov instance's nested count tables at sizes, and an inversion
-    config of the estimator at each size's per-step thresholds, (K, H)."""
-    config = markov_config(seed, sizes, policy_estimator=estimator, **shape)
-    model, spec, _, data = experiments._instance(config, 0, max(sizes))
-    tables = prefix_counts(data, sizes, spec.S, spec.m, spec.n)
-    mle = estimator == "mle"
-    inversion = InversionConfig(
-        features=model.features, eta=config.eta, gamma=config.gamma,
-        kappa=np.stack([experiments._thresholds(config, table) for table in tables]),
-        ridge_lambda=config.ridge_lambda, theta_norm_cap=experiments.MARKOV_THETA_CAP,
-        policy_model=saturated_policy_model(spec.S, spec.m, spec.n) if mle else None,
-    )
-    return tables, inversion
-
-
-def assert_sets_bit_identical(got, expected):
-    """Each set's X, y, kappa and cap, and its SVD tuple, to the last bit."""
-    assert_bit_identical(got, expected)
-    for cset, alone in zip(got, expected, strict=True):
-        assert_bit_identical(cset._svd, alone._svd)
-
-
+@pytest.mark.bitwise
 class TestStackedRecovery:
-    """A list of count tables is recovered in one stacked pass (one einsum
-    per side, one batched SVD, one backward pass), and each table's sample
-    is the one it gives alone, to the last bit: the benchmark's shape, and
-    S=6, m=8, n=9 at small N, where some states go unvisited."""
-
-    CASES = {
-        "benchmark_frequency": ("frequency", (10**4, 2 * 10**4, 5 * 10**4, 10**5), {}),
-        "benchmark_mle": ("mle", (10**4, 10**5), {}),
-        "unvisited_frequency": ("frequency", (20, 200, 2000), dict(s_len=6, m=8, n=9)),
-        "unvisited_mle": ("mle", (20, 2000), dict(s_len=6, m=8, n=9)),
-    }
-
-    @pytest.fixture(scope="class", params=list(CASES))
-    def case(self, request):
-        estimator, sizes, shape = self.CASES[request.param]
-        return stacked_case(estimator, sizes, **shape)
-
-    @staticmethod
-    def recover(tables, inversion):
-        driver = recover_rewards if inversion.policy_model is None else recover_rewards_mle
-        return driver(tables, inversion)
-
-    def test_each_table_of_one_call_is_that_table_alone(self, case):
-        tables, inversion = case
-        if tables[0].shape[1] == 6:  # small N leaves states unvisited
-            assert (tables[0].sum(axis=(2, 3, 4)) == 0).any()
-        stacked = self.recover(tables, inversion)
-        sets = stepwise_confidence_sets(tables, inversion)
-        assert len(stacked) == len(sets) == len(tables)
-        for table, kappa, sample, table_sets in zip(tables, inversion.kappa, stacked, sets):
-            (alone,) = self.recover(table, replace(inversion, kappa=kappa))
-            assert_bit_identical(sample, alone)
-            assert_sets_bit_identical(sample.sets, alone.sets)
-            assert_sets_bit_identical(table_sets, alone.sets)
-
-    def test_each_set_is_the_per_step_system_and_svd(self, case):
-        # the stacked einsums and SVD against build_stepwise_system on one
-        # step and LinearSystem._svd's earlier body on one system
-        tables, inversion = case
-        estimates = inverse_markov._estimates(tables, inversion)
-        for k, table_sets in enumerate(stepwise_confidence_sets(tables, inversion)):
-            for h, cset in enumerate(table_sets):
-                system = build_stepwise_system(
-                    inversion.features, estimates.mu[k, h], estimates.nu[k, h],
-                    inversion.eta, estimates.weights[k, h],
-                )
-                assert_bit_identical((cset.X, cset.y), (system.X, system.y))
-                assert_bit_identical(cset._svd, svd_by_pad(system))
-
-    def test_ridge_fit_of_a_list_is_each_table_alone(self, case):
-        tables, inversion = case
-        v_next = stream(32).standard_normal((len(tables), tables[0].shape[1]))
-        for step in (0, tables[0].shape[0] - 1):
-            fit = ridge_fit(tables, inversion.features, inversion.ridge_lambda, step)
-            weights = fit.value_weights(v_next)
-            for k, table in enumerate(tables):
-                alone = ridge_fit(table, inversion.features, inversion.ridge_lambda, step)
-                assert_bit_identical(fit.gram[k], alone.gram)
-                assert_bit_identical(fit.successor_counts[k], alone.successor_counts)
-                assert_bit_identical(weights[k], alone.value_weights(v_next[k]))
-
-    def test_a_wide_rank_deficient_system_matches_alone(self):
-        # rows = S (m - 1 + n - 1) = 3 < d = 5: the SVD keeps the full V for
-        # the null space, and sigma and c are padded to d
-        rng = stream(33)
-        features = rng.standard_normal((1, 2, 3, 5))
-        tables = [rng.integers(1, 40, (3, 1, 2, 3, 1)) for _ in range(3)]
-        inversion = InversionConfig(
-            features=features, eta=0.5, gamma=1.0, kappa=0.5, ridge_lambda=0.01,
-            theta_norm_cap=10.0,
-        )
-        stacked = recover_rewards(tables, inversion)
-        for table, sample in zip(tables, stacked, strict=True):
-            (alone,) = recover_rewards(table, inversion)
-            assert_bit_identical(sample, alone)
-            assert_sets_bit_identical(sample.sets, alone.sets)
-            for cset in sample.sets:
-                vt, sigma, *_, rank = cset._svd
-                assert vt.shape == (5, 5) and sigma.shape == (5,) and rank == 3
-                assert_bit_identical(cset._svd, svd_by_pad(cset))
+    """A list of tables is checked at entry, before any estimate is made;
+    tests/test_stacking.py checks that each table's recovery is its own."""
 
     @pytest.mark.parametrize(
         "change, message",
@@ -571,7 +445,7 @@ class TestStackedRecovery:
     @pytest.mark.parametrize("entry", ["recover_rewards", "recover_rewards_mle",
                                        "stepwise_confidence_sets", "ridge_fit"])
     def test_a_bad_list_is_rejected_at_entry(self, monkeypatch, change, message, entry):
-        tables, inversion = stacked_case("frequency", (200, 400))
+        *_, tables, inversion = stacked_case("frequency", (200, 400))
         calls = {
             "recover_rewards": lambda t: recover_rewards(t, replace(inversion, kappa=1.0)),
             "recover_rewards_mle": lambda t: recover_rewards_mle(t, replace(
@@ -587,7 +461,7 @@ class TestStackedRecovery:
     @pytest.mark.parametrize("shape", [(3, 6), (2, 5), (7,), (2, 6, 1), (6, 2)])
     def test_a_kappa_of_another_shape_is_rejected_at_entry(self, monkeypatch, shape):
         # two tables of H = 6: a scalar, (6,) or (2, 6) kappa
-        tables, inversion = stacked_case("frequency", (200, 400))
+        *_, tables, inversion = stacked_case("frequency", (200, 400))
         monkeypatch.setattr(inverse_markov, "_estimates", None)
         bad = replace(inversion, kappa=np.ones(shape))
         message = re.escape(f"(H,) = (6,) or (K, H) = (2, 6), got {shape}")
@@ -795,6 +669,7 @@ class TestRecoverRewards:
         scalar = stepwise_confidence_sets(data, replace(config, kappa=5.0))
         assert [cset.kappa for cset in per_step] == [cset.kappa for cset in scalar] == [5.0] * 6
 
+    @pytest.mark.bitwise
     def test_samples_carry_the_sets_they_were_drawn_from(self):
         model = markov_model(stream(93), horizon=3)
         spec = model.to_tabular()
@@ -854,6 +729,7 @@ class TestRecoverRewards:
         assert hits >= 0.95 * total
 
 
+@pytest.mark.bitwise
 class TestMleFit:
     def test_zero_features_return_zero_vector(self):
         data = EpisodeDataset(
@@ -942,9 +818,9 @@ class TestMleFit:
         truth, _ = backward_qre(spec, tol=1e-12)
         data = sample_episodes(spec, truth, np.full(spec.S, 0.25), n_episodes, 20260808, 0)
         policy = saturated_policy_model(spec.S, spec.m, spec.n)
-        fits = assert_fits_alone(data, policy, [(h, p) for h in range(spec.H) for p in "ab"])
+        (fits,) = assert_fits_alone(data, (n_episodes,), policy)
         # the stack runs until its slowest fit stops; the others froze earlier
-        assert len({fit.iterations for fit in fits}) > 1
+        assert len({fit.iterations for p in "ab" for fit in fits[p]}) > 1
         for step in (0, 2, 5):
             for player in ("a", "b"):
                 assert_same_fit(
@@ -959,7 +835,7 @@ class TestMleFit:
         data, model = dense_mle_case(scale)
         fit = mle_fit(data, model, 0, "a")
         assert (np.linalg.norm(fit.params) == pytest.approx(1.0)) == binding
-        assert_fits_alone(data, model, [(0, "a"), (0, "b")])
+        assert_fits_alone(data, (data.n_episodes,), model)
         for player in ("a", "b"):
             assert_same_fit(
                 mle_fit(data, model, 0, player), mle_fit_by_einsum(data, model, 0, player)
@@ -975,9 +851,7 @@ class TestMleFit:
         for player in ("a", "b"):
             fit = mle_fit(data, model, 0, player)
             again = mle_fit(replicated, model, 0, player)
-            assert again.iterations == fit.iterations
-            assert np.array_equal(again.params, fit.params)
-            assert np.array_equal(again.objective_trace, fit.objective_trace)
+            assert_bit_identical(again, fit)
 
     def test_a_stack_of_binding_and_free_fits_matches_each_fit_alone(self):
         # psi_a and psi_b of one shape: both players' two steps share a stack
@@ -985,43 +859,9 @@ class TestMleFit:
         psi_a, psi_b = rng.standard_normal((3, 4, 5)), rng.standard_normal((3, 4, 5))
         data = EpisodeDataset(*(rng.integers(0, k, (500, 2)) for k in (3, 4, 4, 3)))
         model = SoftmaxPolicyModel(0.15 * psi_a, 0.15 * psi_b)
-        keys = [(step, player) for step in range(2) for player in "ab"]
-        fits = assert_fits_alone(data, model, keys)
-        binding = [np.linalg.norm(fit.params) == pytest.approx(1.0) for fit in fits]
+        (fits,) = assert_fits_alone(data, (500,), model)
+        binding = [np.linalg.norm(f.params) == pytest.approx(1.0) for p in "ab" for f in fits[p]]
         assert any(binding) and not all(binding)
-
-    @pytest.mark.parametrize(
-        "m, n, features",
-        [
-            (2, 3, "one_hot"),
-            (8, 9, "one_hot"),
-            (10, 10, "one_hot"),
-            (3, 3, "scaled"),
-            (3, 4, "permuted"),
-        ],
-        ids=["m2_n3", "m8_n9", "m10_n10", "two_eye", "permuted_eye"],
-    )
-    def test_fits_of_each_shape_and_feature_match_each_fit_alone(self, m, n, features):
-        # from 8 actions numpy sums a row pairwise, as a fit alone does; the
-        # scaled (K = 2, so L = 4) and row-permuted one-hot features are not
-        # the identity, so their fits take the two products
-        rng = stream(11)
-        s_len, h_len = 3, 4
-        data = EpisodeDataset(
-            *(rng.integers(0, size, (200, h_len)) for size in (s_len, m, n, s_len))
-        )
-        policy = saturated_policy_model(s_len, m, n)
-        if features == "scaled":
-            policy = SoftmaxPolicyModel(2 * policy.psi_a, 2 * policy.psi_b)
-            assert policy.feature_scale**2 == 4
-        elif features == "permuted":
-            rows = [psi.reshape(-1, psi.shape[2]) for psi in (policy.psi_a, policy.psi_b)]
-            rows = [flat[rng.permutation(len(flat))] for flat in rows]
-            assert not any(np.array_equal(flat, np.eye(len(flat))) for flat in rows)
-            policy = SoftmaxPolicyModel(
-                *(flat.reshape(psi.shape) for flat, psi in zip(rows, (policy.psi_a, policy.psi_b)))
-            )
-        assert_fits_alone(data, policy, [(h, p) for h in range(h_len) for p in "ab"])
 
     @pytest.mark.parametrize("m, n", [(3, 3), (2, 3)], ids=["one_stack", "a_stack_per_player"])
     def test_one_loop_fits_each_prefix_table_as_it_alone(self, monkeypatch, m, n):
@@ -1040,15 +880,10 @@ class TestMleFit:
         monkeypatch.setattr(inverse_markov, "_fit_stack", counting)
         policy = saturated_policy_model(s_len, m, n)
         sizes = (50, 200, 600)
-        fits = fit_every_step(prefix_counts(data, sizes, s_len, m, n), policy)
-        # one loop for the three tables
+        fit_every_step(prefix_counts(data, sizes, s_len, m, n), policy)
+        # one loop for the three tables, each fit as alone (tests/test_stacking.py)
         assert stacks == ([3 * 2 * h_len] if m == n else [3 * h_len, 3 * h_len])
         monkeypatch.undo()
-        for size, fitted in zip(sizes, fits):
-            for h in range(h_len):
-                for p in "ab":
-                    alone = mle_fit_alone(data.prefix(size), policy, h, p)
-                    assert_bit_identical(fitted[p][h], alone)
         empty = step_counts(data.prefix(0), s_len, m, n)
         with pytest.raises(ValueError, match="^no samples at step 0$"):
             fit_every_step([empty], policy)
@@ -1060,7 +895,7 @@ class TestMleFit:
         data, model = dense_mle_case(0.05)
         default = mle_fit(EpisodeDataset(*data.arrays), model, 0, "a")
         monkeypatch.setattr(inverse_markov, name, value)
-        (fit,) = assert_fits_alone(data, model, [(0, "a")])
+        fit = assert_fits_alone(data, (data.n_episodes,), model)[0]["a"][0]
         if name == "MLE_MAX_ITER":
             assert (fit.iterations, fit.converged) == (50, False)
         else:
@@ -1180,6 +1015,7 @@ class TestRecoverRewardsMle:
         assert np.allclose(a_part[1:], 0.0)
         assert not np.allclose(a_part[0], 0.0)
 
+    @pytest.mark.bitwise
     def test_default_sets_of_an_mle_config_are_the_mle_sets(self):
         # stepwise_confidence_sets builds, by default, the sets of the driver
         # its config selects: with a policy_model, recover_rewards_mle's
@@ -1228,6 +1064,7 @@ class TestPerBlockThreshold:
         data = sample_episodes(spec, truth, np.full(spec.S, 0.25), n_episodes, seed, rep)
         return model, spec, data
 
+    @pytest.mark.bitwise
     def test_frequency_record_sets_are_the_frequency_sets(self):
         n = 10**4
         record = run_markov_rep(markov_config(20260808, [n]), 1)[0]

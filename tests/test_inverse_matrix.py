@@ -59,6 +59,7 @@ def setup1_exact_system(seed=0):
 
 
 class TestBuildLinearSystem:
+    @pytest.mark.bitwise
     def test_matches_reference_formula(self):
         # bit for bit, on floored frequency estimates from few to many samples
         instances = [
@@ -230,6 +231,7 @@ class TestOneDecomposition:
         x = u @ np.diag([1.0, 1e-13]) @ v.T
         return x, x @ np.array([0.8, -0.6]) + 1e-3 * rng.standard_normal(8)
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize(
         "estimator, route",
         [("least_squares", "min_norm_theta"), ("confidence_set", "min_norm_member")],
@@ -728,6 +730,7 @@ class TestFeasibleSet:
         assert dist == pytest.approx(2.5)
 
 
+@pytest.mark.bitwise
 class TestHausdorff:
     def test_identical_clouds(self):
         pts = stream(25).standard_normal((50, 3))
@@ -820,6 +823,7 @@ def cloud_cases():
 CLOUD_CASES = cloud_cases()
 
 
+@pytest.mark.bitwise
 class TestCloudDistances:
     """Point-to-cloud distances screened by one matmul per block and
     rechecked with the plain sum are the plain loop's (tests/oracles), to

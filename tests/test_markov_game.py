@@ -130,22 +130,6 @@ class TestBackwardQre:
         assert np.abs(new_pol.mu - base_pol.mu).max() < 1e-9
         assert np.abs(new_pol.nu - base_pol.nu).max() < 1e-9
 
-
-    def test_reward_stack_matches_separate_solves(self):
-        spec = random_spec(12, h_len=3, s_len=3, m=3, n=4, eta=0.7, gamma=0.9)
-        rng = make_rng(13)
-        stack = spec.rewards + rng.standard_normal((4,) + spec.rewards.shape)
-        stack[2] *= 6.0  # strongly scaled stages need more iterations
-        mu, nu, q, v = backward_qre_stack(stack, spec.transition, spec.eta, spec.gamma)
-        assert mu.shape == (4, 3, 3, 3) and v.shape == (4, 4, 3)
-        for k in range(4):
-            alone = MarkovGameSpec(stack[k], spec.transition, eta=spec.eta, gamma=spec.gamma)
-            policies, values = backward_qre(alone)
-            assert np.abs(mu[k] - policies.mu).max() <= 1e-15
-            assert np.abs(nu[k] - policies.nu).max() <= 1e-15
-            assert np.abs(q[k] - values.Q).max() <= 1e-15
-            assert np.abs(v[k] - values.V).max() <= 1e-15
-
     def test_nonconvergence_names_step_and_state(self, monkeypatch):
         # the last step is solved first; its state 0 game is the zero game,
         # which the uniform start solves, and state 1 cannot converge in 3

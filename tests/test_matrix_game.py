@@ -196,31 +196,6 @@ class TestSolveQre:
 
 
 class TestSolveQreBatch:
-    def test_games_in_a_stack_follow_their_own_iterates(self):
-        # the hard game keeps retrying shorter continuation steps long after
-        # the easy games have converged and been frozen
-        hard_spec, hard_pair = strongly_scaled_game()
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(125)))
-        easy = rng.standard_normal((3, 4, 4))
-        stack = np.stack([easy[0], hard_spec.payoff, easy[1], np.zeros((4, 4)), easy[2]])
-        mu, nu = solve_qre_batch(stack, 2.0, tol=1e-12)
-        for i, q in enumerate(stack):
-            alone = hard_pair if i == 1 else solve_qre(MatrixGameSpec(q, 2.0), tol=1e-12)
-            assert np.abs(mu[i] - alone.mu).max() <= 1e-15
-            assert np.abs(nu[i] - alone.nu).max() <= 1e-15
-            assert qre_residual(MatrixGameSpec(q, 2.0), PolicyPair(mu[i], nu[i])) <= 1e-10
-
-    def test_continued_games_in_a_stack_follow_their_own_iterates(self):
-        # payoffs scaled by 300: each game takes its own number of
-        # continuation steps, from 39 to 123 Newton steps
-        stack = np.random.default_rng(3).standard_normal((8, 5, 5)) * 300
-        mu, nu = solve_qre_batch(stack, 0.5, tol=1e-12)
-        for i, q in enumerate(stack):
-            alone = solve_qre(MatrixGameSpec(q, 0.5), tol=1e-12)
-            assert np.abs(mu[i] - alone.mu).max() <= 1e-15
-            assert np.abs(nu[i] - alone.nu).max() <= 1e-15
-            assert qre_residual(MatrixGameSpec(q, 0.5), PolicyPair(mu[i], nu[i])) <= 1e-10
-
     @pytest.mark.parametrize("eta", [0.1, 0.5, 2.0])
     @pytest.mark.parametrize("scale", [1, 10, 100, 300])
     def test_converges_across_sizes_and_payoff_scales(self, scale, eta):
@@ -250,6 +225,7 @@ class TestSolveQreBatch:
             assert np.abs(mu - mu_ref).max() <= 1e-10
             assert np.abs(nu - nu_ref).max() <= 1e-10
 
+    @pytest.mark.bitwise
     def test_2x2_stack_against_bisection_oracle(self):
         stack = np.array(
             [

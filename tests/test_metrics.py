@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
-from invgame import experiments
-from invgame.experiments import ExperimentConfig
-from invgame.inverse_matrix import reconstruct_payoff
 from invgame.markov_game import backward_qre, visit_distributions
-from invgame.matrix_game import MatrixGameSpec, PolicyPair, solve_qre
+from invgame.matrix_game import MatrixGameSpec, solve_qre
 from invgame.metrics import (
     qre_discrepancy,
     qre_discrepancy_markov,
@@ -144,6 +141,7 @@ class TestQreDiscrepancy:
         total, _ = qre_discrepancy_markov(spec0, corrupted0, policies0, weights)
         assert total < 1e-9
 
+    @pytest.mark.bitwise
     def test_markov_variant_scores_a_reward_stack_in_one_pass(self):
         model = simplex_feature_model(34, h_len=3)
         spec = model.to_tabular()
@@ -163,25 +161,11 @@ class TestQreDiscrepancy:
 
 
 class TestMatrixGameIsOneMarkovStep:
-    # the runner solves and re-solves a matrix game as the one-step,
-    # one-state Markov game; both must match the matrix solver exactly
+    # the runner re-solves a matrix game as the one-step, one-state Markov
+    # game; it must match the matrix solver exactly (its truth solve, in
+    # tests/test_stacking.py)
 
-    @pytest.mark.parametrize(
-        "fields",
-        [{"kind": "setup1"}, {"kind": "setup2"},
-         {"kind": "custom", "m": 3, "n": 5, "theta": (0.5, -0.25, 0.3)}],
-        ids=["setup1", "setup2", "custom"],
-    )
-    def test_backward_qre_truth_is_the_matrix_qre(self, fields):
-        config = ExperimentConfig(**fields, seed=8)
-        for rep in range(3):
-            model, spec, (truth, _), _ = experiments._instance(config, rep, 1)
-            assert (spec.H, spec.S) == (1, 1)
-            payoff = reconstruct_payoff(model.theta, model.features)
-            pair = solve_qre(MatrixGameSpec(payoff, config.eta), tol=1e-12)
-            assert np.array_equal(truth.mu[0, 0], pair.mu)
-            assert np.array_equal(truth.nu[0, 0], pair.nu)
-
+    @pytest.mark.bitwise
     def test_qre_discrepancy_is_the_matrix_re_solve(self):
         rng = make_rng(41)
         for m, n in ((2, 2), (3, 5), (6, 4)):

@@ -15,6 +15,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import invgame
 from invgame.cli import ALIASES
 from invgame.experiments import KIND_FIELDS, KINDS, ExperimentConfig, markov_model
@@ -224,6 +226,7 @@ def test_benchmark_workloads_run_and_pass_their_checks(tmp_path, monkeypatch):
         assert workload.check(1, outputs) == [], workload.name
 
 
+@pytest.mark.bitwise
 def test_mle_recovery_fits_each_step_and_player_as_mle_fit_does(monkeypatch):
     # recover_rewards_mle fits every step of a player in one lockstep loop
     # (inverse_markov.fit_every_step), not by one mle_fit call per step, so

@@ -730,6 +730,7 @@ class TestConcurrentDrawsShareTheCpus:
                 assert np.array_equal(got, want)
 
 
+@pytest.mark.bitwise
 class TestLayoutIndependence:
     """EpisodeDataset arrays are (T, H) views of any strides and any integer
     dtype: a sampled dataset's int8 step-major views, C-contiguous copies of
