@@ -214,8 +214,9 @@ def _cmd_solve_qre(args) -> int:
         if args.config:
             raw = json.loads(Path(args.config).read_text())
             payoff, eta = raw["payoff"], raw.get("eta", args.eta)
-            if isinstance(eta, bool):
-                raise UsageError(f"config eta cannot be {eta!r}")
+            for name, value in (("eta", eta), ("payoff", payoff)):  # True == 1: no number
+                if any(isinstance(x, bool) for x in np.ravel(np.array(value, dtype=object))):
+                    raise UsageError(f"config {name} cannot be {value!r}")
         elif args.payoff:
             payoff, eta = np.loadtxt(args.payoff, delimiter=",", ndmin=2), args.eta
         else:

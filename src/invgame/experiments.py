@@ -5,11 +5,11 @@ Four kinds share one config (`ExperimentConfig`), one builder
 (setup1), a partially identified matrix game (setup2), a user-dimensioned
 matrix game (custom), and the tabular Markov game inversion (markov).  A
 matrix game is the one-step, one-state Markov game of its payoff, so every
-kind has one truth solve (`backward_qre`), one sampler (`sample_episodes`),
-one stacked re-solve of all its sample sizes and one scorer
-(`run_markov_rep`).  The runner and each invert command make one estimate
-per kind family: `_markov_estimate`, one stacked reward recovery of all the
-sizes given, or `_matrix_estimate`.
+kind has one truth solve (`backward_qre`), one draw loop (`sample_counts`
+for the runner, `sample_episodes` for simulate), one stacked re-solve of
+all its sample sizes and one scorer (`run_markov_rep`).  The runner and
+each invert command make one estimate per kind family: `_markov_estimate`,
+one stacked reward recovery of all the sizes given, or `_matrix_estimate`.
 `ExperimentConfig` alone decides whether a config runs: under KIND_FIELDS,
 which kinds read a field and with what default, every config it accepts
 builds its model.
@@ -18,11 +18,11 @@ Repetition rep of seed s generates its instance from stream(s, rep).  Its
 data are then drawn from a second, fresh stream(s, rep), not from where the
 first one stopped, so the first data draws reuse the raw Philox words that
 generated the features.  Datasets across sample sizes are nested prefixes
-of one dataset, whose count tables are made in one pass (prefix_counts)
-and recovered in one stacked pass (recover_rewards on the list of tables;
-under MLE policies, fitted in one lockstep loop, fit_every_step), each
-size bit for bit as it would be alone; the whole record set is
-reproducible bit-for-bit.
+of one dataset, whose count tables are counted as it is drawn, the
+dataset itself never held (sample_counts), and recovered in one stacked
+pass (recover_rewards on the list of tables; under MLE policies, fitted
+in one lockstep loop, fit_every_step), each size bit for bit as it would
+be alone; the whole record set is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from invgame.metrics import qre_discrepancy_markov, reward_metric_D, reward_metr
 from invgame.sampling import (
     EpisodeDataset,
     frequency_estimate_matrix,
-    prefix_counts,
+    sample_counts,
     sample_episodes,
     stream,
 )
@@ -315,23 +315,24 @@ def build_model(config: ExperimentConfig, rep: int) -> FeatureModel | LinearMDPM
     )
 
 
-def _instance(config: ExperimentConfig, rep: int, n_samples: int):
+def _instance(config: ExperimentConfig, rep: int, sample, size):
     """Repetition rep's model, its tabular game (a matrix game is the
     one-step, one-state game of its payoff), the game's true policies and
-    values, and n_samples episodes of QRE play from a uniform start."""
+    values, and sample's draw of QRE play from a uniform start at size:
+    sample_episodes' dataset, or sample_counts' tables."""
     model = build_model(config, rep)
     if config.kind == "markov":
         spec = model.to_tabular()
     else:
         spec = MarkovGameSpec.one_step(reconstruct_payoff(model.theta, model.features), config.eta)
     truth, values = backward_qre(spec, tol=1e-12)
-    data = sample_episodes(spec, truth, np.full(spec.S, 1.0 / spec.S), n_samples, config.seed, rep)
-    return model, spec, (truth, values), data
+    drawn = sample(spec, truth, np.full(spec.S, 1.0 / spec.S), size, config.seed, rep)
+    return model, spec, (truth, values), drawn
 
 
 def sample_dataset(config: ExperimentConfig, rep: int, n_samples: int) -> EpisodeDataset:
     """n_samples episodes of QRE play on repetition rep's instance."""
-    return _instance(config, rep, n_samples)[3]
+    return _instance(config, rep, sample_episodes, n_samples)[3]
 
 
 def run_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
@@ -446,11 +447,10 @@ def run_markov_rep(config: ExperimentConfig, rep: int) -> list[RepRecord]:
     from.  The rewards of all sample sizes are re-solved together in one
     backward pass.
     """
-    model, spec, (truth, values), data = _instance(config, rep, max(config.samples))
+    model, spec, (truth, values), tables = _instance(config, rep, sample_counts, config.samples)
     state_dists, _ = visit_distributions(spec, truth, np.full(spec.S, 1.0 / spec.S))
     markov = config.kind == "markov"
     true_thetas = model.q_params(values.V) if markov else model.theta[None]
-    tables = prefix_counts(data, config.samples, spec.S, spec.m, spec.n)
     kappas = [_thresholds(config, table) for table in tables]
     estimates = []
     try:

@@ -1,8 +1,9 @@
 """Observation datasets drawn from QRE play, their count tables, and frequency estimators.
 
 A matrix game's samples are one-step episodes at state 0, so both game
-classes share one dataset type, one sampler (sample_episodes) and one
-estimator.
+classes share one dataset type, one draw loop (_draw), which stores its
+draws (sample_episodes) or counts them into nested count tables
+(sample_counts), and one estimator.
 
 All sampling is driven by Philox streams derived from (seed, rep) via
 SeedSequence spawn keys, so repetitions are order-independent and two runs
@@ -28,8 +29,9 @@ _COLUMNS = DATASET_HEADER.split(",")[2:]  # the EpisodeDataset arrays, as the fi
 _WRITE_BLOCK_ROWS = 1 << 12  # dataset rows formatted at once, at most
 _COUNT_BLOCK = 1 << 14  # episodes whose cell indices are formed at once
 _MIN_PART_EPISODES = 1 << 15  # episodes per part of a draw, at least (see _draw_parts)
+_CHUNK_EPISODES = 1 << 16  # episodes a part draws at once, at most (see _draw)
 _running_lock = threading.Lock()
-_running_draws = 0  # sample_episodes calls drawing now, which share the CPUs
+_running_draws = 0  # _draw calls drawing now, which share the CPUs
 
 
 def stream(seed: int, rep: int = 0) -> np.random.Generator:
@@ -122,56 +124,100 @@ def sample_episodes(
     spec: MarkovGameSpec, policies: StagePolicies, initial: np.ndarray, n_episodes: int,
     seed: int, rep: int = 0,
 ) -> EpisodeDataset:
-    """Roll out T episodes under the stage policies, storing successors: the
-    one sampler, of which a matrix game's samples are the one-step, one-state
-    case.  The arrays are (T, H) views of one step-major (3H + 1, T) block in
-    the smallest signed dtype that holds max(S, m, n) - 1 (int8 up to 128
-    states or actions): the state chain s_0..s_H, then each step's a and b,
-    so each s' is drawn in place as the next step's state.  A one-state
-    chain is state 0 throughout: a zero-stride view, not drawn, beside a
-    (2H, T) block.
+    """Roll out T episodes under the stage policies, storing successors (_draw):
+    the one sampler, of which a matrix game's samples are the one-step,
+    one-state case.  The arrays are (T, H) views of one step-major (3H + 1, T)
+    block in the smallest signed dtype that holds max(S, m, n) - 1 (int8 up
+    to 128 states or actions): the state chain s_0..s_H, then each step's a
+    and b, so each s' is drawn in place as the next step's state.  A
+    one-state chain is state 0 throughout: a zero-stride view, not drawn,
+    beside a (2H, T) block."""
+    block, h_len = _draw(spec, policies, initial, n_episodes, seed, rep), spec.H
+    zeros = np.broadcast_to(block.dtype.type(0), (h_len + 1, n_episodes))
+    chain = block[: h_len + 1] if spec.S > 1 else zeros
+    acts_a, acts_b = block[-2 * h_len :].reshape(2, h_len, n_episodes)
+    return EpisodeDataset(chain[:-1].T, acts_a.T, acts_b.T, chain[1:].T)
 
-    Draw j of the call (the initial state when S > 1, then each step's a,
-    b and s') reads words jT .. jT + T - 1 of stream(seed, rep), episode i
-    word jT + i.  The episodes are split into contiguous parts, one per
-    available CPU (shared with the calls drawing at the same time) and at
-    least _MIN_PART_EPISODES each, drawn at once on their own threads
-    (_draw_parts); each part reads only its own words
-    (_uniforms), so neither the split nor the CPU count changes a dataset."""
+
+def sample_counts(
+    spec: MarkovGameSpec, policies: StagePolicies, initial: np.ndarray, sizes,
+    seed: int, rep: int = 0,
+) -> list[np.ndarray]:
+    """The read-only step_counts table of the first t episodes, for each t of
+    sizes (rising strictly from 1), of the dataset sample_episodes(spec,
+    policies, initial, sizes[-1], seed, rep) draws, to the bit: each slice
+    between sizes is counted as it is drawn (_draw), and no dataset is held."""
+    sizes = list(sizes)
+    if not sizes or sizes[0] < 1 or sizes != sorted(set(sizes)):
+        raise ValueError(f"sample sizes must rise strictly from 1, got {sizes}")
+    counts = _draw(spec, policies, initial, sizes[-1], seed, rep, sizes)
+    tables = np.cumsum(counts, axis=0).reshape(len(sizes), *spec.transition.shape)
+    tables.flags.writeable = False
+    return list(tables)
+
+
+def _draw(
+    spec: MarkovGameSpec, policies: StagePolicies, initial: np.ndarray, n_episodes: int,
+    seed: int, rep: int, sizes=(),
+) -> np.ndarray:
+    """The one draw loop.  Draw j of a call (the initial state when S > 1,
+    then each step's a, b and s') reads words jT .. jT + T - 1 of
+    stream(seed, rep), episode i word jT + i.  Contiguous parts of the
+    episodes are drawn at once on their own threads (_draw_parts), each
+    _CHUNK_EPISODES or fewer at a time from the chunk's own words
+    (_uniforms), so neither the split nor the chunk size changes a draw.
+    Without sizes, a chunk goes into its columns of sample_episodes' block,
+    which is returned.  With sizes, it goes into the part's scratch, and
+    each step's cells ((s m + a) n + b) S + s', extended from the transition
+    row, are bincounted per slice of the chunk between consecutive sizes:
+    the (K, H, cells) int64 counts of the slices are returned."""
     initial = spec.check_play(policies, initial)
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
-    h_len = spec.H
-    dtype = np.min_scalar_type(-max(spec.S, spec.m, spec.n))  # holds -max, so max - 1 too
-    if spec.S == 1:
-        block = np.empty((2 * h_len, n_episodes), dtype=dtype)
-        chain = np.broadcast_to(dtype.type(0), (h_len + 1, n_episodes))
-    else:
-        block = np.empty((3 * h_len + 1, n_episodes), dtype=dtype)
-        chain = block[: h_len + 1]
-    acts_a, acts_b = block[-2 * h_len :].reshape(2, h_len, n_episodes)
+    h_len, s_len, m, n = spec.H, spec.S, spec.m, spec.n
+    dtype = np.min_scalar_type(-max(s_len, m, n))  # holds -max, so max - 1 too
+    height = 2 * h_len if s_len == 1 else 3 * h_len + 1
+    block = None if sizes else np.empty((height, n_episodes), dtype=dtype)
+    bounds, cells = [0, *sizes], s_len * m * n * s_len
     cum_init = np.cumsum(initial)[None]
     cum_mu, cum_nu = (np.cumsum(p, axis=2) for p in (policies.mu, policies.nu))
-    cum_p = np.cumsum(spec.transition, axis=4).reshape(h_len, -1, spec.S)
+    cum_p = np.cumsum(spec.transition, axis=4).reshape(h_len, -1, s_len)
 
-    def draw(lo: int, hi: int):  # episodes lo..hi-1, into their slices of the block
-        uniforms = _uniforms(seed, rep, n_episodes, lo, hi)
-        states, part_a, part_b = chain[:, lo:hi], acts_a[:, lo:hi], acts_b[:, lo:hi]
-        if spec.S > 1:
-            _draw_rows(next(uniforms), cum_init, None, states[0])
-        for h in range(h_len):
-            rows = states[h].astype(np.intp) if spec.S > 1 else None  # one-row tables read none
-            _draw_rows(next(uniforms), cum_mu[h], rows, part_a[h])
-            _draw_rows(next(uniforms), cum_nu[h], rows, part_b[h])
-            if spec.S > 1:
-                rows *= spec.m  # the transition row (s * m + a) * n + b, in intp: cannot wrap
-                rows += part_a[h]
-                rows *= spec.n
-                rows += part_b[h]
-                _draw_rows(next(uniforms), cum_p[h], rows, states[h + 1])
+    def draw(lo: int, hi: int):  # episodes lo..hi-1, a chunk at a time
+        width = min(hi - lo, _CHUNK_EPISODES)
+        scratch = np.empty((height, width), dtype=dtype) if block is None else None
+        counts = np.zeros((len(sizes), h_len, cells), dtype=np.int64)
+        for start in range(lo, hi, _CHUNK_EPISODES):
+            stop = min(start + _CHUNK_EPISODES, hi)
+            chunk = scratch[:, : stop - start] if block is None else block[:, start:stop]
+            states, (acts_a, acts_b) = chunk[: h_len + 1], chunk[-2 * h_len :].reshape(2, h_len, -1)
+            slices = [(k, max(a, start) - start, min(b, stop) - start)
+                      for k, (a, b) in enumerate(zip(bounds, bounds[1:])) if a < stop and b > start]
+            uniforms = _uniforms(seed, rep, n_episodes, start, stop)
+            if s_len > 1:
+                _draw_rows(next(uniforms), cum_init, None, states[0])
+            for h in range(h_len):
+                rows = states[h].astype(np.intp) if s_len > 1 else None  # one-row tables read none
+                _draw_rows(next(uniforms), cum_mu[h], rows, acts_a[h])
+                _draw_rows(next(uniforms), cum_nu[h], rows, acts_b[h])
+                if s_len > 1:
+                    rows *= m  # the transition row (s * m + a) * n + b, in intp: cannot wrap
+                    rows += acts_a[h]
+                    rows *= n
+                    rows += acts_b[h]
+                    _draw_rows(next(uniforms), cum_p[h], rows, states[h + 1])
+                if slices and s_len > 1:
+                    rows *= s_len
+                    rows += states[h + 1]
+                elif slices:  # the one state's cells are a * n + b
+                    rows = np.multiply(acts_a[h], n, dtype=np.intp)
+                    rows += acts_b[h]
+                for k, a, b in slices:
+                    counts[k, h] += np.bincount(rows[a:b], minlength=cells)
+        return counts
 
-    _draw_parts(draw, n_episodes)
-    return EpisodeDataset(chain[:-1].T, acts_a.T, acts_b.T, chain[1:].T)
+    counts = sum(_draw_parts(draw, n_episodes))
+    return counts if sizes else block
 
 
 def _available_cpus() -> int:
@@ -181,15 +227,15 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _draw_parts(draw, n_episodes: int) -> None:
-    """draw(lo, hi) for each part [lo, hi) of the T episodes: one part per
-    available CPU, the CPUs shared among the draws running at that moment
-    (a pool of repetitions draws concurrently), but none under
-    _MIN_PART_EPISODES, where a second thread costs more than it saves.
-    One part is drawn on the calling thread alone; otherwise the first is,
-    and each other on a thread of its own.  Every thread is joined before
-    this returns or raises, and the first part that raises (in part order)
-    raises here."""
+def _draw_parts(draw, n_episodes: int) -> list:
+    """The results of draw(lo, hi), in part order, for each part [lo, hi) of
+    the T episodes: one part per available CPU, the CPUs shared among the
+    draws running at that moment (a pool of repetitions draws concurrently),
+    but none under _MIN_PART_EPISODES, where a second thread costs more than
+    it saves.  One part is drawn on the calling thread alone; otherwise the
+    first is, and each other on a thread of its own.  Every thread is joined
+    before this returns or raises, and the first part that raises (in part
+    order) raises here."""
     global _running_draws
     with _running_lock:
         _running_draws += 1
@@ -197,25 +243,23 @@ def _draw_parts(draw, n_episodes: int) -> None:
         cpus = _available_cpus() // _running_draws  # counted after this draw joined
         parts = max(1, min(cpus, n_episodes // _MIN_PART_EPISODES))
         if parts == 1:
-            draw(0, n_episodes)
-            return
+            return [draw(0, n_episodes)]
         bounds = [n_episodes * k // parts for k in range(parts + 1)]
         with ThreadPoolExecutor(parts - 1) as pool:  # leaving the block joins every thread
             others = [pool.submit(draw, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-            draw(bounds[0], bounds[1])
-            for other in others:
-                other.result()
+            first = draw(bounds[0], bounds[1])
+            return [first] + [other.result() for other in others]
     finally:
         with _running_lock:
             _running_draws -= 1
 
 
 def _uniforms(seed: int, rep: int, n_episodes: int, lo: int, hi: int):
-    """The uniforms of episodes lo..hi-1 for each draw of a sample_episodes
-    call of T episodes, in draw order, in one reused buffer of hi - lo
+    """The uniforms of episodes lo..hi-1, a chunk of a _draw call of T
+    episodes, for each draw in draw order, in one reused buffer of hi - lo
     doubles: draw j's are words jT + lo .. jT + hi - 1 of stream(seed, rep),
-    one per double.  The part's own Philox skips the words of other parts
-    (_seek); a part of all T episodes reads the stream in order, skipping none."""
+    one per double.  The chunk's own Philox skips the words of other chunks
+    (_seek); a chunk of all T episodes reads the stream in order, skipping none."""
     rng = stream(seed, rep)
     u, at = np.empty(hi - lo), 0
     for word in itertools.count(lo, n_episodes):
@@ -246,8 +290,8 @@ def _draw_rows(u: np.ndarray, cum: np.ndarray, rows: np.ndarray | None, out: np.
     drawn, and a u above a last entry that rounds below 1 is still the last
     category.  Counted a column at a time, gathered by the intp rows unless
     cum has one row (rows is then unread).  Parts of one draw run at once on
-    their own slices of u, rows and out (sample_episodes), so it writes
-    nothing but out."""
+    their own slices of u, rows and out (_draw), so it writes nothing but
+    out."""
     out[...] = 0
     for column in cum.T[:-1]:
         out += u >= (column if column.size == 1 else column.take(rows))
@@ -271,39 +315,22 @@ def step_counts(data: DataOrTable, s_len: int, m: int, n: int) -> np.ndarray:
     transition kernel: every estimator reads the data only through it, so
     each takes a dataset or its table.  A dataset is range-checked, so an
     index out of range is named rather than counted in a neighbouring cell,
-    and counted into a read-only table (prefix_counts of its one size); a
-    table is returned unchanged once its shape is checked."""
+    and counted into a read-only table (_count_steps); sample_counts gives
+    the tables of a drawn dataset's prefixes without drawing it.  A table is
+    returned unchanged once its shape is checked."""
     if isinstance(data, EpisodeDataset):
-        return prefix_counts(data, [data.n_episodes], s_len, m, n)[0]
+        data.check(s_len, m, n)
+        return _count_steps(data, s_len, m, n)
     if data.shape[1:] != (s_len, m, n, s_len):
         shape = f"(H, {s_len}, {m}, {n}, {s_len})"
         raise ValueError(f"a table must be shaped {shape}, not {data.shape}")
     return data
 
 
-def prefix_counts(data: EpisodeDataset, sizes, s_len: int, m: int, n: int) -> list[np.ndarray]:
-    """The step_counts table of data.prefix(t) for each t of sizes (strictly
-    increasing, in 0..T), each the same to the bit as that prefix's alone:
-    the indices are checked once, then the episodes each size adds to the
-    one before are counted once, and a size's table is the read-only running
-    sum of those counts."""
-    sizes = list(sizes)
-    if not sizes or sizes != sorted(set(sizes)) or sizes[0] < 0 or sizes[-1] > data.n_episodes:
-        raise ValueError(f"prefix sizes must rise strictly in 0..{data.n_episodes}, got {sizes}")
-    data.prefix(sizes[-1]).check(s_len, m, n)
-    tables, table, start = [], 0, 0
-    for stop in sizes:
-        added = EpisodeDataset(*(a[start:stop] for a in data.arrays))
-        table = table + _count_steps(added, s_len, m, n)
-        table.flags.writeable = False
-        tables.append(table)
-        start = stop
-    return tables
-
-
 def _count_steps(data: EpisodeDataset, s_len: int, m: int, n: int) -> np.ndarray:
-    """One bincount per step and block of episodes over the cells' flat
-    indices, formed in place: one block-sized index array is alive at a time."""
+    """The read-only table of a range-checked dataset: one bincount per step
+    and block of episodes over the cells' flat indices, formed in place, so
+    one block-sized index array is alive at a time."""
     cells = s_len * m * n * s_len
     table = np.zeros((data.horizon, cells), dtype=np.int64)
     for start in range(0, data.n_episodes, _COUNT_BLOCK):
@@ -316,6 +343,7 @@ def _count_steps(data: EpisodeDataset, s_len: int, m: int, n: int) -> np.ndarray
             key *= s_len
             np.add(key, nexts[h], out=key, dtype=np.int64)
             table[h] += np.bincount(key, minlength=cells)
+    table.flags.writeable = False
     return table.reshape(data.horizon, s_len, m, n, s_len)
 
 
@@ -439,6 +467,4 @@ def read_counts(path: str | Path, s_len: int, m: int, n: int) -> np.ndarray:
     """The read-only step_counts table, for s_len states and m x n actions,
     of the dataset file at path (read_dataset with that model shape): the
     file is range-checked once and counted once."""
-    table = _count_steps(read_dataset(path, (s_len, m, n)), s_len, m, n)
-    table.flags.writeable = False
-    return table
+    return _count_steps(read_dataset(path, (s_len, m, n)), s_len, m, n)

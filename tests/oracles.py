@@ -43,7 +43,8 @@ from invgame.matrix_game import QreConvergenceError, solve_qre_batch, stage_valu
 from invgame.sampling import (
     EpisodeDataset,
     empirical_state_distribution,
-    prefix_counts,
+    sample_counts,
+    sample_episodes,
     step_counts,
     stream,
 )
@@ -775,7 +776,8 @@ def assert_fits_alone(data, sizes, model, stacked=None):
     (fit_every_step's, or stacked, a recovery's, when given) is the one-fit
     loop's on its episodes alone and, unless given, mle_fit's, to the last
     bit.  Returns the lockstep fits, by size, then player, then step."""
-    tables = prefix_counts(data, sizes, *model.psi_a.shape[:2], model.psi_b.shape[1])
+    shape = (*model.psi_a.shape[:2], model.psi_b.shape[1])
+    tables = [step_counts(data.prefix(size), *shape) for size in sizes]
     one_fit = stacked is None
     if one_fit:
         stacked = inverse_markov.fit_every_step(tables, model)
@@ -799,13 +801,16 @@ def assert_sets_bit_identical(got, expected):
 
 def stacked_case(estimator, sizes, seed=31, **shape):
     """A markov instance's tabular game, true values and dataset, its nested
-    count tables at sizes, and an inversion config of the estimator at each
-    size's per-step thresholds, (K, H)."""
+    count tables at sizes as the runner draws them (sample_counts), and an
+    inversion config of the estimator at each size's per-step thresholds,
+    (K, H)."""
     config = experiments.ExperimentConfig(
         "markov", seed=seed, samples=tuple(sizes), policy_estimator=estimator, **shape
     )
-    model, spec, (_, values), data = experiments._instance(config, 0, max(sizes))
-    tables = prefix_counts(data, sizes, spec.S, spec.m, spec.n)
+    model, spec, (truth, values), data = experiments._instance(
+        config, 0, sample_episodes, max(sizes)
+    )
+    tables = sample_counts(spec, truth, np.full(spec.S, 1.0 / spec.S), sizes, seed)
     mle = estimator == "mle"
     inversion = inverse_markov.InversionConfig(
         features=model.features, eta=config.eta, gamma=config.gamma,

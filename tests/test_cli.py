@@ -25,6 +25,7 @@ from invgame.sampling import (
     EpisodeDataset,
     frequency_estimate_matrix,
     read_dataset,
+    sample_counts,
     sample_episodes,
     step_counts,
     stream,
@@ -157,19 +158,20 @@ class TestRunExperiment:
     )
     def test_simulate_samples_what_the_matrix_runner_inverts(self, monkeypatch, fields):
         config = ExperimentConfig(**fields, seed=6, samples=(100, 700), reps=1)
+        # the runner's tables are those of the simulated dataset's prefixes
         drawn = []
 
         def recording(*args):
-            drawn.append(sample_episodes(*args))
+            drawn.append(sample_counts(*args))
             return drawn[-1]
 
-        monkeypatch.setattr(experiments, "sample_episodes", recording)
+        monkeypatch.setattr(experiments, "sample_counts", recording)
         assert not run_rep(config, 2)[0].error
         monkeypatch.undo()
         simulated = experiments.sample_dataset(config, 2, 700)
         assert len(drawn) == 1
-        for column in ("states", "actions_a", "actions_b", "next_states"):
-            assert np.array_equal(getattr(drawn[0], column), getattr(simulated, column))
+        for size, table in zip(config.samples, drawn[0], strict=True):
+            assert np.array_equal(table, step_counts(simulated.prefix(size), *table.shape[1:4]))
 
     def test_failed_markov_rep_names_the_failing_size(self, monkeypatch):
         # the recovery, one stacked call for every size, fails at N = 1000
@@ -1079,6 +1081,8 @@ class TestUsageErrors:
              "could not convert"),
             ({"cfg.json": '{"payoff": [[1, 0], [0, 1]], "eta": true}'},
              ["--config", "cfg.json"], "config eta cannot be True"),
+            ({"cfg.json": '{"payoff": [[true, 0], [0, 1]], "eta": 0.5}'},
+             ["--config", "cfg.json"], "config payoff cannot be [[True, 0], [0, 1]]"),
             ({"p.csv": "1,0\n"}, ["--payoff", "p.csv"], "at least 2x2, got shape (1, 2)"),
             ({"p.csv": "1,0\n0,1\n"}, ["--payoff", "p.csv", "--eta", "-1"],
              "eta must be positive"),
@@ -1088,7 +1092,7 @@ class TestUsageErrors:
              "eta must be positive and finite"),
         ],
         ids=["missing_payoff", "missing_config", "config_without_payoff", "non_numeric",
-             "boolean_eta", "one_row", "negative_eta", "zero_tol", "infinite_eta"],
+             "boolean_eta", "boolean_payoff", "one_row", "negative_eta", "zero_tol", "infinite_eta"],
     )
     def test_solve_qre_bad_input(self, tmp_path, capsys, monkeypatch, files, args, message):
         monkeypatch.chdir(tmp_path)

@@ -32,7 +32,6 @@ from invgame.sampling import (
     EpisodeDataset,
     frequency_estimate_markov,
     frequency_estimate_matrix,
-    prefix_counts,
     sample_episodes,
     sample_matrix_actions,
     step_counts,
@@ -305,9 +304,9 @@ class TestEstimatorsAgainstEarlierBodies:
 @pytest.mark.bitwise
 class TestOneCountPass:
     """Each dataset a markov op inverts is counted once, and a rep's nested
-    sample sizes in one pass, a slice of episodes between consecutive sizes
-    at a time: the runner's thresholds, the policy estimates, the visit
-    weights and every step's ridge fit read one table per size."""
+    sample sizes as they are drawn, with no dataset built (sample_counts):
+    the runner's thresholds, the policy estimates, the visit weights and
+    every step's ridge fit read one table per size."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -323,14 +322,14 @@ class TestOneCountPass:
 
     @pytest.mark.parametrize("policy_estimator", ["frequency", "mle"])
     def test_run_markov_rep(self, monkeypatch, passes, policy_estimator):
-        # the sizes are nested prefixes of one dataset: one range check, one
-        # count of each slice between sizes, one stacked recovery and one
-        # lockstep MLE loop serve them all, and each size's estimate is the
-        # one its prefix alone gives
+        # the sizes are nested prefixes of one dataset, counted as it is
+        # drawn: no dataset, range check or dataset count, then one stacked
+        # recovery and one lockstep MLE loop serve them all, and each size's
+        # estimate is the one its prefix alone gives
         config = markov_config(5, [500, 1000, 3000], policy_estimator=policy_estimator)
-        calls = {"check": [], "_fit_stack": [], "_markov_estimate": []}
-        for module, name in ((EpisodeDataset, "check"), (inverse_markov, "_fit_stack"),
-                             (experiments, "_markov_estimate")):
+        calls = {"__post_init__": [], "check": [], "_fit_stack": [], "_markov_estimate": []}
+        for module, name in ((EpisodeDataset, "__post_init__"), (EpisodeDataset, "check"),
+                             (inverse_markov, "_fit_stack"), (experiments, "_markov_estimate")):
 
             def recording(*args, original=getattr(module, name), name=name):
                 result = original(*args)
@@ -340,8 +339,7 @@ class TestOneCountPass:
             monkeypatch.setattr(module, name, recording)
         run_markov_rep(config, 0)
         monkeypatch.undo()
-        assert passes == [500, 500, 2000]
-        assert len(calls["check"]) == 1
+        assert passes == [] and calls["__post_init__"] == calls["check"] == []
         assert len(calls["_fit_stack"]) == (policy_estimator == "mle")
         model = experiments.build_model(config, 0)
         data = experiments.sample_dataset(config, 0, max(config.samples))
@@ -880,7 +878,7 @@ class TestMleFit:
         monkeypatch.setattr(inverse_markov, "_fit_stack", counting)
         policy = saturated_policy_model(s_len, m, n)
         sizes = (50, 200, 600)
-        fit_every_step(prefix_counts(data, sizes, s_len, m, n), policy)
+        fit_every_step([step_counts(data.prefix(size), s_len, m, n) for size in sizes], policy)
         # one loop for the three tables, each fit as alone (tests/test_stacking.py)
         assert stacks == ([3 * 2 * h_len] if m == n else [3 * h_len, 3 * h_len])
         monkeypatch.undo()

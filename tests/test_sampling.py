@@ -41,9 +41,9 @@ from invgame.sampling import (
     empirical_state_distribution,
     frequency_estimate_markov,
     frequency_estimate_matrix,
-    prefix_counts,
     read_counts,
     read_dataset,
+    sample_counts,
     sample_episodes,
     sample_matrix_actions,
     step_counts,
@@ -955,15 +955,21 @@ class TestStepCounts:
             step_counts(data, 3, 4, 2)
 
 
-class TestPrefixCounts:
-    """prefix_counts: one range check and one count of each slice between
-    consecutive sizes serve every size, and each size's table is the one its
-    episodes alone give."""
+class TestSampleCounts:
+    """sample_counts: each size's table is the one its episodes of the
+    dataset sample_episodes draws give alone, counted as they are drawn:
+    no dataset is built, no index range-checked (a drawn index is in range)
+    and no dataset counted."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"check": 0, "slices": []}
+        calls = {"datasets": 0, "check": 0, "slices": []}
         check, count_steps = EpisodeDataset.check, sampling._count_steps
+        post_init = EpisodeDataset.__post_init__
+
+        def building(data):
+            calls["datasets"] += 1
+            return post_init(data)
 
         def checking(data, *shape):
             calls["check"] += 1
@@ -973,55 +979,60 @@ class TestPrefixCounts:
             calls["slices"].append(data.n_episodes)
             return count_steps(data, *shape)
 
+        monkeypatch.setattr(EpisodeDataset, "__post_init__", building)
         monkeypatch.setattr(EpisodeDataset, "check", checking)
         monkeypatch.setattr(sampling, "_count_steps", counting)
         return calls
 
     @pytest.mark.parametrize(
-        "kind, sizes, slices",
+        "kind, sizes",
         [
-            # 20000 and 40000 episodes span more than one _COUNT_BLOCK
-            ("markov", (0, 700, 20000, 40000), [0, 700, 19300, 20000]),
-            ("markov", (3000,), [3000]),
-            ("matrix", (1, 999, 40000), [1, 998, 39001]),
+            ("markov", (1, 700, 20000, 40000)),
+            ("markov", (3000,)),
+            ("matrix", (1, 999, 40000)),
         ],
         ids=["markov", "one", "matrix"],
     )
-    def test_each_size_counts_as_its_episodes_alone(self, calls, kind, sizes, slices):
+    def test_each_size_counts_as_its_episodes_alone(self, monkeypatch, calls, kind, sizes):
+        # in chunks of 2^14 episodes, so that sizes fall inside chunks
+        monkeypatch.setattr(sampling, "_CHUNK_EPISODES", 1 << 14)
         if kind == "markov":
-            spec, policies, initial = markov_instance(5)
-            data = sample_episodes(spec, policies, initial, 40000, 5)
-            shape = (spec.S, spec.m, spec.n)
-        else:
-            pair = PolicyPair(np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.1, 0.2, 0.1]))
-            data = sample_matrix_actions(pair, 40000, seed=31)
-            shape = (1, 3, 4)
-        tables = prefix_counts(data, sizes, *shape)
-        assert calls == {"check": 1, "slices": slices}
-        for size, table in zip(sizes, tables):
+            play, seed = markov_instance(5), 5
+        else:  # sample_matrix_actions' one-step, one-state game
+            mu, nu = np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.1, 0.2, 0.1])
+            spec = MarkovGameSpec.one_step(np.zeros((3, 4)), 1.0)
+            play, seed = (spec, StagePolicies(mu[None, None], nu[None, None]), [1.0]), 31
+        shape = (play[0].S, play[0].m, play[0].n)
+        tables = sample_counts(*play, sizes, seed)
+        assert calls == {"datasets": 0, "check": 0, "slices": []}
+        data = sample_episodes(*play, sizes[-1], seed)
+        for size, table in zip(sizes, tables, strict=True):
             assert not table.flags.writeable
             alone = data.prefix(size)
             assert np.array_equal(table, sampling._count_steps(alone, *shape))
             assert np.array_equal(table, step_counts_by_add_at(alone, *shape))
 
-    @pytest.mark.parametrize(
-        "sizes", [(), (100, 100), (200, 100), (-1, 100), (100, 501)], ids=str
-    )
-    def test_sizes_must_be_strictly_increasing_within_the_dataset(self, sizes):
-        data = EpisodeDataset(*(np.zeros((500, 2), dtype=np.int64),) * 4)
-        with pytest.raises(ValueError, match=r"prefix sizes must rise strictly in 0\.\.500"):
-            prefix_counts(data, sizes, 1, 1, 1)
+    @pytest.mark.parametrize("sizes", [(), (100, 100), (200, 100), (0, 100), (-1, 100)], ids=str)
+    def test_sizes_must_rise_strictly_from_one(self, sizes):
+        message = f"sample sizes must rise strictly from 1, got {list(sizes)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_counts(*markov_instance(5), sizes, 5)
 
-    def test_out_of_range_index_named_before_counting(self, calls):
-        # the check runs once, on the largest size, so an index out of range
-        # is named before any slice is counted, even one whose episodes are
-        # in range
-        arrays = {name: np.zeros((4, 2), dtype=np.int64) for name in
-                  ("states", "actions_a", "actions_b", "next_states")}
-        arrays["actions_a"][2, 1] = 4
-        with pytest.raises(ValueError, match="action_a must lie in 0..3"):
-            prefix_counts(EpisodeDataset(**arrays), (1, 3, 4), 3, 4, 2)
-        assert calls == {"check": 1, "slices": []}
+    def test_the_runner_holds_no_more_memory_at_more_episodes(self, monkeypatch):
+        # tables drawn in chunks hold no episode block: the runner's peak
+        # (5.9 MB at 1e6 episodes on two parts, against 44 MB when it drew
+        # the dataset) does not grow with N
+        monkeypatch.setattr(sampling, "_available_cpus", lambda: 2)
+        experiments.run_markov_rep(ExperimentConfig("markov", samples=(100,)), 0)  # lazy imports
+        for n_samples in (10**4, 10**5, 10**6):
+            config = ExperimentConfig("markov", samples=(n_samples,))
+            tracemalloc.start()
+            try:
+                experiments.run_markov_rep(config, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8e6, n_samples
 
 
 class TestPrefix:

@@ -1,26 +1,29 @@
 """Every stacked path gives each entry the bytes it gets alone, at any BLAS
-thread count: solve_qre_batch, backward_qre_stack, prefix_counts,
-fit_every_step, and recover_rewards, recover_rewards_mle and ridge_fit on a
-list of tables; so do the point-cloud screen (_nearest_sq) against the plain
-sum, and a matrix game recovered as the one-step, one-state Markov game
-against the matrix estimate.  Shapes come from a fixed seed list (S 1..8, m
-and n 2..8, H 1..6, K 1..4 nested sizes from 10 to 1e4, so some states go
-unvisited) and from fixed cases.  A new stacked path adds its case here.
+thread count: solve_qre_batch, backward_qre_stack, sample_counts (against
+step_counts of sample_episodes' prefixes, in any number of parts and
+chunks), fit_every_step, and recover_rewards, recover_rewards_mle and
+ridge_fit on a list of tables; so do the point-cloud screen (_nearest_sq)
+against the plain sum, and a matrix game recovered as the one-step,
+one-state Markov game against the matrix estimate.  Shapes come from a
+fixed seed list (S 1..8, m and n 2..8, H 1..6, K 1..4 nested sizes from 10
+to 1e4, so some states go unvisited) and from fixed cases.  A new stacked
+path adds its case here.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from invgame import experiments, inverse_markov, inverse_matrix
+from invgame import experiments, inverse_markov, inverse_matrix, sampling
 from invgame.experiments import ExperimentConfig, saturated_policy_model
 from invgame.inverse_markov import InversionConfig, SoftmaxPolicyModel, recover_rewards
 from invgame.inverse_matrix import build_stepwise_system, min_norm_theta, reconstruct_payoff
 from invgame.markov_game import MarkovGameSpec, backward_qre, backward_qre_stack
 from invgame.matrix_game import MatrixGameSpec, PolicyPair, qre_residual, solve_qre, solve_qre_batch
-from invgame.sampling import EpisodeDataset, step_counts, stream
+from invgame.sampling import EpisodeDataset, sample_counts, sample_episodes, step_counts, stream
 
 from . import oracles
 from .oracles import (
@@ -52,6 +55,7 @@ CASES = {f"seed{seed}": drawn_case(seed) for seed in SEEDS} | {
     "benchmark_mle": ("mle", 31, {}, (10**4, 10**5)),
     "unvisited_frequency": ("frequency", 31, dict(s_len=6, m=8, n=9), (20, 200, 2000)),
     "unvisited_mle": ("mle", 31, dict(s_len=6, m=8, n=9), (20, 2000)),
+    "one_state": ("frequency", 31, dict(s_len=1, horizon=3), (10, 700, 70000)),
 }
 
 
@@ -133,6 +137,32 @@ def test_each_size_of_a_stacked_recovery_is_recovered_as_alone(name, monkeypatch
     rewards = np.stack([sample.rewards for sample in samples])
     check_backward_pass(rewards, spec.transition, spec.eta, spec.gamma)
     check_solves(10.0 ** (seed % 3) * values.Q.reshape(-1, spec.m, spec.n), spec.eta)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_each_size_is_counted_as_its_prefix_of_the_drawn_dataset(name, monkeypatch):
+    # in one, two and three parts, and in chunks of 2^16 episodes and of
+    # 1000, so that sizes fall inside chunks: the runner's tables are
+    # step_counts of sample_episodes' prefixes, and the dataset is the same
+    # at every chunk size
+    _, seed, shape, sizes = CASES[name]
+    config = ExperimentConfig("markov", seed=seed, samples=sizes, **shape)
+    spec = experiments.build_model(config, 0).to_tabular()
+    truth, _ = backward_qre(spec, tol=1e-12)
+    play = (spec, truth, np.full(spec.S, 1.0 / spec.S))
+    monkeypatch.setattr(sampling, "_MIN_PART_EPISODES", 1)
+    datasets = []
+    for parts, chunk in itertools.product((1, 2, 3), (sampling._CHUNK_EPISODES, 1000)):
+        monkeypatch.setattr(sampling, "_available_cpus", lambda: parts)
+        monkeypatch.setattr(sampling, "_CHUNK_EPISODES", chunk)
+        data = sample_episodes(*play, sizes[-1], seed)
+        tables = sample_counts(*play, sizes, seed)
+        assert not any(table.flags.writeable for table in tables)
+        alone = [step_counts(data.prefix(size), spec.S, spec.m, spec.n) for size in sizes]
+        assert_bit_identical(tables, alone)
+        datasets.append(data)
+    for data in datasets[1:]:
+        assert_bit_identical(data.arrays, datasets[0].arrays)
 
 
 def test_some_drawn_case_leaves_a_state_unvisited():
@@ -245,7 +275,9 @@ def test_a_matrix_game_is_the_one_state_markov_game(name):
     # estimate's set and parameter
     fields, seed, rep, n_samples = MATRIX_CASES[name]
     config = ExperimentConfig(**fields, seed=seed, samples=(n_samples,))
-    model, spec, (truth, _), data = experiments._instance(config, rep, n_samples)
+    model, spec, (truth, _), data = experiments._instance(
+        config, rep, sample_episodes, n_samples
+    )
     assert (spec.H, spec.S) == (1, 1) and model.norm_sq_cap == 4.0
     pair = solve_qre(MatrixGameSpec(reconstruct_payoff(model.theta, model.features), config.eta))
     assert_bit_identical((truth.mu[0, 0], truth.nu[0, 0]), (pair.mu, pair.nu))
