@@ -197,6 +197,7 @@ def emit_csv(
 
 def _cmd_experiment(args) -> int:
     config = load_config(args)
+    _make_dir(config.out)  # before any repetition runs
     records = run_experiment(config)
     emit_csv(records, config.out, config.emit_timings)
     failed = [r for r in records if r.error]
@@ -239,13 +240,11 @@ def _cmd_solve_qre(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = load_config(args)
-    out = Path(config.out)
     try:
         data = experiments.sample_dataset(config, args.rep, max(config.samples))
     except ValueError as err:
         raise UsageError(f"cannot simulate the {config.kind} model: {err}") from err
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "dataset.csv"
+    path = _make_dir(config.out) / "dataset.csv"
     write_dataset(data, path)
     print(f"wrote {data.n_episodes} episodes to {path}")
     return 0
@@ -275,10 +274,20 @@ def _cmd_invert(args) -> int:
 def _write_json(result: dict, out: str | None) -> None:
     text = json.dumps(result, indent=2)
     if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        _make_dir(Path(out).parent)
         Path(out).write_text(text + "\n")
     else:
         print(text)
+
+
+def _make_dir(path) -> Path:
+    """The directory path, made with its parents where missing; a regular
+    file in the way is a usage error that names the path."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise UsageError(f"cannot make directory {path}: {err.strerror}") from err
+    return Path(path)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -27,6 +27,7 @@ from invgame.matrix_game import PolicyPair
 DATASET_HEADER = "episode,step,state,action_a,action_b,next_state"
 _COLUMNS = DATASET_HEADER.split(",")[2:]  # the EpisodeDataset arrays, as the file names them
 _WRITE_BLOCK_ROWS = 1 << 12  # dataset rows formatted at once, at most
+_READ_BLOCK_BYTES = 1 << 16  # dataset bytes parsed at once, about (see _read_in_order)
 _COUNT_BLOCK = 1 << 14  # episodes whose cell indices are formed at once
 _MIN_PART_EPISODES = 1 << 15  # episodes per part of a draw, at least (see _draw_parts)
 _CHUNK_EPISODES = 1 << 16  # episodes a part draws at once, at most (see _draw)
@@ -44,9 +45,9 @@ def stream(seed: int, rep: int = 0) -> np.random.Generator:
 @dataclass(frozen=True)
 class EpisodeDataset:
     """T episodes of H steps: states, actions and successor states, each a
-    (T, H) array of any strides and any integer dtype (sampled ones are
-    step-major views in the smallest signed dtype that holds every index,
-    read ones int64)."""
+    (T, H) array of any strides and any integer dtype (sampled ones, and
+    read ones of a file as write_dataset writes it, in the smallest signed
+    dtype that holds every index; other read ones int64)."""
 
     states: np.ndarray
     actions_a: np.ndarray
@@ -167,10 +168,12 @@ def _draw(
     _CHUNK_EPISODES or fewer at a time from the chunk's own words
     (_uniforms), so neither the split nor the chunk size changes a draw.
     Without sizes, a chunk goes into its columns of sample_episodes' block,
-    which is returned.  With sizes, it goes into the part's scratch, and
-    each step's cells ((s m + a) n + b) S + s', extended from the transition
-    row, are bincounted per slice of the chunk between consecutive sizes:
-    the (K, H, cells) int64 counts of the slices are returned."""
+    which is returned.  With sizes, it goes into the part's three scratch
+    rows: a step's state, which its s' is drawn over once the transition
+    row has read it, a and b.  Each step's cells ((s m + a) n + b) S + s',
+    extended from the transition row, are bincounted per slice of the chunk
+    between consecutive sizes: the (K, H, cells) int64 counts of the slices
+    are returned."""
     initial = spec.check_play(policies, initial)
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
@@ -185,12 +188,15 @@ def _draw(
 
     def draw(lo: int, hi: int):  # episodes lo..hi-1, a chunk at a time
         width = min(hi - lo, _CHUNK_EPISODES)
-        scratch = np.empty((height, width), dtype=dtype) if block is None else None
+        scratch = np.empty((3, width), dtype=dtype) if block is None else None
         counts = np.zeros((len(sizes), h_len, cells), dtype=np.int64)
         for start in range(lo, hi, _CHUNK_EPISODES):
             stop = min(start + _CHUNK_EPISODES, hi)
-            chunk = scratch[:, : stop - start] if block is None else block[:, start:stop]
-            states, (acts_a, acts_b) = chunk[: h_len + 1], chunk[-2 * h_len :].reshape(2, h_len, -1)
+            if block is None:  # one row a step's state, drawn over by the next, then a and b
+                states, acts_a, acts_b = ([row] * (h_len + 1) for row in scratch[:, : stop - start])
+            else:
+                chunk = block[:, start:stop]
+                states, (acts_a, acts_b) = chunk[: h_len + 1], chunk[-2 * h_len :].reshape(2, h_len, -1)
             slices = [(k, max(a, start) - start, min(b, stop) - start)
                       for k, (a, b) in enumerate(zip(bounds, bounds[1:])) if a < stop and b > start]
             uniforms = _uniforms(seed, rep, n_episodes, start, stop)
@@ -421,46 +427,97 @@ def write_dataset(data: EpisodeDataset, path: str | Path) -> None:
 def read_dataset(path: str | Path, model_shape: tuple | None = None) -> EpisodeDataset:
     """Parse the line-delimited interchange format written by write_dataset.
 
-    The body is what np.loadtxt reads as comma-separated integers: blank and
-    '#' lines, spaces around fields and CRLF endings are accepted.  Records
-    may come in any order, since the (episode, step) keys must be the grid
-    0..T-1 x 0..H-1, each pair once; a file in (episode, step) order, as
-    write_dataset writes it, is neither sorted nor copied: the arrays are
-    views of the parsed rows.  next_state at step h must be state at step
-    h+1.  With model_shape (S, m, n) the indices are range-checked
-    (EpisodeDataset.check) before the state chain, so an index out of range
-    is named as such.
+    A file as write_dataset writes it is parsed a block at a time into views
+    of one body in the smallest signed dtype that holds its indices
+    (_read_in_order).  Any other is read whole by np.loadtxt into int64:
+    blank and '#' lines, spaces around fields, '+' signs and CRLF endings
+    are accepted, and records may come in any order, since the (episode,
+    step) keys must be the grid 0..T-1 x 0..H-1, each pair once; a file in
+    (episode, step) order is neither sorted nor copied.  next_state at step
+    h must be state at step h+1.  With model_shape (S, m, n) the indices are
+    range-checked (EpisodeDataset.check) before the state chain, so an index
+    out of range is named as such.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != DATASET_HEADER:
-            raise ValueError(f"unexpected dataset header: {header!r}")
-        # loadtxt warns on a body of blank and '#' lines alone
-        if not any(line.split("#")[0].strip() for line in fh):
-            raise ValueError("dataset file has no records")
-    # by path, loadtxt reads the file in chunks rather than a line at a time
-    rows = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2, skiprows=1, encoding="ascii")
-    if rows.shape[1] != 6:
-        raise ValueError(f"a record needs 6 fields, not {rows.shape[1]}")
-    episodes, steps = rows[:, 0], rows[:, 1]
-    t, h_len = int(episodes.max()) + 1, int(steps.max()) + 1
-    off_grid = f"(episode, step) must be each of 0..{t - 1} x 0..{h_len - 1} once"
-    if min(episodes.min(), steps.min()) < 0 or rows.shape[0] != t * h_len:
-        raise ValueError(off_grid)
-    keys = episodes * h_len + steps
-    grid = np.arange(keys.size)
-    body = rows[:, 2:]
-    if not np.array_equal(keys, grid):
-        order = np.argsort(keys, kind="stable")
-        if not np.array_equal(keys[order], grid):  # a key repeats
+    read = _read_in_order(path)
+    if read is None:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().strip()
+            if header != DATASET_HEADER:
+                raise ValueError(f"unexpected dataset header: {header!r}")
+            # loadtxt warns on a body of blank and '#' lines alone
+            if not any(line.split("#")[0].strip() for line in fh):
+                raise ValueError("dataset file has no records")
+        # by path, loadtxt reads the file in chunks rather than a line at a time
+        rows = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2, skiprows=1, encoding="ascii")
+        if rows.shape[1] != 6:
+            raise ValueError(f"a record needs 6 fields, not {rows.shape[1]}")
+        episodes, steps = rows[:, 0], rows[:, 1]
+        t, h_len = int(episodes.max()) + 1, int(steps.max()) + 1
+        off_grid = f"(episode, step) must be each of 0..{t - 1} x 0..{h_len - 1} once"
+        if min(episodes.min(), steps.min()) < 0 or rows.shape[0] != t * h_len:
             raise ValueError(off_grid)
-        body = body[order]
-    data = EpisodeDataset(*body.reshape(t, h_len, 4).transpose(2, 0, 1))
+        keys = episodes * h_len + steps
+        grid = np.arange(keys.size)
+        body = rows[:, 2:]
+        if not np.array_equal(keys, grid):
+            order = np.argsort(keys, kind="stable")
+            if not np.array_equal(keys[order], grid):  # a key repeats
+                raise ValueError(off_grid)
+            body = body[order]
+        read = body, h_len
+    body, h_len = read
+    data = EpisodeDataset(*body.reshape(-1, h_len, 4).transpose(2, 0, 1))
     if model_shape is not None:
         data.check(*model_shape)
     if not np.array_equal(data.next_states[:, :-1], data.states[:, 1:]):
         raise ValueError("next_state at step h must equal state at step h+1")
     return data
+
+
+def _read_in_order(path: str | Path) -> tuple[np.ndarray, int] | None:
+    """The (records, 4) body and H of a file as write_dataset writes it, or
+    None for any other: the header line, then blocks of whole lines
+    (_parse_block) in (episode, step) order, record i being (i // H, i % H)
+    for H the index of episode 1's first record (or the record count), each
+    block's body columns kept in the smallest signed dtype that holds them."""
+    bodies, h_len, records, tail = [], None, 0, b""
+    with open(path, "rb") as fh:
+        if fh.readline() != (DATASET_HEADER + "\n").encode("ascii"):
+            return None
+        for chunk in iter(lambda: fh.read(_READ_BLOCK_BYTES), b""):
+            lines, _, tail = (tail + chunk).rpartition(b"\n")
+            if (rows := _parse_block(np.frombuffer(lines + b"\n", np.uint8))) is None:
+                return None
+            if h_len is None and rows[:, 0].any():  # episode 1 begins here (or 0 is missing)
+                h_len = records + int(np.argmax(rows[:, 0] != 0))
+            keys = np.arange(records, records + len(rows))
+            records += len(rows)
+            # while H is unknown, records is past every key: all are of episode 0
+            if (rows[:, :2].T != np.divmod(keys, h_len or records)).any():
+                return None
+            bodies.append(rows[:, 2:].astype(np.min_scalar_type(-1 - int(rows[:, 2:].max()))))
+    h_len = h_len or records
+    if tail or not records or records % h_len:  # a last line or episode cut short, or none
+        return None
+    return np.concatenate(bodies), h_len
+
+
+def _parse_block(block: np.ndarray) -> np.ndarray | None:
+    """The (lines, 6) int64 fields of lines of six fields of 1 to 18 digits
+    split by "," and ended by "\n", or None for any other block.  The last
+    digit of every field is read at once, then each earlier place for the
+    fields that long."""
+    ends = np.flatnonzero(block < ord("0"))  # "," and "\n" sort below the digits
+    lengths = np.diff(ends, prepend=-1) - 1  # at most 18 digits: 10**18 - 1 fits int64
+    if (block.max() > ord("9") or ends.size % 6 or not 1 <= lengths.min() <= lengths.max() <= 18
+            or (block[ends].reshape(-1, 6) != np.frombuffer(b",,,,,\n", np.uint8)).any()):
+        return None
+    digits = block - ord("0")
+    fields, longer = digits[ends - 1].astype(np.int64), np.flatnonzero(lengths > 1)
+    for place in range(2, lengths.max() + 1):  # the digit `place` bytes before the end
+        fields[longer] += digits[ends[longer] - place] * np.int64(10) ** (place - 1)
+        longer = longer[lengths[longer] > place]
+    return fields.reshape(-1, 6)
 
 
 def read_counts(path: str | Path, s_len: int, m: int, n: int) -> np.ndarray:

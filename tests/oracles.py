@@ -16,7 +16,8 @@ qre_by_damped_iteration is solve_qre_batch's earlier damped fixed point,
 project_by_bisection is ConfidenceSet._project's earlier bisection in t,
 which reads the set's cached SVD, svd_by_pad is LinearSystem._svd's
 earlier body, one SVD per system, summarize_by_metric is cli.summarize's
-earlier body, one np.percentile call per (size, metric), and
+earlier body, one np.percentile call per (size, metric),
+read_dataset_by_loadtxt is read_dataset's earlier whole-file loadtxt, and
 nearest_sq_by_differences is the earlier point-cloud branch of
 inverse_matrix._distances_to, before its square root.  The two MLE bodies read the library's stopping rule,
 inverse_markov.MLE_MAX_ITER and MLE_TOL, at call time.  tv, the total
@@ -41,6 +42,7 @@ from invgame.inverse_matrix import floor_distribution
 from invgame.markov_game import MarkovGameSpec
 from invgame.matrix_game import QreConvergenceError, solve_qre_batch, stage_values
 from invgame.sampling import (
+    DATASET_HEADER,
     EpisodeDataset,
     empirical_state_distribution,
     sample_counts,
@@ -322,6 +324,36 @@ def dataset_file_by_join(data) -> bytes:
         ]
     )
     return b"episode,step,state,action_a,action_b,next_state\n" + rows_by_join(table)
+
+
+def read_dataset_by_loadtxt(path, model_shape=None):
+    """read_dataset's earlier body: the whole file parsed by one np.loadtxt
+    into (N, 6) int64 rows, sorted by (episode, step) key when out of order,
+    with the same checks and error messages."""
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().strip()
+        if header != DATASET_HEADER:
+            raise ValueError(f"unexpected dataset header: {header!r}")
+        if not any(line.split("#")[0].strip() for line in fh):
+            raise ValueError("dataset file has no records")
+    rows = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2, skiprows=1, encoding="ascii")
+    if rows.shape[1] != 6:
+        raise ValueError(f"a record needs 6 fields, not {rows.shape[1]}")
+    episodes, steps = rows[:, 0], rows[:, 1]
+    t, h_len = int(episodes.max()) + 1, int(steps.max()) + 1
+    off_grid = f"(episode, step) must be each of 0..{t - 1} x 0..{h_len - 1} once"
+    if min(episodes.min(), steps.min()) < 0 or rows.shape[0] != t * h_len:
+        raise ValueError(off_grid)
+    keys = episodes * h_len + steps
+    order = np.argsort(keys, kind="stable")
+    if not np.array_equal(keys[order], np.arange(keys.size)):
+        raise ValueError(off_grid)
+    data = EpisodeDataset(*rows[order, 2:].reshape(t, h_len, 4).transpose(2, 0, 1))
+    if model_shape is not None:
+        data.check(*model_shape)
+    if not np.array_equal(data.next_states[:, :-1], data.states[:, 1:]):
+        raise ValueError("next_state at step h must equal state at step h+1")
+    return data
 
 
 def feasible_projection_by_clamp(feasible, point: np.ndarray) -> np.ndarray:

@@ -1101,6 +1101,32 @@ class TestUsageErrors:
         self.assert_usage_error(capsys, ["solve-qre", *args, "--out", "out.json"], message)
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize(
+        "command", ["simulate", "experiment", "invert-markov", "invert-matrix", "solve-qre"]
+    )
+    def test_an_out_under_a_regular_file(self, tmp_path, capsys, monkeypatch, command):
+        # Path.mkdir raised FileExistsError or NotADirectoryError, and
+        # experiment only after its whole run
+        kind = "setup1" if command == "invert-matrix" else "markov"
+        args = ["--kind", kind, "--seed", "3", "--samples", "200"]
+        if command.startswith("invert"):
+            assert run_cli(["simulate", *args, "--out", str(tmp_path / "sim")]) == 0
+            args += ["--data", str(tmp_path / "sim" / "dataset.csv")]
+        elif command == "solve-qre":
+            (tmp_path / "p.csv").write_text("1,0\n0,1\n")
+            args = ["--payoff", str(tmp_path / "p.csv")]
+        capsys.readouterr()
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+
+        def no_repetition(*args):
+            raise AssertionError("a repetition ran")
+
+        monkeypatch.setattr(experiments, "run_rep", no_repetition)
+        args += ["--out", str(blocker / "out")]
+        self.assert_usage_error(capsys, [command, *args], str(blocker))
+        assert blocker.read_text() == ""
+
     def test_invert_markov_needs_the_markov_kind(self, tmp_path, capsys):
         out = tmp_path / "sim"
         kind = ["--kind", "markov", "--seed", "3"]

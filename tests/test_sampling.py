@@ -55,6 +55,7 @@ from .oracles import (
     dataset_file_by_join,
     marginals_by_bincount,
     payoff_from_features,
+    read_dataset_by_loadtxt,
     rows_by_join,
     sample_episodes_by_gather,
     sample_matrix_actions_by_searchsorted,
@@ -1019,8 +1020,9 @@ class TestSampleCounts:
             sample_counts(*markov_instance(5), sizes, 5)
 
     def test_the_runner_holds_no_more_memory_at_more_episodes(self, monkeypatch):
-        # tables drawn in chunks hold no episode block: the runner's peak
-        # (5.9 MB at 1e6 episodes on two parts, against 44 MB when it drew
+        # tables drawn in chunks into three scratch rows hold no episode
+        # block: the runner's peak (3.8 MB at 1e6 episodes on two parts;
+        # 5.9 MB with a whole (3H + 1)-row scratch block, 44 MB when it drew
         # the dataset) does not grow with N
         monkeypatch.setattr(sampling, "_available_cpus", lambda: 2)
         experiments.run_markov_rep(ExperimentConfig("markov", samples=(100,)), 0)  # lazy imports
@@ -1150,6 +1152,37 @@ class TestEmpiricalStateDistribution:
         assert errs[1] <= errs[0]
 
 
+HEAD = DATASET_HEADER + "\n"
+
+
+def lines(records) -> str:
+    """A dataset file of the records, as write_dataset lays them out."""
+    return HEAD + "".join(r + "\n" for r in records)
+
+
+def chain_records(t, h_len, top, seed=44):
+    """The file records of t random episodes of H steps, every index below
+    top, whose states form a chain."""
+    rng = stream(seed)
+    chain = rng.integers(0, top, size=(t, h_len + 1))
+    actions = (rng.integers(0, top, size=(t, h_len)) for _ in range(2))
+    data = EpisodeDataset(chain[:, :-1], *actions, chain[:, 1:])
+    return dataset_file_by_join(data).decode("ascii").splitlines()[1:]
+
+
+def matrix_file() -> str:
+    """The file of 300 sampled one-step episodes of a 3 x 5 matrix game."""
+    pair = PolicyPair(np.full(3, 1 / 3), np.full(5, 0.2))
+    return dataset_file_by_join(sample_matrix_actions(pair, 300, 45)).decode("ascii")
+
+
+def with_field(records, i, column, text):
+    """The records with field `column` of record i spelt `text`."""
+    fields = records[i].split(",")
+    fields[DATASET_HEADER.split(",").index(column)] = text
+    return records[:i] + [",".join(fields)] + records[i + 1 :]
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         model = simplex_feature_model(18, h_len=2)
@@ -1198,6 +1231,66 @@ class TestSerialization:
         for got, want in zip(loaded.arrays, data.arrays):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize(
+        "layout, block_bytes, canonical",
+        [
+            (lambda rs: lines(rs), 40, True),
+            (lambda rs: HEAD + "\n".join(rs), 40, False),
+            (lambda rs: lines(chain_records(3, 40, 5)), 64, True),
+            (lambda rs: lines(chain_records(1, 30, 5)), 64, True),
+            (lambda rs: matrix_file(), 64, True),
+            (lambda rs: matrix_file()[:-1], 64, False),
+            (lambda rs: lines(",".join(f.zfill((6 * i + j) % 18 + 1)
+                                       for j, f in enumerate(r.split(",")))
+                              for i, r in enumerate(rs)), 1 << 16, True),
+            (lambda rs: lines(chain_records(50, 3, 10**18)), 256, True),
+            (lambda rs: lines(with_field(rs, 200, "action_a", "128")), 40, True),
+            (lambda rs: lines(with_field(rs, 200, "action_a", "1".zfill(19))), 40, False),
+            (lambda rs: lines(with_field(rs, 200, "action_a", str(2**63 - 1))), 40, False),
+            (lambda rs: lines(rs) + "# end\n", 40, False),
+            (lambda rs: lines([*rs[0].rsplit(",", 1)[:1], rs[0].rsplit(",", 1)[1] + "," + rs[1],
+                               *rs[2:]]), 40, False),
+            (lambda rs: lines(with_field(rs, 200, "action_b", "")), 40, False),
+            (lambda rs: HEAD.replace("\n", " \r\n") + lines(rs)[len(HEAD) :], 40, False),
+            (lambda rs: lines(rs[:200] + rs[206:212] + rs[200:206] + rs[212:]), 40, False),
+            (lambda rs: lines(rs[:-1]), 40, False),
+            (lambda rs: lines(rs[6:]), 40, False),
+            (lambda rs: lines(with_field(rs, 200, "state", "9")), 40, True),
+        ],
+        ids=["a_few_records_a_block", "no_final_newline", "an_episode_longer_than_a_block",
+             "one_episode", "one_step_episodes", "one_step_episodes_no_final_newline",
+             "1_to_18_digits_with_leading_zeros", "18_digit_values",
+             "an_index_past_int8_in_a_late_block", "a_19_digit_field", "int64_max",
+             "a_comment_in_a_late_block", "a_field_moved_to_the_next_line",
+             "an_empty_field", "a_header_only_strip_accepts",
+             "episodes_out_of_order_in_a_late_block", "the_last_episode_cut_short",
+             "no_episode_0", "a_chain_broken_in_a_late_block"],
+    )
+    def test_the_block_reader_reads_what_loadtxt_reads(
+        self, tmp_path, monkeypatch, layout, block_bytes, canonical
+    ):
+        # a file as write_dataset could write it is parsed a block at a
+        # time; any other goes to loadtxt: either way the values, or the
+        # error, of the earlier whole-file loadtxt reader
+        monkeypatch.setattr(sampling, "_READ_BLOCK_BYTES", block_bytes)
+        path = tmp_path / "episodes.csv"
+        path.write_bytes(layout(self.sampled_records()[1]).encode("ascii"))
+        assert (sampling._read_in_order(path) is not None) is canonical
+
+        def outcome(read):
+            try:
+                return read(path).arrays
+            except ValueError as err:
+                return repr(err)
+
+        got, want = outcome(read_dataset), outcome(read_dataset_by_loadtxt)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            for got_array, want_array in zip(got, want, strict=True):
+                assert got_array.shape == want_array.shape
+                assert np.array_equal(got_array, want_array)
+
     def test_a_shuffled_file_with_a_repeated_key(self, tmp_path):
         data, records = self.sampled_records()
         records = [records[i] for i in stream(42).permutation(len(records))]
@@ -1211,9 +1304,10 @@ class TestSerialization:
             read_dataset(path)
 
     def test_reader_memory_is_near_the_parsed_rows(self, tmp_path):
-        # an in-order file is neither sorted nor copied: the peak stays near
-        # the (N, 6) int64 rows that loadtxt returns (1.38x of them with
-        # numpy 2.4; 2.04x when the rows were read line by line and gathered)
+        # a file as write_dataset writes it is parsed a block at a time into
+        # int8 columns: the peak is near twice the 4-byte records of the body
+        # that read_dataset joins, plus one block's parse (14.1 B per record
+        # with numpy 2.4; 66.8 when loadtxt parsed the whole file into int64)
         t, h_len = 20000, 6
         rng = stream(43)
         chain = rng.integers(0, 5, size=(t, h_len + 1))
@@ -1225,7 +1319,7 @@ class TestSerialization:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * t * h_len * 6 * 8
+        assert peak <= 16 * t * h_len
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
