@@ -28,6 +28,7 @@ DATASET_HEADER = "episode,step,state,action_a,action_b,next_state"
 _COLUMNS = DATASET_HEADER.split(",")[2:]  # the EpisodeDataset arrays, as the file names them
 _WRITE_BLOCK_ROWS = 1 << 12  # dataset rows formatted at once, at most
 _READ_BLOCK_BYTES = 1 << 16  # dataset bytes parsed at once, about (see _read_in_order)
+_SEPARATORS = np.frombuffer(b",,,,,\n", np.uint8)  # a record's separators, in order
 _COUNT_BLOCK = 1 << 14  # episodes whose cell indices are formed at once
 _MIN_PART_EPISODES = 1 << 15  # episodes per part of a draw, at least (see _draw_parts)
 _CHUNK_EPISODES = 1 << 16  # episodes a part draws at once, at most (see _draw)
@@ -367,10 +368,12 @@ def _format_rows(table: np.ndarray) -> np.ndarray:
     The rows are laid out at one fixed width per column: a sign slot when
     the column holds a negative value, as many digit slots as its widest
     magnitude has digits, then a separator.  Each digit position is filled
-    for the whole column at once, and one boolean index drops the slots a
-    value does not use: its leading zeros, and the sign of a nonnegative
-    value.  Columns are read one at a time, so a column-major table (the
-    transpose of a C-ordered one) reads fastest.
+    for the whole column at once, the leading one with no division.  When
+    every row uses every slot (each column's values are all as long, and
+    all negative under a sign slot), the matrix is the lines; otherwise one
+    boolean index drops the slots a value does not use: its leading zeros,
+    and the sign of a nonnegative value.  Columns are read one at a time,
+    so a column-major table (the transpose of a C-ordered one) reads fastest.
     """
     negative = table < 0
     # abs wraps int64's minimum to itself, which reads as 2**63 unsigned
@@ -378,25 +381,28 @@ def _format_rows(table: np.ndarray) -> np.ndarray:
     signed = negative.any(axis=0)
     widths = [len(str(int(top))) for top in magnitude.max(axis=0, initial=0)]
     matrix = np.empty((table.shape[0], signed.sum() + sum(widths) + len(widths)), np.uint8)
-    keep = np.ones(matrix.shape, dtype=bool)
+    full = table.size and (negative == signed).all() and all(
+        len(str(int(low))) == width for low, width in zip(magnitude.min(axis=0), widths))
+    keep = None if full else np.ones(matrix.shape, dtype=bool)
     slot = 0
     for column, width in enumerate(widths):
         if signed[column]:
             matrix[:, slot] = ord("-")
-            keep[:, slot] = negative[:, column]
+            if keep is not None:
+                keep[:, slot] = negative[:, column]
             slot += 1
         rest = magnitude[:, column]
         for p in range(width):  # from the last digit: rest is magnitude // 10**p
             pos = slot + width - 1 - p
-            if p:  # kept where magnitude >= 10**p: not a leading zero
+            if p and keep is not None:  # kept where magnitude >= 10**p: not a leading zero
                 keep[:, pos] = rest != 0
-            quotient = rest // 10  # far faster than np.divmod or % on uint64
-            matrix[:, pos] = rest - quotient * 10 + ord("0")
+            quotient = rest // 10 if p < width - 1 else 0  # the leading digit: rest < 10
+            matrix[:, pos] = rest - quotient * 10 + ord("0")  # // beats np.divmod, % on uint64
             rest = quotient
         slot += width + 1
         matrix[:, slot - 1] = ord(",")
     matrix[:, -1] = ord("\n")
-    return matrix[keep]
+    return matrix.ravel() if keep is None else matrix[keep]
 
 
 def write_dataset(data: EpisodeDataset, path: str | Path) -> None:
@@ -478,15 +484,23 @@ def _read_in_order(path: str | Path) -> tuple[np.ndarray, int] | None:
     """The (records, 4) body and H of a file as write_dataset writes it, or
     None for any other: the header line, then blocks of whole lines
     (_parse_block) in (episode, step) order, record i being (i // H, i % H)
-    for H the index of episode 1's first record (or the record count), each
-    block's body columns kept in the smallest signed dtype that holds them."""
-    bodies, h_len, records, tail = [], None, 0, b""
+    for H the index of episode 1's first record (or the record count).
+    Each block's body columns go into one body with a row per 12 bytes of
+    the file (a record's least), in the smallest signed dtype that holds
+    every index so far, copied when a block needs a wider one (or, in a
+    pipe, more rows); its filled rows are returned."""
+    h_len, records, tail = None, 0, b""
     with open(path, "rb") as fh:
-        if fh.readline() != (DATASET_HEADER + "\n").encode("ascii"):
+        header = fh.readline()
+        if header != (DATASET_HEADER + "\n").encode("ascii"):
             return None
+        # a pipe's size (a shell's <(...) is one) reads 0: its body grows
+        body = np.empty((max(os.fstat(fh.fileno()).st_size - len(header), 0) // 12, 4), np.int8)
         for chunk in iter(lambda: fh.read(_READ_BLOCK_BYTES), b""):
-            lines, _, tail = (tail + chunk).rpartition(b"\n")
-            if (rows := _parse_block(np.frombuffer(lines + b"\n", np.uint8))) is None:
+            text = tail + chunk
+            end = text.rfind(b"\n") + 1  # the block's whole lines: none when a line outgrows it
+            tail = text[end:]
+            if not end or (rows := _parse_block(np.frombuffer(text, np.uint8, end))) is None:
                 return None
             if h_len is None and rows[:, 0].any():  # episode 1 begins here (or 0 is missing)
                 h_len = records + int(np.argmax(rows[:, 0] != 0))
@@ -495,29 +509,59 @@ def _read_in_order(path: str | Path) -> tuple[np.ndarray, int] | None:
             # while H is unknown, records is past every key: all are of episode 0
             if (rows[:, :2].T != np.divmod(keys, h_len or records)).any():
                 return None
-            bodies.append(rows[:, 2:].astype(np.min_scalar_type(-1 - int(rows[:, 2:].max()))))
+            dtype = np.promote_types(body.dtype, np.min_scalar_type(-1 - int(rows[:, 2:].max())))
+            if dtype != body.dtype or len(body) < records:  # widened, or outgrown (a pipe)
+                grown = np.empty((max(len(body), 2 * records), 4), dtype)
+                grown[: keys[0]] = body[: keys[0]]
+                body = grown
+            body[keys[0] : records] = rows[:, 2:]
+            del rows, keys  # before the next block is parsed
     h_len = h_len or records
     if tail or not records or records % h_len:  # a last line or episode cut short, or none
         return None
-    return np.concatenate(bodies), h_len
+    return body[:records], h_len
 
 
 def _parse_block(block: np.ndarray) -> np.ndarray | None:
     """The (lines, 6) int64 fields of lines of six fields of 1 to 18 digits
-    split by "," and ended by "\n", or None for any other block.  The last
-    digit of every field is read at once, then each earlier place for the
-    fields that long."""
+    split by "," and ended by "\n", or None for any other block.  When all
+    lines have the first one's length and separator columns, the block is
+    read as a (lines, length) byte matrix, a field from its digit columns;
+    any other is read field by field (_parse_fields)."""
+    width = int(np.argmax(block == ord("\n"))) + 1  # the first line's length
+    ends = np.flatnonzero(block[:width] < ord("0"))  # "," and "\n" sort below the digits
+    lengths = np.diff(ends, prepend=-1) - 1
+    if (block.size % width or ends.size != 6 or not 1 <= lengths.min() <= lengths.max() <= 18
+            or (block.reshape(-1, width)[:, ends] != _SEPARATORS).any()):
+        return _parse_fields(block)
+    digits = block.reshape(-1, width) - np.uint8(ord("0"))  # a byte below "0" wraps past 9
+    digits[:, ends] = 0
+    if digits.max() > 9:  # a digit column holds another byte
+        return _parse_fields(block)
+    return _place_values(digits, ends, lengths)
+
+
+def _parse_fields(block: np.ndarray) -> np.ndarray | None:
+    """_parse_block of a block of any layout, read field by field."""
     ends = np.flatnonzero(block < ord("0"))  # "," and "\n" sort below the digits
-    lengths = np.diff(ends, prepend=-1) - 1  # at most 18 digits: 10**18 - 1 fits int64
+    lengths = np.diff(ends, prepend=-1)
+    lengths -= 1  # at most 18 digits: 10**18 - 1 fits int64
     if (block.max() > ord("9") or ends.size % 6 or not 1 <= lengths.min() <= lengths.max() <= 18
-            or (block[ends].reshape(-1, 6) != np.frombuffer(b",,,,,\n", np.uint8)).any()):
+            or (block[ends].reshape(-1, 6) != _SEPARATORS).any()):
         return None
-    digits = block - ord("0")
-    fields, longer = digits[ends - 1].astype(np.int64), np.flatnonzero(lengths > 1)
-    for place in range(2, lengths.max() + 1):  # the digit `place` bytes before the end
-        fields[longer] += digits[ends[longer] - place] * np.int64(10) ** (place - 1)
-        longer = longer[lengths[longer] > place]
-    return fields.reshape(-1, 6)
+    return _place_values(block - ord("0"), ends, lengths).reshape(-1, 6)
+
+
+def _place_values(digits: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The int64 fields of the lengths that end at ends (moved in place onto
+    their last digits) on the last axis of digits: every field's last digit
+    at once, then each earlier place for the fields that long."""
+    ends -= 1
+    fields, longer = digits[..., ends].astype(np.int64), np.flatnonzero(lengths > 1)
+    for place in range(1, lengths.max()):  # the digit worth 10**place
+        fields[..., longer] += digits[..., ends[longer] - place] * np.int64(10) ** place
+        longer = longer[lengths[longer] > place + 1]
+    return fields
 
 
 def read_counts(path: str | Path, s_len: int, m: int, n: int) -> np.ndarray:

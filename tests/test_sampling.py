@@ -1,4 +1,5 @@
 import itertools
+import os
 import re
 import sys
 import threading
@@ -9,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from invgame import experiments, sampling
+from invgame import cli, experiments, sampling
 from invgame.experiments import (
     MARKOV_THETA_CAP,
     ExperimentConfig,
@@ -1183,6 +1184,9 @@ def with_field(records, i, column, text):
     return records[:i] + [",".join(fields)] + records[i + 1 :]
 
 
+SHARED = "11,1,2,3,4,5\n" * 3  # a block of three 13-byte lines of one layout
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         model = simplex_feature_model(18, h_len=2)
@@ -1291,6 +1295,87 @@ class TestSerialization:
                 assert got_array.shape == want_array.shape
                 assert np.array_equal(got_array, want_array)
 
+    @staticmethod
+    def parse(text, monkeypatch):
+        """_parse_block's and _parse_fields' fields of the block of text, and
+        whether _parse_block read it field by field."""
+        per_field, calls = sampling._parse_fields, []
+        monkeypatch.setattr(sampling, "_parse_fields", lambda b: calls.append(b) or per_field(b))
+        block = np.frombuffer(text.encode("ascii"), np.uint8)
+        return sampling._parse_block(block), per_field(block), bool(calls)
+
+    @pytest.mark.parametrize(
+        "text, by_fields",
+        [
+            ("4021,3,0,1,2,3\n", False),
+            ("10,1,2,3,4,5\n1,10,2,3,4,5\n", True),
+            # line 1 has digits in line 0's first two separator columns
+            ("1,1,1,1,1,1\n111,1,1,1,1\n", True),
+            # the last digit of line 0's or line 1's first field replaced
+            *((SHARED[: 13 * line + 1] + c + SHARED[13 * line + 2 :], True)
+              for c in "+ \r#" for line in (0, 1)),
+            ("".join(",".join(str(v) for v in row) + "\n"
+                     for row in stream(46).integers(10**17, 10**18, size=(4, 6))), False),
+            ("1000000000000000000,0,0,0,0,0\n" * 2, True),
+            ("9998,5,1,2,3,0\n9999,0,0,1,1,2\n10000,0,2,4,4,3\n10000,1,3,0,0,1\n", True),
+        ],
+        ids=["one_line", "one_length_two_layouts", "five_fields_in_six_fields_length",
+             *(f"{name}_in_line_{line}" for name in ("plus", "space", "cr", "hash")
+               for line in (0, 1)),
+             "18_digit_fields", "a_19_digit_field", "episode_9999_to_10000"],
+    )
+    def test_the_matrix_path_reads_what_the_field_path_reads(self, monkeypatch, text, by_fields):
+        # a block whose lines share one layout is read as a byte matrix; any
+        # other, valid or not, field by field, so the two paths agree
+        got, want, fell_back = self.parse(text, monkeypatch)
+        assert fell_back is by_fields
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert got.tolist() == [[int(f) for f in line.split(",")] for line in text.splitlines()]
+
+    def test_only_blocks_where_the_episode_gains_a_digit_are_read_by_field(
+        self, tmp_path, monkeypatch
+    ):
+        # a simulate file of 20,000 markov episodes (S=4, m=n=5, H=6): its
+        # steps, states and actions take one digit each, so a block's lines
+        # differ in length only where the episode index gains a digit: from
+        # 9 and 99 in the first block, from 999 and from 9999 in one each
+        args = ["simulate", "--kind", "markov", "--seed", "3", "--samples", "20000"]
+        assert cli.main([*args, "--out", str(tmp_path)]) == 0
+        parse, per_field = sampling._parse_block, sampling._parse_fields
+        blocks, by_fields = [], []
+        monkeypatch.setattr(sampling, "_parse_block", lambda b: blocks.append(b) or parse(b))
+        monkeypatch.setattr(sampling, "_parse_fields",
+                            lambda b: by_fields.append(b) or per_field(b))
+        read_dataset(tmp_path / "dataset.csv")
+
+        def episode_widths(block):
+            lines = block.tobytes().splitlines()
+            return {len(line.split(b",")[0]) for line in (lines[0], lines[-1])}
+
+        crossing = [b for b in blocks if len(episode_widths(b)) > 1]
+        assert len(crossing) == 3 and len(blocks) > 20
+        assert [b.tobytes() for b in by_fields] == [b.tobytes() for b in crossing]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_has_no_size_to_go_by(self, monkeypatch):
+        # a shell's <(...) is a pipe, whose size reads 0: the block reader's
+        # body grows as the blocks come
+        monkeypatch.setattr(sampling, "_READ_BLOCK_BYTES", 40)
+        data, records = self.sampled_records()
+        read, write = os.pipe()
+        os.write(write, lines(records).encode("ascii"))
+        os.close(write)
+        try:
+            loaded = read_dataset(f"/dev/fd/{read}")
+        finally:
+            os.close(read)
+        for got, want in zip(loaded.arrays, data.arrays):
+            assert got.dtype == np.int8 and np.array_equal(got, want)
+
     def test_a_shuffled_file_with_a_repeated_key(self, tmp_path):
         data, records = self.sampled_records()
         records = [records[i] for i in stream(42).permutation(len(records))]
@@ -1305,9 +1390,10 @@ class TestSerialization:
 
     def test_reader_memory_is_near_the_parsed_rows(self, tmp_path):
         # a file as write_dataset writes it is parsed a block at a time into
-        # int8 columns: the peak is near twice the 4-byte records of the body
-        # that read_dataset joins, plus one block's parse (14.1 B per record
-        # with numpy 2.4; 66.8 when loadtxt parsed the whole file into int64)
+        # one int8 body of 4 bytes per 12 file bytes (a record takes 12 or
+        # more), plus one block's parse: 13.4 B per record with numpy 2.4
+        # (14.1 when the blocks' bodies were joined; 66.8 when loadtxt
+        # parsed the whole file into int64)
         t, h_len = 20000, 6
         rng = stream(43)
         chain = rng.integers(0, 5, size=(t, h_len + 1))
@@ -1428,6 +1514,29 @@ class TestWriteDataset:
         assert _format_rows(table).tobytes() == rows_by_join(table)
         column = table.reshape(-1, 1)
         assert _format_rows(column).tobytes() == rows_by_join(column)
+
+    @pytest.mark.parametrize(
+        "columns, compressed",
+        [
+            ([np.arange(1000, 1500), stream(30).integers(0, 10, 500),
+              -stream(31).integers(10, 100, 500), stream(32).integers(10**14, 10**15, 500)],
+             False),
+            ([np.arange(500) // 50, np.arange(500) // 10 + 5, stream(33).integers(0, 9, 500)],
+             True),
+            ([np.zeros(500, dtype=np.int64), stream(34).integers(0, 5, 500)], False),
+            ([stream(35).integers(1, 10, 500) * np.tile([1, -1], 250)], True),
+        ],
+        ids=["one_width_per_column", "a_column_crossing_9_to_10", "a_column_of_zeros",
+             "one_width_of_either_sign"],
+    )
+    def test_a_block_whose_rows_fill_every_slot_is_not_compressed(self, columns, compressed):
+        # with every value of a column as wide as its widest, and negative
+        # under a sign slot, the lines are the byte matrix raveled, a view;
+        # a boolean index (a new array) drops the slots of shorter values
+        table = np.column_stack(columns)
+        lines = _format_rows(table)
+        assert lines.tobytes() == rows_by_join(table)
+        assert (lines.base is None) is compressed
 
     def test_an_episode_longer_than_a_block(self, tmp_path):
         # each block is then one episode
