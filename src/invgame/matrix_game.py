@@ -9,6 +9,7 @@ consistent softmax responses; both policies have full support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,7 +42,7 @@ class QreConvergenceError(RuntimeError):
 def _check_payoffs(payoff: np.ndarray, ndim: int) -> None:
     if payoff.ndim != ndim or payoff.shape[-2] < 2 or payoff.shape[-1] < 2:
         raise ValueError(f"payoff must be at least 2x2, got shape {payoff.shape}")
-    if not np.all(np.isfinite(payoff)):
+    if not np.isfinite(payoff).all():
         raise ValueError("payoff entries must be finite")
 
 
@@ -117,9 +118,30 @@ class FeatureModel:
             raise ValueError("||theta||^2 exceeds the declared cap")
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _log_softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    total = np.add.reduce(np.exp(shifted), axis=-1, keepdims=True)
+    return np.subtract(shifted, np.log(total, out=total), out=out)
+
+
+@lru_cache(maxsize=64)
+def _newton_constants(m: int, n: int) -> tuple[np.ndarray, ...]:
+    """solve_qre_batch's read-only sums, logit, lin, lin', kkt border and uniform
+    z and w for m x n games.  With z = (u, v, lam, kap), w = (mu, nu, 1, 1) the
+    system is lin z + kkt w = sums and, kkt's last two columns being zero, its
+    Jacobian lin + kkt diag(w)."""
+    mn = m + n
+    sums = np.r_[np.zeros(mn), 1.0, 1.0]
+    logit = 1 - sums
+    lin = np.diag(logit)
+    lin[:m, mn] = lin[m:mn, mn + 1] = 1
+    border = np.zeros((mn + 2, mn + 2))
+    border[mn, :m] = border[mn + 1, m:mn] = 1
+    uniform = np.r_[np.full(m, -np.log(m)), np.full(n, -np.log(n)), np.log(m), np.log(n)]
+    constants = sums, logit, lin, lin.T, border, uniform, np.exp(uniform * logit)
+    for array in constants:
+        array.flags.writeable = False
+    return constants
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a trial that overflows is a miss
@@ -144,7 +166,9 @@ def solve_qre_batch(
     has not hit after 8 steps, whose residual rises while above 1e-8 or whose
     point is not finite restarts from the accepted point at half the step.
     All of this is per game, so each game follows exactly the iterates it
-    would alone.
+    would alone.  Until a first miss every game is in its first trial at t = 1,
+    as a Markov stage game is for all of its 4 steps; the continuation's
+    bookkeeping (accepted points, t, steps) is built at that miss.
 
     Raises QreConvergenceError, naming the unconverged entries and the t
     each reached, after MAX_NEWTON_STEPS Newton steps, or naming the stalled
@@ -155,66 +179,68 @@ def solve_qre_batch(
     q = np.ascontiguousarray(payoffs, dtype=float)  # one BLAS path for all
     _check_payoffs(q, 3)
     b_len, m, n = q.shape
+    if b_len == 0:
+        return np.empty((0, m)), np.empty((0, n))
     mn = m + n
-    # z = (u, v, lam, kap), w = (mu, nu, 1, 1): the system is lin z + kkt w =
-    # sums and, kkt's last two columns being zero, its Jacobian lin + kkt diag(w)
-    sums = np.r_[np.zeros(mn), 1.0, 1.0]
-    logit = 1 - sums
-    lin = np.diag(logit)
-    lin[:m, mn] = lin[m:mn, mn + 1] = 1
-    kkt = np.zeros((b_len, mn + 2, mn + 2))
-    kkt[:, mn, :m] = kkt[:, mn + 1, m:mn] = 1
+    sums, logit, lin, lin_t, border, uniform, w_uniform = _newton_constants(m, n)
+    kkt, z, w = (np.empty((b_len, *a.shape)) for a in (border, uniform, w_uniform))
+    kkt[:], z[:], w[:] = border, uniform, w_uniform
 
-    def couple(games, t):  # the eta Q blocks of these games at t * eta
-        scaled = (eta * t)[:, None, None] * q[games]
+    def couple(games, scaled):  # the eta Q blocks of these games: scaled is t eta Q
         kkt[games, :m, m:mn], kkt[games, m:mn, :m] = -scaled, scaled.transpose(0, 2, 1)
 
-    couple(slice(None), np.ones(b_len))
-    uniform = np.r_[np.full(m, -np.log(m)), np.full(n, -np.log(n)), np.log(m), np.log(n)]
-    z = np.tile(uniform, (b_len, 1))
-    w, accepted = np.exp(z * logit), z.copy()
-    live = np.arange(b_len)  # stack entries still iterating
-    t_accepted, t_step = np.zeros(b_len), np.ones(b_len)
-    newton, last = np.zeros(b_len, dtype=int), np.full(b_len, np.inf)  # in this trial
+    def renormalize(x):  # x[:, :m] and x[:, m:] become their _log_softmax; if m == n in
+        # one (B, 2, m) pass, a view since the reshape only splits x's unit-stride axis
+        for part in (x.reshape(len(x), 2, m),) if m == n else (x[:, :m], x[:, m:]):
+            _log_softmax(part, out=part)
+
+    couple(slice(None), eta * q)
+    live, last, newton = np.arange(b_len), np.inf, 0  # entries iterating, residual, trial steps
+    trials = None  # accepted, t_accepted, t_step: built at the first miss
     out = np.empty((b_len, mn))
     for steps in range(1, MAX_NEWTON_STEPS + 1):
-        g = (kkt @ w[:, :, None])[:, :, 0]
-        response = np.concatenate([_log_softmax(-g[:, :m]), _log_softmax(-g[:, m:mn])], 1)
-        residual = np.abs(np.exp(response) - w[:, :mn]).max(axis=1)
-        f = z @ lin.T + g - sums
-        z = z - np.linalg.solve(kkt * w[:, None, :] + lin, f[:, :, None])[:, :, 0]
-        z[:, :m], z[:, m:mn] = _log_softmax(z[:, :m]), _log_softmax(z[:, m:mn])
+        g = np.matmul(kkt, w[:, :, None])[:, :, 0]
+        renormalize(response := -g[:, :mn])
+        residual = np.maximum.reduce(np.abs(np.exp(response) - w[:, :mn]), axis=1)
+        f = z @ lin_t + g - sums
+        z -= np.linalg.solve(kkt * w[:, None, :] + lin, f[:, :, None])[:, :, 0]
+        renormalize(z[:, :mn])
         w, w_old = np.exp(z * logit), w
-        hit = (residual <= tol) & (np.abs(w - w_old).max(axis=1) < tol)
+        hit = (residual <= tol) & (np.maximum.reduce(np.abs(w - w_old), axis=1) < tol)
         newton += 1
-        rose = (residual > last) & (residual > 1e-8)
-        miss = ~hit & ((newton == 8) | rose | ~np.isfinite(z).all(axis=1))
-        last, t_try = residual, np.minimum(t_accepted + t_step, 1.0)
-        done = hit & (t_try == 1.0)
-        if (retry := miss | (hit & ~done)).any():
-            accepted[hit], t_accepted[hit] = z[hit], t_try[hit]
-            t_step[hit] *= 1.5
-            t_step[miss] /= 2
-            if (stalled := t_accepted + t_step == t_accepted).any():  # t can no longer move
-                raise QreConvergenceError(
-                    steps, None, live[stalled].tolist(), t_accepted[stalled].tolist()
-                )
-            z[miss], w[miss] = accepted[miss], np.exp(accepted[miss] * logit)
-            newton[retry], last[retry] = 0, np.inf
-            couple(retry, np.minimum(t_accepted + t_step, 1.0)[retry])
+        rose = residual > np.maximum(last, 1e-8)  # rose while above 1e-8
+        miss = ~hit & ((newton == 8) | rose | ~np.logical_and.reduce(np.isfinite(z), axis=1))
+        last, done = residual, hit  # until a first miss every trial is at t = 1
+        if trials is None and miss.any():
+            trials = np.tile(uniform, (len(live), 1)), np.zeros(len(live)), np.ones(len(live))
+            newton = np.full(len(live), newton)
+        if trials is not None:
+            accepted, t_accepted, t_step = trials
+            t_try = np.minimum(t_accepted + t_step, 1.0)
+            done = hit & (t_try == 1.0)
+            if (retry := miss | (hit & ~done)).any():
+                accepted[hit], t_accepted[hit] = z[hit], t_try[hit]
+                t_step[hit] *= 1.5
+                t_step[miss] /= 2
+                if (stalled := t_accepted + t_step == t_accepted).any():  # t can no longer move
+                    raise QreConvergenceError(
+                        steps, None, live[stalled].tolist(), t_accepted[stalled].tolist()
+                    )
+                z[miss], w[miss] = accepted[miss], np.exp(accepted[miss] * logit)
+                newton[retry], last[retry] = 0, np.inf
+                t_next = np.minimum(t_accepted + t_step, 1.0)[retry]
+                couple(retry, (eta * t_next)[:, None, None] * q[retry])
         if done.any():
             out[live[done]] = z[done, :mn]
             if done.all():
                 policies = np.maximum(np.exp(out), PROB_FLOOR)
                 mu, nu = policies[:, :m], policies[:, m:]
                 return mu / mu.sum(axis=1, keepdims=True), nu / nu.sum(axis=1, keepdims=True)
-            per_game = (live, q, kkt, z, w, accepted, t_accepted, t_step, newton, last, residual)
-            live, q, kkt, z, w, accepted, t_accepted, t_step, newton, last, residual = (
-                x[~done] for x in per_game
-            )
-    raise QreConvergenceError(
-        MAX_NEWTON_STEPS, float(residual.max()), live.tolist(), t_accepted.tolist()
-    )
+            live, q, kkt, z, w, last = (x[~done] for x in (live, q, kkt, z, w, last))
+            if trials is not None:
+                trials, newton = tuple(x[~done] for x in trials), newton[~done]
+    reached = np.zeros(len(live)) if trials is None else trials[1]
+    raise QreConvergenceError(MAX_NEWTON_STEPS, float(last.max()), live.tolist(), reached.tolist())
 
 
 def solve_qre(spec: MatrixGameSpec, tol: float = 1e-12) -> PolicyPair:

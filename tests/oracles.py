@@ -13,6 +13,8 @@ estimator bodies (mle_fit_by_einsum, ridge_fit_by_gather and
 frequency_estimate_by_step) count the dataset themselves, mle_fit_alone is
 mle_fit's earlier one-fit loop on the library's count table,
 qre_by_damped_iteration is solve_qre_batch's earlier damped fixed point,
+qre_by_eager_newton its earlier Newton body, which reads the library's
+MAX_NEWTON_STEPS and raises its QreConvergenceError,
 project_by_bisection is ConfidenceSet._project's earlier bisection in t,
 which reads the set's cached SVD, svd_by_pad is LinearSystem._svd's
 earlier body, one SVD per system, summarize_by_metric is cli.summarize's
@@ -35,7 +37,7 @@ import math
 
 import numpy as np
 
-from invgame import experiments, inverse_markov
+from invgame import experiments, inverse_markov, matrix_game
 from invgame.experiments import ETA, MARKOV_OMEGA
 from invgame.inverse_markov import MleFit, SoftmaxPolicyModel, stepwise_confidence_sets
 from invgame.inverse_matrix import floor_distribution
@@ -495,6 +497,74 @@ def qre_by_damped_iteration(
             last_gain[halve] = it
             next_stall = int(last_gain.min()) + 500
     raise QreConvergenceError(max_iter, float(residual.max()), live.tolist())
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def qre_by_eager_newton(payoffs: np.ndarray, eta: float, tol: float = 1e-12):
+    """solve_qre_batch's earlier body: the same Newton continuation, with
+    every game's continuation bookkeeping built before the first step and
+    fresh arrays at every step.  It reads matrix_game.MAX_NEWTON_STEPS at
+    call time and raises the same QreConvergenceError."""
+    q = np.ascontiguousarray(payoffs, dtype=float)
+    b_len, m, n = q.shape
+    mn = m + n
+    sums = np.r_[np.zeros(mn), 1.0, 1.0]
+    logit = 1 - sums
+    lin = np.diag(logit)
+    lin[:m, mn] = lin[m:mn, mn + 1] = 1
+    kkt = np.zeros((b_len, mn + 2, mn + 2))
+    kkt[:, mn, :m] = kkt[:, mn + 1, m:mn] = 1
+
+    def couple(games, t):
+        scaled = (eta * t)[:, None, None] * q[games]
+        kkt[games, :m, m:mn], kkt[games, m:mn, :m] = -scaled, scaled.transpose(0, 2, 1)
+
+    couple(slice(None), np.ones(b_len))
+    uniform = np.r_[np.full(m, -np.log(m)), np.full(n, -np.log(n)), np.log(m), np.log(n)]
+    z = np.tile(uniform, (b_len, 1))
+    w, accepted = np.exp(z * logit), z.copy()
+    live = np.arange(b_len)
+    t_accepted, t_step = np.zeros(b_len), np.ones(b_len)
+    newton, last = np.zeros(b_len, dtype=int), np.full(b_len, np.inf)
+    out = np.empty((b_len, mn))
+    for steps in range(1, matrix_game.MAX_NEWTON_STEPS + 1):
+        g = (kkt @ w[:, :, None])[:, :, 0]
+        response = np.concatenate([_log_softmax(-g[:, :m]), _log_softmax(-g[:, m:mn])], 1)
+        residual = np.abs(np.exp(response) - w[:, :mn]).max(axis=1)
+        f = z @ lin.T + g - sums
+        z = z - np.linalg.solve(kkt * w[:, None, :] + lin, f[:, :, None])[:, :, 0]
+        z[:, :m], z[:, m:mn] = _log_softmax(z[:, :m]), _log_softmax(z[:, m:mn])
+        w, w_old = np.exp(z * logit), w
+        hit = (residual <= tol) & (np.abs(w - w_old).max(axis=1) < tol)
+        newton += 1
+        rose = (residual > last) & (residual > 1e-8)
+        miss = ~hit & ((newton == 8) | rose | ~np.isfinite(z).all(axis=1))
+        last, t_try = residual, np.minimum(t_accepted + t_step, 1.0)
+        done = hit & (t_try == 1.0)
+        if (retry := miss | (hit & ~done)).any():
+            accepted[hit], t_accepted[hit] = z[hit], t_try[hit]
+            t_step[hit] *= 1.5
+            t_step[miss] /= 2
+            if (stalled := t_accepted + t_step == t_accepted).any():
+                raise QreConvergenceError(
+                    steps, None, live[stalled].tolist(), t_accepted[stalled].tolist()
+                )
+            z[miss], w[miss] = accepted[miss], np.exp(accepted[miss] * logit)
+            newton[retry], last[retry] = 0, np.inf
+            couple(retry, np.minimum(t_accepted + t_step, 1.0)[retry])
+        if done.any():
+            out[live[done]] = z[done, :mn]
+            if done.all():
+                policies = np.maximum(np.exp(out), matrix_game.PROB_FLOOR)
+                mu, nu = policies[:, :m], policies[:, m:]
+                return mu / mu.sum(axis=1, keepdims=True), nu / nu.sum(axis=1, keepdims=True)
+            per_game = (live, q, kkt, z, w, accepted, t_accepted, t_step, newton, last, residual)
+            live, q, kkt, z, w, accepted, t_accepted, t_step, newton, last, residual = (
+                x[~done] for x in per_game
+            )
+    raise QreConvergenceError(
+        matrix_game.MAX_NEWTON_STEPS, float(residual.max()), live.tolist(), t_accepted.tolist()
+    )
 
 
 def mle_fit_by_einsum(

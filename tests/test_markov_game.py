@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from invgame import matrix_game
+from invgame import experiments, matrix_game
 from invgame.markov_game import (
     LinearMDPModel,
     MarkovGameSpec,
@@ -149,6 +149,24 @@ class TestBackwardQre:
         assert (err.value.step, err.value.state) == (1, 1)
         assert err.value.failed == ((0, 1), (1, 1))
         assert err.value.reached == (0.0, 0.0)
+
+    def test_an_empty_stack_is_solved_at_once(self):
+        spec = random_spec(7, h_len=3, s_len=2, m=4, n=5)
+        mu, nu, q, v = backward_qre_stack(np.zeros((0, 3, 2, 4, 5)), spec.transition, spec.eta)
+        shapes = [(0, 3, 2, 4), (0, 3, 2, 5), (0, 3, 2, 4, 5), (0, 4, 2)]
+        assert [x.shape for x in (mu, nu, q, v)] == shapes
+
+    def test_a_markov_stage_game_takes_4_newton_steps(self, monkeypatch):
+        # the README's count: every stage game of markov instance 3 is
+        # solved by 4 steps of plain Newton from uniform play, none by 3
+        spec = experiments.markov_model(experiments.stream(3, 0)).to_tabular()
+        monkeypatch.setattr(matrix_game, "MAX_NEWTON_STEPS", 3)
+        with pytest.raises(QreConvergenceError) as err:
+            backward_qre(spec)
+        assert err.value.iterations == 3 and err.value.step == spec.H - 1
+        monkeypatch.setattr(matrix_game, "MAX_NEWTON_STEPS", 4)
+        policies, _ = backward_qre(spec)
+        assert policies.mu.shape == (spec.H, spec.S, spec.m)
 
 
 class TestVisitDistributions:

@@ -3,7 +3,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from invgame import experiments, matrix_game
+from invgame import experiments, markov_game, matrix_game
 from invgame.markov_game import backward_qre
 from invgame.matrix_game import (
     FeatureModel,
@@ -17,10 +17,12 @@ from invgame.matrix_game import (
 )
 
 from .oracles import (
+    assert_bit_identical,
     payoff_by_scalar_loops,
     payoff_from_features,
     qre_2x2_bisection,
     qre_by_damped_iteration,
+    qre_by_eager_newton,
     simplex_mesh,
 )
 
@@ -41,6 +43,57 @@ def strongly_scaled_game():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(124)))
     spec = MatrixGameSpec(rng.standard_normal((4, 4)) * 20, eta=2.0)
     return spec, solve_qre(spec, tol=1e-12)
+
+
+def solved_or_raised(solver, payoffs, eta, tol):
+    try:
+        return solver(payoffs, eta, tol)
+    except QreConvergenceError as err:
+        return err
+
+
+def assert_solves_as_eager_newton(payoffs, eta, tol=1e-12):
+    """solve_qre_batch's mu and nu, or the failed entries, t reached, step
+    count, residual and message of its QreConvergenceError, are those of
+    its earlier body to the last bit."""
+    got = solved_or_raised(solve_qre_batch, payoffs, eta, tol)
+    expected = solved_or_raised(qre_by_eager_newton, payoffs, eta, tol)
+    if isinstance(expected, QreConvergenceError):
+        assert isinstance(got, QreConvergenceError) and str(got) == str(expected)
+        for field in ("failed", "reached", "iterations", "residual"):
+            assert_bit_identical(getattr(got, field), getattr(expected, field))
+    else:
+        assert_bit_identical(got, expected)
+    return got
+
+
+def markov_stacks(monkeypatch):
+    """Every solve_qre_batch input of one markov repetition of instances
+    0-8 at four sample sizes: each step's truth stack (B = 4) and the
+    re-solve stack of the four recovered reward tables (B = 16)."""
+    stacks = []
+
+    def recording(payoffs, eta, tol):
+        stacks.append((payoffs.copy(), eta, tol))
+        return solve_qre_batch(payoffs, eta, tol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(markov_game, "solve_qre_batch", recording)
+        for seed in range(9):
+            sizes = (1000, 2000, 5000, 10_000)
+            config = experiments.ExperimentConfig("markov", seed=seed, samples=sizes)
+            experiments.run_markov_rep(config, 0)
+    assert sorted({len(payoffs) for payoffs, _, _ in stacks}) == [4, 16]
+    return stacks
+
+
+def random_stacks():
+    """Stacks of three random games: m != n, and m = n of 8 and 10, where
+    numpy's sums run in blocks of 8; payoff scales 0.1 to 300, eta 0.1 to 2."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(140)))
+    for m, n in [(2, 3), (3, 7), (6, 4), (5, 5), (8, 8), (10, 10)]:
+        for scale, eta in [(0.1, 2.0), (1, 0.1), (30, 0.5), (300, 2.0)]:
+            yield rng.standard_normal((3, m, n)) * scale, eta, 1e-12
 
 
 class TestSpecValidation:
@@ -255,6 +308,40 @@ class TestSolveQreBatch:
         assert err.value.iterations == 3
         assert err.value.residual > 0
         assert err.value.step is None and err.value.state is None
+
+    def test_an_empty_stack_is_solved_at_once(self, monkeypatch):
+        monkeypatch.setattr(matrix_game, "MAX_NEWTON_STEPS", 1)  # no Newton step to run
+        mu, nu = solve_qre_batch(np.zeros((0, 3, 2)), 1.0)
+        assert (mu.shape, nu.shape, mu.dtype, nu.dtype) == ((0, 3), (0, 2), float, float)
+
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("case", ["markov", "random", "mixed", "capped", "stalled"])
+    def test_solves_as_the_eager_body(self, case, monkeypatch):
+        scaled, _ = strongly_scaled_game()
+        # the zero game is done at the first step, the strongly scaled one continues in eta
+        mixed = (np.stack([np.zeros((4, 4)), scaled.payoff]), scaled.eta)
+        hard = np.array([[7.0, -2.0], [0.5, 3.0]])
+        if case in ("markov", "random"):
+            stacks = markov_stacks(monkeypatch) if case == "markov" else random_stacks()
+            for payoffs, eta, tol in stacks:
+                assert_solves_as_eager_newton(payoffs, eta, tol)
+        elif case == "mixed":
+            assert_solves_as_eager_newton(*mixed)
+        elif case == "capped":  # in the first trial at t = 1, and part-way along the branch
+            hard_stack = (np.stack([np.zeros((2, 2)), hard, 2 * hard]), 2.0)
+            # a zero game, one whose residual rises at step 2 and one that
+            # plain Newton would solve at step 9, which the 8-step trial cuts
+            late = [np.zeros((2, 2)), [[-48.0, -48.0], [-48.0, 16.0]], [[-24.0, 0.0], [16.0, 0.0]]]
+            cases = [(3, hard_stack), (3, mixed), (9, (np.array(late), 2.0)), (20, mixed)]
+            for max_steps, (payoffs, eta) in cases:
+                monkeypatch.setattr(matrix_game, "MAX_NEWTON_STEPS", max_steps)
+                err = assert_solves_as_eager_newton(payoffs, eta)
+                assert isinstance(err, QreConvergenceError) and err.iterations == max_steps
+            assert 0 < err.reached[0] < 1
+        else:
+            stack = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1e308, -1e308], [0.0, 1.0]]])
+            err = assert_solves_as_eager_newton(stack, 0.5)
+            assert isinstance(err, QreConvergenceError) and err.residual is None
 
     def test_rejects_invalid_stacks(self):
         with pytest.raises(ValueError):
