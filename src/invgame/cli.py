@@ -21,7 +21,7 @@ import json
 import sys
 import types
 import typing
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -77,18 +77,25 @@ def _config_hints() -> dict:
     return typing.get_type_hints(ExperimentConfig)
 
 
+def _read_config(path: str) -> dict:
+    """The JSON object a config file holds; an unreadable file, or one that
+    holds anything else, is a usage error that names the file."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as err:
+        raise UsageError(f"cannot read config {path}: {err}") from err
+    if not isinstance(raw, dict):
+        raise UsageError(f"config {path} must be a JSON object")
+    return raw
+
+
 def load_config(args, default_kind: str = "setup1") -> ExperimentConfig:
     if getattr(args, "rep", 0) < 0:  # stream(seed, rep) takes neither negative
         raise UsageError(f"rep must be nonnegative, got {args.rep}")
-    raw: dict = {}
-    if args.config:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as err:
-            raise UsageError(f"cannot read config {args.config}: {err}") from err
+    raw = _read_config(args.config) if args.config else {}
     if getattr(args, "kind", None):
         raw["kind"] = args.kind
-    for flag in ("seed", "reps", "threads", "out"):
+    for flag in ("seed", "reps", "out"):
         value = getattr(args, flag, None)
         if value is not None:
             raw[flag] = value
@@ -112,14 +119,8 @@ def load_config(args, default_kind: str = "setup1") -> ExperimentConfig:
 
 def run_experiment(config: ExperimentConfig) -> list[RepRecord]:
     """All (sample size, repetition) records, by sample size, then rep."""
-    reps = range(config.reps)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            per_rep = list(pool.map(lambda rep: experiments.run_rep(config, rep), reps))
-    else:
-        per_rep = [experiments.run_rep(config, rep) for rep in reps]
     return sorted(
-        (record for recs in per_rep for record in recs),
+        (record for rep in range(config.reps) for record in experiments.run_rep(config, rep)),
         key=lambda r: (r.sample_size, r.rep),
     )
 
@@ -213,13 +214,17 @@ def _cmd_experiment(args) -> int:
 def _cmd_solve_qre(args) -> int:
     try:
         if args.config:
-            raw = json.loads(Path(args.config).read_text())
+            raw = _read_config(args.config)
             payoff, eta = raw["payoff"], raw.get("eta", args.eta)
             for name, value in (("eta", eta), ("payoff", payoff)):  # True == 1: no number
                 if any(isinstance(x, bool) for x in np.ravel(np.array(value, dtype=object))):
                     raise UsageError(f"config {name} cannot be {value!r}")
         elif args.payoff:
-            payoff, eta = np.loadtxt(args.payoff, delimiter=",", ndmin=2), args.eta
+            with warnings.catch_warnings():  # loadtxt warns of a file without rows
+                warnings.simplefilter("ignore", UserWarning)
+                payoff, eta = np.loadtxt(args.payoff, delimiter=",", ndmin=2), args.eta
+            if not payoff.size:
+                raise UsageError(f"payoff file {args.payoff} holds no rows")
         else:
             raise UsageError("solve-qre needs --payoff or --config with a payoff")
         spec = MatrixGameSpec(np.array(payoff, dtype=float), float(eta))
@@ -309,7 +314,6 @@ def build_parser() -> _Parser:
         p.add_argument("--out")
         p.add_argument("--reps", type=int)
         p.add_argument("--samples", help="comma-separated sample sizes")
-        p.add_argument("--threads", type=int)
 
     p = sub.add_parser("solve-qre", help="solve one matrix game")
     p.add_argument("--config", help="JSON with payoff (and eta)")

@@ -103,7 +103,6 @@ class ExperimentConfig:
     seed: int = 0
     samples: tuple[int, ...] = (10**3, 10**4)
     reps: int = 20
-    threads: int = 1
     out: str = "results"
     eta: float = ETA
     gamma: float | None = None
@@ -125,7 +124,6 @@ class ExperimentConfig:
         for name, ok, rule in (  # a comparison with NaN is False
             ("seed", self.seed >= 0, "nonnegative"),
             ("reps", self.reps >= 1, "at least 1"),
-            ("threads", self.threads >= 1, "at least 1"),
             ("eta", 0 < self.eta < math.inf, "positive and finite"),
             ("gamma", self.gamma is None or 0 <= self.gamma <= 1, "in [0, 1]"),
             ("ridge_lambda", self.ridge_lambda is None or 0 < self.ridge_lambda < math.inf,

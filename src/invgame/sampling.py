@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,8 +31,6 @@ _SEPARATORS = np.frombuffer(b",,,,,\n", np.uint8)  # a record's separators, in o
 _COUNT_BLOCK = 1 << 14  # episodes whose cell indices are formed at once
 _MIN_PART_EPISODES = 1 << 15  # episodes per part of a draw, at least (see _draw_parts)
 _CHUNK_EPISODES = 1 << 16  # episodes a part draws at once, at most (see _draw)
-_running_lock = threading.Lock()
-_running_draws = 0  # _draw calls drawing now, which share the CPUs
 
 
 def stream(seed: int, rep: int = 0) -> np.random.Generator:
@@ -236,29 +233,20 @@ def _available_cpus() -> int:
 
 def _draw_parts(draw, n_episodes: int) -> list:
     """The results of draw(lo, hi), in part order, for each part [lo, hi) of
-    the T episodes: one part per available CPU, the CPUs shared among the
-    draws running at that moment (a pool of repetitions draws concurrently),
-    but none under _MIN_PART_EPISODES, where a second thread costs more than
-    it saves.  One part is drawn on the calling thread alone; otherwise the
-    first is, and each other on a thread of its own.  Every thread is joined
-    before this returns or raises, and the first part that raises (in part
-    order) raises here."""
-    global _running_draws
-    with _running_lock:
-        _running_draws += 1
-    try:
-        cpus = _available_cpus() // _running_draws  # counted after this draw joined
-        parts = max(1, min(cpus, n_episodes // _MIN_PART_EPISODES))
-        if parts == 1:
-            return [draw(0, n_episodes)]
-        bounds = [n_episodes * k // parts for k in range(parts + 1)]
-        with ThreadPoolExecutor(parts - 1) as pool:  # leaving the block joins every thread
-            others = [pool.submit(draw, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-            first = draw(bounds[0], bounds[1])
-            return [first] + [other.result() for other in others]
-    finally:
-        with _running_lock:
-            _running_draws -= 1
+    the T episodes: one part per available CPU, but none under
+    _MIN_PART_EPISODES, where a second thread costs more than it saves.  One
+    part is drawn on the calling thread alone; otherwise the first is, and
+    each other on a thread of its own.  Every thread is joined before this
+    returns or raises, and the first part that raises (in part order) raises
+    here."""
+    parts = max(1, min(_available_cpus(), n_episodes // _MIN_PART_EPISODES))
+    if parts == 1:
+        return [draw(0, n_episodes)]
+    bounds = [n_episodes * k // parts for k in range(parts + 1)]
+    with ThreadPoolExecutor(parts - 1) as pool:  # leaving the block joins every thread
+        others = [pool.submit(draw, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        first = draw(bounds[0], bounds[1])
+        return [first] + [other.result() for other in others]
 
 
 def _uniforms(seed: int, rep: int, n_episodes: int, lo: int, hi: int):

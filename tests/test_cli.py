@@ -68,7 +68,7 @@ class TestConfig:
         path.write_text(json.dumps({"kind": "markov", "S": 3, "H": 2}))
         config = load_config(
             type("A", (), {"config": str(path), "kind": None, "seed": None,
-                           "reps": None, "threads": None, "out": None,
+                           "reps": None, "out": None,
                            "samples": None, "emit_timings": False})()
         )
         assert config.s_len == 3 and config.horizon == 2
@@ -285,40 +285,6 @@ class TestRunExperiment:
         assert not any(record.error for record in run_rep(config, 0))
         assert stacks == [1, 3]
 
-    @pytest.mark.bitwise
-    @pytest.mark.parametrize(
-        "base",
-        [
-            dict(kind="setup1", seed=9, samples=(1000, 2000), reps=3),
-            dict(kind="setup2", seed=9, samples=(1000, 2000), reps=3),
-            dict(kind="custom", seed=9, samples=(1000, 2000), reps=3,
-                 theta=(0.5, -0.25, 0.75), estimator="confidence_set"),
-            dict(kind="markov", seed=9, samples=(500, 1000), reps=3, horizon=3),
-            dict(kind="markov", seed=9, samples=(500, 1000), reps=3, horizon=3,
-                 policy_estimator="mle"),
-        ],
-        ids=["setup1", "setup2", "custom_confidence_set", "markov_frequency", "markov_mle"],
-    )
-    def test_threads_do_not_change_results(self, tmp_path, base):
-        serial = run_experiment(ExperimentConfig(**base))
-        threaded = run_experiment(ExperimentConfig(**base, threads=3))
-        assert [(r.sample_size, r.rep) for r in serial] == [
-            (r.sample_size, r.rep) for r in threaded
-        ]
-        for a, b in zip(serial, threaded):
-            assert not a.error and not b.error
-            for field in (*cli.METRIC_FIELDS, "coverage", "per_step_qre",
-                          "per_step_reward_frob", "feasible"):
-                assert np.array_equal(getattr(a, field), getattr(b, field)), field
-        emit_csv(serial, tmp_path / "serial")
-        emit_csv(threaded, tmp_path / "threaded")
-        names = ["runs.csv", "summary.csv"] + (["steps.csv"] if base["kind"] == "markov" else [])
-        assert sorted(p.name for p in (tmp_path / "serial").iterdir()) == sorted(names)
-        for name in names:
-            assert (tmp_path / "serial" / name).read_bytes() == (
-                tmp_path / "threaded" / name
-            ).read_bytes(), name
-
 
 class TestEmitCsv:
     def test_empty_records_headers_only(self, tmp_path):
@@ -364,8 +330,11 @@ class TestCommands:
     def test_solve_qre_usage_error(self):
         assert run_cli(["solve-qre"]) == 1
 
-    def test_unknown_flag_exits_one(self):
-        assert run_cli(["experiment", "--bogus"]) == 1
+    @pytest.mark.parametrize("flag", [["--bogus"], ["--threads", "2"]], ids=["bogus", "threads"])
+    def test_unknown_flag_exits_one(self, capsys, flag):
+        assert run_cli(["experiment", *flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: unrecognized arguments") and "Traceback" not in err
 
     def test_simulate_then_invert_matrix(self, tmp_path, capsys):
         out = tmp_path / "sim"
@@ -1024,11 +993,11 @@ class TestUsageErrors:
             ("ridge_lambda", 0.0, "ridge_lambda must be positive and finite"),
             ("kappa_scale", -1.0, "kappa_scale must be nonnegative and finite"),
             ("kappa_scale", float("inf"), "kappa_scale must be nonnegative and finite"),
-            ("threads", 0, "threads must be at least 1"),
+            ("threads", 2, "unknown config field 'threads'"),
         ],
         ids=["negative_eta", "zero_eta", "infinite_eta", "gamma_above_1", "negative_gamma",
              "zero_ridge_lambda", "negative_kappa_scale", "infinite_kappa_scale",
-             "zero_threads"],
+             "threads"],
     )
     def test_out_of_range_value(self, tmp_path, capsys, command, field, value, message):
         kind = "setup1" if command == "invert-matrix" else "markov"
@@ -1090,16 +1059,38 @@ class TestUsageErrors:
              "tol and eta must be positive"),
             ({"p.csv": "1,2\n3,4\n"}, ["--payoff", "p.csv", "--eta", "inf"],
              "eta must be positive and finite"),
+            # loadtxt warned of the missing rows before the usage error
+            ({"p.csv": ""}, ["--payoff", "p.csv"], "payoff file p.csv holds no rows"),
+            ({"p.csv": "# a comment\n"}, ["--payoff", "p.csv"], "payoff file p.csv holds no rows"),
         ],
         ids=["missing_payoff", "missing_config", "config_without_payoff", "non_numeric",
-             "boolean_eta", "boolean_payoff", "one_row", "negative_eta", "zero_tol", "infinite_eta"],
+             "boolean_eta", "boolean_payoff", "one_row", "negative_eta", "zero_tol", "infinite_eta",
+             "empty_payoff", "comment_only_payoff"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_solve_qre_bad_input(self, tmp_path, capsys, monkeypatch, files, args, message):
         monkeypatch.chdir(tmp_path)
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         self.assert_usage_error(capsys, ["solve-qre", *args, "--out", "out.json"], message)
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize(
+        "command", ["simulate", "experiment", "invert-markov", "invert-matrix", "solve-qre"]
+    )
+    @pytest.mark.parametrize("text", ["[1, 2]", '"markov"', "null"], ids=["list", "string", "null"])
+    def test_a_config_that_is_no_json_object(self, tmp_path, capsys, command, text):
+        # raw[flag] = value raised TypeError, and solve-qre said only
+        # "list indices must be integers"
+        (tmp_path / "cfg.json").write_text(text)
+        config = str(tmp_path / "cfg.json")
+        args = [command, "--config", config, "--out", str(tmp_path / "out")]
+        if command.startswith("invert"):
+            args += ["--data", str(tmp_path / "missing.csv")]
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: config {config} must be a JSON object\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command", ["simulate", "experiment", "invert-markov", "invert-matrix", "solve-qre"]

@@ -77,7 +77,7 @@ OPTIONS = {
         "policy_model",
     ],
     ExperimentConfig: [
-        "kind", "seed", "samples", "reps", "threads", "out", "eta", "gamma", "m", "n",
+        "kind", "seed", "samples", "reps", "out", "eta", "gamma", "m", "n",
         "s_len", "horizon", "theta", "norm_cap", "kappa_scale", "ridge_lambda",
         "estimator", "policy_estimator", "emit_timings",
     ],

@@ -5,7 +5,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -656,13 +655,11 @@ class TestNoThreadOutlivesACall:
             assert np.array_equal(got, want)
 
 
-class TestConcurrentDrawsShareTheCpus:
-    """sample_episodes calls drawing at the same time share the available
-    CPUs: on 2 CPUs, two concurrent draws of 2^16 episodes, which alone
-    would draw in two parts each, draw in one part each, and the datasets
-    are still the gather oracle's draws."""
+class TestADrawTakesTheAvailableCpus:
+    """A draw of 2^16 episodes on 2 available CPUs draws in two parts: the
+    calling thread's and one pool thread's."""
 
-    def count_pools(self, monkeypatch):
+    def test_a_draw_alone_takes_both_cpus(self, monkeypatch):
         pools, pool = [], sampling.ThreadPoolExecutor
 
         def counted(*args, **kwargs):
@@ -670,66 +667,9 @@ class TestConcurrentDrawsShareTheCpus:
             return pool(*args, **kwargs)
 
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", counted)
-        return pools
-
-    def test_a_draw_alone_takes_both_cpus(self, monkeypatch):
         monkeypatch.setattr(sampling, "_available_cpus", lambda: 2)
-        pools = self.count_pools(monkeypatch)
         sample_episodes(*markov_instance(4), 2 * sampling._MIN_PART_EPISODES, seed=5)
         assert pools == [(1,)]
-
-    def test_two_draws_at_once_draw_in_one_part_each(self, monkeypatch):
-        barrier = threading.Barrier(2, timeout=60)
-
-        def two_cpus():  # both draws are counted before either reads the count
-            barrier.wait()
-            return 2
-
-        monkeypatch.setattr(sampling, "_available_cpus", two_cpus)
-        pools = self.count_pools(monkeypatch)
-        instance, n_episodes, seeds = markov_instance(4), 2 * sampling._MIN_PART_EPISODES, (5, 6)
-        outcomes = {}
-
-        def draw(seed):
-            outcomes[seed] = sample_episodes(*instance, n_episodes, seed, rep=1)
-
-        threads = [threading.Thread(target=draw, args=(seed,)) for seed in seeds]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(120)
-        assert sorted(outcomes) == list(seeds) and pools == []
-        assert sampling._running_draws == 0
-        for seed in seeds:
-            oracle = sample_episodes_by_gather(*instance, n_episodes, seed, rep=1)
-            for got, want in zip(outcomes[seed].arrays, oracle.arrays):
-                assert np.array_equal(got, want)
-
-
-    def test_the_count_holds_under_many_draws_and_frequent_switches(self, monkeypatch):
-        # 32 draws, 8 at a time on threads switched every 10 us: a lost
-        # update would leave the count off zero or above the draws running
-        seen, cpus = [], sampling._available_cpus
-
-        def counted_cpus():  # the draws running as each one reads the count
-            seen.append(sampling._running_draws)
-            return cpus()
-
-        monkeypatch.setattr(sampling, "_available_cpus", counted_cpus)
-        instance = markov_instance(2)
-        oracle = sample_episodes_by_gather(*instance, 2000, 3)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(8) as pool:
-                futures = [pool.submit(sample_episodes, *instance, 2000, 3) for _ in range(32)]
-                datasets = [future.result(timeout=60) for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert sampling._running_draws == 0 and len(seen) == 32 and 1 <= min(seen) <= max(seen) <= 8
-        for data in datasets:
-            for got, want in zip(data.arrays, oracle.arrays):
-                assert np.array_equal(got, want)
 
 
 @pytest.mark.bitwise
