@@ -25,7 +25,7 @@ from invgame.matrix_game import PolicyPair
 
 DATASET_HEADER = "episode,step,state,action_a,action_b,next_state"
 _COLUMNS = DATASET_HEADER.split(",")[2:]  # the EpisodeDataset arrays, as the file names them
-_WRITE_BLOCK_ROWS = 1 << 12  # dataset rows formatted at once, at most
+_BLOCK_ROWS = 1 << 12  # dataset rows written, or read by line layout, at once, at most
 _READ_BLOCK_BYTES = 1 << 16  # dataset bytes parsed at once, about (see _read_in_order)
 _SEPARATORS = np.frombuffer(b",,,,,\n", np.uint8)  # a record's separators, in order
 _COUNT_BLOCK = 1 << 14  # episodes whose cell indices are formed at once
@@ -356,9 +356,7 @@ def _format_rows(table: np.ndarray) -> np.ndarray:
     The rows are laid out at one fixed width per column: a sign slot when
     the column holds a negative value, as many digit slots as its widest
     magnitude has digits, then a separator.  Each digit position is filled
-    for the whole column at once, the leading one with no division.  When
-    every row uses every slot (each column's values are all as long, and
-    all negative under a sign slot), the matrix is the lines; otherwise one
+    for the whole column at once, the leading one with no division, and one
     boolean index drops the slots a value does not use: its leading zeros,
     and the sign of a nonnegative value.  Columns are read one at a time,
     so a column-major table (the transpose of a C-ordered one) reads fastest.
@@ -369,20 +367,17 @@ def _format_rows(table: np.ndarray) -> np.ndarray:
     signed = negative.any(axis=0)
     widths = [len(str(int(top))) for top in magnitude.max(axis=0, initial=0)]
     matrix = np.empty((table.shape[0], signed.sum() + sum(widths) + len(widths)), np.uint8)
-    full = table.size and (negative == signed).all() and all(
-        len(str(int(low))) == width for low, width in zip(magnitude.min(axis=0), widths))
-    keep = None if full else np.ones(matrix.shape, dtype=bool)
+    keep = np.ones(matrix.shape, dtype=bool)
     slot = 0
     for column, width in enumerate(widths):
         if signed[column]:
             matrix[:, slot] = ord("-")
-            if keep is not None:
-                keep[:, slot] = negative[:, column]
+            keep[:, slot] = negative[:, column]
             slot += 1
         rest = magnitude[:, column]
         for p in range(width):  # from the last digit: rest is magnitude // 10**p
             pos = slot + width - 1 - p
-            if p and keep is not None:  # kept where magnitude >= 10**p: not a leading zero
+            if p:  # kept where magnitude >= 10**p: not a leading zero
                 keep[:, pos] = rest != 0
             quotient = rest // 10 if p < width - 1 else 0  # the leading digit: rest < 10
             matrix[:, pos] = rest - quotient * 10 + ord("0")  # // beats np.divmod, % on uint64
@@ -390,40 +385,72 @@ def _format_rows(table: np.ndarray) -> np.ndarray:
         slot += width + 1
         matrix[:, slot - 1] = ord(",")
     matrix[:, -1] = ord("\n")
-    return matrix.ravel() if keep is None else matrix[keep]
+    return matrix[keep]
+
+
+def _layout(first: int, stop: int, h_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lines of episodes first..stop-1 (indices of one digit count) of H
+    steps as a column-major (episodes, bytes per episode) uint8 matrix with
+    a "0" in each of the 4H body fields, and those fields' byte offsets in a
+    row, in (step, column) order.  A step of more digits only widens its
+    line, so any H has a layout; an episode's digits are formed once."""
+    digits = len(str(first))
+    lines = [f"{'0' * digits},{h},0,0,0,0\n" for h in range(h_len)]
+    lengths = np.fromiter(map(len, lines), np.intp, h_len)
+    ends = np.cumsum(lengths)
+    row = np.frombuffer(bytearray("".join(lines), "ascii"), np.uint8)
+    layout = np.repeat(row[:, None], stop - first, axis=1)  # (bytes, episodes)
+    rest = np.arange(first, stop)
+    for place in range(digits - 1, -1, -1):  # the last digit first
+        quotient = rest // 10
+        layout[ends - lengths + place] = rest - quotient * 10 + ord("0")
+        rest = quotient
+    return layout.T, (ends[:, None] - np.arange(8, 0, -2)).ravel()
 
 
 def write_dataset(data: EpisodeDataset, path: str | Path) -> None:
     """Serialize to the line-delimited interchange format (0-based indices).
 
     Rows come in (episode, step) order, with no spaces and LF line endings,
-    so the same dataset always gives the same bytes.  They are formatted a
-    block of whole episodes at a time, _WRITE_BLOCK_ROWS rows or fewer (one
-    episode when H is larger), so the writer's memory does not grow with
-    the dataset.  A block is built column-major, the way _format_rows reads
-    it: episode and step by repeat and tile, each other column as its
-    episodes' rows raveled.
+    so the same dataset always gives the same bytes.  They are written a
+    block of whole episodes at a time, _BLOCK_ROWS rows or fewer (one
+    episode when H is larger) whose indices have one digit count, so the
+    writer's memory does not grow with the dataset.  A block whose states
+    and actions are all 0..9 is its line layout (_layout) with their digits
+    put in; any other is formatted by _format_rows from a column-major
+    table, the way it reads one: episode and step by repeat and tile, each
+    other column as its episodes' rows raveled.
     """
-    h_len = data.horizon
-    per_block = max(_WRITE_BLOCK_ROWS // max(h_len, 1), 1)
+    h_len, start = data.horizon, 0
+    per_block = max(_BLOCK_ROWS // max(h_len, 1), 1)
     with open(path, "wb") as fh:
         fh.write(DATASET_HEADER.encode("ascii") + b"\n")
-        for start in range(0, data.n_episodes, per_block):
-            stop = min(start + per_block, data.n_episodes)
-            table = np.empty((6, (stop - start) * h_len), dtype=np.int64)
-            table[0] = np.repeat(np.arange(start, stop), h_len)
-            table[1] = np.tile(np.arange(h_len), stop - start)
-            for row, column in zip(table[2:], data.arrays):
-                row[:] = column[start:stop].ravel()
-            fh.write(_format_rows(table.T))
+        while start < data.n_episodes:
+            stop = min(start + per_block, data.n_episodes, 10 ** len(str(start)))
+            columns = [a[start:stop] for a in data.arrays]
+            # a body field of every episode a row, in (step, column) order
+            body = np.stack([column.T for column in columns], axis=1).reshape(-1, stop - start)
+            if 0 <= body.min(initial=0) and body.max(initial=0) <= 9:
+                lines, body_at = _layout(start, stop, h_len)
+                lines[:, body_at] = body.T + ord("0")
+            else:
+                table = np.empty((6, (stop - start) * h_len), dtype=np.int64)
+                table[0] = np.repeat(np.arange(start, stop), h_len)
+                table[1] = np.tile(np.arange(h_len), stop - start)
+                for row, column in zip(table[2:], columns):
+                    row[:] = column.ravel()
+                lines = _format_rows(table.T)
+            fh.write(np.ascontiguousarray(lines))
+            start = stop
 
 
 def read_dataset(path: str | Path, model_shape: tuple | None = None) -> EpisodeDataset:
     """Parse the line-delimited interchange format written by write_dataset.
 
-    A file as write_dataset writes it is parsed a block at a time into views
+    A file as write_dataset writes it is read a block at a time into views
     of one body in the smallest signed dtype that holds its indices
-    (_read_in_order).  Any other is read whole by np.loadtxt into int64:
+    (_read_in_order), by line layout while states and actions have one
+    digit.  Any other is read whole by np.loadtxt into int64:
     blank and '#' lines, spaces around fields, '+' signs and CRLF endings
     are accepted, and records may come in any order, since the (episode,
     step) keys must be the grid 0..T-1 x 0..H-1, each pair once; a file in
@@ -470,39 +497,67 @@ def read_dataset(path: str | Path, model_shape: tuple | None = None) -> EpisodeD
 
 def _read_in_order(path: str | Path) -> tuple[np.ndarray, int] | None:
     """The (records, 4) body and H of a file as write_dataset writes it, or
-    None for any other: the header line, then blocks of whole lines
-    (_parse_block) in (episode, step) order, record i being (i // H, i % H)
-    for H the index of episode 1's first record (or the record count).
-    Each block's body columns go into one body with a row per 12 bytes of
-    the file (a record's least), in the smallest signed dtype that holds
-    every index so far, copied when a block needs a wider one (or, in a
-    pipe, more rows); its filled rows are returned."""
-    h_len, records, tail = None, 0, b""
+    None for any other: the header line, then records in (episode, step)
+    order, record i being (i // H, i % H), H being the number of lines
+    before episode 1's first in the first _READ_BLOCK_BYTES.  Blocks of
+    whole episodes are taken while their body bytes are digits and their
+    bytes equal their line layout (_layout) with those copied in; from the
+    first block not taken (or without H) the rest is read field by field
+    in blocks of whole lines (_parse_block), which find H if need be.  Each
+    block's body goes into one body of a row per 12 file bytes (a record's
+    least) in the smallest signed dtype that holds every index so far,
+    copied when a block needs a wider one (or, in a pipe, more rows)."""
+    records = 0
     with open(path, "rb") as fh:
         header = fh.readline()
         if header != (DATASET_HEADER + "\n").encode("ascii"):
             return None
         # a pipe's size (a shell's <(...) is one) reads 0: its body grows
         body = np.empty((max(os.fstat(fh.fileno()).st_size - len(header), 0) // 12, 4), np.int8)
-        for chunk in iter(lambda: fh.read(_READ_BLOCK_BYTES), b""):
-            text = tail + chunk
+
+        def store(values: np.ndarray) -> None:  # the body columns of the next records
+            nonlocal body, records
+            filled, records = records, records + len(values)
+            dtype = np.promote_types(body.dtype, np.min_scalar_type(-1 - int(values.max())))
+            if dtype != body.dtype or len(body) < records:  # widened, or outgrown (a pipe)
+                grown = np.empty((max(len(body), 2 * records), 4), dtype)
+                grown[:filled] = body[:filled]
+                body = grown
+            body[filled:records] = values
+
+        tail = fh.read(_READ_BLOCK_BYTES)
+        h_len = tail.count(b"\n", 0, tail.find(b"\n1,") + 1) or None
+        while h_len:  # a block of whole episodes of one index width
+            first = records // h_len
+            stop = min(first + max(_BLOCK_ROWS // h_len, 1), 10 ** len(str(first)))
+            layout, body_at = _layout(first, stop, h_len)
+            tail += fh.read(max(layout.size - len(tail), 0))
+            width = layout.shape[1]
+            count = min(len(tail) // width, len(layout))
+            lines = np.frombuffer(tail, np.uint8, count * width).reshape(count, width)
+            lines = np.asfortranarray(lines)  # column-major, as the layout
+            layout, digits = layout[:count], lines[:, body_at]
+            layout[:, body_at] = digits
+            digits -= np.uint8(ord("0"))  # a byte below "0" wraps past 9
+            if not count or digits.max() > 9 or not np.array_equal(layout, lines):
+                break  # the file's end (but a line short of an episode), or a block not taken
+            store(digits.reshape(-1, 4))
+            tail = tail[lines.size :]
+        while True:  # blocks of whole lines, read field by field, the tail included
+            text = tail + fh.read(max(_READ_BLOCK_BYTES - len(tail), 1))
             end = text.rfind(b"\n") + 1  # the block's whole lines: none when a line outgrows it
             tail = text[end:]
-            if not end or (rows := _parse_block(np.frombuffer(text, np.uint8, end))) is None:
+            if not end:
+                break
+            if (rows := _parse_block(np.frombuffer(text, np.uint8, end))) is None:
                 return None
             if h_len is None and rows[:, 0].any():  # episode 1 begins here (or 0 is missing)
                 h_len = records + int(np.argmax(rows[:, 0] != 0))
             keys = np.arange(records, records + len(rows))
-            records += len(rows)
-            # while H is unknown, records is past every key: all are of episode 0
-            if (rows[:, :2].T != np.divmod(keys, h_len or records)).any():
+            # while H is unknown, the block's last key is of episode 0, as all are
+            if (rows[:, :2].T != np.divmod(keys, h_len or keys[-1] + 1)).any():
                 return None
-            dtype = np.promote_types(body.dtype, np.min_scalar_type(-1 - int(rows[:, 2:].max())))
-            if dtype != body.dtype or len(body) < records:  # widened, or outgrown (a pipe)
-                grown = np.empty((max(len(body), 2 * records), 4), dtype)
-                grown[: keys[0]] = body[: keys[0]]
-                body = grown
-            body[keys[0] : records] = rows[:, 2:]
+            store(rows[:, 2:])
             del rows, keys  # before the next block is parsed
     h_len = h_len or records
     if tail or not records or records % h_len:  # a last line or episode cut short, or none
@@ -512,44 +567,22 @@ def _read_in_order(path: str | Path) -> tuple[np.ndarray, int] | None:
 
 def _parse_block(block: np.ndarray) -> np.ndarray | None:
     """The (lines, 6) int64 fields of lines of six fields of 1 to 18 digits
-    split by "," and ended by "\n", or None for any other block.  When all
-    lines have the first one's length and separator columns, the block is
-    read as a (lines, length) byte matrix, a field from its digit columns;
-    any other is read field by field (_parse_fields)."""
-    width = int(np.argmax(block == ord("\n"))) + 1  # the first line's length
-    ends = np.flatnonzero(block[:width] < ord("0"))  # "," and "\n" sort below the digits
-    lengths = np.diff(ends, prepend=-1) - 1
-    if (block.size % width or ends.size != 6 or not 1 <= lengths.min() <= lengths.max() <= 18
-            or (block.reshape(-1, width)[:, ends] != _SEPARATORS).any()):
-        return _parse_fields(block)
-    digits = block.reshape(-1, width) - np.uint8(ord("0"))  # a byte below "0" wraps past 9
-    digits[:, ends] = 0
-    if digits.max() > 9:  # a digit column holds another byte
-        return _parse_fields(block)
-    return _place_values(digits, ends, lengths)
-
-
-def _parse_fields(block: np.ndarray) -> np.ndarray | None:
-    """_parse_block of a block of any layout, read field by field."""
+    split by "," and ended by "\n", or None for any other block.  The last
+    digit of every field is read at once, then each earlier place for the
+    fields that long."""
     ends = np.flatnonzero(block < ord("0"))  # "," and "\n" sort below the digits
     lengths = np.diff(ends, prepend=-1)
     lengths -= 1  # at most 18 digits: 10**18 - 1 fits int64
     if (block.max() > ord("9") or ends.size % 6 or not 1 <= lengths.min() <= lengths.max() <= 18
             or (block[ends].reshape(-1, 6) != _SEPARATORS).any()):
         return None
-    return _place_values(block - ord("0"), ends, lengths).reshape(-1, 6)
-
-
-def _place_values(digits: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The int64 fields of the lengths that end at ends (moved in place onto
-    their last digits) on the last axis of digits: every field's last digit
-    at once, then each earlier place for the fields that long."""
-    ends -= 1
-    fields, longer = digits[..., ends].astype(np.int64), np.flatnonzero(lengths > 1)
+    digits = block - ord("0")
+    ends -= 1  # onto each field's last digit
+    fields, longer = digits[ends].astype(np.int64), np.flatnonzero(lengths > 1)
     for place in range(1, lengths.max()):  # the digit worth 10**place
-        fields[..., longer] += digits[..., ends[longer] - place] * np.int64(10) ** place
+        fields[longer] += digits[ends[longer] - place] * np.int64(10) ** place
         longer = longer[lengths[longer] > place + 1]
-    return fields
+    return fields.reshape(-1, 6)
 
 
 def read_counts(path: str | Path, s_len: int, m: int, n: int) -> np.ndarray:

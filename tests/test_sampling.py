@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import re
 import sys
@@ -34,7 +35,7 @@ from invgame.markov_game import (
 )
 from invgame.matrix_game import MatrixGameSpec, PolicyPair, solve_qre
 from invgame.sampling import (
-    _WRITE_BLOCK_ROWS,
+    _BLOCK_ROWS,
     DATASET_HEADER,
     EpisodeDataset,
     _format_rows,
@@ -1101,20 +1102,45 @@ def lines(records) -> str:
     return HEAD + "".join(r + "\n" for r in records)
 
 
-def chain_records(t, h_len, top, seed=44):
-    """The file records of t random episodes of H steps, every index below
-    top, whose states form a chain."""
+def chain_dataset(t, h_len, top, seed=44, dtype=np.int64):
+    """t random episodes of H steps, every index below top, whose states
+    form a chain."""
     rng = stream(seed)
-    chain = rng.integers(0, top, size=(t, h_len + 1))
-    actions = (rng.integers(0, top, size=(t, h_len)) for _ in range(2))
-    data = EpisodeDataset(chain[:, :-1], *actions, chain[:, 1:])
-    return dataset_file_by_join(data).decode("ascii").splitlines()[1:]
+    chain = rng.integers(0, top, size=(t, h_len + 1), dtype=dtype)
+    actions = (rng.integers(0, top, size=(t, h_len), dtype=dtype) for _ in range(2))
+    return EpisodeDataset(chain[:, :-1], *actions, chain[:, 1:])
+
+
+def chain_records(t, h_len, top, seed=44):
+    """The file records of chain_dataset(t, h_len, top, seed)."""
+    text = dataset_file_by_join(chain_dataset(t, h_len, top, seed)).decode("ascii")
+    return text.splitlines()[1:]
 
 
 def matrix_file() -> str:
     """The file of 300 sampled one-step episodes of a 3 x 5 matrix game."""
     pair = PolicyPair(np.full(3, 1 / 3), np.full(5, 0.2))
     return dataset_file_by_join(sample_matrix_actions(pair, 300, 45)).decode("ascii")
+
+
+def outcome(read, path):
+    """The arrays read(path) gives, or its ValueError's message."""
+    try:
+        return read(path).arrays
+    except ValueError as err:
+        return str(err)
+
+
+def assert_reads_as_loadtxt(path):
+    """read_dataset gives what the earlier whole-file loadtxt reader gives
+    (tests/oracles.py): the same arrays, or the same error."""
+    got, want = outcome(read_dataset, path), outcome(read_dataset_by_loadtxt, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        for got_array, want_array in zip(got, want, strict=True):
+            assert got_array.shape == want_array.shape
+            assert np.array_equal(got_array, want_array)
 
 
 def with_field(records, i, column, text):
@@ -1213,99 +1239,95 @@ class TestSerialization:
     def test_the_block_reader_reads_what_loadtxt_reads(
         self, tmp_path, monkeypatch, layout, block_bytes, canonical
     ):
-        # a file as write_dataset could write it is parsed a block at a
-        # time; any other goes to loadtxt: either way the values, or the
-        # error, of the earlier whole-file loadtxt reader
-        monkeypatch.setattr(sampling, "_READ_BLOCK_BYTES", block_bytes)
+        # a file as write_dataset could write it is read a block at a time;
+        # any other goes to loadtxt: either way the values, or the error, of
+        # the earlier whole-file loadtxt reader.  Blocks of block_bytes are
+        # too short to find H in, so the file is read field by field; blocks
+        # of two episodes (H=6) are read by layout until one is not taken
         path = tmp_path / "episodes.csv"
         path.write_bytes(layout(self.sampled_records()[1]).encode("ascii"))
-        assert (sampling._read_in_order(path) is not None) is canonical
-
-        def outcome(read):
-            try:
-                return read(path).arrays
-            except ValueError as err:
-                return repr(err)
-
-        got, want = outcome(read_dataset), outcome(read_dataset_by_loadtxt)
-        if isinstance(want, str):
-            assert got == want
-        else:
-            for got_array, want_array in zip(got, want, strict=True):
-                assert got_array.shape == want_array.shape
-                assert np.array_equal(got_array, want_array)
-
-    @staticmethod
-    def parse(text, monkeypatch):
-        """_parse_block's and _parse_fields' fields of the block of text, and
-        whether _parse_block read it field by field."""
-        per_field, calls = sampling._parse_fields, []
-        monkeypatch.setattr(sampling, "_parse_fields", lambda b: calls.append(b) or per_field(b))
-        block = np.frombuffer(text.encode("ascii"), np.uint8)
-        return sampling._parse_block(block), per_field(block), bool(calls)
+        for read_bytes, block_rows in ((block_bytes, _BLOCK_ROWS), (1 << 16, 12)):
+            monkeypatch.setattr(sampling, "_READ_BLOCK_BYTES", read_bytes)
+            monkeypatch.setattr(sampling, "_BLOCK_ROWS", block_rows)
+            assert (sampling._read_in_order(path) is not None) is canonical
+            assert_reads_as_loadtxt(path)
 
     @pytest.mark.parametrize(
-        "text, by_fields",
+        "text",
         [
-            ("4021,3,0,1,2,3\n", False),
-            ("10,1,2,3,4,5\n1,10,2,3,4,5\n", True),
-            # line 1 has digits in line 0's first two separator columns
-            ("1,1,1,1,1,1\n111,1,1,1,1\n", True),
-            # the last digit of line 0's or line 1's first field replaced
-            *((SHARED[: 13 * line + 1] + c + SHARED[13 * line + 2 :], True)
+            "4021,3,0,1,2,3\n",
+            "10,1,2,3,4,5\n1,10,2,3,4,5\n",
+            "1,1,1,1,1,1\n111,1,1,1,1\n",
+            *(SHARED[: 13 * line + 1] + c + SHARED[13 * line + 2 :]
               for c in "+ \r#" for line in (0, 1)),
-            ("".join(",".join(str(v) for v in row) + "\n"
-                     for row in stream(46).integers(10**17, 10**18, size=(4, 6))), False),
-            ("1000000000000000000,0,0,0,0,0\n" * 2, True),
-            ("9998,5,1,2,3,0\n9999,0,0,1,1,2\n10000,0,2,4,4,3\n10000,1,3,0,0,1\n", True),
+            "".join(",".join(str(v) for v in row) + "\n"
+                    for row in stream(46).integers(10**17, 10**18, size=(4, 6))),
+            "1000000000000000000,0,0,0,0,0\n" * 2,
+            "9998,5,1,2,3,0\n9999,0,0,1,1,2\n10000,0,2,4,4,3\n10000,1,3,0,0,1\n",
         ],
         ids=["one_line", "one_length_two_layouts", "five_fields_in_six_fields_length",
              *(f"{name}_in_line_{line}" for name in ("plus", "space", "cr", "hash")
                for line in (0, 1)),
              "18_digit_fields", "a_19_digit_field", "episode_9999_to_10000"],
     )
-    def test_the_matrix_path_reads_what_the_field_path_reads(self, monkeypatch, text, by_fields):
-        # a block whose lines share one layout is read as a byte matrix; any
-        # other, valid or not, field by field, so the two paths agree
-        got, want, fell_back = self.parse(text, monkeypatch)
-        assert fell_back is by_fields
-        if want is None:
+    def test_the_field_parser_reads_six_fields_of_1_to_18_digits(self, text):
+        # any other line (a sign, a space, a CR, a comment, five fields, 19
+        # digits) makes the block None
+        block = np.frombuffer(text.encode("ascii"), np.uint8)
+        lines = [line.split(",") for line in text.splitlines()]
+        valid = all(len(f) == 6 and all(x.isdigit() and len(x) <= 18 for x in f) for f in lines)
+        got = sampling._parse_block(block)
+        if not valid:
             assert got is None
         else:
-            assert got.dtype == want.dtype == np.int64
-            assert np.array_equal(got, want)
-            assert got.tolist() == [[int(f) for f in line.split(",")] for line in text.splitlines()]
+            assert got.dtype == np.int64
+            assert got.tolist() == [[int(x) for x in f] for f in lines]
 
-    def test_only_blocks_where_the_episode_gains_a_digit_are_read_by_field(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize(
+        "config, by_layout",
+        [({}, True), ({"H": 12}, True), ({"S": 12}, False)],
+        ids=["h6", "h12", "s12"],
+    )
+    def test_one_digit_files_are_read_by_layout_and_others_by_field(
+        self, tmp_path, monkeypatch, config, by_layout
     ):
-        # a simulate file of 20,000 markov episodes (S=4, m=n=5, H=6): its
-        # steps, states and actions take one digit each, so a block's lines
-        # differ in length only where the episode index gains a digit: from
-        # 9 and 99 in the first block, from 999 and from 9999 in one each
-        args = ["simulate", "--kind", "markov", "--seed", "3", "--samples", "20000"]
-        assert cli.main([*args, "--out", str(tmp_path)]) == 0
-        parse, per_field = sampling._parse_block, sampling._parse_fields
-        blocks, by_fields = [], []
-        monkeypatch.setattr(sampling, "_parse_block", lambda b: blocks.append(b) or parse(b))
-        monkeypatch.setattr(sampling, "_parse_fields",
-                            lambda b: by_fields.append(b) or per_field(b))
-        read_dataset(tmp_path / "dataset.csv")
-
-        def episode_widths(block):
-            lines = block.tobytes().splitlines()
-            return {len(line.split(b",")[0]) for line in (lines[0], lines[-1])}
-
-        crossing = [b for b in blocks if len(episode_widths(b)) > 1]
-        assert len(crossing) == 3 and len(blocks) > 20
-        assert [b.tobytes() for b in by_fields] == [b.tobytes() for b in crossing]
+        # simulate files of 20,000 markov episodes (S=4, m=n=5, H=6 unless
+        # set): at one-digit states and actions every block of whole
+        # episodes, across each gain of an episode digit, is taken by its
+        # layout, whatever H; at S=12 the first block is not, and the file
+        # is read field by field from its first line
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"kind": "markov", "seed": 3, **config}))
+        args = ["simulate", "--config", str(path), "--samples", "20000", "--out", str(tmp_path)]
+        assert cli.main(args) == 0
+        layout, parse = sampling._layout, sampling._parse_block
+        blocks, parsed = [], []
+        monkeypatch.setattr(sampling, "_layout", lambda *a: blocks.append(a[:2]) or layout(*a))
+        monkeypatch.setattr(sampling, "_parse_block", lambda b: parsed.append(b) or parse(b))
+        read = sampling._read_in_order(tmp_path / "dataset.csv")
+        h_len = config.get("H", 6)
+        assert read is not None and read[1] == h_len and len(read[0]) == 20000 * h_len
+        if by_layout:
+            assert not parsed and len(blocks) > 20
+            # each block begins where the last ended, the last at the file's end
+            ends = [min(stop, 20000) for _, stop in blocks[:-1]]
+            assert [first for first, _ in blocks] == [0, *ends] and ends[-1] == 20000
+        else:
+            assert blocks == [(0, 10)]
+            assert sum(np.count_nonzero(b == ord("\n")) for b in parsed) == 20000 * h_len
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-    def test_a_pipe_has_no_size_to_go_by(self, monkeypatch):
+    @pytest.mark.parametrize("h_len", [6, 12])
+    def test_a_pipe_has_no_size_to_go_by(self, monkeypatch, h_len):
         # a shell's <(...) is a pipe, whose size reads 0: the block reader's
-        # body grows as the blocks come
-        monkeypatch.setattr(sampling, "_READ_BLOCK_BYTES", 40)
-        data, records = self.sampled_records()
+        # body grows as the blocks come, read field by field at H=6 (40
+        # bytes hold no episode) and by layout at H=12 (two episodes a block)
+        if h_len == 6:
+            monkeypatch.setattr(sampling, "_READ_BLOCK_BYTES", 40)
+            data, records = self.sampled_records()
+        else:
+            monkeypatch.setattr(sampling, "_BLOCK_ROWS", 24)
+            data, records = chain_dataset(40, h_len, 10), chain_records(40, h_len, 10)
         read, write = os.pipe()
         os.write(write, lines(records).encode("ascii"))
         os.close(write)
@@ -1315,6 +1337,51 @@ class TestSerialization:
             os.close(read)
         for got, want in zip(loaded.arrays, data.arrays):
             assert got.dtype == np.int8 and np.array_equal(got, want)
+
+    # One change to a simulate file of 300 markov episodes (S=4, m=n=5) at
+    # record 200 (of episode e), or at its end, and the error read_dataset
+    # and read_counts gave for it before the line layout reader: its
+    # message (np.loadtxt's, its start), or None where they read values
+    EDITS = {
+        "episode_digit": (lambda rs, e, h: with_field(rs, 200, "episode", str(e + 1)),
+                          "grid", "grid"),
+        "step_digit": (lambda rs, e, h: with_field(rs, 200, "step", str(200 - e * h + 1)),
+                       "grid", "grid"),
+        "separator": (lambda rs, e, h: rs[:200] + [rs[200].replace(",", ";", 1)] + rs[201:],
+                      *["the number of columns changed from 6 to 5 at row 201"] * 2),
+        "letter": (lambda rs, e, h: with_field(rs, 200, "state", "x"),
+                   *["could not convert string 'x' to int64 at row 200, column 3"] * 2),
+        "out_of_range": (lambda rs, e, h: with_field(rs, 200, "action_a", "7"),
+                         None, "action_a must lie in 0..4"),
+        "last_episode_cut_short": (lambda rs, e, h: rs[:-1], "grid", "grid"),
+        "duplicated_episode": (lambda rs, e, h: rs[: (e + 1) * h] + rs[e * h :],
+                               "grid", "grid"),
+    }
+
+    @pytest.mark.parametrize("h_len", [6, 12])
+    @pytest.mark.parametrize("edit", [*EDITS, "no_final_newline"])
+    def test_a_changed_simulate_file_reads_as_before(self, tmp_path, edit, h_len):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": "markov", "seed": 3, "H": h_len}))
+        args = ["simulate", "--config", str(config), "--samples", "300", "--out", str(tmp_path)]
+        assert cli.main(args) == 0
+        records = (tmp_path / "dataset.csv").read_text().splitlines()[1:]
+        path = tmp_path / "changed.csv"
+        if edit == "no_final_newline":
+            path.write_text(lines(records)[:-1])
+            expected = None, None
+        else:
+            change, *expected = self.EDITS[edit]
+            path.write_text(lines(change(records, 200 // h_len, h_len)))
+        grid = f"(episode, step) must be each of 0..299 x 0..{h_len - 1} once"
+        for read, message in zip((read_dataset, read_counts), expected):
+            if message is not None:
+                with pytest.raises(ValueError, match=re.escape(message.replace("grid", grid))):
+                    read(path, 4, 5, 5) if read is read_counts else read(path)
+        if expected[1] is None:
+            want = step_counts(read_dataset_by_loadtxt(path), 4, 5, 5)
+            assert np.array_equal(read_counts(path, 4, 5, 5), want)
+        assert_reads_as_loadtxt(path)
 
     def test_a_shuffled_file_with_a_repeated_key(self, tmp_path):
         data, records = self.sampled_records()
@@ -1329,10 +1396,10 @@ class TestSerialization:
             read_dataset(path)
 
     def test_reader_memory_is_near_the_parsed_rows(self, tmp_path):
-        # a file as write_dataset writes it is parsed a block at a time into
+        # a file as write_dataset writes it is read a block at a time into
         # one int8 body of 4 bytes per 12 file bytes (a record takes 12 or
-        # more), plus one block's parse: 13.4 B per record with numpy 2.4
-        # (14.1 when the blocks' bodies were joined; 66.8 when loadtxt
+        # more), plus one block's layout check: 7.5 B per record with numpy
+        # 2.4 (13.4 when every block was parsed by field; 66.8 when loadtxt
         # parsed the whole file into int64)
         t, h_len = 20000, 6
         rng = stream(43)
@@ -1422,7 +1489,7 @@ class TestWriteDataset:
 
     @pytest.mark.parametrize(
         "n_episodes",
-        [1, _WRITE_BLOCK_ROWS // 2, 10001],
+        [1, _BLOCK_ROWS // 2, 10001],
         ids=["one_episode", "whole_blocks", "partial_block"],
     )
     def test_sampled_markov_dataset(self, tmp_path, n_episodes):
@@ -1456,31 +1523,43 @@ class TestWriteDataset:
         assert _format_rows(column).tobytes() == rows_by_join(column)
 
     @pytest.mark.parametrize(
-        "columns, compressed",
+        "columns",
         [
-            ([np.arange(1000, 1500), stream(30).integers(0, 10, 500),
-              -stream(31).integers(10, 100, 500), stream(32).integers(10**14, 10**15, 500)],
-             False),
-            ([np.arange(500) // 50, np.arange(500) // 10 + 5, stream(33).integers(0, 9, 500)],
-             True),
-            ([np.zeros(500, dtype=np.int64), stream(34).integers(0, 5, 500)], False),
-            ([stream(35).integers(1, 10, 500) * np.tile([1, -1], 250)], True),
+            [np.arange(1000, 1500), stream(30).integers(0, 10, 500),
+             -stream(31).integers(10, 100, 500), stream(32).integers(10**14, 10**15, 500)],
+            [np.arange(500) // 50, np.arange(500) // 10 + 5, stream(33).integers(0, 9, 500)],
+            [np.zeros(500, dtype=np.int64), stream(34).integers(0, 5, 500)],
+            [stream(35).integers(1, 10, 500) * np.tile([1, -1], 250)],
         ],
         ids=["one_width_per_column", "a_column_crossing_9_to_10", "a_column_of_zeros",
              "one_width_of_either_sign"],
     )
-    def test_a_block_whose_rows_fill_every_slot_is_not_compressed(self, columns, compressed):
-        # with every value of a column as wide as its widest, and negative
-        # under a sign slot, the lines are the byte matrix raveled, a view;
-        # a boolean index (a new array) drops the slots of shorter values
+    def test_columns_of_one_width_or_many(self, columns):
         table = np.column_stack(columns)
-        lines = _format_rows(table)
-        assert lines.tobytes() == rows_by_join(table)
-        assert (lines.base is None) is compressed
+        assert _format_rows(table).tobytes() == rows_by_join(table)
+
+    @pytest.mark.parametrize("t", [1, 9, 10, 11, 99, 100, 101, 1001])
+    @pytest.mark.parametrize("h_len", [1, 6, 10, 11, 12])
+    @pytest.mark.parametrize("top", [10, 12], ids=["indices_0_to_9", "indices_0_to_11"])
+    def test_written_bytes_and_read_arrays(self, tmp_path, t, h_len, top):
+        # episode counts on each side of an episode digit, steps on each side
+        # of a step digit; sampled datasets are int8, and read back as int8
+        data = chain_dataset(t, h_len, top, seed=t * 100 + h_len, dtype=np.int8)
+        assert self.written(data, tmp_path) == dataset_file_by_join(data)
+        for got, want in zip(read_dataset(tmp_path / "episodes.csv").arrays, data.arrays):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_a_negative_value_is_written_and_read_back(self, tmp_path):
+        # the file a library dataset may hold: np.loadtxt reads it, as int64
+        data = chain_dataset(30, 4, 10)
+        data.actions_b[17, 2] = -3
+        assert self.written(data, tmp_path) == dataset_file_by_join(data)
+        for got, want in zip(read_dataset(tmp_path / "episodes.csv").arrays, data.arrays):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_an_episode_longer_than_a_block(self, tmp_path):
         # each block is then one episode
-        h_len = _WRITE_BLOCK_ROWS + 5
+        h_len = _BLOCK_ROWS + 5
         rng = stream(27)
         data = EpisodeDataset(*(rng.integers(0, 12, size=(3, h_len)) for _ in range(4)))
         assert self.written(data, tmp_path) == dataset_file_by_join(data)
@@ -1493,14 +1572,14 @@ class TestWriteDataset:
 
     @pytest.mark.parametrize(
         "block_rows, at_edge",
-        [(_WRITE_BLOCK_ROWS, False), (2000, True)],
+        [(_BLOCK_ROWS, False), (2000, True)],
         ids=["inside_a_block", "at_a_block_edge"],
     )
     def test_episode_index_gains_a_digit(self, tmp_path, monkeypatch, block_rows, at_edge):
-        # with H=2 a block holds block_rows // 2 episodes, so episode 10000
-        # begins a block exactly when that count divides it
+        # with H=2 a block holds block_rows // 2 episodes, whose count
+        # divides 10000 or not; either way a block ends at episode 9999
         h_len, t = 2, 10050
-        monkeypatch.setattr(sampling, "_WRITE_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(sampling, "_BLOCK_ROWS", block_rows)
         assert (10000 % (block_rows // h_len) == 0) is at_edge
         rng = stream(28)
         data = EpisodeDataset(*(rng.integers(0, 3, size=(t, h_len)) for _ in range(4)))
@@ -1510,7 +1589,7 @@ class TestWriteDataset:
         # states are negative in the second of three blocks only, and hold
         # int64's extremes there; action_a is zero throughout
         h_len = 2
-        per_block = _WRITE_BLOCK_ROWS // h_len
+        per_block = _BLOCK_ROWS // h_len
         t = 3 * per_block
         rng = stream(29)
         states = rng.integers(0, 9, size=(t, h_len))
