@@ -38,7 +38,7 @@ from invgame.sampling import DataOrTable, frequency_estimate_markov, step_counts
 
 MLE_MAX_ITER = 10_000  # projected-gradient iterations after which a fit stops unconverged
 MLE_TOL = 1e-8  # a fit converges once its gradient mapping is at most this
-_TRACE_BLOCK = 32  # iterations whose iterates are kept to form their objective at once
+_TRACE_BLOCK = 32  # iterations whose iterates are kept, then their objectives and convergence read
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,9 @@ def mle_fit(data: DataOrTable, model: SoftmaxPolicyModel, step: int, player: str
     O(S * actions * d), independent of the number of episodes, and
     O(S * actions) on identity features, whose two products are exact and
     skipped.  It is _fit_stack's loop on one fit, whose iterates
-    fit_every_step follows too; its norms are np.vecdot's BLAS dot.  The
-    params and trace are read-only.
+    fit_every_step follows too; its norms are np.vecdot's BLAS dot, their
+    squares compared with exact squared thresholds.  The params and trace
+    are read-only.
     """
     if player not in ("a", "b"):
         raise ValueError("player must be 'a' or 'b'")
@@ -149,16 +150,17 @@ def mle_fit(data: DataOrTable, model: SoftmaxPolicyModel, step: int, player: str
     if not counts.any():
         raise ValueError(f"no samples at step {step}")
     lipschitz = max(model.feature_scale**2, 1e-12)
-    flat = psi.reshape(1, -1, psi.shape[2]).astype(float)
-    return _fit_stack(flat, counts[None].astype(float), lipschitz)[0]
+    flat = None if _is_identity(psi) else psi.reshape(1, -1, psi.shape[2]).astype(float)
+    return _fit_stack(counts[None].astype(float), flat, lipschitz)[0]
 
 
 def fit_every_step(tables: list[np.ndarray], model: SoftmaxPolicyModel) -> list[dict]:
     """Every step's fit of each player on each count table, by table, then
     player ("a" or "b"), each the one mle_fit makes: one lockstep stack of all the
     tables' fits of both players, or one per player when psi_a and psi_b
-    differ in shape.  There must be a table, each of step_counts' shape for
-    the model, of one horizon and holding samples."""
+    differ in shape; a stack of identity features (saturated_policy_model's)
+    holds no copy of them.  There must be a table, each of step_counts'
+    shape for the model, of one horizon and holding samples."""
     if not tables:
         raise ValueError("no tables to fit")
     tables = [step_counts(table, *model.psi_a.shape[:2], model.psi_b.shape[1]) for table in tables]
@@ -171,91 +173,129 @@ def fit_every_step(tables: list[np.ndarray], model: SoftmaxPolicyModel) -> list[
         "a": [table.sum(axis=(3, 4)) for table in tables],
         "b": [table.sum(axis=(2, 4)) for table in tables],
     }
-    flats = {  # (H, S * actions, d): each step's copy of the player's features
-        p: np.repeat(psi.reshape(1, -1, psi.shape[2]), h_len, axis=0)
-        for p, psi in (("a", model.psi_a), ("b", model.psi_b))
-    }
+    psi = {"a": model.psi_a, "b": model.psi_b}
     lipschitz = max(model.feature_scale**2, 1e-12)
     stacks = ("ab",) if model.psi_a.shape == model.psi_b.shape else ("a", "b")
     fits = [{} for _ in tables]
     for players in stacks:
         order = [(k, p) for k in range(len(tables)) for p in players]
+        flats = None
+        if not all(_is_identity(psi[p]) for p in players):  # (fits, S * actions, d)
+            flats = [psi[p].reshape(-1, psi[p].shape[2]) for _, p in order for _ in range(h_len)]
+            flats = np.stack(flats, dtype=float)
         stack = _fit_stack(
-            np.concatenate([flats[p] for _, p in order], dtype=float),
-            np.concatenate([counts[p][k] for k, p in order], dtype=float),
-            lipschitz,
+            np.concatenate([counts[p][k] for k, p in order], dtype=float), flats, lipschitz
         )
         for i, (k, p) in enumerate(order):
             fits[k][p] = stack[i * h_len : (i + 1) * h_len]
     return fits
 
 
-def _objectives(history: list, weights: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """The mean NLL weights @ (log z + shift) - observed @ theta of each
-    (theta, shift, z) in history, as (iterations, fits), by the operations a
-    fit alone makes at each iteration."""
-    theta, shift, z = (np.array(x) for x in zip(*history))
-    return np.vecdot(weights, np.log(z) + shift) - np.vecdot(observed, theta)
+def _is_identity(psi: np.ndarray) -> bool:
+    """Whether psi's (S * actions, d) rows are the identity (one-hot features)."""
+    flat = psi.reshape(-1, psi.shape[2])
+    return flat.shape[0] == flat.shape[1] and bool((flat == np.eye(len(flat))).all())
 
 
-def _fit_stack(flats: np.ndarray, counts: np.ndarray, lipschitz: float) -> list[MleFit]:
-    """Projected-gradient fits of a stack in one loop: fit i has features
-    flats[i] (S * actions, d) and counts[i] (S, actions).  Each fit freezes
-    once its own gradient mapping is at most MLE_TOL, and each of its
-    products is the same BLAS call (a gemv, or np.vecdot's dot on its own
-    rows) a fit alone makes, so it follows exactly the iterates it would
-    alone.  Identity features (saturated_policy_model's one-hot ones) skip
-    both gemvs: a row of one 1.0 and zeros gives each finite entry back
-    exactly, so an iteration costs O(S * actions).  The objective trace is
-    formed from the recorded iterates every _TRACE_BLOCK iterations and at
-    each freeze, not once per iteration."""
+def _square_limit(bound: float, scale: float = 1.0) -> float:
+    """The largest double x with scale * sqrt(x) <= bound, so that a squared
+    norm is at most it exactly when scale times the norm is at most bound."""
+    x = np.float64(bound / scale) ** 2
+    while x >= 0 and scale * np.sqrt(x) > bound:
+        x = np.nextafter(x, -np.inf)
+    while x < np.inf and scale * np.sqrt(np.nextafter(x, np.inf)) <= bound:
+        x = np.nextafter(x, np.inf)
+    return float(x)
+
+
+def _action_sum(e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """e.sum(axis=0) of an action-major array, each entry's terms added in
+    the order np.sum adds a contiguous row of them: in turn below 8 terms,
+    else numpy's pairwise sum (8 accumulators over at most 128 terms,
+    halved above that), so each entry is its fit-major row's sum to the bit."""
+    n = len(e)
+    if n < 8:
+        return np.add.reduce(e, axis=0, out=out)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return np.add(_action_sum(e[:half]), _action_sum(e[half:]), out=out)
+    r = np.add.reduce(e[: n - n % 8].reshape(-1, 8, *e.shape[1:]), axis=0)
+    total = np.add((r[0] + r[1]) + (r[2] + r[3]), (r[4] + r[5]) + (r[6] + r[7]), out=out)
+    for term in e[n - n % 8 :]:
+        total += term
+    return total
+
+
+def _fit_stack(counts: np.ndarray, flats: np.ndarray | None, lipschitz: float) -> list[MleFit]:
+    """Projected-gradient fits of a stack in one loop: fit i has counts[i]
+    (S, actions) and features flats[i] (S * actions, d), or identity features
+    when flats is None, whose two products are exact and skipped (an
+    iteration then costs O(S * actions)).  Every other product is the call
+    (a gemv, or np.vecdot's dot on its own rows) a fit alone makes, and the
+    softmax runs in one action-major (actions, fits, S) buffer whose action
+    sum replays np.sum's order, so each fit follows exactly the iterates it
+    would alone.  Every _TRACE_BLOCK iterations each fit's convergence is read
+    from the block's kept gradient-mapping vectors, as squared norms against
+    exact squared thresholds, and its objective trace is formed from the kept
+    iterates; a fit that converged in the block takes that iteration's params
+    and trace, after riding along at most _TRACE_BLOCK - 1 iterations."""
     b_len, s_len, n_actions = counts.shape
     totals = counts.sum(axis=(1, 2))[:, None]
     # the mean NLL is weights @ log Z(theta) - observed @ theta
-    weights = counts.sum(axis=2) / totals
-    observed = (counts.reshape(b_len, 1, -1) @ flats)[:, 0] / totals
-    identity = flats.shape[1] == flats.shape[2] and (flats == np.eye(flats.shape[1])).all()
-    theta = np.zeros((b_len, flats.shape[2]))
+    weights, cells = counts.sum(axis=2) / totals, counts.reshape(b_len, -1)
+    observed = (cells if flats is None else (cells[:, None] @ flats)[:, 0]) / totals
+    # converged at ||grad|| <= MLE_TOL inside the ball, at lipschitz *
+    # ||theta - new theta|| <= MLE_TOL on it; a new theta of norm > 1 is projected
+    tol_sq, moved_sq = _square_limit(MLE_TOL), _square_limit(MLE_TOL, lipschitz)
+    ball_sq = _square_limit(1.0)
+    theta = np.zeros((b_len, observed.shape[1]))
     params, iterations = np.empty_like(theta), np.full(b_len, MLE_MAX_ITER)
     converged = np.zeros(b_len, dtype=bool)
     live = np.arange(b_len)  # fits still iterating
     traces = [[] for _ in range(b_len)]  # each fit's objective, one piece per block
-    history = []  # (theta, shift, z) of each iteration of the open block
-    flats_t = flats.transpose(0, 2, 1)
-    for it in range(1, MLE_MAX_ITER + 1):
-        logits = (theta if identity else flats @ theta[:, :, None]).reshape(-1, s_len, n_actions)
-        # a max is exact in any order, and a leading axis reduces fastest; the
-        # sum z stays on the last axis, where a fit alone sums its actions
-        shift = np.maximum.reduce(np.ascontiguousarray(logits.transpose(2, 0, 1)))
-        e = np.exp(logits - shift[:, :, None])
-        z = e.sum(axis=2)
-        history.append((theta, shift, z))
-        cells = (e * (weights / z)[:, :, None]).reshape(len(live), -1)
-        grad = (cells if identity else (flats_t @ cells[:, :, None])[:, :, 0]) - observed
-        new_theta = theta - grad / lipschitz
-        # L * ||theta - (theta - grad / L)|| is ||grad|| inside the ball
-        gradient_mapping = np.sqrt(np.vecdot(grad, grad))
-        norm = np.sqrt(np.vecdot(new_theta, new_theta))
-        if np.count_nonzero(out := norm > 1):  # cheaper than .any() on a few fits
-            new_theta[out] *= (1 / norm[out])[:, None]  # onto the unit ball
-            moved = theta[out] - new_theta[out]
-            gradient_mapping[out] = lipschitz * np.sqrt(np.vecdot(moved, moved))
-        theta = new_theta
-        done = gradient_mapping <= MLE_TOL
-        frozen = np.count_nonzero(done)
-        if frozen or len(history) == _TRACE_BLOCK or it == MLE_MAX_ITER:
-            for i, objective in zip(live, _objectives(history, weights, observed).T):
-                traces[i].append(objective)
-            history = []
-        if frozen:
-            finished = live[done]
-            params[finished], iterations[finished], converged[finished] = theta[done], it, True
-            live, theta, flats, weights, observed = (
-                x[~done] for x in (live, theta, flats, weights, observed)
-            )
-            if not live.size:
-                break
-            flats_t = flats.transpose(0, 2, 1)
+    for start in range(0, MLE_MAX_ITER, _TRACE_BLOCK):
+        k_len, b = min(_TRACE_BLOCK, MLE_MAX_ITER - start), len(live)
+        thetas, grads = np.empty((k_len + 1, *theta.shape)), np.empty((k_len, *theta.shape))
+        thetas[0] = theta
+        shifts, zs = np.empty((2, k_len, b, s_len))
+        projected = np.zeros((k_len, b), dtype=bool)
+        e, scale = np.empty((n_actions, b, s_len)), np.empty((b, s_len))
+        e_rows = e.transpose(1, 2, 0)  # the fit-major (fits, S, actions) view
+        if flats is None:  # the iterates' action-major views, the gradients' fit-major ones
+            theta_cols = thetas.reshape(-1, b, s_len, n_actions).transpose(0, 3, 1, 2)
+            grad_rows = grads.reshape(-1, *e_rows.shape)
+            observed_rows = observed.reshape(e_rows.shape)
+        for k in range(k_len):
+            theta, new_theta, grad = thetas[k], thetas[k + 1], grads[k]
+            if flats is None:
+                np.copyto(e, theta_cols[k])
+            else:
+                np.copyto(e_rows, (flats @ theta[:, :, None]).reshape(e_rows.shape))
+            shift = np.maximum.reduce(e, axis=0, out=shifts[k])  # exact in any order
+            np.exp(np.subtract(e, shift, out=e), out=e)
+            np.multiply(e, np.divide(weights, _action_sum(e, out=zs[k]), out=scale), out=e)
+            if flats is None:
+                np.subtract(e_rows, observed_rows, out=grad_rows[k])
+            else:
+                cells = e_rows.reshape(b, -1)[:, :, None]
+                np.subtract((flats.transpose(0, 2, 1) @ cells)[:, :, 0], observed, out=grad)
+            np.subtract(theta, grad if lipschitz == 1.0 else grad / lipschitz, out=new_theta)
+            norm_sq = np.vecdot(new_theta, new_theta)  # the ball test, every iteration
+            if np.count_nonzero(out := np.greater(norm_sq, ball_sq, out=projected[k])):
+                new_theta[out] *= (1 / np.sqrt(norm_sq[out]))[:, None]  # onto the unit ball
+                grad[out] = theta[out] - new_theta[out]
+        done = np.vecdot(grads, grads) <= np.where(projected, moved_sq, tol_sq)
+        stop = np.where(done.any(axis=0), done.argmax(axis=0) + 1, 0)  # 0: not converged
+        objectives = np.vecdot(weights, np.log(zs) + shifts) - np.vecdot(observed, thetas[:-1])
+        for j, i in enumerate(live):
+            traces[i].append(objectives[: stop[j] or k_len, j])
+        finished, kept = stop > 0, stop == 0
+        params[live[finished]] = thetas[stop[finished], finished]
+        iterations[live[finished]], converged[live[finished]] = start + stop[finished], True
+        theta, live, weights, observed = (x[kept] for x in (thetas[-1], live, weights, observed))
+        flats = None if flats is None else flats[kept]
+        if not live.size:
+            break
     params[live] = theta  # the fits MLE_MAX_ITER stopped
     params.flags.writeable = False
     fits = []

@@ -871,9 +871,9 @@ class TestMleFit:
         stacks = []
         fit_stack = inverse_markov._fit_stack
 
-        def counting(flats, *args):
-            stacks.append(len(flats))
-            return fit_stack(flats, *args)
+        def counting(counts, *args):
+            stacks.append(len(counts))
+            return fit_stack(counts, *args)
 
         monkeypatch.setattr(inverse_markov, "_fit_stack", counting)
         policy = saturated_policy_model(s_len, m, n)
@@ -899,6 +899,28 @@ class TestMleFit:
         else:
             assert fit.converged and fit.iterations < default.iterations
         assert len(fit.objective_trace) == fit.iterations < default.iterations
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-4])
+    def test_each_squared_threshold_is_the_largest_square_within_its_bound(self, monkeypatch, tol):
+        # derived at each call, so a monkeypatched MLE_TOL is read
+        monkeypatch.setattr(inverse_markov, "MLE_TOL", tol)
+        made, real = {}, inverse_markov._square_limit
+
+        def recording(bound, scale=1.0):
+            made[bound, scale] = real(bound, scale)
+            return made[bound, scale]
+
+        monkeypatch.setattr(inverse_markov, "_square_limit", recording)
+        data, model = dense_mle_case(0.15)
+        mle_fit(data, model, 0, "a")
+        lipschitz = model.feature_scale**2
+        # the gradient inside the ball, lipschitz * the move on it, the ball
+        assert set(made) == {(tol, 1.0), (tol, lipschitz), (1.0, 1.0)} and lipschitz != 1.0
+        assert made[1.0, 1.0] == 1.0000000000000002
+        for (bound, scale), limit in made.items():
+            below, above = np.nextafter(limit, 0.0), np.nextafter(limit, np.inf)
+            assert scale * np.sqrt(below) <= scale * np.sqrt(limit) <= bound
+            assert scale * np.sqrt(above) > bound
 
     @pytest.mark.parametrize(
         "call, message",

@@ -234,6 +234,74 @@ def test_fits_of_uniform_draws_are_fitted_as_alone(name):
     assert_fits_alone(data, sizes, policy)
 
 
+def one_stack_case():
+    """FIT_CASES' one_stack: 24 fits in one stack, converging after 85 to
+    221 iterations, four of them on the ball."""
+    seed, n_episodes, sizes, m, n, _ = FIT_CASES["one_stack"]
+    rng = stream(seed)
+    data = EpisodeDataset(*(rng.integers(0, size, (n_episodes, 4)) for size in (3, m, n, 3)))
+    return data, sizes, saturated_policy_model(3, m, n)
+
+
+def every_fit(fits):
+    return [fit for by_player in fits for player in "ab" for fit in by_player[player]]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_fits_converging_on_a_block_s_first_and_last_slot_are_fitted_as_alone(block, monkeypatch):
+    # convergence is read once per block, from its kept gradients
+    monkeypatch.setattr(inverse_markov, "_TRACE_BLOCK", block)
+    data, sizes, policy = one_stack_case()
+    slots = {(fit.iterations - 1) % block for fit in every_fit(assert_fits_alone(data, sizes, policy))}
+    assert {0, block - 1} <= slots
+
+
+def test_a_last_block_shorter_than_the_others_is_fitted_as_alone(monkeypatch):
+    monkeypatch.setattr(inverse_markov, "MLE_MAX_ITER", 33)  # a block of 32, then one of 1
+    data, sizes, policy = one_stack_case()
+    fits = every_fit(assert_fits_alone(data, sizes, policy))
+    assert {(fit.iterations, fit.converged) for fit in fits} == {(33, False)}
+
+
+def test_a_fit_projected_onto_the_ball_converging_mid_block_is_fitted_as_alone():
+    data, sizes, policy = one_stack_case()
+    fits = every_fit(assert_fits_alone(data, sizes, policy))
+    on_ball = [fit for fit in fits if np.linalg.norm(fit.params) == pytest.approx(1.0, abs=1e-12)]
+    assert 0 < len(on_ball) < len(fits)
+    assert any(fit.iterations % inverse_markov._TRACE_BLOCK for fit in on_ball)
+
+
+def test_an_identity_stack_stepping_by_a_quarter_is_fitted_as_alone(monkeypatch):
+    # one-hot psi_a and 2 * eye psi_b of another action count: psi_a's stack
+    # holds no copy of its features, but L = 4, so it divides by L all the same
+    rng = stream(11)
+    data = EpisodeDataset(*(rng.integers(0, size, (200, 4)) for size in (3, 2, 3, 3)))
+    one_hot = saturated_policy_model(3, 2, 3)
+    policy = SoftmaxPolicyModel(one_hot.psi_a, 2 * one_hot.psi_b)
+    stacks, real = [], inverse_markov._fit_stack
+
+    def recording(counts, flats, lipschitz):
+        stacks.append((flats is None, lipschitz))
+        return real(counts, flats, lipschitz)
+
+    monkeypatch.setattr(inverse_markov, "_fit_stack", recording)
+    assert_fits_alone(data, (50, 200), policy)
+    # fit_every_step's two stacks, then each mle_fit's
+    assert stacks[:2] == [(True, 4.0), (False, 4.0)] and set(stacks) == {(True, 4.0), (False, 4.0)}
+
+
+def test_the_action_major_sum_is_numpy_s_row_sum():
+    # from 8 actions numpy sums a row pairwise: 8 accumulators per block of
+    # up to 128 terms, halved above that; the action-major sum replays it
+    rng = stream(41)
+    for n_actions in range(2, 301):
+        rows = rng.standard_normal((3, 5, n_actions)) * 10.0 ** rng.uniform(-3, 3, (3, 5, n_actions))
+        out = np.empty((3, 5))
+        got = inverse_markov._action_sum(np.ascontiguousarray(rows.transpose(2, 0, 1)), out=out)
+        assert got is out
+        assert_bit_identical(out, rows.sum(axis=-1))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_the_point_cloud_screen_is_the_plain_sum(seed, monkeypatch):
     # in blocks of many rows, of one row, and in several blocks
