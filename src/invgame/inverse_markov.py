@@ -39,6 +39,7 @@ from invgame.sampling import DataOrTable, frequency_estimate_markov, step_counts
 MLE_MAX_ITER = 10_000  # projected-gradient iterations after which a fit stops unconverged
 MLE_TOL = 1e-8  # a fit converges once its gradient mapping is at most this
 _TRACE_BLOCK = 32  # iterations whose iterates are kept, then their objectives and convergence read
+_BALL_SQ = np.nextafter(1.0, 2.0)  # the largest double whose sqrt is 1: past it, theta is projected
 
 
 @dataclass(frozen=True)
@@ -138,9 +139,8 @@ def mle_fit(data: DataOrTable, model: SoftmaxPolicyModel, step: int, player: str
     O(S * actions * d), independent of the number of episodes, and
     O(S * actions) on identity features, whose two products are exact and
     skipped.  It is _fit_stack's loop on one fit, whose iterates
-    fit_every_step follows too; its norms are np.vecdot's BLAS dot, their
-    squares compared with exact squared thresholds.  The params and trace
-    are read-only.
+    fit_every_step follows too; its norms are the square roots of
+    np.vecdot's BLAS dot.  The params and trace are read-only.
     """
     if player not in ("a", "b"):
         raise ValueError("player must be 'a' or 'b'")
@@ -197,17 +197,6 @@ def _is_identity(psi: np.ndarray) -> bool:
     return flat.shape[0] == flat.shape[1] and bool((flat == np.eye(len(flat))).all())
 
 
-def _square_limit(bound: float, scale: float = 1.0) -> float:
-    """The largest double x with scale * sqrt(x) <= bound, so that a squared
-    norm is at most it exactly when scale times the norm is at most bound."""
-    x = np.float64(bound / scale) ** 2
-    while x >= 0 and scale * np.sqrt(x) > bound:
-        x = np.nextafter(x, -np.inf)
-    while x < np.inf and scale * np.sqrt(np.nextafter(x, np.inf)) <= bound:
-        x = np.nextafter(x, np.inf)
-    return float(x)
-
-
 def _action_sum(e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """e.sum(axis=0) of an action-major array, each entry's terms added in
     the order np.sum adds a contiguous row of them: in turn below 8 terms,
@@ -235,8 +224,8 @@ def _fit_stack(counts: np.ndarray, flats: np.ndarray | None, lipschitz: float) -
     softmax runs in one action-major (actions, fits, S) buffer whose action
     sum replays np.sum's order, so each fit follows exactly the iterates it
     would alone.  Every _TRACE_BLOCK iterations each fit's convergence is read
-    from the block's kept gradient-mapping vectors, as squared norms against
-    exact squared thresholds, and its objective trace is formed from the kept
+    from the block's kept gradient-mapping vectors, as a fit alone reads it
+    each iteration, and its objective trace is formed from the kept
     iterates; a fit that converged in the block takes that iteration's params
     and trace, after riding along at most _TRACE_BLOCK - 1 iterations."""
     b_len, s_len, n_actions = counts.shape
@@ -244,10 +233,6 @@ def _fit_stack(counts: np.ndarray, flats: np.ndarray | None, lipschitz: float) -
     # the mean NLL is weights @ log Z(theta) - observed @ theta
     weights, cells = counts.sum(axis=2) / totals, counts.reshape(b_len, -1)
     observed = (cells if flats is None else (cells[:, None] @ flats)[:, 0]) / totals
-    # converged at ||grad|| <= MLE_TOL inside the ball, at lipschitz *
-    # ||theta - new theta|| <= MLE_TOL on it; a new theta of norm > 1 is projected
-    tol_sq, moved_sq = _square_limit(MLE_TOL), _square_limit(MLE_TOL, lipschitz)
-    ball_sq = _square_limit(1.0)
     theta = np.zeros((b_len, observed.shape[1]))
     params, iterations = np.empty_like(theta), np.full(b_len, MLE_MAX_ITER)
     converged = np.zeros(b_len, dtype=bool)
@@ -281,10 +266,12 @@ def _fit_stack(counts: np.ndarray, flats: np.ndarray | None, lipschitz: float) -
                 np.subtract((flats.transpose(0, 2, 1) @ cells)[:, :, 0], observed, out=grad)
             np.subtract(theta, grad if lipschitz == 1.0 else grad / lipschitz, out=new_theta)
             norm_sq = np.vecdot(new_theta, new_theta)  # the ball test, every iteration
-            if np.count_nonzero(out := np.greater(norm_sq, ball_sq, out=projected[k])):
+            if np.count_nonzero(out := np.greater(norm_sq, _BALL_SQ, out=projected[k])):
                 new_theta[out] *= (1 / np.sqrt(norm_sq[out]))[:, None]  # onto the unit ball
                 grad[out] = theta[out] - new_theta[out]
-        done = np.vecdot(grads, grads) <= np.where(projected, moved_sq, tol_sq)
+        # converged at ||grad|| <= MLE_TOL inside the ball, at lipschitz *
+        # ||theta - new theta|| <= MLE_TOL on it
+        done = np.sqrt(np.vecdot(grads, grads)) * np.where(projected, lipschitz, 1.0) <= MLE_TOL
         stop = np.where(done.any(axis=0), done.argmax(axis=0) + 1, 0)  # 0: not converged
         objectives = np.vecdot(weights, np.log(zs) + shifts) - np.vecdot(observed, thetas[:-1])
         for j, i in enumerate(live):

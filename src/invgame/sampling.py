@@ -12,8 +12,10 @@ with the same seed produce bit-identical datasets.
 
 from __future__ import annotations
 
+import io
 import itertools
 import os
+import stat
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,8 +28,7 @@ from invgame.matrix_game import PolicyPair
 DATASET_HEADER = "episode,step,state,action_a,action_b,next_state"
 _COLUMNS = DATASET_HEADER.split(",")[2:]  # the EpisodeDataset arrays, as the file names them
 _BLOCK_ROWS = 1 << 12  # dataset rows written, or read by line layout, at once, at most
-_READ_BLOCK_BYTES = 1 << 16  # dataset bytes parsed at once, about (see _read_in_order)
-_SEPARATORS = np.frombuffer(b",,,,,\n", np.uint8)  # a record's separators, in order
+_READ_BLOCK_BYTES = 1 << 16  # a dataset's bytes read first, H found in them (see _read_by_layout)
 _COUNT_BLOCK = 1 << 14  # episodes whose cell indices are formed at once
 _MIN_PART_EPISODES = 1 << 15  # episodes per part of a draw, at least (see _draw_parts)
 _CHUNK_EPISODES = 1 << 16  # episodes a part draws at once, at most (see _draw)
@@ -43,9 +44,9 @@ def stream(seed: int, rep: int = 0) -> np.random.Generator:
 @dataclass(frozen=True)
 class EpisodeDataset:
     """T episodes of H steps: states, actions and successor states, each a
-    (T, H) array of any strides and any integer dtype (sampled ones, and
-    read ones of a file as write_dataset writes it, in the smallest signed
-    dtype that holds every index; other read ones int64)."""
+    (T, H) array of any strides and any integer dtype (sampled ones in the
+    smallest signed dtype that holds every index; read ones int8 when read
+    by line layout, else int64: see read_dataset)."""
 
     states: np.ndarray
     actions_a: np.ndarray
@@ -447,45 +448,34 @@ def write_dataset(data: EpisodeDataset, path: str | Path) -> None:
 def read_dataset(path: str | Path, model_shape: tuple | None = None) -> EpisodeDataset:
     """Parse the line-delimited interchange format written by write_dataset.
 
-    A file as write_dataset writes it is read a block at a time into views
-    of one body in the smallest signed dtype that holds its indices
-    (_read_in_order), by line layout while states and actions have one
-    digit.  Any other is read whole by np.loadtxt into int64:
-    blank and '#' lines, spaces around fields, '+' signs and CRLF endings
-    are accepted, and records may come in any order, since the (episode,
-    step) keys must be the grid 0..T-1 x 0..H-1, each pair once; a file in
+    The input is opened once: a pipe (a shell's <(...) is one), or any file
+    but a regular one, is read whole into memory first.  Its first line must
+    be the header.  A file as write_dataset writes it, with one-digit states
+    and actions and episode 1 begun in its first _READ_BLOCK_BYTES, is read
+    by line layout (_read_by_layout) into int8 views of one body.  Any other
+    is read whole by np.loadtxt into int64 (_read_by_loadtxt): blank and
+    '#' lines, spaces around fields, '+' signs and CRLF endings are
+    accepted, and records may come in any order, since the (episode, step)
+    keys must be the grid 0..T-1 x 0..H-1, each pair once; a file in
     (episode, step) order is neither sorted nor copied.  next_state at step
-    h must be state at step h+1.  With model_shape (S, m, n) the indices are
-    range-checked (EpisodeDataset.check) before the state chain, so an index
-    out of range is named as such.
+    h must be state at step h+1.  With model_shape (S, m, n) the indices
+    are range-checked (EpisodeDataset.check) before the state chain, so an
+    index out of range is named as such.
     """
-    read = _read_in_order(path)
-    if read is None:
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().strip()
-            if header != DATASET_HEADER:
-                raise ValueError(f"unexpected dataset header: {header!r}")
-            # loadtxt warns on a body of blank and '#' lines alone
-            if not any(line.split("#")[0].strip() for line in fh):
-                raise ValueError("dataset file has no records")
-        # by path, loadtxt reads the file in chunks rather than a line at a time
-        rows = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2, skiprows=1, encoding="ascii")
-        if rows.shape[1] != 6:
-            raise ValueError(f"a record needs 6 fields, not {rows.shape[1]}")
-        episodes, steps = rows[:, 0], rows[:, 1]
-        t, h_len = int(episodes.max()) + 1, int(steps.max()) + 1
-        off_grid = f"(episode, step) must be each of 0..{t - 1} x 0..{h_len - 1} once"
-        if min(episodes.min(), steps.min()) < 0 or rows.shape[0] != t * h_len:
-            raise ValueError(off_grid)
-        keys = episodes * h_len + steps
-        grid = np.arange(keys.size)
-        body = rows[:, 2:]
-        if not np.array_equal(keys, grid):
-            order = np.argsort(keys, kind="stable")
-            if not np.array_equal(keys[order], grid):  # a key repeats
-                raise ValueError(off_grid)
-            body = body[order]
-        read = body, h_len
+    with open(path, "rb") as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        source = fh if regular else io.BytesIO(fh.read())
+        size = source.seek(0, os.SEEK_END)
+        source.seek(0)
+        first = source.readline(1 << 16)  # a file of CR line endings may hold no LF
+        header = first.split(b"\r")[0].strip().decode("ascii")  # the line loadtxt skips
+        if header != DATASET_HEADER:
+            raise ValueError(f"unexpected dataset header: {header!r}")
+        read = None
+        if first == (DATASET_HEADER + "\n").encode("ascii"):
+            read = _read_by_layout(source, size - len(first))
+        if read is None:
+            read = _read_by_loadtxt(source, path if regular else None)
     body, h_len = read
     data = EpisodeDataset(*body.reshape(-1, h_len, 4).transpose(2, 0, 1))
     if model_shape is not None:
@@ -495,94 +485,71 @@ def read_dataset(path: str | Path, model_shape: tuple | None = None) -> EpisodeD
     return data
 
 
-def _read_in_order(path: str | Path) -> tuple[np.ndarray, int] | None:
-    """The (records, 4) body and H of a file as write_dataset writes it, or
-    None for any other: the header line, then records in (episode, step)
+def _read_by_loadtxt(source, path: str | Path | None) -> tuple[np.ndarray, int]:
+    """The (records, 4) int64 body and H of a dataset file in source, read
+    whole from its start by np.loadtxt, or by path where given (loadtxt then
+    reads the file in chunks rather than a line at a time), its records
+    sorted into (episode, step) order when they are not in it."""
+    source.seek(0)
+    # universal newlines, as loadtxt reads; closing it closes source
+    with io.TextIOWrapper(source, encoding="ascii") as text:
+        text.readline()
+        # loadtxt warns on a body of blank and '#' lines alone
+        if not any(line.split("#")[0].strip() for line in text):
+            raise ValueError("dataset file has no records")
+        text.seek(0)
+        rows = np.loadtxt(path or text, delimiter=",", dtype=np.int64, ndmin=2, skiprows=1,
+                          encoding="ascii")
+    if rows.shape[1] != 6:
+        raise ValueError(f"a record needs 6 fields, not {rows.shape[1]}")
+    episodes, steps = rows[:, 0], rows[:, 1]
+    t, h_len = int(episodes.max()) + 1, int(steps.max()) + 1
+    off_grid = f"(episode, step) must be each of 0..{t - 1} x 0..{h_len - 1} once"
+    if min(episodes.min(), steps.min()) < 0 or rows.shape[0] != t * h_len:
+        raise ValueError(off_grid)
+    keys = episodes * h_len + steps
+    grid = np.arange(keys.size)
+    if np.array_equal(keys, grid):
+        return rows[:, 2:], h_len
+    order = np.argsort(keys, kind="stable")
+    if not np.array_equal(keys[order], grid):  # a key repeats
+        raise ValueError(off_grid)
+    return rows[order, 2:], h_len
+
+
+def _read_by_layout(source, size: int) -> tuple[np.ndarray, int] | None:
+    """The (records, 4) int8 body and H of the size bytes of records that
+    follow a header line in source, if write_dataset would write them with
+    one-digit states and actions, else None: records in (episode, step)
     order, record i being (i // H, i % H), H being the number of lines
-    before episode 1's first in the first _READ_BLOCK_BYTES.  Blocks of
-    whole episodes are taken while their body bytes are digits and their
-    bytes equal their line layout (_layout) with those copied in; from the
-    first block not taken (or without H) the rest is read field by field
-    in blocks of whole lines (_parse_block), which find H if need be.  Each
-    block's body goes into one body of a row per 12 file bytes (a record's
-    least) in the smallest signed dtype that holds every index so far,
-    copied when a block needs a wider one (or, in a pipe, more rows)."""
-    records = 0
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        if header != (DATASET_HEADER + "\n").encode("ascii"):
+    before episode 1's first in the first _READ_BLOCK_BYTES.  They are read
+    a block of whole episodes of one index width at a time, each taken
+    while its body bytes are digits and its bytes equal its line layout
+    (_layout) with those copied in, into views of one body of a row per 12
+    bytes (a record's least)."""
+    body, records = np.empty((size // 12, 4), np.int8), 0
+    tail = source.read(_READ_BLOCK_BYTES)
+    h_len = tail.count(b"\n", 0, tail.find(b"\n1,") + 1)
+    while h_len:  # a block of whole episodes of one index width
+        first = records // h_len
+        stop = min(first + max(_BLOCK_ROWS // h_len, 1), 10 ** len(str(first)))
+        layout, body_at = _layout(first, stop, h_len)
+        tail += source.read(max(layout.size - len(tail), 0))
+        width = layout.shape[1]
+        count = min(len(tail) // width, len(layout))
+        if not count:  # the file's end (but a line short of an episode)
+            break
+        lines = np.frombuffer(tail, np.uint8, count * width).reshape(count, width)
+        lines = np.asfortranarray(lines)  # column-major, as the layout
+        layout, digits = layout[:count], lines[:, body_at]
+        layout[:, body_at] = digits
+        digits -= np.uint8(ord("0"))  # a byte below "0" wraps past 9
+        if digits.max() > 9 or not np.array_equal(layout, lines):
             return None
-        # a pipe's size (a shell's <(...) is one) reads 0: its body grows
-        body = np.empty((max(os.fstat(fh.fileno()).st_size - len(header), 0) // 12, 4), np.int8)
-
-        def store(values: np.ndarray) -> None:  # the body columns of the next records
-            nonlocal body, records
-            filled, records = records, records + len(values)
-            dtype = np.promote_types(body.dtype, np.min_scalar_type(-1 - int(values.max())))
-            if dtype != body.dtype or len(body) < records:  # widened, or outgrown (a pipe)
-                grown = np.empty((max(len(body), 2 * records), 4), dtype)
-                grown[:filled] = body[:filled]
-                body = grown
-            body[filled:records] = values
-
-        tail = fh.read(_READ_BLOCK_BYTES)
-        h_len = tail.count(b"\n", 0, tail.find(b"\n1,") + 1) or None
-        while h_len:  # a block of whole episodes of one index width
-            first = records // h_len
-            stop = min(first + max(_BLOCK_ROWS // h_len, 1), 10 ** len(str(first)))
-            layout, body_at = _layout(first, stop, h_len)
-            tail += fh.read(max(layout.size - len(tail), 0))
-            width = layout.shape[1]
-            count = min(len(tail) // width, len(layout))
-            lines = np.frombuffer(tail, np.uint8, count * width).reshape(count, width)
-            lines = np.asfortranarray(lines)  # column-major, as the layout
-            layout, digits = layout[:count], lines[:, body_at]
-            layout[:, body_at] = digits
-            digits -= np.uint8(ord("0"))  # a byte below "0" wraps past 9
-            if not count or digits.max() > 9 or not np.array_equal(layout, lines):
-                break  # the file's end (but a line short of an episode), or a block not taken
-            store(digits.reshape(-1, 4))
-            tail = tail[lines.size :]
-        while True:  # blocks of whole lines, read field by field, the tail included
-            text = tail + fh.read(max(_READ_BLOCK_BYTES - len(tail), 1))
-            end = text.rfind(b"\n") + 1  # the block's whole lines: none when a line outgrows it
-            tail = text[end:]
-            if not end:
-                break
-            if (rows := _parse_block(np.frombuffer(text, np.uint8, end))) is None:
-                return None
-            if h_len is None and rows[:, 0].any():  # episode 1 begins here (or 0 is missing)
-                h_len = records + int(np.argmax(rows[:, 0] != 0))
-            keys = np.arange(records, records + len(rows))
-            # while H is unknown, the block's last key is of episode 0, as all are
-            if (rows[:, :2].T != np.divmod(keys, h_len or keys[-1] + 1)).any():
-                return None
-            store(rows[:, 2:])
-            del rows, keys  # before the next block is parsed
-    h_len = h_len or records
-    if tail or not records or records % h_len:  # a last line or episode cut short, or none
-        return None
-    return body[:records], h_len
-
-
-def _parse_block(block: np.ndarray) -> np.ndarray | None:
-    """The (lines, 6) int64 fields of lines of six fields of 1 to 18 digits
-    split by "," and ended by "\n", or None for any other block.  The last
-    digit of every field is read at once, then each earlier place for the
-    fields that long."""
-    ends = np.flatnonzero(block < ord("0"))  # "," and "\n" sort below the digits
-    lengths = np.diff(ends, prepend=-1)
-    lengths -= 1  # at most 18 digits: 10**18 - 1 fits int64
-    if (block.max() > ord("9") or ends.size % 6 or not 1 <= lengths.min() <= lengths.max() <= 18
-            or (block[ends].reshape(-1, 6) != _SEPARATORS).any()):
-        return None
-    digits = block - ord("0")
-    ends -= 1  # onto each field's last digit
-    fields, longer = digits[ends].astype(np.int64), np.flatnonzero(lengths > 1)
-    for place in range(1, lengths.max()):  # the digit worth 10**place
-        fields[longer] += digits[ends[longer] - place] * np.int64(10) ** place
-        longer = longer[lengths[longer] > place + 1]
-    return fields.reshape(-1, 6)
+        body[records : records + count * h_len] = digits.reshape(-1, 4)
+        records += count * h_len
+        tail = tail[lines.size :]
+    return (body[:records], h_len) if records and not tail else None
 
 
 def read_counts(path: str | Path, s_len: int, m: int, n: int) -> np.ndarray:

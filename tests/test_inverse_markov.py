@@ -901,26 +901,23 @@ class TestMleFit:
         assert len(fit.objective_trace) == fit.iterations < default.iterations
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-4])
-    def test_each_squared_threshold_is_the_largest_square_within_its_bound(self, monkeypatch, tol):
-        # derived at each call, so a monkeypatched MLE_TOL is read
+    @pytest.mark.parametrize("scale", [0.15, 1.0], ids=["on_the_ball", "inside_the_ball"])
+    def test_convergence_read_per_block_is_the_per_iteration_test(self, monkeypatch, tol, scale):
+        # read at each call, so a monkeypatched MLE_TOL is read: each fit's
+        # iterations, flag and params are the one-fit loop's, whose norm
+        # test (lipschitz * the move on the ball, the gradient inside it)
+        # is made every iteration, as is the ball test of a squared norm
+        # against the largest double whose sqrt is 1
+        ball_sq = inverse_markov._BALL_SQ
+        assert np.sqrt(ball_sq) == 1.0 < np.sqrt(np.nextafter(ball_sq, 2.0))
         monkeypatch.setattr(inverse_markov, "MLE_TOL", tol)
-        made, real = {}, inverse_markov._square_limit
-
-        def recording(bound, scale=1.0):
-            made[bound, scale] = real(bound, scale)
-            return made[bound, scale]
-
-        monkeypatch.setattr(inverse_markov, "_square_limit", recording)
-        data, model = dense_mle_case(0.15)
-        mle_fit(data, model, 0, "a")
-        lipschitz = model.feature_scale**2
-        # the gradient inside the ball, lipschitz * the move on it, the ball
-        assert set(made) == {(tol, 1.0), (tol, lipschitz), (1.0, 1.0)} and lipschitz != 1.0
-        assert made[1.0, 1.0] == 1.0000000000000002
-        for (bound, scale), limit in made.items():
-            below, above = np.nextafter(limit, 0.0), np.nextafter(limit, np.inf)
-            assert scale * np.sqrt(below) <= scale * np.sqrt(limit) <= bound
-            assert scale * np.sqrt(above) > bound
+        data, model = dense_mle_case(scale)
+        assert model.feature_scale**2 != 1.0
+        fits = [fit for size in assert_fits_alone(data, (100, data.n_episodes), model)
+                for player in "ab" for fit in size[player]]
+        assert all(fit.converged for fit in fits)
+        on_ball = [np.isclose(np.linalg.norm(fit.params), 1.0) for fit in fits]
+        assert any(on_ball) is (scale < 1.0) and not all(on_ball)
 
     @pytest.mark.parametrize(
         "call, message",

@@ -1131,6 +1131,42 @@ def outcome(read, path):
         return str(err)
 
 
+def read_noting_layout(monkeypatch, path):
+    """read_dataset(path)'s outcome, and whether the file was read by line
+    layout (_read_by_layout took it) rather than by np.loadtxt."""
+    taken, real = [], sampling._read_by_layout
+
+    def spy(*args):
+        read = real(*args)
+        taken.append(read is not None)
+        return read
+
+    monkeypatch.setattr(sampling, "_read_by_layout", spy)
+    try:
+        return outcome(read_dataset, path), taken == [True]
+    finally:
+        monkeypatch.setattr(sampling, "_read_by_layout", real)
+
+
+def read_through_a_pipe(data: bytes) -> EpisodeDataset:
+    """read_dataset of the bytes through a pipe's /dev/fd path, the way a
+    shell's <(...) passes a file, fed by a thread."""
+    read, write = os.pipe()
+
+    def feed():
+        with open(write, "wb") as fh:
+            fh.write(data)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        return read_dataset(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+        feeder.join(timeout=10)
+        assert not feeder.is_alive()
+
+
 def assert_reads_as_loadtxt(path):
     """read_dataset gives what the earlier whole-file loadtxt reader gives
     (tests/oracles.py): the same arrays, or the same error."""
@@ -1202,19 +1238,19 @@ class TestSerialization:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
-        "layout, block_bytes, canonical",
+        "layout, block_bytes, by_layout",
         [
             (lambda rs: lines(rs), 40, True),
             (lambda rs: HEAD + "\n".join(rs), 40, False),
             (lambda rs: lines(chain_records(3, 40, 5)), 64, True),
-            (lambda rs: lines(chain_records(1, 30, 5)), 64, True),
+            (lambda rs: lines(chain_records(1, 30, 5)), 64, False),
             (lambda rs: matrix_file(), 64, True),
             (lambda rs: matrix_file()[:-1], 64, False),
             (lambda rs: lines(",".join(f.zfill((6 * i + j) % 18 + 1)
                                        for j, f in enumerate(r.split(",")))
-                              for i, r in enumerate(rs)), 1 << 16, True),
-            (lambda rs: lines(chain_records(50, 3, 10**18)), 256, True),
-            (lambda rs: lines(with_field(rs, 200, "action_a", "128")), 40, True),
+                              for i, r in enumerate(rs)), 1 << 16, False),
+            (lambda rs: lines(chain_records(50, 3, 10**18)), 256, False),
+            (lambda rs: lines(with_field(rs, 200, "action_a", "128")), 40, False),
             (lambda rs: lines(with_field(rs, 200, "action_a", "1".zfill(19))), 40, False),
             (lambda rs: lines(with_field(rs, 200, "action_a", str(2**63 - 1))), 40, False),
             (lambda rs: lines(rs) + "# end\n", 40, False),
@@ -1226,6 +1262,7 @@ class TestSerialization:
             (lambda rs: lines(rs[:-1]), 40, False),
             (lambda rs: lines(rs[6:]), 40, False),
             (lambda rs: lines(with_field(rs, 200, "state", "9")), 40, True),
+            (lambda rs: lines(rs).replace("\n", "\r"), 40, False),
         ],
         ids=["a_few_records_a_block", "no_final_newline", "an_episode_longer_than_a_block",
              "one_episode", "one_step_episodes", "one_step_episodes_no_final_newline",
@@ -1234,22 +1271,25 @@ class TestSerialization:
              "a_comment_in_a_late_block", "a_field_moved_to_the_next_line",
              "an_empty_field", "a_header_only_strip_accepts",
              "episodes_out_of_order_in_a_late_block", "the_last_episode_cut_short",
-             "no_episode_0", "a_chain_broken_in_a_late_block"],
+             "no_episode_0", "a_chain_broken_in_a_late_block", "cr_line_endings"],
     )
     def test_the_block_reader_reads_what_loadtxt_reads(
-        self, tmp_path, monkeypatch, layout, block_bytes, canonical
+        self, tmp_path, monkeypatch, layout, block_bytes, by_layout
     ):
-        # a file as write_dataset could write it is read a block at a time;
-        # any other goes to loadtxt: either way the values, or the error, of
-        # the earlier whole-file loadtxt reader.  Blocks of block_bytes are
-        # too short to find H in, so the file is read field by field; blocks
-        # of two episodes (H=6) are read by layout until one is not taken
+        # a file in write_dataset's one-digit layout is read by it, a block
+        # of whole episodes at a time, unless its first block_bytes hold no
+        # episode-1 line to find H by; any other goes to np.loadtxt: either
+        # way the values, or the error, of the earlier whole-file loadtxt
+        # reader.  Blocks of two episodes (H=6) are read by layout until one
+        # is not taken
         path = tmp_path / "episodes.csv"
         path.write_bytes(layout(self.sampled_records()[1]).encode("ascii"))
+        records = path.read_bytes()[len(HEAD) :]
         for read_bytes, block_rows in ((block_bytes, _BLOCK_ROWS), (1 << 16, 12)):
             monkeypatch.setattr(sampling, "_READ_BLOCK_BYTES", read_bytes)
             monkeypatch.setattr(sampling, "_BLOCK_ROWS", block_rows)
-            assert (sampling._read_in_order(path) is not None) is canonical
+            h_found = b"\n1," in records[:read_bytes]
+            assert read_noting_layout(monkeypatch, path)[1] is (by_layout and h_found)
             assert_reads_as_loadtxt(path)
 
     @pytest.mark.parametrize(
@@ -1270,73 +1310,67 @@ class TestSerialization:
                for line in (0, 1)),
              "18_digit_fields", "a_19_digit_field", "episode_9999_to_10000"],
     )
-    def test_the_field_parser_reads_six_fields_of_1_to_18_digits(self, text):
-        # any other line (a sign, a space, a CR, a comment, five fields, 19
-        # digits) makes the block None
-        block = np.frombuffer(text.encode("ascii"), np.uint8)
-        lines = [line.split(",") for line in text.splitlines()]
-        valid = all(len(f) == 6 and all(x.isdigit() and len(x) <= 18 for x in f) for f in lines)
-        got = sampling._parse_block(block)
-        if not valid:
-            assert got is None
-        else:
-            assert got.dtype == np.int64
-            assert got.tolist() == [[int(x) for x in f] for f in lines]
+    def test_lines_off_the_layout_read_as_loadtxt_reads(self, tmp_path, monkeypatch, text):
+        # a sign, a space, a CR, a comment, five fields, 18 and 19 digits,
+        # episodes 9998 to 10000: none of these bodies is taken by layout
+        path = tmp_path / "episodes.csv"
+        path.write_bytes((HEAD + text).encode("ascii"))
+        assert not read_noting_layout(monkeypatch, path)[1]
+        assert_reads_as_loadtxt(path)
 
     @pytest.mark.parametrize(
         "config, by_layout",
         [({}, True), ({"H": 12}, True), ({"S": 12}, False)],
         ids=["h6", "h12", "s12"],
     )
-    def test_one_digit_files_are_read_by_layout_and_others_by_field(
+    def test_one_digit_files_are_read_by_layout_and_others_by_loadtxt(
         self, tmp_path, monkeypatch, config, by_layout
     ):
         # simulate files of 20,000 markov episodes (S=4, m=n=5, H=6 unless
         # set): at one-digit states and actions every block of whole
         # episodes, across each gain of an episode digit, is taken by its
-        # layout, whatever H; at S=12 the first block is not, and the file
-        # is read field by field from its first line
+        # layout, whatever H, into int8; at S=12 the first block is not, and
+        # np.loadtxt reads the file whole, into int64
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"kind": "markov", "seed": 3, **config}))
         args = ["simulate", "--config", str(path), "--samples", "20000", "--out", str(tmp_path)]
         assert cli.main(args) == 0
-        layout, parse = sampling._layout, sampling._parse_block
-        blocks, parsed = [], []
+        layout, blocks = sampling._layout, []
         monkeypatch.setattr(sampling, "_layout", lambda *a: blocks.append(a[:2]) or layout(*a))
-        monkeypatch.setattr(sampling, "_parse_block", lambda b: parsed.append(b) or parse(b))
-        read = sampling._read_in_order(tmp_path / "dataset.csv")
-        h_len = config.get("H", 6)
-        assert read is not None and read[1] == h_len and len(read[0]) == 20000 * h_len
+        arrays, taken = read_noting_layout(monkeypatch, tmp_path / "dataset.csv")
+        assert taken is by_layout
+        for got, want in zip(arrays, read_dataset_by_loadtxt(tmp_path / "dataset.csv").arrays):
+            assert got.shape == (20000, config.get("H", 6)) and np.array_equal(got, want)
+            assert got.dtype == (np.int8 if by_layout else np.int64)
         if by_layout:
-            assert not parsed and len(blocks) > 20
             # each block begins where the last ended, the last at the file's end
             ends = [min(stop, 20000) for _, stop in blocks[:-1]]
             assert [first for first, _ in blocks] == [0, *ends] and ends[-1] == 20000
         else:
             assert blocks == [(0, 10)]
-            assert sum(np.count_nonzero(b == ord("\n")) for b in parsed) == 20000 * h_len
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-    @pytest.mark.parametrize("h_len", [6, 12])
-    def test_a_pipe_has_no_size_to_go_by(self, monkeypatch, h_len):
-        # a shell's <(...) is a pipe, whose size reads 0: the block reader's
-        # body grows as the blocks come, read field by field at H=6 (40
-        # bytes hold no episode) and by layout at H=12 (two episodes a block)
-        if h_len == 6:
-            monkeypatch.setattr(sampling, "_READ_BLOCK_BYTES", 40)
-            data, records = self.sampled_records()
+    @pytest.mark.parametrize("copy", ["in_order", "crlf", "shuffled", "s12"])
+    def test_a_pipe_reads_as_the_file_on_disk(self, tmp_path, copy):
+        # a shell's <(...) is a pipe, which is read once, whole: a simulate
+        # file of 300 markov episodes (S=4, or S=12 whose states have two
+        # digits) taken by layout, and its CRLF and shuffled copies, which
+        # np.loadtxt reads, give the arrays they give on disk
+        config = tmp_path / "config.json"
+        s_len = 12 if copy == "s12" else 4
+        config.write_text(json.dumps({"kind": "markov", "seed": 3, "S": s_len}))
+        args = ["simulate", "--config", str(config), "--samples", "300", "--out", str(tmp_path)]
+        assert cli.main(args) == 0
+        header, *records = (tmp_path / "dataset.csv").read_text().splitlines()
+        if copy == "crlf":
+            text = "\r\n".join([header, *records]) + "\r\n"
         else:
-            monkeypatch.setattr(sampling, "_BLOCK_ROWS", 24)
-            data, records = chain_dataset(40, h_len, 10), chain_records(40, h_len, 10)
-        read, write = os.pipe()
-        os.write(write, lines(records).encode("ascii"))
-        os.close(write)
-        try:
-            loaded = read_dataset(f"/dev/fd/{read}")
-        finally:
-            os.close(read)
-        for got, want in zip(loaded.arrays, data.arrays):
-            assert got.dtype == np.int8 and np.array_equal(got, want)
+            text = lines(stream(47).permutation(records) if copy == "shuffled" else records)
+        path = tmp_path / "copy.csv"
+        path.write_bytes(text.encode("ascii"))
+        piped, on_disk = read_through_a_pipe(path.read_bytes()), read_dataset(path)
+        for got, want in zip(piped.arrays, on_disk.arrays, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     # One change to a simulate file of 300 markov episodes (S=4, m=n=5) at
     # record 200 (of episode e), or at its end, and the error read_dataset
@@ -1399,8 +1433,7 @@ class TestSerialization:
         # a file as write_dataset writes it is read a block at a time into
         # one int8 body of 4 bytes per 12 file bytes (a record takes 12 or
         # more), plus one block's layout check: 7.5 B per record with numpy
-        # 2.4 (13.4 when every block was parsed by field; 66.8 when loadtxt
-        # parsed the whole file into int64)
+        # 2.4 (66.8 when loadtxt parses the whole file into int64)
         t, h_len = 20000, 6
         rng = stream(43)
         chain = rng.integers(0, 5, size=(t, h_len + 1))
@@ -1543,11 +1576,14 @@ class TestWriteDataset:
     @pytest.mark.parametrize("top", [10, 12], ids=["indices_0_to_9", "indices_0_to_11"])
     def test_written_bytes_and_read_arrays(self, tmp_path, t, h_len, top):
         # episode counts on each side of an episode digit, steps on each side
-        # of a step digit; sampled datasets are int8, and read back as int8
+        # of a step digit; sampled datasets are int8, and a file of one-digit
+        # indices with an episode 1 is read back by layout as int8, any
+        # other by np.loadtxt as int64
         data = chain_dataset(t, h_len, top, seed=t * 100 + h_len, dtype=np.int8)
         assert self.written(data, tmp_path) == dataset_file_by_join(data)
+        dtype = np.int8 if top == 10 and t > 1 else np.int64
         for got, want in zip(read_dataset(tmp_path / "episodes.csv").arrays, data.arrays):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.dtype == dtype and np.array_equal(got, want)
 
     def test_a_negative_value_is_written_and_read_back(self, tmp_path):
         # the file a library dataset may hold: np.loadtxt reads it, as int64
