@@ -24,6 +24,7 @@ from invgame.inverse_matrix import (
     ConfidenceSet,
     FeasibleSet,
     LinearSystem,
+    ProjectionConvergenceError,
     build_confidence_set,
     build_stepwise_system,
     feasible_set_from_policies,

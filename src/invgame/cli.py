@@ -9,8 +9,8 @@ codes.  An experiment's CSV files are written from its records alone, whose
 metric fields are the runs.csv columns of the same names.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure:
-a single-shot command's QRE solve did not converge, or more than 5% of
-experiment records failed.
+a single-shot command's QRE solve or confidence-set projection did not
+converge, or more than 5% of experiment records failed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from invgame import experiments
+from invgame import ProjectionConvergenceError, experiments
 from invgame.experiments import KINDS, ExperimentConfig, RepRecord, UsageError
 from invgame.matrix_game import (
     MatrixGameSpec,
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except QreConvergenceError as err:
+    except (QreConvergenceError, ProjectionConvergenceError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
 

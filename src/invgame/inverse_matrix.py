@@ -42,6 +42,23 @@ LOG_FLOOR = 1e-12  # probabilities are floored here before log-ratios
 RANK_TOL_FACTOR = 1e-12
 _ULPS = 4 * np.finfo(float).eps  # a few ulps, as a relative width
 _CLOUD_CHUNK = 1 << 15  # point-cloud screen values, or recheck coordinates, held at once
+# step caps of the projection's Newton loops, far above the steps they take
+# (setup2: at most 30 outer steps per projection)
+MAX_BALL_STEPS = 100
+MAX_PROJECTION_STEPS = 100
+
+
+class ProjectionConvergenceError(RuntimeError):
+    """A projection's Newton loop reached its step cap: `multiplier` names the
+    loop ("ball" or "residual") and `rows` the unconverged rows of the points
+    projected (for the ball solve alone, of its stack)."""
+
+    def __init__(self, multiplier: str, rows, steps: int):
+        self.multiplier, self.rows = multiplier, tuple(int(row) for row in rows)
+        super().__init__(
+            f"the {multiplier} multiplier did not converge in {steps} Newton steps"
+            f" at rows {list(self.rows)}"
+        )
 
 
 def floor_distribution(p: np.ndarray) -> np.ndarray:
@@ -196,20 +213,37 @@ def _secular_step(f: np.ndarray, slope: np.ndarray, target) -> np.ndarray:
 
 
 def _ball_solve(a: np.ndarray, den: np.ndarray, cap: float):
-    """Rows z = a / (den + nu) for the least nu >= 0 with ||z||^2 <= cap (den is
-    0 only where a is); also den + nu (1 where it is 0) and whether nu > 0."""
-    nu = np.zeros((len(a), 1))
-    for _ in range(100):  # a cap the monotone iteration stays far below
-        shifted = np.where(den + nu > 0, den + nu, 1.0)
-        z = a / shifted
-        sq = (z * z).sum(axis=1, keepdims=True)
-        out = sq > cap
-        slope = np.where(out, 2 * (z * z / shifted).sum(axis=1, keepdims=True), 1.0)
-        step = np.where(out, _secular_step(sq, slope, cap), 0.0)
-        if not (step > 1e-15 * nu).any():
+    """Rows z = a / (den + nu) for the least nu >= 0 with ||z||^2 <= cap (a and
+    den of one shape, den 0 only where a is); also den + nu (1 where it is 0)
+    and whether nu > 0.
+
+    One pass at nu = 0 settles every row inside the ball; Newton steps from
+    nu = 0, monotone from below, run on the rest alone, each row's the same
+    to the bit as in a loop over all rows (an inside row's step is 0 and
+    never keeps that loop going).  Raises ProjectionConvergenceError, naming
+    the rows still stepping, after MAX_BALL_STEPS steps."""
+    shifted = np.where(den > 0, den, 1.0)
+    z = a / shifted
+    out = np.flatnonzero((z * z).sum(axis=1) > cap)
+    active = np.zeros(len(a), dtype=bool)
+    if not out.size:
+        return z, shifted, active
+    a_out, den_out, nu = a[out], den[out], np.zeros((out.size, 1))
+    for _ in range(MAX_BALL_STEPS):
+        shifted_out = np.where(den_out + nu > 0, den_out + nu, 1.0)
+        z_out = a_out / shifted_out
+        sq = (z_out * z_out).sum(axis=1, keepdims=True)
+        outside = sq > cap
+        slope = np.where(outside, 2 * (z_out * z_out / shifted_out).sum(axis=1, keepdims=True), 1.0)
+        step = np.where(outside, _secular_step(sq, slope, cap), 0.0)
+        stepping = step > 1e-15 * nu
+        if not stepping.any():
             break
         nu = nu + step
-    return z, shifted, nu[:, 0] > 0
+    else:
+        raise ProjectionConvergenceError("ball", out[stepping[:, 0]], MAX_BALL_STEPS)
+    z[out], shifted[out], active[out] = z_out, shifted_out, nu[:, 0] > 0
+    return z, shifted, active
 
 
 @dataclass(frozen=True)
@@ -253,29 +287,47 @@ class ConfidenceSet(LinearSystem):
         least lam with residual phi <= kappa, bisecting the bracket [lo, hi] of lams
         seen infeasible and feasible when they leave it.  A row stops at a feasible
         iterate within a few ulps of kappa or of its step, or once [lo, hi] is a few
-        ulps wide; its member is z at hi (p itself for a point of the set).
+        ulps wide; its member is z at hi (p itself for a point of the set).  Each
+        step solves the ball multiplier once for the rows still iterating (only
+        those outside the ball step it), and builds the active ball's slope term
+        only for the rows where it is active.  A stack's members agree with
+        one-row calls to rounding, not to the bit (points @ V' takes another
+        BLAS kernel).  Raises ProjectionConvergenceError, naming the unconverged
+        rows, after MAX_PROJECTION_STEPS steps, or when a ball solve reaches
+        MAX_BALL_STEPS (every row when it is the least-residual point's).
         """
         vt, sigma, c, y_perp_sq, _ = self._svd
         q, cap, kappa = points @ vt.T, self.norm_sq_cap, self.kappa
-        z_far, _, _ = _ball_solve((sigma * c)[None], (sigma**2)[None], cap)
+        try:
+            z_far, _, _ = _ball_solve((sigma * c)[None], (sigma**2)[None], cap)
+        except ProjectionConvergenceError:  # every row's member rests on it
+            raise ProjectionConvergenceError("ball", range(len(q)), MAX_BALL_STEPS) from None
         least = ((sigma * z_far - c) ** 2).sum() + y_perp_sq
         z_hi = np.repeat(z_far, len(q), axis=0)
         rows = np.arange(len(q) if least <= kappa else 0)  # the rows still iterating
         at, lo, hi = np.zeros(rows.size), np.zeros(len(q)), np.full(len(q), np.inf)
-        for _ in range(100):  # a cap the bracketed iteration stays far below
+        for _ in range(MAX_PROJECTION_STEPS):
             if not rows.size:
                 break
             a, den = q[rows] + at[:, None] * sigma * c, 1 + at[:, None] * sigma**2
-            z, shifted, active = _ball_solve(a, den, cap)
-            ok = (phi := ((sigma * z - c) ** 2).sum(axis=1) + y_perp_sq) <= kappa
+            try:
+                z, shifted, active = _ball_solve(a, den, cap)
+            except ProjectionConvergenceError as error:  # name the rows of points
+                failed = rows[list(error.rows)]
+                raise ProjectionConvergenceError("ball", failed, MAX_BALL_STEPS) from None
+            r = sigma * z - c
+            ok = (phi := (r**2).sum(axis=1) + y_perp_sq) <= kappa
             hi[rows[ok]], z_hi[rows[ok]], lo[rows[~ok]] = at[ok], z[ok], at[~ok]
-            lo_r, hi_r, sr = lo[rows], hi[rows], sigma * (sigma * z - c)
-            # -phi'(lam), r = sigma z - c, D = 1 + lam sigma^2 + mu: dz = -(sigma r + z mu') / D
-            # with mu' = -sum(z sigma r / D) / sum(z^2 / D) while the ball is active, else 0
-            u, v = (z * sr / shifted).sum(axis=1), (z * z / shifted).sum(axis=1)
+            lo_r, hi_r, sr = lo[rows], hi[rows], sigma * r
+            # -phi'(lam), D = 1 + lam sigma^2 + mu: dz = -(sigma r + z mu') / D with
+            # mu' = -sum(z sigma r / D) / sum(z^2 / D) while the ball is active, else 0
+            slope = (sr * sr / shifted).sum(axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):  # a nan or inf step bisects
-                slope = 2 * ((sr * sr / shifted).sum(axis=1) - np.where(active, u * u / v, 0.0))
-                step = _secular_step(phi - least, slope, kappa - least)
+                if active.any():
+                    z_a, sr_a, shifted_a = z[active], sr[active], shifted[active]
+                    u, v = (z_a * sr_a / shifted_a).sum(axis=1), (z_a * z_a / shifted_a).sum(axis=1)
+                    slope[active] -= u * u / v
+                step = _secular_step(phi - least, 2 * slope, kappa - least)
             close = (np.abs(phi - kappa) <= _ULPS * kappa) | (np.abs(step) <= _ULPS * at)
             # past lam = 1 / _ULPS, z is z_far to rounding
             live = ~(ok & close) & (lo_r < np.minimum(hi_r, 1 / _ULPS) * (1 - _ULPS))
@@ -283,6 +335,8 @@ class ConfidenceSet(LinearSystem):
             mid = np.where(hi_r < np.inf, 0.5 * (lo_r + hi_r), 2 * lo_r + 1)  # t-midpoint at inf
             lam_next = np.where((lo_r < lam_next) & (lam_next < hi_r), lam_next, mid)
             rows, at = rows[live], lam_next[live]
+        if rows.size:
+            raise ProjectionConvergenceError("residual", rows, MAX_PROJECTION_STEPS)
         members = z_hi @ vt
         inside = (hi == 0) & ((points * points).sum(axis=1) <= cap)
         members[inside] = points[inside]

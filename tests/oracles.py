@@ -16,7 +16,9 @@ qre_by_damped_iteration is solve_qre_batch's earlier damped fixed point,
 qre_by_eager_newton its earlier Newton body, which reads the library's
 MAX_NEWTON_STEPS and raises its QreConvergenceError,
 project_by_bisection is ConfidenceSet._project's earlier bisection in t,
-which reads the set's cached SVD, svd_by_pad is LinearSystem._svd's
+which reads the set's cached SVD, ball_solve_all_rows is
+inverse_matrix._ball_solve's earlier loop, which steps every row on the
+library's _secular_step, svd_by_pad is LinearSystem._svd's
 earlier body, one SVD per system, summarize_by_metric is cli.summarize's
 earlier body, one np.percentile call per (size, metric),
 read_dataset_by_loadtxt is read_dataset's earlier whole-file loadtxt, and
@@ -40,7 +42,7 @@ import numpy as np
 from invgame import experiments, inverse_markov, matrix_game
 from invgame.experiments import ETA, MARKOV_OMEGA
 from invgame.inverse_markov import MleFit, SoftmaxPolicyModel, stepwise_confidence_sets
-from invgame.inverse_matrix import floor_distribution
+from invgame.inverse_matrix import _secular_step, floor_distribution
 from invgame.markov_game import MarkovGameSpec
 from invgame.matrix_game import QreConvergenceError, solve_qre_batch, stage_values
 from invgame.sampling import (
@@ -382,6 +384,24 @@ def nearest_sq_by_differences(points: np.ndarray, cloud: np.ndarray) -> np.ndarr
             acc += np.square(block[:, j, None] - columns[j])
         nearest[start : start + rows] = acc.min(axis=1)
     return nearest
+
+
+def ball_solve_all_rows(a: np.ndarray, den: np.ndarray, cap: float):
+    """inverse_matrix._ball_solve's earlier body: Newton steps on the ball's
+    secular equation for every row, inside the ball or not, until no row
+    steps, or silently after 100 steps."""
+    nu = np.zeros((len(a), 1))
+    for _ in range(100):
+        shifted = np.where(den + nu > 0, den + nu, 1.0)
+        z = a / shifted
+        sq = (z * z).sum(axis=1, keepdims=True)
+        out = sq > cap
+        slope = np.where(out, 2 * (z * z / shifted).sum(axis=1, keepdims=True), 1.0)
+        step = np.where(out, _secular_step(sq, slope, cap), 0.0)
+        if not (step > 1e-15 * nu).any():
+            break
+        nu = nu + step
+    return z, shifted, nu[:, 0] > 0
 
 
 _BISECTIONS = 53  # resolves t in [0, 1] to 2^-53, the spacing of doubles below 1

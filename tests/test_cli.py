@@ -15,7 +15,7 @@ from invgame.cli import (
     run_experiment,
     summarize,
 )
-from invgame import cli, experiments, markov_game, matrix_game, sampling
+from invgame import cli, experiments, inverse_matrix, markov_game, matrix_game, sampling
 from invgame.experiments import markov_model, run_rep, saturated_policy_model
 from invgame.inverse_markov import InversionConfig, recover_rewards, recover_rewards_mle
 from invgame.inverse_matrix import ConfidenceSet, build_confidence_set
@@ -698,6 +698,21 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: QRE solve did not converge" + where)
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_a_projection_at_its_step_cap_fails_invert_matrix(self, tmp_path, capsys, monkeypatch):
+        # setup2 seed 3 at 200 samples projects onto an empty set for its
+        # member, whose least-residual point lies outside the ball
+        kind = ["--kind", "setup2", "--seed", "3"]
+        assert run_cli(["simulate", *kind, "--samples", "200", "--out", str(tmp_path / "sim")]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(inverse_matrix, "MAX_BALL_STEPS", 1)
+        out = tmp_path / "est.json"
+        dataset = str(tmp_path / "sim" / "dataset.csv")
+        assert run_cli(["invert-matrix", *kind, "--data", dataset, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: the ball multiplier did not converge"
+                       " in 1 Newton steps at rows [0]\n")
         assert not out.exists()
 
     def test_a_stalled_solve_fails_simulate_quickly(self, tmp_path, capsys, monkeypatch):

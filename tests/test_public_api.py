@@ -34,6 +34,7 @@ PUBLIC_NAMES = [
     "MatrixGameSpec",
     "MleFit",
     "PolicyPair",
+    "ProjectionConvergenceError",
     "QreConvergenceError",
     "RecoveredRewardSample",
     "RidgeTransitionEstimator",
@@ -169,7 +170,7 @@ def test_cli_only_parses_and_writes():
     assert not {"invgame.inverse_matrix", "invgame.inverse_markov"} & set(imported)
     assert not {"inverse_matrix", "inverse_markov"} & imported.get("invgame", set())
     assert imported["invgame.sampling"] == {"read_counts", "write_dataset"}
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 45
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"

@@ -3,8 +3,10 @@ thread count: solve_qre_batch, backward_qre_stack, sample_counts (against
 step_counts of sample_episodes' prefixes, in any number of parts and
 chunks), fit_every_step, and recover_rewards, recover_rewards_mle and
 ridge_fit on a list of tables; so do the point-cloud screen (_nearest_sq)
-against the plain sum, and a matrix game recovered as the one-step,
-one-state Markov game against the matrix estimate.  Shapes come from a
+against the plain sum, the confidence-set projection's ball solve, which
+steps only the rows outside the ball, against the loop over every row, and
+a matrix game recovered as the one-step, one-state Markov game against the
+matrix estimate.  Shapes come from a
 fixed seed list (S 1..8, m and n 2..8, H 1..6, K 1..4 nested sizes from 10
 to 1e4, so some states go unvisited) and from fixed cases.  A new stacked
 path adds its case here.
@@ -20,10 +22,26 @@ import pytest
 from invgame import experiments, inverse_markov, inverse_matrix, sampling
 from invgame.experiments import ExperimentConfig, saturated_policy_model
 from invgame.inverse_markov import InversionConfig, SoftmaxPolicyModel, recover_rewards
-from invgame.inverse_matrix import build_stepwise_system, min_norm_theta, reconstruct_payoff
+from invgame.inverse_matrix import (
+    ConfidenceSet,
+    build_confidence_set,
+    build_stepwise_system,
+    feasible_set_from_policies,
+    hausdorff_estimate,
+    min_norm_theta,
+    reconstruct_payoff,
+)
 from invgame.markov_game import MarkovGameSpec, backward_qre, backward_qre_stack
 from invgame.matrix_game import MatrixGameSpec, PolicyPair, qre_residual, solve_qre, solve_qre_batch
-from invgame.sampling import EpisodeDataset, sample_counts, sample_episodes, step_counts, stream
+from invgame.sampling import (
+    EpisodeDataset,
+    frequency_estimate_matrix,
+    sample_counts,
+    sample_episodes,
+    sample_matrix_actions,
+    step_counts,
+    stream,
+)
 
 from . import oracles
 from .oracles import (
@@ -313,6 +331,96 @@ def test_the_point_cloud_screen_is_the_plain_sum(seed, monkeypatch):
     points = rng.standard_normal((n_points, d)) * 10.0 ** rng.integers(-3, 4)
     got = inverse_matrix._nearest_sq(cloud, points)
     assert_bit_identical(got, oracles.nearest_sq_by_differences(points, cloud))
+
+
+def ball_stack(seed):
+    """A ball solve's rows a, den and its cap: row 0 inside the ball, row 1
+    exactly on it (||a / den||^2 == cap, in powers of two), row 2 outside,
+    then rows of each kind at random; den is 0 at random entries (in 7 of
+    the 8 stacks), where a is too."""
+    rng = stream(seed, 5)
+    k, d = int(rng.integers(3, 40)), int(rng.integers(1, 7))
+    scale = 2.0 ** int(rng.integers(-2, 3))
+    den = rng.uniform(0.1, 10.0, (k, d))
+    zero = rng.random((k, d)) < 0.2
+    den[zero] = 0.0
+    a = rng.standard_normal((k, d)) * den * scale
+    a *= rng.choice([0.3, 1.0, 3.0], (k, 1))
+    a[0] *= 0.1 / max(1.0, np.abs(a[0] / np.where(zero[0], 1.0, den[0])).max())
+    a[2] += 100 * scale * den[2]
+    on = np.flatnonzero(rng.random(k) < 0.25)
+    on = np.union1d(on[on > 2], [1])
+    for row in on:  # z = 2 scale in one coordinate, 0 elsewhere; den powers of two
+        den[row] = 2.0 ** rng.integers(-3, 4, d)
+        a[row] = 0.0
+        col = int(rng.integers(d))
+        a[row, col] = 2 * scale * den[row, col]
+    return a, den, 4 * scale**2
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_ball_solve_of_outside_rows_is_the_loop_over_every_row(seed):
+    a, den, cap = ball_stack(seed)
+    sq = ((a / np.where(den > 0, den, 1.0)) ** 2).sum(axis=1)
+    assert sq[0] < cap and sq[1] == cap and sq[2] > cap
+    got = inverse_matrix._ball_solve(a, den, cap)
+    assert_bit_identical(got, oracles.ball_solve_all_rows(a, den, cap))
+    assert_bit_identical(got[2], sq > cap)
+    # each row alone, and the stacks of inside and of outside rows alone
+    for rows in [*(slice(i, i + 1) for i in range(len(a))), sq <= cap, sq > cap]:
+        assert_bit_identical(
+            inverse_matrix._ball_solve(a[rows], den[rows], cap),
+            oracles.ball_solve_all_rows(a[rows], den[rows], cap),
+        )
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 30.0])
+def test_the_ball_solve_at_lam_inf_is_the_loop_over_every_row(scale):
+    # the least-residual point's solve: one row a = sigma c over den =
+    # sigma^2, 0 at the singular values a wide X pads; the least-squares
+    # point lies inside the ball at scale 0.1 and outside at 30
+    rng = stream(34)
+    for rows, d in ((3, 6), (6, 6), (2, 3)):
+        x, y = rng.standard_normal((rows, d)), scale * rng.standard_normal(rows)
+        cset = ConfidenceSet(x, y, 1.0, 4.0)
+        _, sigma, c, _, _ = cset._svd
+        assert (sigma == 0).sum() == d - rows
+        a, den = (sigma * c)[None], (sigma**2)[None]
+        got = inverse_matrix._ball_solve(a, den, 4.0)
+        assert_bit_identical(got, oracles.ball_solve_all_rows(a, den, 4.0))
+        assert got[2][0] == (scale > 1)
+
+
+def setup2_geometry(instance):
+    """The setup2 geometry benchmark's outputs for one instance: min-norm
+    members, Hausdorff estimates at k = 64 against the feasible set and
+    between consecutive sets, a 1000-member cloud and its distance to a
+    feasible cloud."""
+    eta, cap = experiments.ETA, experiments.SETUP2_NORM_SQ_CAP
+    model = experiments.setup2_model(stream(instance, 0))
+    spec = MatrixGameSpec(reconstruct_payoff(model.theta, model.features), eta)
+    truth = solve_qre(spec, tol=1e-12)
+    data = sample_matrix_actions(truth, 10**5, instance, 0)
+    feasible = feasible_set_from_policies(model.features, truth, eta, cap)
+    sets, outputs = [], []
+    for n_samples in (10**3, 10**4, 10**5):
+        est = frequency_estimate_matrix(data.prefix(n_samples), spec.m, spec.n)
+        kappa = experiments.kappa_rule(n_samples)
+        sets.append(build_confidence_set(est, model.features, eta, kappa, cap))
+        outputs.append(sets[-1].min_norm_member())
+        outputs.append(hausdorff_estimate(feasible, sets[-1], k=64, seed=instance))
+    for coarse, fine in zip(sets, sets[1:]):
+        outputs.append(hausdorff_estimate(coarse, fine, k=64, seed=instance))
+    cloud = sets[-1].sample_members(1000, stream(instance, 1))
+    feasible_cloud = feasible.sample(1000, stream(instance, 2))
+    return [*outputs, cloud, hausdorff_estimate(cloud, feasible_cloud, k=1000, seed=instance)]
+
+
+@pytest.mark.parametrize("instance", range(9))
+def test_setup2_geometry_is_the_one_of_the_loop_over_every_row(instance, monkeypatch):
+    got = setup2_geometry(instance)
+    monkeypatch.setattr(inverse_matrix, "_ball_solve", oracles.ball_solve_all_rows)
+    assert_bit_identical(got, setup2_geometry(instance))
 
 
 def matrix_case(seed):
