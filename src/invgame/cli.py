@@ -29,6 +29,7 @@ import numpy as np
 from invgame import ProjectionConvergenceError, experiments
 from invgame.experiments import KINDS, ExperimentConfig, RepRecord, UsageError
 from invgame.matrix_game import (
+    QRE_TOL,
     MatrixGameSpec,
     QreConvergenceError,
     game_value,
@@ -215,10 +216,8 @@ def _cmd_solve_qre(args) -> int:
     try:
         if args.config:
             raw = _read_config(args.config)
-            payoff, eta = raw["payoff"], raw.get("eta", args.eta)
-            for name, value in (("eta", eta), ("payoff", payoff)):  # True == 1: no number
-                if any(isinstance(x, bool) for x in np.ravel(np.array(value, dtype=object))):
-                    raise UsageError(f"config {name} cannot be {value!r}")
+            payoff = _typed("payoff", raw["payoff"], tuple[tuple[float, ...], ...])
+            eta = _typed("eta", raw.get("eta", args.eta), float)
         elif args.payoff:
             with warnings.catch_warnings():  # loadtxt warns of a file without rows
                 warnings.simplefilter("ignore", UserWarning)
@@ -227,7 +226,7 @@ def _cmd_solve_qre(args) -> int:
                 raise UsageError(f"payoff file {args.payoff} holds no rows")
         else:
             raise UsageError("solve-qre needs --payoff or --config with a payoff")
-        spec = MatrixGameSpec(np.array(payoff, dtype=float), float(eta))
+        spec = MatrixGameSpec(payoff, eta)
         pair = solve_qre(spec, tol=args.tol)
     except KeyError as err:
         raise UsageError(f"config {args.config} has no {err} entry") from err
@@ -319,7 +318,9 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="JSON with payoff (and eta)")
     p.add_argument("--payoff", help="CSV file holding the payoff matrix")
     p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=QRE_TOL,
+                   help="tolerance on the QRE residual and Newton step, positive "
+                   "and finite (default %(default)s)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_solve_qre)
 

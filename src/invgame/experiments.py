@@ -47,7 +47,7 @@ from invgame.inverse_matrix import (
     reconstruct_payoff,
 )
 from invgame.markov_game import LinearMDPModel, MarkovGameSpec, backward_qre, visit_distributions
-from invgame.matrix_game import FeatureModel, QreConvergenceError
+from invgame.matrix_game import CAP_SLACK, FeatureModel, QreConvergenceError
 from invgame.metrics import qre_discrepancy_markov, reward_metric_D, reward_metric_D1
 from invgame.sampling import (
     EpisodeDataset,
@@ -157,8 +157,7 @@ class ExperimentConfig:
             if not self.theta:
                 raise UsageError("custom experiments need an explicit theta")
             norm_sq = float(np.dot(self.theta, self.theta))
-            # the relative slack FeatureModel allows
-            if not norm_sq <= self.norm_cap * (1 + 1e-12):
+            if not norm_sq <= self.norm_cap * (1 + CAP_SLACK):
                 raise UsageError(
                     f"theta has squared norm {norm_sq:g}, above norm_cap {self.norm_cap:g}"
                 )
@@ -323,7 +322,7 @@ def _instance(config: ExperimentConfig, rep: int, sample, size):
         spec = model.to_tabular()
     else:
         spec = MarkovGameSpec.one_step(reconstruct_payoff(model.theta, model.features), config.eta)
-    truth, values = backward_qre(spec, tol=1e-12)
+    truth, values = backward_qre(spec)
     drawn = sample(spec, truth, np.full(spec.S, 1.0 / spec.S), size, config.seed, rep)
     return model, spec, (truth, values), drawn
 

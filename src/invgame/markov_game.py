@@ -3,6 +3,8 @@
 Stage payoffs Q_h(s) are built backward from the rewards and the expected
 continuation value; each stage equilibrium is the matrix-game QRE of Q_h(s),
 and V_h comes from the regularized stage objective at that equilibrium.
+Its types keep matrix_game's two input rules: finite float arrays, and
+distributions for transition rows, policies and check_play's initial law.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from invgame.matrix_game import QreConvergenceError, solve_qre_batch, stage_values
+from invgame.matrix_game import QRE_TOL, QreConvergenceError, solve_qre_batch, stage_values
+from invgame.matrix_game import _check_distributions, _finite, _float_fields
 
 
 @dataclass(frozen=True)
@@ -24,10 +27,7 @@ class MarkovGameSpec:
     gamma: float = 1.0
 
     def __post_init__(self):
-        rewards = np.asarray(self.rewards, dtype=float)
-        transition = np.asarray(self.transition, dtype=float)
-        object.__setattr__(self, "rewards", rewards)
-        object.__setattr__(self, "transition", transition)
+        rewards, transition = _float_fields(self, "rewards", "transition")
         if rewards.ndim != 4:
             raise ValueError("rewards must have shape (H, S, m, n)")
         if transition.shape != rewards.shape + (rewards.shape[1],):
@@ -35,16 +35,13 @@ class MarkovGameSpec:
                 f"transition shape {transition.shape} does not match rewards "
                 f"{rewards.shape}"
             )
-        if self.rewards.shape[0] < 1:
+        if rewards.shape[0] < 1:
             raise ValueError("horizon must be at least 1")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not 0 < self.eta < np.inf:
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if np.any(transition < 0) or np.any(
-            np.abs(transition.sum(axis=4) - 1.0) > 1e-12
-        ):
-            raise ValueError("each transition vector must be a distribution")
+        _check_distributions("transition", transition)
 
     @property
     def H(self) -> int:
@@ -74,10 +71,10 @@ class MarkovGameSpec:
         for name, p, k in (("mu", policies.mu, self.m), ("nu", policies.nu, self.n)):
             if p.shape != (self.H, self.S, k):
                 raise ValueError(f"policies.{name} must be {(self.H, self.S, k)}, not {p.shape}")
-        initial = np.asarray(initial, dtype=float)
-        ok = initial.shape == (self.S,) and (initial >= 0).all()  # NaN fails the sum
-        if not (ok and abs(initial.sum() - 1.0) <= 1e-12):
+        initial = _finite("initial", initial)
+        if initial.shape != (self.S,):
             raise ValueError(f"initial must be a distribution over the game's {self.S} states")
+        _check_distributions("initial", initial)
         return initial
 
 
@@ -98,22 +95,15 @@ class LinearMDPModel:
     gamma: float = 1.0
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=float)
-        reward_params = np.asarray(self.reward_params, dtype=float)
-        transition_params = np.asarray(self.transition_params, dtype=float)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "reward_params", reward_params)
-        object.__setattr__(self, "transition_params", transition_params)
+        features, reward_params, transition_params = _float_fields(
+            self, "features", "reward_params", "transition_params"
+        )
         if features.ndim != 4:
             raise ValueError("features must have shape (S, m, n, d)")
         d = features.shape[3]
         if reward_params.ndim != 2 or reward_params.shape[1] != d:
             raise ValueError("reward_params must have shape (H, d)")
-        if transition_params.shape != (
-            reward_params.shape[0],
-            features.shape[0],
-            d,
-        ):
+        if transition_params.shape != (reward_params.shape[0], features.shape[0], d):
             raise ValueError("transition_params must have shape (H, S, d)")
 
     def to_tabular(self) -> MarkovGameSpec:
@@ -146,15 +136,10 @@ class StagePolicies:
     nu: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        nu = np.asarray(self.nu, dtype=float)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nu", nu)
-        for name, p in (("mu", mu), ("nu", nu)):
+        for name, p in zip(("mu", "nu"), _float_fields(self, "mu", "nu")):
             if p.ndim != 3:
                 raise ValueError(f"{name} must have shape (H, S, actions)")
-            if np.any(p < 0) or np.any(np.abs(p.sum(axis=2) - 1.0) > 1e-12):
-                raise ValueError(f"{name} conditionals must be distributions")
+            _check_distributions(name, p)
 
 
 @dataclass(frozen=True)
@@ -166,7 +151,7 @@ class ValueFunctions:
 
 
 def backward_qre(
-    spec: MarkovGameSpec, tol: float = 1e-12
+    spec: MarkovGameSpec, tol: float = QRE_TOL
 ) -> tuple[StagePolicies, ValueFunctions]:
     """Backward induction: per-state matrix QRE at every step, V_{H+1} = 0."""
     mu, nu, q, v = backward_qre_stack(spec.rewards, spec.transition, spec.eta, spec.gamma, tol)
@@ -175,7 +160,7 @@ def backward_qre(
 
 def backward_qre_stack(
     rewards: np.ndarray, transition: np.ndarray, eta: float, gamma: float = 1.0,
-    tol: float = 1e-12,
+    tol: float = QRE_TOL,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Backward induction for a stack of reward tables sharing one kernel.
 

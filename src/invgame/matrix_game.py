@@ -4,6 +4,11 @@ The row player maximizes and the column player minimizes the regularized
 objective  mu' Q nu + H(mu)/eta - H(nu)/eta.  For eta > 0 the equilibrium
 (the quantal response equilibrium, QRE) is the unique pair of mutually
 consistent softmax responses; both policies have full support.
+
+The input types here and in markov_game share two rules: array fields are
+float arrays of finite entries (_float_fields), and a policy, transition
+row or initial law is a distribution (_check_distributions).  Every QRE
+solve and re-solve defaults to one tolerance, QRE_TOL.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ import numpy as np
 
 PROB_FLOOR = 1e-300  # representation-level floor only; softmax outputs are positive
 MAX_NEWTON_STEPS = 100_000  # solve_qre_batch's cap on Newton steps over all trials
+QRE_TOL = 1e-12  # the default tolerance of every QRE solve
+CAP_SLACK = 1e-12  # the relative slack FeatureModel allows ||theta||^2 over its cap
 
 
 class QreConvergenceError(RuntimeError):
@@ -39,11 +46,31 @@ class QreConvergenceError(RuntimeError):
         )
 
 
+def _finite(name: str, value) -> np.ndarray:
+    """value as a float array; a non-finite entry is a ValueError naming it."""
+    array = np.asarray(value, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+    return array
+
+
+def _float_fields(obj, *names: str) -> list[np.ndarray]:
+    """The frozen obj's named array fields, each set to its _finite array."""
+    for name in names:
+        object.__setattr__(obj, name, _finite(name, getattr(obj, name)))
+    return [getattr(obj, name) for name in names]
+
+
+def _check_distributions(name: str, p: np.ndarray) -> None:
+    """A ValueError naming p unless each of its vectors along the last axis
+    is a distribution: nonnegative, summing to 1 within 1e-12 (NaN is not)."""
+    if not ((p >= 0).all() and (np.abs(p.sum(axis=-1) - 1.0) <= 1e-12).all()):
+        raise ValueError(f"{name} must be nonnegative and sum to 1 along its last axis")
+
+
 def _check_payoffs(payoff: np.ndarray, ndim: int) -> None:
     if payoff.ndim != ndim or payoff.shape[-2] < 2 or payoff.shape[-1] < 2:
         raise ValueError(f"payoff must be at least 2x2, got shape {payoff.shape}")
-    if not np.isfinite(payoff).all():
-        raise ValueError("payoff entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -54,9 +81,7 @@ class MatrixGameSpec:
     eta: float
 
     def __post_init__(self):
-        payoff = np.asarray(self.payoff, dtype=float)
-        object.__setattr__(self, "payoff", payoff)
-        _check_payoffs(payoff, 2)
+        _check_payoffs(*_float_fields(self, "payoff"), 2)
         if not 0 < self.eta < np.inf:
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
 
@@ -77,17 +102,10 @@ class PolicyPair:
     nu: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        nu = np.asarray(self.nu, dtype=float)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nu", nu)
-        for name, p in (("mu", mu), ("nu", nu)):
+        for name, p in zip(("mu", "nu"), _float_fields(self, "mu", "nu")):
             if p.ndim != 1:
                 raise ValueError(f"{name} must be a vector")
-            if np.any(p < 0):
-                raise ValueError(f"{name} has negative entries")
-            if abs(p.sum() - 1.0) > 1e-12:
-                raise ValueError(f"{name} must sum to 1 (got {p.sum()!r})")
+            _check_distributions(name, p)
 
 
 @dataclass(frozen=True)
@@ -103,10 +121,7 @@ class FeatureModel:
     norm_sq_cap: float = field(default=np.inf)
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=float)
-        theta = np.asarray(self.theta, dtype=float)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "theta", theta)
+        features, theta = _float_fields(self, "features", "theta")
         if features.ndim != 3:
             raise ValueError("features must have shape (m, n, d)")
         if theta.ndim != 1 or theta.shape[0] != features.shape[2]:
@@ -114,7 +129,7 @@ class FeatureModel:
                 f"theta dimension {theta.shape} does not match feature "
                 f"dimension {features.shape[2]}"
             )
-        if float(theta @ theta) > self.norm_sq_cap * (1 + 1e-12):
+        if float(theta @ theta) > self.norm_sq_cap * (1 + CAP_SLACK):
             raise ValueError("||theta||^2 exceeds the declared cap")
 
 
@@ -148,7 +163,7 @@ def _newton_constants(m: int, n: int) -> tuple[np.ndarray, ...]:
 def solve_qre_batch(
     payoffs: np.ndarray,
     eta: float,
-    tol: float = 1e-12,
+    tol: float = QRE_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """QRE of every game in a (B, m, n) stack; returns mu (B, m), nu (B, n).
 
@@ -174,9 +189,9 @@ def solve_qre_batch(
     each reached, after MAX_NEWTON_STEPS Newton steps, or naming the stalled
     entries as soon as a halved step no longer moves a game's t.
     """
-    if not (tol > 0 and 0 < eta < np.inf):
-        raise ValueError(f"tol and eta must be positive and eta finite, got {tol} and {eta}")
-    q = np.ascontiguousarray(payoffs, dtype=float)  # one BLAS path for all
+    if not (0 < tol < np.inf and 0 < eta < np.inf):
+        raise ValueError(f"tol and eta must be positive and finite, got {tol} and {eta}")
+    q = np.ascontiguousarray(_finite("payoff", payoffs))  # one BLAS path for all
     _check_payoffs(q, 3)
     b_len, m, n = q.shape
     if b_len == 0:
@@ -243,7 +258,7 @@ def solve_qre_batch(
     raise QreConvergenceError(MAX_NEWTON_STEPS, float(last.max()), live.tolist(), reached.tolist())
 
 
-def solve_qre(spec: MatrixGameSpec, tol: float = 1e-12) -> PolicyPair:
+def solve_qre(spec: MatrixGameSpec, tol: float = QRE_TOL) -> PolicyPair:
     """The QRE of one game: solve_qre_batch on a stack of one."""
     mu, nu = solve_qre_batch(spec.payoff[None], spec.eta, tol)
     return PolicyPair(mu[0], nu[0])

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from invgame.markov_game import MarkovGameSpec, StagePolicies, backward_qre_stack
-from invgame.matrix_game import PolicyPair
+from invgame.matrix_game import QRE_TOL, PolicyPair
 
 
 def reward_metric_D(r: np.ndarray, r_prime: np.ndarray) -> float:
@@ -34,7 +34,7 @@ def reward_metric_D1(
 
 
 def qre_discrepancy(
-    estimated_payoff: np.ndarray, true_policies: PolicyPair, eta: float, tol: float = 1e-12
+    estimated_payoff: np.ndarray, true_policies: PolicyPair, eta: float, tol: float = QRE_TOL
 ) -> float:
     """Re-solve the matrix game on the estimated payoff and compare equilibria.
 
@@ -51,7 +51,7 @@ def qre_discrepancy_markov(
     estimated_rewards: np.ndarray,
     true_policies: StagePolicies,
     true_state_dists: np.ndarray,
-    tol: float = 1e-12,
+    tol: float = QRE_TOL,
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Markov QRE discrepancy of re-solved play on estimated rewards.
 

@@ -16,6 +16,7 @@ import io
 import itertools
 import os
 import stat
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -492,14 +493,12 @@ def _read_by_loadtxt(source, path: str | Path | None) -> tuple[np.ndarray, int]:
     sorted into (episode, step) order when they are not in it."""
     source.seek(0)
     # universal newlines, as loadtxt reads; closing it closes source
-    with io.TextIOWrapper(source, encoding="ascii") as text:
-        text.readline()
-        # loadtxt warns on a body of blank and '#' lines alone
-        if not any(line.split("#")[0].strip() for line in text):
-            raise ValueError("dataset file has no records")
-        text.seek(0)
+    with io.TextIOWrapper(source, encoding="ascii") as text, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns of a file without rows
         rows = np.loadtxt(path or text, delimiter=",", dtype=np.int64, ndmin=2, skiprows=1,
                           encoding="ascii")
+    if not rows.size:
+        raise ValueError("dataset file has no records")
     if rows.shape[1] != 6:
         raise ValueError(f"a record needs 6 fields, not {rows.shape[1]}")
     episodes, steps = rows[:, 0], rows[:, 1]

@@ -1062,16 +1062,19 @@ class TestUsageErrors:
             ({}, ["--config", "missing.json"], "missing.json"),
             ({"cfg.json": '{"eta": 1.0}'}, ["--config", "cfg.json"], "no 'payoff' entry"),
             ({"cfg.json": '{"payoff": [[1, "x"], [0, 1]]}'}, ["--config", "cfg.json"],
-             "could not convert"),
+             "config field 'payoff' cannot be 'x'"),
             ({"cfg.json": '{"payoff": [[1, 0], [0, 1]], "eta": true}'},
-             ["--config", "cfg.json"], "config eta cannot be True"),
+             ["--config", "cfg.json"], "config field 'eta' cannot be True"),
             ({"cfg.json": '{"payoff": [[true, 0], [0, 1]], "eta": 0.5}'},
-             ["--config", "cfg.json"], "config payoff cannot be [[True, 0], [0, 1]]"),
+             ["--config", "cfg.json"], "config field 'payoff' cannot be True"),
             ({"p.csv": "1,0\n"}, ["--payoff", "p.csv"], "at least 2x2, got shape (1, 2)"),
             ({"p.csv": "1,0\n0,1\n"}, ["--payoff", "p.csv", "--eta", "-1"],
              "eta must be positive"),
             ({"p.csv": "1,0\n0,1\n"}, ["--payoff", "p.csv", "--tol", "0"],
              "tol and eta must be positive"),
+            # an infinite tol accepted the first Newton iterate, no equilibrium
+            ({"p.csv": "3,1\n-2,4\n"}, ["--payoff", "p.csv", "--eta", "2", "--tol", "inf"],
+             "tol and eta must be positive and finite, got inf"),
             ({"p.csv": "1,2\n3,4\n"}, ["--payoff", "p.csv", "--eta", "inf"],
              "eta must be positive and finite"),
             # loadtxt warned of the missing rows before the usage error
@@ -1079,8 +1082,8 @@ class TestUsageErrors:
             ({"p.csv": "# a comment\n"}, ["--payoff", "p.csv"], "payoff file p.csv holds no rows"),
         ],
         ids=["missing_payoff", "missing_config", "config_without_payoff", "non_numeric",
-             "boolean_eta", "boolean_payoff", "one_row", "negative_eta", "zero_tol", "infinite_eta",
-             "empty_payoff", "comment_only_payoff"],
+             "boolean_eta", "boolean_payoff", "one_row", "negative_eta", "zero_tol", "infinite_tol",
+             "infinite_eta", "empty_payoff", "comment_only_payoff"],
     )
     @pytest.mark.filterwarnings("error")
     def test_solve_qre_bad_input(self, tmp_path, capsys, monkeypatch, files, args, message):

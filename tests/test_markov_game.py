@@ -76,6 +76,48 @@ class TestSpecValidation:
         assert np.allclose(spec.transition.sum(axis=4), 1.0, atol=1e-12)
 
 
+def markov_inputs():
+    """Each Markov type with valid keyword arguments."""
+    spec, model = random_spec(0), simplex_feature_model(7, s_len=2, m=2, n=2, h_len=2)
+    policies, _ = backward_qre(spec)
+    model_fields = ("features", "reward_params", "transition_params", "eta")
+    return {
+        MarkovGameSpec: {"rewards": spec.rewards, "transition": spec.transition, "eta": 1.0},
+        LinearMDPModel: {name: getattr(model, name) for name in model_fields},
+        StagePolicies: {"mu": policies.mu, "nu": policies.nu},
+    }
+
+
+class TestInputRules:
+    """Each array field of the Markov types is a float array of finite
+    entries (check_play's initial law: TestSampleEpisodesInput); NaN passed
+    the distribution checks written with `>`."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "make, field",
+        [(MarkovGameSpec, "rewards"), (MarkovGameSpec, "transition"),
+         (LinearMDPModel, "features"), (LinearMDPModel, "reward_params"),
+         (LinearMDPModel, "transition_params"), (StagePolicies, "mu"), (StagePolicies, "nu")],
+        ids=["rewards", "transition", "features", "reward_params", "transition_params", "mu",
+             "nu"],
+    )
+    def test_a_nonfinite_entry_is_named(self, make, field, bad):
+        inputs = markov_inputs()[make]
+        assert make(**inputs) is not None
+        value = inputs[field].copy()
+        value.flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            make(**{**inputs, field: value})
+
+    def test_a_transition_row_that_is_no_distribution(self):
+        spec = random_spec(0)
+        transition = spec.transition.copy()
+        transition[1, 0, 1, 0] = [0.7, 0.4]
+        with pytest.raises(ValueError, match="^transition must be nonnegative and sum to 1"):
+            MarkovGameSpec(spec.rewards, transition, eta=1.0)
+
+
 class TestBackwardQre:
     def test_single_step_reduces_to_matrix_qre(self):
         spec = random_spec(1, h_len=1, s_len=3, m=3, n=4)

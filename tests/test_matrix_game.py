@@ -127,6 +127,57 @@ class TestSpecValidation:
             PolicyPair(np.array([1.5, -0.5]), np.array([0.5, 0.5]))
 
 
+MATRIX_INPUTS = {
+    MatrixGameSpec: {"payoff": [[1, 0], [0, 1]], "eta": 1.0},
+    PolicyPair: {"mu": [0.5, 0.5], "nu": [0.25, 0.75]},
+    FeatureModel: {"features": np.ones((2, 2, 1)), "theta": [0.5], "norm_sq_cap": 1.0},
+}
+
+
+class TestInputRules:
+    """Each array field of the matrix types is a float array of finite
+    entries, and a policy a distribution: NaN passed the checks written
+    with `>`, and only the payoff was checked for finiteness."""
+
+    @pytest.mark.parametrize("make", MATRIX_INPUTS, ids=lambda make: make.__name__)
+    def test_array_fields_become_float_arrays(self, make):
+        built = make(**MATRIX_INPUTS[make])
+        for name, value in MATRIX_INPUTS[make].items():
+            if isinstance(value, (list, np.ndarray)):
+                assert getattr(built, name).dtype == np.float64
+                assert np.array_equal(getattr(built, name), value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "make, field",
+        [(MatrixGameSpec, "payoff"), (PolicyPair, "mu"), (PolicyPair, "nu"),
+         (FeatureModel, "features"), (FeatureModel, "theta")],
+        ids=["payoff", "mu", "nu", "features", "theta"],
+    )
+    def test_a_nonfinite_entry_is_named(self, make, field, bad):
+        value = np.array(MATRIX_INPUTS[make][field], dtype=float)
+        value.flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            make(**{**MATRIX_INPUTS[make], field: value})
+
+    @pytest.mark.parametrize(
+        "p",
+        [[np.nan, 1.0], [0.5, np.nan], [0.5, 0.6], [1.5, -0.5], [[0.5, 0.5], [np.nan, 0.5]],
+         [[0.5, 0.5], [0.4, 0.4]]],
+        ids=["nan_first", "nan_last", "sum", "negative", "nan_row", "short_row"],
+    )
+    def test_the_distribution_rule_refuses_nan(self, p):
+        with pytest.raises(ValueError, match="^p must be nonnegative and sum to 1"):
+            matrix_game._check_distributions("p", np.array(p))
+        matrix_game._check_distributions("p", np.array([[0.5, 0.5], [0.25, 0.75]]))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+    def test_a_tolerance_must_be_positive_and_finite(self, tol):
+        # an infinite tol accepted the first Newton iterate of any game
+        with pytest.raises(ValueError, match="tol and eta must be positive and finite"):
+            solve_qre_batch(np.array([[[3.0, 1.0], [-2.0, 4.0]]]), 2.0, tol)
+
+
 class TestPayoffFromFeatures:
     def test_zero_theta_gives_zero_matrix(self):
         model = FeatureModel(seeded_features(3, 4, 2, 0), np.zeros(2))

@@ -422,23 +422,40 @@ class TestSampleEpisodesInput:
             ([0.5, 0.5], None, "initial"),  # would never start in state 2
             ([0.2, 0.2, 0.2], None, "initial"),  # would start 60% in state 2
             ([0.6, 0.6, -0.2], None, "initial"),
-            ([np.nan, 0.5, 0.5], None, "initial"),
+            ([np.nan, 0.5, 0.5], None, "initial must be finite"),
+            ([np.inf, 0.5, 0.5], None, "initial must be finite"),
+            ([0.5, 0.5, -np.inf], None, "initial must be finite"),
             (None, (2, 2, 4, 2), "policies.mu"),  # (S, m, n, H): one state short
             (None, (3, 3, 4, 2), "policies.mu"),
             (None, (3, 2, 5, 2), "policies.nu"),
             (None, (3, 2, 4, 3), "policies.mu"),
         ],
-        ids=["short", "sum", "negative", "nan", "states", "m", "n", "steps"],
+        ids=["short", "sum", "negative", "nan", "inf", "-inf", "states", "m", "n", "steps"],
     )
     def test_named_value_errors(self, initial, sizes, named):
         spec, policies, start = dirichlet_instance(29, 3, 2, 4, h_len=2)
         if sizes is not None:
             policies = dirichlet_instance(29, *sizes[:3], h_len=sizes[3])[1]
         initial = start if initial is None else initial
-        with pytest.raises(ValueError, match=f"^{re.escape(named)} must"):
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}"):
             sample_episodes(spec, policies, initial, 10, seed=0)
-        with pytest.raises(ValueError, match=f"^{re.escape(named)} must"):
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}"):
             visit_distributions(spec, policies, initial)
+
+    def test_a_nan_policy_or_transition_row_draws_nothing(self):
+        # each passed its distribution check, and a NaN row's every draw was
+        # its first entry: a NaN mu gave action 0 for 1,000 of 1,000 samples
+        uniform = np.full(3, 1 / 3)
+        with pytest.raises(ValueError, match="^mu must be finite"):
+            sample_matrix_actions(PolicyPair([np.nan] * 3, uniform), 1000, seed=0)
+        spec, policies, start = dirichlet_instance(29, 3, 2, 4, h_len=2)
+        transition, mu = spec.transition.copy(), policies.mu.copy()
+        transition[1, 2, 0, 3] = mu[0, 1] = np.nan
+        with pytest.raises(ValueError, match="^transition must be finite"):
+            sample_episodes(MarkovGameSpec(spec.rewards, transition, eta=1.0), policies, start,
+                            10, seed=0)
+        with pytest.raises(ValueError, match="^mu must be finite"):
+            sample_episodes(spec, StagePolicies(mu, policies.nu), start, 10, seed=0)
 
 
 class TestSampleEpisodesAgainstGather:
@@ -1461,6 +1478,9 @@ class TestSerialization:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="dataset file has no records"):
                 read_dataset(path)
+            if os.path.isdir("/dev/fd"):  # a pipe is read whole, by np.loadtxt too
+                with pytest.raises(ValueError, match="dataset file has no records"):
+                    read_through_a_pipe(path.read_bytes())
 
     @pytest.mark.parametrize(
         "keys, grid",
