@@ -3,8 +3,9 @@
 Stage payoffs Q_h(s) are built backward from the rewards and the expected
 continuation value; each stage equilibrium is the matrix-game QRE of Q_h(s),
 and V_h comes from the regularized stage objective at that equilibrium.
-Its types keep matrix_game's two input rules: finite float arrays, and
-distributions for transition rows, policies and check_play's initial law.
+Its types keep matrix_game's three input rules: finite float arrays, a
+positive and finite eta, and distributions for transition rows, policies and
+check_play's initial law.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from invgame.matrix_game import QRE_TOL, QreConvergenceError, solve_qre_batch, stage_values
-from invgame.matrix_game import _check_distributions, _finite, _float_fields
+from invgame.matrix_game import _check_distributions, _check_positive, _finite, _float_fields
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,7 @@ class MarkovGameSpec:
             raise ValueError("horizon must be at least 1")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if not 0 < self.eta < np.inf:
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        _check_positive("eta", self.eta)
         _check_distributions("transition", transition)
 
     @property
@@ -105,6 +105,7 @@ class LinearMDPModel:
             raise ValueError("reward_params must have shape (H, d)")
         if transition_params.shape != (reward_params.shape[0], features.shape[0], d):
             raise ValueError("transition_params must have shape (H, S, d)")
+        _check_positive("eta", self.eta)
 
     def to_tabular(self) -> MarkovGameSpec:
         """Materialize the reward tensors and transition kernels."""

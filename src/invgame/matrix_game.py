@@ -5,9 +5,10 @@ objective  mu' Q nu + H(mu)/eta - H(nu)/eta.  For eta > 0 the equilibrium
 (the quantal response equilibrium, QRE) is the unique pair of mutually
 consistent softmax responses; both policies have full support.
 
-The input types here and in markov_game share two rules: array fields are
-float arrays of finite entries (_float_fields), and a policy, transition
-row or initial law is a distribution (_check_distributions).  Every QRE
+The input types here and in markov_game share three rules: array fields
+are float arrays of finite entries (_float_fields), a scalar such as eta is
+positive and finite (_check_positive), and a policy, transition row or
+initial law is a distribution (_check_distributions).  Every QRE
 solve and re-solve defaults to one tolerance, QRE_TOL.
 """
 
@@ -61,6 +62,14 @@ def _float_fields(obj, *names: str) -> list[np.ndarray]:
     return [getattr(obj, name) for name in names]
 
 
+def _check_positive(name: str, *values: float, inf_ok: bool = False) -> None:
+    """A ValueError naming the scalars unless each is positive and, unless
+    inf_ok, finite (NaN is neither)."""
+    if not all(0 < value < np.inf or inf_ok and value == np.inf for value in values):
+        bound = "positive" if inf_ok else "positive and finite"
+        raise ValueError(f"{name} must be {bound}, got {' and '.join(map(str, values))}")
+
+
 def _check_distributions(name: str, p: np.ndarray) -> None:
     """A ValueError naming p unless each of its vectors along the last axis
     is a distribution: nonnegative, summing to 1 within 1e-12 (NaN is not)."""
@@ -82,8 +91,7 @@ class MatrixGameSpec:
 
     def __post_init__(self):
         _check_payoffs(*_float_fields(self, "payoff"), 2)
-        if not 0 < self.eta < np.inf:
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        _check_positive("eta", self.eta)
 
     @property
     def m(self) -> int:
@@ -122,6 +130,7 @@ class FeatureModel:
 
     def __post_init__(self):
         features, theta = _float_fields(self, "features", "theta")
+        _check_positive("norm_sq_cap", self.norm_sq_cap, inf_ok=True)
         if features.ndim != 3:
             raise ValueError("features must have shape (m, n, d)")
         if theta.ndim != 1 or theta.shape[0] != features.shape[2]:
@@ -189,8 +198,7 @@ def solve_qre_batch(
     each reached, after MAX_NEWTON_STEPS Newton steps, or naming the stalled
     entries as soon as a halved step no longer moves a game's t.
     """
-    if not (0 < tol < np.inf and 0 < eta < np.inf):
-        raise ValueError(f"tol and eta must be positive and finite, got {tol} and {eta}")
+    _check_positive("tol and eta", tol, eta)
     q = np.ascontiguousarray(_finite("payoff", payoffs))  # one BLAS path for all
     _check_payoffs(q, 3)
     b_len, m, n = q.shape

@@ -165,9 +165,10 @@ def _draw(
     then each step's a, b and s') reads words jT .. jT + T - 1 of
     stream(seed, rep), episode i word jT + i.  Contiguous parts of the
     episodes are drawn at once on their own threads (_draw_parts), each
-    _CHUNK_EPISODES or fewer at a time from the chunk's own words
-    (_uniforms), so neither the split nor the chunk size changes a draw.
-    Without sizes, a chunk goes into its columns of sample_episodes' block,
+    _CHUNK_EPISODES or fewer at a time from the chunk's own words (_words),
+    so neither the split nor the chunk size changes a draw.  Each draw
+    reads its step's draw table (_draw_tables), made once a call.  Without
+    sizes, a chunk goes into its columns of sample_episodes' block,
     which is returned.  With sizes, it goes into the part's three scratch
     rows: a step's state, which its s' is drawn over once the transition
     row has read it, a and b.  Each step's cells ((s m + a) n + b) S + s',
@@ -182,13 +183,19 @@ def _draw(
     height = 2 * h_len if s_len == 1 else 3 * h_len + 1
     block = None if sizes else np.empty((height, n_episodes), dtype=dtype)
     bounds, cells = [0, *sizes], s_len * m * n * s_len
-    cum_init = np.cumsum(initial)[None]
-    cum_mu, cum_nu = (np.cumsum(p, axis=2) for p in (policies.mu, policies.nu))
-    cum_p = np.cumsum(spec.transition, axis=4).reshape(h_len, -1, s_len)
+    init, mu, nu, p = (
+        _draw_tables(table, n_episodes, dtype)
+        for table in (initial[None, None], policies.mu, policies.nu,
+                      spec.transition.reshape(h_len, -1, s_len))
+    )
+    guided = any(guide is not None for _, guide in (*init, *mu, *nu, *p))
 
     def draw(lo: int, hi: int):  # episodes lo..hi-1, a chunk at a time
         width = min(hi - lo, _CHUNK_EPISODES)
         scratch = np.empty((3, width), dtype=dtype) if block is None else None
+        # intp rows, reused: a step's table rows when S > 1, then a guided
+        # draw's lookups and, when S > 1, its rows' offsets (_draw_words)
+        work = np.empty((3 if s_len > 1 else int(guided), width), np.intp)
         counts = np.zeros((len(sizes), h_len, cells), dtype=np.int64)
         for start in range(lo, hi, _CHUNK_EPISODES):
             stop = min(start + _CHUNK_EPISODES, hi)
@@ -199,19 +206,22 @@ def _draw(
                 states, (acts_a, acts_b) = chunk[: h_len + 1], chunk[-2 * h_len :].reshape(2, h_len, -1)
             slices = [(k, max(a, start) - start, min(b, stop) - start)
                       for k, (a, b) in enumerate(zip(bounds, bounds[1:])) if a < stop and b > start]
-            uniforms = _uniforms(seed, rep, n_episodes, start, stop)
+            words, lookup = _words(seed, rep, n_episodes, start, stop), work[s_len > 1 :, : stop - start]
             if s_len > 1:
-                _draw_rows(next(uniforms), cum_init, None, states[0])
+                _draw_words(next(words), *init[0], None, states[0], lookup)
             for h in range(h_len):
-                rows = states[h].astype(np.intp) if s_len > 1 else None  # one-row tables read none
-                _draw_rows(next(uniforms), cum_mu[h], rows, acts_a[h])
-                _draw_rows(next(uniforms), cum_nu[h], rows, acts_b[h])
+                rows = None  # one-row tables read none
+                if s_len > 1:
+                    rows = work[0, : stop - start]
+                    rows[:] = states[h]
+                _draw_words(next(words), *mu[h], rows, acts_a[h], lookup)
+                _draw_words(next(words), *nu[h], rows, acts_b[h], lookup)
                 if s_len > 1:
                     rows *= m  # the transition row (s * m + a) * n + b, in intp: cannot wrap
                     rows += acts_a[h]
                     rows *= n
                     rows += acts_b[h]
-                    _draw_rows(next(uniforms), cum_p[h], rows, states[h + 1])
+                    _draw_words(next(words), *p[h], rows, states[h + 1], lookup)
                 if slices and s_len > 1:
                     rows *= s_len
                     rows += states[h + 1]
@@ -251,18 +261,17 @@ def _draw_parts(draw, n_episodes: int) -> list:
         return [first] + [other.result() for other in others]
 
 
-def _uniforms(seed: int, rep: int, n_episodes: int, lo: int, hi: int):
-    """The uniforms of episodes lo..hi-1, a chunk of a _draw call of T
-    episodes, for each draw in draw order, in one reused buffer of hi - lo
-    doubles: draw j's are words jT + lo .. jT + hi - 1 of stream(seed, rep),
-    one per double.  The chunk's own Philox skips the words of other chunks
-    (_seek); a chunk of all T episodes reads the stream in order, skipping none."""
-    rng = stream(seed, rep)
-    u, at = np.empty(hi - lo), 0
+def _words(seed: int, rep: int, n_episodes: int, lo: int, hi: int):
+    """The Philox words of episodes lo..hi-1, a chunk of a _draw call of T
+    episodes, for each draw in draw order, as a uint64 array of hi - lo:
+    draw j's are words jT + lo .. jT + hi - 1 of stream(seed, rep).  The
+    chunk's own Philox skips the words of other chunks (_seek); a chunk of
+    all T episodes reads the stream in order, skipping none."""
+    bit_generator, at = stream(seed, rep).bit_generator, 0
     for word in itertools.count(lo, n_episodes):
         if word > at:
-            _seek(rng.bit_generator, at, word)
-        yield rng.random(out=u)
+            _seek(bit_generator, at, word)
+        yield bit_generator.random_raw(hi - lo)
         at = word + hi - lo
 
 
@@ -280,15 +289,100 @@ def _seek(bit_generator: np.random.Philox, at: int, word: int) -> None:
         bit_generator.random_raw(word % 4)
 
 
+_GUIDE_BITS = 10  # a guide's buckets per row, 2**bits, at most
+
+
+def _guide_bits(rows: int, k: int, n_episodes: int) -> int | None:
+    """The bits b of the guide tables (_guide) of a stack of draw tables of
+    rows x k, from which n_episodes words are drawn each, or None where the
+    column loop of _draw_rows is as fast (measured on 5e4 words).  A guide
+    costs some five passes over the words, and the loop k - 1 of two (a
+    compare and an add) with one row, of three (and a gather) with more; so
+    one row needs 7 categories or more, more rows 4.  b is the largest, up
+    to _GUIDE_BITS, whose table of rows * 2**b entries is at most half the
+    words, so building it costs less than it saves, and it must leave a
+    quarter of the words or fewer in straddled buckets: 2**b >= 4 (k - 1)."""
+    if k < (7 if rows == 1 else 4):
+        return None
+    bits = min(_GUIDE_BITS, (n_episodes // (2 * rows)).bit_length() - 1)
+    return bits if bits >= 0 and 1 << bits >= 4 * (k - 1) else None
+
+
+def _draw_tables(tables: np.ndarray, n_episodes: int, dtype) -> list:
+    """Each step's draw table of a stack (steps, R, k) of distributions, as
+    _draw_words reads it: the thresholds ceil(cum * 2**53) of their
+    cumulative sums cum as int64, and their guide table (_guide) or None
+    (_guide_bits).  A word w draws #{j < k - 1 : u >= cum[j]} of u = (w >>
+    11) * 2**-53, numpy's Philox double; w >> 11 is an integer and 2**53
+    scales exactly, so u >= cum[j] exactly when w >> 11 >= ceil(cum[j] *
+    2**53).  Formed a step at a time, so only the thresholds are as large
+    as the stack, and stored a column at a time, so _draw_rows gathers
+    each column from contiguous memory."""
+    thresholds = np.empty((len(tables), tables.shape[2], tables.shape[1]), np.int64)
+    for table, out in zip(tables, thresholds):
+        cum = np.cumsum(table, axis=-1)
+        cum *= 2.0**53
+        np.ceil(cum.T, out=out, casting="unsafe")
+    thresholds = thresholds.transpose(0, 2, 1)
+    bits = _guide_bits(*tables.shape[1:], n_episodes)
+    guides = [None] * len(tables) if bits is None else _guide(thresholds, bits, dtype)
+    return list(zip(thresholds, guides))
+
+
+def _guide(thresholds: np.ndarray, bits: int, dtype) -> np.ndarray:
+    """The guide tables (Chen & Asau 1974) of a stack (..., R, k) of
+    _draw_tables' thresholds c, for the words' top `bits` bits q: (..., R,
+    2**bits) entries of dtype.  Bucket q holds v = w >> 11 of q 2**s ..
+    (q + 1) 2**s - 1, s = 53 - bits; entry [r, q] is the category all of
+    them draw on row r, #{c >> s <= q}, or -1 where a threshold falls
+    inside the bucket (c >> s = q and 2**s does not divide c), so that its
+    words draw on either side of it."""
+    size, k, shift = 1 << bits, thresholds.shape[-1], 53 - bits
+    c = thresholds.reshape(-1, k)[:, :-1]
+    inside = c >> shift  # the bucket each threshold falls in
+    bounds = np.zeros((len(c), k + 1), np.intp)  # category j fills buckets bounds[j] .. bounds[j + 1] - 1
+    bounds[:, 1:-1] = np.minimum(inside, size)
+    bounds[:, -1] = size
+    guide = np.repeat(np.tile(np.arange(k, dtype=dtype), len(c)), np.diff(bounds).ravel())
+    straddled = ((c & ((1 << shift) - 1)) != 0) & (inside < size)
+    guide[np.nonzero(straddled)[0] * size + inside[straddled]] = -1
+    return guide.reshape(*thresholds.shape[:-1], size)
+
+
+def _draw_words(words: np.ndarray, thresholds: np.ndarray, guide: np.ndarray | None,
+                rows: np.ndarray | None, out: np.ndarray, lookup: np.ndarray):
+    """The draws of a draw table (_draw_tables) from the Philox words, into
+    out: _draw_rows of each word's top 53 bits v = w >> 11, formed in place
+    of it.  With a guide table, each is one lookup of its row's bucket, the
+    word's top bits, formed in lookup (one intp row as long as words, and a
+    second for the rows' offsets when rows are given), and only the words
+    of a straddled bucket are drawn by _draw_rows.  Parts of one draw run
+    at once on their own slices of words, rows, out and lookup (_draw), so
+    it writes nothing but those of words, out and lookup."""
+    v = np.right_shift(words, 11, out=words).view(np.int64)  # uint64 to int64 compares as float
+    if guide is None:
+        _draw_rows(v, thresholds, rows, out)
+        return
+    bits, index = guide.shape[-1].bit_length() - 1, lookup[0]
+    np.right_shift(v, 53 - bits, out=index)
+    if rows is not None:
+        index += np.left_shift(rows, bits, out=lookup[1])
+    guide.take(index, out=out, mode="clip")  # "raise" would buffer out
+    straddled = np.flatnonzero(out < 0)
+    if straddled.size:
+        drawn = np.empty(straddled.size, out.dtype)
+        _draw_rows(v[straddled], thresholds, None if rows is None else rows[straddled], drawn)
+        out[straddled] = drawn
+
+
 def _draw_rows(u: np.ndarray, cum: np.ndarray, rows: np.ndarray | None, out: np.ndarray):
     """Inverse-CDF draws out[i] = #{j < k - 1 : u_i >= cum[rows[i], j]},
     counted straight into the integer row out, whose dtype holds k - 1:
     category j takes [cum[j - 1], cum[j]), so none of probability zero is
     drawn, and a u above a last entry that rounds below 1 is still the last
-    category.  Counted a column at a time, gathered by the intp rows unless
-    cum has one row (rows is then unread).  Parts of one draw run at once on
-    their own slices of u, rows and out (_draw), so it writes nothing but
-    out."""
+    category.  u and cum are uniforms and cumulative sums, or words' top 53
+    bits and thresholds (_draw_tables).  Counted a column at a time,
+    gathered by the intp rows unless cum has one row (rows is then unread)."""
     out[...] = 0
     for column in cum.T[:-1]:
         out += u >= (column if column.size == 1 else column.take(rows))
@@ -417,22 +511,24 @@ def write_dataset(data: EpisodeDataset, path: str | Path) -> None:
     so the same dataset always gives the same bytes.  They are written a
     block of whole episodes at a time, _BLOCK_ROWS rows or fewer (one
     episode when H is larger) whose indices have one digit count, so the
-    writer's memory does not grow with the dataset.  A block whose states
-    and actions are all 0..9 is its line layout (_layout) with their digits
-    put in; any other is formatted by _format_rows from a column-major
+    writer's memory does not grow with the dataset.  When its states and
+    actions are all 0..9, as each column's min and max tell, a block is its
+    line layout (_layout) with their digits stacked in; otherwise every
+    block is formatted by _format_rows (the same bytes) from a column-major
     table, the way it reads one: episode and step by repeat and tile, each
     other column as its episodes' rows raveled.
     """
     h_len, start = data.horizon, 0
     per_block = max(_BLOCK_ROWS // max(h_len, 1), 1)
+    one_digit = all(0 <= a.min(initial=0) and a.max(initial=0) <= 9 for a in data.arrays)
     with open(path, "wb") as fh:
         fh.write(DATASET_HEADER.encode("ascii") + b"\n")
         while start < data.n_episodes:
             stop = min(start + per_block, data.n_episodes, 10 ** len(str(start)))
             columns = [a[start:stop] for a in data.arrays]
-            # a body field of every episode a row, in (step, column) order
-            body = np.stack([column.T for column in columns], axis=1).reshape(-1, stop - start)
-            if 0 <= body.min(initial=0) and body.max(initial=0) <= 9:
+            if one_digit:
+                # a body field of every episode a row, in (step, column) order
+                body = np.stack([c.T for c in columns], axis=1).reshape(-1, stop - start)
                 lines, body_at = _layout(start, stop, h_len)
                 lines[:, body_at] = body.T + ord("0")
             else:

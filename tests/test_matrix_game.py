@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from invgame import experiments, markov_game, matrix_game
-from invgame.markov_game import backward_qre
+from invgame.markov_game import LinearMDPModel, MarkovGameSpec, backward_qre
 from invgame.matrix_game import (
     FeatureModel,
     MatrixGameSpec,
@@ -134,6 +134,28 @@ MATRIX_INPUTS = {
 }
 
 
+def linear_mdp(eta):
+    features = np.full((2, 2, 2, 1), 1.0)
+    return LinearMDPModel(features, np.zeros((1, 1)), np.full((1, 2, 1), 0.5), eta)
+
+
+def markov_spec(eta):
+    rewards, transition = np.zeros((1, 2, 2, 2)), np.full((1, 2, 2, 2, 2), 0.5)
+    return MarkovGameSpec(rewards, transition, eta)
+
+
+# each scalar the rule checks but tol (test_a_tolerance_must_be_positive_and_finite):
+# how to build with it, its name, and whether +inf is allowed (an uncapped model)
+SCALAR_INPUTS = {
+    "MatrixGameSpec": (lambda eta: MatrixGameSpec(np.eye(2), eta), "eta", False),
+    "MarkovGameSpec": (markov_spec, "eta", False),
+    "LinearMDPModel": (linear_mdp, "eta", False),
+    "solve_qre_batch": (lambda eta: solve_qre_batch(np.eye(2)[None], eta), "tol and eta", False),
+    "FeatureModel": (lambda cap: FeatureModel(np.ones((2, 2, 1)), [0.5], norm_sq_cap=cap),
+                     "norm_sq_cap", True),
+}
+
+
 class TestInputRules:
     """Each array field of the matrix types is a float array of finite
     entries, and a policy a distribution: NaN passed the checks written
@@ -170,6 +192,20 @@ class TestInputRules:
         with pytest.raises(ValueError, match="^p must be nonnegative and sum to 1"):
             matrix_game._check_distributions("p", np.array(p))
         matrix_game._check_distributions("p", np.array([[0.5, 0.5], [0.25, 0.75]]))
+
+    @pytest.mark.parametrize("value", [np.nan, 0.0, -1.0, np.inf], ids=["nan", "zero", "negative", "inf"])
+    @pytest.mark.parametrize("make", list(SCALAR_INPUTS), ids=list(SCALAR_INPUTS))
+    def test_the_scalar_rule(self, make, value):
+        # one rule for every scalar: positive, and finite but for the cap;
+        # a NaN cap skipped the cap check (25 > nan is False) and a NaN eta
+        # was accepted by LinearMDPModel
+        build, name, inf_ok = SCALAR_INPUTS[make]
+        if inf_ok and value == np.inf:
+            build(value)
+            return
+        bound = "positive" if inf_ok else "positive and finite"
+        with pytest.raises(ValueError, match=f"^{name} must be {bound}, got"):
+            build(value)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
     def test_a_tolerance_must_be_positive_and_finite(self, tol):

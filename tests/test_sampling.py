@@ -298,12 +298,14 @@ def force_parts(monkeypatch, parts):
 
 def given_uniforms(monkeypatch, values):
     """Make every draw of a sample_episodes call take the given uniforms (one
-    value, or T of them), in whichever parts it is drawn."""
+    value, or T of them, each a multiple of 2**-53), in whichever parts it
+    is drawn: each is the Philox word (u * 2**53) << 11."""
+    words = (np.asarray(values) * 2.0**53).astype(np.uint64) << 11
 
-    def uniforms(seed, rep, n_episodes, lo, hi):
-        return itertools.repeat(np.broadcast_to(values, (n_episodes,))[lo:hi])
+    def words_of(seed, rep, n_episodes, lo, hi):  # a fresh array each, as the draws consume them
+        return (np.broadcast_to(words, (n_episodes,))[lo:hi].copy() for _ in itertools.count())
 
-    monkeypatch.setattr(sampling, "_uniforms", uniforms)
+    monkeypatch.setattr(sampling, "_words", words_of)
 
 
 TOP_UNIFORM = 1 - 2.0**-53  # the largest double below 1
@@ -410,6 +412,78 @@ class TestTiesGoToTheUpperCategory:
         data = sample_matrix_actions(PolicyPair(self.MU, self.NU), 5, seed=0)
         assert (self.MU[data.actions_a] > 0).all() and (self.NU[data.actions_b] > 0).all()
         assert np.all(data.actions_a == a) and np.all(data.actions_b == b)
+
+
+def distributions_with_zeros(k, n_rows):
+    """n_rows distributions over k categories, with categories of
+    probability zero at each end and in the middle where k allows."""
+    p = stream(41, k).random((n_rows, k))
+    if k == 2:
+        p[: min(n_rows, 2)] = [[0.0, 1.0], [1.0, 0.0]][:n_rows]
+    elif k > 2:
+        p[:, [0, k // 2, -1]] = 0.0
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def edge_words(cum, bits):
+    """0, 2**64 - 1, the first and last word of each of the 2**bits
+    buckets, the first word whose double reaches each cumulative sum and
+    the word just below it, and some words from the stream."""
+    first = np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits)
+    reach = np.ceil(cum.ravel() * 2.0**53)
+    reach = reach[reach < 2.0**53].astype(np.uint64) << np.uint64(11)
+    sampled = stream(42, bits).bit_generator.random_raw(1000)
+    edges = [np.array([0, 2**64 - 1], np.uint64), first, first - 1, reach, reach - 1, sampled]
+    return np.unique(np.concatenate(edges))
+
+
+@pytest.mark.bitwise
+class TestDrawFromWords:
+    """Each word w draws searchsorted(side="right") on its row without the
+    last entry, at w's double u = (w >> 11) * 2**-53, guided by a table of
+    any bits or by the column loop: at each bucket's edges, at and just
+    below each cumulative sum, and with categories of probability zero."""
+
+    def test_the_double_of_a_word_is_numpys(self):
+        words = stream(7, 1).bit_generator.random_raw(10**4)
+        u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        assert np.array_equal(u, stream(7, 1).random(10**4))
+
+    @pytest.mark.parametrize("bits", [None, 1, 4, 10], ids=lambda b: f"bits{b}")
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    @pytest.mark.parametrize("k", [1, 2, 7, 300])
+    def test_every_edge_draws_as_searchsorted(self, k, n_rows, bits):
+        dtype = narrowest_signed(k)
+        p = distributions_with_zeros(k, n_rows)
+        cum = np.cumsum(p, axis=1)
+        (thresholds, _), = sampling._draw_tables(p[None], 1, dtype)
+        guide = None if bits is None else sampling._guide(thresholds[None], bits, dtype)[0]
+        words = edge_words(cum, bits or 10)
+        u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        want = np.concatenate([np.searchsorted(row[:-1], u, side="right") for row in cum])
+        rows = np.repeat(np.arange(n_rows), words.size) if n_rows > 1 else None
+        out = np.empty(n_rows * words.size, dtype)
+        lookup = np.empty((2, out.size), np.intp)
+        sampling._draw_words(np.tile(words, n_rows), thresholds, guide, rows, out, lookup)
+        assert out.dtype == dtype and np.array_equal(out, want)
+        # below a row's last cumulative sum no category of probability zero
+        # is drawn (above it, one that rounds below 1, the last category is)
+        row_of = np.arange(out.size) // words.size
+        in_range = np.tile(u, n_rows) < cum[row_of, -1]
+        assert (p[row_of, out][in_range] > 0).all()
+
+    @pytest.mark.parametrize("bits", [1, 4, 10])
+    def test_a_guide_entry_is_its_buckets_category_or_straddled(self, bits):
+        p = distributions_with_zeros(7, 3)
+        (thresholds, _), = sampling._draw_tables(p[None], 1, np.int8)
+        guide = sampling._guide(thresholds[None], bits, np.int8)[0]
+        assert guide.shape == (3, 1 << bits) and guide.dtype == np.int8
+        # the bucket [q, q + 1) / 2**bits of each row: one category, or -1
+        for row, cum in zip(guide, np.cumsum(p, axis=1)):
+            starts = np.arange(1 << bits) * 2.0**-bits
+            lo = np.searchsorted(cum[:-1], starts, side="right")
+            hi = np.searchsorted(cum[:-1], starts + (2.0**-bits - 2.0**-53), side="right")
+            assert np.array_equal(row, np.where(lo == hi, lo, -1))
 
 
 class TestSampleEpisodesInput:
@@ -584,9 +658,9 @@ class TestPartCountInvariance:
 
     @pytest.mark.parametrize("lo, hi", [(0, 13), (0, 5), (3, 9), (7, 13), (12, 13)])
     def test_a_part_reads_its_own_words(self, lo, hi):
-        # draw j of episode i is word j * T + i of the stream, as a double
-        words = stream(6, 1).random(4 * 13).reshape(4, 13)
-        draws = sampling._uniforms(6, 1, 13, lo, hi)
+        # draw j of episode i is word j * T + i of the stream
+        words = stream(6, 1).bit_generator.random_raw(4 * 13).reshape(4, 13)
+        draws = sampling._words(6, 1, 13, lo, hi)
         for j in range(4):
             assert np.array_equal(next(draws), words[j, lo:hi])
 
@@ -624,18 +698,18 @@ class TestNoThreadOutlivesACall:
     @pytest.mark.parametrize("where", ["worker", "caller"])
     def test_a_part_that_raises(self, monkeypatch, where):
         force_parts(monkeypatch, 2)
-        instance, callers, draw_rows = markov_instance(1), [], sampling._draw_rows
+        instance, callers, draw_words = markov_instance(1), [], sampling._draw_words
 
-        def draw_or_raise(u, cum, rows, out):
+        def draw_or_raise(*args):
             if (threading.current_thread() is callers[0]) == (where == "caller"):
                 raise RuntimeError(f"the {where}'s part failed")
-            draw_rows(u, cum, rows, out)
+            draw_words(*args)
 
         def call():
             callers.append(threading.current_thread())
             return sample_episodes(*instance, 1000, seed=1)
 
-        monkeypatch.setattr(sampling, "_draw_rows", draw_or_raise)
+        monkeypatch.setattr(sampling, "_draw_words", draw_or_raise)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"the {where}'s part failed"):
             within(60, call)
@@ -644,14 +718,14 @@ class TestNoThreadOutlivesACall:
     def test_the_first_part_that_raises_is_raised(self, monkeypatch):
         # parts [500, 750) and [750, 1000) both fail, in either order in time
         force_parts(monkeypatch, 4)
-        instance, uniforms = markov_instance(1), sampling._uniforms
+        instance, words = markov_instance(1), sampling._words
 
-        def uniforms_or_raise(seed, rep, n_episodes, lo, hi):
+        def words_or_raise(seed, rep, n_episodes, lo, hi):
             if lo >= 500:
                 raise RuntimeError(f"part at {lo}")
-            return uniforms(seed, rep, n_episodes, lo, hi)
+            return words(seed, rep, n_episodes, lo, hi)
 
-        monkeypatch.setattr(sampling, "_uniforms", uniforms_or_raise)
+        monkeypatch.setattr(sampling, "_words", words_or_raise)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="^part at 500$"):
             within(60, lambda: sample_episodes(*instance, 1000, seed=1))
@@ -1553,6 +1627,14 @@ class TestWriteDataset:
         policies, _ = backward_qre(spec)
         initial = np.full(spec.S, 0.25)
         data = sample_episodes(spec, policies, initial, n_episodes, seed=23)
+        assert self.written(data, tmp_path) == dataset_file_by_join(data)
+
+    def test_sampled_dataset_of_two_digit_states(self, tmp_path):
+        # S=12: every block is formatted by _format_rows, whichever of its
+        # states are two-digit
+        spec = simplex_feature_model(18, s_len=12, h_len=2).to_tabular()
+        policies, _ = backward_qre(spec)
+        data = sample_episodes(spec, policies, np.full(12, 1 / 12), 10001, seed=23)
         assert self.written(data, tmp_path) == dataset_file_by_join(data)
 
     def test_matrix_dataset_as_single_step_episodes(self, tmp_path):
